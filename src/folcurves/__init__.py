@@ -57,7 +57,6 @@ from .groebner import (
     normal_form,
     rao_module_dimensions,
 )
-from .linalg import ExactMatrix, kernel_basis
 from .monad import MonadSpec, instanton_monad, mismatched_charge6_monads, monad_chern, monad_regularity_bound
 from .polyring import HomogeneousPolynomial, graded_piece_dimension, parse_polynomial
 from .sheafcoh import (

@@ -3,7 +3,7 @@ first-cohomology dimensions of curve ideal sheaves.
 
 Everything is exact.  The monomial order is fixed to degrevlex.  Hilbert
 series of lead-term ideals drive degree and genus; resolutions are built
-degree by degree with sparse rational elimination; the per-twist first
+degree by degree with fraction-free integer elimination; the per-twist first
 cohomology of a curve's ideal sheaf comes from graded duality applied to
 the dualized tail of the resolution, so no saturation is ever computed.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .errors import (
     DegreeMismatchError,
@@ -260,13 +260,6 @@ def _regularity_bound(gens: tuple) -> int:
 # Hilbert polynomials
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _binomial_poly(i: int):
     """Power-basis coefficients of C(t+i, i)."""
     coeffs = [Fraction(1)]
@@ -276,7 +269,7 @@ def _binomial_poly(i: int):
             nxt[k] += c * j
             nxt[k + 1] += c
         coeffs = nxt
-    return [c / _factorial(i) for c in coeffs]
+    return [c / factorial(i) for c in coeffs]
 
 
 class HilbertPolynomial:
@@ -298,7 +291,7 @@ class HilbertPolynomial:
             power.pop()
         binom = []
         for i in range(len(power) - 1, -1, -1):
-            b = power[i] * _factorial(i)
+            b = power[i] * factorial(i)
             base = _binomial_poly(i)
             for k in range(i + 1):
                 power[k] -= b * base[k]
@@ -367,7 +360,7 @@ def _binom_ext(n: int, k: int) -> Fraction:
     num = 1
     for j in range(k):
         num *= n - j
-    return Fraction(num, _factorial(k))
+    return Fraction(num, factorial(k))
 
 
 # ---------------------------------------------------------------------------

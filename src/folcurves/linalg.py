@@ -1,182 +1,103 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra by fraction-free elimination over the integers.
 
-Vectors are dicts mapping coordinate index to a nonzero Fraction.  The
-Echelon accumulator keeps a reduced echelon basis and is the single engine
-behind rank, kernel and image computations used across the package.
+Vectors are dicts mapping coordinate index to a nonzero int or Fraction.
+Denominators are cleared when a vector comes in, so the elimination itself
+only ever touches integers, in the integer-preserving style of Bareiss
+("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968).  Echelon is the single engine behind
+every rank and kernel computation in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 SparseVec = dict
 
 
-class Echelon:
-    """Incremental reduced echelon form of sparse rational vectors.
+def _integral(vec: SparseVec) -> SparseVec:
+    """vec times the lcm of its denominators: an integer vector."""
+    den = 1
+    for x in vec.values():
+        den = lcm(den, x.denominator)
+    return {c: x.numerator * (den // x.denominator) for c, x in vec.items()}
 
-    Pivot columns are leftmost nonzero coordinates; every stored row is
-    normalized (pivot entry 1) and fully reduced against the other rows, so
-    insertion order does not affect the resulting row space.
+
+def _primitive(vec: SparseVec) -> SparseVec:
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*vec.values())
+    return vec if g == 1 else {c: x // g for c, x in vec.items()}
+
+
+class Echelon:
+    """Incremental echelon form of sparse vectors, kept as integer rows.
+
+    Each stored row is primitive and keyed by its leftmost coordinate, its
+    pivot.  Rows are never back-substituted: a row only involves coordinates
+    that were not pivots when it was stored, so reducing against the rows in
+    insertion order is complete after one pass.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows: dict = {}  # pivot index -> normalized sparse row
+        self.rows: dict = {}  # pivot index -> primitive integer row
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: SparseVec) -> SparseVec:
-        """Return a copy of vec reduced against the current echelon."""
-        v = dict(vec)
-        for p in sorted(set(v) & set(self.rows)):
+    def _reduce(self, v: SparseVec) -> SparseVec:
+        """Clear the integer vector v at every pivot, in place, and return it."""
+        for p, row in self.rows.items():
             f = v.get(p)
             if not f:
                 continue
-            for c, rc in self.rows[p].items():
-                s = v.get(c, 0) - f * rc
-                if s:
-                    v[c] = s
+            a = row[p]
+            g = gcd(a, f)
+            # v <- (a/g) v - (f/g) row, which stays integral and clears v[p]
+            s, t = a // g, f // g
+            if s != 1:
+                for c in v:
+                    v[c] *= s
+            for c, x in row.items():
+                y = v.get(c, 0) - t * x
+                if y:
+                    v[c] = y
                 else:
-                    v.pop(c, None)
+                    del v[c]
         return v
 
     def insert(self, vec: SparseVec):
         """Reduce vec and, if independent, add it; return the new pivot or None."""
-        v = self.reduce(vec)
+        v = self._reduce(_integral(vec))
         if not v:
             return None
         p = min(v)
-        inv = 1 / v[p]
-        row = {c: x * inv for c, x in v.items()}
-        for other in self.rows.values():
-            f = other.get(p)
-            if f:
-                for c, rc in row.items():
-                    s = other.get(c, 0) - f * rc
-                    if s:
-                        other[c] = s
-                    else:
-                        other.pop(c, None)
-        self.rows[p] = row
+        self.rows[p] = _primitive(v)
         return p
 
-    def contains(self, vec: SparseVec) -> bool:
-        return not self.reduce(vec)
 
-    def basis(self):
-        """Echelon rows in pivot order (a canonical basis of the span)."""
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
-
-
-def kernel_of_columns(columns, normalize: bool = True):
+def kernel_of_columns(columns):
     """Right-kernel basis of the matrix whose j-th column is columns[j].
 
     Columns are sparse vectors over row indices.  Kernel vectors are sparse
-    over column indices and come out in a canonical order (one per dependent
-    column, in column order).
+    over column indices, one per dependent column in column order; the one
+    for column j is the unique kernel vector supported on j and the earlier
+    independent columns, scaled so that its first entry is 1.
     """
-    # Pivot rows are not back-substituted, but each stored row only involves
-    # coordinates that become pivots later (if at all), so one reduction pass
-    # in insertion order is complete.
-    pivots: dict = {}  # row index -> (value row, combination row), insertion order
+    shift = 1 + max((max(col) for col in columns if col), default=-1)
+    ech = Echelon()
     kernel = []
     for j, col in enumerate(columns):
-        v = dict(col)
-        combo = {j: Fraction(1)}
-        for p, (pv, pc) in pivots.items():
-            f = v.get(p)
-            if not f:
-                continue
-            for c, rc in pv.items():
-                s = v.get(c, 0) - f * rc
-                if s:
-                    v[c] = s
-                else:
-                    v.pop(c, None)
-            for c, rc in pc.items():
-                s = combo.get(c, 0) - f * rc
-                if s:
-                    combo[c] = s
-                else:
-                    combo.pop(c, None)
-        if v:
-            p = min(v)
-            inv = 1 / v[p]
-            pivots[p] = ({c: x * inv for c, x in v.items()},
-                         {c: x * inv for c, x in combo.items()})
+        # column j, augmented by a unit coordinate past every row index that
+        # records which columns the reduced vector combines
+        v = ech._reduce(_integral({**col, shift + j: 1}))
+        p = min(v)
+        if p < shift:
+            ech.rows[p] = _primitive(v)
         else:
-            if normalize:
-                lead = combo[min(combo)]
-                combo = {c: x / lead for c, x in combo.items()}
-            kernel.append(combo)
+            lead = v[p]
+            kernel.append({c - shift: Fraction(x, lead) for c, x in v.items()})
     return kernel
-
-
-def rank_of_columns(columns) -> int:
-    ech = Echelon()
-    for col in columns:
-        ech.insert(col)
-    return ech.rank
-
-
-class ExactMatrix:
-    """Dense exact rational matrix with rank, kernel and image routines."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        entries = [[Fraction(x) for x in row] for row in entries]
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        for row in entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-        self.entries = entries
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def column(self, j: int) -> SparseVec:
-        return {i: self.entries[i][j] for i in range(self.rows) if self.entries[i][j]}
-
-    def _columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def rank(self) -> int:
-        return rank_of_columns(self._columns())
-
-    def kernel_basis(self):
-        """Basis of the right kernel as dense tuples, first nonzero entry 1."""
-        out = []
-        for vec in kernel_of_columns(self._columns()):
-            dense = tuple(vec.get(j, Fraction(0)) for j in range(self.cols))
-            out.append(dense)
-        return out
-
-    def image_basis(self):
-        """Canonical (reduced echelon) basis of the column space."""
-        ech = Echelon()
-        for col in self._columns():
-            ech.insert(col)
-        return [tuple(row.get(i, Fraction(0)) for i in range(self.rows))
-                for row in ech.basis()]
-
-    def rref(self) -> "ExactMatrix":
-        """Reduced row echelon form (rows of the echelon of the row space)."""
-        ech = Echelon()
-        for i in range(self.rows):
-            ech.insert({j: x for j, x in enumerate(self.entries[i]) if x})
-        body = [[row.get(j, Fraction(0)) for j in range(self.cols)]
-                for row in ech.basis()]
-        body += [[Fraction(0)] * self.cols for _ in range(self.rows - len(body))]
-        return ExactMatrix(body)
-
-
-def kernel_basis(matrix: ExactMatrix):
-    """Basis of the right kernel of an exact matrix; empty list if injective."""
-    return matrix.kernel_basis()

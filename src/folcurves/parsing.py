@@ -190,7 +190,10 @@ def parse_value(text: str):
     """Parse an expression into a polynomial or a twisted form."""
     if not text or not text.strip():
         raise ParseError("empty expression")
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
 
 
 def parse_scalar(text: str) -> HomogeneousPolynomial:

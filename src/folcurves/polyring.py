@@ -214,9 +214,14 @@ class HomogeneousPolynomial:
     def __pow__(self, n: int) -> "HomogeneousPolynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = HomogeneousPolynomial.constant(1)
-        for _ in range(n):
-            out = out * self
+        # repeated squaring over the bits of n, low bit first
+        out, base = HomogeneousPolynomial.constant(1), self
+        while n:
+            if n & 1:
+                out = base * out
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def monic(self) -> "HomogeneousPolynomial":

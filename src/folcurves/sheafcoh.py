@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .errors import (
     InvalidProfileError,
@@ -124,7 +124,7 @@ def hrr_polynomial(symbol: SheafSymbol):
     for k in range(4):
         lead = diffs[0]
         for i, b in enumerate(basis):
-            coeffs[i] += lead * b / _fact(k)
+            coeffs[i] += lead * b / factorial(k)
         diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
         # multiply basis by (t - k)
         nxt = [Fraction(0)] * (len(basis) + 1)
@@ -133,13 +133,6 @@ def hrr_polynomial(symbol: SheafSymbol):
             nxt[i + 1] += b
         basis = nxt
     return coeffs
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 @dataclass

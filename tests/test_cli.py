@@ -157,3 +157,19 @@ def test_verify_syzygy_suite(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "syzygy"])
     assert code == 0
     assert "PASS" in out
+
+
+def test_hilbert_with_a_huge_power_answers(capsys, tmp_path):
+    path = tmp_path / "power.ideal"
+    path.write_text("x^2\nx^100000000\n")
+    code, out, _ = run(capsys, ["hilbert", str(path)])
+    assert code == 0
+    assert "Hilbert polynomial: t^2 + 2*t + 1" in out
+
+
+def test_hilbert_reports_deep_nesting_as_bad_input(capsys, tmp_path):
+    path = tmp_path / "deep.ideal"
+    path.write_text("(" * 3000 + "x" + ")" * 3000 + "\n")
+    code, _, err = run(capsys, ["hilbert", str(path)])
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from folcurves.errors import DegreeMismatchError, NotHomogeneousError, ParseError
-from folcurves.linalg import ExactMatrix
+from folcurves.linalg import Echelon, kernel_of_columns
 from folcurves.polyring import (
     HomogeneousPolynomial,
     degrevlex_key,
@@ -94,6 +94,17 @@ def test_product_degree_commutativity_distributivity():
         assert f * (g + h) == f * g + f * h
 
 
+def test_power_matches_repeated_product():
+    rng = Random(13)
+    for n in range(9):
+        f = _random_poly(rng, rng.randint(0, 2))
+        product = HomogeneousPolynomial.constant(1)
+        for _ in range(n):
+            product = product * f
+        assert f ** n == product and (f ** n).degree == n * f.degree
+    assert HomogeneousPolynomial.zero(2) ** 3 == HomogeneousPolynomial.zero(6)
+
+
 def test_serialize_parse_identity_random():
     rng = Random(11)
     for _ in range(30):
@@ -119,10 +130,23 @@ def test_fraction_field_axioms_and_reduction():
             assert value.denominator > 0
 
 
+def _columns(rows, ncols=None):
+    """Sparse columns of the dense matrix with the given rows."""
+    ncols = len(rows[0]) if ncols is None else ncols
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+
+
+def _rank(vectors):
+    ech = Echelon()
+    for vec in vectors:
+        ech.insert(vec)
+    return ech.rank
+
+
 def test_kernel_identity_and_single_row():
-    assert ExactMatrix.identity(3).kernel_basis() == []
-    vecs = ExactMatrix([[1, 1]]).kernel_basis()
-    assert vecs == [(Fraction(1), Fraction(-1))]
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert kernel_of_columns(_columns(identity)) == []
+    assert kernel_of_columns(_columns([[1, 1]])) == [{0: Fraction(1), 1: Fraction(-1)}]
 
 
 def _bareiss_rank(rows):
@@ -157,22 +181,99 @@ def test_kernel_of_random_matrix_matches_bareiss():
     rng = Random(5)
     for _ in range(25):
         rows = [[rng.randint(-4, 4) for _ in range(8)] for _ in range(4)]
-        matrix = ExactMatrix(rows)
+        columns = _columns(rows)
         rank = _bareiss_rank(rows)
-        assert matrix.rank() == rank
-        basis = matrix.kernel_basis()
+        assert _rank(columns) == rank
+        basis = kernel_of_columns(columns)
         assert len(basis) == 8 - rank
         for vec in basis:
             for row in rows:
-                assert sum(c * v for c, v in zip(row, vec)) == 0
+                assert sum(row[j] * v for j, v in vec.items()) == 0
 
 
-def test_image_basis_and_rref_shapes():
-    matrix = ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert matrix.rank() == 2
-    assert len(matrix.image_basis()) == 2
-    rref = matrix.rref()
-    assert rref.entries[2] == [0, 0, 0]
+def test_dependent_square_has_rank_two():
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    assert _rank(_columns(rows)) == 2
+    assert _rank({j: x for j, x in enumerate(row) if x} for row in rows) == 2
+    assert len(kernel_of_columns(_columns(rows))) == 1
+
+
+def _fraction_kernel_of_columns(columns, normalize: bool = True):
+    """Right-kernel basis of the matrix whose j-th column is columns[j].
+
+    Columns are sparse vectors over row indices.  Kernel vectors are sparse
+    over column indices and come out in a canonical order (one per dependent
+    column, in column order).
+    """
+    # Pivot rows are not back-substituted, but each stored row only involves
+    # coordinates that become pivots later (if at all), so one reduction pass
+    # in insertion order is complete.
+    pivots: dict = {}  # row index -> (value row, combination row), insertion order
+    kernel = []
+    for j, col in enumerate(columns):
+        v = dict(col)
+        combo = {j: Fraction(1)}
+        for p, (pv, pc) in pivots.items():
+            f = v.get(p)
+            if not f:
+                continue
+            for c, rc in pv.items():
+                s = v.get(c, 0) - f * rc
+                if s:
+                    v[c] = s
+                else:
+                    v.pop(c, None)
+            for c, rc in pc.items():
+                s = combo.get(c, 0) - f * rc
+                if s:
+                    combo[c] = s
+                else:
+                    combo.pop(c, None)
+        if v:
+            p = min(v)
+            inv = 1 / v[p]
+            pivots[p] = ({c: x * inv for c, x in v.items()},
+                         {c: x * inv for c, x in combo.items()})
+        else:
+            if normalize:
+                lead = combo[min(combo)]
+                combo = {c: x / lead for c, x in combo.items()}
+            kernel.append(combo)
+    return kernel
+
+
+def test_integer_engine_matches_the_fraction_engine():
+    """Kernels equal those of the former Fraction elimination (kept above as
+    the oracle) and ranks equal Bareiss ranks, on sparse rational matrices."""
+    from math import lcm
+
+    rng = Random(2024)
+    assert kernel_of_columns([]) == _fraction_kernel_of_columns([]) == []
+    for _ in range(150):
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 11)
+        density = rng.choice((0.2, 0.4, 0.7))
+        rows = [[0] * ncols for _ in range(nrows)]
+        for i in range(nrows):
+            for j in range(ncols):
+                if rng.random() < density:
+                    rows[i][j] = rng.choice(
+                        (rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(2, 7))))
+        for j in rng.sample(range(ncols), rng.randint(0, ncols // 3)):
+            for row in rows:
+                row[j] = 0
+        columns = _columns(rows, ncols)
+        kernel = kernel_of_columns(columns)
+        # the oracle expects Fraction entries, as every caller supplied them
+        exact = [{i: Fraction(x) for i, x in col.items()} for col in columns]
+        assert kernel == _fraction_kernel_of_columns(exact)
+        assert all(type(x) is Fraction for vec in kernel for x in vec.values())
+        den = lcm(*(Fraction(x).denominator for row in rows for x in row))
+        rank = _bareiss_rank([[int(x * den) for x in row] for row in rows])
+        assert _rank(columns) == rank == ncols - len(kernel)
+        ech = Echelon()
+        for k, col in enumerate(columns):
+            before = ech.rank
+            assert (ech.insert(col) is None) == (_rank(columns[:k + 1]) == before)
 
 
 def test_partial_derivative():
