@@ -2,16 +2,19 @@
 first-cohomology dimensions of curve ideal sheaves.
 
 Everything is exact.  The monomial order is fixed to degrevlex.  Hilbert
-series of lead-term ideals drive degree and genus; resolutions are built
-degree by degree with fraction-free integer elimination; the per-twist first
+series of lead-term ideals drive degree and genus; the per-twist first
 cohomology of a curve's ideal sheaf comes from graded duality applied to
 the dualized tail of the resolution, so no saturation is ever computed.
 
-The per-layer truncation degrees rest on two facts: generator twists in a
-minimal resolution of S/I never exceed reg(S/I) + layer index, and
-reg(S/I) is bounded by the regularity of the lead-term quotient, which is
-computed by a recursive bound for monomial ideals.  A dimension audit over
-all degrees up to the truncation bound cross-checks the construction.
+Resolutions are built layer by layer and degree by degree.  Exactness and
+the Hilbert function of S/I give the dimension of the kernel each layer
+must cover in each degree; candidates (normal forms in layer 1, kernels of
+the previous differential above it) are computed only where the multiples
+of the generators found so far fall short of it.  Generator twists in layer
+L never exceed reg(S/I) + L, which is bounded through the lead-term
+quotient; one degree past that bound is a safety margin.  Each target is
+met by both the kernel length and the rank, and a dimension audit over all
+degrees up to the truncation bound cross-checks the result.
 """
 
 from __future__ import annotations
@@ -509,30 +512,55 @@ def graded_syzygies(row, weights, target_degree: int):
             raise DegreeMismatchError(
                 f"row entry of degree {p.degree} in a slot of weight {w}"
             )
-    target_monos = monomials_of_degree(target_degree)
-    row_index = {m: i for i, m in enumerate(target_monos)}
-    columns = []
-    col_meta = []
-    for slot, (p, w) in enumerate(zip(row, weights)):
-        for m in monomials_of_degree(target_degree - w):
-            vec = {}
-            for pm, pc in p.terms.items():
-                vec[row_index[mono_mul(pm, m)]] = pc
-            columns.append(vec)
-            col_meta.append((slot, m))
+    twists = [-w for w in weights]
+    basis = _degree_basis(twists, target_degree)
+    columns = _degree_matrix([{0: p} for p in row], twists, [0], target_degree)
     out = []
     for combo in kernel_of_columns(columns):
-        slots = [{} for _ in row]
-        for ci, c in combo.items():
-            slot, m = col_meta[ci]
-            slots[slot][m] = c
+        element = _element(combo, basis, twists, target_degree)
         out.append(
             tuple(
-                HomogeneousPolynomial(target_degree - w, terms)
-                for terms, w in zip(slots, weights)
+                element.get(slot, HomogeneousPolynomial.zero(target_degree - w))
+                for slot, w in enumerate(weights)
             )
         )
     return out
+
+
+def _degree_basis(twists, degree):
+    """Index map for the degree-e piece of (+) S(b): list of (slot, monomial)."""
+    basis = []
+    for slot, b in enumerate(twists):
+        for m in monomials_of_degree(degree + b):
+            basis.append((slot, m))
+    return basis
+
+
+def _degree_matrix(columns, twists, target_twists, degree):
+    """Degree-e piece of the map (+) S(b_j) -> (+) S(c_i) sending the j-th
+    generator to columns[j], a map from target slot to polynomial: one sparse
+    column per entry of _degree_basis(twists, degree), over the rows
+    _degree_basis(target_twists, degree)."""
+    row_index = {key: i for i, key in enumerate(_degree_basis(target_twists, degree))}
+    matrix = []
+    for slot, m in _degree_basis(twists, degree):
+        vec = {}
+        for target, poly in columns[slot].items():
+            for pm, pc in poly.terms.items():
+                vec[row_index[(target, mono_mul(pm, m))]] = pc
+        matrix.append(vec)
+    return matrix
+
+
+def _element(vec, basis, twists, degree):
+    """The element of (+) S(b) with coordinates vec over the degree-e basis,
+    as a map from slot to homogeneous polynomial."""
+    slots = {}
+    for ci, c in vec.items():
+        slot, m = basis[ci]
+        slots.setdefault(slot, {})[m] = c
+    return {slot: HomogeneousPolynomial(degree + twists[slot], terms)
+            for slot, terms in slots.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -599,15 +627,6 @@ class FreeResolution:
         return True
 
 
-def _degree_basis(twists, degree):
-    """Index map for the degree-e piece of (+) S(b): list of (slot, monomial)."""
-    basis = []
-    for slot, b in enumerate(twists):
-        for m in monomials_of_degree(degree + b):
-            basis.append((slot, m))
-    return basis
-
-
 def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolution:
     """Minimal graded free resolution of S/I, complete in degrees <= bound."""
     if ideal.is_unit_ideal():
@@ -625,106 +644,64 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
 
     gb = list(ideal.groebner_basis())
     lead_gens = ideal.lead_ideal()
+    res = FreeResolution(twists=[[0]], differentials=[], bound=bound)
     if not lead_gens:
-        return FreeResolution(twists=[[0]], differentials=[], bound=bound)
+        return res
 
-    def lt_monomials(e):
-        return [m for m in monomials_of_degree(e)
-                if any(mono_divides(g, m) for g in lead_gens)]
-
-    def reduced_element(m):
-        lead = HomogeneousPolynomial.from_term(m)
-        return lead - normal_form(lead, gb)
-
-    # layer 1: minimal generators of I
-    gens1 = []
-    cap1 = min(bound, maxdeg)
-    for e in range(1, cap1 + 1):
-        monos_e = lt_monomials(e)
-        if not monos_e:
-            continue
-        index = {m: i for i, m in enumerate(monomials_of_degree(e))}
-        ech = Echelon()
-        for m_prev in lt_monomials(e - 1):
-            b = reduced_element(m_prev)
-            for v in range(NVARS):
-                mv = tuple(1 if i == v else 0 for i in range(NVARS))
-                shifted = b.multiply_monomial(mv)
-                ech.insert({index[mm]: c for mm, c in shifted.terms.items()})
-        for m in monos_e:
-            f = reduced_element(m)
-            if ech.insert({index[mm]: c for mm, c in f.terms.items()}) is not None:
-                gens1.append((e, f))
-        if ech.rank != len(monos_e):
-            raise ResourceLimitError("layer-1 dimension audit failed")
-
-    twists = [[0], [-e for e, _ in gens1]]
-    differentials = [[{0: f} for _, f in gens1]]
-
-    # higher layers: kernels of the previous differential, degree by degree
-    layer = 2
-    while layer <= 5:
-        prev_twists = twists[layer - 1]
-        below_twists = twists[layer - 2]
-        prev_cols = differentials[layer - 2]
-        if not prev_twists:
-            break
-        cap = min(bound, regb + layer + 1)
-        start = min(-b for b in prev_twists)
-        new_gens = []  # (degree, column over F_{layer-1} slots)
-        prev_kernel = []
-        prev_col_meta = []
-        for e in range(start, cap + 1):
-            col_meta = _degree_basis(prev_twists, e)
-            col_index = {key: i for i, key in enumerate(col_meta)}
-            row_meta = _degree_basis(below_twists, e)
-            row_index = {key: i for i, key in enumerate(row_meta)}
-            columns = []
-            for slot, m in col_meta:
-                vec = {}
-                for target, poly in prev_cols[slot].items():
-                    for pm, pc in poly.terms.items():
-                        vec[row_index[(target, mono_mul(pm, m))]] = pc
-                columns.append(vec)
-            kernel = kernel_of_columns(columns)
-            ech_old = Echelon()
-            for z in prev_kernel:
-                for v in range(NVARS):
-                    mv = tuple(1 if i == v else 0 for i in range(NVARS))
-                    shifted = {}
-                    for ci, c in z.items():
-                        slot, m = prev_col_meta[ci]
-                        shifted[col_index[(slot, mono_mul(m, mv))]] = c
-                    ech_old.insert(shifted)
-            for z in kernel:
-                if ech_old.insert(z) is None:
-                    continue
-                if e == cap and cap == regb + layer + 1:
-                    raise ResourceLimitError(
-                        "resolution generator found at the safety margin degree"
-                    )
-                column = {}
-                for ci, c in z.items():
-                    slot, m = col_meta[ci]
-                    column.setdefault(slot, {})[m] = c
-                new_gens.append(
-                    (e, {slot: HomogeneousPolynomial(e + prev_twists[slot], terms)
-                         for slot, terms in column.items()})
+    for layer in range(1, 6):
+        # generators of F_layer, as columns of d_layer over F_{layer-1}
+        twists, columns = [], []
+        source = res.twists[layer - 1]
+        for e in range(min(-b for b in source), min(bound, regb + layer + 1) + 1):
+            where = f"layer {layer}, degree {e}"
+            # dim ker(d_{layer-1})_e, by exactness; for layer 1, dim I_e
+            target = (-1) ** layer * ideal.hilbert_function(e) + sum(
+                (-1) ** (layer - 1 - i) * res.layer_dimension(i, e) for i in range(layer)
+            )
+            ech = Echelon()
+            for vec in _degree_matrix(columns, twists, source, e):
+                if ech.rank == target:
+                    break
+                ech.insert(vec)
+            if ech.rank == target:
+                continue
+            if e == regb + layer + 1:
+                raise ResourceLimitError(
+                    f"{where}: resolution generator found at the safety margin degree"
                 )
-            prev_kernel = kernel
-            prev_col_meta = col_meta
-        if not new_gens:
+            if layer == 1:
+                reduced = []
+                for m in monomials_of_degree(e):
+                    if any(mono_divides(g, m) for g in lead_gens):
+                        lead = HomogeneousPolynomial.from_term(m)
+                        reduced.append({0: lead - normal_form(lead, gb)})
+                candidates = _degree_matrix(reduced, [-e] * len(reduced), [0], e)
+            else:
+                candidates = kernel_of_columns(_degree_matrix(
+                    res.differentials[layer - 2], source, res.twists[layer - 2], e))
+            if len(candidates) != target:
+                raise ResourceLimitError(f"{where}: kernel dimension audit failed")
+            basis = _degree_basis(source, e)
+            for z in candidates:
+                if ech.insert(z) is not None:
+                    twists.append(-e)
+                    columns.append(_element(z, basis, source, e))
+            if ech.rank != target:
+                raise ResourceLimitError(f"{where}: image dimension audit failed")
+        if not twists:
             break
-        twists.append([-e for e, _ in new_gens])
-        differentials.append([col for _, col in new_gens])
-        layer += 1
-    if layer > 5:
-        raise ResourceLimitError("resolution did not terminate at length 4")
+        if layer == 5:
+            raise ResourceLimitError(
+                f"layer 5, degree {-max(twists)}: resolution did not terminate at length 4"
+            )
+        res.twists.append(twists)
+        res.differentials.append(columns)
 
-    resolution = FreeResolution(twists=twists, differentials=differentials, bound=bound)
-    if not resolution.alternating_sum_ok(ideal.hilbert_function):
-        raise ResourceLimitError("resolution dimension audit failed")
-    return resolution
+    if not res.alternating_sum_ok(ideal.hilbert_function):
+        raise ResourceLimitError(
+            f"all layers, degrees 0..{bound}: resolution dimension audit failed"
+        )
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,14 @@ forms scale the form.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from .errors import DegreeMismatchError, NotHomogeneousError, ParseError
-from .polyring import HomogeneousPolynomial
+from .errors import DegreeMismatchError, NotHomogeneousError, ParseError, ResourceLimitError
+from .polyring import HomogeneousPolynomial, graded_piece_dimension
+
+# Largest number of terms a scalar product or power may produce; far above
+# any polynomial the shipped tests, demos and benchmark inputs parse to.
+MAX_TERMS = 2_000
 
 _ALIASES = {"x": 0, "y": 1, "z": 2, "t": 3, "z0": 0, "z1": 1, "z2": 2, "z3": 3}
 _FORM_ATOMS = {"dz0": 0, "dz1": 1, "dz2": 2, "dz3": 3}
@@ -122,6 +127,8 @@ class _Parser:
                 if not isinstance(base, HomogeneousPolynomial):
                     raise ParseError("exponent applies only to scalar atoms")
                 self.next()
+                count = comb(len(base.terms) + val2 - 1, val2) if base else 1
+                _check_terms(count, val2 * base.degree)
                 return base ** val2
             rhs = self.factor()
             if isinstance(base, HomogeneousPolynomial) and isinstance(
@@ -157,6 +164,16 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}")
 
 
+def _check_terms(count: int, degree: int):
+    """Refuse, before multiplying, a result that may exceed MAX_TERMS terms:
+    it has at most count terms and at most dim S_degree."""
+    bound = min(count, graded_piece_dimension(degree))
+    if bound > MAX_TERMS:
+        raise ResourceLimitError(
+            f"a product or power may have {bound} terms, over the cap of {MAX_TERMS}"
+        )
+
+
 def _neg(value):
     return -value
 
@@ -178,6 +195,7 @@ def _mul(a, b):
     a_poly = isinstance(a, HomogeneousPolynomial)
     b_poly = isinstance(b, HomogeneousPolynomial)
     if a_poly and b_poly:
+        _check_terms(len(a.terms) * len(b.terms), a.degree + b.degree)
         return a * b
     if a_poly:
         return b.scale_by_polynomial(a)

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
 import json
+import time
 
 from folcurves.cli import main
 
@@ -165,6 +166,16 @@ def test_hilbert_with_a_huge_power_answers(capsys, tmp_path):
     code, out, _ = run(capsys, ["hilbert", str(path)])
     assert code == 0
     assert "Hilbert polynomial: t^2 + 2*t + 1" in out
+
+
+def test_hilbert_refuses_a_power_over_the_term_cap_quickly(capsys, tmp_path):
+    path = tmp_path / "wide.ideal"
+    path.write_text("x^2\n(x+y+z+t)^40\n")
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["hilbert", str(path)])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert err.startswith("error:") and "12341 terms" in err
 
 
 def test_hilbert_reports_deep_nesting_as_bad_input(capsys, tmp_path):

@@ -12,7 +12,9 @@ from folcurves.errors import (
     WindowTooSmallError,
 )
 from folcurves.groebner import (
+    FreeResolution,
     GradedIdeal,
+    _degree_basis,
     buchberger,
     curve_invariants,
     graded_syzygies,
@@ -21,9 +23,12 @@ from folcurves.groebner import (
     rao_module_dimensions,
     s_polynomial,
 )
+from folcurves.linalg import Echelon, kernel_of_columns
 from folcurves.polyring import (
     HomogeneousPolynomial,
+    NVARS,
     mono_divides,
+    mono_mul,
     monomials_of_degree,
     parse_polynomial,
 )
@@ -236,6 +241,23 @@ def test_resolution_complete_intersection_quadrics():
     assert res.betti() == [[0, [0]], [1, [-2, -2]], [2, [-4]]]
 
 
+def test_resolution_maximal_ideal_has_length_four():
+    res = minimal_free_resolution(_ideal("z0", "z1", "z2", "z3"))
+    assert res.betti() == [[0, [0]], [1, [-1] * 4], [2, [-2] * 6], [3, [-3] * 4], [4, [-4]]]
+    assert res.composition_ok() and res.is_minimal()
+
+
+@pytest.mark.parametrize("gens, where", [
+    (["z0^2 + z1*z2 - z3^2", "z0*z1 + z2^2 - z0*z3"], "layer 2, degree 4"),
+    (SKEW, "layer 1, degree 2"),
+], ids=["quadrics", "skew-lines"])
+def test_resolution_safety_margin_fires_on_an_underestimated_bound(monkeypatch, gens, where):
+    true_bound = GradedIdeal.regularity_bound
+    monkeypatch.setattr(GradedIdeal, "regularity_bound", lambda self: true_bound(self) - 1)
+    with pytest.raises(ResourceLimitError, match=f"^{where}: .*safety margin degree"):
+        minimal_free_resolution(_ideal(*gens))
+
+
 def test_resolution_rejects_low_bound_and_unit_ideal():
     with pytest.raises(ValueError):
         minimal_free_resolution(_ideal(*SKEW), degree_bound=3)
@@ -287,3 +309,147 @@ def test_normal_form_membership():
     assert normal_form(f, basis).is_zero()
     g = parse_polynomial("z0*z1")
     assert not normal_form(g, basis).is_zero()
+
+
+def _loop_minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolution:
+    """Minimal graded free resolution of S/I, complete in degrees <= bound."""
+    if ideal.is_unit_ideal():
+        raise ValueError("S/I is zero; no resolution is computed")
+    maxdeg = ideal.max_generator_degree()
+    regb = ideal.regularity_bound()
+    if degree_bound is None:
+        bound = regb + 6
+    else:
+        if degree_bound < maxdeg + 4:
+            raise ValueError("degree bound must be at least max generator degree + 4")
+        bound = degree_bound
+    if bound > 60:
+        raise ResourceLimitError(f"truncation bound {bound} is too large")
+
+    gb = list(ideal.groebner_basis())
+    lead_gens = ideal.lead_ideal()
+    if not lead_gens:
+        return FreeResolution(twists=[[0]], differentials=[], bound=bound)
+
+    def lt_monomials(e):
+        return [m for m in monomials_of_degree(e)
+                if any(mono_divides(g, m) for g in lead_gens)]
+
+    def reduced_element(m):
+        lead = HomogeneousPolynomial.from_term(m)
+        return lead - normal_form(lead, gb)
+
+    # layer 1: minimal generators of I
+    gens1 = []
+    cap1 = min(bound, maxdeg)
+    for e in range(1, cap1 + 1):
+        monos_e = lt_monomials(e)
+        if not monos_e:
+            continue
+        index = {m: i for i, m in enumerate(monomials_of_degree(e))}
+        ech = Echelon()
+        for m_prev in lt_monomials(e - 1):
+            b = reduced_element(m_prev)
+            for v in range(NVARS):
+                mv = tuple(1 if i == v else 0 for i in range(NVARS))
+                shifted = b.multiply_monomial(mv)
+                ech.insert({index[mm]: c for mm, c in shifted.terms.items()})
+        for m in monos_e:
+            f = reduced_element(m)
+            if ech.insert({index[mm]: c for mm, c in f.terms.items()}) is not None:
+                gens1.append((e, f))
+        if ech.rank != len(monos_e):
+            raise ResourceLimitError("layer-1 dimension audit failed")
+
+    twists = [[0], [-e for e, _ in gens1]]
+    differentials = [[{0: f} for _, f in gens1]]
+
+    # higher layers: kernels of the previous differential, degree by degree
+    layer = 2
+    while layer <= 5:
+        prev_twists = twists[layer - 1]
+        below_twists = twists[layer - 2]
+        prev_cols = differentials[layer - 2]
+        if not prev_twists:
+            break
+        cap = min(bound, regb + layer + 1)
+        start = min(-b for b in prev_twists)
+        new_gens = []  # (degree, column over F_{layer-1} slots)
+        prev_kernel = []
+        prev_col_meta = []
+        for e in range(start, cap + 1):
+            col_meta = _degree_basis(prev_twists, e)
+            col_index = {key: i for i, key in enumerate(col_meta)}
+            row_meta = _degree_basis(below_twists, e)
+            row_index = {key: i for i, key in enumerate(row_meta)}
+            columns = []
+            for slot, m in col_meta:
+                vec = {}
+                for target, poly in prev_cols[slot].items():
+                    for pm, pc in poly.terms.items():
+                        vec[row_index[(target, mono_mul(pm, m))]] = pc
+                columns.append(vec)
+            kernel = kernel_of_columns(columns)
+            ech_old = Echelon()
+            for z in prev_kernel:
+                for v in range(NVARS):
+                    mv = tuple(1 if i == v else 0 for i in range(NVARS))
+                    shifted = {}
+                    for ci, c in z.items():
+                        slot, m = prev_col_meta[ci]
+                        shifted[col_index[(slot, mono_mul(m, mv))]] = c
+                    ech_old.insert(shifted)
+            for z in kernel:
+                if ech_old.insert(z) is None:
+                    continue
+                if e == cap and cap == regb + layer + 1:
+                    raise ResourceLimitError(
+                        "resolution generator found at the safety margin degree"
+                    )
+                column = {}
+                for ci, c in z.items():
+                    slot, m = col_meta[ci]
+                    column.setdefault(slot, {})[m] = c
+                new_gens.append(
+                    (e, {slot: HomogeneousPolynomial(e + prev_twists[slot], terms)
+                         for slot, terms in column.items()})
+                )
+            prev_kernel = kernel
+            prev_col_meta = col_meta
+        if not new_gens:
+            break
+        twists.append([-e for e, _ in new_gens])
+        differentials.append([col for _, col in new_gens])
+        layer += 1
+    if layer > 5:
+        raise ResourceLimitError("resolution did not terminate at length 4")
+
+    resolution = FreeResolution(twists=twists, differentials=differentials, bound=bound)
+    if not resolution.alternating_sum_ok(ideal.hilbert_function):
+        raise ResourceLimitError("resolution dimension audit failed")
+    return resolution
+
+
+def test_resolution_matches_the_former_loop_on_random_ideals():
+    """Betti tables equal those of the former loop, which computed the full
+    kernel in every degree (kept above as the oracle)."""
+    rng = Random(3)
+    lengths = set()
+    for _ in range(60):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            deg = rng.randint(1, 3)
+            terms = {m: rng.randint(-3, 3) for m in monomials_of_degree(deg)
+                     if rng.random() < 0.3}
+            p = HomogeneousPolynomial(deg, {m: c for m, c in terms.items() if c})
+            if p:
+                gens.append(p)
+        ideal = GradedIdeal(gens)
+        if not gens or ideal.is_unit_ideal():
+            continue
+        res = minimal_free_resolution(ideal)
+        assert res.betti() == _loop_minimal_free_resolution(ideal).betti()
+        assert res.composition_ok() and res.is_minimal()
+        assert res.alternating_sum_ok(ideal.hilbert_function)
+        lengths.add(res.length())
+    assert lengths == {1, 2, 3, 4}

@@ -5,7 +5,12 @@ from random import Random
 
 import pytest
 
-from folcurves.errors import DegreeMismatchError, NotHomogeneousError, ParseError
+from folcurves.errors import (
+    DegreeMismatchError,
+    NotHomogeneousError,
+    ParseError,
+    ResourceLimitError,
+)
 from folcurves.linalg import Echelon, kernel_of_columns
 from folcurves.polyring import (
     HomogeneousPolynomial,
@@ -52,6 +57,15 @@ def test_parse_rejects_malformed():
     for bad in ("", "z0 +", "w0", "z0^(2)", "(z0", "3/0"):
         with pytest.raises(ParseError):
             parse_polynomial(bad)
+
+
+def test_parse_caps_the_terms_of_products_and_powers():
+    # bounds: min(364 * 286, dim S_21 = 2024) and min(C(43, 40), dim S_40) = 12341
+    for big in ("(x+y+z+t)^11*(x+y+z+t)^10", "(x+y+z+t)^40", "(x+y)^100000000"):
+        with pytest.raises(ResourceLimitError):
+            parse_polynomial(big)
+    assert len(parse_polynomial("(x+y+z+t)^2*(x+y+z+t)^3").terms) == 56
+    assert parse_polynomial("x^100000000").terms == {(100000000, 0, 0, 0): Fraction(1)}
 
 
 def test_graded_piece_dimension():
