@@ -13,7 +13,7 @@ import sys
 import time
 
 from .classify import classify_low_degree, invariants_from_c2, legendrian_moduli_dim, nc_moduli_dim
-from .errors import FolcurvesError
+from .errors import FolcurvesError, ResourceLimitError
 from .forms import parse_form, legendrian_foliation, singular_ideal, wedge
 from .groebner import (
     GradedIdeal,
@@ -34,6 +34,9 @@ from .sheafcoh import (
     CLOSED_FORM,
 )
 from .verification import DEFAULT_SEED, SUITES, run_suite
+
+# Twists in one cohomology table; the shipped examples use at most 9.
+MAX_TWIST_RANGE = 1000
 
 
 def _emit(args, payload, flags=(), human=()):
@@ -171,7 +174,12 @@ def _cmd_chi(args):
 
 def _parse_range(text):
     lo, _, hi = text.partition("..")
-    return range(int(lo), int(hi) + 1)
+    twists = range(int(lo), int(hi) + 1)
+    if len(twists) > MAX_TWIST_RANGE:
+        raise ResourceLimitError(
+            f"twist range {text} holds {len(twists)} twists, more than {MAX_TWIST_RANGE}"
+        )
+    return twists
 
 
 def _cmd_cohomology(args):

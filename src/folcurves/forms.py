@@ -2,7 +2,9 @@
 
 A q-form is stored as a map from strictly increasing index tuples
 (dz_{i1} ^ ... ^ dz_{iq}) to homogeneous polynomial coefficients of one
-common degree.  The zero form keeps both degree tags.
+common degree.  The zero form keeps both degree tags.  Wedge and interior
+products sum the signed coefficient products of each result index with one
+call of polyring.sum_of_products.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     ZeroFormError,
 )
 from .groebner import GradedIdeal
-from .polyring import NVARS, HomogeneousPolynomial, monomials_of_degree
+from .polyring import NVARS, HomogeneousPolynomial, monomials_of_degree, sum_of_products
 
 
 def _merge_sign(left: tuple, right: tuple):
@@ -96,12 +98,7 @@ class TwistedForm:
             )
         res = dict(self.coefficients)
         for idx, poly in other.coefficients.items():
-            s = res.get(idx)
-            total = poly if s is None else s + poly
-            if total.is_zero():
-                res.pop(idx, None)
-            else:
-                res[idx] = total
+            res[idx] = res[idx] + poly if idx in res else poly
         return TwistedForm(self.form_degree, self.coefficient_degree, res)
 
     def __sub__(self, other: "TwistedForm") -> "TwistedForm":
@@ -179,22 +176,16 @@ def wedge(a: TwistedForm, b: TwistedForm) -> TwistedForm:
     q = a.form_degree + b.form_degree
     if q > NVARS:
         raise DegreeOverflowError(f"wedge would have form degree {q} > 4")
-    coeff_degree = a.coefficient_degree + b.coefficient_degree
-    res: dict = {}
+    groups: dict = {}
     for idx_a, pa in a.coefficients.items():
         set_a = set(idx_a)
         for idx_b, pb in b.coefficients.items():
             if set_a & set(idx_b):
                 continue
             merged, sign = _merge_sign(idx_a, idx_b)
-            term = (pa * pb).scale(sign)
-            s = res.get(merged)
-            total = term if s is None else s + term
-            if total.is_zero():
-                res.pop(merged, None)
-            else:
-                res[merged] = total
-    return TwistedForm(q, coeff_degree, res)
+            groups.setdefault(merged, []).append((sign, pa, pb))
+    return TwistedForm(q, a.coefficient_degree + b.coefficient_degree,
+                       {idx: sum_of_products(pairs) for idx, pairs in groups.items()})
 
 
 def contract_with_field(form: TwistedForm, field) -> TwistedForm:
@@ -206,20 +197,14 @@ def contract_with_field(form: TwistedForm, field) -> TwistedForm:
     if len(degrees) != 1:
         raise DegreeMismatchError("vector field components must share one degree")
     field_degree = degrees.pop()
-    res: dict = {}
+    groups: dict = {}
     for idx, poly in form.coefficients.items():
         for pos, i in enumerate(idx):
-            if field[i].is_zero():
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            term = (field[i] * poly).scale((-1) ** pos)
-            s = res.get(rest)
-            total = term if s is None else s + term
-            if total.is_zero():
-                res.pop(rest, None)
-            else:
-                res[rest] = total
-    return TwistedForm(form.form_degree - 1, form.coefficient_degree + field_degree, res)
+            if field[i]:
+                rest = idx[:pos] + idx[pos + 1:]
+                groups.setdefault(rest, []).append(((-1) ** pos, field[i], poly))
+    return TwistedForm(form.form_degree - 1, form.coefficient_degree + field_degree,
+                       {idx: sum_of_products(pairs) for idx, pairs in groups.items()})
 
 
 def euler_field():
@@ -247,21 +232,17 @@ def is_decomposable(form: TwistedForm) -> bool:
 
 
 def exterior_derivative(form: TwistedForm) -> TwistedForm:
-    """Exterior derivative of a 1-form (all the contact check needs)."""
+    """Exterior derivative of a 1-form (all the contact check needs):
+    d(sum p_i dz_i) = sum over i < j of (d_i p_j - d_j p_i) dz_i ^ dz_j."""
     if form.form_degree != 1:
         raise WrongFormDegreeError("exterior derivative implemented for 1-forms only")
-    result = TwistedForm.zero(2, max(form.coefficient_degree - 1, 0))
-    for (i,), poly in form.coefficients.items():
-        for j in range(NVARS):
-            dp = poly.partial(j)
-            if dp.is_zero():
-                continue
-            term = wedge(
-                TwistedForm(1, dp.degree, {(j,): dp}),
-                TwistedForm.basis_covector(i),
-            )
-            result = result + term
-    return result
+    p = [form.coefficient((i,)) for i in range(NVARS)]
+    return TwistedForm(
+        2,
+        max(form.coefficient_degree - 1, 0),
+        {(i, j): p[j].partial(i) - p[i].partial(j)
+         for i, j in combinations(range(NVARS), 2)},
+    )
 
 
 def singular_ideal(form: TwistedForm) -> GradedIdeal:

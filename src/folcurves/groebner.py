@@ -14,7 +14,9 @@ of the generators found so far fall short of it.  Generator twists in layer
 L never exceed reg(S/I) + L, which is bounded through the lead-term
 quotient; one degree past that bound is a safety margin.  Each target is
 met by both the kernel length and the rank, and a dimension audit over all
-degrees up to the truncation bound cross-checks the result.
+degrees up to the truncation bound cross-checks the result.  Rao profiles
+eliminate over the same degree matrices, taken on transposed differentials,
+and refuse a twist whose pieces exceed MAX_DUAL_PIECE before eliminating.
 """
 
 from __future__ import annotations
@@ -44,9 +46,14 @@ from .polyring import (
     mono_mul,
     mono_quotient,
     monomials_of_degree,
+    sum_of_products,
 )
 
 DEFAULT_PAIR_CAP = 100_000
+# Largest graded piece of a dualized resolution module that a Rao profile
+# may eliminate over; pieces grow like C(-k, 3) as the twist k falls.  The
+# largest any shipped test, demo or benchmark input reaches is 308.
+MAX_DUAL_PIECE = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +72,7 @@ def normal_form(f: HomogeneousPolynomial, basis) -> HomogeneousPolynomial:
             if mono_divides(lm, m):
                 q = mono_quotient(m, lm)
                 factor = c / lc
+                # kept inline: hilbert's hot loop, and max(work) must never see a zero
                 for gm, gc in g.terms.items():
                     if gm == lm:
                         continue
@@ -607,14 +615,11 @@ class FreeResolution:
         for i in range(1, len(self.differentials)):
             lower = self.differentials[i - 1]
             for column in self.differentials[i]:
-                acc = {}
+                groups = {}
                 for slot, poly in column.items():
                     for target, entry in lower[slot].items():
-                        prod = poly * entry
-                        cur = acc.get(target)
-                        total = prod if cur is None else cur + prod
-                        acc[target] = total
-                if any(not p.is_zero() for p in acc.values()):
+                        groups.setdefault(target, []).append((1, poly, entry))
+                if any(sum_of_products(pairs) for pairs in groups.values()):
                     return False
         return True
 
@@ -750,9 +755,15 @@ def rao_module_dimensions(ideal: GradedIdeal, window=None) -> RaoProfile:
         d3 = res.differentials[2]
         d4 = res.differentials[3] if res.length() >= 4 else []
         for k in range(lo, hi + 1):
-            dim3 = sum(graded_piece_dimension(-b - 4 - k) for b in t3)
+            dim2, dim3, dim4 = (sum(graded_piece_dimension(-b - 4 - k) for b in t)
+                                for t in (t2, t3, t4))
             if dim3 == 0:
-                continue
+                break  # the pieces only shrink as k grows
+            if max(dim2, dim3, dim4) > MAX_DUAL_PIECE:
+                raise ResourceLimitError(
+                    f"Rao twist {k}: a dual-map piece of dimension "
+                    f"{max(dim2, dim3, dim4)} exceeds the cap {MAX_DUAL_PIECE}"
+                )
             rank4 = _dual_map_rank(t3, t4, d4, k) if t4 else 0
             rank3 = _dual_map_rank(t2, t3, d3, k)
             h = dim3 - rank4 - rank3
@@ -770,26 +781,13 @@ def rao_module_dimensions(ideal: GradedIdeal, window=None) -> RaoProfile:
 def _dual_map_rank(twists_dom, twists_cod, columns, k: int) -> int:
     """Rank of the dual of d : F_cod -> F_dom in dual degree -k.
 
-    Domain basis: (slot j of F_dom, monomial of degree -b_j - 4 - k); the
-    dual map multiplies by the transposed polynomial entries.
+    The dual sends slot j of F_dom to the j-th row of d, so it is the map
+    of free modules with slot twists -b - 4 - k taken in degree 0.
     """
-    image_index = {}
-    for l, b in enumerate(twists_cod):
-        for m in monomials_of_degree(-b - 4 - k):
-            image_index[(l, m)] = len(image_index)
-    if not image_index:
-        return 0
+    transposed = [{l: column[j] for l, column in enumerate(columns) if j in column}
+                  for j in range(len(twists_dom))]
     ech = Echelon()
-    for j, b in enumerate(twists_dom):
-        for m in monomials_of_degree(-b - 4 - k):
-            vec = {}
-            for l, column in enumerate(columns):
-                poly = column.get(j)
-                if poly is None:
-                    continue
-                for pm, pc in poly.terms.items():
-                    vec[image_index[(l, mono_mul(pm, m))]] = (
-                        vec.get(image_index[(l, mono_mul(pm, m))], 0) + pc
-                    )
-            ech.insert({c: v for c, v in vec.items() if v})
+    for vec in _degree_matrix(transposed, [-b - 4 - k for b in twists_dom],
+                              [-b - 4 - k for b in twists_cod], 0):
+        ech.insert(vec)
     return ech.rank

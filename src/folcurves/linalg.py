@@ -61,6 +61,7 @@ class Echelon:
             if s != 1:
                 for c in v:
                     v[c] *= s
+            # kept inline: elimination's hot loop, clearing v in place pivot by pivot
             for c, x in row.items():
                 y = v.get(c, 0) - t * x
                 if y:

@@ -5,7 +5,9 @@ in degrevlex: total degree first, ties broken so that the rightmost nonzero
 entry of the exponent difference decides (larger key means larger monomial).
 A homogeneous polynomial is a degree tag plus a sparse map from monomials of
 that degree to nonzero Fractions; the zero polynomial keeps its degree tag
-so that graded maps stay well typed.
+so that graded maps stay well typed.  Every sum of products (a product
+itself, wedges and contractions of forms, composed resolution maps) is
+accumulated by one kernel, sum_of_products.
 """
 
 from __future__ import annotations
@@ -109,6 +111,15 @@ class HomogeneousPolynomial:
         raise AttributeError("HomogeneousPolynomial is immutable")
 
     @classmethod
+    def _raw(cls, degree: int, terms: dict) -> "HomogeneousPolynomial":
+        """Wrap terms, nonzero Fractions on monomials of the given degree,
+        without checking or copying them."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    @classmethod
     def zero(cls, degree: int = 0) -> "HomogeneousPolynomial":
         return cls(degree, {})
 
@@ -148,64 +159,31 @@ class HomogeneousPolynomial:
             raise DegreeMismatchError(
                 f"cannot add degree {self.degree} and degree {other.degree}"
             )
-        res = dict(self.terms)
+        acc = dict(self.terms)
         for m, c in other.terms.items():
-            s = res.get(m, 0) + c
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
-        out = HomogeneousPolynomial.__new__(HomogeneousPolynomial)
-        object.__setattr__(out, "degree", self.degree)
-        object.__setattr__(out, "terms", res)
-        return out
+            acc[m] = acc.get(m, 0) + c
+        return HomogeneousPolynomial._raw(self.degree, {m: c for m, c in acc.items() if c})
 
     def __sub__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "HomogeneousPolynomial":
-        out = HomogeneousPolynomial.__new__(HomogeneousPolynomial)
-        object.__setattr__(out, "degree", self.degree)
-        object.__setattr__(out, "terms", {m: -c for m, c in self.terms.items()})
-        return out
+        return HomogeneousPolynomial._raw(
+            self.degree, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "HomogeneousPolynomial":
         c = Fraction(c)
-        out = HomogeneousPolynomial.__new__(HomogeneousPolynomial)
-        object.__setattr__(out, "degree", self.degree)
-        if c == 0:
-            object.__setattr__(out, "terms", {})
-        else:
-            object.__setattr__(out, "terms", {m: v * c for m, v in self.terms.items()})
-        return out
+        return HomogeneousPolynomial._raw(
+            self.degree, {m: v * c for m, v in self.terms.items()} if c else {})
 
     def multiply_monomial(self, mono: Monomial, coeff=1) -> "HomogeneousPolynomial":
         coeff = Fraction(coeff)
-        out = HomogeneousPolynomial.__new__(HomogeneousPolynomial)
-        object.__setattr__(out, "degree", self.degree + mono_degree(mono))
-        if coeff == 0:
-            object.__setattr__(out, "terms", {})
-        else:
-            object.__setattr__(
-                out, "terms", {mono_mul(m, mono): c * coeff for m, c in self.terms.items()}
-            )
-        return out
+        terms = {mono_mul(m, mono): c * coeff for m, c in self.terms.items()} if coeff else {}
+        return HomogeneousPolynomial._raw(self.degree + mono_degree(mono), terms)
 
     def __mul__(self, other):
         if isinstance(other, HomogeneousPolynomial):
-            res = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = mono_mul(m1, m2)
-                    s = res.get(m, 0) + c1 * c2
-                    if s:
-                        res[m] = s
-                    else:
-                        res.pop(m, None)
-            out = HomogeneousPolynomial.__new__(HomogeneousPolynomial)
-            object.__setattr__(out, "degree", self.degree + other.degree)
-            object.__setattr__(out, "terms", res)
-            return out
+            return sum_of_products(((1, self, other),))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -273,6 +251,34 @@ class HomogeneousPolynomial:
 
     def __repr__(self) -> str:
         return f"HomogeneousPolynomial({self})"
+
+
+def sum_of_products(pairs) -> HomogeneousPolynomial:
+    """The polynomial sum of sign*a*b over the (sign, a, b) triples in pairs.
+
+    pairs must be non-empty, and every product a*b must have one degree.
+    All products accumulate into one dict, so a sum of many products builds
+    no intermediate polynomials; zero coefficients are dropped once, at the
+    end.
+    """
+    acc: dict = {}
+    degree = None
+    for sign, a, b in pairs:
+        if degree is None:
+            degree = a.degree + b.degree
+        elif a.degree + b.degree != degree:
+            raise DegreeMismatchError(
+                f"cannot add degree {degree} and degree {a.degree + b.degree}"
+            )
+        b_terms = b.terms.items()
+        for m1, c1 in a.terms.items():
+            c1 = sign * c1
+            for m2, c2 in b_terms:
+                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+                acc[m] = acc.get(m, 0) + c1 * c2
+    if degree is None:
+        raise ValueError("an empty sum of products has no degree")
+    return HomogeneousPolynomial._raw(degree, {m: c for m, c in acc.items() if c})
 
 
 def parse_polynomial(text: str) -> HomogeneousPolynomial:

@@ -40,7 +40,7 @@ from .groebner import (
 )
 from .linalg import Echelon
 from .monad import instanton_monad, monad_regularity_bound
-from .polyring import HomogeneousPolynomial, parse_polynomial, monomials_of_degree
+from .polyring import HomogeneousPolynomial, monomials_of_degree, parse_polynomial, sum_of_products
 from .sheafcoh import (
     ChernTriple,
     SheafSymbol,
@@ -171,18 +171,14 @@ def check_syzygy_matrix(seed=DEFAULT_SEED):
     basis = graded_syzygies(row, weights, 3)
     _check(r, len(basis) == 8, "syzygy space has dimension 8")
     for tup in basis:
-        total = HomogeneousPolynomial.zero(3)
-        for g, p in zip(tup, row):
-            total = total + g * p
+        total = sum_of_products((1, g, p) for g, p in zip(tup, row))
         _check(r, total.is_zero(), "computed column annihilates the row")
     reference = []
     for col in _REFERENCE_SYZYGIES:
         tup = tuple(parse_polynomial(s) if s != "0" else
                     HomogeneousPolynomial.zero(3 - w)
                     for s, w in zip(col, weights))
-        total = HomogeneousPolynomial.zero(3)
-        for g, p in zip(tup, row):
-            total = total + g * p
+        total = sum_of_products((1, g, p) for g, p in zip(tup, row))
         _check(r, total.is_zero(), "reference column annihilates the row")
         reference.append(tup)
     mine = Echelon()

@@ -184,3 +184,30 @@ def test_hilbert_reports_deep_nesting_as_bad_input(capsys, tmp_path):
     code, _, err = run(capsys, ["hilbert", str(path)])
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_rao_refuses_a_window_over_the_piece_cap_quickly(capsys, tmp_path):
+    path = tmp_path / "skew.ideal"
+    path.write_text("z0*z2\nz0*z3\nz1*z2\nz1*z3\n")
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["rao", str(path), "--window", "-40", "5"])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert err.startswith("error: Rao twist -40:") and len(err.splitlines()) == 1
+    # a window far above the last nonzero piece stops early
+    started = time.perf_counter()
+    code, out, _ = run(capsys, ["rao", str(path), "--json", "--window", "-2", "100000000"])
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert json.loads(out)["payload"] == {"profile": {"0": 1}, "total": 1}
+
+
+def test_cohomology_refuses_a_range_over_the_cap_quickly(capsys):
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["cohomology", "line", "0..50000000", "--json"])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert err.startswith("error: twist range 0..50000000") and len(err.splitlines()) == 1
+    code, out, _ = run(capsys, ["cohomology", "line", "--json", "--", "-500..499"])
+    assert code == 0
+    assert len(json.loads(out)["payload"]["twists"]) == 1000

@@ -1,10 +1,12 @@
 """Twisted forms: wedge, contraction, projectivity, the foliation pipeline."""
 
+from itertools import combinations
 from random import Random
 
 import pytest
 
 from folcurves.errors import (
+    DegreeMismatchError,
     DegreeOverflowError,
     NotContactError,
     NotProjectiveError,
@@ -14,6 +16,8 @@ from folcurves.errors import (
 )
 from folcurves.forms import (
     TwistedForm,
+    _merge_sign,
+    contract_with_field,
     exterior_derivative,
     is_contact_form,
     is_decomposable,
@@ -31,7 +35,7 @@ from folcurves.forms import (
     wedge,
 )
 from folcurves.groebner import GradedIdeal, curve_invariants, rao_module_dimensions
-from folcurves.polyring import HomogeneousPolynomial, parse_polynomial
+from folcurves.polyring import NVARS, HomogeneousPolynomial, monomials_of_degree, parse_polynomial
 
 W1 = pencil_form()
 W2 = standard_contact_form()
@@ -40,8 +44,6 @@ EXPECTED_WEDGE = "z0*z2*dz1/\\dz3 - z0*z3*dz1/\\dz2 - z1*z2*dz0/\\dz3 + z1*z3*dz
 
 
 def _random_form(rng, q, coeff_degree=None):
-    from itertools import combinations
-
     coeff_degree = coeff_degree or rng.randint(1, 2)
     coefficients = {}
     for idx in combinations(range(4), q):
@@ -217,3 +219,155 @@ def test_random_projective_oneform_is_projective():
         form = random_projective_oneform(degree, rng)
         assert form.coefficient_degree == degree
         assert is_projective(form)
+
+
+# ---------------------------------------------------------------------------
+# the former loops, kept verbatim as oracles: each built one intermediate
+# polynomial per product and added it in, dropping zero coefficients as it
+# went
+
+
+def _former_form_add(self: TwistedForm, other: TwistedForm) -> TwistedForm:
+    if self.form_degree != other.form_degree:
+        raise DegreeMismatchError("cannot add forms of different form degree")
+    if self.coefficient_degree != other.coefficient_degree:
+        raise DegreeMismatchError(
+            "cannot add forms with coefficient degrees "
+            f"{self.coefficient_degree} and {other.coefficient_degree}"
+        )
+    res = dict(self.coefficients)
+    for idx, poly in other.coefficients.items():
+        s = res.get(idx)
+        total = poly if s is None else s + poly
+        if total.is_zero():
+            res.pop(idx, None)
+        else:
+            res[idx] = total
+    return TwistedForm(self.form_degree, self.coefficient_degree, res)
+
+
+def _former_wedge(a: TwistedForm, b: TwistedForm) -> TwistedForm:
+    """Exterior product; coefficient degrees add."""
+    q = a.form_degree + b.form_degree
+    if q > NVARS:
+        raise DegreeOverflowError(f"wedge would have form degree {q} > 4")
+    coeff_degree = a.coefficient_degree + b.coefficient_degree
+    res: dict = {}
+    for idx_a, pa in a.coefficients.items():
+        set_a = set(idx_a)
+        for idx_b, pb in b.coefficients.items():
+            if set_a & set(idx_b):
+                continue
+            merged, sign = _merge_sign(idx_a, idx_b)
+            term = (pa * pb).scale(sign)
+            s = res.get(merged)
+            total = term if s is None else s + term
+            if total.is_zero():
+                res.pop(merged, None)
+            else:
+                res[merged] = total
+    return TwistedForm(q, coeff_degree, res)
+
+
+def _former_contract_with_field(form: TwistedForm, field) -> TwistedForm:
+    """Interior product with a polynomial vector field (4-tuple, common degree)."""
+    if form.form_degree < 1:
+        raise WrongFormDegreeError("cannot contract a 0-form")
+    field = tuple(field)
+    degrees = {p.degree for p in field}
+    if len(degrees) != 1:
+        raise DegreeMismatchError("vector field components must share one degree")
+    field_degree = degrees.pop()
+    res: dict = {}
+    for idx, poly in form.coefficients.items():
+        for pos, i in enumerate(idx):
+            if field[i].is_zero():
+                continue
+            rest = idx[:pos] + idx[pos + 1:]
+            term = (field[i] * poly).scale((-1) ** pos)
+            s = res.get(rest)
+            total = term if s is None else s + term
+            if total.is_zero():
+                res.pop(rest, None)
+            else:
+                res[rest] = total
+    return TwistedForm(form.form_degree - 1, form.coefficient_degree + field_degree, res)
+
+
+def _former_exterior_derivative(form: TwistedForm) -> TwistedForm:
+    """Exterior derivative of a 1-form (all the contact check needs)."""
+    if form.form_degree != 1:
+        raise WrongFormDegreeError("exterior derivative implemented for 1-forms only")
+    result = TwistedForm.zero(2, max(form.coefficient_degree - 1, 0))
+    for (i,), poly in form.coefficients.items():
+        for j in range(NVARS):
+            dp = poly.partial(j)
+            if dp.is_zero():
+                continue
+            term = _former_wedge(
+                TwistedForm(1, dp.degree, {(j,): dp}),
+                TwistedForm.basis_covector(i),
+            )
+            result = _former_form_add(result, term)
+    return result
+
+
+def _sparse_form(rng, q, coeff_degree):
+    """A q-form with few small coefficients, so that products often cancel."""
+    coefficients = {}
+    for idx in combinations(range(NVARS), q):
+        if rng.random() < 0.6:
+            terms = {m: rng.randint(-2, 2) for m in monomials_of_degree(coeff_degree)
+                     if rng.random() < 0.4}
+            coefficients[idx] = HomogeneousPolynomial(coeff_degree, terms)
+    return TwistedForm(q, coeff_degree, coefficients)
+
+
+def _same(new, old):
+    assert new == old and str(new) == str(old)
+    assert (new.form_degree, new.coefficient_degree) == (old.form_degree,
+                                                         old.coefficient_degree)
+    # no coefficient stored is zero, nor any coefficient of one
+    assert all(p and all(p.terms.values()) for p in new.coefficients.values())
+
+
+def test_wedge_and_addition_match_the_former_loops():
+    rng = Random(21)
+    zeros = 0
+    for _ in range(300):
+        p = rng.randint(0, 4)
+        q = rng.randint(0, 4 - p)
+        a = _sparse_form(rng, p, rng.randint(0, 3))
+        b = _sparse_form(rng, q, rng.randint(0, 3))
+        _same(wedge(a, b), _former_wedge(a, b))
+        if 2 * p <= 4:
+            _same(wedge(a, a), _former_wedge(a, a))
+            zeros += wedge(a, a).is_zero()
+        c = _sparse_form(rng, p, a.coefficient_degree)
+        _same(a + c, _former_form_add(a, c))
+        _same(a + (-a), _former_form_add(a, -a))
+        assert (a + (-a)).is_zero()
+    assert zeros > 50
+
+
+def test_contraction_matches_the_former_loop():
+    rng = Random(22)
+    for _ in range(200):
+        form = _sparse_form(rng, rng.randint(1, 4), rng.randint(0, 3))
+        degree = rng.randint(0, 2)
+        field = [_sparse_form(rng, 0, degree).coefficient(()) for _ in range(NVARS)]
+        _same(contract_with_field(form, field), _former_contract_with_field(form, field))
+        # contracting twice with one field cancels to zero
+        once = contract_with_field(form, field)
+        if once.form_degree:
+            _same(contract_with_field(once, field), _former_contract_with_field(once, field))
+            assert contract_with_field(once, field).is_zero()
+
+
+def test_exterior_derivative_matches_the_former_wedges():
+    rng = Random(23)
+    for _ in range(200):
+        form = _sparse_form(rng, 1, rng.randint(0, 4))
+        _same(exterior_derivative(form), _former_exterior_derivative(form))
+    for form in (W1, W2, random_projective_oneform(3, rng)):
+        _same(exterior_derivative(form), _former_exterior_derivative(form))

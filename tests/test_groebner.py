@@ -15,6 +15,7 @@ from folcurves.groebner import (
     FreeResolution,
     GradedIdeal,
     _degree_basis,
+    _dual_map_rank,
     buchberger,
     curve_invariants,
     graded_syzygies,
@@ -430,12 +431,10 @@ def _loop_minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> Free
     return resolution
 
 
-def test_resolution_matches_the_former_loop_on_random_ideals():
-    """Betti tables equal those of the former loop, which computed the full
-    kernel in every degree (kept above as the oracle)."""
-    rng = Random(3)
-    lengths = set()
-    for _ in range(60):
+def _random_ideals(rng, draws):
+    """The non-unit ideals among draws of up to 4 sparse generators of
+    degree <= 3."""
+    for _ in range(draws):
         gens = []
         for _ in range(rng.randint(1, 4)):
             deg = rng.randint(1, 3)
@@ -445,11 +444,92 @@ def test_resolution_matches_the_former_loop_on_random_ideals():
             if p:
                 gens.append(p)
         ideal = GradedIdeal(gens)
-        if not gens or ideal.is_unit_ideal():
-            continue
+        if gens and not ideal.is_unit_ideal():
+            yield ideal
+
+
+def test_resolution_matches_the_former_loop_on_random_ideals():
+    """Betti tables equal those of the former loop, which computed the full
+    kernel in every degree (kept above as the oracle)."""
+    lengths = set()
+    for ideal in _random_ideals(Random(3), 60):
         res = minimal_free_resolution(ideal)
         assert res.betti() == _loop_minimal_free_resolution(ideal).betti()
         assert res.composition_ok() and res.is_minimal()
         assert res.alternating_sum_ok(ideal.hilbert_function)
         lengths.add(res.length())
     assert lengths == {1, 2, 3, 4}
+
+
+def _former_composition_ok(self) -> bool:
+    for i in range(1, len(self.differentials)):
+        lower = self.differentials[i - 1]
+        for column in self.differentials[i]:
+            acc = {}
+            for slot, poly in column.items():
+                for target, entry in lower[slot].items():
+                    prod = poly * entry
+                    cur = acc.get(target)
+                    total = prod if cur is None else cur + prod
+                    acc[target] = total
+            if any(not p.is_zero() for p in acc.values()):
+                return False
+    return True
+
+
+def _former_dual_map_rank(twists_dom, twists_cod, columns, k: int) -> int:
+    """Rank of the dual of d : F_cod -> F_dom in dual degree -k.
+
+    Domain basis: (slot j of F_dom, monomial of degree -b_j - 4 - k); the
+    dual map multiplies by the transposed polynomial entries.
+    """
+    image_index = {}
+    for l, b in enumerate(twists_cod):
+        for m in monomials_of_degree(-b - 4 - k):
+            image_index[(l, m)] = len(image_index)
+    if not image_index:
+        return 0
+    ech = Echelon()
+    for j, b in enumerate(twists_dom):
+        for m in monomials_of_degree(-b - 4 - k):
+            vec = {}
+            for l, column in enumerate(columns):
+                poly = column.get(j)
+                if poly is None:
+                    continue
+                for pm, pc in poly.terms.items():
+                    vec[image_index[(l, mono_mul(pm, m))]] = (
+                        vec.get(image_index[(l, mono_mul(pm, m))], 0) + pc
+                    )
+            ech.insert({c: v for c, v in vec.items() if v})
+    return ech.rank
+
+
+def test_composition_and_dual_ranks_match_the_former_code():
+    """On random resolutions, intact and with one entry perturbed, the
+    composition check and the dual ranks in the top degrees agree with the
+    former code (kept above as the oracle)."""
+    rng = Random(5)
+    broken = ranks = 0
+    for ideal in _random_ideals(rng, 40):
+        res = minimal_free_resolution(ideal)
+        assert res.composition_ok() and _former_composition_ok(res)
+        if res.length() >= 2:
+            # add a nonzero polynomial of the right degree to one entry of d_i
+            i = rng.randrange(1, res.length())
+            column = rng.choice(res.differentials[i])
+            slot, poly = rng.choice(sorted(column.items()))
+            extra = HomogeneousPolynomial.from_term(monomials_of_degree(poly.degree)[-1])
+            column[slot] = poly + extra
+            assert res.composition_ok() == _former_composition_ok(res)
+            broken += not res.composition_ok()
+            column[slot] = poly
+        for lo_layer in range(1, res.length()):
+            dom, cod = res.twists[lo_layer], res.twists[lo_layer + 1]
+            columns = res.differentials[lo_layer]
+            top = max(-b - 4 for b in dom)  # the dual's domain is zero above it
+            for k in range(top - 3, top + 2):
+                assert _dual_map_rank(dom, cod, columns, k) == _former_dual_map_rank(
+                    dom, cod, columns, k)
+                ranks += 1
+    assert broken >= 20 and ranks >= 200

@@ -19,6 +19,7 @@ from folcurves.polyring import (
     mono_str,
     monomials_of_degree,
     parse_polynomial,
+    sum_of_products,
 )
 
 
@@ -86,6 +87,11 @@ def test_addition_requires_matching_degree():
     z = HomogeneousPolynomial.zero(2)
     with pytest.raises(DegreeMismatchError):
         z + HomogeneousPolynomial.zero(3)
+    x = parse_polynomial("z0")
+    with pytest.raises(DegreeMismatchError):
+        sum_of_products([(1, x, x), (1, x, z)])
+    with pytest.raises(ValueError):
+        sum_of_products([])
 
 
 def _random_poly(rng, degree):
@@ -106,6 +112,9 @@ def test_product_degree_commutativity_distributivity():
         assert (f * g).degree == f.degree + g.degree
         assert f * g == g * f
         assert f * (g + h) == f * g + f * h
+        assert sum_of_products([(1, f, g), (-3, h, f)]) == f * g - (f * h).scale(3)
+        cancelled = sum_of_products([(1, f, g), (-1, g, f)])
+        assert cancelled.is_zero() and cancelled.degree == f.degree + g.degree
 
 
 def test_power_matches_repeated_product():
