@@ -6,6 +6,15 @@ series of lead-term ideals drive degree and genus; the per-twist first
 cohomology of a curve's ideal sheaf comes from graded duality applied to
 the dualized tail of the resolution, so no saturation is ever computed.
 
+Division and Buchberger run fraction-free over Z.  Basis elements are kept
+primitive and S-polynomials are formed with integer cofactors; division is
+integer pseudo-division, the next term taken from a min-heap of reversed
+exponent tuples (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  Only the result
+goes back to Fractions: normal_form divides its integer remainder by the
+accumulated multiplier, and buchberger returns the monic reduced basis,
+made in one pass from the minimal basis.
+
 Resolutions are built layer by layer and degree by degree.  Exactness and
 the Hilbert function of S/I give the dimension of the kernel each layer
 must cover in each degree; candidates (normal forms in layer 1, kernels of
@@ -24,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from heapq import heapify, heappop, heappush
+from math import comb, factorial, gcd, lcm
 
 from .errors import (
     DegreeMismatchError,
@@ -57,109 +67,192 @@ MAX_DUAL_PIECE = 2000
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger
+# division and Buchberger, fraction-free over Z
+#
+# Inside this section a polynomial is a dict of integer coefficients keyed
+# by reversed exponent tuples (e3, e2, e1, e0).  Among monomials of one
+# degree the lexicographically smallest reversed tuple is the largest in
+# degrevlex, so a min-heap of them hands out terms in descending order;
+# products, lcms and divisibility are componentwise and do not care.  A
+# basis element is a triple (lead, lead coefficient, tail), built once:
+# primitive, with a positive lead coefficient.
+
+
+def _integer_terms(f: HomogeneousPolynomial):
+    """(den, terms): f times the lcm den of its denominators, as integer
+    terms keyed by reversed monomials."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return den, {m[::-1]: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+
+
+def _basis_element(terms: dict):
+    """The basis element of nonzero integer terms."""
+    lead = min(terms)
+    g = 0
+    # a loop and a list, not gcd(*values) and a tuple: freed tuples of every
+    # length stay on the interpreter's free lists and raise peak memory
+    for c in terms.values():
+        g = gcd(g, c)
+    if terms[lead] < 0:
+        g = -g
+    return lead, terms[lead] // g, [(m, c // g) for m, c in terms.items() if m != lead]
+
+
+def _divide(work: dict, table):
+    """Pseudo-remainder of the integer terms work (consumed) under division
+    by a list of basis elements, each term reduced by the first element
+    whose lead divides it.
+
+    Returns (remainder, multiplier) with multiplier * work equal to the
+    remainder plus multiples of the elements.  Reducing the top term m,
+    coefficient c, by lead coefficient a scales work and the remainder so
+    far by a/gcd(a, c) and subtracts (c/gcd)·q·g from work, so every
+    coefficient stays an integer.  Terms
+    brought in lie below m, so a popped monomial no longer in work was
+    cancelled and is skipped.
+    """
+    heap = list(work)
+    heapify(heap)
+    remainder = {}
+    mult = 1
+    while heap:
+        m = heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for lead, a, tail in table:
+            if lead[0] <= m[0] and lead[1] <= m[1] and lead[2] <= m[2] and lead[3] <= m[3]:
+                q0, q1, q2, q3 = m[0] - lead[0], m[1] - lead[1], m[2] - lead[2], m[3] - lead[3]
+                g = gcd(a, c)
+                s, t = a // g, c // g
+                if s != 1:
+                    mult *= s
+                    for k in work:
+                        work[k] *= s
+                    for k in remainder:
+                        remainder[k] *= s
+                # kept inline: division's hot loop; a cancelled term leaves work at once,
+                # so no later scaling touches it
+                for gm, gc in tail:
+                    mm = (gm[0] + q0, gm[1] + q1, gm[2] + q2, gm[3] + q3)
+                    v = work.get(mm)
+                    if v is None:
+                        work[mm] = -t * gc
+                        heappush(heap, mm)
+                    else:
+                        v -= t * gc
+                        if v:
+                            work[mm] = v
+                        else:
+                            del work[mm]
+                break
+        else:
+            remainder[m] = c
+    return remainder, mult
 
 
 def normal_form(f: HomogeneousPolynomial, basis) -> HomogeneousPolynomial:
     """Remainder of f under division by a list of nonzero polynomials."""
-    table = [(g.lead_monomial(), g.lead_coefficient(), g) for g in basis if g]
-    work = dict(f.terms)
-    remainder = {}
-    while work:
-        m = max(work, key=degrevlex_key)
-        c = work.pop(m)
-        for lm, lc, g in table:
-            if mono_divides(lm, m):
-                q = mono_quotient(m, lm)
-                factor = c / lc
-                # kept inline: hilbert's hot loop, and max(work) must never see a zero
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
-                    mm = mono_mul(gm, q)
-                    s = work.get(mm, 0) - factor * gc
-                    if s:
-                        work[mm] = s
-                    else:
-                        work.pop(mm, None)
-                break
-        else:
-            remainder[m] = c
-    return HomogeneousPolynomial(f.degree, remainder)
+    table = [_basis_element(_integer_terms(g)[1]) for g in basis if g]
+    den, work = _integer_terms(f)
+    remainder, mult = _divide(work, table)
+    scale = mult * den
+    return HomogeneousPolynomial._raw(
+        f.degree, {m[::-1]: Fraction(c, scale) for m, c in remainder.items()})
 
 
 def s_polynomial(f: HomogeneousPolynomial, g: HomogeneousPolynomial) -> HomogeneousPolynomial:
-    lcm = mono_lcm(f.lead_monomial(), g.lead_monomial())
-    mf = mono_quotient(lcm, f.lead_monomial())
-    mg = mono_quotient(lcm, g.lead_monomial())
+    top = mono_lcm(f.lead_monomial(), g.lead_monomial())
+    mf = mono_quotient(top, f.lead_monomial())
+    mg = mono_quotient(top, g.lead_monomial())
     return f.multiply_monomial(mf, 1 / f.lead_coefficient()) - g.multiply_monomial(
         mg, 1 / g.lead_coefficient()
     )
 
 
-def _interreduce(basis):
-    """Autoreduced basis: monic, no term reducible by another element's lead.
+def _s_polynomial_terms(e, f) -> dict:
+    """Integer terms of (b/g)·(L/lead e)·e - (a/g)·(L/lead f)·f for basis
+    elements e and f with lead coefficients a and b, g = gcd(a, b) and L the
+    lcm of their leads; the leads cancel."""
+    (le, a, te), (lf, b, tf) = e, f
+    top = mono_lcm(le, lf)
+    g = gcd(a, b)
+    acc = {}
+    for lead, tail, scale in ((le, te, b // g), (lf, tf, -(a // g))):
+        q = mono_quotient(top, lead)
+        for m, c in tail:
+            mm = mono_mul(m, q)
+            acc[mm] = acc.get(mm, 0) + scale * c
+    return {m: c for m, c in acc.items() if c}
 
-    Remainders of dropped elements are kept (they carry new lead terms), so
-    no ideal content is lost; the loop runs until the set is stable.
+
+def _reduced_basis(basis):
+    """The reduced Groebner basis, monic and sorted by ascending lead, from
+    a Groebner basis of elements with pairwise distinct leads.
+
+    Dropping every element whose lead another lead divides leaves a minimal
+    basis.  Dividing each of its elements once by the others then rewrites
+    only the tail, since no other lead divides the lead; the reduced basis
+    is unique, so one pass is enough.
     """
-    current = [g.monic() for g in basis if g]
-    while True:
-        current.sort(key=lambda g: degrevlex_key(g.lead_monomial()))
-        result = []
-        changed = False
-        for i, g in enumerate(current):
-            others = result + current[i + 1:]
-            r = normal_form(g, others) if others else g
-            if not r:
-                changed = True
-                continue
-            r = r.monic()
-            if r != g:
-                changed = True
-            result.append(r)
-        current = result
-        if not changed:
-            return current
+    minimal = [e for e in basis
+               if not any(o is not e and mono_divides(o[0], e[0]) for o in basis)]
+    out = []
+    for e in minimal:
+        lead, a, tail = e
+        r, _ = _divide({lead: a, **dict(tail)}, [o for o in minimal if o is not e])
+        lc = r[lead]
+        out.append(HomogeneousPolynomial._raw(
+            mono_degree(lead), {m[::-1]: Fraction(c, lc) for m, c in r.items()}))
+    out.sort(key=lambda g: degrevlex_key(g.lead_monomial()))
+    return out
 
 
 def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
-    """Reduced degrevlex Groebner basis.
+    """Reduced degrevlex Groebner basis, monic and sorted by ascending lead.
 
     Pairs are processed in normal strategy order (lowest lcm first) with the
     product and chain criteria.  Raises ResourceLimitError when more than
     pair_cap pairs are processed or an S-polynomial exceeds degree_cap.
     """
-    basis = _interreduce(list(generators))
-    if not basis:
-        return []
-    if basis[0].degree == 0:
+    gens = [g for g in generators if g]
+    if any(g.degree == 0 for g in gens):
         return [HomogeneousPolynomial.constant(1)]
+    # each generator divided by those kept before it: no lead divides another
+    basis = []
+    for g in sorted(gens, key=lambda g: degrevlex_key(g.lead_monomial())):
+        r, _ = _divide(_integer_terms(g)[1], basis)
+        if r:
+            basis.append(_basis_element(r))
 
-    lead = [g.lead_monomial() for g in basis]
+    lead = [e[0] for e in basis]
     pending = set()
-    for i in range(len(basis)):
-        for j in range(i):
-            pending.add((j, i))
+    queue = []  # heap of (lcm degree, lcm ascending in degrevlex, pair)
 
-    def pair_key(pair):
-        lcm = mono_lcm(lead[pair[0]], lead[pair[1]])
-        return (mono_degree(lcm),) + tuple(degrevlex_key(lcm)[1:]) + pair
+    def add_pairs(new):
+        for k in range(new):
+            top = mono_lcm(lead[k], lead[new])
+            pending.add((k, new))
+            heappush(queue, (mono_degree(top), -top[0], -top[1], -top[2], -top[3], k, new))
 
+    for new in range(1, len(basis)):
+        add_pairs(new)
     processed = 0
-    while pending:
-        pair = min(pending, key=pair_key)
+    while queue:
+        key = heappop(queue)
+        degree, pair = key[0], key[-2:]
         pending.discard(pair)
         processed += 1
         if processed > pair_cap:
-            raise ResourceLimitError(f"pair cap {pair_cap} exceeded")
+            raise ResourceLimitError(
+                f"buchberger, degree {degree}: pair cap {pair_cap} exceeded")
         i, j = pair
         if mono_coprime(lead[i], lead[j]):
             continue
-        lcm = mono_lcm(lead[i], lead[j])
+        top = mono_lcm(lead[i], lead[j])
         chained = False
         for k in range(len(basis)):
-            if k in (i, j) or not mono_divides(lead[k], lcm):
+            if k in (i, j) or not mono_divides(lead[k], top):
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -168,19 +261,16 @@ def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
                 break
         if chained:
             continue
-        spoly = s_polynomial(basis[i], basis[j])
-        if degree_cap is not None and spoly.degree > degree_cap:
-            raise ResourceLimitError(f"degree cap {degree_cap} exceeded")
-        r = normal_form(spoly, basis)
+        if degree_cap is not None and degree > degree_cap:
+            raise ResourceLimitError(
+                f"buchberger: S-polynomial of degree {degree} exceeds degree cap {degree_cap}")
+        r, _ = _divide(_s_polynomial_terms(basis[i], basis[j]), basis)
         if not r:
             continue
-        r = r.monic()
-        basis.append(r)
-        lead.append(r.lead_monomial())
-        new = len(basis) - 1
-        for k in range(new):
-            pending.add((k, new))
-    return _interreduce(basis)
+        basis.append(_basis_element(r))
+        lead.append(basis[-1][0])
+        add_pairs(len(basis) - 1)
+    return _reduced_basis(basis)
 
 
 # ---------------------------------------------------------------------------

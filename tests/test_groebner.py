@@ -1,5 +1,6 @@
 """Groebner engine: bases, Hilbert data, syzygies, resolutions, Rao profiles."""
 
+from fractions import Fraction
 from math import comb
 from random import Random
 
@@ -12,6 +13,7 @@ from folcurves.errors import (
     WindowTooSmallError,
 )
 from folcurves.groebner import (
+    DEFAULT_PAIR_CAP,
     FreeResolution,
     GradedIdeal,
     _degree_basis,
@@ -28,8 +30,13 @@ from folcurves.linalg import Echelon, kernel_of_columns
 from folcurves.polyring import (
     HomogeneousPolynomial,
     NVARS,
+    degrevlex_key,
+    mono_coprime,
+    mono_degree,
     mono_divides,
+    mono_lcm,
     mono_mul,
+    mono_quotient,
     monomials_of_degree,
     parse_polynomial,
 )
@@ -533,3 +540,265 @@ def test_composition_and_dual_ranks_match_the_former_code():
                     dom, cod, columns, k)
                 ranks += 1
     assert broken >= 20 and ranks >= 200
+
+
+# The former Fraction-based division, autoreduction and Buchberger loop,
+# kept as the oracle for the fraction-free code that replaced them.
+
+
+def _former_normal_form(f: HomogeneousPolynomial, basis) -> HomogeneousPolynomial:
+    """Remainder of f under division by a list of nonzero polynomials."""
+    table = [(g.lead_monomial(), g.lead_coefficient(), g) for g in basis if g]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=degrevlex_key)
+        c = work.pop(m)
+        for lm, lc, g in table:
+            if mono_divides(lm, m):
+                q = mono_quotient(m, lm)
+                factor = c / lc
+                # kept inline: hilbert's hot loop, and max(work) must never see a zero
+                for gm, gc in g.terms.items():
+                    if gm == lm:
+                        continue
+                    mm = mono_mul(gm, q)
+                    s = work.get(mm, 0) - factor * gc
+                    if s:
+                        work[mm] = s
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            remainder[m] = c
+    return HomogeneousPolynomial(f.degree, remainder)
+
+
+def _former_interreduce(basis):
+    """Autoreduced basis: monic, no term reducible by another element's lead.
+
+    Remainders of dropped elements are kept (they carry new lead terms), so
+    no ideal content is lost; the loop runs until the set is stable.
+    """
+    current = [g.monic() for g in basis if g]
+    while True:
+        current.sort(key=lambda g: degrevlex_key(g.lead_monomial()))
+        result = []
+        changed = False
+        for i, g in enumerate(current):
+            others = result + current[i + 1:]
+            r = _former_normal_form(g, others) if others else g
+            if not r:
+                changed = True
+                continue
+            r = r.monic()
+            if r != g:
+                changed = True
+            result.append(r)
+        current = result
+        if not changed:
+            return current
+
+
+def _former_buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
+    """Reduced degrevlex Groebner basis.
+
+    Pairs are processed in normal strategy order (lowest lcm first) with the
+    product and chain criteria.  Raises ResourceLimitError when more than
+    pair_cap pairs are processed or an S-polynomial exceeds degree_cap.
+    """
+    basis = _former_interreduce(list(generators))
+    if not basis:
+        return []
+    if basis[0].degree == 0:
+        return [HomogeneousPolynomial.constant(1)]
+
+    lead = [g.lead_monomial() for g in basis]
+    pending = set()
+    for i in range(len(basis)):
+        for j in range(i):
+            pending.add((j, i))
+
+    def pair_key(pair):
+        lcm = mono_lcm(lead[pair[0]], lead[pair[1]])
+        return (mono_degree(lcm),) + tuple(degrevlex_key(lcm)[1:]) + pair
+
+    processed = 0
+    while pending:
+        pair = min(pending, key=pair_key)
+        pending.discard(pair)
+        processed += 1
+        if processed > pair_cap:
+            raise ResourceLimitError(f"pair cap {pair_cap} exceeded")
+        i, j = pair
+        if mono_coprime(lead[i], lead[j]):
+            continue
+        lcm = mono_lcm(lead[i], lead[j])
+        chained = False
+        for k in range(len(basis)):
+            if k in (i, j) or not mono_divides(lead[k], lcm):
+                continue
+            pik = (min(i, k), max(i, k))
+            pjk = (min(j, k), max(j, k))
+            if pik not in pending and pjk not in pending:
+                chained = True
+                break
+        if chained:
+            continue
+        spoly = s_polynomial(basis[i], basis[j])
+        if degree_cap is not None and spoly.degree > degree_cap:
+            raise ResourceLimitError(f"degree cap {degree_cap} exceeded")
+        r = _former_normal_form(spoly, basis)
+        if not r:
+            continue
+        r = r.monic()
+        basis.append(r)
+        lead.append(r.lead_monomial())
+        new = len(basis) - 1
+        for k in range(new):
+            pending.add((k, new))
+    return _former_interreduce(basis)
+
+
+def _random_generators(rng):
+    """One to four sparse generators of degree 1 to 3 with small integer or
+    rational coefficients, then now and then a zero, an exact or scaled
+    duplicate, or a constant."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        deg = rng.randint(1, 3)
+        gens.append(HomogeneousPolynomial(deg, {
+            m: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+            for m in monomials_of_degree(deg) if rng.random() < 0.3}))
+    roll = rng.random()
+    if roll < 0.15:
+        gens.append(HomogeneousPolynomial.zero(rng.randint(0, 3)))
+    elif roll < 0.3:
+        gens.append(rng.choice(gens))
+    elif roll < 0.45:
+        gens.append(rng.choice(gens).scale(Fraction(rng.choice((-2, 3)), rng.choice((1, 5)))))
+    elif roll < 0.5:
+        gens.append(HomogeneousPolynomial.constant(Fraction(2, 3)))
+    rng.shuffle(gens)
+    return gens
+
+
+@pytest.mark.parametrize("exprs", [
+    ["2/3*z0^2", "z0*z1 - 1/2*z2^2", "3/4*z1*z3 + z2^2"],
+    ["z0*z1 - z2*z3", "z0*z1 - z2*z3", "z0^2"],
+    ["z0*z1 - z2*z3", "-5/3*z0*z1 + 5/3*z2*z3", "z1^2"],
+    ["z0 + 2*z1", "z1 - 1/3*z2", "z0*z3 - z2^2"],
+    ["z0 - z1", "z0", "z1"],
+    ["z0^2", "7/2", "z1*z2"],
+    ["z0", "z1", "z2", "z3"],
+    ["z0^3", "z1^3", "z2^3", "z3^3", "z0*z1*z2*z3"],
+], ids=["rational", "duplicate", "scaled-duplicate", "linear", "dependent-linear",
+        "constant", "maximal", "m-primary"])
+def test_buchberger_matches_the_former_code_on_chosen_ideals(exprs):
+    gens = [parse_polynomial(e) for e in exprs]
+    assert buchberger(gens) == _former_buchberger(gens)
+    assert buchberger(gens + [HomogeneousPolynomial.zero(2)]) == _former_buchberger(gens)
+
+
+def test_buchberger_matches_the_former_code_on_random_ideals():
+    """Same reduced bases, in the same order, with the same Fractions.  A
+    homogeneous ideal is the unit ideal only through a constant generator:
+    S-polynomials of positive-degree forms have positive degree."""
+    rng = Random(12)
+    units = sizes = 0
+    for _ in range(200):
+        gens = _random_generators(rng)
+        new = buchberger(gens)
+        old = _former_buchberger(gens)
+        assert new == old
+        assert all(isinstance(c, Fraction) for g in new for c in g.terms.values())
+        units += new == [HomogeneousPolynomial.constant(1)]
+        sizes = max(sizes, len(new))
+    assert buchberger([]) == _former_buchberger([]) == []
+    assert buchberger([HomogeneousPolynomial.zero(3)]) == []
+    assert units >= 5 and sizes >= 8
+
+
+def test_normal_form_matches_the_former_code():
+    rng = Random(13)
+    cases = 0
+    for _ in range(120):
+        gens = _random_generators(rng)
+        bases = [gens, list(buchberger(gens)), []]
+        deg = rng.randint(0, 4)
+        fs = [HomogeneousPolynomial.zero(deg), HomogeneousPolynomial(deg, {
+            m: Fraction(rng.randint(-5, 5), rng.choice((1, 2, 7)))
+            for m in monomials_of_degree(deg) if rng.random() < 0.5})]
+        for basis in bases:
+            for f in fs:
+                assert normal_form(f, basis) == _former_normal_form(f, basis)
+                cases += 1
+    assert cases == 720
+
+
+def _smallest_pair_cap(run, gens):
+    """The fewest pairs run(gens) needs, by bisection on pair_cap."""
+    def fits(cap):
+        try:
+            run(gens, pair_cap=cap)
+        except ResourceLimitError:
+            return False
+        return True
+
+    lo, hi = 0, 1
+    while not fits(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_buchberger_processes_as_many_pairs_as_the_former_code():
+    rng = Random(15)
+    cases = [_random_generators(rng) for _ in range(40)]
+    needed = [_smallest_pair_cap(buchberger, gens) for gens in cases]
+    assert needed == [_smallest_pair_cap(_former_buchberger, gens) for gens in cases]
+    assert max(needed) >= 10
+
+
+def test_buchberger_errors_name_the_stage():
+    gens = [parse_polynomial("z0*z1 - z2*z3"), parse_polynomial("z0^2")]
+    with pytest.raises(ResourceLimitError, match=r"^buchberger, degree 3: pair cap 0 exceeded$"):
+        buchberger(gens, pair_cap=0)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^buchberger: S-polynomial of degree 3 exceeds degree cap 2$"):
+        buchberger(gens, degree_cap=2)
+    assert len(buchberger(gens, degree_cap=5)) == 4
+
+
+def test_buchberger_matches_sympy_grevlex():
+    """Monic reduced bases equal sympy's grevlex ones with z0 > z1 > z2 > z3."""
+    sympy = pytest.importorskip("sympy")
+    zs = sympy.symbols("z0:4")
+    rng = Random(14)
+    largest = 0
+    for _ in range(20):
+        gens = []
+        while len(gens) < 3:
+            deg = rng.randint(1, 3)
+            p = HomogeneousPolynomial(deg, {
+                m: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+                for m in monomials_of_degree(deg) if rng.random() < 0.3})
+            if p:
+                gens.append(p)
+        polys = [sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
+                                       for m, c in g.terms.items()}, *zs, domain="QQ")
+                 for g in gens]
+        theirs = []
+        for g in sympy.groebner(polys, *zs, order="grevlex", domain="QQ").exprs:
+            terms = sympy.Poly(g, *zs, domain="QQ").terms(order="grevlex")
+            lc = terms[0][1]  # the grevlex lead; Poly.monic() would use lex
+            theirs.append({m: Fraction(int((c / lc).p), int((c / lc).q)) for m, c in terms})
+        theirs.sort(key=lambda terms: degrevlex_key(max(terms, key=degrevlex_key)))
+        assert [g.terms for g in buchberger(gens)] == theirs
+        largest = max(largest, len(theirs))
+    assert largest >= 10
