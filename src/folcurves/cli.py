@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 
 from .classify import classify_low_degree, invariants_from_c2, legendrian_moduli_dim, nc_moduli_dim
 from .errors import FolcurvesError, ResourceLimitError
@@ -261,7 +262,9 @@ def _cmd_invariants(args):
                  [f"c1 = {inv.c1N}, curve degree {inv.degC}, genus {inv.paC}"])
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="folcurves",
         description="Exact invariants of foliations by curves on projective 3-space",

@@ -373,7 +373,8 @@ def legendrian_sample(degree: int, rng: Random, max_redraws: int = 20) -> Foliat
         presentation = legendrian_foliation(contact, omega)
         if hilbert_polynomial(presentation.ideal).degree() == 1:
             return presentation
-    raise ResourceLimitError(f"no one-dimensional sample found in {max_redraws} draws")
+    raise ResourceLimitError(f"legendrian_sample, degree {degree}: "
+                             f"no one-dimensional sample found in {max_redraws} draws")
 
 
 def parse_form(text: str) -> TwistedForm:

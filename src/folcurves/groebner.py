@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
 from .errors import (
     DegreeMismatchError,
@@ -49,6 +49,7 @@ from .polyring import (
     ONE_MONO,
     degrevlex_key,
     graded_piece_dimension,
+    integer_terms,
     mono_coprime,
     mono_degree,
     mono_divides,
@@ -76,13 +77,6 @@ MAX_DUAL_PIECE = 2000
 # products, lcms and divisibility are componentwise and do not care.  A
 # basis element is a triple (lead, lead coefficient, tail), built once:
 # primitive, with a positive lead coefficient.
-
-
-def _integer_terms(f: HomogeneousPolynomial):
-    """(den, terms): f times the lcm den of its denominators, as integer
-    terms keyed by reversed monomials."""
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    return den, {m[::-1]: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
 
 
 def _basis_element(terms: dict):
@@ -153,9 +147,10 @@ def _divide(work: dict, table):
 
 def normal_form(f: HomogeneousPolynomial, basis) -> HomogeneousPolynomial:
     """Remainder of f under division by a list of nonzero polynomials."""
-    table = [_basis_element(_integer_terms(g)[1]) for g in basis if g]
-    den, work = _integer_terms(f)
-    remainder, mult = _divide(work, table)
+    table = [_basis_element({m[::-1]: c for m, c in integer_terms(g.terms)[1].items()})
+             for g in basis if g]
+    den, work = integer_terms(f.terms)
+    remainder, mult = _divide({m[::-1]: c for m, c in work.items()}, table)
     scale = mult * den
     return HomogeneousPolynomial._raw(
         f.degree, {m[::-1]: Fraction(c, scale) for m, c in remainder.items()})
@@ -221,7 +216,7 @@ def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
     # each generator divided by those kept before it: no lead divides another
     basis = []
     for g in sorted(gens, key=lambda g: degrevlex_key(g.lead_monomial())):
-        r, _ = _divide(_integer_terms(g)[1], basis)
+        r, _ = _divide({m[::-1]: c for m, c in integer_terms(g.terms)[1].items()}, basis)
         if r:
             basis.append(_basis_element(r))
 
@@ -858,7 +853,7 @@ def rao_module_dimensions(ideal: GradedIdeal, window=None) -> RaoProfile:
             rank3 = _dual_map_rank(t2, t3, d3, k)
             h = dim3 - rank4 - rank3
             if h < 0:
-                raise ResourceLimitError("negative cohomology dimension")
+                raise ResourceLimitError(f"Rao twist {k}: negative cohomology dimension {h}")
             if h:
                 profile[k] = h
     if profile.get(lo) or profile.get(hi):

@@ -1,27 +1,22 @@
 """Exact sparse linear algebra by fraction-free elimination over the integers.
 
 Vectors are dicts mapping coordinate index to a nonzero int or Fraction.
-Denominators are cleared when a vector comes in, so the elimination itself
-only ever touches integers, in the integer-preserving style of Bareiss
-("Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968).  Echelon is the single engine behind
-every rank and kernel computation in the package.
+Denominators are cleared when a vector comes in (polyring.integer_terms),
+so the elimination itself only ever touches integers, in the
+integer-preserving style of Bareiss ("Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968).  Echelon
+is the single engine behind every rank and kernel computation in the
+package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .polyring import integer_terms
 
 SparseVec = dict
-
-
-def _integral(vec: SparseVec) -> SparseVec:
-    """vec times the lcm of its denominators: an integer vector."""
-    den = 1
-    for x in vec.values():
-        den = lcm(den, x.denominator)
-    return {c: x.numerator * (den // x.denominator) for c, x in vec.items()}
 
 
 def _primitive(vec: SparseVec) -> SparseVec:
@@ -72,7 +67,7 @@ class Echelon:
 
     def insert(self, vec: SparseVec):
         """Reduce vec and, if independent, add it; return the new pivot or None."""
-        v = self._reduce(_integral(vec))
+        v = self._reduce(integer_terms(vec)[1])
         if not v:
             return None
         p = min(v)
@@ -94,7 +89,7 @@ def kernel_of_columns(columns):
     for j, col in enumerate(columns):
         # column j, augmented by a unit coordinate past every row index that
         # records which columns the reduced vector combines
-        v = ech._reduce(_integral({**col, shift + j: 1}))
+        v = ech._reduce(integer_terms({**col, shift + j: 1})[1])
         p = min(v)
         if p < shift:
             ech.rows[p] = _primitive(v)

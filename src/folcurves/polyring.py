@@ -7,14 +7,17 @@ A homogeneous polynomial is a degree tag plus a sparse map from monomials of
 that degree to nonzero Fractions; the zero polynomial keeps its degree tag
 so that graded maps stay well typed.  Every sum of products (a product
 itself, wedges and contractions of forms, composed resolution maps) is
-accumulated by one kernel, sum_of_products.
+accumulated by one kernel, sum_of_products, in Python ints under one common
+denominator; Fractions are built only for the terms of the result.
+integer_terms is the one helper that clears denominators, here, in the
+elimination engine and in Groebner division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .errors import DegreeMismatchError, NotHomogeneousError
 
@@ -253,15 +256,27 @@ class HomogeneousPolynomial:
         return f"HomogeneousPolynomial({self})"
 
 
+def integer_terms(coeffs: dict):
+    """(den, int_terms): the values of coeffs (Fractions or ints) times den,
+    the lcm of their denominators, as ints on the same keys in the same
+    order.  An empty dict gives (1, {})."""
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    if den == 1:  # the usual case, integral values
+        return 1, {k: c.numerator for k, c in coeffs.items()}
+    return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+
+
 def sum_of_products(pairs) -> HomogeneousPolynomial:
     """The polynomial sum of sign*a*b over the (sign, a, b) triples in pairs.
 
-    pairs must be non-empty, and every product a*b must have one degree.
-    All products accumulate into one dict, so a sum of many products builds
-    no intermediate polynomials; zero coefficients are dropped once, at the
-    end.
+    pairs must be non-empty, each sign an int, and every product a*b must
+    have one degree.  All products accumulate as ints into one dict under a
+    common denominator, so a sum of many products builds no intermediate
+    polynomials and no Fraction until the end; zero coefficients are dropped
+    once, there.
     """
     acc: dict = {}
+    den = 1  # acc holds the result times den
     degree = None
     for sign, a, b in pairs:
         if degree is None:
@@ -270,15 +285,26 @@ def sum_of_products(pairs) -> HomogeneousPolynomial:
             raise DegreeMismatchError(
                 f"cannot add degree {degree} and degree {a.degree + b.degree}"
             )
-        b_terms = b.terms.items()
-        for m1, c1 in a.terms.items():
-            c1 = sign * c1
+        da, a_terms = integer_terms(a.terms)
+        db, b_terms = integer_terms(b.terms)
+        d = da * db
+        if den % d:  # the common denominator grows: rescale what is summed so far
+            grown = lcm(den, d)
+            s = grown // den
+            for m in acc:
+                acc[m] *= s
+            den = grown
+        scale = sign * (den // d)
+        b_terms = b_terms.items()
+        for m1, c1 in a_terms.items():
+            c1 *= scale
             for m2, c2 in b_terms:
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
                 acc[m] = acc.get(m, 0) + c1 * c2
     if degree is None:
         raise ValueError("an empty sum of products has no degree")
-    return HomogeneousPolynomial._raw(degree, {m: c for m, c in acc.items() if c})
+    return HomogeneousPolynomial._raw(
+        degree, {m: Fraction(c, den) for m, c in acc.items() if c})
 
 
 def parse_polynomial(text: str) -> HomogeneousPolynomial:

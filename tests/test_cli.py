@@ -3,7 +3,7 @@
 import json
 import time
 
-from folcurves.cli import main
+from folcurves.cli import build_parser, main
 
 WEDGE_ARGS = ["wedge", "z0*dz1 - z1*dz0", "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2"]
 
@@ -211,3 +211,28 @@ def test_cohomology_refuses_a_range_over_the_cap_quickly(capsys):
     code, out, _ = run(capsys, ["cohomology", "line", "--json", "--", "-500..499"])
     assert code == 0
     assert len(json.loads(out)["payload"]["twists"]) == 1000
+
+
+def test_repeated_calls_reuse_one_parser_and_answer_as_a_fresh_one(capsys):
+    calls = [["chi", "2", "0", "1", "0", "1"], ["classify", "2", "6", "--json"],
+             ["chi", "2", "x", "1", "0", "1"], ["moduli", "nc", "3"], ["nosuch"],
+             ["classify", "2", "5", "--json"], ["classify", "--help"], WEDGE_ARGS]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse errors and --help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    build_parser.cache_clear()
+    assert [outcome(argv) for argv in calls + calls] == fresh + fresh
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2, 2, 0, 0]
+    assert fresh[2][2].startswith("usage: folcurves chi") and fresh[4][2].startswith("usage:")
+    assert fresh[5][2].startswith("error: degree-2") and fresh[6][1].startswith("usage:")

@@ -11,6 +11,7 @@ from folcurves.errors import (
     NotContactError,
     NotProjectiveError,
     ProportionalInputError,
+    ResourceLimitError,
     WrongFormDegreeError,
     ZeroFormError,
 )
@@ -161,6 +162,12 @@ def test_legendrian_degree3_sample_has_degree10():
     presentation = legendrian_sample(3, rng)
     deg, _ = curve_invariants(presentation.ideal)
     assert deg == 10
+
+
+def test_legendrian_sample_error_names_the_stage():
+    with pytest.raises(ResourceLimitError, match=r"^legendrian_sample, degree 3: "
+                                                 r"no one-dimensional sample found in 0 draws$"):
+        legendrian_sample(3, Random(0), max_redraws=0)
 
 
 def test_legendrian_rejections():

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from folcurves import groebner
 from folcurves.errors import (
     DegreeMismatchError,
     NotACurveError,
@@ -802,3 +803,11 @@ def test_buchberger_matches_sympy_grevlex():
         assert [g.terms for g in buchberger(gens)] == theirs
         largest = max(largest, len(theirs))
     assert largest >= 10
+
+
+def test_rao_negative_dimension_names_the_twist(monkeypatch):
+    true_rank = groebner._dual_map_rank
+    monkeypatch.setattr(groebner, "_dual_map_rank", lambda *args: true_rank(*args) + 1)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^Rao twist -2: negative cohomology dimension -1$"):
+        rao_module_dimensions(_ideal(*SKEW))

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, parsing and exact linear algebra."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from folcurves.polyring import (
     HomogeneousPolynomial,
     degrevlex_key,
     graded_piece_dimension,
+    integer_terms,
     mono_str,
     monomials_of_degree,
     parse_polynomial,
@@ -115,6 +117,91 @@ def test_product_degree_commutativity_distributivity():
         assert sum_of_products([(1, f, g), (-3, h, f)]) == f * g - (f * h).scale(3)
         cancelled = sum_of_products([(1, f, g), (-1, g, f)])
         assert cancelled.is_zero() and cancelled.degree == f.degree + g.degree
+
+
+def _former_sum_of_products(pairs) -> HomogeneousPolynomial:
+    """The polynomial sum of sign*a*b over the (sign, a, b) triples in pairs.
+
+    pairs must be non-empty, and every product a*b must have one degree.
+    All products accumulate into one dict, so a sum of many products builds
+    no intermediate polynomials; zero coefficients are dropped once, at the
+    end.
+    """
+    acc: dict = {}
+    degree = None
+    for sign, a, b in pairs:
+        if degree is None:
+            degree = a.degree + b.degree
+        elif a.degree + b.degree != degree:
+            raise DegreeMismatchError(
+                f"cannot add degree {degree} and degree {a.degree + b.degree}"
+            )
+        b_terms = b.terms.items()
+        for m1, c1 in a.terms.items():
+            c1 = sign * c1
+            for m2, c2 in b_terms:
+                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+                acc[m] = acc.get(m, 0) + c1 * c2
+    if degree is None:
+        raise ValueError("an empty sum of products has no degree")
+    return HomogeneousPolynomial._raw(degree, {m: c for m, c in acc.items() if c})
+
+
+_MIXED = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(7, 12), Fraction(-3, 4),
+          Fraction(9, 5), 1, -1, 2, -7]
+
+
+def _random_rational_poly(rng, degree):
+    """Sparse, with coefficients of mixed denominators; zero about one time in six."""
+    if rng.random() < 1 / 6:
+        return HomogeneousPolynomial.zero(degree)
+    monos = monomials_of_degree(degree)
+    chosen = rng.sample(monos, rng.randint(1, min(6, len(monos))))
+    return HomogeneousPolynomial(degree,
+                                 {m: rng.choice(_MIXED) * rng.randint(1, 3) for m in chosen})
+
+
+def test_sum_of_products_matches_the_former_fraction_kernel():
+    rng = Random(19)
+    seen = set()
+    for case in range(240):
+        total = rng.randint(0, 4)
+        pairs = []
+        for _ in range(1 if case % 4 == 0 else rng.randint(2, 6)):
+            da = rng.randint(0, total)
+            pairs.append((rng.choice((1, -1)), _random_rational_poly(rng, da),
+                          _random_rational_poly(rng, total - da)))
+        if case % 3 == 1:
+            # cancel some triples: negated sign, or the factors swapped
+            for sign, a, b in list(pairs):
+                pairs.append((-sign, b, a) if rng.random() < 0.5 else (-sign, a, b))
+        new, old = sum_of_products(pairs), _former_sum_of_products(pairs)
+        assert new == old and new.degree == old.degree
+        assert list(new.terms.items()) == list(old.terms.items())
+        assert all(type(c) is Fraction for c in new.terms.values())
+        seen.add((len(pairs) == 1, new.is_zero(), total == 0,
+                  any(c.denominator > 1 for c in new.terms.values())))
+    # one-pair products, sums cancelling to zero, constants and results with
+    # and without denominators all occurred
+    assert {s[0] for s in seen} == {s[1] for s in seen} == {True, False}
+    assert {s[2] for s in seen} == {s[3] for s in seen} == {True, False}
+
+
+def test_integer_terms_clears_denominators_by_their_lcm():
+    coeffs = {"a": Fraction(1, 2), "b": Fraction(-2, 3), "c": 5, "d": Fraction(7, 12)}
+    den, ints = integer_terms(coeffs)
+    assert den == 12
+    assert list(ints) == list(coeffs)
+    assert all(type(v) is int and v == den * c for v, c in zip(ints.values(), coeffs.values()))
+    assert integer_terms(HomogeneousPolynomial.zero(3).terms) == (1, {})
+    assert integer_terms({(1, 0, 0, 0): 3, (0, 1, 0, 0): Fraction(-4)}) == (
+        1, {(1, 0, 0, 0): 3, (0, 1, 0, 0): -4})
+    rng = Random(23)
+    for _ in range(50):
+        f = _random_rational_poly(rng, rng.randint(0, 3))
+        den, ints = integer_terms(f.terms)
+        assert den == lcm(*(c.denominator for c in f.terms.values()))
+        assert ints == {m: den * c for m, c in f.terms.items()}
 
 
 def test_power_matches_repeated_product():
