@@ -15,6 +15,20 @@ goes back to Fractions: normal_form divides its integer remainder by the
 accumulated multiplier, and buchberger returns the monic reduced basis,
 made in one pass from the minimal basis.
 
+Buchberger also uses Hilbert data (Traverso, "Hilbert functions and the
+Buchberger algorithm", J. Symbolic Comput. 22, 1996).  When at most four
+nonzero forms of degrees d_i generate I, dim (S/I)_d is at least H_CI(d),
+the coefficient of t^d in prod(1 - t^d_i) / (1 - t)^4: dim I_d is the rank
+of the map from the sum of the S_(d-d_i) to S_d multiplying by the
+generators, a rank can only drop under specialization, and for generic
+forms, four or fewer being a regular sequence, the rank gives exactly
+H_CI.  Pairs are popped in lcm-degree order while the degree-d monomials no
+current lead divides are kept, advanced one degree at a time; once they
+number H_CI(d), the leads span in(I)_d and every remaining pair of degree d
+reduces to zero, so it is skipped without being formed.  With five or more
+generators the bound would be Froeberg's conjecture, and no pair is skipped
+this way.
+
 Resolutions are built layer by layer and degree by degree.  Exactness and
 the Hilbert function of S/I give the dimension of the kernel each layer
 must cover in each degree; candidates (normal forms in layer 1, kernels of
@@ -65,6 +79,11 @@ DEFAULT_PAIR_CAP = 100_000
 # may eliminate over; pieces grow like C(-k, 3) as the twist k falls.  The
 # largest any shipped test, demo or benchmark input reaches is 308.
 MAX_DUAL_PIECE = 2000
+# Most standard monomials buchberger's Hilbert-driven skip walks through in
+# one call; past it no more pairs are skipped in the call, so a pair of huge
+# degree (z0*z1 and z1^(10^8)) is not preceded by a walk through every degree
+# below it.  The largest any hilbert-pool ideal walks is 1008.
+MAX_STANDARD_WALK = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +222,52 @@ def _reduced_basis(basis):
     return out
 
 
+def _ci_hilbert_function(degrees, d: int) -> int:
+    """Coefficient of t^d in prod(1 - t^e for e in degrees) / (1 - t)^4.
+
+    It is dim (S/I)_d when forms of these degrees are a regular sequence,
+    and a lower bound for it whenever at most four forms of these degrees
+    generate I (see the module docstring).
+    """
+    numerator = {0: 1}
+    for e in degrees:
+        shifted = dict(numerator)
+        for a, c in numerator.items():
+            shifted[a + e] = shifted.get(a + e, 0) - c
+        numerator = shifted
+    return sum(c * graded_piece_dimension(d - a) for a, c in numerator.items())
+
+
+def _next_standard(standard, leads):
+    """The standard monomials of degree d + 1 from those of degree d: a
+    monomial is standard when all its divisors of degree d are and it is
+    not itself one of the leads of degree d + 1."""
+    hits = {}
+    for m in standard:
+        for u in ((m[0] + 1, m[1], m[2], m[3]), (m[0], m[1] + 1, m[2], m[3]),
+                  (m[0], m[1], m[2] + 1, m[3]), (m[0], m[1], m[2], m[3] + 1)):
+            hits[u] = hits.get(u, 0) + 1
+    return {u for u, n in hits.items()
+            if n == (u[0] > 0) + (u[1] > 0) + (u[2] > 0) + (u[3] > 0) and u not in leads}
+
+
 def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
     """Reduced degrevlex Groebner basis, monic and sorted by ascending lead.
 
     Pairs are processed in normal strategy order (lowest lcm first) with the
-    product and chain criteria.  Raises ResourceLimitError when more than
-    pair_cap pairs are processed or an S-polynomial exceeds degree_cap.
+    product and chain criteria.  With at most four nonzero generators a
+    Hilbert function bound skips more (see the module docstring): dim
+    (S/I)_d is at least _ci_hilbert_function of the generator degrees, since
+    the rank of multiplying by the generators is at most its generic value.
+    The degree-d monomials no current lead divides number at least
+    dim (S/I)_d, so once they number exactly the bound, the leads span
+    in(I)_d and every remaining pair of degree d reduces to zero.  With
+    five or more generators the bound is Froeberg's conjecture, not a
+    theorem, and no pair is skipped this way.
+
+    Raises ResourceLimitError when more than pair_cap pairs are processed
+    (skipped and pruned pairs count) or an S-polynomial that no criterion
+    pruned exceeds degree_cap.
     """
     gens = [g for g in generators if g]
     if any(g.degree == 0 for g in gens):
@@ -232,6 +291,10 @@ def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
 
     for new in range(1, len(basis)):
         add_pairs(new)
+    # the bound takes the kept generators: they generate I, and are no more
+    degrees = [mono_degree(m) for m in lead] if len(gens) <= 4 else None
+    standard, std_degree, bound = {ONE_MONO}, 0, None  # standard monomials of std_degree
+    walked = 0
     processed = 0
     while queue:
         key = heappop(queue)
@@ -241,6 +304,15 @@ def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
         if processed > pair_cap:
             raise ResourceLimitError(
                 f"buchberger, degree {degree}: pair cap {pair_cap} exceeded")
+        if degrees is not None:
+            while std_degree < degree and walked <= MAX_STANDARD_WALK:
+                walked += len(standard)
+                std_degree += 1
+                standard = _next_standard(
+                    standard, {m for m in lead if mono_degree(m) == std_degree})
+                bound = _ci_hilbert_function(degrees, std_degree)
+            if std_degree == degree and len(standard) == bound:
+                continue
         i, j = pair
         if mono_coprime(lead[i], lead[j]):
             continue
@@ -264,6 +336,7 @@ def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
             continue
         basis.append(_basis_element(r))
         lead.append(basis[-1][0])
+        standard.discard(lead[-1])  # a lead of the pair degree is not standard
         add_pairs(len(basis) - 1)
     return _reduced_basis(basis)
 

@@ -8,9 +8,11 @@ that degree to nonzero Fractions; the zero polynomial keeps its degree tag
 so that graded maps stay well typed.  Every sum of products (a product
 itself, wedges and contractions of forms, composed resolution maps) is
 accumulated by one kernel, sum_of_products, in Python ints under one common
-denominator; Fractions are built only for the terms of the result.
-integer_terms is the one helper that clears denominators, here, in the
-elimination engine and in Groebner division.
+denominator; Fractions are built only for the terms of the result.  A
+polynomial keeps its cleared integer terms once a product has needed them,
+so a factor that meets several partners is cleared once.  integer_terms
+is the one helper that clears denominators, here, in the elimination
+engine and in Groebner division.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ def graded_piece_dimension(k: int) -> int:
 class HomogeneousPolynomial:
     """Sparse homogeneous polynomial with exact rational coefficients."""
 
-    __slots__ = ("degree", "terms")
+    # _cleared, once filled, holds integer_terms(terms) for sum_of_products
+    __slots__ = ("degree", "terms", "_cleared")
 
     def __init__(self, degree: int, terms=None):
         clean = {}
@@ -266,6 +269,17 @@ def integer_terms(coeffs: dict):
     return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
 
 
+def _cleared(p: HomogeneousPolynomial):
+    """integer_terms(p.terms), computed on the first call and kept on p: a
+    factor that meets several partners (a coefficient of a form in a wedge)
+    is cleared once, not once per product."""
+    out = getattr(p, "_cleared", None)
+    if out is None:
+        out = integer_terms(p.terms)
+        object.__setattr__(p, "_cleared", out)
+    return out
+
+
 def sum_of_products(pairs) -> HomogeneousPolynomial:
     """The polynomial sum of sign*a*b over the (sign, a, b) triples in pairs.
 
@@ -285,8 +299,8 @@ def sum_of_products(pairs) -> HomogeneousPolynomial:
             raise DegreeMismatchError(
                 f"cannot add degree {degree} and degree {a.degree + b.degree}"
             )
-        da, a_terms = integer_terms(a.terms)
-        db, b_terms = integer_terms(b.terms)
+        da, a_terms = _cleared(a)
+        db, b_terms = _cleared(b)
         d = da * db
         if den % d:  # the common denominator grows: rescale what is summed so far
             grown = lcm(den, d)

@@ -737,21 +737,22 @@ def test_normal_form_matches_the_former_code():
     assert cases == 720
 
 
+def _fits(run, gens, cap):
+    try:
+        run(gens, pair_cap=cap)
+    except ResourceLimitError:
+        return False
+    return True
+
+
 def _smallest_pair_cap(run, gens):
     """The fewest pairs run(gens) needs, by bisection on pair_cap."""
-    def fits(cap):
-        try:
-            run(gens, pair_cap=cap)
-        except ResourceLimitError:
-            return False
-        return True
-
     lo, hi = 0, 1
-    while not fits(hi):
+    while not _fits(run, gens, hi):
         lo, hi = hi + 1, 2 * hi
     while lo < hi:
         mid = (lo + hi) // 2
-        if fits(mid):
+        if _fits(run, gens, mid):
             hi = mid
         else:
             lo = mid + 1
@@ -764,6 +765,128 @@ def test_buchberger_processes_as_many_pairs_as_the_former_code():
     needed = [_smallest_pair_cap(buchberger, gens) for gens in cases]
     assert needed == [_smallest_pair_cap(_former_buchberger, gens) for gens in cases]
     assert max(needed) >= 10
+
+
+def _dense_form(rng, deg):
+    """A form with every monomial of degree deg and a nonzero coefficient."""
+    return HomogeneousPolynomial(deg, {
+        m: Fraction(rng.randint(1, 5) * rng.choice((-1, 1)), rng.choice((1, 1, 2, 3)))
+        for m in monomials_of_degree(deg)})
+
+
+# degrees of seeded dense forms, generic enough to be complete intersections
+DENSE_CI_DEGREES = [(2, 2), (2, 4), (3, 4), (4, 4), (2, 2, 2), (2, 3, 3), (2, 3, 4),
+                    (3, 3, 3), (2, 2, 2, 2), (2, 2, 2, 3), (2, 2, 3, 3)]
+
+
+def _dense_complete_intersections():
+    rng = Random(16)
+    return [[_dense_form(rng, d) for d in degrees] for degrees in DENSE_CI_DEGREES]
+
+
+def _degenerate_ideals():
+    """Ideals of at most four generators where the bound is loose or the
+    generators are redundant."""
+    rng = Random(17)
+    f, g, h = _dense_form(rng, 2), _dense_form(rng, 3), _dense_form(rng, 3)
+    z0 = HomogeneousPolynomial.variable(0)
+    return {
+        "common-linear-factor": [z0 * f, z0 * g, z0 * h],
+        "duplicate": [f, g, f],
+        "scaled-duplicate": [f, g, h, f.scale(Fraction(-5, 3))],
+        "m-primary": [parse_polynomial(e) for e in
+                      ("z0^2 + z1*z3", "z1^2 + z2*z3", "z2^2 + z0*z3 - z1^2", "z3^3 - z0*z1*z2")],
+    }
+
+
+def _count_s_polynomials(monkeypatch, gens):
+    """buchberger(gens) and the number of S-polynomials it divides."""
+    calls = []
+    real = groebner._s_polynomial_terms
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_s_polynomial_terms", lambda e, f: calls.append(1) or real(e, f))
+        return buchberger(gens), len(calls)
+
+
+def _assert_same_as_the_former_code(gens):
+    """Equal reduced bases, and the former code needs exactly as many pairs."""
+    needed = _smallest_pair_cap(buchberger, gens)
+    assert buchberger(gens) == _former_buchberger(gens, pair_cap=needed)
+    assert needed == 0 or not _fits(_former_buchberger, gens, needed - 1)
+
+
+def test_hilbert_skip_divides_fewer_s_polynomials_on_complete_intersections(monkeypatch):
+    for gens in _dense_complete_intersections():
+        _assert_same_as_the_former_code(gens)
+        basis, divided = _count_s_polynomials(monkeypatch, gens)
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_ci_hilbert_function", lambda degrees, d: -1)  # never met
+            unskipped_basis, unskipped = _count_s_polynomials(m, gens)
+        assert unskipped_basis == basis
+        assert divided < unskipped, [g.degree for g in gens]
+
+
+@pytest.mark.parametrize("name", list(_degenerate_ideals()))
+def test_hilbert_skip_keeps_degenerate_ideals_exact(name):
+    gens = _degenerate_ideals()[name]
+    _assert_same_as_the_former_code(gens)
+    _assert_same_as_the_former_code(gens + [HomogeneousPolynomial.zero(3)])
+
+
+def test_hilbert_skip_needs_at_most_four_generators(monkeypatch):
+    """Five nonzero generators, even when one is redundant, never consult
+    the bound: for five forms it would be Froeberg's conjecture."""
+    def refuse(degrees, d):
+        raise AssertionError("the bound was consulted")
+
+    monkeypatch.setattr(groebner, "_ci_hilbert_function", refuse)
+    rng = Random(18)
+    quadrics = [_dense_form(rng, 2) for _ in range(5)]
+    for gens in (quadrics, quadrics[:4] + [quadrics[0].scale(3)],
+                 [parse_polynomial(e) for e in ("z0^3", "z1^3", "z2^3", "z3^3 - z0*z1*z2",
+                                                "z0*z1*z2*z3")]):
+        _assert_same_as_the_former_code(gens)
+
+
+def test_hilbert_skip_gives_up_a_long_walk(monkeypatch):
+    """A pair of huge degree drops the skip instead of walking through every
+    degree below it, and a dropped skip leaves the basis exact."""
+    steps = []
+    real = groebner._next_standard
+    monkeypatch.setattr(groebner, "_next_standard",
+                        lambda standard, leads: steps.append(1) or real(standard, leads))
+    gens = [parse_polynomial("z0*z1"), parse_polynomial("z1^100000000")]
+    assert buchberger(gens) == _former_buchberger(gens)
+    assert 0 < len(steps) < 100
+    monkeypatch.setattr(groebner, "MAX_STANDARD_WALK", 0)
+    for gens in _dense_complete_intersections()[:6]:
+        assert buchberger(gens) == _former_buchberger(gens)
+
+
+def test_ci_hilbert_function_bounds_the_hilbert_function():
+    """dim (S/I)_d >= the complete-intersection count for at most four
+    nonzero generators, with equality in every degree on generic ones."""
+    rng = Random(19)
+    checked = 0
+    for _ in range(80):
+        gens = [g for g in _random_generators(rng) if g]
+        if not gens or len(gens) > 4:
+            continue
+        ideal = GradedIdeal(gens)
+        degrees = [g.degree for g in gens]
+        for d in range(max(degrees) + 7):
+            assert ideal.hilbert_function(d) >= groebner._ci_hilbert_function(degrees, d)
+        checked += 1
+    assert checked >= 60
+    for gens in _dense_complete_intersections():
+        ideal = GradedIdeal(gens)
+        degrees = [g.degree for g in gens]
+        values = [ideal.hilbert_function(d) for d in range(max(degrees) + 7)]
+        assert values == [groebner._ci_hilbert_function(degrees, d)
+                          for d in range(max(degrees) + 7)]
+    assert [groebner._ci_hilbert_function((2, 3), d) for d in range(6)] == [1, 4, 9, 15, 21, 27]
+    assert [groebner._ci_hilbert_function((2, 2, 2, 2), d) for d in range(6)] == [
+        1, 4, 6, 4, 1, 0]
 
 
 def test_buchberger_errors_name_the_stage():

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from folcurves import polyring
 from folcurves.errors import (
     DegreeMismatchError,
     NotHomogeneousError,
@@ -202,6 +203,22 @@ def test_integer_terms_clears_denominators_by_their_lcm():
         den, ints = integer_terms(f.terms)
         assert den == lcm(*(c.denominator for c in f.terms.values()))
         assert ints == {m: den * c for m, c in f.terms.items()}
+
+
+def test_sum_of_products_clears_each_factor_once(monkeypatch):
+    """Every factor met in several sums is cleared by integer_terms once, and
+    its kept integer terms stay those of its coefficients."""
+    real = polyring.integer_terms
+    calls = []
+    monkeypatch.setattr(polyring, "integer_terms", lambda coeffs: calls.append(1) or real(coeffs))
+    rng = Random(24)
+    fs = [_random_rational_poly(rng, rng.randint(0, 2)) for _ in range(6)]
+    for f in fs:
+        for g in fs:
+            triples = [(1, f, g), (-1, g, f), (2, f, g)]
+            assert sum_of_products(triples) == _former_sum_of_products(triples)
+    assert len(calls) == len(fs)
+    assert all(polyring._cleared(f) == real(f.terms) for f in fs)
 
 
 def test_power_matches_repeated_product():
