@@ -13,7 +13,13 @@ exponent tuples (Monagan and Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007).  Only the result
 goes back to Fractions: normal_form divides its integer remainder by the
 accumulated multiplier, and buchberger returns the monic reduced basis,
-made in one pass from the minimal basis.
+made in one pass from the minimal basis by _reduced_basis.
+
+Most callers never need that reduced basis.  GradedIdeal keeps the
+unreduced integer elements Buchberger ends with; the lead ideal, every
+Hilbert quantity, the regularity bound and the resolution (whose first
+layer divides by the elements, the normal form being unique) read only
+those.  Only groebner_basis, contains and equals build the reduced basis.
 
 Buchberger also uses Hilbert data (Traverso, "Hilbert functions and the
 Buchberger algorithm", J. Symbolic Comput. 22, 1996).  When at most four
@@ -251,8 +257,10 @@ def _next_standard(standard, leads):
             if n == (u[0] > 0) + (u[1] > 0) + (u[2] > 0) + (u[3] > 0) and u not in leads}
 
 
-def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
-    """Reduced degrevlex Groebner basis, monic and sorted by ascending lead.
+def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
+    """A degrevlex Groebner basis of the ideal, as primitive integer basis
+    elements with pairwise distinct leads; neither minimal nor reduced.  The
+    unit ideal gives [(ONE_MONO, 1, [])], the zero ideal [].
 
     Pairs are processed in normal strategy order (lowest lcm first) with the
     product and chain criteria.  With at most four nonzero generators a
@@ -271,7 +279,7 @@ def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
     """
     gens = [g for g in generators if g]
     if any(g.degree == 0 for g in gens):
-        return [HomogeneousPolynomial.constant(1)]
+        return [(ONE_MONO, 1, [])]
     # each generator divided by those kept before it: no lead divides another
     basis = []
     for g in sorted(gens, key=lambda g: degrevlex_key(g.lead_monomial())):
@@ -338,7 +346,14 @@ def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
         lead.append(basis[-1][0])
         standard.discard(lead[-1])  # a lead of the pair degree is not standard
         add_pairs(len(basis) - 1)
-    return _reduced_basis(basis)
+    return basis
+
+
+def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
+    """Reduced degrevlex Groebner basis, monic and sorted by ascending lead:
+    _reduced_basis of _groebner_elements, whose arguments and errors it
+    takes."""
+    return _reduced_basis(_groebner_elements(generators, pair_cap, degree_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +552,13 @@ def _binom_ext(n: int, k: int) -> Fraction:
 
 
 class GradedIdeal:
-    """Homogeneous ideal with cached Groebner basis and Hilbert data."""
+    """Homogeneous ideal with cached Groebner basis and Hilbert data.
+
+    The first query runs Buchberger and keeps its integer basis elements.
+    lead_ideal, is_unit_ideal, the Hilbert methods, regularity_bound and
+    the resolution read only those; groebner_basis, contains and equals
+    also build the monic reduced basis from them, once.
+    """
 
     def __init__(self, generators):
         gens = []
@@ -547,6 +568,7 @@ class GradedIdeal:
             if g:
                 gens.append(g)
         self.generators = tuple(gens)
+        self._elements = None
         self._gb = None
         self._lead = None
         self._numerator = None
@@ -567,22 +589,26 @@ class GradedIdeal:
                     lines.append(line)
         return cls.from_expressions(lines)
 
+    def _basis_elements(self, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
+        """The integer basis elements of _groebner_elements, computed on the
+        first call, with that call's caps."""
+        if self._elements is None:
+            self._elements = _groebner_elements(self.generators, pair_cap, degree_cap)
+        return self._elements
+
     def groebner_basis(self, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
         if self._gb is None:
-            self._gb = tuple(buchberger(self.generators, pair_cap, degree_cap))
+            self._gb = tuple(_reduced_basis(self._basis_elements(pair_cap, degree_cap)))
         return self._gb
 
     def lead_ideal(self) -> tuple:
         """Minimal monomial generators of the lead-term ideal."""
         if self._lead is None:
-            self._lead = _minimalize(
-                tuple(g.lead_monomial() for g in self.groebner_basis())
-            )
+            self._lead = _minimalize(tuple(e[0][::-1] for e in self._basis_elements()))
         return self._lead
 
     def is_unit_ideal(self) -> bool:
-        gb = self.groebner_basis()
-        return bool(gb) and gb[0].degree == 0
+        return ONE_MONO in self.lead_ideal()
 
     def contains(self, f: HomogeneousPolynomial) -> bool:
         if not f:
@@ -805,7 +831,7 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
     if bound > 60:
         raise ResourceLimitError(f"truncation bound {bound} is too large")
 
-    gb = list(ideal.groebner_basis())
+    elements = ideal._basis_elements()
     lead_gens = ideal.lead_ideal()
     res = FreeResolution(twists=[[0]], differentials=[], bound=bound)
     if not lead_gens:
@@ -833,11 +859,16 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
                     f"{where}: resolution generator found at the safety margin degree"
                 )
             if layer == 1:
+                # m - NF(m) for each m in in(I)_e; the normal form is unique,
+                # so dividing by the unreduced elements gives the same one
                 reduced = []
                 for m in monomials_of_degree(e):
                     if any(mono_divides(g, m) for g in lead_gens):
-                        lead = HomogeneousPolynomial.from_term(m)
-                        reduced.append({0: lead - normal_form(lead, gb)})
+                        r, mult = _divide({m[::-1]: 1}, elements)
+                        terms = {m: Fraction(1)}
+                        for rm, c in r.items():
+                            terms[rm[::-1]] = Fraction(-c, mult)
+                        reduced.append({0: HomogeneousPolynomial._raw(e, terms)})
                 candidates = _degree_matrix(reduced, [-e] * len(reduced), [0], e)
             else:
                 candidates = kernel_of_columns(_degree_matrix(

@@ -178,6 +178,22 @@ def test_hilbert_refuses_a_power_over_the_term_cap_quickly(capsys, tmp_path):
     assert err.startswith("error:") and "12341 terms" in err
 
 
+def test_hilbert_refuses_a_power_over_the_coefficient_cap_quickly(capsys, tmp_path):
+    path = tmp_path / "tall.ideal"
+    for power in ("2^1000000000*x", "(2*x)^1000000000"):
+        path.write_text(f"{power}\ny\n")
+        started = time.perf_counter()
+        code, _, err = run(capsys, ["hilbert", str(path)])
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert err.startswith("error: parsing, power ^1000000000:") and len(err.splitlines()) == 1
+    path.write_text("x^100000000\ny\n")
+    started = time.perf_counter()
+    code, out, _ = run(capsys, ["hilbert", str(path)])
+    assert time.perf_counter() - started < 1
+    assert code == 0 and "Hilbert polynomial: 100000000" in out
+
+
 def test_hilbert_reports_deep_nesting_as_bad_input(capsys, tmp_path):
     path = tmp_path / "deep.ideal"
     path.write_text("(" * 3000 + "x" + ")" * 3000 + "\n")

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from folcurves import groebner
+from folcurves import cli, groebner
 from folcurves.errors import (
     DegreeMismatchError,
     NotACurveError,
@@ -454,6 +454,52 @@ def _random_ideals(rng, draws):
         ideal = GradedIdeal(gens)
         if gens and not ideal.is_unit_ideal():
             yield ideal
+
+
+def test_hilbert_data_from_the_elements_equals_that_from_the_reduced_basis():
+    ideals = list(_random_ideals(Random(5), 40))
+    assert len(ideals) >= 30
+    # the zero, empty and unit ideals
+    ideals += [_ideal("0*z0"), GradedIdeal([]), _ideal("3"), _ideal("z0^2", "2/3", "z1")]
+    for ideal in ideals:
+        gb = buchberger(ideal.generators)
+        lead = groebner._minimalize(tuple(g.lead_monomial() for g in gb))
+        assert ideal.lead_ideal() == lead
+        assert ideal.is_unit_ideal() == (bool(gb) and gb[0].degree == 0)
+        assert ideal.hilbert_numerator() == dict(groebner._hilbert_numerator(lead))
+        assert ideal._gb is None  # none of these built the reduced basis
+        assert ideal.groebner_basis() == tuple(gb)
+
+
+def test_division_by_the_elements_gives_the_normal_form_of_the_reduced_basis():
+    """Layer 1 of the resolution divides by the unreduced elements; the
+    normal form, its Fractions and its term order are those of normal_form
+    on the reduced basis."""
+    cases = 0
+    for ideal in _random_ideals(Random(6), 30):
+        elements, gb = ideal._basis_elements(), list(ideal.groebner_basis())
+        for e in range(1, 5):
+            for m in monomials_of_degree(e):
+                r, mult = groebner._divide({m[::-1]: 1}, elements)
+                mine = [(rm[::-1], Fraction(c, mult)) for rm, c in r.items()]
+                nf = normal_form(HomogeneousPolynomial.from_term(m), gb)
+                assert mine == list(nf.terms.items())
+                cases += bool(mine)
+    assert cases > 500
+
+
+def test_hilbert_and_resolution_never_build_the_reduced_basis(monkeypatch, tmp_path, capsys):
+    def refuse(basis):
+        raise AssertionError("the reduced basis was built")
+
+    monkeypatch.setattr(groebner, "_reduced_basis", refuse)
+    path = tmp_path / "twisted.ideal"
+    path.write_text("z0*z2 - z1^2\nz1*z3 - z2^2\nz0*z3 - z1*z2\n")
+    assert cli.main(["hilbert", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "Hilbert polynomial: 3*t + 1\ncurve invariants: degree 3, genus 0\n")
+    assert cli.main(["rao", str(path), "--json"]) == 0
+    assert '"total": 0' in capsys.readouterr().out
 
 
 def test_resolution_matches_the_former_loop_on_random_ideals():

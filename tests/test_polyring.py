@@ -1,19 +1,22 @@
 """Polynomial arithmetic, parsing and exact linear algebra."""
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from random import Random
 
 import pytest
 
-from folcurves import polyring
+from folcurves import parsing, polyring
 from folcurves.errors import (
     DegreeMismatchError,
+    FolcurvesError,
     NotHomogeneousError,
     ParseError,
     ResourceLimitError,
 )
+from folcurves.forms import TwistedForm, wedge
 from folcurves.linalg import Echelon, kernel_of_columns
+from folcurves.parsing import _ALIASES, _FORM_ATOMS, _check_terms, _tokenize, parse_value
 from folcurves.polyring import (
     HomogeneousPolynomial,
     degrevlex_key,
@@ -70,6 +73,27 @@ def test_parse_caps_the_terms_of_products_and_powers():
             parse_polynomial(big)
     assert len(parse_polynomial("(x+y+z+t)^2*(x+y+z+t)^3").terms) == 56
     assert parse_polynomial("x^100000000").terms == {(100000000, 0, 0, 0): Fraction(1)}
+
+
+def test_parse_caps_the_coefficient_bits_of_powers():
+    assert parsing.MAX_COEFFICIENT_BITS == 10_000
+    for ok, big, n in (("2^10000*x", "2^10001*x", 10001),
+                       ("(2*x)^10000", "(2*x)^10001", 10001),
+                       ("(1/2*x)^10000", "(1/2*x)^10001", 10001),
+                       ("(x + 2^999*y)^10", "(x + 2^1000*y)^10", 10)):
+        parse_polynomial(ok)
+        with pytest.raises(ResourceLimitError, match=f"^parsing, power \\^{n}: "):
+            parse_polynomial(big)
+    assert parse_polynomial("(-1)^100000001*x").terms == {(1, 0, 0, 0): Fraction(-1)}
+    # the bound holds: log2(|numerator| * denominator) of every coefficient
+    rng = Random(17)
+    for _ in range(60):
+        f = _random_rational_poly(rng, rng.randint(0, 2))
+        n = rng.randint(0, 6)
+        den, ints = integer_terms(f.terms)
+        norm = max(sum(abs(c) for c in ints.values()), 1)
+        bits = n * ((norm - 1).bit_length() + (den - 1).bit_length())
+        assert all(abs(c.numerator) * c.denominator <= 2 ** bits for c in (f ** n).terms.values())
 
 
 def test_graded_piece_dimension():
@@ -414,3 +438,276 @@ def test_monomial_order_is_total():
     keys = [degrevlex_key(m) for m in monos]
     assert len(set(keys)) == len(keys)
     assert keys == sorted(keys, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# the parser against the former parser, which built a polynomial for every
+# atom and ran a polynomial product for every '*' and '^'
+
+
+class _FormerParser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, val = self.next()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}, found {val!r}")
+
+    def parse(self):
+        value = self.expr()
+        kind, val = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input near {val!r}")
+        return value
+
+    def expr(self):
+        kind, val = self.peek()
+        negate = False
+        if kind == "op" and val in "+-":
+            self.next()
+            negate = val == "-"
+        value = self.term()
+        if negate:
+            value = _former_neg(value)
+        while True:
+            kind, val = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                rhs = self.term()
+                value = _former_add(value, _former_neg(rhs) if val == "-" else rhs)
+            else:
+                return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            kind, val = self.peek()
+            if kind == "op" and val in ("*", "/\\"):
+                self.next()
+                value = _former_mul(value, self.factor())
+            else:
+                return value
+
+    def factor(self):
+        base = self.atom()
+        kind, val = self.peek()
+        if kind == "op" and val == "^":
+            self.next()
+            kind2, val2 = self.peek()
+            if kind2 == "num":
+                if not isinstance(base, HomogeneousPolynomial):
+                    raise ParseError("exponent applies only to scalar atoms")
+                self.next()
+                count = comb(len(base.terms) + val2 - 1, val2) if base else 1
+                _check_terms(count, val2 * base.degree)
+                return base ** val2
+            rhs = self.factor()
+            if isinstance(base, HomogeneousPolynomial) and isinstance(
+                rhs, HomogeneousPolynomial
+            ):
+                raise ParseError("'^' between scalars needs a natural-number exponent")
+            return _former_mul(base, rhs)
+        return base
+
+    def atom(self):
+        kind, val = self.next()
+        if kind == "num":
+            k2, v2 = self.peek()
+            if k2 == "op" and v2 == "/":
+                self.next()
+                k3, v3 = self.next()
+                if k3 != "num" or v3 == 0:
+                    raise ParseError("malformed rational literal")
+                return HomogeneousPolynomial.constant(Fraction(val, v3))
+            return HomogeneousPolynomial.constant(val)
+        if kind == "name":
+            if val in _ALIASES:
+                return HomogeneousPolynomial.variable(_ALIASES[val])
+            if val in _FORM_ATOMS:
+                return TwistedForm.basis_covector(_FORM_ATOMS[val])
+            raise ParseError(f"unknown name {val!r}")
+        if kind == "op" and val == "(":
+            value = self.expr()
+            self.expect_op(")")
+            return value
+        raise ParseError(f"unexpected token {val!r}")
+
+
+def _former_neg(value):
+    return -value
+
+
+def _former_add(a, b):
+    if isinstance(a, HomogeneousPolynomial) != isinstance(b, HomogeneousPolynomial):
+        raise NotHomogeneousError("cannot add a scalar and a differential form")
+    try:
+        return a + b
+    except DegreeMismatchError as exc:
+        raise NotHomogeneousError(str(exc)) from exc
+
+
+def _former_mul(a, b):
+    a_poly = isinstance(a, HomogeneousPolynomial)
+    b_poly = isinstance(b, HomogeneousPolynomial)
+    if a_poly and b_poly:
+        _check_terms(len(a.terms) * len(b.terms), a.degree + b.degree)
+        return a * b
+    if a_poly:
+        return b.scale_by_polynomial(a)
+    if b_poly:
+        return a.scale_by_polynomial(b)
+    return wedge(a, b)
+
+
+def _former_parse_value(text: str):
+    if not text or not text.strip():
+        raise ParseError("empty expression")
+    try:
+        return _FormerParser(text).parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
+
+
+def _layout(value):
+    """Everything a parsed value holds, in dict order, with coefficient types."""
+    if isinstance(value, HomogeneousPolynomial):
+        return ("poly", value.degree,
+                [(m, type(c), c) for m, c in value.terms.items()])
+    return ("form", value.form_degree, value.coefficient_degree,
+            [(idx, _layout(p)) for idx, p in value.coefficients.items()])
+
+
+def _outcome(parse, text):
+    try:
+        return _layout(parse(text))
+    except FolcurvesError as exc:
+        return type(exc), str(exc)
+
+
+_SCALAR_NAMES = ("x", "y", "z", "t", "z0", "z1", "z2", "z3")
+
+
+def _draw_coefficient(rng):
+    return rng.choice(("", "", "3*", "0*", "2/3*", "1/4*", "2^3*", "7/7*", "12*"))
+
+
+def _draw_monomial(rng, degree):
+    """A product of variables and their powers of this degree, possibly
+    with a number in front."""
+    factors = []
+    while degree:
+        e = rng.randint(1, degree)
+        name = rng.choice(_SCALAR_NAMES)
+        factors.append(name if e == 1 and rng.random() < 0.5 else f"{name}^{e}")
+        degree -= e
+    if not factors or rng.random() < 0.3:
+        factors.insert(rng.randrange(len(factors) + 1), rng.choice(("5", "1/2", "0", "3^2")))
+    return _draw_coefficient(rng) + "*".join(factors)
+
+
+def _draw_scalar(rng, degree, depth):
+    """A homogeneous scalar expression of the given degree."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.35:
+        return _draw_monomial(rng, degree)
+    if roll < 0.65:
+        text = rng.choice(("", "-", "+")) + _unsigned(_draw_scalar(rng, degree, depth - 1))
+        for _ in range(rng.randint(1, 3)):
+            text += rng.choice((" + ", " - ")) + _unsigned(_draw_scalar(rng, degree, depth - 1))
+        return text
+    if roll < 0.8 and degree:
+        e = rng.choice([k for k in range(1, degree + 1) if degree % k == 0])
+        return f"({_draw_scalar(rng, e, depth - 1)})^{degree // e}"
+    split = rng.randint(0, degree)
+    return (f"{_draw_coefficient(rng)}({_draw_scalar(rng, split, depth - 1)})"
+            f"*{_unsigned(_draw_scalar(rng, degree - split, depth - 1))}")
+
+
+def _unsigned(text):
+    return f"({text})" if text[0] in "+-" else text
+
+
+def _draw_form(rng, degree, depth):
+    """A 1- or 2-form expression with coefficients of the given degree."""
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.sample(range(4), 2)
+        wedge_text = rng.choice((f"dz{a}", f"dz{a} /\\ dz{b}", f"dz{a}^dz{b}"))
+        coefficient = _draw_scalar(rng, degree, depth)
+        if rng.random() < 0.5:
+            pieces.append(f"({coefficient})*{wedge_text}")
+        else:
+            pieces.append(f"{wedge_text}*({coefficient})")
+    return rng.choice(("", "-")) + rng.choice((" + ", " - ")).join(pieces)
+
+
+def test_parser_matches_the_former_parser_on_drawn_expressions():
+    """Equal values, with the same terms in the same dict order, or the same
+    exception with the same message."""
+    rng = Random(21)
+    counts = {"poly": 0, "form": 0, "error": 0}
+    for _ in range(400):
+        degree = rng.randint(0, 4)
+        if rng.random() < 0.7:
+            text = _draw_scalar(rng, degree, 3)
+        else:
+            text = _draw_form(rng, degree, 2)
+        if rng.random() < 0.15:  # now and then a term of the wrong degree
+            text += " + " + _draw_monomial(rng, degree + 1)
+        new = _outcome(parse_value, text)
+        assert new == _outcome(_former_parse_value, text), text
+        counts[new[0] if isinstance(new[0], str) else "error"] += 1
+    assert min(counts.values()) >= 40, counts
+
+
+@pytest.mark.parametrize("text", [
+    "x + 1", "x^2 - y", "3*x*y + z", "x*dz0 + y^2*dz1", "x + dz0", "dz0^2", "(dz0)^2",
+    "x^y", "x^(y)", "2^x", "3/0*x", "3/x", "3/", "x*y)", "x y", "(x+y", "x^", "w*x",
+    "x*$", "", "   ", "dz0/\\dz0", "dz0^dz1^dz2^dz3^dz0", "x/\\y - x*y", "2/4*x^0*y",
+    "0*x + 0*y", "0*x + y^2", "-(x+y)^0 + 3", "2^dz0", "dz0^x*y", "x^0", "0^0",
+])
+def test_parser_matches_the_former_parser_on_chosen_inputs(text):
+    assert _outcome(parse_value, text) == _outcome(_former_parse_value, text)
+
+
+def _grammar_expressions(st):
+    """Strings drawn from the parser's grammar, with small numbers and
+    exponents; many are not homogeneous or mix scalars and forms."""
+    nat = st.integers(0, 12).map(str)
+    leaf = st.one_of(nat, st.builds("{}/{}".format, nat, nat),
+                     st.sampled_from(_SCALAR_NAMES + ("dz0", "dz1", "dz2", "dz3")))
+
+    def extend(atom):
+        factor = st.one_of(atom, st.builds("{}^{}".format, atom, st.integers(0, 3)),
+                           st.builds("{}^{}".format, atom, atom))
+        term = st.builds(lambda first, rest: first + "".join(op + f for op, f in rest),
+                         factor, st.lists(st.tuples(st.sampled_from(("*", "/\\")), factor),
+                                          max_size=2))
+        expr = st.builds(lambda sign, first, rest: sign + first + "".join(
+            op + t for op, t in rest), st.sampled_from(("", "-", "+")), term,
+            st.lists(st.tuples(st.sampled_from((" + ", " - ")), term), max_size=2))
+        return st.one_of(expr.map("({})".format), expr)
+
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+def test_parser_matches_the_former_parser_on_hypothesis_draws():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(_grammar_expressions(hypothesis.strategies))
+    def check(text):
+        assert _outcome(parse_value, text) == _outcome(_former_parse_value, text)
+
+    check()
