@@ -39,11 +39,18 @@ Resolutions are built layer by layer and degree by degree.  Exactness and
 the Hilbert function of S/I give the dimension of the kernel each layer
 must cover in each degree; candidates (normal forms in layer 1, kernels of
 the previous differential above it) are computed only where the multiples
-of the generators found so far fall short of it.  Generator twists in layer
-L never exceed reg(S/I) + L, which is bounded through the lead-term
-quotient; one degree past that bound is a safety margin.  Each target is
-met by both the kernel length and the rank, and a dimension audit over all
-degrees up to the truncation bound cross-checks the result.  Rao profiles
+of the generators found so far fall short of it.  Each layer stops at a
+last degree proven from the input, and one degree past it is a safety
+margin.  Generator twists in layer L never exceed reg(S/I) + L, which is
+bounded through the lead-term quotient.  Layer 1 also stops at the largest
+given generator degree: the given generators span I, and each is in the
+image once its degree is checked.  When hilbert_numerator() is
+prod(1 - t^d_i) over the r given generators, dim S/I = 4 - r, so they are a
+regular sequence; their Koszul complex is the minimal resolution, and layer
+L stops at the sum of the L largest d_i.  Each target is met by both the
+kernel length and the rank, a dimension audit over all degrees up to the
+truncation bound cross-checks the result, and a complete intersection's
+twists are checked against its Koszul complex's.  Rao profiles
 eliminate over the same degree matrices, taken on transposed differentials,
 and refuse a twist whose pieces exceed MAX_DUAL_PIECE before eliminating.
 """
@@ -57,6 +64,7 @@ from heapq import heapify, heappop, heappush
 from math import comb, factorial, gcd
 
 from .errors import (
+    CrossCheckFailureError,
     DegreeMismatchError,
     NotACurveError,
     ResourceLimitError,
@@ -228,19 +236,28 @@ def _reduced_basis(basis):
     return out
 
 
-def _ci_hilbert_function(degrees, d: int) -> int:
-    """Coefficient of t^d in prod(1 - t^e for e in degrees) / (1 - t)^4.
-
-    It is dim (S/I)_d when forms of these degrees are a regular sequence,
-    and a lower bound for it whenever at most four forms of these degrees
-    generate I (see the module docstring).
-    """
+def _ci_numerator(degrees) -> dict:
+    """The nonzero coefficients of prod(1 - t^e for e in degrees), keyed by
+    exponent: the numerator of HS(S/I) * (1-t)^4 when forms of these degrees
+    are a regular sequence.  Zero coefficients are dropped, as in
+    hilbert_numerator ((1-t)^2 (1-t^2) has none at t^2)."""
     numerator = {0: 1}
     for e in degrees:
         shifted = dict(numerator)
         for a, c in numerator.items():
             shifted[a + e] = shifted.get(a + e, 0) - c
         numerator = shifted
+    return {a: c for a, c in numerator.items() if c}
+
+
+def _ci_hilbert_function(numerator, d: int) -> int:
+    """Coefficient of t^d in numerator / (1 - t)^4, for the _ci_numerator of
+    some degrees.
+
+    It is dim (S/I)_d when forms of these degrees are a regular sequence,
+    and a lower bound for it whenever at most four forms of these degrees
+    generate I (see the module docstring).
+    """
     return sum(c * graded_piece_dimension(d - a) for a, c in numerator.items())
 
 
@@ -265,8 +282,9 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=
     Pairs are processed in normal strategy order (lowest lcm first) with the
     product and chain criteria.  With at most four nonzero generators a
     Hilbert function bound skips more (see the module docstring): dim
-    (S/I)_d is at least _ci_hilbert_function of the generator degrees, since
-    the rank of multiplying by the generators is at most its generic value.
+    (S/I)_d is at least _ci_hilbert_function of the _ci_numerator of the
+    generator degrees (computed once per call), since the rank of
+    multiplying by the generators is at most its generic value.
     The degree-d monomials no current lead divides number at least
     dim (S/I)_d, so once they number exactly the bound, the leads span
     in(I)_d and every remaining pair of degree d reduces to zero.  With
@@ -300,7 +318,7 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=
     for new in range(1, len(basis)):
         add_pairs(new)
     # the bound takes the kept generators: they generate I, and are no more
-    degrees = [mono_degree(m) for m in lead] if len(gens) <= 4 else None
+    numerator = _ci_numerator(mono_degree(m) for m in lead) if len(gens) <= 4 else None
     standard, std_degree, bound = {ONE_MONO}, 0, None  # standard monomials of std_degree
     walked = 0
     processed = 0
@@ -312,13 +330,13 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=
         if processed > pair_cap:
             raise ResourceLimitError(
                 f"buchberger, degree {degree}: pair cap {pair_cap} exceeded")
-        if degrees is not None:
+        if numerator is not None:
             while std_degree < degree and walked <= MAX_STANDARD_WALK:
                 walked += len(standard)
                 std_degree += 1
                 standard = _next_standard(
                     standard, {m for m in lead if mono_degree(m) == std_degree})
-                bound = _ci_hilbert_function(degrees, std_degree)
+                bound = _ci_hilbert_function(numerator, std_degree)
             if std_degree == degree and len(standard) == bound:
                 continue
         i, j = pair
@@ -787,13 +805,19 @@ class FreeResolution:
         return {"betti": self.betti()}
 
     def alternating_sum_ok(self, hilbert_function) -> bool:
+        return self._alternating_sum_mismatch(hilbert_function) is None
+
+    def _alternating_sum_mismatch(self, hilbert_function):
+        """(e, alternating sum, H(e)) at the first degree e <= bound where
+        the alternating sum of the layer dimensions misses H(e), or None."""
         for e in range(0, self.bound + 1):
             total = 0
             for i in range(len(self.twists)):
                 total += (-1) ** i * self.layer_dimension(i, e)
-            if total != hilbert_function(e):
-                return False
-        return True
+            expected = hilbert_function(e)
+            if total != expected:
+                return e, total, expected
+        return None
 
     def composition_ok(self) -> bool:
         for i in range(1, len(self.differentials)):
@@ -816,8 +840,45 @@ class FreeResolution:
         return True
 
 
+def _koszul_degrees(ideal: GradedIdeal):
+    """The degrees of the given generators, largest first, when these are a
+    regular sequence; otherwise None.
+
+    They are exactly when hilbert_numerator() is prod(1 - t^d) over them.
+    If it is, HS(S/I) has a pole of order 4 - r at t = 1 for r generators,
+    so dim S/I = 4 - r and the r forms generate an ideal of height r; in a
+    polynomial ring such forms are a regular sequence.  Conversely the
+    Koszul complex of a regular sequence is exact, which gives that
+    numerator.  Five or more forms in four variables never are one.
+    """
+    degrees = sorted((g.degree for g in ideal.generators), reverse=True)
+    if len(degrees) > 4 or ideal.hilbert_numerator() != _ci_numerator(degrees):
+        return None
+    return degrees
+
+
 def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolution:
-    """Minimal graded free resolution of S/I, complete in degrees <= bound."""
+    """Minimal graded free resolution of S/I, complete in degrees <= bound.
+
+    Layer L of the loop looks for generators up to a last degree, and runs
+    its image check one degree further as a safety margin, where a missing
+    generator raises ResourceLimitError.  The last degree is the smallest
+    of these that apply, each proven from the input:
+      - regb + L, regb = regularity_bound(): generator twists of F_L never
+        exceed reg(S/I) + L;
+      - in layer 1, the largest degree of a given generator: the image
+        check in each degree puts every given generator of that degree in
+        the image, and the given generators span I, so past the largest
+        the image is all of I_e;
+      - for a complete intersection (_koszul_degrees), the sum of the L
+        largest degrees: the Koszul complex of a regular sequence is its
+        minimal resolution, so the twists of F_L are the sums of L degrees.
+    For a complete intersection the computed twists are then checked
+    against the Koszul complex's up to the bound; a mismatch raises
+    CrossCheckFailureError naming its layer.  An alternating sum that
+    misses H(e) in some degree e <= bound raises ResourceLimitError naming
+    the first such e.
+    """
     if ideal.is_unit_ideal():
         raise ValueError("S/I is zero; no resolution is computed")
     maxdeg = ideal.max_generator_degree()
@@ -837,11 +898,19 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
     if not lead_gens:
         return res
 
+    koszul = _koszul_degrees(ideal)
     for layer in range(1, 6):
+        # no generator of F_layer lies past last (see the docstring)
+        if layer == 1:
+            last = min(regb + 1, maxdeg)
+        elif koszul is not None:
+            last = min(regb + layer, sum(koszul[:layer]))
+        else:
+            last = regb + layer
         # generators of F_layer, as columns of d_layer over F_{layer-1}
         twists, columns = [], []
         source = res.twists[layer - 1]
-        for e in range(min(-b for b in source), min(bound, regb + layer + 1) + 1):
+        for e in range(min(-b for b in source), min(bound, last + 1) + 1):
             where = f"layer {layer}, degree {e}"
             # dim ker(d_{layer-1})_e, by exactness; for layer 1, dim I_e
             target = (-1) ** layer * ideal.hilbert_function(e) + sum(
@@ -854,7 +923,7 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
                 ech.insert(vec)
             if ech.rank == target:
                 continue
-            if e == regb + layer + 1:
+            if e == last + 1:
                 raise ResourceLimitError(
                     f"{where}: resolution generator found at the safety margin degree"
                 )
@@ -891,10 +960,26 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
         res.twists.append(twists)
         res.differentials.append(columns)
 
-    if not res.alternating_sum_ok(ideal.hilbert_function):
+    mismatch = res._alternating_sum_mismatch(ideal.hilbert_function)
+    if mismatch is not None:
+        e, total, expected = mismatch
         raise ResourceLimitError(
-            f"all layers, degrees 0..{bound}: resolution dimension audit failed"
+            f"all layers, degree {e}: resolution dimension audit failed, "
+            f"alternating sum {total} against H({e}) = {expected}"
         )
+    if koszul is not None:
+        # a second route to the Betti table: the Koszul complex of the degrees
+        sums = [[0]]  # sums[L] lists the sums of the L-element subsets
+        for d in koszul:
+            sums = [a + [s + d for s in b] for a, b in zip(sums + [[]], [[]] + sums)]
+        for layer in range(1, max(len(res.twists), len(sums))):
+            got = sorted(res.twists[layer]) if layer < len(res.twists) else []
+            want = sorted(-s for s in sums[layer] if s <= bound) if layer < len(sums) else []
+            if got != want:
+                raise CrossCheckFailureError(
+                    f"layer {layer}: twists {got} differ from the Koszul twists {want} "
+                    f"of the complete intersection of degrees {koszul}"
+                )
     return res
 
 

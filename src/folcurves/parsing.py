@@ -20,7 +20,8 @@ parenthesis, a polynomial or a form, or ends the expression; from there on
 the polynomial operations, their term cap and their error messages are
 those of a parser without the one-term path.  Every power is refused
 before it is computed when its coefficients could exceed
-MAX_COEFFICIENT_BITS bits.
+MAX_COEFFICIENT_BITS bits, and a power of a polynomial also when its
+estimated work exceeds MAX_POWER_WORK.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ MAX_TERMS = 2_000
 # shipped test reaches is 22, for (x+y+z+t)^11; every demo and benchmark
 # input stays at 0, since only variables are raised to powers there.
 MAX_COEFFICIENT_BITS = 10_000
+# Most work a power of a polynomial may cost, estimated before it is
+# computed as the square of its term bound times its coefficient-bit bound:
+# the term products of one multiplication, each on coefficients of up to that
+# many bits.  Near the cap a power takes 0.2-0.5 s on one core of a 2-vCPU
+# Xeon VM with Python 3.11 ((x+y)^1000 is 1.002e9); (x+y+z)^60 is 4.3e8.  The largest estimate any
+# shipped test reaches is 2.9e6, for (x+y+z+t)^11; demos and benchmark
+# inputs reach 0, raising only variables to powers.
+MAX_POWER_WORK = 10**9
 
 _ALIASES = {"x": 0, "y": 1, "z": 2, "t": 3, "z0": 0, "z1": 1, "z2": 2, "z3": 3}
 _VARIABLES = {name: tuple(int(j == i) for j in range(4)) for name, i in _ALIASES.items()}
@@ -156,9 +165,15 @@ class _Parser:
                     raise ParseError("exponent applies only to scalar atoms")
                 self.next()
                 count = comb(len(base.terms) + val2 - 1, val2) if base else 1
-                _check_terms(count, val2 * base.degree)
+                terms = _check_terms(count, val2 * base.degree)
                 den, ints = integer_terms(base.terms)
-                _check_bits(sum(abs(c) for c in ints.values()), den, val2)
+                bits = _check_bits(sum(abs(c) for c in ints.values()), den, val2)
+                work = terms * terms * bits
+                if work > MAX_POWER_WORK:
+                    raise ResourceLimitError(
+                        f"parsing, power ^{val2}: an estimated {work} term products times "
+                        f"coefficient bits, over the cap of {MAX_POWER_WORK}"
+                    )
                 return base ** val2
             rhs = self.factor()
             if _is_scalar(base) and _is_scalar(rhs):
@@ -194,12 +209,14 @@ class _Parser:
 
 def _check_terms(count: int, degree: int):
     """Refuse, before multiplying, a result that may exceed MAX_TERMS terms:
-    it has at most count terms and at most dim S_degree."""
+    it has at most count terms and at most dim S_degree.  Returns that
+    bound."""
     bound = min(count, graded_piece_dimension(degree))
     if bound > MAX_TERMS:
         raise ResourceLimitError(
             f"a product or power may have {bound} terms, over the cap of {MAX_TERMS}"
         )
+    return bound
 
 
 def _check_bits(norm: int, den: int, n: int):
@@ -207,13 +224,15 @@ def _check_bits(norm: int, den: int, n: int):
     |numerator| * denominator may exceed 2^MAX_COEFFICIENT_BITS.  With the
     base's denominators cleared by den, leaving integer coefficients whose
     absolute values sum to norm, every coefficient of the power is a
-    numerator of at most norm^n over a denominator of at most den^n."""
+    numerator of at most norm^n over a denominator of at most den^n.
+    Returns that bit bound."""
     bits = n * ((max(norm, 1) - 1).bit_length() + (den - 1).bit_length())
     if bits > MAX_COEFFICIENT_BITS:
         raise ResourceLimitError(
             f"parsing, power ^{n}: a coefficient may need {bits} bits, "
             f"over the cap of {MAX_COEFFICIENT_BITS}"
         )
+    return bits
 
 
 def _is_scalar(value) -> bool:

@@ -194,6 +194,24 @@ def test_hilbert_refuses_a_power_over_the_coefficient_cap_quickly(capsys, tmp_pa
     assert code == 0 and "Hilbert polynomial: 100000000" in out
 
 
+def test_hilbert_refuses_a_power_over_the_work_cap_quickly(capsys, tmp_path):
+    """Powers under the term and bit caps whose multiplication alone took
+    seconds are refused before it; (x+y+z)^60 is under the work cap."""
+    path = tmp_path / "slow.ideal"
+    for power, work in (("(x+y)^1999", 2000 * 2000 * 1999),
+                        ("(x+1000*y)^1000", 1001 * 1001 * 10000)):
+        path.write_text(f"{power}\nz\n")
+        started = time.perf_counter()
+        code, _, err = run(capsys, ["hilbert", str(path)])
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert err == (f"error: parsing, power ^{power.split('^')[1]}: an estimated {work} "
+                       f"term products times coefficient bits, over the cap of 1000000000\n")
+    path.write_text("(x+y+z)^60\n")
+    code, out, _ = run(capsys, ["hilbert", str(path)])
+    assert code == 0 and out == "Hilbert polynomial: 30*t^2 - 1680*t + 32510\n"
+
+
 def test_hilbert_reports_deep_nesting_as_bad_input(capsys, tmp_path):
     path = tmp_path / "deep.ideal"
     path.write_text("(" * 3000 + "x" + ")" * 3000 + "\n")

@@ -1,13 +1,18 @@
 """Groebner engine: bases, Hilbert data, syzygies, resolutions, Rao profiles."""
 
+import hashlib
+import json
+import re
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from folcurves import cli, groebner
+from folcurves import cli, groebner, verification
 from folcurves.errors import (
+    CrossCheckFailureError,
     DegreeMismatchError,
     NotACurveError,
     ResourceLimitError,
@@ -18,7 +23,10 @@ from folcurves.groebner import (
     FreeResolution,
     GradedIdeal,
     _degree_basis,
+    _degree_matrix,
+    _divide,
     _dual_map_rank,
+    _element,
     buchberger,
     curve_invariants,
     graded_syzygies,
@@ -866,7 +874,7 @@ def test_hilbert_skip_divides_fewer_s_polynomials_on_complete_intersections(monk
         _assert_same_as_the_former_code(gens)
         basis, divided = _count_s_polynomials(monkeypatch, gens)
         with monkeypatch.context() as m:
-            m.setattr(groebner, "_ci_hilbert_function", lambda degrees, d: -1)  # never met
+            m.setattr(groebner, "_ci_hilbert_function", lambda numerator, d: -1)  # never met
             unskipped_basis, unskipped = _count_s_polynomials(m, gens)
         assert unskipped_basis == basis
         assert divided < unskipped, [g.degree for g in gens]
@@ -882,7 +890,7 @@ def test_hilbert_skip_keeps_degenerate_ideals_exact(name):
 def test_hilbert_skip_needs_at_most_four_generators(monkeypatch):
     """Five nonzero generators, even when one is redundant, never consult
     the bound: for five forms it would be Froeberg's conjecture."""
-    def refuse(degrees, d):
+    def refuse(numerator, d):
         raise AssertionError("the bound was consulted")
 
     monkeypatch.setattr(groebner, "_ci_hilbert_function", refuse)
@@ -909,6 +917,12 @@ def test_hilbert_skip_gives_up_a_long_walk(monkeypatch):
         assert buchberger(gens) == _former_buchberger(gens)
 
 
+def _ci_values(degrees, top):
+    """The complete-intersection count in degrees 0..top - 1."""
+    numerator = groebner._ci_numerator(degrees)
+    return [groebner._ci_hilbert_function(numerator, d) for d in range(top)]
+
+
 def test_ci_hilbert_function_bounds_the_hilbert_function():
     """dim (S/I)_d >= the complete-intersection count for at most four
     nonzero generators, with equality in every degree on generic ones."""
@@ -920,19 +934,25 @@ def test_ci_hilbert_function_bounds_the_hilbert_function():
             continue
         ideal = GradedIdeal(gens)
         degrees = [g.degree for g in gens]
-        for d in range(max(degrees) + 7):
-            assert ideal.hilbert_function(d) >= groebner._ci_hilbert_function(degrees, d)
+        for d, bound in enumerate(_ci_values(degrees, max(degrees) + 7)):
+            assert ideal.hilbert_function(d) >= bound
         checked += 1
     assert checked >= 60
     for gens in _dense_complete_intersections():
         ideal = GradedIdeal(gens)
         degrees = [g.degree for g in gens]
         values = [ideal.hilbert_function(d) for d in range(max(degrees) + 7)]
-        assert values == [groebner._ci_hilbert_function(degrees, d)
-                          for d in range(max(degrees) + 7)]
-    assert [groebner._ci_hilbert_function((2, 3), d) for d in range(6)] == [1, 4, 9, 15, 21, 27]
-    assert [groebner._ci_hilbert_function((2, 2, 2, 2), d) for d in range(6)] == [
-        1, 4, 6, 4, 1, 0]
+        assert values == _ci_values(degrees, max(degrees) + 7)
+    assert _ci_values((2, 3), 6) == [1, 4, 9, 15, 21, 27]
+    assert _ci_values((2, 2, 2, 2), 6) == [1, 4, 6, 4, 1, 0]
+
+
+def test_ci_numerator_keeps_only_nonzero_coefficients():
+    """(1-t)^2 (1-t^2) = 1 - 2t + 2t^3 - t^4 has no t^2 term, and neither
+    has hilbert_numerator of a complete intersection of those degrees."""
+    assert groebner._ci_numerator((1, 1, 2)) == {0: 1, 1: -2, 3: 2, 4: -1}
+    assert groebner._ci_numerator(()) == {0: 1}
+    assert _ideal("z0", "z1", "z2^2").hilbert_numerator() == groebner._ci_numerator((2, 1, 1))
 
 
 def test_buchberger_errors_name_the_stage():
@@ -980,3 +1000,281 @@ def test_rao_negative_dimension_names_the_twist(monkeypatch):
     with pytest.raises(ResourceLimitError,
                        match=r"^Rao twist -2: negative cohomology dimension -1$"):
         rao_module_dimensions(_ideal(*SKEW))
+
+
+# the oracle: the former resolution loop, whose layer L ran its image check
+# up to regb + L + 1 whatever the input, kept verbatim
+def _regb_minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolution:
+    """Minimal graded free resolution of S/I, complete in degrees <= bound."""
+    if ideal.is_unit_ideal():
+        raise ValueError("S/I is zero; no resolution is computed")
+    maxdeg = ideal.max_generator_degree()
+    regb = ideal.regularity_bound()
+    if degree_bound is None:
+        bound = regb + 6
+    else:
+        if degree_bound < maxdeg + 4:
+            raise ValueError("degree bound must be at least max generator degree + 4")
+        bound = degree_bound
+    if bound > 60:
+        raise ResourceLimitError(f"truncation bound {bound} is too large")
+
+    elements = ideal._basis_elements()
+    lead_gens = ideal.lead_ideal()
+    res = FreeResolution(twists=[[0]], differentials=[], bound=bound)
+    if not lead_gens:
+        return res
+
+    for layer in range(1, 6):
+        # generators of F_layer, as columns of d_layer over F_{layer-1}
+        twists, columns = [], []
+        source = res.twists[layer - 1]
+        for e in range(min(-b for b in source), min(bound, regb + layer + 1) + 1):
+            where = f"layer {layer}, degree {e}"
+            # dim ker(d_{layer-1})_e, by exactness; for layer 1, dim I_e
+            target = (-1) ** layer * ideal.hilbert_function(e) + sum(
+                (-1) ** (layer - 1 - i) * res.layer_dimension(i, e) for i in range(layer)
+            )
+            ech = Echelon()
+            for vec in _degree_matrix(columns, twists, source, e):
+                if ech.rank == target:
+                    break
+                ech.insert(vec)
+            if ech.rank == target:
+                continue
+            if e == regb + layer + 1:
+                raise ResourceLimitError(
+                    f"{where}: resolution generator found at the safety margin degree"
+                )
+            if layer == 1:
+                # m - NF(m) for each m in in(I)_e; the normal form is unique,
+                # so dividing by the unreduced elements gives the same one
+                reduced = []
+                for m in monomials_of_degree(e):
+                    if any(mono_divides(g, m) for g in lead_gens):
+                        r, mult = _divide({m[::-1]: 1}, elements)
+                        terms = {m: Fraction(1)}
+                        for rm, c in r.items():
+                            terms[rm[::-1]] = Fraction(-c, mult)
+                        reduced.append({0: HomogeneousPolynomial._raw(e, terms)})
+                candidates = _degree_matrix(reduced, [-e] * len(reduced), [0], e)
+            else:
+                candidates = kernel_of_columns(_degree_matrix(
+                    res.differentials[layer - 2], source, res.twists[layer - 2], e))
+            if len(candidates) != target:
+                raise ResourceLimitError(f"{where}: kernel dimension audit failed")
+            basis = _degree_basis(source, e)
+            for z in candidates:
+                if ech.insert(z) is not None:
+                    twists.append(-e)
+                    columns.append(_element(z, basis, source, e))
+            if ech.rank != target:
+                raise ResourceLimitError(f"{where}: image dimension audit failed")
+        if not twists:
+            break
+        if layer == 5:
+            raise ResourceLimitError(
+                f"layer 5, degree {-max(twists)}: resolution did not terminate at length 4"
+            )
+        res.twists.append(twists)
+        res.differentials.append(columns)
+
+    if not res.alternating_sum_ok(ideal.hilbert_function):
+        raise ResourceLimitError(
+            f"all layers, degrees 0..{bound}: resolution dimension audit failed"
+        )
+    return res
+
+
+# the largest ideal the acceptance gate resolves: a complete intersection of
+# degrees 3, 2, 3 with regularity_bound 8 and regularity 5
+GATE_CI = ["2*z0*z1^2 + 3*z0^2*z2 - 2*z1*z2^2 - z1^2*z3", "2*z0^2 + 3*z1^2 - 2*z0*z2 - z3^2",
+           "-z0*z1*z2 - z1*z2^2 - 3*z0*z1*z3"]
+
+
+def _outcome(resolve, ideal, degree_bound=None):
+    """The resolution as exact data (twists, differentials with the order of
+    their terms, bound), or the type and message of the error raised."""
+    try:
+        res = resolve(ideal, degree_bound)
+    except (ValueError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+    differentials = [[[(slot, poly.degree, list(poly.terms.items()))
+                       for slot, poly in column.items()] for column in columns]
+                     for columns in res.differentials]
+    return res.twists, differentials, res.bound
+
+
+def _resolution_cases():
+    """Seeded ideals of every kind the resolution meets, with the degree
+    bounds to resolve them at."""
+    rng = Random(21)
+    for _ in range(40):  # up to three sparse generators of degree up to 4
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            deg = rng.randint(1, 4)
+            gens.append(HomogeneousPolynomial(deg, {
+                m: rng.randint(-3, 3) for m in monomials_of_degree(deg) if rng.random() < 0.25}))
+        yield GradedIdeal(gens), None
+    for ideal in _random_ideals(Random(25), 30):  # up to four, of degree up to 3
+        yield ideal, None
+    for gens in _dense_complete_intersections()[:9]:
+        yield GradedIdeal(gens), None
+    for gens in _degenerate_ideals().values():
+        yield GradedIdeal(gens), None
+    yield _ideal("z0*z2 - z1^2", "z1*z3 - z2^2", "z0*z3 - z1*z2"), None  # twisted cubic
+    base = _ideal(*SKEW)
+    yield GradedIdeal(list(base.generators)
+                      + [parse_polynomial("z1*z3^3") * base.generators[0]]), None
+    yield base, None
+    yield base, 6  # a bound below regb + L + 1 in the upper layers
+    yield _ideal("z0", "z1", "z2", "z3"), None
+    yield _ideal("z0", "z1", "z2", "z3"), 5
+    yield _ideal(*GATE_CI), None
+    yield _ideal(*GATE_CI), 7
+    yield _ideal("z0", "z1"), None
+    yield _ideal("z0^2", "z1^3", "z2*z3"), None
+    yield _ideal("z0^30", "z1^31"), None  # the truncation bound is refused
+    yield _ideal("z0^2"), 4  # a degree bound too low
+    yield _ideal("2/3"), None  # the unit ideal
+    yield GradedIdeal([]), None
+    draws = Random(22)
+    for _ in range(25):
+        yield verification._random_ideal(draws), None
+
+
+def test_resolution_layers_match_the_former_loop_exactly():
+    """Stopping each layer at its last degree changes no twist, no term of
+    a differential, no bound and no error."""
+    kinds = {}
+    for ideal, degree_bound in _resolution_cases():
+        mine = _outcome(minimal_free_resolution, ideal, degree_bound)
+        assert mine == _outcome(_regb_minimal_free_resolution, ideal, degree_bound)
+        kind = "error" if isinstance(mine[0], type) else (
+            "koszul" if ideal.generators and groebner._koszul_degrees(ideal) else "other")
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["error"] == 3 and kinds["koszul"] >= 20 and kinds["other"] >= 20, kinds
+
+
+def _layer_degrees(monkeypatch, ideal):
+    """The degrees _degree_matrix is called in while ideal is resolved,
+    split into layers: degrees rise within a layer, and each layer starts
+    at its smallest source twist, below where the layer before ended."""
+    degrees = []
+    real = groebner._degree_matrix
+    monkeypatch.setattr(groebner, "_degree_matrix",
+                        lambda *args: degrees.append(args[-1]) or real(*args))
+    res = minimal_free_resolution(ideal)
+    layers = [[degrees[0]]]
+    for previous, e in zip(degrees, degrees[1:]):
+        if e < previous:
+            layers.append([])
+        layers[-1].append(e)
+    return res, layers
+
+
+def test_resolution_layers_stop_one_degree_past_their_last_degree(monkeypatch):
+    """On the gate's complete intersection of degrees 3, 2, 3 the last
+    degrees are 3 (the largest generator), then 6, 8 and 8 (sums of the
+    largest Koszul degrees), not regb + L = 9, 10, 11, 12."""
+    ideal = _ideal(*GATE_CI)
+    assert ideal.regularity_bound() == 8
+    res, layers = _layer_degrees(monkeypatch, ideal)
+    assert res.betti() == [[0, [0]], [1, [-3, -3, -2]], [2, [-6, -5, -5]], [3, [-8]]]
+    assert [max(layer) for layer in layers] == [4, 7, 9, 9]
+    assert [min(layer) for layer in layers] == [0, 2, 5, 8]
+    # a non-complete intersection keeps regb + L above layer 1
+    res, layers = _layer_degrees(monkeypatch, _ideal(*SKEW))
+    assert groebner._koszul_degrees(_ideal(*SKEW)) is None
+    assert [max(layer) for layer in layers] == [3, 4, 5, 6]
+
+
+def test_koszul_certificate_holds_exactly_when_the_dimension_is_4_minus_r():
+    """Two routes to a complete intersection: hilbert_numerator() equals
+    prod(1 - t^d) over the r generators exactly when the Hilbert polynomial
+    has degree 3 - r."""
+    seen = {True: 0, False: 0}
+    rng = Random(23)
+    ideals = [verification._random_ideal(rng) for _ in range(40)]
+    ideals += list(_random_ideals(Random(24), 60))
+    ideals += [GradedIdeal(gens) for gens in _dense_complete_intersections()]
+    ideals += [GradedIdeal(gens) for gens in _degenerate_ideals().values()]
+    ideals += [_ideal(*SKEW), _ideal(*GATE_CI), _ideal("z0", "z1", "z2", "z3"),
+               _ideal("z0", "z1", "z2", "z3", "z0 + z1"), _ideal("z0*z1", "z0*z2")]
+    for ideal in ideals:
+        r = len(ideal.generators)
+        certified = groebner._koszul_degrees(ideal) is not None
+        assert certified == (ideal.hilbert_polynomial().degree() == 3 - r)
+        if certified:
+            assert groebner._koszul_degrees(ideal) == sorted(
+                (g.degree for g in ideal.generators), reverse=True)
+        seen[certified] += 1
+    assert seen[True] >= 30 and seen[False] >= 20, seen
+
+
+def test_resolution_safety_margin_fires_on_an_underestimated_koszul_bound(monkeypatch):
+    """With every Koszul sum one too low, layer 2 of the gate's complete
+    intersection meets its degree-6 generator at the safety margin."""
+    real = groebner._koszul_degrees
+
+    def one_too_low(ideal):
+        degrees = real(ideal)
+        return [degrees[0] - 1] + degrees[1:]
+
+    monkeypatch.setattr(groebner, "_koszul_degrees", one_too_low)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^layer 2, degree 6: resolution generator found at the safety "
+                             r"margin degree$"):
+        minimal_free_resolution(_ideal(*GATE_CI))
+    with pytest.raises(ResourceLimitError, match=r"^layer 2, degree 2: .*safety margin degree$"):
+        minimal_free_resolution(_ideal("z0", "z1"))
+
+
+@pytest.mark.parametrize("gens, change, message", [
+    (GATE_CI, lambda twists: twists[3].pop(),
+     r"layer 3: twists \[\] differ from the Koszul twists \[-8\] "),
+    (GATE_CI, lambda twists: twists[2].pop(),
+     r"layer 2: twists \[-5, -5\] differ from the Koszul twists \[-6, -5, -5\] "),
+    (GATE_CI, lambda twists: twists[3].append(-9),
+     r"layer 3: twists \[-9, -8\] differ from the Koszul twists \[-8\] "),
+    (["z0", "z1"], lambda twists: twists.append([-4]),
+     r"layer 3: twists \[-4\] differ from the Koszul twists \[\] "),
+], ids=["top-layer-loses-its-generator", "layer-2-loses-a-generator", "extra-generator",
+        "extra-layer"])
+def test_koszul_cross_check_names_the_layer_that_lost_a_generator(
+        monkeypatch, gens, change, message):
+    """A resolution that passes the dimension audit and then loses or gains
+    a generator fails the check against the Koszul complex."""
+    real = FreeResolution._alternating_sum_mismatch
+
+    def audit_then_change(self, hilbert_function):
+        mismatch = real(self, hilbert_function)
+        change(self.twists)
+        return mismatch
+
+    monkeypatch.setattr(FreeResolution, "_alternating_sum_mismatch", audit_then_change)
+    ideal = _ideal(*gens)
+    degrees = re.escape(str(groebner._koszul_degrees(ideal)))
+    with pytest.raises(CrossCheckFailureError,
+                       match=f"^{message}of the complete intersection of degrees {degrees}$"):
+        minimal_free_resolution(ideal)
+
+
+def test_resolution_dimension_audit_names_its_degree(monkeypatch):
+    """H(6) of a line is read only by the final audit; one off there is
+    reported with the degree, the alternating sum and H(6)."""
+    real = GradedIdeal.hilbert_function
+    monkeypatch.setattr(GradedIdeal, "hilbert_function",
+                        lambda self, k: real(self, k) + (k == 6))
+    with pytest.raises(ResourceLimitError,
+                       match=r"^all layers, degree 6: resolution dimension audit failed, "
+                             r"alternating sum 7 against H\(6\) = 8$"):
+        minimal_free_resolution(_ideal("z0", "z1"))
+
+
+def test_gate_json_is_byte_identical_to_the_recorded_output(capsys):
+    recorded = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                           / "verify_all.json").read_text())
+    assert cli.main(["verify", "--suite", "all", "--seed", "0", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == recorded["sha256"]
