@@ -1,5 +1,7 @@
 """Invariant formulas and the low-degree classification."""
 
+from random import Random
+
 import pytest
 
 from folcurves.classify import (
@@ -23,6 +25,8 @@ from folcurves.errors import (
     NonIntegralGenusError,
     OutOfBoundsError,
 )
+from folcurves.forms import legendrian_sample
+from folcurves.groebner import curve_invariants, rao_module_dimensions
 
 
 def test_invariants_examples():
@@ -218,3 +222,19 @@ def test_report_json_shape():
     assert data["curve"] == {"degree": 5, "genus": -4}
     assert data["verdict"]["charge"] == 4
     assert data["dim_moduli"] == 14
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_legendrian_samples_of_degree_d_split_with_the_c2_formula_curve(d):
+    """Two routes to a legendrian foliation of degree d: the computed
+    singular curve is (d^2 + 1, d^3 - 2d^2 + d - 1), the curve of the c2 of
+    O(-2) + O(-d-1), and its Rao profile {d - 1: 1} makes the conormal
+    sheaf split."""
+    expected = invariants_from_c2(d, 2 * d + 2)
+    assert (expected.degC, expected.paC) == (d * d + 1, d ** 3 - 2 * d * d + d - 1)
+    for seed in (0, 1):
+        ideal = legendrian_sample(d, Random(seed)).ideal
+        assert curve_invariants(ideal) == (expected.degC, expected.paC)
+        profile = rao_module_dimensions(ideal)
+        assert profile.profile == {d - 1: 1}
+        assert split_criterion(profile.total) == "splits"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -1278,3 +1279,206 @@ def test_gate_json_is_byte_identical_to_the_recorded_output(capsys):
     assert cli.main(["verify", "--suite", "all", "--seed", "0", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == recorded["sha256"]
+
+
+# ---------------------------------------------------------------------------
+# the section route of hilbert_numerator
+
+SECTION = "z0 + 2*z1 + 3*z2"
+
+
+def _exact_numerator(gens):
+    """hilbert_numerator by the lead ideal of the four-variable basis."""
+    return dict(groebner._hilbert_numerator(GradedIdeal(gens).lead_ideal()))
+
+
+def _sorted_ci_numerator(gens):
+    return dict(sorted(groebner._ci_numerator([g.degree for g in gens]).items()))
+
+
+def _sparse_form(rng, deg):
+    return HomogeneousPolynomial(deg, {
+        m: rng.randint(-3, 3) for m in monomials_of_degree(deg) if rng.random() < 0.3})
+
+
+def _section_cases():
+    """Seeded generators, 1 to 3 sparse or dense forms of degree 1 to 4; now
+    and then the forms share a linear factor or one form is repeated."""
+    rng = Random(26)
+    for _ in range(120):
+        roll = rng.random()
+        top = 3 if roll < 0.2 else 4
+        gens = [(_dense_form if rng.random() < 0.4 else _sparse_form)(rng, rng.randint(1, top))
+                for _ in range(rng.randint(1, 3))]
+        if roll < 0.2:
+            factor = _dense_form(rng, 1)
+            gens = [factor * g for g in gens]
+        elif roll < 0.3 and len(gens) < 3:
+            gens.append(rng.choice(gens).scale(-2))
+        yield [g for g in gens if g]
+
+
+def test_section_route_matches_the_exact_numerator_on_random_ideals():
+    """Certified or not, hilbert_numerator() has the exact route's keys,
+    values and key order; a certified query builds no four-variable basis."""
+    seen = {"certified": 0, "complete-intersection fallback": 0, "other fallback": 0}
+    for gens in _section_cases():
+        if not gens:
+            continue
+        ideal = GradedIdeal(gens)
+        exact = _exact_numerator(gens)
+        assert list(ideal.hilbert_numerator().items()) == list(exact.items())
+        if ideal._elements is None:
+            assert exact == _sorted_ci_numerator(gens)
+            seen["certified"] += 1
+        elif exact == _sorted_ci_numerator(gens):
+            seen["complete-intersection fallback"] += 1
+        else:
+            seen["other fallback"] += 1
+    assert sum(seen.values()) >= 100
+    assert seen["certified"] >= 80 and seen["other fallback"] >= 15, seen
+
+
+def test_section_route_matches_the_exact_numerator_on_the_hilbert_pool():
+    """All 240 ideals of the benchmark's hilbert pool: the same numerator in
+    the same key order, the recorded Hilbert polynomial, and at least 209 of
+    the 213 complete intersections certified on the section."""
+    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                       / "hilbert_pool.json").read_text())["ideals"]
+    certified = complete = 0
+    for entry in pool:
+        exprs = entry["text"].splitlines()
+        ideal = _ideal(*exprs)
+        exact = _exact_numerator(ideal.generators)
+        assert list(ideal.hilbert_numerator().items()) == list(exact.items())
+        recorded = json.loads(entry["stdout"])["payload"]["hilbert_polynomial"]
+        assert str(ideal.hilbert_polynomial()) == recorded
+        complete += exact == _sorted_ci_numerator(ideal.generators)
+        certified += ideal._elements is None
+    assert (len(pool), complete) == (240, 213)
+    assert certified >= 209
+
+
+@pytest.mark.parametrize("exprs, cut_vanishes", [
+    ([f"(z3 - ({SECTION}))*z0", "z1^2", "z2^3"], True),
+    (["z1", "z2", "z3 - z0"], False),
+    (["z1", "z3 - z0 - 3*z2"], False),
+], ids=["cut-vanishes", "point-on-section", "line-on-section"])
+def test_section_route_falls_back_on_a_complete_intersection_the_section_misses(
+        exprs, cut_vanishes):
+    """Complete intersections whose cut is not regular: a generator divisible
+    by z3 - l, the point (1:0:0:1) and a line lying on z3 = l."""
+    ideal = _ideal(*exprs)
+    assert [not groebner._section_cut(g) for g in ideal.generators] == (
+        [cut_vanishes] + [False] * (len(exprs) - 1))
+    assert groebner._section_numerator(ideal.generators) is None
+    assert list(ideal.hilbert_numerator().items()) == list(
+        _exact_numerator(ideal.generators).items())
+    assert ideal._elements is not None
+    assert groebner._koszul_degrees(ideal) is not None
+
+
+def test_section_route_gives_up_a_non_complete_intersection_early(monkeypatch):
+    """The certifying run stops at the first finished degree whose
+    standard monomials outnumber the complete-intersection count, before
+    its queue empties."""
+    gens = _degenerate_ideals()["common-linear-factor"]
+    cuts = [groebner._section_cut(g) for g in gens] + [HomogeneousPolynomial.variable(3)]
+    divided = []
+    real = groebner._s_polynomial_terms
+    monkeypatch.setattr(groebner, "_s_polynomial_terms",
+                        lambda e, f: divided.append(1) or real(e, f))
+    assert groebner._groebner_elements(cuts, give_up=True) is None
+    stopped = len(divided)
+    divided.clear()
+    assert groebner._groebner_elements(cuts)
+    assert 0 < stopped < len(divided)
+    assert GradedIdeal(gens).hilbert_numerator() == _exact_numerator(gens)
+
+
+@pytest.mark.parametrize("exprs", [["2/3"], ["z0^2", "2/3", "z1"]])
+def test_section_route_leaves_a_constant_generator_to_the_exact_route(exprs):
+    ideal = _ideal(*exprs)
+    assert groebner._section_numerator(ideal.generators) is None
+    with pytest.raises(ValueError, match="^the unit ideal has no Hilbert polynomial$"):
+        ideal.hilbert_polynomial()
+    assert ideal.hilbert_numerator() == {}
+
+
+@pytest.mark.parametrize("exprs", [
+    ["z3^100000000"], ["z0^2", "z3^100000000"], ["z0*z1", "z2 - z3", "z3^100000000"],
+    ["z0^2", "z0^100000000"],
+])
+def test_section_route_skips_a_form_of_huge_degree_quickly(exprs):
+    started = time.perf_counter()
+    ideal = _ideal(*exprs)
+    P = ideal.hilbert_polynomial()
+    assert time.perf_counter() - started < 1
+    assert groebner._section_power.cache_info().currsize <= groebner.MAX_SECTION_DEGREE + 1
+    if exprs[-1] != "z0^100000000":
+        assert ideal.hilbert_numerator() == _sorted_ci_numerator(ideal.generators)
+    else:
+        assert str(P) == "t^2 + 2*t + 1"
+
+
+def test_rao_builds_the_four_variable_basis_without_cutting_a_section(monkeypatch):
+    """The resolution needs the four-variable basis, so the Hilbert query
+    that checks for a curve reads it instead of certifying on a section."""
+    def refuse(f):
+        raise AssertionError("a section was cut")
+
+    monkeypatch.setattr(groebner, "_section_cut", refuse)
+    assert rao_module_dimensions(_ideal(*GATE_CI[:2])).total == 0
+
+
+def test_a_certified_hilbert_query_never_builds_the_four_variable_basis(
+        monkeypatch, tmp_path, capsys):
+    """The one basis the hilbert command computes for a certified complete
+    intersection is the section's: of the cut forms, in z0..z2, and z3."""
+    bases = []
+    real = groebner._groebner_elements
+    monkeypatch.setattr(groebner, "_groebner_elements",
+                        lambda gens, *args, **kw: bases.append(gens) or real(gens, *args, **kw))
+    path = tmp_path / "quartic.ideal"
+    path.write_text("z0*z1 - z2*z3\nz0^2 + z1^2 + z2^2 + z3^2\n")
+    assert cli.main(["hilbert", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "Hilbert polynomial: 4*t\ncurve invariants: degree 4, genus 1\n")
+    assert len(bases) == 1 and bases[0][-1] == HomogeneousPolynomial.variable(3)
+    assert all(m[3] == 0 for g in bases[0][:-1] for m in g.terms)
+
+
+def test_section_route_matches_sympy_hilbert_polynomials():
+    """On 20 seeded complete intersections of 2 or 3 forms, the certified
+    Hilbert function and polynomial equal those counted from the lead ideal
+    of sympy's grevlex basis."""
+    sympy = pytest.importorskip("sympy")
+    zs = sympy.symbols("z0:4")
+    rng = Random(28)
+    checked = 0
+    for _ in range(40):
+        gens = [g for g in (_sparse_form(rng, rng.randint(1, 3))
+                            for _ in range(rng.randint(2, 3))) if g]
+        ideal = GradedIdeal(gens)
+        if len(gens) < 2 or groebner._section_numerator(ideal.generators) is None:
+            continue
+        P = ideal.hilbert_polynomial()
+        assert ideal._elements is None
+        polys = [sympy.Poly.from_dict({m: int(c) for m, c in g.terms.items()}, *zs, domain="QQ")
+                 for g in gens]
+        leads = [sympy.Poly(g, *zs, domain="QQ").terms(order="grevlex")[0][0]
+                 for g in sympy.groebner(polys, *zs, order="grevlex", domain="QQ").exprs]
+
+        def count(k):
+            return sum(not any(mono_divides(lead, m) for lead in leads)
+                       for m in monomials_of_degree(k))
+
+        top = sum(g.degree for g in gens)
+        assert [ideal.hilbert_function(k) for k in range(top + 4)] == [
+            count(k) for k in range(top + 4)]
+        # four values past the last numerator exponent fix the cubic
+        assert [P(k) for k in range(top, top + 4)] == [count(k) for k in range(top, top + 4)]
+        checked += 1
+        if checked == 20:
+            break
+    assert checked == 20
