@@ -60,7 +60,18 @@ Resolutions are built layer by layer and degree by degree.  Exactness and
 the Hilbert function of S/I give the dimension of the kernel each layer
 must cover in each degree; candidates (normal forms in layer 1, kernels of
 the previous differential above it) are computed only where the multiples
-of the generators found so far fall short of it.  Each layer stops at a
+of the generators found so far fall short of it.  Each degree piece of
+each differential is eliminated once (as in La Scala and Stillman,
+"Strategies for computing minimal free resolutions", J. Symbolic Comput.
+26, 1998).  The image check of layer L in degree e takes the kernel of the
+multiples so far, whose rank is their count less the kernel's length.  The
+generators it then finds are independent of them and come last, so that
+kernel is also the kernel of d_L in degree e, and layer L + 1 takes it as
+its candidates; it eliminates d_L itself only in degrees layer L never
+reached.  New generators are picked by an echelon form seeded with the
+independent multiples, and candidates stop once the rank reaches the
+kernel dimension.  Degree matrices are integer, cleared once under one
+denominator per matrix, which keeps their kernels.  Each layer stops at a
 last degree proven from the input, and one degree past it is a safety
 margin.  Generator twists in layer L never exceed reg(S/I) + L, which is
 bounded through the lead-term quotient.  Layer 1 also stops at the largest
@@ -73,7 +84,8 @@ kernel length and the rank, a dimension audit over all degrees up to the
 truncation bound cross-checks the result, and a complete intersection's
 twists are checked against its Koszul complex's.  Rao profiles
 eliminate over the same degree matrices, taken on transposed differentials,
-and refuse a twist whose pieces exceed MAX_DUAL_PIECE before eliminating.
+each until its rank reaches the dimension of the codomain piece, and
+refuse a twist whose pieces exceed MAX_DUAL_PIECE before eliminating.
 """
 
 from __future__ import annotations
@@ -82,7 +94,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 from .errors import (
     CrossCheckFailureError,
@@ -96,6 +108,7 @@ from .polyring import (
     HomogeneousPolynomial,
     NVARS,
     ONE_MONO,
+    _cleared,
     degrevlex_key,
     graded_piece_dimension,
     integer_terms,
@@ -806,7 +819,7 @@ def graded_syzygies(row, weights, target_degree: int):
             )
     twists = [-w for w in weights]
     basis = _degree_basis(twists, target_degree)
-    columns = _degree_matrix([{0: p} for p in row], twists, [0], target_degree)
+    _, columns = _degree_matrix([{0: p} for p in row], twists, [0], target_degree)
     out = []
     for combo in kernel_of_columns(columns):
         element = _element(combo, basis, twists, target_degree)
@@ -829,19 +842,29 @@ def _degree_basis(twists, degree):
 
 
 def _degree_matrix(columns, twists, target_twists, degree):
-    """Degree-e piece of the map (+) S(b_j) -> (+) S(c_i) sending the j-th
-    generator to columns[j], a map from target slot to polynomial: one sparse
-    column per entry of _degree_basis(twists, degree), over the rows
-    _degree_basis(target_twists, degree)."""
+    """(den, matrix): den times the degree-e piece of the map (+) S(b_j) ->
+    (+) S(c_i) sending the j-th generator to columns[j], a map from target
+    slot to polynomial.  The matrix has one sparse integer column per entry
+    of _degree_basis(twists, degree), over the rows
+    _degree_basis(target_twists, degree); den is the lcm of the
+    denominators of the polynomials it multiplies.  One denominator for the
+    whole matrix keeps its kernel and its rank, and each polynomial is
+    cleared once (polyring._cleared), not once per monomial multiple."""
     row_index = {key: i for i, key in enumerate(_degree_basis(target_twists, degree))}
+    cleared = {slot: [(target, _cleared(poly)) for target, poly in columns[slot].items()]
+               for slot, b in enumerate(twists) if degree + b >= 0}
+    den = lcm(*(d for entries in cleared.values() for _, (d, _) in entries))
     matrix = []
     for slot, m in _degree_basis(twists, degree):
         vec = {}
-        for target, poly in columns[slot].items():
-            for pm, pc in poly.terms.items():
-                vec[row_index[(target, mono_mul(pm, m))]] = pc
+        for target, (d, terms) in cleared[slot]:
+            s = den // d
+            # kept inline: the hot loop of every degree matrix
+            for pm, pc in terms.items():
+                vec[row_index[(target, (pm[0] + m[0], pm[1] + m[1], pm[2] + m[2],
+                                        pm[3] + m[3]))]] = pc * s
         matrix.append(vec)
-    return matrix
+    return den, matrix
 
 
 def _element(vec, basis, twists, degree):
@@ -981,6 +1004,7 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
         return res
 
     koszul = _koszul_degrees(ideal)
+    below = {}  # degree -> kernel of d_(layer-1) there, from the image checks of layer - 1
     for layer in range(1, 6):
         # no generator of F_layer lies past last (see the docstring)
         if layer == 1:
@@ -992,47 +1016,60 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
         # generators of F_layer, as columns of d_layer over F_{layer-1}
         twists, columns = [], []
         source = res.twists[layer - 1]
+        kernels = {}
         for e in range(min(-b for b in source), min(bound, last + 1) + 1):
             where = f"layer {layer}, degree {e}"
             # dim ker(d_{layer-1})_e, by exactness; for layer 1, dim I_e
             target = (-1) ** layer * ideal.hilbert_function(e) + sum(
                 (-1) ** (layer - 1 - i) * res.layer_dimension(i, e) for i in range(layer)
             )
-            ech = Echelon()
-            for vec in _degree_matrix(columns, twists, source, e):
-                if ech.rank == target:
-                    break
-                ech.insert(vec)
-            if ech.rank == target:
+            # the image check: one elimination of the multiples of the
+            # generators found so far.  Those found in degree e are
+            # independent of them and come last, so this kernel is also the
+            # kernel of d_layer in degree e, which the next layer takes.
+            _, images = _degree_matrix(columns, twists, source, e)
+            kernel = kernels[e] = kernel_of_columns(images)
+            if len(images) - len(kernel) == target:
                 continue
             if e == last + 1:
                 raise ResourceLimitError(
                     f"{where}: resolution generator found at the safety margin degree"
                 )
+            basis = _degree_basis(source, e)
             if layer == 1:
                 # m - NF(m) for each m in in(I)_e; the normal form is unique,
                 # so dividing by the unreduced elements gives the same one
-                reduced = []
+                index = {m: i for i, (_, m) in enumerate(basis)}
+                candidates = []
                 for m in monomials_of_degree(e):
                     if any(mono_divides(g, m) for g in lead_gens):
                         r, mult = _divide({m[::-1]: 1}, elements)
-                        terms = {m: Fraction(1)}
+                        z = {index[m]: Fraction(1)}
                         for rm, c in r.items():
-                            terms[rm[::-1]] = Fraction(-c, mult)
-                        reduced.append({0: HomogeneousPolynomial._raw(e, terms)})
-                candidates = _degree_matrix(reduced, [-e] * len(reduced), [0], e)
-            else:
+                            z[index[rm[::-1]]] = Fraction(-c, mult)
+                        candidates.append(z)
+            elif e in below:
+                candidates = below[e]
+            else:  # a degree the layer below never reached
                 candidates = kernel_of_columns(_degree_matrix(
-                    res.differentials[layer - 2], source, res.twists[layer - 2], e))
+                    res.differentials[layer - 2], source, res.twists[layer - 2], e)[1])
             if len(candidates) != target:
                 raise ResourceLimitError(f"{where}: kernel dimension audit failed")
-            basis = _degree_basis(source, e)
+            # a column is dependent when it is the last one its kernel vector uses
+            dependent = {max(z) for z in kernel}
+            ech = Echelon()
+            for j, vec in enumerate(images):
+                if j not in dependent:
+                    ech.insert(vec)
             for z in candidates:
+                if ech.rank == target:
+                    break
                 if ech.insert(z) is not None:
                     twists.append(-e)
                     columns.append(_element(z, basis, source, e))
             if ech.rank != target:
                 raise ResourceLimitError(f"{where}: image dimension audit failed")
+        below = kernels
         if not twists:
             break
         if layer == 5:
@@ -1139,12 +1176,18 @@ def _dual_map_rank(twists_dom, twists_cod, columns, k: int) -> int:
     """Rank of the dual of d : F_cod -> F_dom in dual degree -k.
 
     The dual sends slot j of F_dom to the j-th row of d, so it is the map
-    of free modules with slot twists -b - 4 - k taken in degree 0.
+    of free modules with slot twists -b - 4 - k taken in degree 0, one
+    integer vector per basis element of its domain piece.  Elimination
+    stops once the rank reaches the dimension of the codomain piece, a
+    ceiling no further vector can raise.
     """
     transposed = [{l: column[j] for l, column in enumerate(columns) if j in column}
                   for j in range(len(twists_dom))]
+    ceiling = sum(graded_piece_dimension(-b - 4 - k) for b in twists_cod)
     ech = Echelon()
     for vec in _degree_matrix(transposed, [-b - 4 - k for b in twists_dom],
-                              [-b - 4 - k for b in twists_cod], 0):
+                              [-b - 4 - k for b in twists_cod], 0)[1]:
+        if ech.rank == ceiling:
+            break
         ech.insert(vec)
     return ech.rank

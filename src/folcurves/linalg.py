@@ -88,8 +88,10 @@ def kernel_of_columns(columns):
     kernel = []
     for j, col in enumerate(columns):
         # column j, augmented by a unit coordinate past every row index that
-        # records which columns the reduced vector combines
-        v = ech._reduce(integer_terms({**col, shift + j: 1})[1])
+        # records which columns the reduced vector combines (den times both)
+        den, v = integer_terms(col)
+        v[shift + j] = den
+        v = ech._reduce(v)
         p = min(v)
         if p < shift:
             ech.rows[p] = _primitive(v)

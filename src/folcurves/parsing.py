@@ -27,34 +27,23 @@ estimated work exceeds MAX_POWER_WORK.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .errors import DegreeMismatchError, NotHomogeneousError, ParseError, ResourceLimitError
 from .polyring import (
     HomogeneousPolynomial,
+    MAX_COEFFICIENT_BITS,
+    MAX_POWER_WORK,
     ONE_MONO,
+    coefficient_bits,
     graded_piece_dimension,
-    integer_terms,
     mono_degree,
     mono_mul,
+    power_bounds,
 )
 
 # Largest number of terms a scalar product or power may produce; far above
 # any polynomial the shipped tests, demos and benchmark inputs parse to.
 MAX_TERMS = 2_000
-# Most bits a coefficient of a power may need, numerator and denominator
-# together, as bounded before the power is computed.  The largest bound any
-# shipped test reaches is 22, for (x+y+z+t)^11; every demo and benchmark
-# input stays at 0, since only variables are raised to powers there.
-MAX_COEFFICIENT_BITS = 10_000
-# Most work a power of a polynomial may cost, estimated before it is
-# computed as the square of its term bound times its coefficient-bit bound:
-# the term products of one multiplication, each on coefficients of up to that
-# many bits.  Near the cap a power takes 0.2-0.5 s on one core of a 2-vCPU
-# Xeon VM with Python 3.11 ((x+y)^1000 is 1.002e9); (x+y+z)^60 is 4.3e8.  The largest estimate any
-# shipped test reaches is 2.9e6, for (x+y+z+t)^11; demos and benchmark
-# inputs reach 0, raising only variables to powers.
-MAX_POWER_WORK = 10**9
 
 _ALIASES = {"x": 0, "y": 1, "z": 2, "t": 3, "z0": 0, "z1": 1, "z2": 2, "z3": 3}
 _VARIABLES = {name: tuple(int(j == i) for j in range(4)) for name, i in _ALIASES.items()}
@@ -159,15 +148,14 @@ class _Parser:
                 if type(base) is tuple:
                     self.next()
                     c, m = base  # c an int or a Fraction
-                    _check_bits(abs(c.numerator), c.denominator, val2)
+                    _check_bits(coefficient_bits(abs(c.numerator), c.denominator, val2), val2)
                     return c ** val2, (m[0] * val2, m[1] * val2, m[2] * val2, m[3] * val2)
                 if not isinstance(base, HomogeneousPolynomial):
                     raise ParseError("exponent applies only to scalar atoms")
                 self.next()
-                count = comb(len(base.terms) + val2 - 1, val2) if base else 1
-                terms = _check_terms(count, val2 * base.degree)
-                den, ints = integer_terms(base.terms)
-                bits = _check_bits(sum(abs(c) for c in ints.values()), den, val2)
+                terms, bits = power_bounds(base, val2)
+                _check_terms(terms, val2 * base.degree)
+                _check_bits(bits, val2)
                 work = terms * terms * bits
                 if work > MAX_POWER_WORK:
                     raise ResourceLimitError(
@@ -219,20 +207,15 @@ def _check_terms(count: int, degree: int):
     return bound
 
 
-def _check_bits(norm: int, den: int, n: int):
+def _check_bits(bits: int, n: int):
     """Refuse, before it is computed, an n-th power with a coefficient whose
-    |numerator| * denominator may exceed 2^MAX_COEFFICIENT_BITS.  With the
-    base's denominators cleared by den, leaving integer coefficients whose
-    absolute values sum to norm, every coefficient of the power is a
-    numerator of at most norm^n over a denominator of at most den^n.
-    Returns that bit bound."""
-    bits = n * ((max(norm, 1) - 1).bit_length() + (den - 1).bit_length())
+    |numerator| * denominator may need more than MAX_COEFFICIENT_BITS bits,
+    bits being polyring.coefficient_bits' bound."""
     if bits > MAX_COEFFICIENT_BITS:
         raise ResourceLimitError(
             f"parsing, power ^{n}: a coefficient may need {bits} bits, "
             f"over the cap of {MAX_COEFFICIENT_BITS}"
         )
-    return bits
 
 
 def _is_scalar(value) -> bool:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .errors import DegreeMismatchError, NotHomogeneousError
+from .errors import DegreeMismatchError, NotHomogeneousError, ResourceLimitError
 
 NVARS = 4
 VAR_NAMES = ("z0", "z1", "z2", "z3")
@@ -29,6 +29,21 @@ VAR_NAMES = ("z0", "z1", "z2", "z3")
 Monomial = tuple  # 4-tuple of non-negative ints
 
 ONE_MONO: Monomial = (0, 0, 0, 0)
+
+# Most bits a coefficient of a power may need, numerator and denominator
+# together, as bounded before the power is computed.  The largest bound any
+# shipped test reaches is 22, for (x+y+z+t)^11; every demo and benchmark
+# input stays at 0, since only variables are raised to powers there.
+MAX_COEFFICIENT_BITS = 10_000
+# Most work a power of a polynomial may cost, estimated before it is
+# computed as the square of its term bound times its coefficient-bit bound:
+# the term products of one multiplication, each on coefficients of up to that
+# many bits.  Near the cap a power takes 0.2-0.5 s on one core of a 2-vCPU
+# Xeon VM with Python 3.11 ((x+y)^1000 is 1.002e9); (x+y+z)^60 is 4.3e8.  The largest estimate any
+# shipped test reaches is 2.9e6, for (x+y+z+t)^11; demos and benchmark
+# inputs reach 0, raising only variables to powers, and the largest power
+# the package takes itself, l^8 in groebner's hyperplane section, is 48600.
+MAX_POWER_WORK = 10**9
 
 
 def mono_degree(m: Monomial) -> int:
@@ -196,8 +211,18 @@ class HomogeneousPolynomial:
         return self.scale(other)
 
     def __pow__(self, n: int) -> "HomogeneousPolynomial":
+        """self ** n, refused before it is computed when a coefficient may
+        need more than MAX_COEFFICIENT_BITS bits or the estimated work
+        exceeds MAX_POWER_WORK (see power_bounds)."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        terms, bits = power_bounds(self, n)
+        if bits > MAX_COEFFICIENT_BITS or terms * terms * bits > MAX_POWER_WORK:
+            raise ResourceLimitError(
+                f"polynomial power ^{n}: up to {terms} terms with coefficients of up to "
+                f"{bits} bits, over the caps of {MAX_COEFFICIENT_BITS} bits and "
+                f"{MAX_POWER_WORK} term products times bits"
+            )
         # repeated squaring over the bits of n, low bit first
         out, base = HomogeneousPolynomial.constant(1), self
         while n:
@@ -257,6 +282,26 @@ class HomogeneousPolynomial:
 
     def __repr__(self) -> str:
         return f"HomogeneousPolynomial({self})"
+
+
+def coefficient_bits(norm: int, den: int, n: int) -> int:
+    """A bound on the bits of |numerator| * denominator of every coefficient
+    of an n-th power of a polynomial whose denominators are cleared by den,
+    leaving integer coefficients whose absolute values sum to norm: each is
+    a numerator of at most norm^n over a denominator of at most den^n."""
+    return n * ((max(norm, 1) - 1).bit_length() + (den - 1).bit_length())
+
+
+def power_bounds(p: HomogeneousPolynomial, n: int):
+    """(terms, bits) for p ** n, computed without it: it has at most terms
+    terms, the smaller of C(len(p.terms) + n - 1, n) and dim S_(n * degree),
+    and coefficient_bits bounds its coefficients.  terms * terms * bits
+    estimates its work, the term products of one multiplication, each on
+    coefficients of up to bits bits."""
+    terms = min(comb(len(p.terms) + n - 1, n) if p else 1,
+                graded_piece_dimension(n * p.degree))
+    den, ints = integer_terms(p.terms)
+    return terms, coefficient_bits(sum(abs(c) for c in ints.values()), den, n)
 
 
 def integer_terms(coeffs: dict):

@@ -5,7 +5,7 @@ import json
 import re
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 from random import Random
 
@@ -19,6 +19,7 @@ from folcurves.errors import (
     ResourceLimitError,
     WindowTooSmallError,
 )
+from folcurves.forms import legendrian_sample
 from folcurves.groebner import (
     DEFAULT_PAIR_CAP,
     FreeResolution,
@@ -41,6 +42,7 @@ from folcurves.polyring import (
     HomogeneousPolynomial,
     NVARS,
     degrevlex_key,
+    graded_piece_dimension,
     mono_coprime,
     mono_degree,
     mono_divides,
@@ -1003,6 +1005,24 @@ def test_rao_negative_dimension_names_the_twist(monkeypatch):
         rao_module_dimensions(_ideal(*SKEW))
 
 
+# the former _degree_matrix, kept verbatim for the former-loop oracle below:
+# Fraction vectors, each entry taken as it is
+def _former_degree_matrix(columns, twists, target_twists, degree):
+    """Degree-e piece of the map (+) S(b_j) -> (+) S(c_i) sending the j-th
+    generator to columns[j], a map from target slot to polynomial: one sparse
+    column per entry of _degree_basis(twists, degree), over the rows
+    _degree_basis(target_twists, degree)."""
+    row_index = {key: i for i, key in enumerate(_degree_basis(target_twists, degree))}
+    matrix = []
+    for slot, m in _degree_basis(twists, degree):
+        vec = {}
+        for target, poly in columns[slot].items():
+            for pm, pc in poly.terms.items():
+                vec[row_index[(target, mono_mul(pm, m))]] = pc
+        matrix.append(vec)
+    return matrix
+
+
 # the oracle: the former resolution loop, whose layer L ran its image check
 # up to regb + L + 1 whatever the input, kept verbatim
 def _regb_minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolution:
@@ -1037,7 +1057,7 @@ def _regb_minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> Free
                 (-1) ** (layer - 1 - i) * res.layer_dimension(i, e) for i in range(layer)
             )
             ech = Echelon()
-            for vec in _degree_matrix(columns, twists, source, e):
+            for vec in _former_degree_matrix(columns, twists, source, e):
                 if ech.rank == target:
                     break
                 ech.insert(vec)
@@ -1058,9 +1078,9 @@ def _regb_minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> Free
                         for rm, c in r.items():
                             terms[rm[::-1]] = Fraction(-c, mult)
                         reduced.append({0: HomogeneousPolynomial._raw(e, terms)})
-                candidates = _degree_matrix(reduced, [-e] * len(reduced), [0], e)
+                candidates = _former_degree_matrix(reduced, [-e] * len(reduced), [0], e)
             else:
-                candidates = kernel_of_columns(_degree_matrix(
+                candidates = kernel_of_columns(_former_degree_matrix(
                     res.differentials[layer - 2], source, res.twists[layer - 2], e))
             if len(candidates) != target:
                 raise ResourceLimitError(f"{where}: kernel dimension audit failed")
@@ -1188,6 +1208,101 @@ def test_resolution_layers_stop_one_degree_past_their_last_degree(monkeypatch):
     res, layers = _layer_degrees(monkeypatch, _ideal(*SKEW))
     assert groebner._koszul_degrees(_ideal(*SKEW)) is None
     assert [max(layer) for layer in layers] == [3, 4, 5, 6]
+
+
+def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkeypatch):
+    """The image check of layer L in degree e eliminates the degree-e piece
+    of d_L once, and layer L + 1 takes its kernel: no piece, identified by
+    its rows F_(L-1) and its degree, is built twice, and each matrix built
+    goes through one kernel_of_columns call and no other.  No vector goes
+    into an echelon form whose rank has reached its final value, the
+    kernel dimension."""
+    built, eliminated, inserts = [], [], []
+    real_matrix, real_kernel = groebner._degree_matrix, groebner.kernel_of_columns
+    real_insert = Echelon.insert
+
+    def record_matrix(columns, twists, target_twists, degree):
+        out = real_matrix(columns, twists, target_twists, degree)
+        built.append(((tuple(target_twists), degree), out[1]))
+        return out
+
+    def record_kernel(columns):
+        eliminated.append(columns)
+        return real_kernel(columns)
+
+    def record_insert(self, vec):
+        inserts.append((self, self.rank))
+        return real_insert(self, vec)
+
+    monkeypatch.setattr(groebner, "_degree_matrix", record_matrix)
+    monkeypatch.setattr(groebner, "kernel_of_columns", record_kernel)
+    monkeypatch.setattr(Echelon, "insert", record_insert)
+    ideals = [_ideal(*GATE_CI), _ideal(*SKEW), legendrian_sample(3, Random(0)).ideal]
+    for ideal in ideals:
+        built.clear()
+        eliminated.clear()
+        inserts.clear()
+        res = minimal_free_resolution(ideal)
+        keys = [key for key, _ in built]
+        assert len(keys) == len(set(keys)), "a degree piece of a differential was built twice"
+        assert sorted(map(id, eliminated)) == sorted(id(matrix) for _, matrix in built)
+        assert res.composition_ok() and len(built) > 10
+        assert inserts and all(rank < ech.rank for ech, rank in inserts)
+
+
+def test_degree_matrix_is_the_former_fraction_matrix_over_one_denominator():
+    """_degree_matrix gives integer columns and one denominator, the lcm of
+    the polynomials' denominators; over it they are the former Fraction
+    columns, entry by entry and in the same order."""
+    rng = Random(8)
+    pieces = dens = 0
+    for ideal in _random_ideals(rng, 20):
+        res = minimal_free_resolution(ideal)
+        for layer in range(1, res.length() + 1):
+            columns = res.differentials[layer - 1]
+            twists, rows = res.twists[layer], res.twists[layer - 1]
+            for e in range(min(-b for b in twists), min(-b for b in twists) + 3):
+                den, matrix = _degree_matrix(columns, twists, rows, e)
+                former = _former_degree_matrix(columns, twists, rows, e)
+                assert [list(v.items()) for v in matrix] == [
+                    [(i, c * den) for i, c in v.items()] for v in former]
+                assert all(type(c) is int for v in matrix for c in v.values())
+                assert den == lcm(*(c.denominator for v in former for c in v.values()))
+                pieces += 1
+                dens += den > 1
+    assert pieces > 100 and dens > 10, (pieces, dens)
+
+
+def test_dual_map_rank_stops_at_the_dimension_of_the_piece(monkeypatch):
+    """No vector is inserted once the rank of a dual map equals the
+    dimension of its codomain piece, and the ranks are the former code's."""
+    ceiling = []  # the dimension of the piece whose rank is being taken, if any
+    stops = late = 0
+    real_rank, real_insert = groebner._dual_map_rank, Echelon.insert
+
+    def rank(twists_dom, twists_cod, columns, k):
+        nonlocal stops
+        piece = sum(graded_piece_dimension(-b - 4 - k) for b in twists_cod)
+        ceiling.append(piece)
+        try:
+            out = real_rank(twists_dom, twists_cod, columns, k)
+        finally:
+            ceiling.pop()
+        assert out == _former_dual_map_rank(twists_dom, twists_cod, columns, k)
+        stops += out == piece
+        return out
+
+    def insert(self, vec):
+        nonlocal late
+        late += bool(ceiling) and self.rank == ceiling[-1]
+        return real_insert(self, vec)
+
+    monkeypatch.setattr(groebner, "_dual_map_rank", rank)
+    monkeypatch.setattr(Echelon, "insert", insert)
+    for ideal in (_ideal(*SKEW), legendrian_sample(2, Random(0)).ideal,
+                  legendrian_sample(3, Random(0)).ideal):
+        rao_module_dimensions(ideal)
+    assert late == 0 and stops >= 5, (late, stops)
 
 
 def test_koszul_certificate_holds_exactly_when_the_dimension_is_4_minus_r():

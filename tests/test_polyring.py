@@ -1,5 +1,6 @@
 """Polynomial arithmetic, parsing and exact linear algebra."""
 
+import time
 from fractions import Fraction
 from math import comb, lcm
 from random import Random
@@ -254,6 +255,25 @@ def test_power_matches_repeated_product():
             product = product * f
         assert f ** n == product and (f ** n).degree == n * f.degree
     assert HomogeneousPolynomial.zero(2) ** 3 == HomogeneousPolynomial.zero(6)
+
+
+def test_power_refuses_unbounded_work_quickly():
+    """A library power over the parser's caps is refused before it is
+    computed, naming its stage; a power of a monomial costs nothing."""
+    section = parse_polynomial("z0 + 2*z1 + 3*z2")
+    for base, n in ((section, 100_000_000), (parse_polynomial("2*z0"), 10_001),
+                    (parse_polynomial("z0 + z1"), 1000)):
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"^polynomial power \\^{n}: "):
+            base ** n
+        assert time.perf_counter() - started < 1
+    # (x+y)^999 is just under the work cap, 1000^2 * 999 term products times bits
+    assert polyring.power_bounds(parse_polynomial("x + y"), 999) == (1000, 999)
+    assert (parse_polynomial("2*z0") ** 10_000).terms == {(10_000, 0, 0, 0): 2 ** 10_000}
+    assert (parse_polynomial("z3") ** 100_000_000).terms == {(0, 0, 0, 100_000_000): 1}
+    # the parser refuses first, with its own message
+    with pytest.raises(ResourceLimitError, match=r"^parsing, power \^1000: an estimated "):
+        parse_polynomial("(x + y)^1000")
 
 
 def test_serialize_parse_identity_random():
