@@ -26,7 +26,14 @@ from .errors import (
     ZeroFormError,
 )
 from .groebner import GradedIdeal
-from .polyring import NVARS, HomogeneousPolynomial, monomials_of_degree, sum_of_products
+from .polyring import (
+    NVARS,
+    HomogeneousPolynomial,
+    _cleared,
+    _from_integers,
+    monomials_of_degree,
+    sum_of_products,
+)
 
 
 def _merge_sign(left: tuple, right: tuple):
@@ -119,7 +126,8 @@ class TwistedForm:
         )
 
     def scale(self, c) -> "TwistedForm":
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
         return TwistedForm(
             self.form_degree,
             self.coefficient_degree,
@@ -151,7 +159,7 @@ class TwistedForm:
         for idx in sorted(self.coefficients, reverse=True):
             poly = self.coefficients[idx]
             covector = "/\\".join(f"dz{i}" for i in idx)
-            if len(poly.terms) == 1:
+            if len(poly._support()) == 1:
                 text = str(poly)
                 if text.startswith("-"):
                     sign, body = "-", text[1:]
@@ -306,12 +314,14 @@ def is_contact_form(form: TwistedForm) -> bool:
     got = three_form.coefficient((1, 2, 3))
     if got.is_zero():
         return False
-    mono = next(iter(ref.terms))
-    coeff = got.terms.get(mono)
+    ref_den, ref_ints = _cleared(ref)
+    got_den, got_ints = _cleared(got)
+    mono = next(iter(ref_ints))
+    coeff = got_ints.get(mono)
     if coeff is None:
         return False
-    ratio = coeff / ref.terms[mono]
-    return ratio != 0 and three_form == model.scale(ratio)
+    # (coeff / got_den) / (ref_ints[mono] / ref_den), nonzero
+    return three_form == model.scale(Fraction(coeff * ref_den, got_den * ref_ints[mono]))
 
 
 def legendrian_foliation(contact: TwistedForm, omega: TwistedForm) -> FoliationPresentation:
@@ -341,8 +351,8 @@ def random_polynomial(degree: int, rng: Random, bound: int = 9) -> HomogeneousPo
     for m in monomials_of_degree(degree):
         c = rng.randint(-bound, bound)
         if c:
-            terms[m] = Fraction(c)
-    return HomogeneousPolynomial(degree, terms)
+            terms[m] = c
+    return _from_integers(degree, 1, terms)
 
 
 def random_projective_oneform(coefficient_degree: int, rng: Random) -> TwistedForm:

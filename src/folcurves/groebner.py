@@ -10,10 +10,11 @@ Division and Buchberger run fraction-free over Z.  Basis elements are kept
 primitive and S-polynomials are formed with integer cofactors; division is
 integer pseudo-division, the next term taken from a min-heap of reversed
 exponent tuples (Monagan and Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", CASC 2007).  Only the result
-goes back to Fractions: normal_form divides its integer remainder by the
-accumulated multiplier, and buchberger returns the monic reduced basis,
-made in one pass from the minimal basis by _reduced_basis.
+arrays, heaps, and packed exponent vectors", CASC 2007).  No Fraction is
+made: normal_form returns its integer remainder over the accumulated
+multiplier, and buchberger returns the monic reduced basis, made in one
+pass from the minimal basis by _reduced_basis, each element its integer
+terms over its lead coefficient (polyring's cleared form).
 
 Most callers never need that reduced basis.  GradedIdeal keeps the
 unreduced integer elements Buchberger ends with; the lead ideal, every
@@ -109,6 +110,7 @@ from .polyring import (
     NVARS,
     ONE_MONO,
     _cleared,
+    _from_integers,
     degrevlex_key,
     graded_piece_dimension,
     integer_terms,
@@ -138,6 +140,11 @@ MAX_STANDARD_WALK = 20_000
 # at d = 8 against 0.005 s for the four-variable route, and 6.7 s against
 # 0.02 s at d = 12.  The hilbert-pool ideals have degree 3 or 4.
 MAX_SECTION_DEGREE = 8
+# Most columns, the dimension of the degree piece of (+) S(-w_i), that
+# graded_syzygies may eliminate over.  The largest any shipped test, demo or
+# verify --suite all reaches is 50; on a 2-vCPU x86_64 machine under Python
+# 3.11, three dense quadrics took 5.2 s at 1092 columns and 29 s at 2040.
+MAX_SYZYGY_COLUMNS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +227,11 @@ def _divide(work: dict, table):
 
 def normal_form(f: HomogeneousPolynomial, basis) -> HomogeneousPolynomial:
     """Remainder of f under division by a list of nonzero polynomials."""
-    table = [_basis_element({m[::-1]: c for m, c in integer_terms(g.terms)[1].items()})
+    table = [_basis_element({m[::-1]: c for m, c in _cleared(g)[1].items()})
              for g in basis if g]
-    den, work = integer_terms(f.terms)
+    den, work = _cleared(f)
     remainder, mult = _divide({m[::-1]: c for m, c in work.items()}, table)
-    scale = mult * den
-    return HomogeneousPolynomial._raw(
-        f.degree, {m[::-1]: Fraction(c, scale) for m, c in remainder.items()})
+    return _from_integers(f.degree, mult * den, {m[::-1]: c for m, c in remainder.items()})
 
 
 def s_polynomial(f: HomogeneousPolynomial, g: HomogeneousPolynomial) -> HomogeneousPolynomial:
@@ -269,9 +274,8 @@ def _reduced_basis(basis):
     for e in minimal:
         lead, a, tail = e
         r, _ = _divide({lead: a, **dict(tail)}, [o for o in minimal if o is not e])
-        lc = r[lead]
-        out.append(HomogeneousPolynomial._raw(
-            mono_degree(lead), {m[::-1]: Fraction(c, lc) for m, c in r.items()}))
+        out.append(_from_integers(mono_degree(lead), r[lead],
+                                  {m[::-1]: c for m, c in r.items()}))
     out.sort(key=lambda g: degrevlex_key(g.lead_monomial()))
     return out
 
@@ -346,7 +350,7 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=
     # each generator divided by those kept before it: no lead divides another
     basis = []
     for g in sorted(gens, key=lambda g: degrevlex_key(g.lead_monomial())):
-        r, _ = _divide({m[::-1]: c for m, c in integer_terms(g.terms)[1].items()}, basis)
+        r, _ = _divide({m[::-1]: c for m, c in _cleared(g)[1].items()}, basis)
         if r:
             basis.append(_basis_element(r))
 
@@ -521,10 +525,11 @@ def _section_power(e: int) -> HomogeneousPolynomial:
 def _section_cut(f: HomogeneousPolynomial) -> HomogeneousPolynomial:
     """f(z0, z1, z2, l) for l = z0 + 2*z1 + 3*z2: a form in z0..z2 of the
     same degree."""
+    den, ints = _cleared(f)
     slices = {}
-    for m, c in f.terms.items():
+    for m, c in ints.items():
         slices.setdefault(m[3], {})[(m[0], m[1], m[2], 0)] = c
-    return sum_of_products((1, HomogeneousPolynomial._raw(f.degree - e, terms), _section_power(e))
+    return sum_of_products((1, _from_integers(f.degree - e, den, terms), _section_power(e))
                            for e, terms in slices.items())
 
 
@@ -680,6 +685,7 @@ class GradedIdeal:
         self._gb = None
         self._lead = None
         self._numerator = None
+        self._hilbert = None
 
     @classmethod
     def from_expressions(cls, expressions) -> "GradedIdeal":
@@ -746,16 +752,20 @@ class GradedIdeal:
         return total
 
     def hilbert_polynomial(self) -> HilbertPolynomial:
-        num = self.hilbert_numerator()
-        if not num:  # only the unit ideal has HS(S/I) = 0
-            raise ValueError("the unit ideal has no Hilbert polynomial")
-        power = [Fraction(0)] * 4
-        for a, c in num.items():
-            shifted = _shifted_cubic(a)
-            for k in range(4):
-                power[k] += c * shifted[k]
-        stable = max(num, default=0) - 3
-        return HilbertPolynomial.from_power_coeffs(power, stable_from=stable)
+        """The Hilbert polynomial of S/I, computed on the first call and
+        kept."""
+        if self._hilbert is None:
+            num = self.hilbert_numerator()
+            if not num:  # only the unit ideal has HS(S/I) = 0
+                raise ValueError("the unit ideal has no Hilbert polynomial")
+            power = [Fraction(0)] * 4
+            for a, c in num.items():
+                shifted = _shifted_cubic(a)
+                for k in range(4):
+                    power[k] += c * shifted[k]
+            stable = max(num, default=0) - 3
+            self._hilbert = HilbertPolynomial.from_power_coeffs(power, stable_from=stable)
+        return self._hilbert
 
     def regularity_bound(self) -> int:
         """Certified upper bound for reg(S/I) via the lead-term ideal."""
@@ -807,7 +817,9 @@ def curve_invariants(ideal: GradedIdeal):
 
 def graded_syzygies(row, weights, target_degree: int):
     """Basis of tuples (g_i) with deg g_i = target_degree - weights[i] and
-    sum g_i * row[i] = 0, by per-degree exact kernel computation."""
+    sum g_i * row[i] = 0, by per-degree exact kernel computation.  Refuses,
+    before building it, a degree piece of more than MAX_SYZYGY_COLUMNS
+    columns with ResourceLimitError."""
     row = list(row)
     weights = list(weights)
     if len(row) != len(weights):
@@ -818,6 +830,12 @@ def graded_syzygies(row, weights, target_degree: int):
                 f"row entry of degree {p.degree} in a slot of weight {w}"
             )
     twists = [-w for w in weights]
+    size = sum(graded_piece_dimension(target_degree + b) for b in twists)
+    if size > MAX_SYZYGY_COLUMNS:
+        raise ResourceLimitError(
+            f"graded_syzygies, degree {target_degree}: {size} columns exceed "
+            f"the cap {MAX_SYZYGY_COLUMNS}"
+        )
     basis = _degree_basis(twists, target_degree)
     _, columns = _degree_matrix([{0: p} for p in row], twists, [0], target_degree)
     out = []
@@ -867,15 +885,19 @@ def _degree_matrix(columns, twists, target_twists, degree):
     return den, matrix
 
 
-def _element(vec, basis, twists, degree):
-    """The element of (+) S(b) with coordinates vec over the degree-e basis,
-    as a map from slot to homogeneous polynomial."""
+def _element(vec, basis, twists, degree, den=1):
+    """The element of (+) S(b) with coordinates vec / den over the
+    degree-e basis, as a map from slot to homogeneous polynomial; the
+    entries of vec are nonzero ints or Fractions, den a positive int."""
     slots = {}
     for ci, c in vec.items():
         slot, m = basis[ci]
         slots.setdefault(slot, {})[m] = c
-    return {slot: HomogeneousPolynomial(degree + twists[slot], terms)
-            for slot, terms in slots.items()}
+    out = {}
+    for slot, terms in slots.items():
+        d, ints = integer_terms(terms)
+        out[slot] = _from_integers(degree + twists[slot], d * den, ints)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1044,15 +1066,15 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
                 for m in monomials_of_degree(e):
                     if any(mono_divides(g, m) for g in lead_gens):
                         r, mult = _divide({m[::-1]: 1}, elements)
-                        z = {index[m]: Fraction(1)}
+                        z = {index[m]: mult}  # mult times m - NF(m)
                         for rm, c in r.items():
-                            z[index[rm[::-1]]] = Fraction(-c, mult)
-                        candidates.append(z)
+                            z[index[rm[::-1]]] = -c
+                        candidates.append((mult, z))
             elif e in below:
-                candidates = below[e]
+                candidates = [(1, z) for z in below[e]]
             else:  # a degree the layer below never reached
-                candidates = kernel_of_columns(_degree_matrix(
-                    res.differentials[layer - 2], source, res.twists[layer - 2], e)[1])
+                candidates = [(1, z) for z in kernel_of_columns(_degree_matrix(
+                    res.differentials[layer - 2], source, res.twists[layer - 2], e)[1])]
             if len(candidates) != target:
                 raise ResourceLimitError(f"{where}: kernel dimension audit failed")
             # a column is dependent when it is the last one its kernel vector uses
@@ -1061,12 +1083,12 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
             for j, vec in enumerate(images):
                 if j not in dependent:
                     ech.insert(vec)
-            for z in candidates:
+            for den, z in candidates:  # the candidate z / den
                 if ech.rank == target:
                     break
                 if ech.insert(z) is not None:
                     twists.append(-e)
-                    columns.append(_element(z, basis, source, e))
+                    columns.append(_element(z, basis, source, e, den))
             if ech.rank != target:
                 raise ResourceLimitError(f"{where}: image dimension audit failed")
         below = kernels

@@ -34,6 +34,7 @@ from .polyring import (
     MAX_COEFFICIENT_BITS,
     MAX_POWER_WORK,
     ONE_MONO,
+    _from_integers,
     coefficient_bits,
     graded_piece_dimension,
     mono_degree,
@@ -227,8 +228,8 @@ def _promote(value):
     a polynomial or form unchanged."""
     if type(value) is not tuple:
         return value
-    c, m = value
-    return HomogeneousPolynomial._raw(mono_degree(m), {m: Fraction(c)} if c else {})
+    c, m = value  # c an int or a Fraction
+    return _from_integers(mono_degree(m), c.denominator, {m: c.numerator} if c else {})
 
 
 def _neg(value):
@@ -256,7 +257,7 @@ def _mul(a, b):
     a_poly = isinstance(a, HomogeneousPolynomial)
     b_poly = isinstance(b, HomogeneousPolynomial)
     if a_poly and b_poly:
-        _check_terms(len(a.terms) * len(b.terms), a.degree + b.degree)
+        _check_terms(len(a._support()) * len(b._support()), a.degree + b.degree)
         return a * b
     if a_poly:
         return b.scale_by_polynomial(a)

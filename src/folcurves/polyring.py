@@ -4,22 +4,24 @@ A monomial is a 4-tuple of non-negative exponents.  Monomials are compared
 in degrevlex: total degree first, ties broken so that the rightmost nonzero
 entry of the exponent difference decides (larger key means larger monomial).
 A homogeneous polynomial is a degree tag plus a sparse map from monomials of
-that degree to nonzero Fractions; the zero polynomial keeps its degree tag
-so that graded maps stay well typed.  Every sum of products (a product
-itself, wedges and contractions of forms, composed resolution maps) is
-accumulated by one kernel, sum_of_products, in Python ints under one common
-denominator; Fractions are built only for the terms of the result.  A
-polynomial keeps its cleared integer terms once a product has needed them,
-so a factor that meets several partners is cleared once.  integer_terms
-is the one helper that clears denominators, here, in the elimination
-engine and in Groebner division.
+that degree to nonzero rationals; the zero polynomial keeps its degree tag
+so that graded maps stay well typed.  It carries the map in its cleared
+integer form (den, ints): den is the lcm of the denominators and ints the
+coefficients times den, so gcd(den, ints) = 1 and the form is canonical.
+Arithmetic makes and reads that form in Python ints; every sum of products
+(a product itself, wedges and contractions of forms, composed resolution
+maps) is accumulated by one kernel, sum_of_products, under one common
+denominator.  The public terms, a map to Fractions, is built from the form
+on its first read and kept.  integer_terms is the one helper that clears
+denominators: of a polynomial built from Fractions, on its first use, and
+in the elimination engine and Groebner division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .errors import DegreeMismatchError, NotHomogeneousError, ResourceLimitError
 
@@ -109,8 +111,12 @@ def graded_piece_dimension(k: int) -> int:
 class HomogeneousPolynomial:
     """Sparse homogeneous polynomial with exact rational coefficients."""
 
-    # _cleared, once filled, holds integer_terms(terms) for sum_of_products
-    __slots__ = ("degree", "terms", "_cleared")
+    # The coefficients in one or both of two forms, with the same keys in
+    # the same order: _cleared, the canonical (den, ints) that arithmetic
+    # makes and reads, and _terms, the Fractions, built on the first read of
+    # terms.  A polynomial built from Fractions (the constructor, _raw) is
+    # cleared on its first use, once.
+    __slots__ = ("degree", "_terms", "_cleared")
 
     def __init__(self, degree: int, terms=None):
         clean = {}
@@ -125,8 +131,9 @@ class HomogeneousPolynomial:
                         f"expected {degree}"
                     )
                 clean[m] = c
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        _set_degree(self, degree)
+        _set_terms(self, clean)
+        _set_cleared(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HomogeneousPolynomial is immutable")
@@ -135,10 +142,26 @@ class HomogeneousPolynomial:
     def _raw(cls, degree: int, terms: dict) -> "HomogeneousPolynomial":
         """Wrap terms, nonzero Fractions on monomials of the given degree,
         without checking or copying them."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "degree", degree)
-        object.__setattr__(out, "terms", terms)
+        out = _new(cls)
+        _set_degree(out, degree)
+        _set_terms(out, terms)
+        _set_cleared(out, None)
         return out
+
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients, Fractions keyed by monomial."""
+        terms = self._terms
+        if terms is None:
+            den, ints = self._cleared
+            terms = {m: Fraction(c, den) for m, c in ints.items()}
+            _set_terms(self, terms)
+        return terms
+
+    def _support(self) -> dict:
+        """A coefficient dict already built; both forms have the same keys."""
+        cleared = self._cleared
+        return self._terms if cleared is None else cleared[1]
 
     @classmethod
     def zero(cls, degree: int = 0) -> "HomogeneousPolynomial":
@@ -146,61 +169,69 @@ class HomogeneousPolynomial:
 
     @classmethod
     def from_term(cls, mono: Monomial, coeff=1) -> "HomogeneousPolynomial":
-        return cls(mono_degree(mono), {mono: Fraction(coeff)})
+        num, den = _ratio(coeff)
+        return _wrap(mono_degree(mono), den, {mono: num} if num else {})
 
     @classmethod
     def variable(cls, i: int) -> "HomogeneousPolynomial":
-        mono = tuple(1 if j == i else 0 for j in range(NVARS))
-        return cls(1, {mono: Fraction(1)})
+        return _wrap(1, 1, {tuple(1 if j == i else 0 for j in range(NVARS)): 1})
 
     @classmethod
     def constant(cls, c) -> "HomogeneousPolynomial":
-        return cls(0, {ONE_MONO: Fraction(c)})
+        num, den = _ratio(c)
+        return _wrap(0, den, {ONE_MONO: num} if num else {})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._support()
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._support())
 
     def sorted_terms(self):
         """Terms as (monomial, coefficient) pairs, descending degrevlex."""
         return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
 
     def lead_monomial(self) -> Monomial:
-        if not self.terms:
+        support = self._support()
+        if not support:
             raise ValueError("zero polynomial has no lead monomial")
-        return max(self.terms, key=degrevlex_key)
+        return max(support, key=degrevlex_key)
 
     def lead_coefficient(self) -> Fraction:
-        return self.terms[self.lead_monomial()]
+        m = self.lead_monomial()
+        if self._terms is not None:
+            return self._terms[m]
+        den, ints = self._cleared
+        return Fraction(ints[m], den)
 
     def __add__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
-        if self.degree != other.degree:
-            raise DegreeMismatchError(
-                f"cannot add degree {self.degree} and degree {other.degree}"
-            )
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return HomogeneousPolynomial._raw(self.degree, {m: c for m, c in acc.items() if c})
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __neg__(self) -> "HomogeneousPolynomial":
-        return HomogeneousPolynomial._raw(
-            self.degree, {m: -c for m, c in self.terms.items()})
+        den, ints = _cleared(self)
+        return _wrap(self.degree, den, {m: -c for m, c in ints.items()})
 
     def scale(self, c) -> "HomogeneousPolynomial":
-        c = Fraction(c)
-        return HomogeneousPolynomial._raw(
-            self.degree, {m: v * c for m, v in self.terms.items()} if c else {})
+        num, q = _ratio(c)
+        if not num:
+            return _wrap(self.degree, 1, {})
+        den, ints = _cleared(self)
+        d, f, g = _scaling(den, ints, num, q)
+        return _wrap(self.degree, d, {m: c // g * f for m, c in ints.items()})
 
     def multiply_monomial(self, mono: Monomial, coeff=1) -> "HomogeneousPolynomial":
-        coeff = Fraction(coeff)
-        terms = {mono_mul(m, mono): c * coeff for m, c in self.terms.items()} if coeff else {}
-        return HomogeneousPolynomial._raw(self.degree + mono_degree(mono), terms)
+        num, q = _ratio(coeff)
+        degree = self.degree + mono_degree(mono)
+        if not num:
+            return _wrap(degree, 1, {})
+        den, ints = _cleared(self)
+        d, f, g = _scaling(den, ints, num, q)
+        e0, e1, e2, e3 = mono
+        return _wrap(degree, d, {(m[0] + e0, m[1] + e1, m[2] + e2, m[3] + e3): c // g * f
+                                 for m, c in ints.items()})
 
     def __mul__(self, other):
         if isinstance(other, HomogeneousPolynomial):
@@ -234,45 +265,52 @@ class HomogeneousPolynomial:
         return out
 
     def monic(self) -> "HomogeneousPolynomial":
-        if not self.terms:
+        den, ints = _cleared(self)
+        if not ints:
             return self
-        return self.scale(1 / self.lead_coefficient())
+        # each c/den over the lead coefficient lc/den is c/lc
+        return _from_integers(self.degree, ints[self.lead_monomial()], ints)
 
     def partial(self, i: int) -> "HomogeneousPolynomial":
         """Partial derivative with respect to z_i."""
-        deg = max(self.degree - 1, 0)
+        den, ints = _cleared(self)
         res = {}
-        for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            d = list(m)
-            d[i] -= 1
-            res[tuple(d)] = c * m[i]
-        return HomogeneousPolynomial(deg, res)
+        for m, c in ints.items():
+            e = m[i]
+            if e:
+                d = list(m)
+                d[i] -= 1
+                res[tuple(d)] = c * e
+        return _from_integers(max(self.degree - 1, 0), den, res)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomogeneousPolynomial):
             return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return self.degree == other.degree
-        return self.degree == other.degree and self.terms == other.terms
+        if self.degree != other.degree:
+            return False
+        if self._cleared is not None and other._cleared is not None:
+            return self._cleared == other._cleared  # canonical forms
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.degree, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
+        den, ints = _cleared(self)
+        if not ints:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(ints.items(), key=lambda t: degrevlex_key(t[0]), reverse=True):
             sign = "-" if c < 0 else "+"
             c = abs(c)
+            g = gcd(c, den)  # |c|/den in lowest terms, as str(Fraction) writes it
+            coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
             if m == ONE_MONO:
-                body = str(c)
-            elif c == 1:
+                body = coeff
+            elif c == den:
                 body = mono_str(m)
             else:
-                body = f"{c}*{mono_str(m)}"
+                body = f"{coeff}*{mono_str(m)}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body
@@ -282,6 +320,88 @@ class HomogeneousPolynomial:
 
     def __repr__(self) -> str:
         return f"HomogeneousPolynomial({self})"
+
+
+_new = object.__new__
+_set_degree = HomogeneousPolynomial.degree.__set__
+_set_terms = HomogeneousPolynomial._terms.__set__
+_set_cleared = HomogeneousPolynomial._cleared.__set__
+
+
+def _wrap(degree: int, den: int, ints: dict) -> HomogeneousPolynomial:
+    """The polynomial of the canonical cleared form (den, ints), not copied."""
+    out = _new(HomogeneousPolynomial)
+    _set_degree(out, degree)
+    _set_terms(out, None)
+    _set_cleared(out, (den, ints))
+    return out
+
+
+def _from_integers(degree: int, den: int, ints: dict) -> HomogeneousPolynomial:
+    """The polynomial ints / den, for nonzero integer terms ints on monomials
+    of the given degree and a nonzero integer den.  ints is kept, not
+    copied, unless den is negative or shares a factor with every term: then
+    both are divided by it, which makes the cleared form canonical."""
+    if den != 1:
+        if den < 0:
+            den, ints = -den, {m: -c for m, c in ints.items()}
+        g = _gcd_with(den, ints.values())
+        if g != 1:
+            den //= g
+            ints = {m: c // g for m, c in ints.items()}
+    return _wrap(degree, den, ints)
+
+
+def _gcd_with(g: int, values) -> int:
+    """The gcd of g and all the values, stopping once it is 1."""
+    for c in values:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
+def _cleared(p: HomogeneousPolynomial):
+    """p's cleared form (den, ints).  A polynomial built from Fractions is
+    cleared by integer_terms on the first call, and the result is kept: a
+    factor that meets several partners is cleared once."""
+    out = p._cleared
+    if out is None:
+        out = integer_terms(p._terms)
+        _set_cleared(p, out)
+    return out
+
+
+def _ratio(c):
+    """(numerator, denominator) of a scalar: an int, a Fraction or anything
+    Fraction() takes."""
+    if type(c) is not int and type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator, c.denominator
+
+
+def _scaling(den: int, ints: dict, num: int, q: int):
+    """(d, f, g) such that (ints / den) * (num / q) is {m: c // g * f} / d
+    in lowest terms, for a canonical cleared form (den, ints) and a nonzero
+    num / q in lowest terms with q > 0.  With k the gcd of ints, the
+    common factor of den * q and num * k is gcd(den, num) * gcd(q, k),
+    because gcd(den, k) = gcd(num, q) = 1."""
+    g1, g = gcd(den, num), _gcd_with(q, ints.values())
+    return den // g1 * (q // g), num // g1, g
+
+
+def _combine(a: HomogeneousPolynomial, b: HomogeneousPolynomial, sign: int):
+    """a + sign * b, for sign 1 or -1."""
+    if a.degree != b.degree:
+        raise DegreeMismatchError(f"cannot add degree {a.degree} and degree {b.degree}")
+    da, ta = _cleared(a)
+    db, tb = _cleared(b)
+    den = da if da == db else lcm(da, db)
+    sa, sb = den // da, sign * (den // db)
+    acc = dict(ta) if sa == 1 else {m: c * sa for m, c in ta.items()}
+    for m, c in tb.items():
+        acc[m] = acc.get(m, 0) + sb * c
+    return _from_integers(a.degree, den, {m: c for m, c in acc.items() if c})
 
 
 def coefficient_bits(norm: int, den: int, n: int) -> int:
@@ -298,31 +418,26 @@ def power_bounds(p: HomogeneousPolynomial, n: int):
     and coefficient_bits bounds its coefficients.  terms * terms * bits
     estimates its work, the term products of one multiplication, each on
     coefficients of up to bits bits."""
-    terms = min(comb(len(p.terms) + n - 1, n) if p else 1,
+    den, ints = _cleared(p)
+    terms = min(comb(len(ints) + n - 1, n) if ints else 1,
                 graded_piece_dimension(n * p.degree))
-    den, ints = integer_terms(p.terms)
     return terms, coefficient_bits(sum(abs(c) for c in ints.values()), den, n)
+
+
+_INT = frozenset((int,))
 
 
 def integer_terms(coeffs: dict):
     """(den, int_terms): the values of coeffs (Fractions or ints) times den,
     the lcm of their denominators, as ints on the same keys in the same
-    order.  An empty dict gives (1, {})."""
+    order, in a new dict.  An empty dict gives (1, {}); a dict of ints is
+    copied as it is, with no pass over denominators."""
+    if set(map(type, coeffs.values())) <= _INT:
+        return 1, dict(coeffs)
     den = lcm(*[c.denominator for c in coeffs.values()])
-    if den == 1:  # the usual case, integral values
+    if den == 1:  # integral values
         return 1, {k: c.numerator for k, c in coeffs.items()}
     return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
-
-
-def _cleared(p: HomogeneousPolynomial):
-    """integer_terms(p.terms), computed on the first call and kept on p: a
-    factor that meets several partners (a coefficient of a form in a wedge)
-    is cleared once, not once per product."""
-    out = getattr(p, "_cleared", None)
-    if out is None:
-        out = integer_terms(p.terms)
-        object.__setattr__(p, "_cleared", out)
-    return out
 
 
 def sum_of_products(pairs) -> HomogeneousPolynomial:
@@ -331,8 +446,8 @@ def sum_of_products(pairs) -> HomogeneousPolynomial:
     pairs must be non-empty, each sign an int, and every product a*b must
     have one degree.  All products accumulate as ints into one dict under a
     common denominator, so a sum of many products builds no intermediate
-    polynomials and no Fraction until the end; zero coefficients are dropped
-    once, there.
+    polynomials and no Fraction; zero coefficients are dropped once, at the
+    end.
     """
     acc: dict = {}
     den = 1  # acc holds the result times den
@@ -362,8 +477,7 @@ def sum_of_products(pairs) -> HomogeneousPolynomial:
                 acc[m] = acc.get(m, 0) + c1 * c2
     if degree is None:
         raise ValueError("an empty sum of products has no degree")
-    return HomogeneousPolynomial._raw(
-        degree, {m: Fraction(c, den) for m, c in acc.items() if c})
+    return _from_integers(degree, den, {m: c for m, c in acc.items() if c})
 
 
 def parse_polynomial(text: str) -> HomogeneousPolynomial:

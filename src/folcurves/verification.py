@@ -8,6 +8,7 @@ fails only when a computation contradicts its expected value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from random import Random
 
 from .classify import (
@@ -40,7 +41,14 @@ from .groebner import (
 )
 from .linalg import Echelon
 from .monad import instanton_monad, monad_regularity_bound
-from .polyring import HomogeneousPolynomial, monomials_of_degree, parse_polynomial, sum_of_products
+from .polyring import (
+    HomogeneousPolynomial,
+    _cleared,
+    _from_integers,
+    monomials_of_degree,
+    parse_polynomial,
+    sum_of_products,
+)
 from .sheafcoh import (
     ChernTriple,
     SheafSymbol,
@@ -152,14 +160,18 @@ _REFERENCE_SYZYGIES = [
 
 
 def _syzygy_vector(tup, weights, target):
-    """Flatten a syzygy tuple into one coordinate vector."""
+    """Flatten a syzygy tuple into one integer coordinate vector, a
+    positive multiple of its coefficients (which keeps every rank)."""
+    cleared = [_cleared(poly) for poly in tup]
+    den = lcm(*(d for d, _ in cleared))
     vec = {}
     offset = 0
-    for poly, w in zip(tup, weights):
+    for (d, ints), w in zip(cleared, weights):
         monos = monomials_of_degree(target - w)
         index = {m: i for i, m in enumerate(monos)}
-        for m, c in poly.terms.items():
-            vec[offset + index[m]] = c
+        s = den // d
+        for m, c in ints.items():
+            vec[offset + index[m]] = c * s
         offset += len(monos)
     return vec
 
@@ -314,7 +326,7 @@ def _random_ideal(rng, max_gens=3, max_degree=3):
                 c = rng.randint(-3, 3)
                 if c:
                     terms[m] = c
-            poly = HomogeneousPolynomial(deg, terms)
+            poly = _from_integers(deg, 1, terms)
             if poly:
                 gens.append(poly)
         if not gens:

@@ -236,6 +236,21 @@ def test_rao_refuses_a_window_over_the_piece_cap_quickly(capsys, tmp_path):
     assert json.loads(out)["payload"] == {"profile": {"0": 1}, "total": 1}
 
 
+def test_syzygy_refuses_a_degree_over_the_column_cap_quickly(capsys):
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["syzygy", "x,y", "1,1", "60"])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert err.startswith("error: graded_syzygies, degree 60: 75640 columns exceed")
+    assert len(err.splitlines()) == 1
+    # degree 13 (2 * dim S_12 = 910 columns) is under the cap of 1000 and
+    # answers (y*h, -x*h) for h in S_11; degree 14 (1120 columns) is not
+    code, out, _ = run(capsys, ["syzygy", "x,y", "1,1", "13", "--json"])
+    assert code == 0 and json.loads(out)["payload"]["dimension"] == 364
+    code, _, _ = run(capsys, ["syzygy", "x,y", "1,1", "14"])
+    assert code == 2
+
+
 def test_cohomology_refuses_a_range_over_the_cap_quickly(capsys):
     started = time.perf_counter()
     code, _, err = run(capsys, ["cohomology", "line", "0..50000000", "--json"])

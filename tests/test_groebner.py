@@ -513,6 +513,36 @@ def test_hilbert_and_resolution_never_build_the_reduced_basis(monkeypatch, tmp_p
     assert '"total": 0' in capsys.readouterr().out
 
 
+def test_hilbert_polynomial_is_computed_once_per_ideal(monkeypatch, tmp_path, capsys):
+    """GradedIdeal keeps its Hilbert polynomial: a hilbert query and a
+    wedge --invariants --rao query each build one, though both read it
+    twice (directly and through curve_invariants)."""
+    built = []
+    real = groebner.HilbertPolynomial.from_power_coeffs.__func__
+
+    def record(cls, power, stable_from=0):
+        built.append(list(power))
+        return real(cls, power, stable_from)
+
+    monkeypatch.setattr(groebner.HilbertPolynomial, "from_power_coeffs", classmethod(record))
+    path = tmp_path / "twisted.ideal"
+    path.write_text("z0*z2 - z1^2\nz1*z3 - z2^2\nz0*z3 - z1*z2\n")
+    assert cli.main(["hilbert", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "Hilbert polynomial: 3*t + 1\ncurve invariants: degree 3, genus 0\n")
+    assert len(built) == 1
+    built.clear()
+    contact = "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2"
+    omega = "z2*dz0 - z0*dz2 + z3*dz1 - z1*dz3"
+    assert cli.main(["wedge", contact, omega, "--invariants", "--rao", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["invariants"]
+    assert len(built) == 1
+    ideal = _ideal("z0*z2 - z1^2", "z1*z3 - z2^2", "z0*z3 - z1*z2")
+    assert ideal.hilbert_polynomial() is ideal.hilbert_polynomial()
+    with pytest.raises(ValueError):
+        _ideal("z0", "1").hilbert_polynomial()
+
+
 def test_resolution_matches_the_former_loop_on_random_ideals():
     """Betti tables equal those of the former loop, which computed the full
     kernel in every degree (kept above as the oracle)."""

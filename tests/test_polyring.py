@@ -15,14 +15,17 @@ from folcurves.errors import (
     ParseError,
     ResourceLimitError,
 )
-from folcurves.forms import TwistedForm, wedge
+from folcurves.forms import TwistedForm, random_polynomial, wedge
 from folcurves.linalg import Echelon, kernel_of_columns
 from folcurves.parsing import _ALIASES, _FORM_ATOMS, _check_terms, _tokenize, parse_value
 from folcurves.polyring import (
+    ONE_MONO,
     HomogeneousPolynomial,
     degrevlex_key,
     graded_piece_dimension,
     integer_terms,
+    mono_degree,
+    mono_mul,
     mono_str,
     monomials_of_degree,
     parse_polynomial,
@@ -246,6 +249,199 @@ def test_sum_of_products_clears_each_factor_once(monkeypatch):
     assert all(polyring._cleared(f) == real(f.terms) for f in fs)
 
 
+# ---------------------------------------------------------------------------
+# the cleared integer form against the former Fraction methods of
+# HomogeneousPolynomial, copied verbatim as module functions; only the calls
+# between them are renamed (is_zero and sorted_terms inlined), so that no
+# oracle runs the new code
+
+
+def _fraction_add(self, other):
+    if self.degree != other.degree:
+        raise DegreeMismatchError(
+            f"cannot add degree {self.degree} and degree {other.degree}"
+        )
+    acc = dict(self.terms)
+    for m, c in other.terms.items():
+        acc[m] = acc.get(m, 0) + c
+    return HomogeneousPolynomial._raw(self.degree, {m: c for m, c in acc.items() if c})
+
+
+def _fraction_sub(self, other):
+    return _fraction_add(self, _fraction_neg(other))
+
+
+def _fraction_neg(self):
+    return HomogeneousPolynomial._raw(
+        self.degree, {m: -c for m, c in self.terms.items()})
+
+
+def _fraction_scale(self, c):
+    c = Fraction(c)
+    return HomogeneousPolynomial._raw(
+        self.degree, {m: v * c for m, v in self.terms.items()} if c else {})
+
+
+def _fraction_multiply_monomial(self, mono, coeff=1):
+    coeff = Fraction(coeff)
+    terms = {mono_mul(m, mono): c * coeff for m, c in self.terms.items()} if coeff else {}
+    return HomogeneousPolynomial._raw(self.degree + mono_degree(mono), terms)
+
+
+def _fraction_lead_monomial(self):
+    if not self.terms:
+        raise ValueError("zero polynomial has no lead monomial")
+    return max(self.terms, key=degrevlex_key)
+
+
+def _fraction_lead_coefficient(self):
+    return self.terms[_fraction_lead_monomial(self)]
+
+
+def _fraction_monic(self):
+    if not self.terms:
+        return self
+    return _fraction_scale(self, 1 / _fraction_lead_coefficient(self))
+
+
+def _fraction_partial(self, i):
+    """Partial derivative with respect to z_i."""
+    deg = max(self.degree - 1, 0)
+    res = {}
+    for m, c in self.terms.items():
+        if m[i] == 0:
+            continue
+        d = list(m)
+        d[i] -= 1
+        res[tuple(d)] = c * m[i]
+    return HomogeneousPolynomial(deg, res)
+
+
+def _fraction_eq(self, other):
+    if not isinstance(other, HomogeneousPolynomial):
+        return NotImplemented
+    if not self.terms and not other.terms:
+        return self.degree == other.degree
+    return self.degree == other.degree and self.terms == other.terms
+
+
+def _fraction_str(self):
+    if not self.terms:
+        return "0"
+    parts = []
+    for m, c in sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True):
+        sign = "-" if c < 0 else "+"
+        c = abs(c)
+        if m == ONE_MONO:
+            body = str(c)
+        elif c == 1:
+            body = mono_str(m)
+        else:
+            body = f"{c}*{mono_str(m)}"
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def _as_fractions(p):
+    """p built again from its Fractions: held only as terms until cleared."""
+    return HomogeneousPolynomial._raw(p.degree, dict(p.terms))
+
+
+def _as_cleared(p):
+    """p built again in its cleared form only, its Fractions not yet built."""
+    den, ints = integer_terms(p.terms)
+    return polyring._from_integers(p.degree, den, ints)
+
+
+def _assert_same(new, old):
+    """new, a fresh result of the integer code, is old, the oracle's result:
+    canonical cleared form, str, lead coefficient, terms in the same order
+    as Fractions, equality both ways and across forms, and the hash."""
+    assert new.degree == old.degree
+    (den, ints), (old_den, old_ints) = polyring._cleared(new), integer_terms(old.terms)
+    assert den == old_den and list(ints.items()) == list(old_ints.items())
+    assert str(new) == _fraction_str(old)
+    assert bool(new) == bool(old.terms) and new.is_zero() == (not old.terms)
+    if old.terms:
+        lead = new.lead_coefficient()
+        assert type(lead) is Fraction and lead == _fraction_lead_coefficient(old)
+        assert new.lead_monomial() == _fraction_lead_monomial(old)
+    assert new == _as_cleared(old) and _as_cleared(old) == new  # both cleared
+    assert list(new.terms.items()) == list(old.terms.items())
+    assert all(type(c) is Fraction for c in new.terms.values())
+    assert new == old and old == new and new == _as_fractions(old)
+    assert hash(new) == hash((new.degree, frozenset(new.terms.items()))) == hash(old)
+
+
+def _operands(rng, count):
+    """(degree, rational draws, integral draws) for the differential tests."""
+    for _ in range(count):
+        degree = rng.randint(0, 3)
+        yield degree, [_random_rational_poly(rng, degree) for _ in range(3)], [
+            _random_poly(rng, degree) for _ in range(2)]
+
+
+def test_cleared_arithmetic_matches_the_former_fraction_methods():
+    rng = Random(41)
+    scalars = [0, 1, -1, 3, -6, Fraction(1, 2), Fraction(-2, 3), Fraction(9, 4), "5/6", 0.5]
+    seen = set()
+    for degree, rational, integral in _operands(rng, 40):
+        inputs = rational + integral
+        for p in inputs:
+            for form in (_as_fractions(p), _as_cleared(p)):
+                _assert_same(-form, _fraction_neg(p))
+                c = rng.choice(scalars)
+                _assert_same(form.scale(c), _fraction_scale(p, c))
+                _assert_same(form * c, _fraction_scale(p, c))
+                mono = rng.choice(monomials_of_degree(rng.randint(0, 2)))
+                c = rng.choice(scalars)
+                _assert_same(form.multiply_monomial(mono, c),
+                             _fraction_multiply_monomial(p, mono, c))
+                _assert_same(form.multiply_monomial(mono), _fraction_multiply_monomial(p, mono))
+                i = rng.randrange(4)
+                _assert_same(form.partial(i), _fraction_partial(p, i))
+                _assert_same(form.monic(), _fraction_monic(p))
+                seen.add((bool(p), polyring._cleared(p)[0] > 1))
+        for p in inputs:
+            for q in inputs:
+                for a, b in ((_as_fractions(p), _as_cleared(q)), (_as_cleared(p), _as_cleared(q)),
+                             (_as_fractions(p), _as_fractions(q))):
+                    _assert_same(a + b, _fraction_add(p, q))
+                    _assert_same(a - b, _fraction_sub(p, q))
+                    assert (a == b) is _fraction_eq(p, q) is (b == a)
+                    assert (a != b) is (not _fraction_eq(p, q))
+        # sums that cancel, and zeros of another degree
+        p = rational[0]
+        _assert_same(p - _as_cleared(p), _fraction_sub(p, p))
+        assert _as_cleared(p) + (-p) == HomogeneousPolynomial.zero(degree)
+        assert HomogeneousPolynomial.zero(degree) != _as_cleared(HomogeneousPolynomial.zero(degree + 1))
+    # zero and nonzero inputs, with and without denominators, all occurred
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_integral_arithmetic_builds_no_fraction(monkeypatch):
+    """On integral polynomials in the cleared form, products, sums and
+    integer scaling construct no Fraction; reading terms does."""
+    rng = Random(43)
+    fs = [random_polynomial(rng.randint(0, 3), rng, bound=4) for _ in range(12)]
+    made = []
+    monkeypatch.setattr(polyring, "Fraction", lambda *args: made.append(args) or Fraction(*args))
+    for f in fs:
+        for g in fs:
+            total = sum_of_products([(1, f, g), (-2, g, f)])
+            if f.degree == g.degree:
+                total = f + g - f.scale(3) + (-g).scale(-2)
+            assert str(total) and total == total.scale(1)
+            f.multiply_monomial((1, 0, 0, 2), 5).partial(3)
+    assert made == []
+    assert all(type(c) is Fraction for c in total.terms.values())
+    assert made, "the patch did not intercept the construction of terms"
+
+
 def test_power_matches_repeated_product():
     rng = Random(13)
     for n in range(9):
@@ -445,6 +641,34 @@ def test_integer_engine_matches_the_fraction_engine():
         for k, col in enumerate(columns):
             before = ech.rank
             assert (ech.insert(col) is None) == (_rank(columns[:k + 1]) == before)
+
+
+def test_integer_vectors_are_copied_without_a_denominator_pass(monkeypatch):
+    """integer_terms copies a dict of ints as it is, with den 1 and no lcm
+    over denominators; Echelon.insert and kernel_of_columns, which reduce
+    that copy in place, leave the caller's vectors as they were and agree
+    with the same vectors given as Fractions."""
+    passes = []
+    real_lcm = polyring.lcm
+    monkeypatch.setattr(polyring, "lcm", lambda *args: passes.append(args) or real_lcm(*args))
+    ints = {3: 4, 0: -6, 7: 2}
+    den, out = integer_terms(ints)
+    assert (den, out) == (1, ints) and list(out) == list(ints) and out is not ints
+    assert integer_terms({}) == (1, {}) and passes == []
+    assert integer_terms({0: 2, 1: Fraction(1, 2)}) == (2, {0: 4, 1: 1}) and len(passes) == 1
+    rng = Random(29)
+    for _ in range(40):
+        vectors = [{i: rng.randint(-4, 4) or 1 for i in rng.sample(range(6), rng.randint(1, 4))}
+                   for _ in range(rng.randint(1, 8))]
+        copies = [dict(v) for v in vectors]
+        exact = [{i: Fraction(x) for i, x in v.items()} for v in vectors]
+        passes.clear()
+        ech, ech_exact = Echelon(), Echelon()
+        assert [ech.insert(v) for v in vectors] == [ech_exact.insert(v) for v in exact]
+        assert kernel_of_columns(vectors) == kernel_of_columns(exact)
+        assert vectors == copies
+        # the Fraction vectors took one lcm pass each, twice; the ints none
+        assert len(passes) == 2 * len(vectors)
 
 
 def test_partial_derivative():
