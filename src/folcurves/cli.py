@@ -134,9 +134,10 @@ def _cmd_verify(args):
 def _cmd_hilbert(args):
     ideal = GradedIdeal.from_file(args.ideal_file)
     P = ideal.hilbert_polynomial()
-    payload = {"hilbert_polynomial": str(P),
+    text = str(P)
+    payload = {"hilbert_polynomial": text,
                "binomial_coefficients": [str(c) for c in P.coeffs]}
-    human = [f"Hilbert polynomial: {P}"]
+    human = [f"Hilbert polynomial: {text}"]
     try:
         deg, genus = curve_invariants(ideal)
         payload["curve"] = {"degree": deg, "genus": genus}

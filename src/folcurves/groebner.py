@@ -6,15 +6,21 @@ series of lead-term ideals drive degree and genus; the per-twist first
 cohomology of a curve's ideal sheaf comes from graded duality applied to
 the dualized tail of the resolution, so no saturation is ever computed.
 
-Division and Buchberger run fraction-free over Z.  Basis elements are kept
-primitive and S-polynomials are formed with integer cofactors; division is
-integer pseudo-division, the next term taken from a min-heap of reversed
-exponent tuples (Monagan and Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", CASC 2007).  No Fraction is
-made: normal_form returns its integer remainder over the accumulated
-multiplier, and buchberger returns the monic reduced basis, made in one
-pass from the minimal basis by _reduced_basis, each element its integer
-terms over its lead coefficient (polyring's cleared form).
+Division and Buchberger run fraction-free over Z on packed exponent
+vectors (Monagan and Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", CASC 2007): z0^e0 z1^e1 z2^e2 z3^e3 is
+the int e3 << 96 | e2 << 64 | e1 << 32 | e0.  Bit 31 of each 32-bit field
+is a guard bit, clear while every exponent is at most MAX_DEGREE = 2^31 - 1,
+which the parser, normal_form and Buchberger's generators and S-pairs
+enforce.  Products and quotients are + and -, divisibility, lcm and
+coprimality read the guard bits, and integer order is the order a min-heap
+needs to hand out terms in descending degrevlex order.  Basis elements are
+kept primitive and S-polynomials are formed with integer cofactors;
+division is integer pseudo-division.  No Fraction is made: normal_form
+returns its integer remainder over the accumulated multiplier, and
+buchberger returns the monic reduced basis, made in one pass from the
+minimal basis by _reduced_basis, each element its integer terms over its
+lead coefficient (polyring's cleared form).
 
 Most callers never need that reduced basis.  GradedIdeal keeps the
 unreduced integer elements Buchberger ends with; the lead ideal, every
@@ -107,6 +113,7 @@ from .errors import (
 from .linalg import Echelon, kernel_of_columns
 from .polyring import (
     HomogeneousPolynomial,
+    MAX_DEGREE,
     NVARS,
     ONE_MONO,
     _cleared,
@@ -114,11 +121,9 @@ from .polyring import (
     degrevlex_key,
     graded_piece_dimension,
     integer_terms,
-    mono_coprime,
     mono_degree,
     mono_divides,
     mono_lcm,
-    mono_mul,
     mono_quotient,
     monomials_of_degree,
     sum_of_products,
@@ -148,15 +153,55 @@ MAX_SYZYGY_COLUMNS = 1000
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger, fraction-free over Z
+# division and Buchberger, fraction-free over Z, on packed exponent vectors
 #
-# Inside this section a polynomial is a dict of integer coefficients keyed
-# by reversed exponent tuples (e3, e2, e1, e0).  Among monomials of one
-# degree the lexicographically smallest reversed tuple is the largest in
-# degrevlex, so a min-heap of them hands out terms in descending order;
-# products, lcms and divisibility are componentwise and do not care.  A
-# basis element is a triple (lead, lead coefficient, tail), built once:
-# primitive, with a positive lead coefficient.
+# Inside this section a monomial z0^e0 z1^e1 z2^e2 z3^e3 is one int,
+# e3 << 96 | e2 << 64 | e1 << 32 | e0: four 32-bit fields, bit 31 of each
+# the guard bit, clear while every exponent is at most MAX_DEGREE.  Integer
+# order is the lexicographic order of (e3, e2, e1, e0), and among monomials
+# of one degree the smallest is the largest in degrevlex, so a min-heap of
+# them hands out terms in descending order.  Products and quotients are +
+# and -; d divides m when m - d is nonnegative with no guard bit set (the
+# lowest field that borrows sets its own); lcm and coprimality treat all
+# four fields at once through the guard bits.  A polynomial is a dict of
+# integer coefficients keyed by packed monomials, and a basis element a
+# triple (lead, lead coefficient, tail), built once: primitive, with a
+# positive lead coefficient.  Monomials are packed on the way in (_pack)
+# and unpacked on the way out (_unpack).
+
+_FIELD = (1 << 32) - 1
+_GUARD = sum(1 << 32 * i + 31 for i in range(NVARS))
+_LOW = _GUARD - sum(1 << 32 * i for i in range(NVARS))  # 2^31 - 1 in each field
+_STEPS = tuple(1 << 32 * i for i in range(NVARS))  # z0, z1, z2, z3
+
+
+def _pack(m) -> int:
+    return m[3] << 96 | m[2] << 64 | m[1] << 32 | m[0]
+
+
+def _unpack(p: int):
+    return p & _FIELD, p >> 32 & _FIELD, p >> 64 & _FIELD, p >> 96
+
+
+def _degree(p: int) -> int:
+    return (p & _FIELD) + (p >> 32 & _FIELD) + (p >> 64 & _FIELD) + (p >> 96)
+
+
+def _divides(d: int, m: int) -> bool:
+    q = m - d
+    return q >= 0 and not q & _GUARD
+
+
+def _lcm(a: int, b: int) -> int:
+    # the guard bit of a field of (a | GUARD) - b is set where a's exponent
+    # is the larger; spread over the field, it picks a's exponent there
+    keep = ((a | _GUARD) - b) & _GUARD
+    return b ^ ((a ^ b) & (keep - (keep >> 31)))
+
+
+def _nonzero_fields(p: int) -> int:
+    """The guard bits of the fields of p that are nonzero."""
+    return (p + _LOW) & _GUARD
 
 
 def _basis_element(terms: dict):
@@ -195,8 +240,8 @@ def _divide(work: dict, table):
         if not c:
             continue
         for lead, a, tail in table:
-            if lead[0] <= m[0] and lead[1] <= m[1] and lead[2] <= m[2] and lead[3] <= m[3]:
-                q0, q1, q2, q3 = m[0] - lead[0], m[1] - lead[1], m[2] - lead[2], m[3] - lead[3]
+            q = m - lead
+            if q >= 0 and not q & _GUARD:
                 g = gcd(a, c)
                 s, t = a // g, c // g
                 if s != 1:
@@ -208,7 +253,7 @@ def _divide(work: dict, table):
                 # kept inline: division's hot loop; a cancelled term leaves work at once,
                 # so no later scaling touches it
                 for gm, gc in tail:
-                    mm = (gm[0] + q0, gm[1] + q1, gm[2] + q2, gm[3] + q3)
+                    mm = gm + q
                     v = work.get(mm)
                     if v is None:
                         work[mm] = -t * gc
@@ -225,13 +270,22 @@ def _divide(work: dict, table):
     return remainder, mult
 
 
+def _packed_terms(f: HomogeneousPolynomial, stage: str):
+    """(den, integer terms keyed by packed monomials) of f; a degree past
+    MAX_DEGREE raises ResourceLimitError naming the stage."""
+    if f.degree > MAX_DEGREE:
+        raise ResourceLimitError(
+            f"{stage}: degree {f.degree} exceeds the degree cap {MAX_DEGREE}")
+    den, ints = _cleared(f)
+    return den, {_pack(m): c for m, c in ints.items()}
+
+
 def normal_form(f: HomogeneousPolynomial, basis) -> HomogeneousPolynomial:
     """Remainder of f under division by a list of nonzero polynomials."""
-    table = [_basis_element({m[::-1]: c for m, c in _cleared(g)[1].items()})
-             for g in basis if g]
-    den, work = _cleared(f)
-    remainder, mult = _divide({m[::-1]: c for m, c in work.items()}, table)
-    return _from_integers(f.degree, mult * den, {m[::-1]: c for m, c in remainder.items()})
+    table = [_basis_element(_packed_terms(g, "normal_form")[1]) for g in basis if g]
+    den, work = _packed_terms(f, "normal_form")
+    remainder, mult = _divide(work, table)
+    return _from_integers(f.degree, mult * den, {_unpack(m): c for m, c in remainder.items()})
 
 
 def s_polynomial(f: HomogeneousPolynomial, g: HomogeneousPolynomial) -> HomogeneousPolynomial:
@@ -248,13 +302,13 @@ def _s_polynomial_terms(e, f) -> dict:
     elements e and f with lead coefficients a and b, g = gcd(a, b) and L the
     lcm of their leads; the leads cancel."""
     (le, a, te), (lf, b, tf) = e, f
-    top = mono_lcm(le, lf)
+    top = _lcm(le, lf)
     g = gcd(a, b)
     acc = {}
     for lead, tail, scale in ((le, te, b // g), (lf, tf, -(a // g))):
-        q = mono_quotient(top, lead)
+        q = top - lead
         for m, c in tail:
-            mm = mono_mul(m, q)
+            mm = m + q
             acc[mm] = acc.get(mm, 0) + scale * c
     return {m: c for m, c in acc.items() if c}
 
@@ -269,13 +323,13 @@ def _reduced_basis(basis):
     is unique, so one pass is enough.
     """
     minimal = [e for e in basis
-               if not any(o is not e and mono_divides(o[0], e[0]) for o in basis)]
+               if not any(o is not e and _divides(o[0], e[0]) for o in basis)]
     out = []
     for e in minimal:
         lead, a, tail = e
         r, _ = _divide({lead: a, **dict(tail)}, [o for o in minimal if o is not e])
-        out.append(_from_integers(mono_degree(lead), r[lead],
-                                  {m[::-1]: c for m, c in r.items()}))
+        out.append(_from_integers(_degree(lead), r[lead],
+                                  {_unpack(m): c for m, c in r.items()}))
     out.sort(key=lambda g: degrevlex_key(g.lead_monomial()))
     return out
 
@@ -311,18 +365,20 @@ def _next_standard(standard, leads):
     not itself one of the leads of degree d + 1."""
     hits = {}
     for m in standard:
-        for u in ((m[0] + 1, m[1], m[2], m[3]), (m[0], m[1] + 1, m[2], m[3]),
-                  (m[0], m[1], m[2] + 1, m[3]), (m[0], m[1], m[2], m[3] + 1)):
+        for step in _STEPS:
+            u = m + step
             hits[u] = hits.get(u, 0) + 1
+    # u has one divisor of degree d per nonzero exponent
     return {u for u, n in hits.items()
-            if n == (u[0] > 0) + (u[1] > 0) + (u[2] > 0) + (u[3] > 0) and u not in leads}
+            if n == _nonzero_fields(u).bit_count() and u not in leads}
 
 
-def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None,
-                       give_up: bool = False):
+def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP,
+                       degree_cap: int = MAX_DEGREE, give_up: bool = False):
     """A degrevlex Groebner basis of the ideal, as primitive integer basis
     elements with pairwise distinct leads; neither minimal nor reduced.  The
-    unit ideal gives [(ONE_MONO, 1, [])], the zero ideal [].
+    unit ideal gives [(0, 1, [])] (0 packs the monomial 1), the zero ideal
+    [].
 
     Pairs are processed in normal strategy order (lowest lcm first) with the
     product and chain criteria.  With at most four nonzero generators a
@@ -340,41 +396,42 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=
     standard monomials outnumber the bound: that degree shows I is no
     complete intersection of the kept generators.
 
-    Raises ResourceLimitError when more than pair_cap pairs are processed
-    (skipped and pruned pairs count) or an S-polynomial that no criterion
-    pruned exceeds degree_cap.
+    Raises ResourceLimitError when a generator exceeds MAX_DEGREE, more than
+    pair_cap pairs are processed (skipped and pruned pairs count) or an
+    S-polynomial that no criterion pruned exceeds degree_cap, which is at
+    most MAX_DEGREE.
     """
+    degree_cap = min(degree_cap, MAX_DEGREE)
     gens = [g for g in generators if g]
     if any(g.degree == 0 for g in gens):
-        return [(ONE_MONO, 1, [])]
+        return [(0, 1, [])]
     # each generator divided by those kept before it: no lead divides another
     basis = []
     for g in sorted(gens, key=lambda g: degrevlex_key(g.lead_monomial())):
-        r, _ = _divide({m[::-1]: c for m, c in _cleared(g)[1].items()}, basis)
+        r, _ = _divide(_packed_terms(g, "buchberger")[1], basis)
         if r:
             basis.append(_basis_element(r))
 
     lead = [e[0] for e in basis]
     pending = set()
-    queue = []  # heap of (lcm degree, lcm ascending in degrevlex, pair)
+    queue = []  # heap of (lcm degree, -lcm, pair): lcm ascending in degrevlex
 
     def add_pairs(new):
         for k in range(new):
-            top = mono_lcm(lead[k], lead[new])
+            top = _lcm(lead[k], lead[new])
             pending.add((k, new))
-            heappush(queue, (mono_degree(top), -top[0], -top[1], -top[2], -top[3], k, new))
+            heappush(queue, (_degree(top), -top, k, new))
 
     for new in range(1, len(basis)):
         add_pairs(new)
     # the bound takes the kept generators: they generate I, and are no more
-    numerator = _ci_numerator(mono_degree(m) for m in lead) if len(gens) <= 4 else None
-    standard, std_degree, bound = {ONE_MONO}, 0, None  # standard monomials of std_degree
+    numerator = _ci_numerator(_degree(m) for m in lead) if len(gens) <= 4 else None
+    standard, std_degree, bound = {0}, 0, None  # standard monomials of std_degree
     walked = 0
     processed = 0
     while queue:
-        key = heappop(queue)
-        degree, pair = key[0], key[-2:]
-        pending.discard(pair)
+        degree, _, i, j = heappop(queue)
+        pending.discard((i, j))
         processed += 1
         if processed > pair_cap:
             raise ResourceLimitError(
@@ -386,17 +443,16 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=
                 walked += len(standard)
                 std_degree += 1
                 standard = _next_standard(
-                    standard, {m for m in lead if mono_degree(m) == std_degree})
+                    standard, {m for m in lead if _degree(m) == std_degree})
                 bound = _ci_hilbert_function(numerator, std_degree)
             if std_degree == degree and len(standard) == bound:
                 continue
-        i, j = pair
-        if mono_coprime(lead[i], lead[j]):
-            continue
-        top = mono_lcm(lead[i], lead[j])
+        if not _nonzero_fields(lead[i]) & _nonzero_fields(lead[j]):
+            continue  # coprime leads
+        top = _lcm(lead[i], lead[j])
         chained = False
         for k in range(len(basis)):
-            if k in (i, j) or not mono_divides(lead[k], top):
+            if k in (i, j) or not _divides(lead[k], top):
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -405,7 +461,7 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=
                 break
         if chained:
             continue
-        if degree_cap is not None and degree > degree_cap:
+        if degree > degree_cap:
             raise ResourceLimitError(
                 f"buchberger: S-polynomial of degree {degree} exceeds degree cap {degree_cap}")
         r, _ = _divide(_s_polynomial_terms(basis[i], basis[j]), basis)
@@ -418,7 +474,7 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=
     return basis
 
 
-def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
+def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap: int = MAX_DEGREE):
     """Reduced degrevlex Groebner basis, monic and sorted by ascending lead:
     _reduced_basis of _groebner_elements, whose arguments and errors it
     takes."""
@@ -442,19 +498,36 @@ def _support(m):
     return [i for i in range(NVARS) if m[i]]
 
 
+def _pivot(gens, mixed):
+    """(v, k, J : v^k) for the minimal generators gens of J, mixed those
+    with more than one variable: v is the variable in most mixed generators,
+    the first on ties, and k its least positive exponent in gens."""
+    counts = [0] * NVARS
+    for g in mixed:
+        for i in _support(g):
+            counts[i] += 1
+    v = max(range(NVARS), key=counts.__getitem__)
+    k = min(g[v] for g in gens if g[v])
+    colon = tuple(g[:v] + (g[v] - k,) + g[v + 1:] if g[v] else g for g in gens)
+    return v, k, colon
+
+
 @lru_cache(maxsize=None)
 def _hilbert_numerator(gens: tuple) -> tuple:
     """Coefficients of HS(S/J) * (1-t)^4 for a monomial ideal J.
 
-    Returned as a tuple of (exponent, coefficient) pairs.
+    Returned as a tuple of (exponent, coefficient) pairs.  With a mixed
+    generator, 0 -> S/(J : v^k)(-k) -> S/J -> S/(J + v^k) -> 0 splits it
+    (see _pivot).  J + v^k is smaller than J: v lies in a mixed minimal
+    generator, so any pure power of v among them is above v^k.
     """
     gens = _minimalize(gens)
     if not gens:
         return ((0, 1),)
     if ONE_MONO in gens:
         return ()
-    pure = all(len(_support(g)) == 1 for g in gens)
-    if pure:
+    mixed = [g for g in gens if len(_support(g)) > 1]
+    if not mixed:
         coeffs = {0: 1}
         for g in gens:
             d = mono_degree(g)
@@ -463,50 +536,35 @@ def _hilbert_numerator(gens: tuple) -> tuple:
                 nxt[a + d] = nxt.get(a + d, 0) - c
             coeffs = {a: c for a, c in nxt.items() if c}
         return tuple(sorted(coeffs.items()))
-    counts = [0] * NVARS
-    for g in gens:
-        if len(_support(g)) > 1 or max(g) > 1:
-            for i in _support(g):
-                counts[i] += 1
-    v = max(range(NVARS), key=lambda i: counts[i])
-    pivot = tuple(1 if i == v else 0 for i in range(NVARS))
-    colon = []
-    for g in gens:
-        if g[v] > 0:
-            colon.append(tuple(e - 1 if i == v else e for i, e in enumerate(g)))
-        else:
-            colon.append(g)
-    plus = [g for g in gens if g[v] == 0] + [pivot]
+    v, k, colon = _pivot(gens, mixed)
+    plus = [g for g in gens if g[v] == 0] + [tuple(k if i == v else 0 for i in range(NVARS))]
     res = {}
     for a, c in _hilbert_numerator(_minimalize(tuple(plus))):
         res[a] = res.get(a, 0) + c
-    for a, c in _hilbert_numerator(_minimalize(tuple(colon))):
-        res[a + 1] = res.get(a + 1, 0) + c
+    for a, c in _hilbert_numerator(_minimalize(colon)):
+        res[a + k] = res.get(a + k, 0) + c
     return tuple(sorted((a, c) for a, c in res.items() if c))
 
 
 @lru_cache(maxsize=None)
 def _regularity_bound(gens: tuple) -> int:
-    """Upper bound for reg(S/J), J monomial; exact on complete intersections."""
+    """Upper bound for reg(S/J), J monomial; exact on complete intersections.
+
+    It is max(B(J : v) + 1, B(J + v)) with v from _pivot.  For j < k,
+    J : v^j has generators of the supports of J's, so it picks v again, and
+    (J : v^j) + (v) = J + (v); k such steps are taken here in one,
+    max(B(J : v^k) + k, B(J + v) + k - 1).
+    """
     gens = _minimalize(gens)
     if not gens or ONE_MONO in gens:
         return 0
     mixed = [g for g in gens if len(_support(g)) > 1]
     if not mixed:
         return sum(mono_degree(g) - 1 for g in gens)
-    counts = [0] * NVARS
-    for g in mixed:
-        for i in _support(g):
-            counts[i] += 1
-    v = max(range(NVARS), key=lambda i: counts[i])
-    pivot = tuple(1 if i == v else 0 for i in range(NVARS))
-    colon = tuple(
-        tuple(e - 1 if i == v else e for i, e in enumerate(g)) if g[v] > 0 else g
-        for g in gens
-    )
-    plus = tuple([g for g in gens if g[v] == 0] + [pivot])
-    return max(_regularity_bound(_minimalize(colon)) + 1,
-               _regularity_bound(_minimalize(plus)))
+    v, k, colon = _pivot(gens, mixed)
+    plus = tuple(g for g in gens if g[v] == 0) + (tuple(int(i == v) for i in range(NVARS)),)
+    return max(_regularity_bound(_minimalize(colon)) + k,
+               _regularity_bound(_minimalize(plus)) + k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +603,7 @@ def _section_numerator(generators):
     elements = _groebner_elements([_section_cut(g) for g in generators] + [_Z3], give_up=True)
     if elements is None:
         return None
-    lead = _minimalize(tuple(e[0][::-1] for e in elements))
+    lead = _minimalize(tuple(_unpack(e[0]) for e in elements))
     if dict(_hilbert_numerator(lead)) != _ci_numerator(degrees + [1]):  # z3 has degree 1
         return None
     return dict(sorted(_ci_numerator(degrees).items()))
@@ -555,7 +613,8 @@ def _section_numerator(generators):
 # Hilbert polynomials
 
 
-def _binomial_poly(i: int):
+@lru_cache(maxsize=None)
+def _binomial_poly(i: int) -> tuple:
     """Power-basis coefficients of C(t+i, i)."""
     coeffs = [Fraction(1)]
     for j in range(1, i + 1):
@@ -564,13 +623,14 @@ def _binomial_poly(i: int):
             nxt[k] += c * j
             nxt[k + 1] += c
         coeffs = nxt
-    return [c / factorial(i) for c in coeffs]
+    return tuple(c / factorial(i) for c in coeffs)
 
 
 class HilbertPolynomial:
-    """Polynomial in t stored in the binomial basis C(t+i, i)."""
+    """Polynomial in t stored in the binomial basis C(t+i, i); its power
+    coefficients are kept once known."""
 
-    __slots__ = ("coeffs", "stable_from")
+    __slots__ = ("coeffs", "stable_from", "_power")
 
     def __init__(self, binomial_coeffs, stable_from: int = 0):
         coeffs = [Fraction(c) for c in binomial_coeffs]
@@ -578,12 +638,14 @@ class HilbertPolynomial:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
         self.stable_from = stable_from
+        self._power = None
 
     @classmethod
     def from_power_coeffs(cls, power, stable_from: int = 0) -> "HilbertPolynomial":
         power = [Fraction(c) for c in power]
         while power and power[-1] == 0:
             power.pop()
+        kept = tuple(power) or (Fraction(0),)
         binom = []
         for i in range(len(power) - 1, -1, -1):
             b = power[i] * factorial(i)
@@ -592,14 +654,18 @@ class HilbertPolynomial:
                 power[k] -= b * base[k]
             binom.append(b)
         binom.reverse()
-        return cls(binom, stable_from)
+        out = cls(binom, stable_from)
+        out._power = kept
+        return out
 
     def power_coeffs(self):
-        out = [Fraction(0)] * max(len(self.coeffs), 1)
-        for i, b in enumerate(self.coeffs):
-            for k, c in enumerate(_binomial_poly(i)):
-                out[k] += b * c
-        return out
+        if self._power is None:
+            out = [Fraction(0)] * max(len(self.coeffs), 1)
+            for i, b in enumerate(self.coeffs):
+                for k, c in enumerate(_binomial_poly(i)):
+                    out[k] += b * c
+            self._power = tuple(out)
+        return list(self._power)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
@@ -703,14 +769,14 @@ class GradedIdeal:
                     lines.append(line)
         return cls.from_expressions(lines)
 
-    def _basis_elements(self, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
+    def _basis_elements(self, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap: int = MAX_DEGREE):
         """The integer basis elements of _groebner_elements, computed on the
         first call, with that call's caps."""
         if self._elements is None:
             self._elements = _groebner_elements(self.generators, pair_cap, degree_cap)
         return self._elements
 
-    def groebner_basis(self, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None):
+    def groebner_basis(self, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap: int = MAX_DEGREE):
         if self._gb is None:
             self._gb = tuple(_reduced_basis(self._basis_elements(pair_cap, degree_cap)))
         return self._gb
@@ -718,7 +784,7 @@ class GradedIdeal:
     def lead_ideal(self) -> tuple:
         """Minimal monomial generators of the lead-term ideal."""
         if self._lead is None:
-            self._lead = _minimalize(tuple(e[0][::-1] for e in self._basis_elements()))
+            self._lead = _minimalize(tuple(_unpack(e[0]) for e in self._basis_elements()))
         return self._lead
 
     def is_unit_ideal(self) -> bool:
@@ -758,13 +824,14 @@ class GradedIdeal:
             num = self.hilbert_numerator()
             if not num:  # only the unit ideal has HS(S/I) = 0
                 raise ValueError("the unit ideal has no Hilbert polynomial")
-            power = [Fraction(0)] * 4
+            power = [0] * 4  # six times the power coefficients, in ints
             for a, c in num.items():
                 shifted = _shifted_cubic(a)
                 for k in range(4):
                     power[k] += c * shifted[k]
             stable = max(num, default=0) - 3
-            self._hilbert = HilbertPolynomial.from_power_coeffs(power, stable_from=stable)
+            self._hilbert = HilbertPolynomial.from_power_coeffs(
+                [Fraction(p, 6) for p in power], stable_from=stable)
         return self._hilbert
 
     def regularity_bound(self) -> int:
@@ -780,17 +847,17 @@ class GradedIdeal:
 
 
 @lru_cache(maxsize=None)
-def _shifted_cubic(a: int):
-    """Power-basis coefficients of C(t - a + 3, 3)."""
-    coeffs = [Fraction(1)]
+def _shifted_cubic(a: int) -> tuple:
+    """Power-basis coefficients of 6 * C(t - a + 3, 3), ints."""
+    coeffs = [1]
     for j in (1, 2, 3):
         shift = j - a
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        nxt = [0] * (len(coeffs) + 1)
         for k, c in enumerate(coeffs):
             nxt[k] += c * shift
             nxt[k + 1] += c
         coeffs = nxt
-    return [c / 6 for c in coeffs]
+    return tuple(coeffs)
 
 
 def hilbert_polynomial(ideal: GradedIdeal) -> HilbertPolynomial:
@@ -1065,10 +1132,10 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
                 candidates = []
                 for m in monomials_of_degree(e):
                     if any(mono_divides(g, m) for g in lead_gens):
-                        r, mult = _divide({m[::-1]: 1}, elements)
+                        r, mult = _divide({_pack(m): 1}, elements)
                         z = {index[m]: mult}  # mult times m - NF(m)
                         for rm, c in r.items():
-                            z[index[rm[::-1]]] = -c
+                            z[index[_unpack(rm)]] = -c
                         candidates.append((mult, z))
             elif e in below:
                 candidates = [(1, z) for z in below[e]]

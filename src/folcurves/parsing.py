@@ -21,7 +21,10 @@ the polynomial operations, their term cap and their error messages are
 those of a parser without the one-term path.  Every power is refused
 before it is computed when its coefficients could exceed
 MAX_COEFFICIENT_BITS bits, and a power of a polynomial also when its
-estimated work exceeds MAX_POWER_WORK.
+estimated work exceeds MAX_POWER_WORK.  A power or a product of
+polynomials or forms is refused before it is computed when its total degree
+would exceed MAX_DEGREE, and so is a one-term product when it becomes a
+polynomial.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .errors import DegreeMismatchError, NotHomogeneousError, ParseError, Resour
 from .polyring import (
     HomogeneousPolynomial,
     MAX_COEFFICIENT_BITS,
+    MAX_DEGREE,
     MAX_POWER_WORK,
     ONE_MONO,
     _from_integers,
@@ -149,11 +153,13 @@ class _Parser:
                 if type(base) is tuple:
                     self.next()
                     c, m = base  # c an int or a Fraction
+                    _check_degree(mono_degree(m) * val2)
                     _check_bits(coefficient_bits(abs(c.numerator), c.denominator, val2), val2)
                     return c ** val2, (m[0] * val2, m[1] * val2, m[2] * val2, m[3] * val2)
                 if not isinstance(base, HomogeneousPolynomial):
                     raise ParseError("exponent applies only to scalar atoms")
                 self.next()
+                _check_degree(base.degree * val2)
                 terms, bits = power_bounds(base, val2)
                 _check_terms(terms, val2 * base.degree)
                 _check_bits(bits, val2)
@@ -208,6 +214,14 @@ def _check_terms(count: int, degree: int):
     return bound
 
 
+def _check_degree(degree: int):
+    """Refuse a total degree above MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise ResourceLimitError(
+            f"parsing: total degree {degree} exceeds the degree cap {MAX_DEGREE}"
+        )
+
+
 def _check_bits(bits: int, n: int):
     """Refuse, before it is computed, an n-th power with a coefficient whose
     |numerator| * denominator may need more than MAX_COEFFICIENT_BITS bits,
@@ -229,6 +243,7 @@ def _promote(value):
     if type(value) is not tuple:
         return value
     c, m = value  # c an int or a Fraction
+    _check_degree(mono_degree(m))
     return _from_integers(mono_degree(m), c.denominator, {m: c.numerator} if c else {})
 
 
@@ -256,6 +271,8 @@ def _mul(a, b):
     a, b = _promote(a), _promote(b)
     a_poly = isinstance(a, HomogeneousPolynomial)
     b_poly = isinstance(b, HomogeneousPolynomial)
+    _check_degree((a.degree if a_poly else a.coefficient_degree)
+                  + (b.degree if b_poly else b.coefficient_degree))
     if a_poly and b_poly:
         _check_terms(len(a._support()) * len(b._support()), a.degree + b.degree)
         return a * b

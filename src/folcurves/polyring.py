@@ -32,6 +32,10 @@ Monomial = tuple  # 4-tuple of non-negative ints
 
 ONE_MONO: Monomial = (0, 0, 0, 0)
 
+# Largest total degree the parser builds and Groebner division takes: every
+# exponent then fits below the guard bit of its 32-bit field in groebner's
+# packed monomials.
+MAX_DEGREE = 2**31 - 1
 # Most bits a coefficient of a power may need, numerator and denominator
 # together, as bounded before the power is computed.  The largest bound any
 # shipped test reaches is 22, for (x+y+z+t)^11; every demo and benchmark

@@ -285,3 +285,45 @@ def test_repeated_calls_reuse_one_parser_and_answer_as_a_fresh_one(capsys):
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2, 2, 0, 0]
     assert fresh[2][2].startswith("usage: folcurves chi") and fresh[4][2].startswith("usage:")
     assert fresh[5][2].startswith("error: degree-2") and fresh[6][1].startswith("usage:")
+
+
+def test_hilbert_refuses_a_degree_over_the_packing_cap_quickly(capsys, tmp_path):
+    """Groebner division packs each exponent below a guard bit, so the parser
+    refuses a total degree above 2^31 - 1; 2^31 - 1 itself answers."""
+    path = tmp_path / "deep.ideal"
+    for text, degree in (("x^2147483648\ny\n", 2147483648),
+                         ("x^2147483647*y\nz\n", 2147483648),
+                         ("(x*y)^1073741824\nz\n", 2147483648),
+                         ("(x + y)*x^2147483647\nz\n", 2147483648)):
+        path.write_text(text)
+        started = time.perf_counter()
+        code, _, err = run(capsys, ["hilbert", str(path)])
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert err == (f"error: parsing: total degree {degree} exceeds the degree cap "
+                       f"2147483647\n")
+    path.write_text("x^2147483647\ny\n")
+    started = time.perf_counter()
+    code, out, _ = run(capsys, ["hilbert", str(path)])
+    assert time.perf_counter() - started < 1
+    assert code == 0 and out.startswith("Hilbert polynomial: 2147483647*t - 2305843003844984834\n")
+
+
+def test_hilbert_answers_a_high_power_in_a_mixed_generator_quickly(capsys, tmp_path):
+    """The monomial-ideal recursions take z0^k in one step; x^500*y used to
+    recurse once per unit of the exponent and crash.  rao refuses the curve's
+    resolution bound instead."""
+    path = tmp_path / "plane.ideal"
+    for power in (500, 100000000):
+        path.write_text(f"x^{power}*y\nz\n")
+        degree, genus = power + 1, power * (power - 1) // 2
+        started = time.perf_counter()
+        code, out, err = run(capsys, ["hilbert", str(path)])
+        assert time.perf_counter() - started < 1
+        assert (code, err) == (0, "")
+        assert out == (f"Hilbert polynomial: {degree}*t - {genus - 1}\n"
+                       f"curve invariants: degree {degree}, genus {genus}\n")
+        started = time.perf_counter()
+        code, _, err = run(capsys, ["rao", str(path)])
+        assert time.perf_counter() - started < 1
+        assert (code, err) == (2, f"error: truncation bound {power + 6} is too large\n")

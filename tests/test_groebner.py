@@ -5,7 +5,9 @@ import json
 import re
 import time
 from fractions import Fraction
-from math import comb, lcm
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from math import comb, gcd, lcm
 from pathlib import Path
 from random import Random
 
@@ -29,6 +31,8 @@ from folcurves.groebner import (
     _divide,
     _dual_map_rank,
     _element,
+    _pack,
+    _unpack,
     buchberger,
     curve_invariants,
     graded_syzygies,
@@ -41,6 +45,8 @@ from folcurves.linalg import Echelon, kernel_of_columns
 from folcurves.polyring import (
     HomogeneousPolynomial,
     NVARS,
+    ONE_MONO,
+    _cleared,
     degrevlex_key,
     graded_piece_dimension,
     mono_coprime,
@@ -491,8 +497,8 @@ def test_division_by_the_elements_gives_the_normal_form_of_the_reduced_basis():
         elements, gb = ideal._basis_elements(), list(ideal.groebner_basis())
         for e in range(1, 5):
             for m in monomials_of_degree(e):
-                r, mult = groebner._divide({m[::-1]: 1}, elements)
-                mine = [(rm[::-1], Fraction(c, mult)) for rm, c in r.items()]
+                r, mult = groebner._divide({groebner._pack(m): 1}, elements)
+                mine = [(groebner._unpack(rm), Fraction(c, mult)) for rm, c in r.items()]
                 nf = normal_form(HomogeneousPolynomial.from_term(m), gb)
                 assert mine == list(nf.terms.items())
                 cases += bool(mine)
@@ -541,6 +547,29 @@ def test_hilbert_polynomial_is_computed_once_per_ideal(monkeypatch, tmp_path, ca
     assert ideal.hilbert_polynomial() is ideal.hilbert_polynomial()
     with pytest.raises(ValueError):
         _ideal("z0", "1").hilbert_polynomial()
+
+
+def test_hilbert_formats_its_polynomial_once_from_kept_power_coefficients(
+        monkeypatch, tmp_path, capsys):
+    """A hilbert query formats the polynomial once, under --json too, and
+    the power coefficients kept from the Hilbert numerator are those the
+    binomial coefficients give."""
+    formatted = []
+    real = groebner.HilbertPolynomial.__str__
+    monkeypatch.setattr(groebner.HilbertPolynomial, "__str__",
+                        lambda self: formatted.append(1) or real(self))
+    path = tmp_path / "twisted.ideal"
+    path.write_text("z0*z2 - z1^2\nz1*z3 - z2^2\nz0*z3 - z1*z2\n")
+    for argv in (["hilbert", str(path)], ["hilbert", str(path), "--json"]):
+        assert cli.main(argv) == 0
+        assert "3*t + 1" in capsys.readouterr().out
+        assert len(formatted) == 1
+        formatted.clear()
+    for ideal in _random_ideals(Random(45), 30):
+        P = ideal.hilbert_polynomial()
+        fresh = groebner.HilbertPolynomial(P.coeffs, P.stable_from)
+        assert P.power_coeffs() == fresh.power_coeffs()
+        assert str(P) == real(fresh)
 
 
 def test_resolution_matches_the_former_loop_on_random_ideals():
@@ -1103,10 +1132,10 @@ def _regb_minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> Free
                 reduced = []
                 for m in monomials_of_degree(e):
                     if any(mono_divides(g, m) for g in lead_gens):
-                        r, mult = _divide({m[::-1]: 1}, elements)
+                        r, mult = _divide({_pack(m): 1}, elements)
                         terms = {m: Fraction(1)}
                         for rm, c in r.items():
-                            terms[rm[::-1]] = Fraction(-c, mult)
+                            terms[_unpack(rm)] = Fraction(-c, mult)
                         reduced.append({0: HomogeneousPolynomial._raw(e, terms)})
                 candidates = _former_degree_matrix(reduced, [-e] * len(reduced), [0], e)
             else:
@@ -1627,3 +1656,366 @@ def test_section_route_matches_sympy_hilbert_polynomials():
         if checked == 20:
             break
     assert checked == 20
+
+
+# ---------------------------------------------------------------------------
+# packed exponent vectors against the former reversed-tuple code
+
+
+def _tuple_divide(work: dict, table):
+    """The former groebner._divide on reversed exponent tuples, verbatim."""
+    heap = list(work)
+    heapify(heap)
+    remainder = {}
+    mult = 1
+    while heap:
+        m = heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for lead, a, tail in table:
+            if lead[0] <= m[0] and lead[1] <= m[1] and lead[2] <= m[2] and lead[3] <= m[3]:
+                q0, q1, q2, q3 = m[0] - lead[0], m[1] - lead[1], m[2] - lead[2], m[3] - lead[3]
+                g = gcd(a, c)
+                s, t = a // g, c // g
+                if s != 1:
+                    mult *= s
+                    for k in work:
+                        work[k] *= s
+                    for k in remainder:
+                        remainder[k] *= s
+                # kept inline: division's hot loop; a cancelled term leaves work at once,
+                # so no later scaling touches it
+                for gm, gc in tail:
+                    mm = (gm[0] + q0, gm[1] + q1, gm[2] + q2, gm[3] + q3)
+                    v = work.get(mm)
+                    if v is None:
+                        work[mm] = -t * gc
+                        heappush(heap, mm)
+                    else:
+                        v -= t * gc
+                        if v:
+                            work[mm] = v
+                        else:
+                            del work[mm]
+                break
+        else:
+            remainder[m] = c
+    return remainder, mult
+
+
+def _tuple_s_polynomial_terms(e, f) -> dict:
+    """The former groebner._s_polynomial_terms, verbatim."""
+    (le, a, te), (lf, b, tf) = e, f
+    top = mono_lcm(le, lf)
+    g = gcd(a, b)
+    acc = {}
+    for lead, tail, scale in ((le, te, b // g), (lf, tf, -(a // g))):
+        q = mono_quotient(top, lead)
+        for m, c in tail:
+            mm = mono_mul(m, q)
+            acc[mm] = acc.get(mm, 0) + scale * c
+    return {m: c for m, c in acc.items() if c}
+
+
+def _tuple_next_standard(standard, leads):
+    """The former groebner._next_standard, verbatim."""
+    hits = {}
+    for m in standard:
+        for u in ((m[0] + 1, m[1], m[2], m[3]), (m[0], m[1] + 1, m[2], m[3]),
+                  (m[0], m[1], m[2] + 1, m[3]), (m[0], m[1], m[2], m[3] + 1)):
+            hits[u] = hits.get(u, 0) + 1
+    return {u for u, n in hits.items()
+            if n == (u[0] > 0) + (u[1] > 0) + (u[2] > 0) + (u[3] > 0) and u not in leads}
+
+
+def _tuple_groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap=None,
+                             give_up: bool = False):
+    """The former groebner._groebner_elements on reversed exponent tuples,
+    verbatim but for the names of the helpers above."""
+    gens = [g for g in generators if g]
+    if any(g.degree == 0 for g in gens):
+        return [(ONE_MONO, 1, [])]
+    # each generator divided by those kept before it: no lead divides another
+    basis = []
+    for g in sorted(gens, key=lambda g: degrevlex_key(g.lead_monomial())):
+        r, _ = _tuple_divide({m[::-1]: c for m, c in _cleared(g)[1].items()}, basis)
+        if r:
+            basis.append(groebner._basis_element(r))
+
+    lead = [e[0] for e in basis]
+    pending = set()
+    queue = []  # heap of (lcm degree, lcm ascending in degrevlex, pair)
+
+    def add_pairs(new):
+        for k in range(new):
+            top = mono_lcm(lead[k], lead[new])
+            pending.add((k, new))
+            heappush(queue, (mono_degree(top), -top[0], -top[1], -top[2], -top[3], k, new))
+
+    for new in range(1, len(basis)):
+        add_pairs(new)
+    # the bound takes the kept generators: they generate I, and are no more
+    numerator = (groebner._ci_numerator(mono_degree(m) for m in lead)
+                 if len(gens) <= 4 else None)
+    standard, std_degree, bound = {ONE_MONO}, 0, None  # standard monomials of std_degree
+    walked = 0
+    processed = 0
+    while queue:
+        key = heappop(queue)
+        degree, pair = key[0], key[-2:]
+        pending.discard(pair)
+        processed += 1
+        if processed > pair_cap:
+            raise ResourceLimitError(
+                f"buchberger, degree {degree}: pair cap {pair_cap} exceeded")
+        if numerator is not None:
+            while std_degree < degree and walked <= groebner.MAX_STANDARD_WALK:
+                if give_up and bound is not None and len(standard) > bound:
+                    return None
+                walked += len(standard)
+                std_degree += 1
+                standard = _tuple_next_standard(
+                    standard, {m for m in lead if mono_degree(m) == std_degree})
+                bound = groebner._ci_hilbert_function(numerator, std_degree)
+            if std_degree == degree and len(standard) == bound:
+                continue
+        i, j = pair
+        if mono_coprime(lead[i], lead[j]):
+            continue
+        top = mono_lcm(lead[i], lead[j])
+        chained = False
+        for k in range(len(basis)):
+            if k in (i, j) or not mono_divides(lead[k], top):
+                continue
+            pik = (min(i, k), max(i, k))
+            pjk = (min(j, k), max(j, k))
+            if pik not in pending and pjk not in pending:
+                chained = True
+                break
+        if chained:
+            continue
+        if degree_cap is not None and degree > degree_cap:
+            raise ResourceLimitError(
+                f"buchberger: S-polynomial of degree {degree} exceeds degree cap {degree_cap}")
+        r, _ = _tuple_divide(_tuple_s_polynomial_terms(basis[i], basis[j]), basis)
+        if not r:
+            continue
+        basis.append(groebner._basis_element(r))
+        lead.append(basis[-1][0])
+        standard.discard(lead[-1])  # a lead of the pair degree is not standard
+        add_pairs(len(basis) - 1)
+    return basis
+
+
+def _as_tuples(elements):
+    """Packed basis elements with every monomial a reversed exponent tuple."""
+    if elements is None:
+        return None
+    return [(_unpack(lead)[::-1], a, [(_unpack(m)[::-1], c) for m, c in tail])
+            for lead, a, tail in elements]
+
+
+def _assert_same_elements(gens, give_up=False):
+    new = groebner._groebner_elements(gens, give_up=give_up)
+    assert _as_tuples(new) == _tuple_groebner_elements(gens, give_up=give_up)
+    return new
+
+
+def _seeded_monomials(rng, count):
+    """Monomials whose exponents are 0, small, anything up to 2^31 - 1, or
+    2^31 - 1 itself."""
+    top = groebner.MAX_DEGREE
+    draw = (lambda: 0, lambda: rng.randint(1, 3), lambda: rng.randint(0, top), lambda: top)
+    return [tuple(rng.choice(draw)() for _ in range(NVARS)) for _ in range(count)]
+
+
+def test_packed_monomials_match_the_tuple_operations():
+    rng = Random(40)
+    monos = _seeded_monomials(rng, 60)
+    assert groebner.MAX_DEGREE == 2**31 - 1
+    assert any(groebner.MAX_DEGREE in m for m in monos) and any(0 in m for m in monos)
+    divisible = coprime = 0
+    for a in monos:
+        pa = _pack(a)
+        assert _unpack(pa) == a and groebner._degree(pa) == mono_degree(a)
+        assert groebner._nonzero_fields(pa).bit_count() == sum(e > 0 for e in a)
+        for b in monos + [tuple(rng.randint(0, e) for e in a)]:  # and a divisor of a
+            pb = _pack(b)
+            assert (pa < pb) == (a[::-1] < b[::-1])
+            assert (pa == pb) == (a == b)
+            assert _unpack(pa + pb) == mono_mul(a, b)
+            assert groebner._divides(pb, pa) == mono_divides(b, a)
+            if mono_divides(b, a):
+                assert _unpack(pa - pb) == mono_quotient(a, b)
+                divisible += 1
+            assert _unpack(groebner._lcm(pa, pb)) == mono_lcm(a, b)
+            assert _unpack(groebner._lcm(pb, pa)) == mono_lcm(a, b)
+            packed_coprime = not groebner._nonzero_fields(pa) & groebner._nonzero_fields(pb)
+            assert packed_coprime == mono_coprime(a, b)
+            coprime += packed_coprime
+    assert divisible >= 60 and coprime >= 20
+
+
+def test_packed_division_matches_the_tuple_division():
+    """The same remainder terms in the same order, and the same
+    multiplier, on random terms and tables of basis elements."""
+    rng = Random(41)
+    for _ in range(200):
+        table = []
+        for _ in range(rng.randint(1, 4)):
+            deg = rng.randint(1, 3)
+            terms = {m[::-1]: rng.randint(-3, 3) for m in monomials_of_degree(deg)
+                     if rng.random() < 0.4}
+            terms = {m: c for m, c in terms.items() if c}
+            if terms:
+                table.append(groebner._basis_element(terms))
+        deg = rng.randint(1, 5)
+        work = {m[::-1]: rng.randint(-5, 5) or 1 for m in monomials_of_degree(deg)
+                if rng.random() < 0.5}
+        packed_table = [(_pack(lead[::-1]), a, [(_pack(m[::-1]), c) for m, c in tail])
+                        for lead, a, tail in table]
+        r, mult = _divide({_pack(m[::-1]): c for m, c in work.items()}, packed_table)
+        old_r, old_mult = _tuple_divide(work, table)
+        assert [(_unpack(m)[::-1], c) for m, c in r.items()] == list(old_r.items())
+        assert mult == old_mult
+
+
+def test_packed_buchberger_gives_the_tuple_elements_on_random_ideals():
+    """Leads, lead coefficients and tails in order, on random ideals with and
+    without constant, zero and repeated generators."""
+    rng = Random(42)
+    for ideal in _random_ideals(Random(43), 60):
+        _assert_same_elements(list(ideal.generators))
+    for _ in range(100):
+        _assert_same_elements(_random_generators(rng))
+    for gens in _degenerate_ideals().values():
+        _assert_same_elements(gens)
+    assert _assert_same_elements([HomogeneousPolynomial.constant(3)]) == [(0, 1, [])]
+    assert _assert_same_elements([]) == []
+
+
+def test_packed_buchberger_gives_the_tuple_elements_on_the_section_cuts():
+    """The certifying runs of the section route, given up or run to the end."""
+    given_up = finished = 0
+    for gens in _section_cases():
+        if not gens or any(g.degree == 0 for g in gens):
+            continue
+        cuts = [groebner._section_cut(g) for g in gens] + [HomogeneousPolynomial.variable(3)]
+        given_up += _assert_same_elements(cuts, give_up=True) is None
+        _assert_same_elements(cuts)
+        finished += 1
+    assert finished >= 100 and given_up >= 5
+
+
+def test_packed_buchberger_gives_the_tuple_elements_on_the_hilbert_pool():
+    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                       / "hilbert_pool.json").read_text())["ideals"]
+    assert len(pool) == 240
+    for entry in pool:
+        _assert_same_elements(_ideal(*entry["text"].splitlines()).generators)
+
+
+def test_buchberger_and_normal_form_refuse_a_degree_over_the_packing_cap():
+    top = groebner.MAX_DEGREE
+    over = HomogeneousPolynomial.from_term((top + 1, 0, 0, 0))
+    edge = HomogeneousPolynomial.from_term((top, 0, 0, 0))
+    y = HomogeneousPolynomial.variable(1)
+    message = f"degree {top + 1} exceeds the degree cap {top}$"
+    with pytest.raises(ResourceLimitError, match=f"^buchberger: {message}"):
+        buchberger([over, y])
+    with pytest.raises(ResourceLimitError, match=f"^normal_form: {message}"):
+        normal_form(over, [y])
+    with pytest.raises(ResourceLimitError, match=f"^normal_form: {message}"):
+        normal_form(y, [over])
+    assert buchberger([edge, y]) == [y, edge]
+    below = HomogeneousPolynomial.from_term((top - 1, 1, 0, 0))
+    assert normal_form(edge - below, [y]) == edge
+    # the S-polynomial of z0^(top-1)*z1 and z1*z2^(top-1) has degree 2*top - 1
+    gens = [below, HomogeneousPolynomial.from_term((0, 1, top - 1, 0))]
+    with pytest.raises(ResourceLimitError,
+                       match=f"^buchberger: S-polynomial of degree {2 * top - 1} exceeds "
+                             f"degree cap {top}$"):
+        buchberger(gens)
+    with pytest.raises(ResourceLimitError, match=f"exceeds degree cap {top}$"):
+        buchberger(gens, degree_cap=2 * top)
+
+
+@lru_cache(maxsize=None)
+def _former_hilbert_numerator(gens: tuple) -> tuple:
+    """The former groebner._hilbert_numerator, one unit of the pivot
+    variable per level, verbatim but for its name."""
+    gens = groebner._minimalize(gens)
+    if not gens:
+        return ((0, 1),)
+    if ONE_MONO in gens:
+        return ()
+    pure = all(len(groebner._support(g)) == 1 for g in gens)
+    if pure:
+        coeffs = {0: 1}
+        for g in gens:
+            d = mono_degree(g)
+            nxt = dict(coeffs)
+            for a, c in coeffs.items():
+                nxt[a + d] = nxt.get(a + d, 0) - c
+            coeffs = {a: c for a, c in nxt.items() if c}
+        return tuple(sorted(coeffs.items()))
+    counts = [0] * NVARS
+    for g in gens:
+        if len(groebner._support(g)) > 1 or max(g) > 1:
+            for i in groebner._support(g):
+                counts[i] += 1
+    v = max(range(NVARS), key=lambda i: counts[i])
+    pivot = tuple(1 if i == v else 0 for i in range(NVARS))
+    colon = []
+    for g in gens:
+        if g[v] > 0:
+            colon.append(tuple(e - 1 if i == v else e for i, e in enumerate(g)))
+        else:
+            colon.append(g)
+    plus = [g for g in gens if g[v] == 0] + [pivot]
+    res = {}
+    for a, c in _former_hilbert_numerator(groebner._minimalize(tuple(plus))):
+        res[a] = res.get(a, 0) + c
+    for a, c in _former_hilbert_numerator(groebner._minimalize(tuple(colon))):
+        res[a + 1] = res.get(a + 1, 0) + c
+    return tuple(sorted((a, c) for a, c in res.items() if c))
+
+
+@lru_cache(maxsize=None)
+def _former_regularity_bound(gens: tuple) -> int:
+    """The former groebner._regularity_bound, verbatim but for its name."""
+    gens = groebner._minimalize(gens)
+    if not gens or ONE_MONO in gens:
+        return 0
+    mixed = [g for g in gens if len(groebner._support(g)) > 1]
+    if not mixed:
+        return sum(mono_degree(g) - 1 for g in gens)
+    counts = [0] * NVARS
+    for g in mixed:
+        for i in groebner._support(g):
+            counts[i] += 1
+    v = max(range(NVARS), key=lambda i: counts[i])
+    pivot = tuple(1 if i == v else 0 for i in range(NVARS))
+    colon = tuple(
+        tuple(e - 1 if i == v else e for i, e in enumerate(g)) if g[v] > 0 else g
+        for g in gens
+    )
+    plus = tuple([g for g in gens if g[v] == 0] + [pivot])
+    return max(_former_regularity_bound(groebner._minimalize(colon)) + 1,
+               _former_regularity_bound(groebner._minimalize(plus)))
+
+
+def test_monomial_recursions_pivoting_on_a_power_match_the_unit_steps():
+    """Seeded monomial ideals with exponents up to 6: the same numerator and
+    the same regularity bound as one unit of the pivot variable per level."""
+    rng = Random(44)
+    deep = 0
+    for _ in range(400):
+        gens = tuple(tuple(rng.choice((0, 0, 1, 2, rng.randint(3, 6))) for _ in range(NVARS))
+                     for _ in range(rng.randint(1, 6)))
+        gens = groebner._minimalize(gens)
+        assert groebner._hilbert_numerator(gens) == _former_hilbert_numerator(gens)
+        assert groebner._regularity_bound(gens) == _former_regularity_bound(gens)
+        deep += any(len(groebner._support(g)) > 1 and max(g) > 2 for g in gens)
+    assert deep >= 100
