@@ -512,16 +512,30 @@ def _pivot(gens, mixed):
     return v, k, colon
 
 
-@lru_cache(maxsize=None)
 def _hilbert_numerator(gens: tuple) -> tuple:
-    """Coefficients of HS(S/J) * (1-t)^4 for a monomial ideal J.
+    """Coefficients of HS(S/J) * (1-t)^4 for the monomial ideal J that the
+    monomials gens generate, as a tuple of (exponent, coefficient) pairs."""
+    return _minimal_numerator(_minimalize(gens))
 
-    Returned as a tuple of (exponent, coefficient) pairs.  With a mixed
-    generator, 0 -> S/(J : v^k)(-k) -> S/J -> S/(J + v^k) -> 0 splits it
-    (see _pivot).  J + v^k is smaller than J: v lies in a mixed minimal
-    generator, so any pure power of v among them is above v^k.
+
+def _plus(gens, v, k):
+    """The minimal generators of J + v^k, sorted, for J's minimal generators
+    gens (no 1 among them) and k at most the least positive exponent of v:
+    no generator without v divides v^k or is divided by it."""
+    return tuple(sorted([g for g in gens if g[v] == 0]
+                        + [tuple(k if i == v else 0 for i in range(NVARS))]))
+
+
+@lru_cache(maxsize=None)
+def _minimal_numerator(gens: tuple) -> tuple:
+    """_hilbert_numerator of minimal generators, sorted as _minimalize
+    leaves them.
+
+    With a mixed generator, 0 -> S/(J : v^k)(-k) -> S/J -> S/(J + v^k) -> 0
+    splits it (see _pivot).  J + v^k is smaller than J: v lies in a mixed
+    minimal generator, so any pure power of v among them is above v^k.
+    Only J : v^k needs _minimalize.
     """
-    gens = _minimalize(gens)
     if not gens:
         return ((0, 1),)
     if ONE_MONO in gens:
@@ -537,34 +551,38 @@ def _hilbert_numerator(gens: tuple) -> tuple:
             coeffs = {a: c for a, c in nxt.items() if c}
         return tuple(sorted(coeffs.items()))
     v, k, colon = _pivot(gens, mixed)
-    plus = [g for g in gens if g[v] == 0] + [tuple(k if i == v else 0 for i in range(NVARS))]
     res = {}
-    for a, c in _hilbert_numerator(_minimalize(tuple(plus))):
+    for a, c in _minimal_numerator(_plus(gens, v, k)):
         res[a] = res.get(a, 0) + c
-    for a, c in _hilbert_numerator(_minimalize(colon)):
+    for a, c in _minimal_numerator(_minimalize(colon)):
         res[a + k] = res.get(a + k, 0) + c
     return tuple(sorted((a, c) for a, c in res.items() if c))
 
 
-@lru_cache(maxsize=None)
 def _regularity_bound(gens: tuple) -> int:
-    """Upper bound for reg(S/J), J monomial; exact on complete intersections.
+    """Upper bound for reg(S/J), J the monomial ideal that gens generate;
+    exact on complete intersections."""
+    return _minimal_regularity_bound(_minimalize(gens))
+
+
+@lru_cache(maxsize=None)
+def _minimal_regularity_bound(gens: tuple) -> int:
+    """_regularity_bound of minimal generators, sorted as _minimalize
+    leaves them.
 
     It is max(B(J : v) + 1, B(J + v)) with v from _pivot.  For j < k,
     J : v^j has generators of the supports of J's, so it picks v again, and
     (J : v^j) + (v) = J + (v); k such steps are taken here in one,
     max(B(J : v^k) + k, B(J + v) + k - 1).
     """
-    gens = _minimalize(gens)
     if not gens or ONE_MONO in gens:
         return 0
     mixed = [g for g in gens if len(_support(g)) > 1]
     if not mixed:
         return sum(mono_degree(g) - 1 for g in gens)
     v, k, colon = _pivot(gens, mixed)
-    plus = tuple(g for g in gens if g[v] == 0) + (tuple(int(i == v) for i in range(NVARS)),)
-    return max(_regularity_bound(_minimalize(colon)) + k,
-               _regularity_bound(_minimalize(plus)) + k - 1)
+    return max(_minimal_regularity_bound(_minimalize(colon)) + k,
+               _minimal_regularity_bound(_plus(gens, v, 1)) + k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +622,7 @@ def _section_numerator(generators):
     if elements is None:
         return None
     lead = _minimalize(tuple(_unpack(e[0]) for e in elements))
-    if dict(_hilbert_numerator(lead)) != _ci_numerator(degrees + [1]):  # z3 has degree 1
+    if dict(_minimal_numerator(lead)) != _ci_numerator(degrees + [1]):  # z3 has degree 1
         return None
     return dict(sorted(_ci_numerator(degrees).items()))
 
@@ -806,7 +824,7 @@ class GradedIdeal:
             if self._elements is None:
                 self._numerator = _section_numerator(self.generators)
             if self._numerator is None:
-                self._numerator = dict(_hilbert_numerator(self.lead_ideal()))
+                self._numerator = dict(_minimal_numerator(self.lead_ideal()))
         return self._numerator
 
     def hilbert_function(self, k: int) -> int:
@@ -836,7 +854,7 @@ class GradedIdeal:
 
     def regularity_bound(self) -> int:
         """Certified upper bound for reg(S/I) via the lead-term ideal."""
-        return _regularity_bound(self.lead_ideal())
+        return _minimal_regularity_bound(self.lead_ideal())
 
     def max_generator_degree(self) -> int:
         return max((g.degree for g in self.generators), default=0)
@@ -994,9 +1012,6 @@ class FreeResolution:
 
     def betti(self):
         return [[i, sorted(tw)] for i, tw in enumerate(self.twists)]
-
-    def betti_json(self):
-        return {"betti": self.betti()}
 
     def alternating_sum_ok(self, hilbert_function) -> bool:
         return self._alternating_sum_mismatch(hilbert_function) is None

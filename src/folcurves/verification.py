@@ -3,11 +3,28 @@ reproduce, organized as named criteria grouped into suites.
 
 Discrepancy flags raised by the checks are data, not failures; a criterion
 fails only when a computation contradicts its expected value.
+
+`run_suite` splits a suite between two processes when it can.  The
+criteria and property items that build a free resolution or a Rao profile
+(`_CHILD_CRITERIA`, `_CHILD_TAGS`) are the share of a child forked with
+`os.fork`; the closed-form criteria, the Groebner-basis items and the
+Leibniz pairs are the parent's.  The randomized properties are
+`property_items(seed)`, (tag, check) items whose inputs are drawn from
+`Random(seed)` as the items are produced, never depending on a check, so
+the parent and the child replay the same draws and each checks exactly the
+inputs of a serial run.  The child sends its results back
+through a pipe with `marshal`, and the parent assembles both shares, so the
+output does not depend on the split.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import threading
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations
 from math import lcm
 from random import Random
 
@@ -316,6 +333,8 @@ def check_degree3_genus_report(seed=DEFAULT_SEED):
 
 
 def _random_ideal(rng, max_gens=3, max_degree=3):
+    """Two to max_gens random forms of degree 1..max_degree; forms of
+    positive degree never generate S, so no draw is the unit ideal."""
     while True:
         gens = []
         for _ in range(rng.randint(2, max_gens)):
@@ -329,70 +348,83 @@ def _random_ideal(rng, max_gens=3, max_degree=3):
             poly = _from_integers(deg, 1, terms)
             if poly:
                 gens.append(poly)
-        if not gens:
-            continue
-        ideal = GradedIdeal(gens)
-        if not ideal.is_unit_ideal():
-            return ideal
+        if gens:
+            return GradedIdeal(gens)
 
 
-def check_property_suites(seed=DEFAULT_SEED):
-    r = _result("properties", "randomized structural invariants")
-    rng = Random(seed)
+_PROPERTY_CLAIMS = (
+    ("groebner", "generators reduce to zero against the reduced basis (50 ideals)"),
+    ("resolution", "resolutions are exact, composable to zero and minimal (20 ideals)"),
+    ("redundant", "Rao profile unchanged by a redundant generator"),
+    ("leibniz", "contraction Leibniz identity on 50 random form pairs"),
+    ("ci-rao", "complete-intersection curves have empty Rao profile"),
+)
 
-    ok = True
-    for _ in range(50):
-        ideal = _random_ideal(rng)
-        gb = list(ideal.groebner_basis())
-        for g in ideal.generators:
-            if not normal_form(g, gb).is_zero():
-                ok = False
-    _check(r, ok, "generators reduce to zero against the reduced basis (50 ideals)")
 
-    ok = True
-    for _ in range(20):
-        ideal = _random_ideal(rng)
-        res = minimal_free_resolution(ideal)
-        if not (res.alternating_sum_ok(ideal.hilbert_function)
-                and res.composition_ok() and res.is_minimal()):
-            ok = False
-    _check(r, ok, "resolutions are exact, composable to zero and minimal (20 ideals)")
+def _reduces_to_zero(ideal):
+    gb = list(ideal.groebner_basis())
+    return all(normal_form(g, gb).is_zero() for g in ideal.generators)
 
+
+def _resolution_ok(ideal):
+    res = minimal_free_resolution(ideal)
+    return (res.alternating_sum_ok(ideal.hilbert_function)
+            and res.composition_ok() and res.is_minimal())
+
+
+def _redundant_generator_ok():
     base = GradedIdeal.from_expressions(["z0*z2", "z0*z3", "z1*z2", "z1*z3"])
     redundant = GradedIdeal(list(base.generators)
                             + [parse_polynomial("z3^2") * base.generators[0]])
-    _check(r, rao_module_dimensions(base).profile
-           == rao_module_dimensions(redundant).profile,
-           "Rao profile unchanged by a redundant generator")
+    return rao_module_dimensions(base).profile == rao_module_dimensions(redundant).profile
 
-    ok = True
+
+def _leibniz_ok(qa, a, b):
+    lhs = radial_contraction(wedge(a, b))
+    rhs = wedge(radial_contraction(a), b) + wedge(a, radial_contraction(b)).scale((-1) ** qa)
+    return lhs == rhs
+
+
+def _ci_rao_empty(seed):
+    return rao_module_dimensions(_random_ci_curve(Random(seed))).total == 0
+
+
+def property_items(seed=DEFAULT_SEED):
+    """The randomized structural checks as (tag, check) items in a fixed
+    order, each check a call that returns a bool; the tags are those of
+    _PROPERTY_CLAIMS.  Every draw from Random(seed) is made here and none
+    depends on a check's result (each complete intersection is drawn inside
+    its check, from its own seed), so any process that replays the items
+    gets the same inputs whichever checks it runs."""
+    rng = Random(seed)
+    for _ in range(50):
+        yield "groebner", partial(_reduces_to_zero, _random_ideal(rng))
+    for _ in range(20):
+        yield "resolution", partial(_resolution_ok, _random_ideal(rng))
+    yield "redundant", _redundant_generator_ok
     for _ in range(50):
         qa = rng.randint(1, 2)
         qb = rng.randint(1, min(3, 4 - qa))
-        a = _random_form(rng, qa)
-        b = _random_form(rng, qb)
-        lhs = radial_contraction(wedge(a, b))
-        rhs = wedge(radial_contraction(a), b) + wedge(a, radial_contraction(b)).scale(
-            (-1) ** qa
-        )
-        if lhs != rhs:
-            ok = False
-    _check(r, ok, "contraction Leibniz identity on 50 random form pairs")
-
-    ok = True
+        yield "leibniz", partial(_leibniz_ok, qa, _random_form(rng, qa), _random_form(rng, qb))
     for i in range(3):
-        ci = _random_ci_curve(Random(seed + 100 + i))
-        if rao_module_dimensions(ci).total != 0:
-            ok = False
-    _check(r, ok, "complete-intersection curves have empty Rao profile")
+        yield "ci-rao", partial(_ci_rao_empty, seed + 100 + i)
+
+
+def _property_result(outcomes):
+    """The properties criterion from (tag, ok) pairs, one claim per tag."""
+    r = _result("properties", "randomized structural invariants")
+    for tag, claim in _PROPERTY_CLAIMS:
+        _check(r, all(ok for t, ok in outcomes if t == tag), claim)
     return r
+
+
+def check_property_suites(seed=DEFAULT_SEED):
+    return _property_result([(tag, check()) for tag, check in property_items(seed)])
 
 
 def _random_form(rng, q):
     coeff_degree = rng.randint(1, 2)
     coefficients = {}
-    from itertools import combinations
-
     for idx in combinations(range(4), q):
         p = random_polynomial(coeff_degree, rng, bound=4)
         if p:
@@ -407,8 +439,6 @@ def _random_ci_curve(rng):
         if not q1 or not q2:
             continue
         ideal = GradedIdeal([q1, q2])
-        if ideal.is_unit_ideal():
-            continue
         P = ideal.hilbert_polynomial()
         if P.degree() == 1:
             return ideal
@@ -454,9 +484,106 @@ SUITES = {
 }
 
 
+# Criteria and property items that build a free resolution or a Rao
+# profile: the second process's share.
+_CHILD_CRITERIA = frozenset({"pencil-contact", "legendrian-deg2", "syzygy", "deg3-genus"})
+_CHILD_TAGS = frozenset({"resolution", "redundant", "ci-rao"})
+
+
+def _share(cids, seed, child):
+    """One process's share of the criteria cids as plain data (lists, tuples,
+    strings, ints, bools and dicts of them, which marshal carries):
+    (cid, title, ok, details, flags) for each of its criteria, and
+    (tag, ok) for each of its property items."""
+    criteria = []
+    for cid in cids:
+        if cid != "properties" and (cid in _CHILD_CRITERIA) == child:
+            res = CRITERIA[cid](seed)
+            criteria.append((res.cid, res.title, res.ok, res.details, res.flags))
+    items = []
+    if "properties" in cids:
+        items = [(tag, check()) for tag, check in property_items(seed)
+                 if (tag in _CHILD_TAGS) == child]
+    return criteria, items
+
+
+def _forks(cids):
+    """Whether to split cids across two processes: fork exists, the process
+    may run on two CPUs, both shares hold work, and no other thread runs
+    (a fork copies only the calling thread, and a lock another thread
+    holds stays held in the child)."""
+    child = any(cid in _CHILD_CRITERIA or cid == "properties" for cid in cids)
+    parent = any(cid not in _CHILD_CRITERIA for cid in cids)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return (child and parent and hasattr(os, "fork") and cpus >= 2
+            and threading.active_count() == 1)
+
+
+def _forked_shares(cids, seed):
+    """The parent's and the child's shares, the child's computed in a
+    forked process and sent back through a pipe with marshal; None when
+    either share raises, the child dies or sends nothing, after the child
+    is killed and reaped."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:  # the child: send its share, or exit 1; never return
+        status = 1
+        try:
+            os.close(read_end)
+            data = marshal.dumps(_share(cids, seed, child=True))
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            mine = _share(cids, seed, child=False)
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        pid = 0
+        if status == 0 and data:
+            return mine, marshal.loads(data)
+    except Exception:  # the serial rerun raises it as a serial run would
+        pass
+    finally:
+        if pid:
+            import signal  # only a failed split needs it
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return None
+
+
 def run_suite(name: str, seed: int = DEFAULT_SEED):
-    """Run a named suite; results come back sorted by criterion id."""
+    """Run a named suite; results come back sorted by criterion id.
+
+    When _forks allows, the child's share (see the module docstring) runs
+    in a forked process while the parent runs its own.  On any failure the
+    whole suite reruns serially, both shares in this process, which is
+    also the only path without fork or with one CPU; results, errors and
+    exit codes are those of that serial run.
+    """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    results = [CRITERIA[cid](seed) for cid in SUITES[name]]
+    cids = SUITES[name]
+    shares = _forked_shares(cids, seed) if _forks(cids) else None
+    if shares is None:
+        shares = _share(cids, seed, child=False), _share(cids, seed, child=True)
+    (parent_criteria, parent_items), (child_criteria, child_items) = shares
+    results = [CriterionResult(*plain) for plain in parent_criteria + child_criteria]
+    if "properties" in cids:
+        results.append(_property_result(parent_items + child_items))
     return sorted(results, key=lambda res: res.cid)

@@ -5,8 +5,14 @@ with pytest -s or in failure reports) and asserts the expected values,
 which are frozen here independently of the verification module's wiring.
 """
 
+import json
+import os
+import threading
 from random import Random
 
+import pytest
+
+from folcurves import cli
 from folcurves.classify import (
     ci_foliation_invariants,
     classify_low_degree,
@@ -37,7 +43,8 @@ from folcurves.sheafcoh import (
     instanton_cohomology,
     null_correlation_h0,
 )
-from folcurves.verification import CRITERIA, run_suite
+from folcurves.errors import ResourceLimitError
+from folcurves.verification import CRITERIA, SUITES, run_suite
 
 SEED = 0
 
@@ -184,3 +191,117 @@ def test_full_verification_suite_is_green():
     for res in results:
         print(f"suite criterion {res.cid}: {'PASS' if res.ok else 'FAIL'}")
     assert all(res.ok for res in results)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+def _cpus(monkeypatch, n):
+    """Pin run_suite to n CPUs through the affinity mask, whatever this
+    machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _suite_json(name, seed):
+    return json.dumps([res.to_json() for res in run_suite(name, seed=seed)], sort_keys=True)
+
+
+def _counting_fork(monkeypatch):
+    calls = []
+    real = os.fork
+
+    def fork():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_forked_suites_match_the_serial_run_byte_for_byte(monkeypatch):
+    calls = _counting_fork(monkeypatch)
+    for seed in range(4):
+        for name in sorted(SUITES):
+            _cpus(monkeypatch, 2)
+            forked = _suite_json(name, seed)
+            _cpus(monkeypatch, 1)
+            assert _suite_json(name, seed) == forked, (name, seed)
+    assert len(calls) == 4 * 2  # "all" and "forms", the suites with work for both
+    _no_children()
+
+
+@needs_fork
+def test_a_child_that_dies_gives_the_serial_output(monkeypatch):
+    _cpus(monkeypatch, 1)
+    serial = _suite_json("all", 0)
+    parent = os.getpid()
+    syzygy = CRITERIA["syzygy"]
+
+    def dies_in_the_child(seed):
+        if os.getpid() != parent:
+            os._exit(1)
+        return syzygy(seed)
+
+    monkeypatch.setitem(CRITERIA, "syzygy", dies_in_the_child)
+    calls = _counting_fork(monkeypatch)
+    _cpus(monkeypatch, 2)
+    assert _suite_json("all", 0) == serial
+    assert calls == [1]
+    _no_children()
+
+
+def _verify_all(capsys):
+    code = cli.main(["verify", "--suite", "all", "--json"])
+    return code, capsys.readouterr()
+
+
+@needs_fork
+@pytest.mark.parametrize("cid", ["syzygy", "table1"])  # the child's share, the parent's
+def test_a_share_that_raises_gives_the_serial_error(monkeypatch, capsys, cid):
+    def capped(seed):
+        raise ResourceLimitError(f"{cid}: a cap for this test")
+
+    monkeypatch.setitem(CRITERIA, cid, capped)
+    calls = _counting_fork(monkeypatch)
+    outcomes = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(ResourceLimitError) as raised:
+            run_suite("all", seed=0)
+        outcomes.append((type(raised.value), str(raised.value), _verify_all(capsys)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][2] == (2, ("", f"error: {cid}: a cap for this test\n"))
+    assert len(calls) == 2
+    _no_children()
+
+
+@needs_fork
+def test_a_process_with_another_thread_never_forks(monkeypatch):
+    calls = _counting_fork(monkeypatch)
+    _cpus(monkeypatch, 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        assert all(res.ok for res in run_suite("forms", seed=0))
+    finally:
+        release.set()
+        waiter.join(60)
+    assert not waiter.is_alive()
+    assert calls == []
+
+
+def test_the_formulas_suite_never_forks(monkeypatch, capsys):
+    def fork():
+        raise AssertionError("verify --suite formulas forked")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    _cpus(monkeypatch, 2)
+    assert cli.main(["verify", "--suite", "formulas", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
