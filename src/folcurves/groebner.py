@@ -6,21 +6,24 @@ series of lead-term ideals drive degree and genus; the per-twist first
 cohomology of a curve's ideal sheaf comes from graded duality applied to
 the dualized tail of the resolution, so no saturation is ever computed.
 
-Division and Buchberger run fraction-free over Z on packed exponent
-vectors (Monagan and Pearce, "Polynomial division using dynamic arrays,
-heaps, and packed exponent vectors", CASC 2007): z0^e0 z1^e1 z2^e2 z3^e3 is
-the int e3 << 96 | e2 << 64 | e1 << 32 | e0.  Bit 31 of each 32-bit field
-is a guard bit, clear while every exponent is at most MAX_DEGREE = 2^31 - 1,
-which the parser, normal_form and Buchberger's generators and S-pairs
-enforce.  Products and quotients are + and -, divisibility, lcm and
-coprimality read the guard bits, and integer order is the order a min-heap
-needs to hand out terms in descending degrevlex order.  Basis elements are
-kept primitive and S-polynomials are formed with integer cofactors;
-division is integer pseudo-division.  No Fraction is made: normal_form
-returns its integer remainder over the accumulated multiplier, and
-buchberger returns the monic reduced basis, made in one pass from the
-minimal basis by _reduced_basis, each element its integer terms over its
-lead coefficient (polyring's cleared form).
+Every monomial in this module is a packed exponent vector (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007): z0^e0 z1^e1 z2^e2 z3^e3 is the int
+e3 << 96 | e2 << 64 | e1 << 32 | e0.  Bit 31 of each 32-bit field is a guard
+bit, clear while every exponent is at most MAX_DEGREE = 2^31 - 1, which the
+parser, normal_form and Buchberger's generators and S-pairs enforce.
+Products and quotients are + and -, divisibility, lcm and coprimality read
+the guard bits, and integer order is the order a min-heap needs to hand out
+terms in descending degrevlex order.  Polyring's exponent tuples appear only
+where a HomogeneousPolynomial is built or read, and in lead_ideal().
+
+Division and Buchberger run fraction-free over Z.  Basis elements are kept
+primitive and S-polynomials are formed with integer cofactors; division is
+integer pseudo-division.  No Fraction is made: normal_form returns its
+integer remainder over the accumulated multiplier, and buchberger returns
+the monic reduced basis, made in one pass from the minimal basis by
+_reduced_basis, each element its integer terms over its lead coefficient
+(polyring's cleared form).
 
 Most callers never need that reduced basis.  GradedIdeal keeps the
 unreduced integer elements Buchberger ends with; the lead ideal, every
@@ -115,17 +118,11 @@ from .polyring import (
     HomogeneousPolynomial,
     MAX_DEGREE,
     NVARS,
-    ONE_MONO,
     _cleared,
     _from_integers,
     degrevlex_key,
     graded_piece_dimension,
     integer_terms,
-    mono_degree,
-    mono_divides,
-    mono_lcm,
-    mono_quotient,
-    monomials_of_degree,
     sum_of_products,
 )
 
@@ -153,21 +150,21 @@ MAX_SYZYGY_COLUMNS = 1000
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger, fraction-free over Z, on packed exponent vectors
+# packed exponent vectors
 #
-# Inside this section a monomial z0^e0 z1^e1 z2^e2 z3^e3 is one int,
-# e3 << 96 | e2 << 64 | e1 << 32 | e0: four 32-bit fields, bit 31 of each
-# the guard bit, clear while every exponent is at most MAX_DEGREE.  Integer
-# order is the lexicographic order of (e3, e2, e1, e0), and among monomials
-# of one degree the smallest is the largest in degrevlex, so a min-heap of
-# them hands out terms in descending order.  Products and quotients are +
-# and -; d divides m when m - d is nonnegative with no guard bit set (the
-# lowest field that borrows sets its own); lcm and coprimality treat all
-# four fields at once through the guard bits.  A polynomial is a dict of
-# integer coefficients keyed by packed monomials, and a basis element a
-# triple (lead, lead coefficient, tail), built once: primitive, with a
-# positive lead coefficient.  Monomials are packed on the way in (_pack)
-# and unpacked on the way out (_unpack).
+# A monomial z0^e0 z1^e1 z2^e2 z3^e3 is one int, e3 << 96 | e2 << 64 |
+# e1 << 32 | e0: four 32-bit fields, bit 31 of each the guard bit, clear
+# while every exponent is at most MAX_DEGREE.  Integer order is the
+# lexicographic order of (e3, e2, e1, e0), and among monomials of one degree
+# the smallest is the largest in degrevlex, so a min-heap of them hands out
+# terms in descending order.  A divisor is never larger than its multiple.
+# Products and quotients are + and -; d divides m when m - d is nonnegative
+# with no guard bit set (the lowest field that borrows sets its own); lcm
+# and coprimality treat all four fields at once through the guard bits.  The
+# exponent of z_v in m is m >> 32*v & _FIELD, and 0 packs the monomial 1.
+# Polynomials enter this module through _packed_terms and are built again
+# through _unpack (normal_form, _reduced_basis and _element): the one
+# boundary with polyring's tuples.
 
 _FIELD = (1 << 32) - 1
 _GUARD = sum(1 << 32 * i + 31 for i in range(NVARS))
@@ -202,6 +199,23 @@ def _lcm(a: int, b: int) -> int:
 def _nonzero_fields(p: int) -> int:
     """The guard bits of the fields of p that are nonzero."""
     return (p + _LOW) & _GUARD
+
+
+@lru_cache(maxsize=None)
+def _monomials(k: int) -> tuple:
+    """The packed monomials of degree k, ascending: the order of
+    polyring.monomials_of_degree(k), descending degrevlex."""
+    return tuple(e3 << 96 | e2 << 64 | e1 << 32 | k - e3 - e2 - e1
+                 for e3 in range(k + 1) for e2 in range(k + 1 - e3)
+                 for e1 in range(k + 1 - e3 - e2))
+
+
+# ---------------------------------------------------------------------------
+# division and Buchberger, fraction-free over Z
+#
+# A polynomial is a dict of integer coefficients keyed by packed monomials,
+# and a basis element a triple (lead, lead coefficient, tail), built once:
+# primitive, with a positive lead coefficient.
 
 
 def _basis_element(terms: dict):
@@ -288,15 +302,6 @@ def normal_form(f: HomogeneousPolynomial, basis) -> HomogeneousPolynomial:
     return _from_integers(f.degree, mult * den, {_unpack(m): c for m, c in remainder.items()})
 
 
-def s_polynomial(f: HomogeneousPolynomial, g: HomogeneousPolynomial) -> HomogeneousPolynomial:
-    top = mono_lcm(f.lead_monomial(), g.lead_monomial())
-    mf = mono_quotient(top, f.lead_monomial())
-    mg = mono_quotient(top, g.lead_monomial())
-    return f.multiply_monomial(mf, 1 / f.lead_coefficient()) - g.multiply_monomial(
-        mg, 1 / g.lead_coefficient()
-    )
-
-
 def _s_polynomial_terms(e, f) -> dict:
     """Integer terms of (b/g)·(L/lead e)·e - (a/g)·(L/lead f)·f for basis
     elements e and f with lead coefficients a and b, g = gcd(a, b) and L the
@@ -322,15 +327,15 @@ def _reduced_basis(basis):
     only the tail, since no other lead divides the lead; the reduced basis
     is unique, so one pass is enough.
     """
-    minimal = [e for e in basis
-               if not any(o is not e and _divides(o[0], e[0]) for o in basis)]
+    minimal = sorted((e for e in basis
+                      if not any(o is not e and _divides(o[0], e[0]) for o in basis)),
+                     key=lambda e: (_degree(e[0]), -e[0]))  # ascending degrevlex
     out = []
     for e in minimal:
         lead, a, tail = e
         r, _ = _divide({lead: a, **dict(tail)}, [o for o in minimal if o is not e])
         out.append(_from_integers(_degree(lead), r[lead],
                                   {_unpack(m): c for m, c in r.items()}))
-    out.sort(key=lambda g: degrevlex_key(g.lead_monomial()))
     return out
 
 
@@ -373,8 +378,7 @@ def _next_standard(standard, leads):
             if n == _nonzero_fields(u).bit_count() and u not in leads}
 
 
-def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP,
-                       degree_cap: int = MAX_DEGREE, give_up: bool = False):
+def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bool = False):
     """A degrevlex Groebner basis of the ideal, as primitive integer basis
     elements with pairwise distinct leads; neither minimal nor reduced.  The
     unit ideal gives [(0, 1, [])] (0 packs the monomial 1), the zero ideal
@@ -398,10 +402,9 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP,
 
     Raises ResourceLimitError when a generator exceeds MAX_DEGREE, more than
     pair_cap pairs are processed (skipped and pruned pairs count) or an
-    S-polynomial that no criterion pruned exceeds degree_cap, which is at
-    most MAX_DEGREE.
+    S-polynomial that no criterion pruned exceeds MAX_DEGREE, past which its
+    exponents would not fit their packed fields.
     """
-    degree_cap = min(degree_cap, MAX_DEGREE)
     gens = [g for g in generators if g]
     if any(g.degree == 0 for g in gens):
         return [(0, 1, [])]
@@ -451,8 +454,9 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP,
             continue  # coprime leads
         top = _lcm(lead[i], lead[j])
         chained = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _divides(lead[k], top):
+        for k, other in enumerate(lead):
+            q = top - other
+            if q < 0 or q & _GUARD or k == i or k == j:  # not _divides(other, top), inline
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -461,9 +465,9 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP,
                 break
         if chained:
             continue
-        if degree > degree_cap:
+        if degree > MAX_DEGREE:
             raise ResourceLimitError(
-                f"buchberger: S-polynomial of degree {degree} exceeds degree cap {degree_cap}")
+                f"buchberger: S-polynomial of degree {degree} exceeds degree cap {MAX_DEGREE}")
         r, _ = _divide(_s_polynomial_terms(basis[i], basis[j]), basis)
         if not r:
             continue
@@ -474,11 +478,11 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP,
     return basis
 
 
-def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap: int = MAX_DEGREE):
+def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP):
     """Reduced degrevlex Groebner basis, monic and sorted by ascending lead:
     _reduced_basis of _groebner_elements, whose arguments and errors it
     takes."""
-    return _reduced_basis(_groebner_elements(generators, pair_cap, degree_cap))
+    return _reduced_basis(_groebner_elements(generators, pair_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -486,50 +490,43 @@ def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap: int = M
 
 
 def _minimalize(gens):
-    gens = sorted(set(gens), key=mono_degree)
+    """The minimal generators of the monomial ideal that the packed
+    monomials gens generate, ascending.  A proper divisor is smaller than its
+    multiple, so in ascending order each monomial meets its divisors first."""
     out = []
-    for g in gens:
-        if not any(mono_divides(h, g) for h in out):
+    for g in sorted(set(gens)):
+        for h in out:
+            if not (g - h) & _GUARD:  # _divides(h, g), inline; h < g
+                break
+        else:
             out.append(g)
-    return tuple(sorted(out))
-
-
-def _support(m):
-    return [i for i in range(NVARS) if m[i]]
+    return tuple(out)
 
 
 def _pivot(gens, mixed):
     """(v, k, J : v^k) for the minimal generators gens of J, mixed those
     with more than one variable: v is the variable in most mixed generators,
     the first on ties, and k its least positive exponent in gens."""
-    counts = [0] * NVARS
-    for g in mixed:
-        for i in _support(g):
-            counts[i] += 1
+    counts = [sum(1 for g in mixed if g >> 32 * v & _FIELD) for v in range(NVARS)]
     v = max(range(NVARS), key=counts.__getitem__)
-    k = min(g[v] for g in gens if g[v])
-    colon = tuple(g[:v] + (g[v] - k,) + g[v + 1:] if g[v] else g for g in gens)
+    k = min(e for e in (g >> 32 * v & _FIELD for g in gens) if e)
+    power = k << 32 * v
+    colon = tuple(g - power if g >> 32 * v & _FIELD else g for g in gens)
     return v, k, colon
 
 
-def _hilbert_numerator(gens: tuple) -> tuple:
-    """Coefficients of HS(S/J) * (1-t)^4 for the monomial ideal J that the
-    monomials gens generate, as a tuple of (exponent, coefficient) pairs."""
-    return _minimal_numerator(_minimalize(gens))
-
-
 def _plus(gens, v, k):
-    """The minimal generators of J + v^k, sorted, for J's minimal generators
-    gens (no 1 among them) and k at most the least positive exponent of v:
-    no generator without v divides v^k or is divided by it."""
-    return tuple(sorted([g for g in gens if g[v] == 0]
-                        + [tuple(k if i == v else 0 for i in range(NVARS))]))
+    """The minimal generators of J + v^k, ascending, for J's minimal
+    generators gens (no 1 among them) and k at most the least positive
+    exponent of v: no generator without v divides v^k or is divided by it."""
+    return tuple(sorted([g for g in gens if not g >> 32 * v & _FIELD] + [k << 32 * v]))
 
 
 @lru_cache(maxsize=None)
 def _minimal_numerator(gens: tuple) -> tuple:
-    """_hilbert_numerator of minimal generators, sorted as _minimalize
-    leaves them.
+    """Coefficients of HS(S/J) * (1-t)^4, as a tuple of (exponent,
+    coefficient) pairs, for the minimal generators gens of the monomial
+    ideal J, ascending as _minimalize leaves them.
 
     With a mixed generator, 0 -> S/(J : v^k)(-k) -> S/J -> S/(J + v^k) -> 0
     splits it (see _pivot).  J + v^k is smaller than J: v lies in a mixed
@@ -538,13 +535,13 @@ def _minimal_numerator(gens: tuple) -> tuple:
     """
     if not gens:
         return ((0, 1),)
-    if ONE_MONO in gens:
+    if 0 in gens:
         return ()
-    mixed = [g for g in gens if len(_support(g)) > 1]
+    mixed = [g for g in gens if _nonzero_fields(g).bit_count() > 1]
     if not mixed:
         coeffs = {0: 1}
         for g in gens:
-            d = mono_degree(g)
+            d = _degree(g)
             nxt = dict(coeffs)
             for a, c in coeffs.items():
                 nxt[a + d] = nxt.get(a + d, 0) - c
@@ -559,27 +556,22 @@ def _minimal_numerator(gens: tuple) -> tuple:
     return tuple(sorted((a, c) for a, c in res.items() if c))
 
 
-def _regularity_bound(gens: tuple) -> int:
-    """Upper bound for reg(S/J), J the monomial ideal that gens generate;
-    exact on complete intersections."""
-    return _minimal_regularity_bound(_minimalize(gens))
-
-
 @lru_cache(maxsize=None)
 def _minimal_regularity_bound(gens: tuple) -> int:
-    """_regularity_bound of minimal generators, sorted as _minimalize
-    leaves them.
+    """Upper bound B(J) for reg(S/J), exact on complete intersections, for
+    the minimal generators gens of the monomial ideal J, ascending as
+    _minimalize leaves them.
 
     It is max(B(J : v) + 1, B(J + v)) with v from _pivot.  For j < k,
     J : v^j has generators of the supports of J's, so it picks v again, and
     (J : v^j) + (v) = J + (v); k such steps are taken here in one,
     max(B(J : v^k) + k, B(J + v) + k - 1).
     """
-    if not gens or ONE_MONO in gens:
+    if not gens or 0 in gens:
         return 0
-    mixed = [g for g in gens if len(_support(g)) > 1]
+    mixed = [g for g in gens if _nonzero_fields(g).bit_count() > 1]
     if not mixed:
-        return sum(mono_degree(g) - 1 for g in gens)
+        return sum(_degree(g) - 1 for g in gens)
     v, k, colon = _pivot(gens, mixed)
     return max(_minimal_regularity_bound(_minimalize(colon)) + k,
                _minimal_regularity_bound(_plus(gens, v, 1)) + k - 1)
@@ -621,7 +613,7 @@ def _section_numerator(generators):
     elements = _groebner_elements([_section_cut(g) for g in generators] + [_Z3], give_up=True)
     if elements is None:
         return None
-    lead = _minimalize(tuple(_unpack(e[0]) for e in elements))
+    lead = _minimalize(e[0] for e in elements)
     if dict(_minimal_numerator(lead)) != _ci_numerator(degrees + [1]):  # z3 has degree 1
         return None
     return dict(sorted(_ci_numerator(degrees).items()))
@@ -787,26 +779,31 @@ class GradedIdeal:
                     lines.append(line)
         return cls.from_expressions(lines)
 
-    def _basis_elements(self, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap: int = MAX_DEGREE):
+    def _basis_elements(self):
         """The integer basis elements of _groebner_elements, computed on the
-        first call, with that call's caps."""
+        first call."""
         if self._elements is None:
-            self._elements = _groebner_elements(self.generators, pair_cap, degree_cap)
+            self._elements = _groebner_elements(self.generators)
         return self._elements
 
-    def groebner_basis(self, pair_cap: int = DEFAULT_PAIR_CAP, degree_cap: int = MAX_DEGREE):
+    def groebner_basis(self):
         if self._gb is None:
-            self._gb = tuple(_reduced_basis(self._basis_elements(pair_cap, degree_cap)))
+            self._gb = tuple(_reduced_basis(self._basis_elements()))
         return self._gb
 
-    def lead_ideal(self) -> tuple:
-        """Minimal monomial generators of the lead-term ideal."""
+    def _packed_lead(self) -> tuple:
+        """Minimal generators of the lead-term ideal, packed, ascending."""
         if self._lead is None:
-            self._lead = _minimalize(tuple(_unpack(e[0]) for e in self._basis_elements()))
+            self._lead = _minimalize(e[0] for e in self._basis_elements())
         return self._lead
 
+    def lead_ideal(self) -> tuple:
+        """Minimal monomial generators of the lead-term ideal, sorted
+        exponent tuples."""
+        return tuple(sorted(_unpack(m) for m in self._packed_lead()))
+
     def is_unit_ideal(self) -> bool:
-        return ONE_MONO in self.lead_ideal()
+        return 0 in self._packed_lead()
 
     def contains(self, f: HomogeneousPolynomial) -> bool:
         if not f:
@@ -824,7 +821,7 @@ class GradedIdeal:
             if self._elements is None:
                 self._numerator = _section_numerator(self.generators)
             if self._numerator is None:
-                self._numerator = dict(_minimal_numerator(self.lead_ideal()))
+                self._numerator = dict(_minimal_numerator(self._packed_lead()))
         return self._numerator
 
     def hilbert_function(self, k: int) -> int:
@@ -854,7 +851,7 @@ class GradedIdeal:
 
     def regularity_bound(self) -> int:
         """Certified upper bound for reg(S/I) via the lead-term ideal."""
-        return _minimal_regularity_bound(self.lead_ideal())
+        return _minimal_regularity_bound(self._packed_lead())
 
     def max_generator_degree(self) -> int:
         return max((g.degree for g in self.generators), default=0)
@@ -936,12 +933,9 @@ def graded_syzygies(row, weights, target_degree: int):
 
 
 def _degree_basis(twists, degree):
-    """Index map for the degree-e piece of (+) S(b): list of (slot, monomial)."""
-    basis = []
-    for slot, b in enumerate(twists):
-        for m in monomials_of_degree(degree + b):
-            basis.append((slot, m))
-    return basis
+    """Index map for the degree-e piece of (+) S(b): list of (slot, packed
+    monomial), each slot's monomials in the order of monomials_of_degree."""
+    return [(slot, m) for slot, b in enumerate(twists) for m in _monomials(degree + b)]
 
 
 def _degree_matrix(columns, twists, target_twists, degree):
@@ -952,9 +946,11 @@ def _degree_matrix(columns, twists, target_twists, degree):
     _degree_basis(target_twists, degree); den is the lcm of the
     denominators of the polynomials it multiplies.  One denominator for the
     whole matrix keeps its kernel and its rank, and each polynomial is
-    cleared once (polyring._cleared), not once per monomial multiple."""
+    cleared and packed once (_packed_terms), not once per monomial
+    multiple."""
     row_index = {key: i for i, key in enumerate(_degree_basis(target_twists, degree))}
-    cleared = {slot: [(target, _cleared(poly)) for target, poly in columns[slot].items()]
+    cleared = {slot: [(target, _packed_terms(poly, "degree matrix"))
+                      for target, poly in columns[slot].items()]
                for slot, b in enumerate(twists) if degree + b >= 0}
     den = lcm(*(d for entries in cleared.values() for _, (d, _) in entries))
     matrix = []
@@ -964,8 +960,7 @@ def _degree_matrix(columns, twists, target_twists, degree):
             s = den // d
             # kept inline: the hot loop of every degree matrix
             for pm, pc in terms.items():
-                vec[row_index[(target, (pm[0] + m[0], pm[1] + m[1], pm[2] + m[2],
-                                        pm[3] + m[3]))]] = pc * s
+                vec[row_index[(target, pm + m)]] = pc * s
         matrix.append(vec)
     return den, matrix
 
@@ -977,7 +972,7 @@ def _element(vec, basis, twists, degree, den=1):
     slots = {}
     for ci, c in vec.items():
         slot, m = basis[ci]
-        slots.setdefault(slot, {})[m] = c
+        slots.setdefault(slot, {})[_unpack(m)] = c
     out = {}
     for slot, terms in slots.items():
         d, ints = integer_terms(terms)
@@ -1102,7 +1097,7 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
         raise ResourceLimitError(f"truncation bound {bound} is too large")
 
     elements = ideal._basis_elements()
-    lead_gens = ideal.lead_ideal()
+    lead_gens = ideal._packed_lead()
     res = FreeResolution(twists=[[0]], differentials=[], bound=bound)
     if not lead_gens:
         return res
@@ -1145,12 +1140,12 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
                 # so dividing by the unreduced elements gives the same one
                 index = {m: i for i, (_, m) in enumerate(basis)}
                 candidates = []
-                for m in monomials_of_degree(e):
-                    if any(mono_divides(g, m) for g in lead_gens):
-                        r, mult = _divide({_pack(m): 1}, elements)
+                for _, m in basis:
+                    if any(_divides(g, m) for g in lead_gens):
+                        r, mult = _divide({m: 1}, elements)
                         z = {index[m]: mult}  # mult times m - NF(m)
                         for rm, c in r.items():
-                            z[index[_unpack(rm)]] = -c
+                            z[index[rm]] = -c
                         candidates.append((mult, z))
             elif e in below:
                 candidates = [(1, z) for z in below[e]]
@@ -1235,7 +1230,7 @@ def rao_module_dimensions(ideal: GradedIdeal, window=None) -> RaoProfile:
     twisted canonical module, read off the dualized resolution; the value at
     both window endpoints must vanish.
     """
-    ideal.lead_ideal()  # the resolution needs the basis: no section is cut first
+    ideal._basis_elements()  # the resolution needs the basis: no section is cut first
     P = ideal.hilbert_polynomial()
     if P.degree() != 1:
         raise NotACurveError("the ideal does not cut out a curve")

@@ -15,6 +15,12 @@ denominator.  The public terms, a map to Fractions, is built from the form
 on its first read and kept.  integer_terms is the one helper that clears
 denominators: of a polynomial built from Fractions, on its first use, and
 in the elimination engine and Groebner division.
+
+The tuple helpers here (degree, product, degrevlex key, string) serve
+polynomial arithmetic and printing.  Divisibility, lcm and quotients of
+monomials are needed only by Groebner bases, lead ideals and degree
+matrices, which run on groebner's packed exponent vectors and have them
+there.
 """
 
 from __future__ import annotations
@@ -58,22 +64,6 @@ def mono_degree(m: Monomial) -> int:
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-
-def mono_divides(d: Monomial, m: Monomial) -> bool:
-    return d[0] <= m[0] and d[1] <= m[1] and d[2] <= m[2] and d[3] <= m[3]
-
-
-def mono_quotient(m: Monomial, d: Monomial) -> Monomial:
-    return (m[0] - d[0], m[1] - d[1], m[2] - d[2], m[3] - d[3])
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
-
-
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def degrevlex_key(m: Monomial):
