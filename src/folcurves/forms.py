@@ -29,7 +29,6 @@ from .groebner import GradedIdeal
 from .polyring import (
     NVARS,
     HomogeneousPolynomial,
-    _cleared,
     _from_integers,
     monomials_of_degree,
     sum_of_products,
@@ -159,7 +158,7 @@ class TwistedForm:
         for idx in sorted(self.coefficients, reverse=True):
             poly = self.coefficients[idx]
             covector = "/\\".join(f"dz{i}" for i in idx)
-            if len(poly._support()) == 1:
+            if len(poly._cleared[1]) == 1:
                 text = str(poly)
                 if text.startswith("-"):
                     sign, body = "-", text[1:]
@@ -314,8 +313,8 @@ def is_contact_form(form: TwistedForm) -> bool:
     got = three_form.coefficient((1, 2, 3))
     if got.is_zero():
         return False
-    ref_den, ref_ints = _cleared(ref)
-    got_den, got_ints = _cleared(got)
+    ref_den, ref_ints = ref._cleared
+    got_den, got_ints = got._cleared
     mono = next(iter(ref_ints))
     coeff = got_ints.get(mono)
     if coeff is None:

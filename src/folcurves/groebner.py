@@ -118,11 +118,9 @@ from .polyring import (
     HomogeneousPolynomial,
     MAX_DEGREE,
     NVARS,
-    _cleared,
     _from_integers,
     degrevlex_key,
     graded_piece_dimension,
-    integer_terms,
     sum_of_products,
 )
 
@@ -147,6 +145,13 @@ MAX_SECTION_DEGREE = 8
 # verify --suite all reaches is 50; on a 2-vCPU x86_64 machine under Python
 # 3.11, three dense quadrics took 5.2 s at 1092 columns and 29 s at 2040.
 MAX_SYZYGY_COLUMNS = 1000
+# Most rows, the dimension of the target degree piece S_d, that
+# graded_syzygies may index.  The column cap does not bound them: z0^100 in
+# degree 100 has 1 column and 176851 rows, 0.3 s and 60 MB on the machine
+# above, where z0^37 in degree 37 (9880 rows) takes 0.02 s.  The largest
+# any shipped test, demo or verify --suite all reaches is 560 (x, y in
+# degree 13).
+MAX_SYZYGY_ROWS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +295,7 @@ def _packed_terms(f: HomogeneousPolynomial, stage: str):
     if f.degree > MAX_DEGREE:
         raise ResourceLimitError(
             f"{stage}: degree {f.degree} exceeds the degree cap {MAX_DEGREE}")
-    den, ints = _cleared(f)
+    den, ints = f._cleared
     return den, {_pack(m): c for m, c in ints.items()}
 
 
@@ -539,14 +544,7 @@ def _minimal_numerator(gens: tuple) -> tuple:
         return ()
     mixed = [g for g in gens if _nonzero_fields(g).bit_count() > 1]
     if not mixed:
-        coeffs = {0: 1}
-        for g in gens:
-            d = _degree(g)
-            nxt = dict(coeffs)
-            for a, c in coeffs.items():
-                nxt[a + d] = nxt.get(a + d, 0) - c
-            coeffs = {a: c for a, c in nxt.items() if c}
-        return tuple(sorted(coeffs.items()))
+        return tuple(sorted(_ci_numerator(_degree(g) for g in gens).items()))
     v, k, colon = _pivot(gens, mixed)
     res = {}
     for a, c in _minimal_numerator(_plus(gens, v, k)):
@@ -593,7 +591,7 @@ def _section_power(e: int) -> HomogeneousPolynomial:
 def _section_cut(f: HomogeneousPolynomial) -> HomogeneousPolynomial:
     """f(z0, z1, z2, l) for l = z0 + 2*z1 + 3*z2: a form in z0..z2 of the
     same degree."""
-    den, ints = _cleared(f)
+    den, ints = f._cleared
     slices = {}
     for m, c in ints.items():
         slices.setdefault(m[3], {})[(m[0], m[1], m[2], 0)] = c
@@ -901,7 +899,7 @@ def graded_syzygies(row, weights, target_degree: int):
     """Basis of tuples (g_i) with deg g_i = target_degree - weights[i] and
     sum g_i * row[i] = 0, by per-degree exact kernel computation.  Refuses,
     before building it, a degree piece of more than MAX_SYZYGY_COLUMNS
-    columns with ResourceLimitError."""
+    columns or MAX_SYZYGY_ROWS rows with ResourceLimitError."""
     row = list(row)
     weights = list(weights)
     if len(row) != len(weights):
@@ -918,11 +916,17 @@ def graded_syzygies(row, weights, target_degree: int):
             f"graded_syzygies, degree {target_degree}: {size} columns exceed "
             f"the cap {MAX_SYZYGY_COLUMNS}"
         )
+    rows = graded_piece_dimension(target_degree)
+    if rows > MAX_SYZYGY_ROWS:
+        raise ResourceLimitError(
+            f"graded_syzygies, degree {target_degree}: {rows} rows exceed "
+            f"the cap {MAX_SYZYGY_ROWS}"
+        )
     basis = _degree_basis(twists, target_degree)
     _, columns = _degree_matrix([{0: p} for p in row], twists, [0], target_degree)
     out = []
-    for combo in kernel_of_columns(columns):
-        element = _element(combo, basis, twists, target_degree)
+    for den, combo in kernel_of_columns(columns):
+        element = _element(combo, basis, twists, target_degree, den)
         out.append(
             tuple(
                 element.get(slot, HomogeneousPolynomial.zero(target_degree - w))
@@ -965,19 +969,16 @@ def _degree_matrix(columns, twists, target_twists, degree):
     return den, matrix
 
 
-def _element(vec, basis, twists, degree, den=1):
+def _element(vec, basis, twists, degree, den):
     """The element of (+) S(b) with coordinates vec / den over the
     degree-e basis, as a map from slot to homogeneous polynomial; the
-    entries of vec are nonzero ints or Fractions, den a positive int."""
+    entries of vec are nonzero ints, den a positive int."""
     slots = {}
     for ci, c in vec.items():
         slot, m = basis[ci]
         slots.setdefault(slot, {})[_unpack(m)] = c
-    out = {}
-    for slot, terms in slots.items():
-        d, ints = integer_terms(terms)
-        out[slot] = _from_integers(degree + twists[slot], d * den, ints)
-    return out
+    return {slot: _from_integers(degree + twists[slot], den, terms)
+            for slot, terms in slots.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1061,8 +1062,9 @@ def _koszul_degrees(ideal: GradedIdeal):
     return degrees
 
 
-def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolution:
-    """Minimal graded free resolution of S/I, complete in degrees <= bound.
+def minimal_free_resolution(ideal: GradedIdeal) -> FreeResolution:
+    """Minimal graded free resolution of S/I, complete in degrees <= bound,
+    bound = regularity_bound() + 6.
 
     Layer L of the loop looks for generators up to a last degree, and runs
     its image check one degree further as a safety margin, where a missing
@@ -1087,12 +1089,7 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
         raise ValueError("S/I is zero; no resolution is computed")
     maxdeg = ideal.max_generator_degree()
     regb = ideal.regularity_bound()
-    if degree_bound is None:
-        bound = regb + 6
-    else:
-        if degree_bound < maxdeg + 4:
-            raise ValueError("degree bound must be at least max generator degree + 4")
-        bound = degree_bound
+    bound = regb + 6
     if bound > 60:
         raise ResourceLimitError(f"truncation bound {bound} is too large")
 
@@ -1116,7 +1113,7 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
         twists, columns = [], []
         source = res.twists[layer - 1]
         kernels = {}
-        for e in range(min(-b for b in source), min(bound, last + 1) + 1):
+        for e in range(min(-b for b in source), last + 2):
             where = f"layer {layer}, degree {e}"
             # dim ker(d_{layer-1})_e, by exactness; for layer 1, dim I_e
             target = (-1) ** layer * ideal.hilbert_function(e) + sum(
@@ -1148,14 +1145,14 @@ def minimal_free_resolution(ideal: GradedIdeal, degree_bound=None) -> FreeResolu
                             z[index[rm]] = -c
                         candidates.append((mult, z))
             elif e in below:
-                candidates = [(1, z) for z in below[e]]
+                candidates = below[e]
             else:  # a degree the layer below never reached
-                candidates = [(1, z) for z in kernel_of_columns(_degree_matrix(
-                    res.differentials[layer - 2], source, res.twists[layer - 2], e)[1])]
+                candidates = kernel_of_columns(_degree_matrix(
+                    res.differentials[layer - 2], source, res.twists[layer - 2], e)[1])
             if len(candidates) != target:
                 raise ResourceLimitError(f"{where}: kernel dimension audit failed")
             # a column is dependent when it is the last one its kernel vector uses
-            dependent = {max(z) for z in kernel}
+            dependent = {max(z) for _, z in kernel}
             ech = Echelon()
             for j, vec in enumerate(images):
                 if j not in dependent:

@@ -1,20 +1,18 @@
 """Exact sparse linear algebra by fraction-free elimination over the integers.
 
-Vectors are dicts mapping coordinate index to a nonzero int or Fraction.
-Denominators are cleared when a vector comes in (polyring.integer_terms),
-so the elimination itself only ever touches integers, in the
-integer-preserving style of Bareiss ("Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22, 1968).  Echelon
-is the single engine behind every rank and kernel computation in the
-package.
+Vectors are dicts mapping coordinate index to a nonzero int; a caller with
+rational entries clears their denominators first (a degree matrix is built
+over one), which keeps every rank and kernel.  The elimination only ever
+touches integers, in the integer-preserving style of Bareiss ("Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968), and kernel vectors come out as integers over one positive
+denominator.  Echelon is the single engine behind every rank and kernel
+computation in the package.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-
-from .polyring import integer_terms
 
 SparseVec = dict
 
@@ -67,7 +65,7 @@ class Echelon:
 
     def insert(self, vec: SparseVec):
         """Reduce vec and, if independent, add it; return the new pivot or None."""
-        v = self._reduce(integer_terms(vec)[1])
+        v = self._reduce(dict(vec))
         if not v:
             return None
         p = min(v)
@@ -78,24 +76,26 @@ class Echelon:
 def kernel_of_columns(columns):
     """Right-kernel basis of the matrix whose j-th column is columns[j].
 
-    Columns are sparse vectors over row indices.  Kernel vectors are sparse
-    over column indices, one per dependent column in column order; the one
-    for column j is the unique kernel vector supported on j and the earlier
-    independent columns, scaled so that its first entry is 1.
+    Columns are sparse integer vectors over row indices.  Kernel vectors
+    are sparse over column indices, one per dependent column in column
+    order; the one for column j is the unique kernel vector supported on j
+    and the earlier independent columns, scaled so that its first entry is
+    1.  Each comes as a pair (den, ints): the vector is ints / den, with
+    integer entries ints and den > 0.
     """
     shift = 1 + max((max(col) for col in columns if col), default=-1)
     ech = Echelon()
     kernel = []
     for j, col in enumerate(columns):
         # column j, augmented by a unit coordinate past every row index that
-        # records which columns the reduced vector combines (den times both)
-        den, v = integer_terms(col)
-        v[shift + j] = den
+        # records which columns the reduced vector combines
+        v = dict(col)
+        v[shift + j] = 1
         v = ech._reduce(v)
         p = min(v)
         if p < shift:
             ech.rows[p] = _primitive(v)
         else:
-            lead = v[p]
-            kernel.append({c - shift: Fraction(x, lead) for c, x in v.items()})
+            s = -1 if v[p] < 0 else 1
+            kernel.append((s * v[p], {c - shift: s * x for c, x in v.items()}))
     return kernel

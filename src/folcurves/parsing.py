@@ -274,7 +274,7 @@ def _mul(a, b):
     _check_degree((a.degree if a_poly else a.coefficient_degree)
                   + (b.degree if b_poly else b.coefficient_degree))
     if a_poly and b_poly:
-        _check_terms(len(a._support()) * len(b._support()), a.degree + b.degree)
+        _check_terms(len(a._cleared[1]) * len(b._cleared[1]), a.degree + b.degree)
         return a * b
     if a_poly:
         return b.scale_by_polynomial(a)

@@ -5,16 +5,15 @@ in degrevlex: total degree first, ties broken so that the rightmost nonzero
 entry of the exponent difference decides (larger key means larger monomial).
 A homogeneous polynomial is a degree tag plus a sparse map from monomials of
 that degree to nonzero rationals; the zero polynomial keeps its degree tag
-so that graded maps stay well typed.  It carries the map in its cleared
-integer form (den, ints): den is the lcm of the denominators and ints the
-coefficients times den, so gcd(den, ints) = 1 and the form is canonical.
-Arithmetic makes and reads that form in Python ints; every sum of products
-(a product itself, wedges and contractions of forms, composed resolution
-maps) is accumulated by one kernel, sum_of_products, under one common
-denominator.  The public terms, a map to Fractions, is built from the form
-on its first read and kept.  integer_terms is the one helper that clears
-denominators: of a polynomial built from Fractions, on its first use, and
-in the elimination engine and Groebner division.
+so that graded maps stay well typed.  It carries the map only in its
+cleared integer form (den, ints): den is the lcm of the denominators and
+ints the coefficients times den, so gcd(den, ints) = 1 and the form is
+canonical.  The constructor clears the rationals it is given at once, with
+integer_terms; everything else makes and reads the form in Python ints.
+Every sum of products (a product itself, wedges and contractions of forms,
+composed resolution maps) is accumulated by one kernel, sum_of_products,
+under one common denominator.  The public terms, a map to Fractions, is
+built from the form on each read and not kept.
 
 The tuple helpers here (degree, product, degrevlex key, string) serve
 polynomial arithmetic and printing.  Divisibility, lcm and quotients of
@@ -105,12 +104,8 @@ def graded_piece_dimension(k: int) -> int:
 class HomogeneousPolynomial:
     """Sparse homogeneous polynomial with exact rational coefficients."""
 
-    # The coefficients in one or both of two forms, with the same keys in
-    # the same order: _cleared, the canonical (den, ints) that arithmetic
-    # makes and reads, and _terms, the Fractions, built on the first read of
-    # terms.  A polynomial built from Fractions (the constructor, _raw) is
-    # cleared on its first use, once.
-    __slots__ = ("degree", "_terms", "_cleared")
+    # The coefficients in their canonical cleared form (den, ints).
+    __slots__ = ("degree", "_cleared")
 
     def __init__(self, degree: int, terms=None):
         clean = {}
@@ -126,40 +121,20 @@ class HomogeneousPolynomial:
                     )
                 clean[m] = c
         _set_degree(self, degree)
-        _set_terms(self, clean)
-        _set_cleared(self, None)
+        _set_cleared(self, integer_terms(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("HomogeneousPolynomial is immutable")
 
-    @classmethod
-    def _raw(cls, degree: int, terms: dict) -> "HomogeneousPolynomial":
-        """Wrap terms, nonzero Fractions on monomials of the given degree,
-        without checking or copying them."""
-        out = _new(cls)
-        _set_degree(out, degree)
-        _set_terms(out, terms)
-        _set_cleared(out, None)
-        return out
-
     @property
     def terms(self) -> dict:
         """The nonzero coefficients, Fractions keyed by monomial."""
-        terms = self._terms
-        if terms is None:
-            den, ints = self._cleared
-            terms = {m: Fraction(c, den) for m, c in ints.items()}
-            _set_terms(self, terms)
-        return terms
-
-    def _support(self) -> dict:
-        """A coefficient dict already built; both forms have the same keys."""
-        cleared = self._cleared
-        return self._terms if cleared is None else cleared[1]
+        den, ints = self._cleared
+        return {m: Fraction(c, den) for m, c in ints.items()}
 
     @classmethod
     def zero(cls, degree: int = 0) -> "HomogeneousPolynomial":
-        return cls(degree, {})
+        return _wrap(degree, 1, {})
 
     @classmethod
     def from_term(cls, mono: Monomial, coeff=1) -> "HomogeneousPolynomial":
@@ -176,27 +151,24 @@ class HomogeneousPolynomial:
         return _wrap(0, den, {ONE_MONO: num} if num else {})
 
     def is_zero(self) -> bool:
-        return not self._support()
+        return not self._cleared[1]
 
     def __bool__(self) -> bool:
-        return bool(self._support())
+        return bool(self._cleared[1])
 
     def sorted_terms(self):
         """Terms as (monomial, coefficient) pairs, descending degrevlex."""
         return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
 
     def lead_monomial(self) -> Monomial:
-        support = self._support()
-        if not support:
+        ints = self._cleared[1]
+        if not ints:
             raise ValueError("zero polynomial has no lead monomial")
-        return max(support, key=degrevlex_key)
+        return max(ints, key=degrevlex_key)
 
     def lead_coefficient(self) -> Fraction:
-        m = self.lead_monomial()
-        if self._terms is not None:
-            return self._terms[m]
         den, ints = self._cleared
-        return Fraction(ints[m], den)
+        return Fraction(ints[self.lead_monomial()], den)
 
     def __add__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
         return _combine(self, other, 1)
@@ -205,14 +177,14 @@ class HomogeneousPolynomial:
         return _combine(self, other, -1)
 
     def __neg__(self) -> "HomogeneousPolynomial":
-        den, ints = _cleared(self)
+        den, ints = self._cleared
         return _wrap(self.degree, den, {m: -c for m, c in ints.items()})
 
     def scale(self, c) -> "HomogeneousPolynomial":
         num, q = _ratio(c)
         if not num:
             return _wrap(self.degree, 1, {})
-        den, ints = _cleared(self)
+        den, ints = self._cleared
         d, f, g = _scaling(den, ints, num, q)
         return _wrap(self.degree, d, {m: c // g * f for m, c in ints.items()})
 
@@ -221,7 +193,7 @@ class HomogeneousPolynomial:
         degree = self.degree + mono_degree(mono)
         if not num:
             return _wrap(degree, 1, {})
-        den, ints = _cleared(self)
+        den, ints = self._cleared
         d, f, g = _scaling(den, ints, num, q)
         e0, e1, e2, e3 = mono
         return _wrap(degree, d, {(m[0] + e0, m[1] + e1, m[2] + e2, m[3] + e3): c // g * f
@@ -259,7 +231,7 @@ class HomogeneousPolynomial:
         return out
 
     def monic(self) -> "HomogeneousPolynomial":
-        den, ints = _cleared(self)
+        den, ints = self._cleared
         if not ints:
             return self
         # each c/den over the lead coefficient lc/den is c/lc
@@ -267,7 +239,7 @@ class HomogeneousPolynomial:
 
     def partial(self, i: int) -> "HomogeneousPolynomial":
         """Partial derivative with respect to z_i."""
-        den, ints = _cleared(self)
+        den, ints = self._cleared
         res = {}
         for m, c in ints.items():
             e = m[i]
@@ -280,17 +252,14 @@ class HomogeneousPolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomogeneousPolynomial):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        if self._cleared is not None and other._cleared is not None:
-            return self._cleared == other._cleared  # canonical forms
-        return self.terms == other.terms
+        return self.degree == other.degree and self._cleared == other._cleared
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
+        den, ints = self._cleared
+        return hash((self.degree, den, frozenset(ints.items())))
 
     def __str__(self) -> str:
-        den, ints = _cleared(self)
+        den, ints = self._cleared
         if not ints:
             return "0"
         parts = []
@@ -318,7 +287,6 @@ class HomogeneousPolynomial:
 
 _new = object.__new__
 _set_degree = HomogeneousPolynomial.degree.__set__
-_set_terms = HomogeneousPolynomial._terms.__set__
 _set_cleared = HomogeneousPolynomial._cleared.__set__
 
 
@@ -326,7 +294,6 @@ def _wrap(degree: int, den: int, ints: dict) -> HomogeneousPolynomial:
     """The polynomial of the canonical cleared form (den, ints), not copied."""
     out = _new(HomogeneousPolynomial)
     _set_degree(out, degree)
-    _set_terms(out, None)
     _set_cleared(out, (den, ints))
     return out
 
@@ -355,17 +322,6 @@ def _gcd_with(g: int, values) -> int:
     return g
 
 
-def _cleared(p: HomogeneousPolynomial):
-    """p's cleared form (den, ints).  A polynomial built from Fractions is
-    cleared by integer_terms on the first call, and the result is kept: a
-    factor that meets several partners is cleared once."""
-    out = p._cleared
-    if out is None:
-        out = integer_terms(p._terms)
-        _set_cleared(p, out)
-    return out
-
-
 def _ratio(c):
     """(numerator, denominator) of a scalar: an int, a Fraction or anything
     Fraction() takes."""
@@ -388,8 +344,8 @@ def _combine(a: HomogeneousPolynomial, b: HomogeneousPolynomial, sign: int):
     """a + sign * b, for sign 1 or -1."""
     if a.degree != b.degree:
         raise DegreeMismatchError(f"cannot add degree {a.degree} and degree {b.degree}")
-    da, ta = _cleared(a)
-    db, tb = _cleared(b)
+    da, ta = a._cleared
+    db, tb = b._cleared
     den = da if da == db else lcm(da, db)
     sa, sb = den // da, sign * (den // db)
     acc = dict(ta) if sa == 1 else {m: c * sa for m, c in ta.items()}
@@ -412,22 +368,16 @@ def power_bounds(p: HomogeneousPolynomial, n: int):
     and coefficient_bits bounds its coefficients.  terms * terms * bits
     estimates its work, the term products of one multiplication, each on
     coefficients of up to bits bits."""
-    den, ints = _cleared(p)
+    den, ints = p._cleared
     terms = min(comb(len(ints) + n - 1, n) if ints else 1,
                 graded_piece_dimension(n * p.degree))
     return terms, coefficient_bits(sum(abs(c) for c in ints.values()), den, n)
 
 
-_INT = frozenset((int,))
-
-
 def integer_terms(coeffs: dict):
     """(den, int_terms): the values of coeffs (Fractions or ints) times den,
     the lcm of their denominators, as ints on the same keys in the same
-    order, in a new dict.  An empty dict gives (1, {}); a dict of ints is
-    copied as it is, with no pass over denominators."""
-    if set(map(type, coeffs.values())) <= _INT:
-        return 1, dict(coeffs)
+    order, in a new dict.  An empty dict gives (1, {})."""
     den = lcm(*[c.denominator for c in coeffs.values()])
     if den == 1:  # integral values
         return 1, {k: c.numerator for k, c in coeffs.items()}
@@ -453,8 +403,8 @@ def sum_of_products(pairs) -> HomogeneousPolynomial:
             raise DegreeMismatchError(
                 f"cannot add degree {degree} and degree {a.degree + b.degree}"
             )
-        da, a_terms = _cleared(a)
-        db, b_terms = _cleared(b)
+        da, a_terms = a._cleared
+        db, b_terms = b._cleared
         d = da * db
         if den % d:  # the common denominator grows: rescale what is summed so far
             grown = lcm(den, d)

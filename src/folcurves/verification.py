@@ -60,7 +60,6 @@ from .linalg import Echelon
 from .monad import instanton_monad, monad_regularity_bound
 from .polyring import (
     HomogeneousPolynomial,
-    _cleared,
     _from_integers,
     monomials_of_degree,
     parse_polynomial,
@@ -179,7 +178,7 @@ _REFERENCE_SYZYGIES = [
 def _syzygy_vector(tup, weights, target):
     """Flatten a syzygy tuple into one integer coordinate vector, a
     positive multiple of its coefficients (which keeps every rank)."""
-    cleared = [_cleared(poly) for poly in tup]
+    cleared = [poly._cleared for poly in tup]
     den = lcm(*(d for d, _ in cleared))
     vec = {}
     offset = 0

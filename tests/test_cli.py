@@ -90,6 +90,21 @@ def test_syzygy_command(capsys):
     assert payload["dimension"] == 8
 
 
+def test_syzygy_json_columns_are_pinned(capsys):
+    """The column text of syzygy --json: each kernel vector over rational
+    row entries, written in lowest terms."""
+    code, out, _ = run(capsys, ["syzygy", "1/2*x+y,3/7*z^2,t", "1,2,1", "3", "--json"])
+    assert code == 0
+    assert json.loads(out) == {"flags": [], "payload": {"columns": [
+        ["z2^2", "-7/6*z0 - 7/3*z1", "0"],
+        ["z0*z3", "0", "-1/2*z0^2 - z0*z1"],
+        ["z0*z3 - 2*z1*z3", "0", "-1/2*z0^2 + 2*z1^2"],
+        ["z2*z3", "0", "-1/2*z0*z2 - z1*z2"],
+        ["0", "z3", "-3/7*z2^2"],
+        ["z3^2", "0", "-1/2*z0*z3 - z1*z3"],
+    ], "dimension": 6}, "status": "ok"}
+
+
 def test_chi_command(capsys):
     code, out, _ = run(capsys, ["chi", "2", "0", "1", "0", "1", "--json"])
     assert code == 0
@@ -249,6 +264,16 @@ def test_syzygy_refuses_a_degree_over_the_column_cap_quickly(capsys):
     assert code == 0 and json.loads(out)["payload"]["dimension"] == 364
     code, _, _ = run(capsys, ["syzygy", "x,y", "1,1", "14"])
     assert code == 2
+
+
+def test_syzygy_refuses_a_degree_over_the_row_cap_quickly(capsys):
+    # one column, but the target piece S_1000 has 167668501 rows
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["syzygy", "z0^1000", "1000", "1000"])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert err.startswith("error: graded_syzygies, degree 1000: 167668501 rows exceed")
+    assert len(err.splitlines()) == 1
 
 
 def test_cohomology_refuses_a_range_over_the_cap_quickly(capsys):

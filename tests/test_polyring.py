@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from folcurves import parsing, polyring
+from folcurves import linalg, parsing, polyring
 from folcurves.errors import (
     DegreeMismatchError,
     FolcurvesError,
@@ -173,7 +173,7 @@ def _former_sum_of_products(pairs) -> HomogeneousPolynomial:
                 acc[m] = acc.get(m, 0) + c1 * c2
     if degree is None:
         raise ValueError("an empty sum of products has no degree")
-    return HomogeneousPolynomial._raw(degree, {m: c for m, c in acc.items() if c})
+    return HomogeneousPolynomial(degree, {m: c for m, c in acc.items() if c})
 
 
 _MIXED = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(7, 12), Fraction(-3, 4),
@@ -234,26 +234,28 @@ def test_integer_terms_clears_denominators_by_their_lcm():
 
 
 def test_sum_of_products_clears_each_factor_once(monkeypatch):
-    """Every factor met in several sums is cleared by integer_terms once, and
-    its kept integer terms stay those of its coefficients."""
+    """Every factor met in several sums is cleared by integer_terms at most
+    once, when it is built, and never by a sum; its integer terms stay
+    those of its coefficients."""
     real = polyring.integer_terms
     calls = []
     monkeypatch.setattr(polyring, "integer_terms", lambda coeffs: calls.append(1) or real(coeffs))
     rng = Random(24)
     fs = [_random_rational_poly(rng, rng.randint(0, 2)) for _ in range(6)]
-    for f in fs:
-        for g in fs:
-            triples = [(1, f, g), (-1, g, f), (2, f, g)]
-            assert sum_of_products(triples) == _former_sum_of_products(triples)
-    assert len(calls) == len(fs)
-    assert all(polyring._cleared(f) == real(f.terms) for f in fs)
+    built = len(calls)
+    assert 0 < built <= len(fs)
+    triples = [[(1, f, g), (-1, g, f), (2, f, g)] for f in fs for g in fs]
+    sums = [sum_of_products(t) for t in triples]
+    assert len(calls) == built
+    assert sums == [_former_sum_of_products(t) for t in triples]
+    assert all(f._cleared == real(f.terms) for f in fs)
 
 
 # ---------------------------------------------------------------------------
 # the cleared integer form against the former Fraction methods of
 # HomogeneousPolynomial, copied verbatim as module functions; only the calls
-# between them are renamed (is_zero and sorted_terms inlined), so that no
-# oracle runs the new code
+# between them are renamed (is_zero and sorted_terms inlined), and the
+# removed _raw is the constructor, so that no oracle runs the new arithmetic
 
 
 def _fraction_add(self, other):
@@ -264,7 +266,7 @@ def _fraction_add(self, other):
     acc = dict(self.terms)
     for m, c in other.terms.items():
         acc[m] = acc.get(m, 0) + c
-    return HomogeneousPolynomial._raw(self.degree, {m: c for m, c in acc.items() if c})
+    return HomogeneousPolynomial(self.degree, {m: c for m, c in acc.items() if c})
 
 
 def _fraction_sub(self, other):
@@ -272,20 +274,20 @@ def _fraction_sub(self, other):
 
 
 def _fraction_neg(self):
-    return HomogeneousPolynomial._raw(
+    return HomogeneousPolynomial(
         self.degree, {m: -c for m, c in self.terms.items()})
 
 
 def _fraction_scale(self, c):
     c = Fraction(c)
-    return HomogeneousPolynomial._raw(
+    return HomogeneousPolynomial(
         self.degree, {m: v * c for m, v in self.terms.items()} if c else {})
 
 
 def _fraction_multiply_monomial(self, mono, coeff=1):
     coeff = Fraction(coeff)
     terms = {mono_mul(m, mono): c * coeff for m, c in self.terms.items()} if coeff else {}
-    return HomogeneousPolynomial._raw(self.degree + mono_degree(mono), terms)
+    return HomogeneousPolynomial(self.degree + mono_degree(mono), terms)
 
 
 def _fraction_lead_monomial(self):
@@ -347,12 +349,12 @@ def _fraction_str(self):
 
 
 def _as_fractions(p):
-    """p built again from its Fractions: held only as terms until cleared."""
-    return HomogeneousPolynomial._raw(p.degree, dict(p.terms))
+    """p built again from its Fractions, cleared by the constructor."""
+    return HomogeneousPolynomial(p.degree, dict(p.terms))
 
 
 def _as_cleared(p):
-    """p built again in its cleared form only, its Fractions not yet built."""
+    """p built again from its cleared form, by _from_integers."""
     den, ints = integer_terms(p.terms)
     return polyring._from_integers(p.degree, den, ints)
 
@@ -362,7 +364,7 @@ def _assert_same(new, old):
     canonical cleared form, str, lead coefficient, terms in the same order
     as Fractions, equality both ways and across forms, and the hash."""
     assert new.degree == old.degree
-    (den, ints), (old_den, old_ints) = polyring._cleared(new), integer_terms(old.terms)
+    (den, ints), (old_den, old_ints) = new._cleared, integer_terms(old.terms)
     assert den == old_den and list(ints.items()) == list(old_ints.items())
     assert str(new) == _fraction_str(old)
     assert bool(new) == bool(old.terms) and new.is_zero() == (not old.terms)
@@ -374,7 +376,7 @@ def _assert_same(new, old):
     assert list(new.terms.items()) == list(old.terms.items())
     assert all(type(c) is Fraction for c in new.terms.values())
     assert new == old and old == new and new == _as_fractions(old)
-    assert hash(new) == hash((new.degree, frozenset(new.terms.items()))) == hash(old)
+    assert hash(new) == hash(old) == hash(_as_fractions(old)) == hash(_as_cleared(old))
 
 
 def _operands(rng, count):
@@ -405,7 +407,7 @@ def test_cleared_arithmetic_matches_the_former_fraction_methods():
                 i = rng.randrange(4)
                 _assert_same(form.partial(i), _fraction_partial(p, i))
                 _assert_same(form.monic(), _fraction_monic(p))
-                seen.add((bool(p), polyring._cleared(p)[0] > 1))
+                seen.add((bool(p), p._cleared[0] > 1))
         for p in inputs:
             for q in inputs:
                 for a, b in ((_as_fractions(p), _as_cleared(q)), (_as_cleared(p), _as_cleared(q)),
@@ -503,17 +505,25 @@ def _columns(rows, ncols=None):
     return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
 
 
+def _cleared_vector(vec):
+    """vec, a sparse vector of ints or Fractions, times the lcm of its
+    denominators: the integer vector Echelon takes, of the same rank."""
+    den = lcm(*(Fraction(x).denominator for x in vec.values()))
+    return {i: int(x * den) for i, x in vec.items()}
+
+
 def _rank(vectors):
     ech = Echelon()
     for vec in vectors:
-        ech.insert(vec)
+        ech.insert(_cleared_vector(vec))
     return ech.rank
 
 
 def test_kernel_identity_and_single_row():
     identity = [[int(i == j) for j in range(3)] for i in range(3)]
     assert kernel_of_columns(_columns(identity)) == []
-    assert kernel_of_columns(_columns([[1, 1]])) == [{0: Fraction(1), 1: Fraction(-1)}]
+    assert kernel_of_columns(_columns([[1, 1]])) == [(1, {0: 1, 1: -1})]
+    assert kernel_of_columns(_columns([[2, 3]])) == [(3, {0: 3, 1: -2})]  # (1, -2/3)
 
 
 def _bareiss_rank(rows):
@@ -553,7 +563,8 @@ def test_kernel_of_random_matrix_matches_bareiss():
         assert _rank(columns) == rank
         basis = kernel_of_columns(columns)
         assert len(basis) == 8 - rank
-        for vec in basis:
+        for den, vec in basis:
+            assert den > 0 and vec[min(vec)] == den  # the first entry is 1
             for row in rows:
                 assert sum(row[j] * v for j, v in vec.items()) == 0
 
@@ -629,46 +640,44 @@ def test_integer_engine_matches_the_fraction_engine():
             for row in rows:
                 row[j] = 0
         columns = _columns(rows, ncols)
-        kernel = kernel_of_columns(columns)
-        # the oracle expects Fraction entries, as every caller supplied them
-        exact = [{i: Fraction(x) for i, x in col.items()} for col in columns]
-        assert kernel == _fraction_kernel_of_columns(exact)
-        assert all(type(x) is Fraction for vec in kernel for x in vec.values())
+        # the integer engine takes the matrix cleared under one denominator,
+        # which keeps its kernel; the oracle takes its Fraction entries
         den = lcm(*(Fraction(x).denominator for row in rows for x in row))
+        cleared = _columns([[int(x * den) for x in row] for row in rows], ncols)
+        kernel = kernel_of_columns(cleared)
+        exact = [{i: Fraction(x) for i, x in col.items()} for col in columns]
+        assert [{i: Fraction(x, d) for i, x in vec.items()} for d, vec in kernel] == (
+            _fraction_kernel_of_columns(exact))
+        assert all(type(d) is int and d > 0 and type(x) is int
+                   for d, vec in kernel for x in vec.values())
         rank = _bareiss_rank([[int(x * den) for x in row] for row in rows])
         assert _rank(columns) == rank == ncols - len(kernel)
         ech = Echelon()
-        for k, col in enumerate(columns):
+        for k, col in enumerate(cleared):
             before = ech.rank
             assert (ech.insert(col) is None) == (_rank(columns[:k + 1]) == before)
 
 
-def test_integer_vectors_are_copied_without_a_denominator_pass(monkeypatch):
-    """integer_terms copies a dict of ints as it is, with den 1 and no lcm
-    over denominators; Echelon.insert and kernel_of_columns, which reduce
-    that copy in place, leave the caller's vectors as they were and agree
-    with the same vectors given as Fractions."""
-    passes = []
-    real_lcm = polyring.lcm
-    monkeypatch.setattr(polyring, "lcm", lambda *args: passes.append(args) or real_lcm(*args))
-    ints = {3: 4, 0: -6, 7: 2}
-    den, out = integer_terms(ints)
-    assert (den, out) == (1, ints) and list(out) == list(ints) and out is not ints
-    assert integer_terms({}) == (1, {}) and passes == []
-    assert integer_terms({0: 2, 1: Fraction(1, 2)}) == (2, {0: 4, 1: 1}) and len(passes) == 1
+def test_integer_vectors_are_copied_without_a_denominator_pass():
+    """Echelon.insert and kernel_of_columns copy the caller's integer
+    vectors, reduce the copies in place and leave the vectors as they were;
+    they agree with the same vectors given to the Fraction oracle.  linalg
+    has nothing to clear denominators or build Fractions with."""
+    assert not {"Fraction", "integer_terms", "lcm"} & set(vars(linalg))
     rng = Random(29)
     for _ in range(40):
         vectors = [{i: rng.randint(-4, 4) or 1 for i in rng.sample(range(6), rng.randint(1, 4))}
                    for _ in range(rng.randint(1, 8))]
         copies = [dict(v) for v in vectors]
-        exact = [{i: Fraction(x) for i, x in v.items()} for v in vectors]
-        passes.clear()
-        ech, ech_exact = Echelon(), Echelon()
-        assert [ech.insert(v) for v in vectors] == [ech_exact.insert(v) for v in exact]
-        assert kernel_of_columns(vectors) == kernel_of_columns(exact)
+        ech = Echelon()
+        pivots = [ech.insert(v) for v in vectors]
+        kernel = kernel_of_columns(vectors)
         assert vectors == copies
-        # the Fraction vectors took one lcm pass each, twice; the ints none
-        assert len(passes) == 2 * len(vectors)
+        exact = [{i: Fraction(x) for i, x in v.items()} for v in vectors]
+        assert [{i: Fraction(x, d) for i, x in vec.items()} for d, vec in kernel] == (
+            _fraction_kernel_of_columns(exact))
+        assert [p is not None for p in pivots] == [
+            _rank(vectors[:k + 1]) > _rank(vectors[:k]) for k in range(len(vectors))]
 
 
 def test_partial_derivative():
