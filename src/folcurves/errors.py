@@ -18,7 +18,9 @@ class DegreeMismatchError(FolcurvesError):
 
 
 class ResourceLimitError(FolcurvesError):
-    """A configurable work cap (pair queue, truncation degree) was exceeded."""
+    """A work cap was exceeded (S-pairs, terms, coefficient bits, total
+    degree, piece dimensions, twist range, regularity bound, sample redraws),
+    or an audit of a resolution or a Rao profile failed."""
 
 
 class NotACurveError(FolcurvesError):

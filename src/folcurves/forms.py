@@ -30,6 +30,7 @@ from .polyring import (
     NVARS,
     HomogeneousPolynomial,
     _from_integers,
+    _signed_sum,
     monomials_of_degree,
     sum_of_products,
 )
@@ -152,8 +153,6 @@ class TwistedForm:
         if self.form_degree == 0:
             poly = self.coefficients.get((), HomogeneousPolynomial.zero(self.coefficient_degree))
             return str(poly)
-        if not self.coefficients:
-            return "0"
         parts = []
         for idx in sorted(self.coefficients, reverse=True):
             poly = self.coefficients[idx]
@@ -168,11 +167,7 @@ class TwistedForm:
             else:
                 sign, body = "+", f"({poly})*{covector}"
             parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"TwistedForm({self})"

@@ -90,8 +90,8 @@ image once its degree is checked.  When hilbert_numerator() is
 prod(1 - t^d_i) over the r given generators, dim S/I = 4 - r, so they are a
 regular sequence; their Koszul complex is the minimal resolution, and layer
 L stops at the sum of the L largest d_i.  Each target is met by both the
-kernel length and the rank, a dimension audit over all degrees up to the
-truncation bound cross-checks the result, and a complete intersection's
+kernel length and the rank, a dimension audit over all degrees up to
+regularity_bound() + 6 cross-checks the result, and a complete intersection's
 twists are checked against its Koszul complex's.  Rao profiles
 eliminate over the same degree matrices, taken on transposed differentials,
 each until its rank reaches the dimension of the codomain piece, and
@@ -119,6 +119,7 @@ from .polyring import (
     MAX_DEGREE,
     NVARS,
     _from_integers,
+    _signed_sum,
     degrevlex_key,
     graded_piece_dimension,
     sum_of_products,
@@ -359,12 +360,13 @@ def _ci_numerator(degrees) -> dict:
 
 
 def _ci_hilbert_function(numerator, d: int) -> int:
-    """Coefficient of t^d in numerator / (1 - t)^4, for the _ci_numerator of
-    some degrees.
+    """Coefficient of t^d in numerator / (1 - t)^4: dim (S/I)_d for the
+    hilbert_numerator of I.
 
-    It is dim (S/I)_d when forms of these degrees are a regular sequence,
-    and a lower bound for it whenever at most four forms of these degrees
-    generate I (see the module docstring).
+    For the _ci_numerator of some degrees it is dim (S/I)_d when forms of
+    these degrees are a regular sequence, and a lower bound for it whenever
+    at most four forms of these degrees generate I (see the module
+    docstring).
     """
     return sum(c * graded_piece_dimension(d - a) for a, c in numerator.items())
 
@@ -635,36 +637,18 @@ def _binomial_poly(i: int) -> tuple:
 
 
 class HilbertPolynomial:
-    """Polynomial in t stored in the binomial basis C(t+i, i); its power
+    """Polynomial in t stored in the binomial basis C(t+i, i), whose
+    coefficients are integers for every Hilbert polynomial; its power
     coefficients are kept once known."""
 
-    __slots__ = ("coeffs", "stable_from", "_power")
+    __slots__ = ("coeffs", "_power")
 
-    def __init__(self, binomial_coeffs, stable_from: int = 0):
-        coeffs = [Fraction(c) for c in binomial_coeffs]
+    def __init__(self, binomial_coeffs):
+        coeffs = list(binomial_coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-        self.stable_from = stable_from
         self._power = None
-
-    @classmethod
-    def from_power_coeffs(cls, power, stable_from: int = 0) -> "HilbertPolynomial":
-        power = [Fraction(c) for c in power]
-        while power and power[-1] == 0:
-            power.pop()
-        kept = tuple(power) or (Fraction(0),)
-        binom = []
-        for i in range(len(power) - 1, -1, -1):
-            b = power[i] * factorial(i)
-            base = _binomial_poly(i)
-            for k in range(i + 1):
-                power[k] -= b * base[k]
-            binom.append(b)
-        binom.reverse()
-        out = cls(binom, stable_from)
-        out._power = kept
-        return out
 
     def power_coeffs(self):
         if self._power is None:
@@ -702,7 +686,7 @@ class HilbertPolynomial:
         parts = []
         for k in range(len(power) - 1, -1, -1):
             c = power[k]
-            if c == 0 and not (k == 0 and len(power) == 1):
+            if c == 0:
                 continue
             mono = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
             if mono and abs(c) == 1:
@@ -712,13 +696,7 @@ class HilbertPolynomial:
             else:
                 body = str(abs(c))
             parts.append(("-" if c < 0 else "+", body))
-        if not parts:
-            return "0"
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"HilbertPolynomial({self})"
@@ -824,27 +802,26 @@ class GradedIdeal:
 
     def hilbert_function(self, k: int) -> int:
         """dim (S/I)_k, exact in every degree."""
-        total = 0
-        for a, c in self.hilbert_numerator().items():
-            if k - a >= 0:
-                total += c * comb(k - a + 3, 3)
-        return total
+        return _ci_hilbert_function(self.hilbert_numerator(), k)
 
     def hilbert_polynomial(self) -> HilbertPolynomial:
         """The Hilbert polynomial of S/I, computed on the first call and
-        kept."""
+        kept.
+
+        Write the numerator sum_a c_a t^a in powers of 1 - t, by
+        t^a = sum_j C(a, j) (-1)^j (1-t)^j.  Over (1-t)^4 the terms j >= 4
+        leave a polynomial, which moves finitely many degrees only, and
+        the coefficient of t^k in 1/(1-t)^(i+1) is C(k+i, i).  So for
+        large k, dim (S/I)_k = sum_i b_i C(k+i, i) with the integers
+        b_i = (-1)^(3-i) sum_a c_a C(a, 3-i), i = 0..3.
+        """
         if self._hilbert is None:
             num = self.hilbert_numerator()
             if not num:  # only the unit ideal has HS(S/I) = 0
                 raise ValueError("the unit ideal has no Hilbert polynomial")
-            power = [0] * 4  # six times the power coefficients, in ints
-            for a, c in num.items():
-                shifted = _shifted_cubic(a)
-                for k in range(4):
-                    power[k] += c * shifted[k]
-            stable = max(num, default=0) - 3
-            self._hilbert = HilbertPolynomial.from_power_coeffs(
-                [Fraction(p, 6) for p in power], stable_from=stable)
+            self._hilbert = HilbertPolynomial(
+                (-1) ** (3 - i) * sum(c * comb(a, 3 - i) for a, c in num.items())
+                for i in range(4))
         return self._hilbert
 
     def regularity_bound(self) -> int:
@@ -859,20 +836,6 @@ class GradedIdeal:
         return f"GradedIdeal({gens})"
 
 
-@lru_cache(maxsize=None)
-def _shifted_cubic(a: int) -> tuple:
-    """Power-basis coefficients of 6 * C(t - a + 3, 3), ints."""
-    coeffs = [1]
-    for j in (1, 2, 3):
-        shift = j - a
-        nxt = [0] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] += c * shift
-            nxt[k + 1] += c
-        coeffs = nxt
-    return tuple(coeffs)
-
-
 def hilbert_polynomial(ideal: GradedIdeal) -> HilbertPolynomial:
     return ideal.hilbert_polynomial()
 
@@ -884,11 +847,8 @@ def curve_invariants(ideal: GradedIdeal):
         raise NotACurveError(
             f"Hilbert polynomial {P} has degree {P.degree()}, expected 1"
         )
-    power = P.power_coeffs()
-    a, b = power[1], power[0]
-    if a.denominator != 1 or b.denominator != 1:
-        raise NotACurveError("non-integral Hilbert polynomial")
-    return int(a), 1 - int(b)
+    b0, b1 = P.coeffs  # P(t) = b0 + b1 (t + 1)
+    return b1, 1 - b0 - b1
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +947,8 @@ def _element(vec, basis, twists, degree, den):
 
 @dataclass
 class FreeResolution:
-    """Truncated minimal graded free resolution of S/I.
+    """Minimal graded free resolution of S/I; each layer stops at a proven
+    last degree, and bound only limits the final dimension audit.
 
     twists[i] lists the signed twists b with F_i = (+) S(b); twists[0] = [0].
     differentials[i] holds the columns of d_{i+1} : F_{i+1} -> F_i, each a
@@ -1063,8 +1024,7 @@ def _koszul_degrees(ideal: GradedIdeal):
 
 
 def minimal_free_resolution(ideal: GradedIdeal) -> FreeResolution:
-    """Minimal graded free resolution of S/I, complete in degrees <= bound,
-    bound = regularity_bound() + 6.
+    """Minimal graded free resolution of S/I.
 
     Layer L of the loop looks for generators up to a last degree, and runs
     its image check one degree further as a safety margin, where a missing
@@ -1079,10 +1039,12 @@ def minimal_free_resolution(ideal: GradedIdeal) -> FreeResolution:
       - for a complete intersection (_koszul_degrees), the sum of the L
         largest degrees: the Koszul complex of a regular sequence is its
         minimal resolution, so the twists of F_L are the sums of L degrees.
+        That sum never exceeds regb + L, as reg(S/I) = sum(d_i - 1) <=
+        regb, so every Koszul twist is at most bound.
     For a complete intersection the computed twists are then checked
-    against the Koszul complex's up to the bound; a mismatch raises
-    CrossCheckFailureError naming its layer.  An alternating sum that
-    misses H(e) in some degree e <= bound raises ResourceLimitError naming
+    against the Koszul complex's; a mismatch raises CrossCheckFailureError
+    naming its layer.  An alternating sum that misses H(e) in some degree
+    e <= bound = regularity_bound() + 6 raises ResourceLimitError naming
     the first such e.
     """
     if ideal.is_unit_ideal():
@@ -1106,6 +1068,8 @@ def minimal_free_resolution(ideal: GradedIdeal) -> FreeResolution:
         if layer == 1:
             last = min(regb + 1, maxdeg)
         elif koszul is not None:
+            # the sum is at most regb + layer unless regb is wrong, which
+            # the safety margin then reports
             last = min(regb + layer, sum(koszul[:layer]))
         else:
             last = regb + layer
@@ -1189,7 +1153,7 @@ def minimal_free_resolution(ideal: GradedIdeal) -> FreeResolution:
             sums = [a + [s + d for s in b] for a, b in zip(sums + [[]], [[]] + sums)]
         for layer in range(1, max(len(res.twists), len(sums))):
             got = sorted(res.twists[layer]) if layer < len(res.twists) else []
-            want = sorted(-s for s in sums[layer] if s <= bound) if layer < len(sums) else []
+            want = sorted(-s for s in sums[layer]) if layer < len(sums) else []
             if got != want:
                 raise CrossCheckFailureError(
                     f"layer {layer}: twists {got} differ from the Koszul twists {want} "

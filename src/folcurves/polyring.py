@@ -260,8 +260,6 @@ class HomogeneousPolynomial:
 
     def __str__(self) -> str:
         den, ints = self._cleared
-        if not ints:
-            return "0"
         parts = []
         for m, c in sorted(ints.items(), key=lambda t: degrevlex_key(t[0]), reverse=True):
             sign = "-" if c < 0 else "+"
@@ -275,14 +273,19 @@ class HomogeneousPolynomial:
             else:
                 body = f"{coeff}*{mono_str(m)}"
             parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"HomogeneousPolynomial({self})"
+
+
+def _signed_sum(parts) -> str:
+    """The terms (sign, body), sign "+" or "-", written as a sum: "-a + b"
+    for [("-", "a"), ("+", "b")]; "0" for no terms."""
+    if not parts:
+        return "0"
+    (sign, body), rest = parts[0], parts[1:]
+    return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
 
 
 _new = object.__new__

@@ -2,8 +2,12 @@
 
 import json
 import time
+from fractions import Fraction
+
+import pytest
 
 from folcurves.cli import build_parser, main
+from folcurves.groebner import GradedIdeal
 
 WEDGE_ARGS = ["wedge", "z0*dz1 - z1*dz0", "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2"]
 
@@ -68,6 +72,40 @@ def test_json_outputs_are_deterministic(capsys):
     _, third, _ = run(capsys, ["classify", "3", "12", "--reduced", "--json"])
     _, fourth, _ = run(capsys, ["classify", "3", "12", "--reduced", "--json"])
     assert third == fourth
+
+
+# hilbert --json stdout for one ideal per dimension of S/I, recorded when the
+# Hilbert polynomial still went through its power coefficients, with the
+# polynomial's degree and leading coefficient
+HILBERT_JSON = {
+    "space": ("", 3, Fraction(1, 6),
+              '{"flags": [], "payload": {"binomial_coefficients": ["0", "0", "0", "1"], '
+              '"hilbert_polynomial": "1/6*t^3 + t^2 + 11/6*t + 1"}, "status": "ok"}\n'),
+    "plane": ("z0\n", 2, Fraction(1, 2),
+              '{"flags": [], "payload": {"binomial_coefficients": ["0", "0", "1"], '
+              '"hilbert_polynomial": "1/2*t^2 + 3/2*t + 1"}, "status": "ok"}\n'),
+    "twisted-cubic": ("z0*z2 - z1^2\nz1*z3 - z2^2\nz0*z3 - z1*z2\n", 1, 3,
+                      '{"flags": [], "payload": {"binomial_coefficients": ["-2", "3"], '
+                      '"curve": {"degree": 3, "genus": 0}, "hilbert_polynomial": "3*t + 1"}, '
+                      '"status": "ok"}\n'),
+    "double-point": ("z0\nz1\nz2^2\n", 0, 2,
+                     '{"flags": [], "payload": {"binomial_coefficients": ["2"], '
+                     '"hilbert_polynomial": "2"}, "status": "ok"}\n'),
+    "empty": ("z0\nz1\nz2\nz3\n", -1, 0,
+              '{"flags": [], "payload": {"binomial_coefficients": [], '
+              '"hilbert_polynomial": "0"}, "status": "ok"}\n'),
+}
+
+
+@pytest.mark.parametrize("name", list(HILBERT_JSON))
+def test_hilbert_json_is_pinned_in_every_dimension(capsys, tmp_path, name):
+    text, degree, leading, stdout = HILBERT_JSON[name]
+    path = tmp_path / "ideal.txt"
+    path.write_text(text)
+    assert run(capsys, ["hilbert", str(path), "--json"]) == (0, stdout, "")
+    P = GradedIdeal.from_file(path).hilbert_polynomial()
+    assert P.degree() == degree
+    assert P.leading_coefficient() == leading
 
 
 def test_hilbert_and_rao_from_file(capsys, tmp_path):

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from pathlib import Path
 from random import Random
 
@@ -620,13 +620,13 @@ def test_hilbert_polynomial_is_computed_once_per_ideal(monkeypatch, tmp_path, ca
     wedge --invariants --rao query each build one, though both read it
     twice (directly and through curve_invariants)."""
     built = []
-    real = groebner.HilbertPolynomial.from_power_coeffs.__func__
+    real = groebner.HilbertPolynomial.__init__
 
-    def record(cls, power, stable_from=0):
-        built.append(list(power))
-        return real(cls, power, stable_from)
+    def record(self, binomial_coeffs):
+        built.append(list(binomial_coeffs))
+        real(self, built[-1])
 
-    monkeypatch.setattr(groebner.HilbertPolynomial, "from_power_coeffs", classmethod(record))
+    monkeypatch.setattr(groebner.HilbertPolynomial, "__init__", record)
     path = tmp_path / "twisted.ideal"
     path.write_text("z0*z2 - z1^2\nz1*z3 - z2^2\nz0*z3 - z1*z2\n")
     assert cli.main(["hilbert", str(path)]) == 0
@@ -648,8 +648,8 @@ def test_hilbert_polynomial_is_computed_once_per_ideal(monkeypatch, tmp_path, ca
 def test_hilbert_formats_its_polynomial_once_from_kept_power_coefficients(
         monkeypatch, tmp_path, capsys):
     """A hilbert query formats the polynomial once, under --json too, and
-    the power coefficients kept from the Hilbert numerator are those the
-    binomial coefficients give."""
+    the power coefficients it keeps are those a polynomial rebuilt from the
+    binomial coefficients alone gives."""
     formatted = []
     real = groebner.HilbertPolynomial.__str__
     monkeypatch.setattr(groebner.HilbertPolynomial, "__str__",
@@ -663,9 +663,76 @@ def test_hilbert_formats_its_polynomial_once_from_kept_power_coefficients(
         formatted.clear()
     for ideal in _random_ideals(Random(45), 30):
         P = ideal.hilbert_polynomial()
-        fresh = groebner.HilbertPolynomial(P.coeffs, P.stable_from)
+        fresh = groebner.HilbertPolynomial(P.coeffs)
         assert P.power_coeffs() == fresh.power_coeffs()
         assert str(P) == real(fresh)
+
+
+# The Hilbert polynomial's former route: six times its power coefficients
+# from the numerator in ints, then the binomial coefficients from those in
+# Fractions.  _former_from_power_coeffs is the former
+# HilbertPolynomial.from_power_coeffs, returning its binomial and kept power
+# coefficients instead of a polynomial.
+
+
+@lru_cache(maxsize=None)
+def _shifted_cubic(a: int) -> tuple:
+    """Power-basis coefficients of 6 * C(t - a + 3, 3), ints."""
+    coeffs = [1]
+    for j in (1, 2, 3):
+        shift = j - a
+        nxt = [0] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            nxt[k] += c * shift
+            nxt[k + 1] += c
+        coeffs = nxt
+    return tuple(coeffs)
+
+
+def _former_from_power_coeffs(power):
+    power = [Fraction(c) for c in power]
+    while power and power[-1] == 0:
+        power.pop()
+    kept = tuple(power) or (Fraction(0),)
+    binom = []
+    for i in range(len(power) - 1, -1, -1):
+        b = power[i] * factorial(i)
+        base = groebner._binomial_poly(i)
+        for k in range(i + 1):
+            power[k] -= b * base[k]
+        binom.append(b)
+    binom.reverse()
+    return binom, kept
+
+
+def _former_hilbert_coefficients(num):
+    """The binomial and power coefficients of the former route."""
+    power = [0] * 4  # six times the power coefficients, in ints
+    for a, c in num.items():
+        shifted = _shifted_cubic(a)
+        for k in range(4):
+            power[k] += c * shifted[k]
+    return _former_from_power_coeffs([Fraction(p, 6) for p in power])
+
+
+def test_hilbert_polynomial_from_the_numerator_matches_the_former_route():
+    """Integer binomial coefficients straight from the numerator equal those
+    of the power-basis round trip, and so do the power coefficients, on the
+    whole hilbert pool and on 400 seeded random ideals."""
+    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
+                       / "hilbert_pool.json").read_text())["ideals"]
+    draws = Random(46)
+    ideals = ([_ideal(*entry["text"].splitlines()) for entry in pool]
+              + [verification._random_ideal(draws) for _ in range(400)])
+    degrees = set()
+    for ideal in ideals:
+        P = ideal.hilbert_polynomial()
+        binom, power = _former_hilbert_coefficients(ideal.hilbert_numerator())
+        assert all(type(b) is int for b in P.coeffs)
+        assert list(P.coeffs) == binom
+        assert P.power_coeffs() == list(power)
+        degrees.add(P.degree())
+    assert len(pool) == 240 and degrees >= {0, 1}
 
 
 def test_resolution_matches_the_former_loop_on_random_ideals():
@@ -1468,6 +1535,26 @@ def test_koszul_certificate_holds_exactly_when_the_dimension_is_4_minus_r():
                 (g.degree for g in ideal.generators), reverse=True)
         seen[certified] += 1
     assert seen[True] >= 30 and seen[False] >= 20, seen
+
+
+def test_koszul_last_degrees_never_exceed_the_regularity_bound():
+    """For a complete intersection of degrees d_1 >= ... >= d_r the sum of
+    the L largest is at most regularity_bound() + L, since reg(S/I) =
+    sum(d_i - 1): the clamp on the Koszul last degree binds only on a wrong
+    bound, and no Koszul twist lies past the audit's bound."""
+    seen = 0
+    for ideal in _resolution_cases():
+        if not ideal.generators or ideal.is_unit_ideal():
+            continue
+        koszul = groebner._koszul_degrees(ideal)
+        if koszul is None:
+            continue
+        regb = ideal.regularity_bound()
+        assert sum(d - 1 for d in koszul) <= regb
+        for layer in range(1, len(koszul) + 1):
+            assert sum(koszul[:layer]) <= regb + layer
+        seen += 1
+    assert seen >= 90
 
 
 def test_resolution_safety_margin_fires_on_an_underestimated_koszul_bound(monkeypatch):
