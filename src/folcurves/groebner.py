@@ -38,12 +38,12 @@ the coefficient of t^d in prod(1 - t^d_i) / (1 - t)^4: dim I_d is the rank
 of the map from the sum of the S_(d-d_i) to S_d multiplying by the
 generators, a rank can only drop under specialization, and for generic
 forms, four or fewer being a regular sequence, the rank gives exactly
-H_CI.  Pairs are popped in lcm-degree order while the degree-d monomials no
-current lead divides are kept, advanced one degree at a time; once they
-number H_CI(d), the leads span in(I)_d and every remaining pair of degree d
-reduces to zero, so it is skipped without being formed.  With five or more
-generators the bound would be Froeberg's conjecture, and no pair is skipped
-this way.
+H_CI.  Pairs wait in one list per lcm degree, sorted when that degree is
+reached, while the degree-d monomials no current lead divides are kept,
+advanced one degree at a time; once they number H_CI(d), the leads span
+in(I)_d and every pair left in the list reduces to zero, so the rest of the
+list is dropped in one step.  With five or more generators the bound would
+be Froeberg's conjecture, and no pair is skipped this way.
 
 Hilbert data of up to three forms mostly come without a basis in four
 variables; a generic linear section keeps them (Bayer and Stillman,
@@ -64,7 +64,9 @@ does once that basis exists.  With z3 among its generators the certifying
 run walks only standard monomials in z0..z2; it gives up at the first
 finished degree where they outnumber H_CI, which shows that the cut forms
 are no regular sequence.  Forms above MAX_SECTION_DEGREE are never cut: a
-sparse form turns dense on the section.
+sparse form turns dense on the section.  Nor are r forms that all vanish on
+a coordinate subspace z_A = 0 with |A| < r, which their exponents show:
+their ideal has height at most |A|, so they are no regular sequence.
 
 Resolutions are built layer by layer and degree by degree.  Exactness and
 the Hilbert function of S/I give the dimension of the kernel each layer
@@ -104,7 +106,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, inf, lcm
 
 from .errors import (
     CrossCheckFailureError,
@@ -135,6 +137,12 @@ MAX_DUAL_PIECE = 2000
 # degree (z0*z1 and z1^(10^8)) is not preceded by a walk through every degree
 # below it.  The largest any hilbert-pool ideal walks is 1008.
 MAX_STANDARD_WALK = 20_000
+# Most heap pops the divisions of one _groebner_elements call may make, of
+# its generators and S-polynomials together.  The largest any shipped test,
+# demo or benchmark input makes is 2098 (a hilbert-pool ideal).  On a 2-vCPU
+# x86_64 machine under Python 3.11, (x+y+z)^40, (x+y+t)^40, (y+z+t)^39*x
+# reaches the cap in about 0.3 s; it ran past 20 s before there was one.
+MAX_BUCHBERGER_POPS = 50_000
 # Largest generator degree the section route of hilbert_numerator cuts.  A
 # sparse form turns dense on the section: on a 2-vCPU x86_64 machine under
 # Python 3.11, z0^d + z3^d, z1^d + z2^d, z2^d - z3^d took 0.08 s to certify
@@ -237,7 +245,7 @@ def _basis_element(terms: dict):
     return lead, terms[lead] // g, [(m, c // g) for m, c in terms.items() if m != lead]
 
 
-def _divide(work: dict, table):
+def _divide(work: dict, table, budget=None):
     """Pseudo-remainder of the integer terms work (consumed) under division
     by a list of basis elements, each term reduced by the first element
     whose lead divides it.
@@ -249,13 +257,24 @@ def _divide(work: dict, table):
     coefficient stays an integer.  Terms
     brought in lie below m, so a popped monomial no longer in work was
     cancelled and is skipped.
+
+    budget, when given, is Buchberger's: a one-item list holding the heap
+    pops its divisions may still make.  Each pop spends one, and the pop
+    that overdraws it raises ResourceLimitError naming the degree of the
+    work.
     """
     heap = list(work)
     heapify(heap)
     remainder = {}
     mult = 1
+    left = inf if budget is None else budget[0]
     while heap:
         m = heappop(heap)
+        left -= 1
+        if left < 0:
+            raise ResourceLimitError(
+                f"buchberger, degree {_degree(m)}: divisions exceed the work cap of "
+                f"{MAX_BUCHBERGER_POPS} heap pops")
         c = work.pop(m, 0)
         if not c:
             continue
@@ -287,6 +306,8 @@ def _divide(work: dict, table):
                 break
         else:
             remainder[m] = c
+    if budget is not None:
+        budget[0] = left
     return remainder, mult
 
 
@@ -391,97 +412,108 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
     unit ideal gives [(0, 1, [])] (0 packs the monomial 1), the zero ideal
     [].
 
-    Pairs are processed in normal strategy order (lowest lcm first) with the
-    product and chain criteria.  With at most four nonzero generators a
-    Hilbert function bound skips more (see the module docstring): dim
-    (S/I)_d is at least _ci_hilbert_function of the _ci_numerator of the
-    generator degrees (computed once per call), since the rank of
-    multiplying by the generators is at most its generic value.
-    The degree-d monomials no current lead divides number at least
-    dim (S/I)_d, so once they number exactly the bound, the leads span
-    in(I)_d and every remaining pair of degree d reduces to zero.  With
-    five or more generators the bound is Froeberg's conjecture, not a
-    theorem, and no pair is skipped this way.
+    Pairs (k, new), k < new, are processed in the order (lcm degree, lcm
+    ascending in degrevlex, k, new) with the product and chain criteria.
+    They wait in one list per lcm degree, sorted when that degree is
+    reached: a new element's lead has the current degree and no earlier
+    lead divides it, so its pairs all have higher lcm degrees.  So a pair
+    still waits exactly when it comes after the current one, which the
+    chain criterion reads.  With at most four nonzero generators, the rest
+    of a degree is dropped at once when the Hilbert bound shows that it
+    reduces to zero (see the module docstring); the bound is
+    _ci_hilbert_function of the _ci_numerator of the kept generators'
+    degrees, computed once per call.
 
     With give_up it returns None instead at the first finished degree whose
     standard monomials outnumber the bound: that degree shows I is no
     complete intersection of the kept generators.
 
     Raises ResourceLimitError when a generator exceeds MAX_DEGREE, more than
-    pair_cap pairs are processed (skipped and pruned pairs count) or an
+    pair_cap pairs are processed (skipped and pruned pairs count), an
     S-polynomial that no criterion pruned exceeds MAX_DEGREE, past which its
-    exponents would not fit their packed fields.
+    exponents would not fit their packed fields, or the divisions of the
+    call make more than MAX_BUCHBERGER_POPS heap pops.
     """
     gens = [g for g in generators if g]
     if any(g.degree == 0 for g in gens):
         return [(0, 1, [])]
+    budget = [MAX_BUCHBERGER_POPS]
     # each generator divided by those kept before it: no lead divides another
     basis = []
     for g in sorted(gens, key=lambda g: degrevlex_key(g.lead_monomial())):
-        r, _ = _divide(_packed_terms(g, "buchberger")[1], basis)
+        r, _ = _divide(_packed_terms(g, "buchberger")[1], basis, budget)
         if r:
             basis.append(_basis_element(r))
 
-    lead = [e[0] for e in basis]
-    pending = set()
-    queue = []  # heap of (lcm degree, -lcm, pair): lcm ascending in degrevlex
+    lead = []
+    leads_of_degree = {}  # degree -> the leads of that degree, for the Hilbert walk
+    waiting = {}  # lcm degree -> [(-lcm, k, new)], sorted to pop lcm ascending in degrevlex
 
-    def add_pairs(new):
+    def add_lead(m):
+        new = len(lead)
+        lead.append(m)
+        leads_of_degree.setdefault(_degree(m), set()).add(m)
         for k in range(new):
-            top = _lcm(lead[k], lead[new])
-            pending.add((k, new))
-            heappush(queue, (_degree(top), -top, k, new))
+            top = _lcm(lead[k], m)
+            waiting.setdefault(_degree(top), []).append((-top, k, new))
 
-    for new in range(1, len(basis)):
-        add_pairs(new)
+    for e in basis:
+        add_lead(e[0])
     # the bound takes the kept generators: they generate I, and are no more
     numerator = _ci_numerator(_degree(m) for m in lead) if len(gens) <= 4 else None
     standard, std_degree, bound = {0}, 0, None  # standard monomials of std_degree
     walked = 0
     processed = 0
-    while queue:
-        degree, _, i, j = heappop(queue)
-        pending.discard((i, j))
-        processed += 1
-        if processed > pair_cap:
-            raise ResourceLimitError(
-                f"buchberger, degree {degree}: pair cap {pair_cap} exceeded")
-        if numerator is not None:
-            while std_degree < degree and walked <= MAX_STANDARD_WALK:
-                if give_up and bound is not None and len(standard) > bound:
-                    return None
-                walked += len(standard)
-                std_degree += 1
-                standard = _next_standard(
-                    standard, {m for m in lead if _degree(m) == std_degree})
-                bound = _ci_hilbert_function(numerator, std_degree)
-            if std_degree == degree and len(standard) == bound:
+    while waiting:
+        degree = min(waiting)
+        pairs = waiting.pop(degree)
+        pairs.sort(reverse=True)  # popped from the end, so a processed pair is freed at once
+        while pairs:
+            _, i, j = pairs.pop()
+            processed += 1
+            if processed > pair_cap:
+                raise ResourceLimitError(
+                    f"buchberger, degree {degree}: pair cap {pair_cap} exceeded")
+            if numerator is not None:
+                while std_degree < degree and walked <= MAX_STANDARD_WALK:
+                    if give_up and bound is not None and len(standard) > bound:
+                        return None
+                    walked += len(standard)
+                    std_degree += 1
+                    standard = _next_standard(standard, leads_of_degree.get(std_degree, ()))
+                    bound = _ci_hilbert_function(numerator, std_degree)
+                if std_degree == degree and len(standard) == bound:
+                    # the leads span in(I)_degree: the rest of the degree reduces to zero
+                    processed += len(pairs)
+                    if processed > pair_cap:
+                        raise ResourceLimitError(
+                            f"buchberger, degree {degree}: pair cap {pair_cap} exceeded")
+                    break
+            if not _nonzero_fields(lead[i]) & _nonzero_fields(lead[j]):
+                continue  # coprime leads
+            top = _lcm(lead[i], lead[j])
+            chained = False
+            for k, other in enumerate(lead):
+                q = top - other
+                if q < 0 or q & _GUARD or k == i or k == j:  # not _divides(other, top), inline
+                    continue
+                # of (i, k) and (j, k), only one with lcm top that comes after
+                # (i, j) still waits
+                if not (k > j and _lcm(lead[i], other) == top
+                        or k > i and _lcm(lead[j], other) == top):
+                    chained = True
+                    break
+            if chained:
                 continue
-        if not _nonzero_fields(lead[i]) & _nonzero_fields(lead[j]):
-            continue  # coprime leads
-        top = _lcm(lead[i], lead[j])
-        chained = False
-        for k, other in enumerate(lead):
-            q = top - other
-            if q < 0 or q & _GUARD or k == i or k == j:  # not _divides(other, top), inline
+            if degree > MAX_DEGREE:
+                raise ResourceLimitError(
+                    f"buchberger: S-polynomial of degree {degree} exceeds degree cap {MAX_DEGREE}")
+            r, _ = _divide(_s_polynomial_terms(basis[i], basis[j]), basis, budget)
+            if not r:
                 continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik not in pending and pjk not in pending:
-                chained = True
-                break
-        if chained:
-            continue
-        if degree > MAX_DEGREE:
-            raise ResourceLimitError(
-                f"buchberger: S-polynomial of degree {degree} exceeds degree cap {MAX_DEGREE}")
-        r, _ = _divide(_s_polynomial_terms(basis[i], basis[j]), basis)
-        if not r:
-            continue
-        basis.append(_basis_element(r))
-        lead.append(basis[-1][0])
-        standard.discard(lead[-1])  # a lead of the pair degree is not standard
-        add_pairs(len(basis) - 1)
+            basis.append(_basis_element(r))
+            add_lead(basis[-1][0])
+            standard.discard(lead[-1])  # a lead of the pair degree is not standard
     return basis
 
 
@@ -606,10 +638,18 @@ def _section_numerator(generators):
     by exponent as hilbert_numerator is, when their cuts and z3 certify
     that they are a regular sequence (see the module docstring); None when
     they do not, or when there are more than three, or one is constant or
-    of degree above MAX_SECTION_DEGREE."""
+    of degree above MAX_SECTION_DEGREE, or every monomial of every form has
+    a positive exponent at some index in a set A of fewer indices than there
+    are forms.  Then the forms vanish on z_A = 0, so their ideal has height
+    at most |A| and they are no regular sequence; nothing is cut."""
     degrees = [g.degree for g in generators]
     if not 0 < len(degrees) <= 3 or min(degrees) < 1 or max(degrees) > MAX_SECTION_DEGREE:
         return None
+    supports = {sum(1 << v for v, e in enumerate(m) if e)
+                for g in generators for m in g._cleared[1]}
+    for a in range(1, 1 << NVARS):  # A as a bit mask
+        if a.bit_count() < len(degrees) and all(s & a for s in supports):
+            return None
     elements = _groebner_elements([_section_cut(g) for g in generators] + [_Z3], give_up=True)
     if elements is None:
         return None

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -390,3 +391,16 @@ def test_hilbert_answers_a_high_power_in_a_mixed_generator_quickly(capsys, tmp_p
         code, _, err = run(capsys, ["rao", str(path)])
         assert time.perf_counter() - started < 1
         assert (code, err) == (2, f"error: truncation bound {power + 6} is too large\n")
+
+
+def test_hilbert_refuses_a_groebner_basis_over_the_work_cap_quickly(capsys, tmp_path):
+    """Three dense powers under every parse cap whose Buchberger run went on
+    past 20 s; its divisions now stop at the work cap."""
+    path = tmp_path / "hostile.ideal"
+    path.write_text("(x+y+z)^40\n(x+y+t)^40\n(y+z+t)^39*x\n")
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["hilbert", str(path)])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert re.fullmatch(r"error: buchberger, degree \d+: divisions exceed the work cap of "
+                        r"50000 heap pops\n", err), err

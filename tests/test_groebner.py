@@ -5,7 +5,7 @@ import json
 import re
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from math import comb, factorial, gcd, lcm
 from pathlib import Path
@@ -21,7 +21,7 @@ from folcurves.errors import (
     ResourceLimitError,
     WindowTooSmallError,
 )
-from folcurves.forms import legendrian_sample
+from folcurves.forms import legendrian_sample, parse_form, singular_ideal, wedge
 from folcurves.groebner import (
     DEFAULT_PAIR_CAP,
     FreeResolution,
@@ -2307,3 +2307,320 @@ def test_packed_element_rebuilds_the_tuple_elements():
             slot: (p.degree, list(p.terms.items())) for slot, p in theirs.items()}
         built += 1
     assert built >= 30
+
+
+# ---------------------------------------------------------------------------
+# the exponent refusal of the section route and the degree lists of pairs
+
+HILBERT_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "hilbert_pool.json"
+RAO_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rao_pool.json"
+
+
+def _former_section_numerator(generators):
+    """The former groebner._section_numerator, which cut every form it
+    could, verbatim but for the groebner. prefixes and line breaks."""
+    degrees = [g.degree for g in generators]
+    if (not 0 < len(degrees) <= 3 or min(degrees) < 1
+            or max(degrees) > groebner.MAX_SECTION_DEGREE):
+        return None
+    elements = groebner._groebner_elements(
+        [groebner._section_cut(g) for g in generators] + [groebner._Z3], give_up=True)
+    if elements is None:
+        return None
+    lead = groebner._minimalize(e[0] for e in elements)
+    if dict(groebner._minimal_numerator(lead)) != groebner._ci_numerator(degrees + [1]):
+        return None
+    return dict(sorted(groebner._ci_numerator(degrees).items()))
+
+
+def _planted_section_cases():
+    """Seeded (forms, |A|): 1 to 3 forms of degree 1 to 4.  In most draws
+    every monomial of every form has a positive exponent at some index of a
+    planted set A of 1 to 3 indices (a coordinate plane, line or point);
+    now and then the forms share a variable factor (|A| = 1) or a dense
+    linear one, which no exponent shows (|A| = 0); the rest plant nothing."""
+    rng = Random(47)
+    for _ in range(200):
+        r = rng.randint(1, 3)
+        roll = rng.random()
+        if roll < 0.6:
+            A = rng.sample(range(NVARS), rng.randint(1, 3))
+        elif roll < 0.75:
+            A = [rng.randrange(NVARS)]
+        else:
+            A = []
+        factor = _dense_form(rng, 1) if 0.75 <= roll < 0.9 else None
+        gens = []
+        for _ in range(r):
+            deg = rng.randint(1, 4)
+            form = (_dense_form if rng.random() < 0.4 else _sparse_form)
+            if factor is not None:
+                gens.append(factor * form(rng, deg - 1))
+            elif not A:
+                gens.append(form(rng, deg))
+            elif roll < 0.6:
+                terms = [HomogeneousPolynomial.variable(a) * form(rng, deg - 1) for a in A]
+                gens.append(sum(terms[1:], terms[0]))
+            else:
+                gens.append(HomogeneousPolynomial.variable(A[0]) * form(rng, deg - 1))
+        gens = [g for g in gens if g]
+        if gens:
+            yield gens, len(A)
+
+
+def test_exponent_refusal_agrees_with_the_former_section_route(monkeypatch):
+    """A refusal, None before any form is cut, only where the former route
+    also returned None, and the former value everywhere.  A set A of as
+    many indices as forms is no certificate: such forms are still cut, and
+    some certify."""
+    cuts = []
+    real = groebner._section_cut
+    monkeypatch.setattr(groebner, "_section_cut", lambda g: cuts.append(g) or real(g))
+    seen = {"refused": 0, "certified": 0, "certified with |A| = r": 0, "fell back": 0}
+    for gens, planted in _planted_section_cases():
+        cuts.clear()
+        got = groebner._section_numerator(gens)
+        refused = not cuts
+        assert got == _former_section_numerator(gens)
+        if refused:
+            assert got is None
+            seen["refused"] += 1
+        elif got is not None:
+            seen["certified"] += 1
+            seen["certified with |A| = r"] += planted == len(gens)
+        else:
+            seen["fell back"] += 1
+    assert seen["refused"] >= 40 and seen["certified"] >= 100, seen
+    assert seen["certified with |A| = r"] >= 20 and seen["fell back"] >= 10, seen
+
+
+def test_exponent_refusal_refuses_exactly_the_curves_of_the_hilbert_pool(monkeypatch):
+    """The 27 pool ideals that are no complete intersection all vanish on a
+    coordinate line and are refused without a cut; the section still
+    certifies 209 of the other 213."""
+    pool = json.loads(HILBERT_POOL.read_text())["ideals"]
+    cuts = []
+    real = groebner._section_cut
+    monkeypatch.setattr(groebner, "_section_cut", lambda g: cuts.append(g) or real(g))
+    refused = certified = 0
+    for entry in pool:
+        ideal = _ideal(*entry["text"].splitlines())
+        cuts.clear()
+        got = groebner._section_numerator(ideal.generators)
+        if not cuts:
+            assert got is None and ideal.hilbert_polynomial().degree() == 1
+            assert ideal.hilbert_numerator() != _sorted_ci_numerator(ideal.generators)
+            refused += 1
+        certified += got is not None
+    assert (refused, certified) == (27, 209)
+
+
+def _heap_groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bool = False):
+    """The former groebner._groebner_elements, one heap of pairs and a set
+    of pending pairs, verbatim but for the groebner. prefixes and line
+    breaks."""
+    gens = [g for g in generators if g]
+    if any(g.degree == 0 for g in gens):
+        return [(0, 1, [])]
+    # each generator divided by those kept before it: no lead divides another
+    basis = []
+    for g in sorted(gens, key=lambda g: degrevlex_key(g.lead_monomial())):
+        r, _ = groebner._divide(groebner._packed_terms(g, "buchberger")[1], basis)
+        if r:
+            basis.append(groebner._basis_element(r))
+
+    lead = [e[0] for e in basis]
+    pending = set()
+    queue = []  # heap of (lcm degree, -lcm, pair): lcm ascending in degrevlex
+
+    def add_pairs(new):
+        for k in range(new):
+            top = groebner._lcm(lead[k], lead[new])
+            pending.add((k, new))
+            heappush(queue, (groebner._degree(top), -top, k, new))
+
+    for new in range(1, len(basis)):
+        add_pairs(new)
+    # the bound takes the kept generators: they generate I, and are no more
+    numerator = (groebner._ci_numerator(groebner._degree(m) for m in lead)
+                 if len(gens) <= 4 else None)
+    standard, std_degree, bound = {0}, 0, None  # standard monomials of std_degree
+    walked = 0
+    processed = 0
+    while queue:
+        degree, _, i, j = heappop(queue)
+        pending.discard((i, j))
+        processed += 1
+        if processed > pair_cap:
+            raise ResourceLimitError(
+                f"buchberger, degree {degree}: pair cap {pair_cap} exceeded")
+        if numerator is not None:
+            while std_degree < degree and walked <= groebner.MAX_STANDARD_WALK:
+                if give_up and bound is not None and len(standard) > bound:
+                    return None
+                walked += len(standard)
+                std_degree += 1
+                standard = groebner._next_standard(
+                    standard, {m for m in lead if groebner._degree(m) == std_degree})
+                bound = groebner._ci_hilbert_function(numerator, std_degree)
+            if std_degree == degree and len(standard) == bound:
+                continue
+        if not groebner._nonzero_fields(lead[i]) & groebner._nonzero_fields(lead[j]):
+            continue  # coprime leads
+        top = groebner._lcm(lead[i], lead[j])
+        chained = False
+        for k, other in enumerate(lead):
+            q = top - other
+            if q < 0 or q & groebner._GUARD or k == i or k == j:  # not _divides(other, top)
+                continue
+            pik = (min(i, k), max(i, k))
+            pjk = (min(j, k), max(j, k))
+            if pik not in pending and pjk not in pending:
+                chained = True
+                break
+        if chained:
+            continue
+        if degree > groebner.MAX_DEGREE:
+            raise ResourceLimitError(
+                f"buchberger: S-polynomial of degree {degree} exceeds degree cap "
+                f"{groebner.MAX_DEGREE}")
+        r, _ = groebner._divide(groebner._s_polynomial_terms(basis[i], basis[j]), basis)
+        if not r:
+            continue
+        basis.append(groebner._basis_element(r))
+        lead.append(basis[-1][0])
+        standard.discard(lead[-1])  # a lead of the pair degree is not standard
+        add_pairs(len(basis) - 1)
+    return basis
+
+
+def _elements_or_message(run, gens, **kw):
+    """The elements run(gens, **kw) returns, or the message of the
+    ResourceLimitError it raises."""
+    try:
+        return run(gens, **kw)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+def _both_routes(gens):
+    """(generators, give_up) of the four-variable run and of the certifying
+    run on the section."""
+    cuts = [groebner._section_cut(g) for g in gens] + [HomogeneousPolynomial.variable(3)]
+    return [(gens, False), (cuts, True)]
+
+
+def _rao_pool_ideals():
+    pool = json.loads(RAO_POOL.read_text())
+    entries = pool["degree2"] + pool["degree2_special"] + pool["degree3"] + [pool["pencil"]]
+    contact = "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2"
+    return [singular_ideal(wedge(parse_form(e.get("first", contact)), parse_form(e["omega"])))
+            for e in entries]
+
+
+def _assert_same_as_the_heap_queue(monkeypatch, gens, give_up=False):
+    """Equal element lists, and the same S-polynomials divided in the same
+    order: the pair sequence is unchanged.  Returns the elements."""
+    divided = []
+    real = groebner._s_polynomial_terms
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_s_polynomial_terms",
+                  lambda e, f: divided.append((e[0], f[0])) or real(e, f))
+        new = groebner._groebner_elements(gens, give_up=give_up)
+        mine, divided[:] = divided[:], []
+        assert new == _heap_groebner_elements(gens, give_up=give_up)
+    assert mine == divided
+    return new
+
+
+def test_degree_lists_give_the_heap_queue_elements_on_the_pools(monkeypatch):
+    """Every hilbert-pool ideal on both routes and every singular ideal of
+    the rao pool."""
+    pool = json.loads(HILBERT_POOL.read_text())["ideals"]
+    given_up = 0
+    for entry in pool:
+        for gens, give_up in _both_routes(list(_ideal(*entry["text"].splitlines()).generators)):
+            given_up += _assert_same_as_the_heap_queue(monkeypatch, gens, give_up) is None
+    assert given_up >= 27
+    ideals = _rao_pool_ideals()
+    assert len(ideals) >= 60
+    for ideal in ideals:
+        _assert_same_as_the_heap_queue(monkeypatch, list(ideal.generators))
+
+
+# the chain criterion meets a lead k between i and j whose pair with i has
+# the lcm of (i, j): (i, k) is processed though (j, k) waits; three ideals
+# out of 3000 seeded draws of two to six sparse forms
+CHAIN_ORDER_CASES = [
+    ["3*z0*z1*z2 + 3*z2^3 - 3*z0^2*z3", "-2*z0^2 + 3*z1^2 + z0*z3",
+     "z0*z2^2 - 2*z2^3 + 2*z1^2*z3", "-z0*z3^2", "-2*z2^2*z3 + z0*z3^2 + 3*z3^3"],
+    ["-2*z3^3", "-2*z1*z3^2", "3*z1*z2^2 + 3*z3^3", "2*z0*z2 + 2*z2*z3",
+     "2*z0^2*z1 + z0*z1^2", "-2*z0^2*z3"],
+    ["2*z2^3", "z0*z3", "z0*z1*z2 - 3*z2*z3^2", "-2*z0*z1^2 + z2^3 - 2*z1^2*z3"],
+]
+
+
+def test_degree_lists_give_the_heap_queue_elements_on_random_ideals(monkeypatch):
+    rng = Random(48)
+    cases = [list(_ideal(*exprs).generators) for exprs in CHAIN_ORDER_CASES]
+    cases += [list(ideal.generators) for ideal in _random_ideals(Random(49), 60)]
+    cases += [_random_generators(rng) for _ in range(100)]
+    cases += list(_degenerate_ideals().values()) + _dense_complete_intersections()[:8]
+    cases += [gens for gens in _section_cases() if gens]
+    for gens in cases:
+        _assert_same_as_the_heap_queue(monkeypatch, gens)
+    assert len(cases) >= 250
+
+
+def test_degree_lists_raise_the_heap_queue_pair_cap_errors():
+    """At the smallest pair cap that finishes, one below it and seeded caps
+    under it, most of them inside a degree the Hilbert bound drops at once:
+    the same elements or the same message, on hilbert-pool ideals on both
+    routes and on degenerate ideals."""
+    rng = Random(50)
+    pool = json.loads(HILBERT_POOL.read_text())["ideals"]
+    cases = []
+    for entry in pool[:240:40]:
+        cases += _both_routes(list(_ideal(*entry["text"].splitlines()).generators))
+    cases += [(gens, False) for gens in _degenerate_ideals().values()]
+    raised = 0
+    for gens, give_up in cases:
+        needed = _smallest_pair_cap(partial(groebner._groebner_elements, give_up=give_up), gens)
+        for cap in {needed, needed - 1, *rng.sample(range(needed), min(needed, 6))}:
+            new = _elements_or_message(groebner._groebner_elements, gens, pair_cap=cap, give_up=give_up)
+            assert new == _elements_or_message(_heap_groebner_elements, gens, pair_cap=cap, give_up=give_up)
+            raised += isinstance(new, str)
+    assert len(cases) == 16 and raised >= 70
+
+
+def _smallest_pop_budget(monkeypatch, gens):
+    """The fewest heap pops _groebner_elements(gens) needs, by bisection on
+    MAX_BUCHBERGER_POPS."""
+    lo, hi = 0, groebner.MAX_BUCHBERGER_POPS
+    with monkeypatch.context() as m:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            m.setattr(groebner, "MAX_BUCHBERGER_POPS", mid)
+            if isinstance(_elements_or_message(groebner._groebner_elements, gens), str):
+                lo = mid + 1
+            else:
+                hi = mid
+    return lo
+
+
+def test_buchberger_work_cap_counts_the_pops_of_every_division_in_a_call(monkeypatch):
+    """The hilbert-pool ideal the cap's comment names needs 2098 heap pops,
+    the cap is well above it, and one pop fewer raises ResourceLimitError
+    naming the degree; division outside Buchberger has no cap."""
+    pool = json.loads(HILBERT_POOL.read_text())["ideals"]
+    gens = list(_ideal(*pool[103]["text"].splitlines()).generators)
+    assert _smallest_pop_budget(monkeypatch, gens) == 2098
+    assert groebner.MAX_BUCHBERGER_POPS >= 20 * 2098
+    monkeypatch.setattr(groebner, "MAX_BUCHBERGER_POPS", 2097)
+    message = _elements_or_message(groebner._groebner_elements, gens)
+    assert re.fullmatch(r"buchberger, degree \d+: divisions exceed the work cap of 2097 "
+                        r"heap pops", message), message
+    monkeypatch.setattr(groebner, "MAX_BUCHBERGER_POPS", 0)
+    with pytest.raises(ResourceLimitError, match="^buchberger, degree 4: divisions exceed"):
+        GradedIdeal(gens).lead_ideal()
+    assert normal_form(gens[0] * gens[1], gens[:2]).is_zero()
