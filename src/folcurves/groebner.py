@@ -94,10 +94,29 @@ regular sequence; their Koszul complex is the minimal resolution, and layer
 L stops at the sum of the L largest d_i.  Each target is met by both the
 kernel length and the rank, a dimension audit over all degrees up to
 regularity_bound() + 6 cross-checks the result, and a complete intersection's
-twists are checked against its Koszul complex's.  Rao profiles
-eliminate over the same degree matrices, taken on transposed differentials,
-each until its rank reaches the dimension of the codomain piece, and
-refuse a twist whose pieces exceed MAX_DUAL_PIECE before eliminating.
+twists are checked against its Koszul complex's.
+
+Rao profiles read h^1(I_C(k)) as the third Ext module of S/I, taken on the
+dualized resolution (Rao, Invent. Math. 50, 1979): at twist k it is
+dim3 - rank4 - rank3, where dim3 is the piece of F_3^* there and rank3,
+rank4 are the ranks of the transposed d_3 into it and d_4 out of it.  Each
+rank eliminates over the same degree matrices, taken on the transposed
+differential, until it reaches the dimension of the codomain piece.  The
+twists are walked downward, from the last one where the piece of F_3^* is
+nonzero, and the walk stops at the first twist where every summand of F_3^*
+is generated in its piece and rank3 = dim3.  That stop is proven:
+  - one twist lower the piece is S_1 times this one, since its summands are
+    generated here;
+  - the transposed d_3 is a module map onto this piece, so it is onto S_1
+    times it;
+  - so rank3 = dim3, and h = 0, at every lower twist.
+It fires only when F_4 = 0, as for a saturated ideal (Auslander-Buchsbaum):
+otherwise the image of the transposed d_3 lies in the kernel of the
+transposed d_4, which is nonzero on the generators of F_3^*, and the walk
+covers the whole window.  It always fires on the saturated ideal of a
+locally Cohen-Macaulay curve, whose h^1 vanishes at low twists.
+A twist whose pieces exceed MAX_DUAL_PIECE is refused before eliminating;
+twists below the stop are neither eliminated nor checked.
 """
 
 from __future__ import annotations
@@ -130,7 +149,10 @@ from .polyring import (
 DEFAULT_PAIR_CAP = 100_000
 # Largest graded piece of a dualized resolution module that a Rao profile
 # may eliminate over; pieces grow like C(-k, 3) as the twist k falls.  The
-# largest any shipped test, demo or benchmark input reaches is 308.
+# largest any shipped demo, benchmark input or test curve reaches is 60
+# (legendrian degree 7, twist 5), but for two probes whose walk never stops
+# early: a line with an embedded point (1680 at twist -14, refused at -15)
+# and a truncated ideal, F_4 != 0 (560).
 MAX_DUAL_PIECE = 2000
 # Most standard monomials buchberger's Hilbert-driven skip walks through in
 # one call; past it no more pairs are skipped in the call, so a pair of huge
@@ -1228,8 +1250,12 @@ def rao_module_dimensions(ideal: GradedIdeal, window=None) -> RaoProfile:
     """h^1 of the ideal sheaf of the curve, twist by twist, over the window.
 
     Computed as the dimension of the third Ext module of S/I against the
-    twisted canonical module, read off the dualized resolution; the value at
-    both window endpoints must vanish.
+    twisted canonical module, read off the dualized resolution.  The twists
+    are walked downward from min(hi, max(-b - 4)) over the twists b of F_3,
+    above which the piece of F_3^* is zero; the walk stops at the first twist
+    k <= min(-b - 4) where the transposed d_3 is onto that piece, which
+    proves h = 0 at every lower twist (see the module docstring).  The value
+    at both window endpoints must vanish.
     """
     ideal._basis_elements()  # the resolution needs the basis: no section is cut first
     P = ideal.hilbert_polynomial()
@@ -1248,11 +1274,10 @@ def rao_module_dimensions(ideal: GradedIdeal, window=None) -> RaoProfile:
         t4 = res.twists[4] if res.length() >= 4 else []
         d3 = res.differentials[2]
         d4 = res.differentials[3] if res.length() >= 4 else []
-        for k in range(lo, hi + 1):
+        generated = min(-b - 4 for b in t3)  # at or below it F_3^* is generated in its piece
+        for k in range(min(hi, max(-b - 4 for b in t3)), lo - 1, -1):
             dim2, dim3, dim4 = (sum(graded_piece_dimension(-b - 4 - k) for b in t)
                                 for t in (t2, t3, t4))
-            if dim3 == 0:
-                break  # the pieces only shrink as k grows
             if max(dim2, dim3, dim4) > MAX_DUAL_PIECE:
                 raise ResourceLimitError(
                     f"Rao twist {k}: a dual-map piece of dimension "
@@ -1265,10 +1290,13 @@ def rao_module_dimensions(ideal: GradedIdeal, window=None) -> RaoProfile:
                 raise ResourceLimitError(f"Rao twist {k}: negative cohomology dimension {h}")
             if h:
                 profile[k] = h
+            elif k <= generated and rank3 == dim3:
+                break  # onto here, so onto at every lower twist: h = 0 there
     if profile.get(lo) or profile.get(hi):
         raise WindowTooSmallError(
             f"nonzero value at a window endpoint of [{lo}, {hi}]"
         )
+    profile = dict(sorted(profile.items()))
     return RaoProfile(profile=profile, total=sum(profile.values()), window=(lo, hi))
 
 

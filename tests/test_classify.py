@@ -224,7 +224,7 @@ def test_report_json_shape():
     assert data["dim_moduli"] == 14
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_legendrian_samples_of_degree_d_split_with_the_c2_formula_curve(d):
     """Two routes to a legendrian foliation of degree d: the computed
     singular curve is (d^2 + 1, d^3 - 2d^2 + d - 1), the curve of the c2 of

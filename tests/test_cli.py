@@ -275,14 +275,27 @@ def test_hilbert_reports_deep_nesting_as_bad_input(capsys, tmp_path):
 
 
 def test_rao_refuses_a_window_over_the_piece_cap_quickly(capsys, tmp_path):
+    # a line with an embedded point: its third dual map is never onto, so
+    # the walk down reaches a piece over the cap
+    point = tmp_path / "point.ideal"
+    point.write_text("z1\nz0^2\nz0*z2\n")
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["rao", str(point), "--window", "-40", "5"])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert err == ("error: Rao twist -15: a dual-map piece of dimension 2040 "
+                   "exceeds the cap 2000\n")
+    # two skew lines: the walk down stops at twist -1, where the third dual
+    # map is onto, long before the low end of the window
     path = tmp_path / "skew.ideal"
     path.write_text("z0*z2\nz0*z3\nz1*z2\nz1*z3\n")
     started = time.perf_counter()
-    code, _, err = run(capsys, ["rao", str(path), "--window", "-40", "5"])
+    code, out, _ = run(capsys, ["rao", str(path), "--json", "--window", "-40", "5"])
     assert time.perf_counter() - started < 1
-    assert code == 2
-    assert err.startswith("error: Rao twist -40:") and len(err.splitlines()) == 1
-    # a window far above the last nonzero piece stops early
+    assert code == 0
+    assert json.loads(out)["payload"] == {"profile": {"0": 1}, "total": 1}
+    # a window reaching far above the last nonzero piece: the walk starts at
+    # twist 0, not at the window's top
     started = time.perf_counter()
     code, out, _ = run(capsys, ["rao", str(path), "--json", "--window", "-2", "100000000"])
     assert time.perf_counter() - started < 1

@@ -1217,9 +1217,11 @@ def test_buchberger_matches_sympy_grevlex():
 
 def test_rao_negative_dimension_names_the_twist(monkeypatch):
     true_rank = groebner._dual_map_rank
-    monkeypatch.setattr(groebner, "_dual_map_rank", lambda *args: true_rank(*args) + 1)
+    # the walk starts at twist 0, where dim3 = 1 and h = 1: a rank 1 too high
+    # gives h = 0 and rank3 = dim3, the stop; 2 too high gives h = -1
+    monkeypatch.setattr(groebner, "_dual_map_rank", lambda *args: true_rank(*args) + 2)
     with pytest.raises(ResourceLimitError,
-                       match=r"^Rao twist -2: negative cohomology dimension -1$"):
+                       match=r"^Rao twist 0: negative cohomology dimension -1$"):
         rao_module_dimensions(_ideal(*SKEW))
 
 
@@ -1508,8 +1510,8 @@ def test_dual_map_rank_stops_at_the_dimension_of_the_piece(monkeypatch):
 
     monkeypatch.setattr(groebner, "_dual_map_rank", rank)
     monkeypatch.setattr(Echelon, "insert", insert)
-    for ideal in (_ideal(*SKEW), legendrian_sample(2, Random(0)).ideal,
-                  legendrian_sample(3, Random(0)).ideal):
+    # each walk reaches the ceiling once, at the twist where it stops
+    for ideal in (_ideal(*SKEW), *(legendrian_sample(d, Random(0)).ideal for d in (2, 3, 4, 5))):
         rao_module_dimensions(ideal)
     assert late == 0 and stops >= 5, (late, stops)
 
@@ -2512,7 +2514,8 @@ def _both_routes(gens):
 
 def _rao_pool_ideals():
     pool = json.loads(RAO_POOL.read_text())
-    entries = pool["degree2"] + pool["degree2_special"] + pool["degree3"] + [pool["pencil"]]
+    entries = (pool["degree2"] + pool["degree2_special"] + pool["degree3"]
+               + [pool["pencil"], pool["warmup"]])
     contact = "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2"
     return [singular_ideal(wedge(parse_form(e.get("first", contact)), parse_form(e["omega"])))
             for e in entries]
@@ -2624,3 +2627,137 @@ def test_buchberger_work_cap_counts_the_pops_of_every_division_in_a_call(monkeyp
     with pytest.raises(ResourceLimitError, match="^buchberger, degree 4: divisions exceed"):
         GradedIdeal(gens).lead_ideal()
     assert normal_form(gens[0] * gens[1], gens[:2]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the downward Rao walk and its proven lower end
+
+
+def _former_rao_module_dimensions(ideal, window=None):
+    """The former groebner.rao_module_dimensions, which walked the window
+    upward from its low end until the piece of F_3^* vanished, verbatim but
+    for the groebner. prefixes and the docstring."""
+    ideal._basis_elements()  # the resolution needs the basis: no section is cut first
+    P = ideal.hilbert_polynomial()
+    if P.degree() != 1:
+        raise NotACurveError("the ideal does not cut out a curve")
+    if window is None:
+        window = groebner.default_rao_window(ideal)
+    lo, hi = window
+    if lo > hi:
+        raise ValueError("empty window")
+
+    res = groebner.minimal_free_resolution(ideal)
+    profile = {}
+    if res.length() >= 3:
+        t2, t3 = res.twists[2], res.twists[3]
+        t4 = res.twists[4] if res.length() >= 4 else []
+        d3 = res.differentials[2]
+        d4 = res.differentials[3] if res.length() >= 4 else []
+        for k in range(lo, hi + 1):
+            dim2, dim3, dim4 = (sum(graded_piece_dimension(-b - 4 - k) for b in t)
+                                for t in (t2, t3, t4))
+            if dim3 == 0:
+                break  # the pieces only shrink as k grows
+            if max(dim2, dim3, dim4) > groebner.MAX_DUAL_PIECE:
+                raise ResourceLimitError(
+                    f"Rao twist {k}: a dual-map piece of dimension "
+                    f"{max(dim2, dim3, dim4)} exceeds the cap {groebner.MAX_DUAL_PIECE}"
+                )
+            rank4 = groebner._dual_map_rank(t3, t4, d4, k) if t4 else 0
+            rank3 = groebner._dual_map_rank(t2, t3, d3, k)
+            h = dim3 - rank4 - rank3
+            if h < 0:
+                raise ResourceLimitError(f"Rao twist {k}: negative cohomology dimension {h}")
+            if h:
+                profile[k] = h
+    if profile.get(lo) or profile.get(hi):
+        raise WindowTooSmallError(
+            f"nonzero value at a window endpoint of [{lo}, {hi}]"
+        )
+    return groebner.RaoProfile(profile=profile, total=sum(profile.values()), window=(lo, hi))
+
+
+def _rao_or_error(run, ideal, window):
+    """run(ideal, window).to_json(), or the type of the error it raises."""
+    try:
+        return run(ideal, window).to_json()
+    except (ResourceLimitError, WindowTooSmallError) as exc:
+        return type(exc)
+
+
+def test_rao_walk_down_gives_the_former_profiles_and_stops_soundly(monkeypatch):
+    """The downward walk answers what the former upward walk answered, the
+    profile or the error type, over the default window, (0, 5) and
+    (-2, 10^8), on every singular ideal of the rao pool (the warm-up too),
+    legendrian samples of degree 2 to 5, two skew lines with and without a
+    redundant generator, random complete-intersection curves, a line with
+    an embedded point and the skew lines' ideal truncated in degree 3, which
+    is not saturated (F_4 != 0).  Where the walk stops above the window's
+    low end, the stop is a certificate: the transposed d_3 is onto its piece
+    at the stop and at every lower twist of the window, each rank taken in
+    full.  With F_4 != 0 the walk never stops early."""
+    skew = _ideal(*SKEW)
+    redundant = GradedIdeal(
+        list(skew.generators) + [parse_polynomial("z1*z3^3") * skew.generators[0]])
+    truncated = _ideal(*(f"z{v}*{s}" for v in range(NVARS) for s in SKEW))
+    ideals = _rao_pool_ideals()
+    ideals += [legendrian_sample(d, Random(seed)).ideal for d in range(2, 6) for seed in range(3)]
+    ideals += [skew, redundant, _ideal("z1", "z0^2", "z0*z2"), truncated]
+    ideals += [verification._random_ci_curve(Random(seed)) for seed in range(6)]
+    walked = []
+    real_rank = groebner._dual_map_rank
+    monkeypatch.setattr(groebner, "_dual_map_rank",
+                        lambda *args: walked.append(args[3]) or real_rank(*args))
+    resolutions = {}  # by id: each ideal is resolved once, both walks read it
+    monkeypatch.setattr(groebner, "minimal_free_resolution",
+                        lambda ideal: resolutions[id(ideal)])
+    outcomes = {"profile": 0, "error": 0}
+    stops = certified = unstoppable = 0
+    for ideal in ideals:
+        res = resolutions[id(ideal)] = minimal_free_resolution(ideal)
+        for window in (None, (0, 5), (-2, 10 ** 8)):
+            walked.clear()
+            got = _rao_or_error(rao_module_dimensions, ideal, window)
+            mine = walked[:]
+            assert got == _rao_or_error(_former_rao_module_dimensions, ideal, window)
+            outcomes["profile" if isinstance(got, dict) else "error"] += 1
+            lo = (window or groebner.default_rao_window(ideal))[0]
+            if res.length() == 4:
+                assert min(mine) == lo
+                unstoppable += 1
+            if not mine or min(mine) == lo:
+                continue
+            # the walk stopped above lo: every twist from there down is onto
+            assert res.length() == 3
+            t2, t3, d3 = res.twists[2], res.twists[3], res.differentials[2]
+            assert min(mine) <= min(-b - 4 for b in t3)
+            stops += 1
+            for k in range(min(mine), lo - 1, -1):
+                dim3 = sum(graded_piece_dimension(-b - 4 - k) for b in t3)
+                assert real_rank(t2, t3, d3, k) == dim3, (k, dim3)
+                certified += 1
+    assert len(ideals) == 97 and outcomes == {"profile": 284, "error": 7}, outcomes
+    assert (stops, certified, unstoppable) == (197, 749, 3)
+
+
+def test_rao_walk_waits_until_every_summand_of_f3_dual_is_generated(monkeypatch):
+    """An onto twist above min(-b - 4) is no stop.  A minimal resolution
+    reaches one only when its Rao module has a gap; this tail makes one
+    with a unit entry instead: F_3 = S(-7) + S(-4), d_3 sends the S(-7)
+    generator to 1 on an S(-7) of F_2 and the S(-4) generator to z0..z3 on
+    four S(-3).  The transposed d_3 is onto at twists 3, 2 and 1, where the
+    S(4) summand of F_3^* has no piece yet, misses its generator at twist 0
+    (h = 1) and is onto again from twist -1, where the walk stops."""
+    tail = FreeResolution(
+        twists=[[0], [], [-7] + [-3] * NVARS, [-7, -4]],
+        differentials=[[], [], [{0: parse_polynomial("1")},
+                                {1 + i: HomogeneousPolynomial.variable(i) for i in range(NVARS)}]],
+        bound=0)
+    walked = []
+    real_rank = groebner._dual_map_rank
+    monkeypatch.setattr(groebner, "minimal_free_resolution", lambda ideal: tail)
+    monkeypatch.setattr(groebner, "_dual_map_rank",
+                        lambda *args: walked.append(args[3]) or real_rank(*args))
+    assert rao_module_dimensions(_ideal(*SKEW), window=(-3, 4)).profile == {0: 1}
+    assert walked == [3, 2, 1, 0, -1]
