@@ -14,7 +14,7 @@ import time
 from functools import lru_cache
 
 from .classify import classify_low_degree, invariants_from_c2, legendrian_moduli_dim, nc_moduli_dim
-from .errors import FolcurvesError, ResourceLimitError
+from .errors import FolcurvesError, InvalidProfileError, ResourceLimitError
 from .forms import parse_form, legendrian_foliation, singular_ideal, wedge
 from .groebner import (
     GradedIdeal,
@@ -214,11 +214,17 @@ def _cmd_cohomology(args):
 
 def _cmd_monad(args):
     with open(args.spec_file, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # malformed JSON, or an int of too many digits
+            raise InvalidProfileError(f"monad spec: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("template", {}), dict):
+        raise InvalidProfileError("monad spec: expected a JSON object, its template an object")
     if "template" in data:
-        spec = MonadSpec.from_template(data["template"]["c"], data["template"]["b"])
+        template = data["template"]
+        spec = MonadSpec.from_template(template.get("c"), template.get("b"))
     else:
-        spec = MonadSpec.from_twists(data["left"], data["middle"], data["right"])
+        spec = MonadSpec.from_twists(data.get("left"), data.get("middle"), data.get("right"))
     rank, c1, c2, c3 = monad_chern(spec)
     payload = {"spec": spec.to_json(),
                "chern": {"rank": rank, "c1": c1, "c2": c2, "c3": c3}}

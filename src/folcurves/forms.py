@@ -31,7 +31,7 @@ from .polyring import (
     HomogeneousPolynomial,
     _from_integers,
     _signed_sum,
-    monomials_of_degree,
+    packed_monomials,
     sum_of_products,
 )
 
@@ -342,7 +342,7 @@ def legendrian_foliation(contact: TwistedForm, omega: TwistedForm) -> FoliationP
 
 def random_polynomial(degree: int, rng: Random, bound: int = 9) -> HomogeneousPolynomial:
     terms = {}
-    for m in monomials_of_degree(degree):
+    for m in packed_monomials(degree):
         c = rng.randint(-bound, bound)
         if c:
             terms[m] = c

@@ -6,16 +6,9 @@ series of lead-term ideals drive degree and genus; the per-twist first
 cohomology of a curve's ideal sheaf comes from graded duality applied to
 the dualized tail of the resolution, so no saturation is ever computed.
 
-Every monomial in this module is a packed exponent vector (Monagan and
-Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", CASC 2007): z0^e0 z1^e1 z2^e2 z3^e3 is the int
-e3 << 96 | e2 << 64 | e1 << 32 | e0.  Bit 31 of each 32-bit field is a guard
-bit, clear while every exponent is at most MAX_DEGREE = 2^31 - 1, which the
-parser, normal_form and Buchberger's generators and S-pairs enforce.
-Products and quotients are + and -, divisibility, lcm and coprimality read
-the guard bits, and integer order is the order a min-heap needs to hand out
-terms in descending degrevlex order.  Polyring's exponent tuples appear only
-where a HomogeneousPolynomial is built or read, and in lead_ideal().
+Monomials are polyring's packed exponent vectors.  No polynomial and no
+S-polynomial of Buchberger's exceeds MAX_DEGREE, so their guard bits stay
+clear, which divisibility, lcm and coprimality read (see below).
 
 Division and Buchberger run fraction-free over Z.  Basis elements are kept
 primitive and S-polynomials are formed with integer cofactors; division is
@@ -139,10 +132,15 @@ from .polyring import (
     HomogeneousPolynomial,
     MAX_DEGREE,
     NVARS,
+    _FIELD,
+    _GUARD,
+    _STEPS,
     _from_integers,
     _signed_sum,
-    degrevlex_key,
+    exponent_tuples,
     graded_piece_dimension,
+    mono_degree,
+    packed_monomials,
     sum_of_products,
 )
 
@@ -186,38 +184,16 @@ MAX_SYZYGY_ROWS = 10_000
 
 
 # ---------------------------------------------------------------------------
-# packed exponent vectors
+# monomial bit tricks
 #
-# A monomial z0^e0 z1^e1 z2^e2 z3^e3 is one int, e3 << 96 | e2 << 64 |
-# e1 << 32 | e0: four 32-bit fields, bit 31 of each the guard bit, clear
-# while every exponent is at most MAX_DEGREE.  Integer order is the
-# lexicographic order of (e3, e2, e1, e0), and among monomials of one degree
-# the smallest is the largest in degrevlex, so a min-heap of them hands out
-# terms in descending order.  A divisor is never larger than its multiple.
-# Products and quotients are + and -; d divides m when m - d is nonnegative
-# with no guard bit set (the lowest field that borrows sets its own); lcm
-# and coprimality treat all four fields at once through the guard bits.  The
-# exponent of z_v in m is m >> 32*v & _FIELD, and 0 packs the monomial 1.
-# Polynomials enter this module through _packed_terms and are built again
-# through _unpack (normal_form, _reduced_basis and _element): the one
-# boundary with polyring's tuples.
+# Among monomials of one degree the smallest int is the largest in
+# degrevlex, so a min-heap of them hands out terms in descending order.  A
+# divisor is never larger than its multiple.  Quotients are -, and d divides
+# m when m - d is nonnegative with no guard bit set (the lowest field that
+# borrows sets its own); lcm and coprimality treat all four fields at once
+# through the guard bits.  The exponent of z_v in m is m >> 32*v & _FIELD.
 
-_FIELD = (1 << 32) - 1
-_GUARD = sum(1 << 32 * i + 31 for i in range(NVARS))
-_LOW = _GUARD - sum(1 << 32 * i for i in range(NVARS))  # 2^31 - 1 in each field
-_STEPS = tuple(1 << 32 * i for i in range(NVARS))  # z0, z1, z2, z3
-
-
-def _pack(m) -> int:
-    return m[3] << 96 | m[2] << 64 | m[1] << 32 | m[0]
-
-
-def _unpack(p: int):
-    return p & _FIELD, p >> 32 & _FIELD, p >> 64 & _FIELD, p >> 96
-
-
-def _degree(p: int) -> int:
-    return (p & _FIELD) + (p >> 32 & _FIELD) + (p >> 64 & _FIELD) + (p >> 96)
+_LOW = _GUARD - sum(_STEPS)  # 2^31 - 1 in each field
 
 
 def _divides(d: int, m: int) -> bool:
@@ -235,15 +211,6 @@ def _lcm(a: int, b: int) -> int:
 def _nonzero_fields(p: int) -> int:
     """The guard bits of the fields of p that are nonzero."""
     return (p + _LOW) & _GUARD
-
-
-@lru_cache(maxsize=None)
-def _monomials(k: int) -> tuple:
-    """The packed monomials of degree k, ascending: the order of
-    polyring.monomials_of_degree(k), descending degrevlex."""
-    return tuple(e3 << 96 | e2 << 64 | e1 << 32 | k - e3 - e2 - e1
-                 for e3 in range(k + 1) for e2 in range(k + 1 - e3)
-                 for e1 in range(k + 1 - e3 - e2))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +262,7 @@ def _divide(work: dict, table, budget=None):
         left -= 1
         if left < 0:
             raise ResourceLimitError(
-                f"buchberger, degree {_degree(m)}: divisions exceed the work cap of "
+                f"buchberger, degree {mono_degree(m)}: divisions exceed the work cap of "
                 f"{MAX_BUCHBERGER_POPS} heap pops")
         c = work.pop(m, 0)
         if not c:
@@ -333,22 +300,12 @@ def _divide(work: dict, table, budget=None):
     return remainder, mult
 
 
-def _packed_terms(f: HomogeneousPolynomial, stage: str):
-    """(den, integer terms keyed by packed monomials) of f; a degree past
-    MAX_DEGREE raises ResourceLimitError naming the stage."""
-    if f.degree > MAX_DEGREE:
-        raise ResourceLimitError(
-            f"{stage}: degree {f.degree} exceeds the degree cap {MAX_DEGREE}")
-    den, ints = f._cleared
-    return den, {_pack(m): c for m, c in ints.items()}
-
-
 def normal_form(f: HomogeneousPolynomial, basis) -> HomogeneousPolynomial:
     """Remainder of f under division by a list of nonzero polynomials."""
-    table = [_basis_element(_packed_terms(g, "normal_form")[1]) for g in basis if g]
-    den, work = _packed_terms(f, "normal_form")
-    remainder, mult = _divide(work, table)
-    return _from_integers(f.degree, mult * den, {_unpack(m): c for m, c in remainder.items()})
+    table = [_basis_element(g._cleared[1]) for g in basis if g]
+    den, ints = f._cleared
+    remainder, mult = _divide(dict(ints), table)
+    return _from_integers(f.degree, mult * den, remainder)
 
 
 def _s_polynomial_terms(e, f) -> dict:
@@ -378,13 +335,12 @@ def _reduced_basis(basis):
     """
     minimal = sorted((e for e in basis
                       if not any(o is not e and _divides(o[0], e[0]) for o in basis)),
-                     key=lambda e: (_degree(e[0]), -e[0]))  # ascending degrevlex
+                     key=lambda e: (mono_degree(e[0]), -e[0]))  # ascending degrevlex
     out = []
     for e in minimal:
         lead, a, tail = e
         r, _ = _divide({lead: a, **dict(tail)}, [o for o in minimal if o is not e])
-        out.append(_from_integers(_degree(lead), r[lead],
-                                  {_unpack(m): c for m, c in r.items()}))
+        out.append(_from_integers(mono_degree(lead), r[lead], r))
     return out
 
 
@@ -450,11 +406,11 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
     standard monomials outnumber the bound: that degree shows I is no
     complete intersection of the kept generators.
 
-    Raises ResourceLimitError when a generator exceeds MAX_DEGREE, more than
-    pair_cap pairs are processed (skipped and pruned pairs count), an
-    S-polynomial that no criterion pruned exceeds MAX_DEGREE, past which its
-    exponents would not fit their packed fields, or the divisions of the
-    call make more than MAX_BUCHBERGER_POPS heap pops.
+    Raises ResourceLimitError when more than pair_cap pairs are processed
+    (skipped and pruned pairs count), an S-polynomial that no criterion
+    pruned exceeds MAX_DEGREE, past which its exponents would not fit their
+    packed fields, or the divisions of the call make more than
+    MAX_BUCHBERGER_POPS heap pops.
     """
     gens = [g for g in generators if g]
     if any(g.degree == 0 for g in gens):
@@ -462,8 +418,9 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
     budget = [MAX_BUCHBERGER_POPS]
     # each generator divided by those kept before it: no lead divides another
     basis = []
-    for g in sorted(gens, key=lambda g: degrevlex_key(g.lead_monomial())):
-        r, _ = _divide(_packed_terms(g, "buchberger")[1], basis, budget)
+    # ascending degrevlex by lead, the smallest int of its degree
+    for g in sorted(gens, key=lambda g: (g.degree, -min(g._cleared[1]))):
+        r, _ = _divide(dict(g._cleared[1]), basis, budget)
         if r:
             basis.append(_basis_element(r))
 
@@ -474,15 +431,15 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
     def add_lead(m):
         new = len(lead)
         lead.append(m)
-        leads_of_degree.setdefault(_degree(m), set()).add(m)
+        leads_of_degree.setdefault(mono_degree(m), set()).add(m)
         for k in range(new):
             top = _lcm(lead[k], m)
-            waiting.setdefault(_degree(top), []).append((-top, k, new))
+            waiting.setdefault(mono_degree(top), []).append((-top, k, new))
 
     for e in basis:
         add_lead(e[0])
     # the bound takes the kept generators: they generate I, and are no more
-    numerator = _ci_numerator(_degree(m) for m in lead) if len(gens) <= 4 else None
+    numerator = _ci_numerator(mono_degree(m) for m in lead) if len(gens) <= 4 else None
     standard, std_degree, bound = {0}, 0, None  # standard monomials of std_degree
     walked = 0
     processed = 0
@@ -600,7 +557,7 @@ def _minimal_numerator(gens: tuple) -> tuple:
         return ()
     mixed = [g for g in gens if _nonzero_fields(g).bit_count() > 1]
     if not mixed:
-        return tuple(sorted(_ci_numerator(_degree(g) for g in gens).items()))
+        return tuple(sorted(_ci_numerator(mono_degree(g) for g in gens).items()))
     v, k, colon = _pivot(gens, mixed)
     res = {}
     for a, c in _minimal_numerator(_plus(gens, v, k)):
@@ -625,7 +582,7 @@ def _minimal_regularity_bound(gens: tuple) -> int:
         return 0
     mixed = [g for g in gens if _nonzero_fields(g).bit_count() > 1]
     if not mixed:
-        return sum(_degree(g) - 1 for g in gens)
+        return sum(mono_degree(g) - 1 for g in gens)
     v, k, colon = _pivot(gens, mixed)
     return max(_minimal_regularity_bound(_minimalize(colon)) + k,
                _minimal_regularity_bound(_plus(gens, v, 1)) + k - 1)
@@ -650,7 +607,8 @@ def _section_cut(f: HomogeneousPolynomial) -> HomogeneousPolynomial:
     den, ints = f._cleared
     slices = {}
     for m, c in ints.items():
-        slices.setdefault(m[3], {})[(m[0], m[1], m[2], 0)] = c
+        e = m >> 96  # the exponent of z3
+        slices.setdefault(e, {})[m - (e << 96)] = c
     return sum_of_products((1, _from_integers(f.degree - e, den, terms), _section_power(e))
                            for e, terms in slices.items())
 
@@ -667,7 +625,7 @@ def _section_numerator(generators):
     degrees = [g.degree for g in generators]
     if not 0 < len(degrees) <= 3 or min(degrees) < 1 or max(degrees) > MAX_SECTION_DEGREE:
         return None
-    supports = {sum(1 << v for v, e in enumerate(m) if e)
+    supports = {sum(1 << v for v in range(NVARS) if m >> 32 * v & _FIELD)
                 for g in generators for m in g._cleared[1]}
     for a in range(1, 1 << NVARS):  # A as a bit mask
         if a.bit_count() < len(degrees) and all(s & a for s in supports):
@@ -784,7 +742,8 @@ class GradedIdeal:
     module docstring), which computes a basis of the cut forms only.
     lead_ideal, is_unit_ideal, the other Hilbert queries, regularity_bound
     and the resolution read only the elements; groebner_basis, contains and
-    equals also build the monic reduced basis from them, once.
+    equals also build the monic reduced basis from them, once.  The minimal
+    free resolution is kept too, once one is computed.
     """
 
     def __init__(self, generators):
@@ -800,6 +759,7 @@ class GradedIdeal:
         self._lead = None
         self._numerator = None
         self._hilbert = None
+        self._resolution = None
 
     @classmethod
     def from_expressions(cls, expressions) -> "GradedIdeal":
@@ -838,7 +798,7 @@ class GradedIdeal:
     def lead_ideal(self) -> tuple:
         """Minimal monomial generators of the lead-term ideal, sorted
         exponent tuples."""
-        return tuple(sorted(_unpack(m) for m in self._packed_lead()))
+        return tuple(sorted(exponent_tuples(self._packed_lead())))
 
     def is_unit_ideal(self) -> bool:
         return 0 in self._packed_lead()
@@ -960,8 +920,8 @@ def graded_syzygies(row, weights, target_degree: int):
 
 def _degree_basis(twists, degree):
     """Index map for the degree-e piece of (+) S(b): list of (slot, packed
-    monomial), each slot's monomials in the order of monomials_of_degree."""
-    return [(slot, m) for slot, b in enumerate(twists) for m in _monomials(degree + b)]
+    monomial), each slot's monomials in descending degrevlex."""
+    return [(slot, m) for slot, b in enumerate(twists) for m in packed_monomials(degree + b)]
 
 
 def _degree_matrix(columns, twists, target_twists, degree):
@@ -971,12 +931,9 @@ def _degree_matrix(columns, twists, target_twists, degree):
     of _degree_basis(twists, degree), over the rows
     _degree_basis(target_twists, degree); den is the lcm of the
     denominators of the polynomials it multiplies.  One denominator for the
-    whole matrix keeps its kernel and its rank, and each polynomial is
-    cleared and packed once (_packed_terms), not once per monomial
-    multiple."""
+    whole matrix keeps its kernel and its rank."""
     row_index = {key: i for i, key in enumerate(_degree_basis(target_twists, degree))}
-    cleared = {slot: [(target, _packed_terms(poly, "degree matrix"))
-                      for target, poly in columns[slot].items()]
+    cleared = {slot: [(target, poly._cleared) for target, poly in columns[slot].items()]
                for slot, b in enumerate(twists) if degree + b >= 0}
     den = lcm(*(d for entries in cleared.values() for _, (d, _) in entries))
     matrix = []
@@ -998,7 +955,7 @@ def _element(vec, basis, twists, degree, den):
     slots = {}
     for ci, c in vec.items():
         slot, m = basis[ci]
-        slots.setdefault(slot, {})[_unpack(m)] = c
+        slots.setdefault(slot, {})[m] = c
     return {slot: _from_integers(degree + twists[slot], den, terms)
             for slot, terms in slots.items()}
 
@@ -1086,6 +1043,14 @@ def _koszul_degrees(ideal: GradedIdeal):
 
 
 def minimal_free_resolution(ideal: GradedIdeal) -> FreeResolution:
+    """Minimal graded free resolution of S/I, computed by _resolve on the
+    first call and kept on the ideal; a call that raises keeps nothing."""
+    if ideal._resolution is None:
+        ideal._resolution = _resolve(ideal)
+    return ideal._resolution
+
+
+def _resolve(ideal: GradedIdeal) -> FreeResolution:
     """Minimal graded free resolution of S/I.
 
     Layer L of the loop looks for generators up to a last degree, and runs

@@ -27,12 +27,12 @@ class MonadSpec:
 
     @classmethod
     def from_twists(cls, left, middle, right) -> "MonadSpec":
-        return cls(tuple(sorted(left)), tuple(sorted(middle)), tuple(sorted(right)))
+        return cls(_twists("left", left), _twists("middle", middle), _twists("right", right))
 
     @classmethod
     def from_template(cls, c_list, b_list) -> "MonadSpec":
-        c_list = tuple(sorted(c_list))
-        b_list = tuple(sorted(b_list))
+        c_list = _twists("c", c_list)
+        b_list = _twists("b", b_list)
         if not c_list or len(b_list) != len(c_list) + 1:
             raise InvalidProfileError("template needs s twists c and s+1 twists b")
         if c_list[0] < 1 or b_list[0] < 0:
@@ -57,6 +57,14 @@ class MonadSpec:
         if self.is_template():
             data["template"] = {"c": list(self.c_list), "b": list(self.b_list)}
         return data
+
+
+def _twists(name: str, twists) -> tuple:
+    """The twists, a list or tuple of ints, sorted; InvalidProfileError
+    naming the list otherwise (a JSON float, string or bool among them)."""
+    if not isinstance(twists, (list, tuple)) or any(type(t) is not int for t in twists):
+        raise InvalidProfileError(f"twists {name}: expected a list of integers")
+    return tuple(sorted(twists))
 
 
 def _chern_series(twists):

@@ -13,18 +13,18 @@ a wedge otherwise; '/\\' is always a wedge.  Products mixing scalars and
 forms scale the form.
 
 A product of numbers, variables and their natural powers, such as
-3*z0^3*z1, is parsed as one term, a (coefficient, monomial) tuple: its
-factors multiply coefficients and add exponents, and no polynomial product
-is run.  A term becomes a HomogeneousPolynomial only when it meets a sum, a
-parenthesis, a polynomial or a form, or ends the expression; from there on
-the polynomial operations, their term cap and their error messages are
-those of a parser without the one-term path.  Every power is refused
-before it is computed when its coefficients could exceed
+3*z0^3*z1, is parsed as one term, a (coefficient, packed monomial) tuple:
+its factors multiply coefficients and add monomials, and no polynomial
+product is run.  A term becomes a HomogeneousPolynomial only when it meets
+a sum, a parenthesis, a polynomial or a form, or ends the expression; from
+there on the polynomial operations, their term cap and their error
+messages are those of a parser without the one-term path.  Every power is
+refused before it is computed when its coefficients could exceed
 MAX_COEFFICIENT_BITS bits, and a power of a polynomial also when its
 estimated work exceeds MAX_POWER_WORK.  A power or a product of
 polynomials or forms is refused before it is computed when its total degree
 would exceed MAX_DEGREE, and so is a one-term product when it becomes a
-polynomial.
+polynomial or one of its exponents passes MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -35,14 +35,14 @@ from .errors import DegreeMismatchError, NotHomogeneousError, ParseError, Resour
 from .polyring import (
     HomogeneousPolynomial,
     MAX_COEFFICIENT_BITS,
-    MAX_DEGREE,
     MAX_POWER_WORK,
-    ONE_MONO,
+    _GUARD,
+    _STEPS,
     _from_integers,
+    check_degree,
     coefficient_bits,
     graded_piece_dimension,
     mono_degree,
-    mono_mul,
     power_bounds,
 )
 
@@ -51,7 +51,7 @@ from .polyring import (
 MAX_TERMS = 2_000
 
 _ALIASES = {"x": 0, "y": 1, "z": 2, "t": 3, "z0": 0, "z1": 1, "z2": 2, "z3": 3}
-_VARIABLES = {name: tuple(int(j == i) for j in range(4)) for name, i in _ALIASES.items()}
+_VARIABLES = {name: _STEPS[i] for name, i in _ALIASES.items()}
 _FORM_ATOMS = {"dz0": 0, "dz1": 1, "dz2": 2, "dz3": 3}
 
 
@@ -153,13 +153,13 @@ class _Parser:
                 if type(base) is tuple:
                     self.next()
                     c, m = base  # c an int or a Fraction
-                    _check_degree(mono_degree(m) * val2)
+                    check_degree(mono_degree(m) * val2, "parsing")
                     _check_bits(coefficient_bits(abs(c.numerator), c.denominator, val2), val2)
-                    return c ** val2, (m[0] * val2, m[1] * val2, m[2] * val2, m[3] * val2)
+                    return c ** val2, m * val2
                 if not isinstance(base, HomogeneousPolynomial):
                     raise ParseError("exponent applies only to scalar atoms")
                 self.next()
-                _check_degree(base.degree * val2)
+                check_degree(base.degree * val2, "parsing")
                 terms, bits = power_bounds(base, val2)
                 _check_terms(terms, val2 * base.degree)
                 _check_bits(bits, val2)
@@ -185,8 +185,8 @@ class _Parser:
                 k3, v3 = self.next()
                 if k3 != "num" or v3 == 0:
                     raise ParseError("malformed rational literal")
-                return Fraction(val, v3), ONE_MONO
-            return val, ONE_MONO
+                return Fraction(val, v3), 0
+            return val, 0
         if kind == "name":
             if val in _VARIABLES:
                 return 1, _VARIABLES[val]
@@ -214,14 +214,6 @@ def _check_terms(count: int, degree: int):
     return bound
 
 
-def _check_degree(degree: int):
-    """Refuse a total degree above MAX_DEGREE."""
-    if degree > MAX_DEGREE:
-        raise ResourceLimitError(
-            f"parsing: total degree {degree} exceeds the degree cap {MAX_DEGREE}"
-        )
-
-
 def _check_bits(bits: int, n: int):
     """Refuse, before it is computed, an n-th power with a coefficient whose
     |numerator| * denominator may need more than MAX_COEFFICIENT_BITS bits,
@@ -243,8 +235,9 @@ def _promote(value):
     if type(value) is not tuple:
         return value
     c, m = value  # c an int or a Fraction
-    _check_degree(mono_degree(m))
-    return _from_integers(mono_degree(m), c.denominator, {m: c.numerator} if c else {})
+    degree = mono_degree(m)
+    check_degree(degree, "parsing")
+    return _from_integers(degree, c.denominator, {m: c.numerator} if c else {})
 
 
 def _neg(value):
@@ -265,14 +258,17 @@ def _add(a, b):
 
 def _mul(a, b):
     if type(a) is tuple and type(b) is tuple:
-        return a[0] * b[0], mono_mul(a[1], b[1])
+        m = a[1] + b[1]
+        if m & _GUARD:  # an exponent past MAX_DEGREE, so the degree is too
+            check_degree(mono_degree(a[1]) + mono_degree(b[1]), "parsing")
+        return a[0] * b[0], m
     from .forms import wedge
 
     a, b = _promote(a), _promote(b)
     a_poly = isinstance(a, HomogeneousPolynomial)
     b_poly = isinstance(b, HomogeneousPolynomial)
-    _check_degree((a.degree if a_poly else a.coefficient_degree)
-                  + (b.degree if b_poly else b.coefficient_degree))
+    check_degree((a.degree if a_poly else a.coefficient_degree)
+                 + (b.degree if b_poly else b.coefficient_degree), "parsing")
     if a_poly and b_poly:
         _check_terms(len(a._cleared[1]) * len(b._cleared[1]), a.degree + b.degree)
         return a * b

@@ -1,11 +1,18 @@
 """Exact homogeneous polynomial arithmetic in z0..z3 over the rationals.
 
-A monomial is a 4-tuple of non-negative exponents.  Monomials are compared
-in degrevlex: total degree first, ties broken so that the rightmost nonzero
-entry of the exponent difference decides (larger key means larger monomial).
-A homogeneous polynomial is a degree tag plus a sparse map from monomials of
-that degree to nonzero rationals; the zero polynomial keeps its degree tag
-so that graded maps stay well typed.  It carries the map only in its
+A monomial z0^e0 z1^e1 z2^e2 z3^e3 is one int, a packed exponent vector
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007): e3 << 96 | e2 << 64 | e1 << 32 | e0.
+Bit 31 of each 32-bit field is a guard bit, clear since no polynomial of
+degree above MAX_DEGREE = 2^31 - 1 is made.  Products are +, powers *, and 0
+is the monomial 1.  Integer order is the lexicographic order of
+(e3, e2, e1, e0), so among monomials of one degree the smallest int is the
+largest in degrevlex (total degree first, ties broken so that the rightmost
+nonzero entry of the exponent difference decides).
+
+A homogeneous polynomial is a degree tag plus a sparse map from monomials
+of that degree to nonzero rationals; the zero polynomial keeps its degree
+tag so that graded maps stay well typed.  It carries the map only in its
 cleared integer form (den, ints): den is the lcm of the denominators and
 ints the coefficients times den, so gcd(den, ints) = 1 and the form is
 canonical.  The constructor clears the rationals it is given at once, with
@@ -13,13 +20,8 @@ integer_terms; everything else makes and reads the form in Python ints.
 Every sum of products (a product itself, wedges and contractions of forms,
 composed resolution maps) is accumulated by one kernel, sum_of_products,
 under one common denominator.  The public terms, a map to Fractions, is
-built from the form on each read and not kept.
-
-The tuple helpers here (degree, product, degrevlex key, string) serve
-polynomial arithmetic and printing.  Divisibility, lcm and quotients of
-monomials are needed only by Groebner bases, lead ideals and degree
-matrices, which run on groebner's packed exponent vectors and have them
-there.
+built from the form on each read and not kept.  The public methods take and
+return monomials as exponent 4-tuples.
 """
 
 from __future__ import annotations
@@ -33,13 +35,8 @@ from .errors import DegreeMismatchError, NotHomogeneousError, ResourceLimitError
 NVARS = 4
 VAR_NAMES = ("z0", "z1", "z2", "z3")
 
-Monomial = tuple  # 4-tuple of non-negative ints
-
-ONE_MONO: Monomial = (0, 0, 0, 0)
-
-# Largest total degree the parser builds and Groebner division takes: every
-# exponent then fits below the guard bit of its 32-bit field in groebner's
-# packed monomials.
+# Largest total degree of a polynomial: every exponent then fits below the
+# guard bit of its 32-bit field.
 MAX_DEGREE = 2**31 - 1
 # Most bits a coefficient of a power may need, numerator and denominator
 # together, as bounded before the power is computed.  The largest bound any
@@ -56,44 +53,65 @@ MAX_COEFFICIENT_BITS = 10_000
 # the package takes itself, l^8 in groebner's hyperplane section, is 48600.
 MAX_POWER_WORK = 10**9
 
-
-def mono_degree(m: Monomial) -> int:
-    return m[0] + m[1] + m[2] + m[3]
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+_FIELD = (1 << 32) - 1
+_GUARD = sum(1 << 32 * i + 31 for i in range(NVARS))
+_STEPS = tuple(1 << 32 * i for i in range(NVARS))  # z0, z1, z2, z3
 
 
-def degrevlex_key(m: Monomial):
-    """Sort key; larger key means larger monomial in degrevlex."""
-    return (m[0] + m[1] + m[2] + m[3], -m[3], -m[2], -m[1], -m[0])
+def check_degree(degree: int, stage: str) -> None:
+    """Refuse a degree above MAX_DEGREE, naming the stage."""
+    if degree > MAX_DEGREE:
+        raise ResourceLimitError(
+            f"{stage}: total degree {degree} exceeds the degree cap {MAX_DEGREE}")
 
 
-def mono_str(m: Monomial) -> str:
-    if m == ONE_MONO:
-        return "1"
+def _pack(m) -> int:
+    return m[3] << 96 | m[2] << 64 | m[1] << 32 | m[0]
+
+
+def _pack_checked(m, stage: str) -> int:
+    """_pack(m) for an exponent tuple m from a caller: NotHomogeneousError
+    unless it is four non-negative exponents, and check_degree on its sum."""
+    if len(m) != NVARS or min(m) < 0:
+        raise NotHomogeneousError(f"{stage}: {m!r} is not four non-negative exponents")
+    check_degree(m[0] + m[1] + m[2] + m[3], stage)
+    return _pack(m)
+
+
+def _unpack(m: int) -> tuple:
+    return m & _FIELD, m >> 32 & _FIELD, m >> 64 & _FIELD, m >> 96
+
+
+def exponent_tuples(monomials) -> list:
+    """The packed monomials as exponent 4-tuples, in the same order."""
+    return [_unpack(m) for m in monomials]
+
+
+def mono_degree(m: int) -> int:
+    return (m & _FIELD) + (m >> 32 & _FIELD) + (m >> 64 & _FIELD) + (m >> 96)
+
+
+def mono_str(m: int) -> str:
     parts = []
-    for i, e in enumerate(m):
-        if e == 1:
-            parts.append(VAR_NAMES[i])
-        elif e > 1:
-            parts.append(f"{VAR_NAMES[i]}^{e}")
-    return "*".join(parts)
+    for i, name in enumerate(VAR_NAMES):
+        e = m >> 32 * i & _FIELD
+        if e:
+            parts.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(parts) or "1"
+
+
+@lru_cache(maxsize=None)
+def packed_monomials(k: int) -> tuple:
+    """All degree-k monomials, packed, ascending: descending degrevlex."""
+    return tuple(e3 << 96 | e2 << 64 | e1 << 32 | k - e3 - e2 - e1
+                 for e3 in range(k + 1) for e2 in range(k + 1 - e3)
+                 for e1 in range(k + 1 - e3 - e2))
 
 
 @lru_cache(maxsize=None)
 def monomials_of_degree(k: int) -> tuple:
-    """All degree-k monomials, descending degrevlex."""
-    if k < 0:
-        return ()
-    out = []
-    for e0 in range(k, -1, -1):
-        for e1 in range(k - e0, -1, -1):
-            for e2 in range(k - e0 - e1, -1, -1):
-                out.append((e0, e1, e2, k - e0 - e1 - e2))
-    out.sort(key=degrevlex_key, reverse=True)
-    return tuple(out)
+    """All degree-k monomials as exponent tuples, descending degrevlex."""
+    return tuple(exponent_tuples(packed_monomials(k)))
 
 
 def graded_piece_dimension(k: int) -> int:
@@ -108,9 +126,11 @@ class HomogeneousPolynomial:
     __slots__ = ("degree", "_cleared")
 
     def __init__(self, degree: int, terms=None):
+        check_degree(degree, "HomogeneousPolynomial")
         clean = {}
         if terms:
             for m, c in terms.items():
+                m = _pack_checked(m, "HomogeneousPolynomial")
                 c = Fraction(c)
                 if c == 0:
                     continue
@@ -128,27 +148,28 @@ class HomogeneousPolynomial:
 
     @property
     def terms(self) -> dict:
-        """The nonzero coefficients, Fractions keyed by monomial."""
+        """The nonzero coefficients, Fractions keyed by exponent tuple."""
         den, ints = self._cleared
-        return {m: Fraction(c, den) for m, c in ints.items()}
+        return {_unpack(m): Fraction(c, den) for m, c in ints.items()}
 
     @classmethod
     def zero(cls, degree: int = 0) -> "HomogeneousPolynomial":
         return _wrap(degree, 1, {})
 
     @classmethod
-    def from_term(cls, mono: Monomial, coeff=1) -> "HomogeneousPolynomial":
+    def from_term(cls, mono: tuple, coeff=1) -> "HomogeneousPolynomial":
+        mono = _pack_checked(mono, "from_term")
         num, den = _ratio(coeff)
         return _wrap(mono_degree(mono), den, {mono: num} if num else {})
 
     @classmethod
     def variable(cls, i: int) -> "HomogeneousPolynomial":
-        return _wrap(1, 1, {tuple(1 if j == i else 0 for j in range(NVARS)): 1})
+        return _wrap(1, 1, {_STEPS[i]: 1})
 
     @classmethod
     def constant(cls, c) -> "HomogeneousPolynomial":
         num, den = _ratio(c)
-        return _wrap(0, den, {ONE_MONO: num} if num else {})
+        return _wrap(0, den, {0: num} if num else {})
 
     def is_zero(self) -> bool:
         return not self._cleared[1]
@@ -157,18 +178,19 @@ class HomogeneousPolynomial:
         return bool(self._cleared[1])
 
     def sorted_terms(self):
-        """Terms as (monomial, coefficient) pairs, descending degrevlex."""
-        return sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
+        """Terms as (exponent tuple, coefficient) pairs, descending degrevlex."""
+        den, ints = self._cleared
+        return [(_unpack(m), Fraction(c, den)) for m, c in sorted(ints.items())]
 
-    def lead_monomial(self) -> Monomial:
+    def lead_monomial(self) -> tuple:
         ints = self._cleared[1]
         if not ints:
             raise ValueError("zero polynomial has no lead monomial")
-        return max(ints, key=degrevlex_key)
+        return _unpack(min(ints))
 
     def lead_coefficient(self) -> Fraction:
         den, ints = self._cleared
-        return Fraction(ints[self.lead_monomial()], den)
+        return Fraction(ints[min(ints)], den)
 
     def __add__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
         return _combine(self, other, 1)
@@ -188,16 +210,16 @@ class HomogeneousPolynomial:
         d, f, g = _scaling(den, ints, num, q)
         return _wrap(self.degree, d, {m: c // g * f for m, c in ints.items()})
 
-    def multiply_monomial(self, mono: Monomial, coeff=1) -> "HomogeneousPolynomial":
+    def multiply_monomial(self, mono: tuple, coeff=1) -> "HomogeneousPolynomial":
+        mono = _pack_checked(mono, "multiply_monomial")
         num, q = _ratio(coeff)
         degree = self.degree + mono_degree(mono)
+        check_degree(degree, "multiply_monomial")
         if not num:
             return _wrap(degree, 1, {})
         den, ints = self._cleared
         d, f, g = _scaling(den, ints, num, q)
-        e0, e1, e2, e3 = mono
-        return _wrap(degree, d, {(m[0] + e0, m[1] + e1, m[2] + e2, m[3] + e3): c // g * f
-                                 for m, c in ints.items()})
+        return _wrap(degree, d, {m + mono: c // g * f for m, c in ints.items()})
 
     def __mul__(self, other):
         if isinstance(other, HomogeneousPolynomial):
@@ -210,9 +232,10 @@ class HomogeneousPolynomial:
     def __pow__(self, n: int) -> "HomogeneousPolynomial":
         """self ** n, refused before it is computed when a coefficient may
         need more than MAX_COEFFICIENT_BITS bits or the estimated work
-        exceeds MAX_POWER_WORK (see power_bounds)."""
+        exceeds MAX_POWER_WORK (see power_bounds), or its degree MAX_DEGREE."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        check_degree(self.degree * n, f"polynomial power ^{n}")
         terms, bits = power_bounds(self, n)
         if bits > MAX_COEFFICIENT_BITS or terms * terms * bits > MAX_POWER_WORK:
             raise ResourceLimitError(
@@ -235,18 +258,17 @@ class HomogeneousPolynomial:
         if not ints:
             return self
         # each c/den over the lead coefficient lc/den is c/lc
-        return _from_integers(self.degree, ints[self.lead_monomial()], ints)
+        return _from_integers(self.degree, ints[min(ints)], ints)
 
     def partial(self, i: int) -> "HomogeneousPolynomial":
         """Partial derivative with respect to z_i."""
         den, ints = self._cleared
+        shift, step = 32 * i, _STEPS[i]
         res = {}
         for m, c in ints.items():
-            e = m[i]
+            e = m >> shift & _FIELD
             if e:
-                d = list(m)
-                d[i] -= 1
-                res[tuple(d)] = c * e
+                res[m - step] = c * e
         return _from_integers(max(self.degree - 1, 0), den, res)
 
     def __eq__(self, other) -> bool:
@@ -261,12 +283,12 @@ class HomogeneousPolynomial:
     def __str__(self) -> str:
         den, ints = self._cleared
         parts = []
-        for m, c in sorted(ints.items(), key=lambda t: degrevlex_key(t[0]), reverse=True):
+        for m, c in sorted(ints.items()):
             sign = "-" if c < 0 else "+"
             c = abs(c)
             g = gcd(c, den)  # |c|/den in lowest terms, as str(Fraction) writes it
             coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
-            if m == ONE_MONO:
+            if not m:
                 body = coeff
             elif c == den:
                 body = mono_str(m)
@@ -391,10 +413,10 @@ def sum_of_products(pairs) -> HomogeneousPolynomial:
     """The polynomial sum of sign*a*b over the (sign, a, b) triples in pairs.
 
     pairs must be non-empty, each sign an int, and every product a*b must
-    have one degree.  All products accumulate as ints into one dict under a
-    common denominator, so a sum of many products builds no intermediate
-    polynomials and no Fraction; zero coefficients are dropped once, at the
-    end.
+    have one degree, at most MAX_DEGREE.  All products accumulate as ints
+    into one dict under a common denominator, so a sum of many products
+    builds no intermediate polynomials and no Fraction; zero coefficients
+    are dropped once, at the end.
     """
     acc: dict = {}
     den = 1  # acc holds the result times den
@@ -402,6 +424,7 @@ def sum_of_products(pairs) -> HomogeneousPolynomial:
     for sign, a, b in pairs:
         if degree is None:
             degree = a.degree + b.degree
+            check_degree(degree, "polynomial product")
         elif a.degree + b.degree != degree:
             raise DegreeMismatchError(
                 f"cannot add degree {degree} and degree {a.degree + b.degree}"
@@ -420,7 +443,7 @@ def sum_of_products(pairs) -> HomogeneousPolynomial:
         for m1, c1 in a_terms.items():
             c1 *= scale
             for m2, c2 in b_terms:
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+                m = m1 + m2
                 acc[m] = acc.get(m, 0) + c1 * c2
     if degree is None:
         raise ValueError("an empty sum of products has no degree")

@@ -61,7 +61,7 @@ from .monad import instanton_monad, monad_regularity_bound
 from .polyring import (
     HomogeneousPolynomial,
     _from_integers,
-    monomials_of_degree,
+    packed_monomials,
     parse_polynomial,
     sum_of_products,
 )
@@ -183,7 +183,7 @@ def _syzygy_vector(tup, weights, target):
     vec = {}
     offset = 0
     for (d, ints), w in zip(cleared, weights):
-        monos = monomials_of_degree(target - w)
+        monos = packed_monomials(target - w)
         index = {m: i for i, m in enumerate(monos)}
         s = den // d
         for m, c in ints.items():
@@ -339,7 +339,7 @@ def _random_ideal(rng, max_gens=3, max_degree=3):
         for _ in range(rng.randint(2, max_gens)):
             deg = rng.randint(1, max_degree)
             terms = {}
-            monos = monomials_of_degree(deg)
+            monos = packed_monomials(deg)
             for m in rng.sample(monos, k=min(len(monos), rng.randint(2, 5))):
                 c = rng.randint(-3, 3)
                 if c:

@@ -178,6 +178,21 @@ def test_monad_command(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"template": {"c": 5, "b": [0, 0]}}',
+    "[1, 2]",
+    '{"left": [1, "a"], "middle": [], "right": []}',
+    '{"template": {"c": [1], "b": [0, 0.5]}}',
+    '{"left": [-2], "middle": [-1, -1, 0, 1e400], "right": [1]}',
+])
+def test_monad_refuses_a_malformed_spec_with_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["monad", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_moduli_command(capsys):
     code, out, _ = run(capsys, ["moduli", "legendrian", "2", "--json"])
     assert code == 0
@@ -371,7 +386,10 @@ def test_hilbert_refuses_a_degree_over_the_packing_cap_quickly(capsys, tmp_path)
     for text, degree in (("x^2147483648\ny\n", 2147483648),
                          ("x^2147483647*y\nz\n", 2147483648),
                          ("(x*y)^1073741824\nz\n", 2147483648),
-                         ("(x + y)*x^2147483647\nz\n", 2147483648)):
+                         ("(x + y)*x^2147483647\nz\n", 2147483648),
+                         # an exponent past the cap is refused at the product
+                         # that makes it, before it could spill into z1's field
+                         ("x^2000000000*x^2000000000*x^2000000000\ny\n", 4000000000)):
         path.write_text(text)
         started = time.perf_counter()
         code, _, err = run(capsys, ["hilbert", str(path)])

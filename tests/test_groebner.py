@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from folcurves import cli, groebner, verification
+from folcurves import cli, groebner, polyring, verification
 from folcurves.errors import (
     CrossCheckFailureError,
     DegreeMismatchError,
@@ -31,8 +31,6 @@ from folcurves.groebner import (
     _divide,
     _dual_map_rank,
     _element,
-    _pack,
-    _unpack,
     buchberger,
     curve_invariants,
     graded_syzygies,
@@ -44,16 +42,15 @@ from folcurves.linalg import Echelon, kernel_of_columns
 from folcurves.polyring import (
     HomogeneousPolynomial,
     NVARS,
-    ONE_MONO,
     _from_integers,
-    degrevlex_key,
+    _pack,
+    _unpack,
     graded_piece_dimension,
     integer_terms,
-    mono_degree,
-    mono_mul,
     monomials_of_degree,
     parse_polynomial,
 )
+from tuple_monomials import ONE_MONO, degrevlex_key, mono_degree, mono_mul
 
 SKEW = ["z0*z2", "z0*z3", "z1*z2", "z1*z3"]
 
@@ -135,7 +132,8 @@ def _tuple_element(vec, basis, twists, degree, den=1):
     out = {}
     for slot, terms in slots.items():
         d, ints = integer_terms(terms)
-        out[slot] = _from_integers(degree + twists[slot], d * den, ints)
+        out[slot] = _from_integers(degree + twists[slot], d * den,
+                                   {_pack(m): c for m, c in ints.items()})
     return out
 
 
@@ -417,6 +415,35 @@ def test_rao_window_too_small():
         rao_module_dimensions(_ideal(*SKEW), window=(0, 5))
 
 
+def test_the_resolution_is_kept_on_the_ideal(monkeypatch):
+    """rao_module_dimensions after minimal_free_resolution takes no kernel:
+    the resolution is not computed again.  A call that raises keeps
+    nothing, so the next call resolves."""
+    real = groebner.kernel_of_columns
+    calls = []
+    monkeypatch.setattr(groebner, "kernel_of_columns",
+                        lambda columns: calls.append(len(columns)) or real(columns))
+    ideal = legendrian_sample(3, Random(0)).ideal
+    res = minimal_free_resolution(ideal)
+    assert calls
+    calls.clear()
+    profile = rao_module_dimensions(ideal)
+    assert calls == [] and minimal_free_resolution(ideal) is res
+    assert profile == rao_module_dimensions(GradedIdeal(ideal.generators))
+    assert calls
+
+    def refuse(columns):
+        raise ResourceLimitError("refused")
+
+    ideal = _ideal(*SKEW)
+    monkeypatch.setattr(groebner, "kernel_of_columns", refuse)
+    with pytest.raises(ResourceLimitError, match="^refused$"):
+        minimal_free_resolution(ideal)
+    assert ideal._resolution is None
+    monkeypatch.setattr(groebner, "kernel_of_columns", real)
+    assert minimal_free_resolution(ideal).betti() == minimal_free_resolution(_ideal(*SKEW)).betti()
+
+
 def test_rao_requires_a_curve():
     with pytest.raises(NotACurveError):
         rao_module_dimensions(_ideal("z0"))
@@ -593,8 +620,8 @@ def test_division_by_the_elements_gives_the_normal_form_of_the_reduced_basis():
         elements, gb = ideal._basis_elements(), list(ideal.groebner_basis())
         for e in range(1, 5):
             for m in monomials_of_degree(e):
-                r, mult = groebner._divide({groebner._pack(m): 1}, elements)
-                mine = [(groebner._unpack(rm), Fraction(c, mult)) for rm, c in r.items()]
+                r, mult = groebner._divide({_pack(m): 1}, elements)
+                mine = [(_unpack(rm), Fraction(c, mult)) for rm, c in r.items()]
                 nf = normal_form(HomogeneousPolynomial.from_term(m), gb)
                 assert mine == list(nf.terms.items())
                 cases += bool(mine)
@@ -1911,7 +1938,7 @@ def _tuple_groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, degre
     # each generator divided by those kept before it: no lead divides another
     basis = []
     for g in sorted(gens, key=lambda g: degrevlex_key(g.lead_monomial())):
-        r, _ = _tuple_divide({m[::-1]: c for m, c in g._cleared[1].items()}, basis)
+        r, _ = _tuple_divide({_unpack(m)[::-1]: c for m, c in g._cleared[1].items()}, basis)
         if r:
             basis.append(groebner._basis_element(r))
 
@@ -2010,7 +2037,7 @@ def test_packed_monomials_match_the_tuple_operations():
     divisible = coprime = 0
     for a in monos:
         pa = _pack(a)
-        assert _unpack(pa) == a and groebner._degree(pa) == mono_degree(a)
+        assert _unpack(pa) == a and polyring.mono_degree(pa) == mono_degree(a)
         assert groebner._nonzero_fields(pa).bit_count() == sum(e > 0 for e in a)
         for b in monos + [tuple(rng.randint(0, e) for e in a)]:  # and a divisor of a
             pb = _pack(b)
@@ -2089,17 +2116,19 @@ def test_packed_buchberger_gives_the_tuple_elements_on_the_hilbert_pool():
 
 
 def test_buchberger_and_normal_form_refuse_a_degree_over_the_packing_cap():
+    """No polynomial over the cap is made, so none reaches buchberger or
+    normal_form; one at the cap is divided, and Buchberger refuses an
+    S-polynomial over it."""
     top = groebner.MAX_DEGREE
-    over = HomogeneousPolynomial.from_term((top + 1, 0, 0, 0))
     edge = HomogeneousPolynomial.from_term((top, 0, 0, 0))
     y = HomogeneousPolynomial.variable(1)
-    message = f"degree {top + 1} exceeds the degree cap {top}$"
-    with pytest.raises(ResourceLimitError, match=f"^buchberger: {message}"):
-        buchberger([over, y])
-    with pytest.raises(ResourceLimitError, match=f"^normal_form: {message}"):
-        normal_form(over, [y])
-    with pytest.raises(ResourceLimitError, match=f"^normal_form: {message}"):
-        normal_form(y, [over])
+    message = f"total degree {top + 1} exceeds the degree cap {top}$"
+    with pytest.raises(ResourceLimitError, match=f"^from_term: {message}"):
+        HomogeneousPolynomial.from_term((top + 1, 0, 0, 0))
+    with pytest.raises(ResourceLimitError, match=f"^polynomial product: {message}"):
+        edge * y
+    with pytest.raises(ResourceLimitError, match=f"^multiply_monomial: {message}"):
+        y.multiply_monomial((top, 0, 0, 0))
     assert buchberger([edge, y]) == [y, edge]
     below = HomogeneousPolynomial.from_term((top - 1, 1, 0, 0))
     assert normal_form(edge - below, [y]) == edge
@@ -2419,15 +2448,16 @@ def test_exponent_refusal_refuses_exactly_the_curves_of_the_hilbert_pool(monkeyp
 
 def _heap_groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bool = False):
     """The former groebner._groebner_elements, one heap of pairs and a set
-    of pending pairs, verbatim but for the groebner. prefixes and line
-    breaks."""
+    of pending pairs, verbatim but for the groebner. prefixes, line breaks,
+    polyring.mono_degree for the former groebner._degree, and the packed
+    terms read from _cleared for the removed groebner._packed_terms."""
     gens = [g for g in generators if g]
     if any(g.degree == 0 for g in gens):
         return [(0, 1, [])]
     # each generator divided by those kept before it: no lead divides another
     basis = []
     for g in sorted(gens, key=lambda g: degrevlex_key(g.lead_monomial())):
-        r, _ = groebner._divide(groebner._packed_terms(g, "buchberger")[1], basis)
+        r, _ = groebner._divide(dict(g._cleared[1]), basis)
         if r:
             basis.append(groebner._basis_element(r))
 
@@ -2439,12 +2469,12 @@ def _heap_groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_u
         for k in range(new):
             top = groebner._lcm(lead[k], lead[new])
             pending.add((k, new))
-            heappush(queue, (groebner._degree(top), -top, k, new))
+            heappush(queue, (polyring.mono_degree(top), -top, k, new))
 
     for new in range(1, len(basis)):
         add_pairs(new)
     # the bound takes the kept generators: they generate I, and are no more
-    numerator = (groebner._ci_numerator(groebner._degree(m) for m in lead)
+    numerator = (groebner._ci_numerator(polyring.mono_degree(m) for m in lead)
                  if len(gens) <= 4 else None)
     standard, std_degree, bound = {0}, 0, None  # standard monomials of std_degree
     walked = 0
@@ -2463,7 +2493,7 @@ def _heap_groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_u
                 walked += len(standard)
                 std_degree += 1
                 standard = groebner._next_standard(
-                    standard, {m for m in lead if groebner._degree(m) == std_degree})
+                    standard, {m for m in lead if polyring.mono_degree(m) == std_degree})
                 bound = groebner._ci_hilbert_function(numerator, std_degree)
             if std_degree == degree and len(standard) == bound:
                 continue

@@ -99,3 +99,12 @@ def test_template_validation():
         MonadSpec.from_template((0,), (0, 0))
     with pytest.raises(InvalidProfileError):
         MonadSpec.from_template((1,), (0,))
+
+
+def test_twist_lists_must_be_lists_of_integers():
+    for bad in (5, None, "12", [1, "a"], [0, 0.5], [float("inf")], [True, 0], {"c": 1}):
+        with pytest.raises(InvalidProfileError, match="^twists left: expected a list of integers$"):
+            MonadSpec.from_twists(bad, [0, 0], [])
+        with pytest.raises(InvalidProfileError, match="^twists b: expected a list of integers$"):
+            MonadSpec.from_template([1], bad)
+    assert MonadSpec.from_twists([1], (0, 0, 0, 0), [-1]) == MonadSpec((1,), (0, 0, 0, 0), (-1,))

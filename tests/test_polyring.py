@@ -1,8 +1,9 @@
 """Polynomial arithmetic, parsing and exact linear algebra."""
 
+import re
 import time
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from random import Random
 
 import pytest
@@ -19,18 +20,20 @@ from folcurves.forms import TwistedForm, random_polynomial, wedge
 from folcurves.linalg import Echelon, kernel_of_columns
 from folcurves.parsing import _ALIASES, _FORM_ATOMS, _check_terms, _tokenize, parse_value
 from folcurves.polyring import (
-    ONE_MONO,
+    MAX_DEGREE,
     HomogeneousPolynomial,
-    degrevlex_key,
+    _pack,
+    _unpack,
+    exponent_tuples,
     graded_piece_dimension,
     integer_terms,
-    mono_degree,
-    mono_mul,
-    mono_str,
     monomials_of_degree,
+    packed_monomials,
     parse_polynomial,
     sum_of_products,
 )
+from tuple_monomials import ONE_MONO, degrevlex_key, mono_degree, mono_mul, mono_str
+from tuple_monomials import monomials_of_degree as former_monomials_of_degree
 
 
 def test_parse_cancellation_keeps_degree_tag():
@@ -248,7 +251,7 @@ def test_sum_of_products_clears_each_factor_once(monkeypatch):
     sums = [sum_of_products(t) for t in triples]
     assert len(calls) == built
     assert sums == [_former_sum_of_products(t) for t in triples]
-    assert all(f._cleared == real(f.terms) for f in fs)
+    assert all(f._cleared == _packed(real(f.terms)) for f in fs)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +356,16 @@ def _as_fractions(p):
     return HomogeneousPolynomial(p.degree, dict(p.terms))
 
 
+def _packed(cleared):
+    """The cleared form (den, ints) of exponent-tuple keys, with its keys
+    packed."""
+    den, ints = cleared
+    return den, {_pack(m): c for m, c in ints.items()}
+
+
 def _as_cleared(p):
     """p built again from its cleared form, by _from_integers."""
-    den, ints = integer_terms(p.terms)
+    den, ints = _packed(integer_terms(p.terms))
     return polyring._from_integers(p.degree, den, ints)
 
 
@@ -364,7 +374,7 @@ def _assert_same(new, old):
     canonical cleared form, str, lead coefficient, terms in the same order
     as Fractions, equality both ways and across forms, and the hash."""
     assert new.degree == old.degree
-    (den, ints), (old_den, old_ints) = new._cleared, integer_terms(old.terms)
+    (den, ints), (old_den, old_ints) = new._cleared, _packed(integer_terms(old.terms))
     assert den == old_den and list(ints.items()) == list(old_ints.items())
     assert str(new) == _fraction_str(old)
     assert bool(new) == bool(old.terms) and new.is_zero() == (not old.terms)
@@ -691,6 +701,210 @@ def test_monomial_order_is_total():
     keys = [degrevlex_key(m) for m in monos]
     assert len(set(keys)) == len(keys)
     assert keys == sorted(keys, reverse=True)
+    assert list(packed_monomials(3)) == sorted(packed_monomials(3))
+
+
+def test_malformed_monomials_and_degrees_over_the_cap_are_refused():
+    """Exponent tuples with a negative entry or a length other than four are
+    refused wherever a caller gives one, and no polynomial of a degree
+    above MAX_DEGREE is made; the cap itself is built."""
+    x = HomogeneousPolynomial.variable(0)
+    for bad in ((1, -1, 0, 0), (0, 0, 0, -2), (1, 0, 0), (1, 0, 0, 0, 0), ()):
+        message = f"^HomogeneousPolynomial: {re.escape(repr(bad))} is not four non-negative"
+        for c in (1, 0):
+            with pytest.raises(NotHomogeneousError, match=message):
+                HomogeneousPolynomial(sum(bad), {bad: c})
+        with pytest.raises(NotHomogeneousError, match="^from_term: "):
+            HomogeneousPolynomial.from_term(bad)
+        with pytest.raises(NotHomogeneousError, match="^multiply_monomial: "):
+            x.multiply_monomial(bad)
+    top = MAX_DEGREE
+    assert top == 2**31 - 1
+    over = f"total degree {top + 1} exceeds the degree cap {top}$"
+    for stage, make in (
+            ("from_term", lambda: HomogeneousPolynomial.from_term((top + 1, 0, 0, 0))),
+            ("from_term", lambda: HomogeneousPolynomial.from_term((top, 1, 0, 0))),
+            ("HomogeneousPolynomial", lambda: HomogeneousPolynomial(top + 1)),
+            ("HomogeneousPolynomial",
+             lambda: HomogeneousPolynomial(top, {(top, 0, 0, 0): 1, (top, 1, 0, 0): 1})),
+            ("multiply_monomial", lambda: x.multiply_monomial((0, 0, top, 0))),
+            (f"polynomial power \\^{top + 1}", lambda: x ** (top + 1)),
+            ("polynomial product", lambda: (x ** top) * x)):
+        with pytest.raises(ResourceLimitError, match=f"^{stage}: {over}"):
+            make()
+    edge = x ** top
+    assert edge == HomogeneousPolynomial.from_term((top, 0, 0, 0)) == HomogeneousPolynomial(
+        top, {(top, 0, 0, 0): 1})
+    assert edge.terms == {(top, 0, 0, 0): 1} and edge.lead_monomial() == (top, 0, 0, 0)
+    assert str(edge) == f"z0^{top}"
+    assert HomogeneousPolynomial.variable(1).multiply_monomial((0, 0, 0, top - 1)).degree == top
+
+
+# ---------------------------------------------------------------------------
+# the packed monomials against the former tuple forms: polyring's
+# monomials_of_degree (tuple_monomials), and sum_of_products,
+# multiply_monomial, partial, __str__ and lead_monomial as they were on
+# exponent-tuple keys, verbatim as functions of a stand-in that holds the
+# tuple-keyed cleared form, with the stand-in for _wrap
+
+
+class _TuplePoly:
+    """degree and the cleared form (den, ints) keyed by exponent tuple."""
+
+    __slots__ = ("degree", "_cleared")
+
+    def __init__(self, degree, den, ints):
+        self.degree, self._cleared = degree, (den, ints)
+
+
+_wrap = _TuplePoly
+
+
+def _tuple_from_integers(degree: int, den: int, ints: dict):
+    if den != 1:
+        if den < 0:
+            den, ints = -den, {m: -c for m, c in ints.items()}
+        g = polyring._gcd_with(den, ints.values())
+        if g != 1:
+            den //= g
+            ints = {m: c // g for m, c in ints.items()}
+    return _wrap(degree, den, ints)
+
+
+def _tuple_sum_of_products(pairs):
+    acc: dict = {}
+    den = 1  # acc holds the result times den
+    degree = None
+    for sign, a, b in pairs:
+        if degree is None:
+            degree = a.degree + b.degree
+        elif a.degree + b.degree != degree:
+            raise DegreeMismatchError(
+                f"cannot add degree {degree} and degree {a.degree + b.degree}"
+            )
+        da, a_terms = a._cleared
+        db, b_terms = b._cleared
+        d = da * db
+        if den % d:  # the common denominator grows: rescale what is summed so far
+            grown = lcm(den, d)
+            s = grown // den
+            for m in acc:
+                acc[m] *= s
+            den = grown
+        scale = sign * (den // d)
+        b_terms = b_terms.items()
+        for m1, c1 in a_terms.items():
+            c1 *= scale
+            for m2, c2 in b_terms:
+                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+                acc[m] = acc.get(m, 0) + c1 * c2
+    if degree is None:
+        raise ValueError("an empty sum of products has no degree")
+    return _tuple_from_integers(degree, den, {m: c for m, c in acc.items() if c})
+
+
+def _tuple_multiply_monomial(self, mono, coeff=1):
+    num, q = polyring._ratio(coeff)
+    degree = self.degree + mono_degree(mono)
+    if not num:
+        return _wrap(degree, 1, {})
+    den, ints = self._cleared
+    d, f, g = polyring._scaling(den, ints, num, q)
+    e0, e1, e2, e3 = mono
+    return _wrap(degree, d, {(m[0] + e0, m[1] + e1, m[2] + e2, m[3] + e3): c // g * f
+                             for m, c in ints.items()})
+
+
+def _tuple_partial(self, i):
+    den, ints = self._cleared
+    res = {}
+    for m, c in ints.items():
+        e = m[i]
+        if e:
+            d = list(m)
+            d[i] -= 1
+            res[tuple(d)] = c * e
+    return _tuple_from_integers(max(self.degree - 1, 0), den, res)
+
+
+def _tuple_str(self):
+    den, ints = self._cleared
+    parts = []
+    for m, c in sorted(ints.items(), key=lambda t: degrevlex_key(t[0]), reverse=True):
+        sign = "-" if c < 0 else "+"
+        c = abs(c)
+        g = gcd(c, den)  # |c|/den in lowest terms, as str(Fraction) writes it
+        coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
+        if m == ONE_MONO:
+            body = coeff
+        elif c == den:
+            body = mono_str(m)
+        else:
+            body = f"{coeff}*{mono_str(m)}"
+        parts.append((sign, body))
+    return polyring._signed_sum(parts)
+
+
+def _tuple_lead_monomial(self):
+    ints = self._cleared[1]
+    if not ints:
+        raise ValueError("zero polynomial has no lead monomial")
+    return max(ints, key=degrevlex_key)
+
+
+def _tuple_draw(rng, degree):
+    """(packed polynomial, tuple stand-in) of one seeded draw: sparse, mixed
+    denominators, zero about one time in eight."""
+    monos = former_monomials_of_degree(degree)
+    chosen = [] if rng.random() < 1 / 8 else rng.sample(monos, rng.randint(1, min(8, len(monos))))
+    coeffs = {m: rng.choice(_MIXED) * rng.randint(1, 3) for m in chosen}
+    den, ints = integer_terms(coeffs)
+    return HomogeneousPolynomial(degree, coeffs), _TuplePoly(degree, den, ints)
+
+
+def _assert_same_layout(new, old):
+    """new, a packed polynomial, holds old's cleared form, keys unpacked, in
+    the same order."""
+    den, ints = new._cleared
+    assert (new.degree, den) == (old.degree, old._cleared[0])
+    assert [(_unpack(m), c) for m, c in ints.items()] == list(old._cleared[1].items())
+
+
+def test_packed_arithmetic_matches_the_former_tuple_forms():
+    for k in range(13):
+        former = former_monomials_of_degree(k)
+        assert monomials_of_degree(k) == former == tuple(exponent_tuples(packed_monomials(k)))
+        assert packed_monomials(k) == tuple(_pack(m) for m in former)
+    rng = Random(47)
+    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    seen = set()
+    for case in range(300):
+        total = case % 13
+        triples, stand_ins = [], []
+        for _ in range(rng.randint(1, 4)):
+            da = rng.randint(0, total)
+            (a, ta), (b, tb) = _tuple_draw(rng, da), _tuple_draw(rng, total - da)
+            sign = rng.choice((1, -1, 2))
+            triples.append((sign, a, b))
+            stand_ins.append((sign, ta, tb))
+        new, old = sum_of_products(triples), _tuple_sum_of_products(stand_ins)
+        _assert_same_layout(new, old)
+        assert str(new) == _tuple_str(old)
+        if new:
+            assert new.lead_monomial() == _tuple_lead_monomial(old)
+            assert new.sorted_terms()[0][0] == new.lead_monomial()
+        for p, tp in ((triples[0][1], stand_ins[0][1]), (new, old)):
+            mono = rng.choice(former_monomials_of_degree(rng.randint(0, 3)))
+            coeff = rng.choice((1, 0, -3, Fraction(2, 3)))
+            _assert_same_layout(p.multiply_monomial(mono, coeff),
+                                _tuple_multiply_monomial(tp, mono, coeff))
+            for i in range(4):
+                _assert_same_layout(p.partial(i), _tuple_partial(tp, i))
+                _assert_same_layout(p.multiply_monomial(units[i]).partial(i),
+                                    _tuple_partial(_tuple_multiply_monomial(tp, units[i]), i))
+        seen.add((total, bool(new)))
+    # every degree 0..12, with zero and nonzero sums
+    assert {t for t, _ in seen} == set(range(13)) and {z for _, z in seen} == {True, False}
 
 
 # ---------------------------------------------------------------------------
