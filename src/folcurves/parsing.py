@@ -12,39 +12,33 @@ Scalar names are z0..z3 with aliases x,y,z,t; form atoms are dz0..dz3.
 a wedge otherwise; '/\\' is always a wedge.  Products mixing scalars and
 forms scale the form.
 
-A product of numbers, variables and their natural powers, such as
-3*z0^3*z1, is parsed as one term, a (coefficient, packed monomial) tuple:
-its factors multiply coefficients and add monomials, and no polynomial
-product is run.  A term becomes a HomogeneousPolynomial only when it meets
-a sum, a parenthesis, a polynomial or a form, or ends the expression; from
-there on the polynomial operations, their term cap and their error
-messages are those of a parser without the one-term path.  Every power is
+An expression is evaluated in one pass into integer term dicts.  A scalar
+is a tuple (degree, den, ints), ints / den with nonzero int coefficients
+keyed by packed monomial; a form is a _Form (degree, form_degree,
+coefficients), nonzero scalars keyed by covector index.  A sum adds each
+addend into the first in place and drops a coefficient once it reaches
+zero, so its terms keep the order of a sum taken pairwise; a product of
+scalars, or of a scalar and a form, multiplies term dicts in the order of
+polyring.sum_of_products.  One polynomial or form is built, at the end;
+only a power of a scalar of two or more terms and a wedge of two forms go
+through HomogeneousPolynomial.__pow__ and forms.wedge.  Every power is
 refused before it is computed when its coefficients could exceed
 MAX_COEFFICIENT_BITS bits, and a power of a polynomial also when its
-estimated work exceeds MAX_POWER_WORK.  A power or a product of
-polynomials or forms is refused before it is computed when its total degree
-would exceed MAX_DEGREE, and so is a one-term product when it becomes a
-polynomial or one of its exponents passes MAX_DEGREE.
+estimated work exceeds MAX_POWER_WORK; a power or a product of scalars when
+it may have more than MAX_TERMS terms; and every product or power when its
+total degree would exceed MAX_DEGREE.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
+from math import gcd
 
-from .errors import DegreeMismatchError, NotHomogeneousError, ParseError, ResourceLimitError
-from .polyring import (
-    HomogeneousPolynomial,
-    MAX_COEFFICIENT_BITS,
-    MAX_POWER_WORK,
-    _GUARD,
-    _STEPS,
-    _from_integers,
-    check_degree,
-    coefficient_bits,
-    graded_piece_dimension,
-    mono_degree,
-    power_bounds,
-)
+from . import forms
+from .errors import NotHomogeneousError, ParseError, ResourceLimitError
+from .polyring import (HomogeneousPolynomial, MAX_COEFFICIENT_BITS, MAX_POWER_WORK,
+                       _STEPS, _from_integers, _multiply_into, check_degree, coefficient_bits,
+                       graded_piece_dimension, power_bounds)
 
 # Largest number of terms a scalar product or power may produce; far above
 # any polynomial the shipped tests, demos and benchmark inputs parse to.
@@ -53,171 +47,113 @@ MAX_TERMS = 2_000
 _ALIASES = {"x": 0, "y": 1, "z": 2, "t": 3, "z0": 0, "z1": 1, "z2": 2, "z3": 3}
 _VARIABLES = {name: _STEPS[i] for name, i in _ALIASES.items()}
 _FORM_ATOMS = {"dz0": 0, "dz1": 1, "dz2": 2, "dz3": 3}
+# A word is a run of decimal digits, a run of letters, digits and "_", "/\\"
+# or any other character but whitespace, which only separates words.
+_WORD = re.compile(r"\d+|\w+|/\\|\S")
+_KNOWN = {word: ("op", word) for word in ("+", "-", "*", "^", "(", ")", "/", "/\\")}
+_KNOWN.update((word, ("name", word)) for word in (*_ALIASES, *_FORM_ATOMS))
+_SIGNS = {("op", "+"): 1, ("op", "-"): -1}
+_PRODUCTS = {("op", "*"), ("op", "/\\")}
 
 
 def _tokenize(text: str):
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", int(text[i:j])))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "\\":
-            tokens.append(("op", "/\\"))
-            i += 2
-            continue
-        if ch in "+-*^()/":
-            tokens.append(("op", ch))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} at position {i}")
+    for match in _WORD.finditer(text):
+        word = match.group()
+        token = _KNOWN.get(word)
+        if token is None:
+            if word[0].isdecimal():
+                token = ("num", int(word))
+            elif word[0].isalpha():
+                token = ("name", word)
+            else:
+                raise ParseError(
+                    f"unexpected character {word[0]!r} at position {match.start()}")
+        tokens.append(token)
     tokens.append(("end", None))
     return tokens
 
 
+class _Form(tuple):
+    """A form, the tuple (degree, form_degree, coefficients)."""
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}")
-
-    def parse(self):
-        value = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input near {val!r}")
-        return _promote(value)
+        self.tokens = _tokenize(text)[::-1]  # the next token last
+        self.next = self.tokens.pop
 
     def expr(self):
-        kind, val = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
+        sign = _SIGNS.get(self.tokens[-1])
+        if sign:
             self.next()
-            negate = val == "-"
         value = self.term()
-        if negate:
-            value = _neg(value)
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                value = _add(value, _neg(rhs) if val == "-" else rhs)
-            else:
-                return value
+        if sign == -1:  # 0 - value, with the zero of value's kind and degrees
+            value = _add(type(value)(value[:2] + ({},)), value, -1)
+        while sign := _SIGNS.get(self.tokens[-1]):
+            self.next()
+            value = _add(value, self.term(), sign)
+        return value
 
     def term(self):
         value = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in ("*", "/\\"):
-                self.next()
-                value = _mul(value, self.factor())
-            else:
-                return value
+        while self.tokens[-1] in _PRODUCTS:
+            self.next()
+            value = _mul(value, self.factor())
+        return value
 
     def factor(self):
         base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind2, val2 = self.peek()
-            if kind2 == "num":
-                if type(base) is tuple:
-                    self.next()
-                    c, m = base  # c an int or a Fraction
-                    check_degree(mono_degree(m) * val2, "parsing")
-                    _check_bits(coefficient_bits(abs(c.numerator), c.denominator, val2), val2)
-                    return c ** val2, m * val2
-                if not isinstance(base, HomogeneousPolynomial):
-                    raise ParseError("exponent applies only to scalar atoms")
-                self.next()
-                check_degree(base.degree * val2, "parsing")
-                terms, bits = power_bounds(base, val2)
-                _check_terms(terms, val2 * base.degree)
-                _check_bits(bits, val2)
-                work = terms * terms * bits
-                if work > MAX_POWER_WORK:
-                    raise ResourceLimitError(
-                        f"parsing, power ^{val2}: an estimated {work} term products times "
-                        f"coefficient bits, over the cap of {MAX_POWER_WORK}"
-                    )
-                return base ** val2
-            rhs = self.factor()
-            if _is_scalar(base) and _is_scalar(rhs):
-                raise ParseError("'^' between scalars needs a natural-number exponent")
-            return _mul(base, rhs)
-        return base
+        if self.tokens[-1] != ("op", "^"):
+            return base
+        self.next()
+        if self.tokens[-1][0] == "num":
+            if type(base) is not tuple:
+                raise ParseError("exponent applies only to scalar atoms")
+            return _power(base, self.next()[1])
+        rhs = self.factor()
+        if type(base) is tuple and type(rhs) is tuple:
+            raise ParseError("'^' between scalars needs a natural-number exponent")
+        return _mul(base, rhs)
 
     def atom(self):
         kind, val = self.next()
         if kind == "num":
-            k2, v2 = self.peek()
-            if k2 == "op" and v2 == "/":
+            den = 1
+            if self.tokens[-1] == ("op", "/"):
                 self.next()
-                k3, v3 = self.next()
-                if k3 != "num" or v3 == 0:
+                kind, den = self.next()
+                if kind != "num" or den == 0:
                     raise ParseError("malformed rational literal")
-                return Fraction(val, v3), 0
-            return val, 0
+            return 0, den, {0: val} if val else {}
         if kind == "name":
             if val in _VARIABLES:
-                return 1, _VARIABLES[val]
+                return 1, 1, {_VARIABLES[val]: 1}
             if val in _FORM_ATOMS:
-                from .forms import TwistedForm
-
-                return TwistedForm.basis_covector(_FORM_ATOMS[val])
+                return _Form((0, 1, {(_FORM_ATOMS[val],): (0, 1, {0: 1})}))
             raise ParseError(f"unknown name {val!r}")
         if kind == "op" and val == "(":
-            value = _promote(self.expr())
-            self.expect_op(")")
+            value = self.expr()
+            kind, val = self.next()
+            if kind != "op" or val != ")":
+                raise ParseError(f"expected ')', found {val!r}")
             return value
         raise ParseError(f"unexpected token {val!r}")
 
 
 def _check_terms(count: int, degree: int):
     """Refuse, before multiplying, a result that may exceed MAX_TERMS terms:
-    it has at most count terms and at most dim S_degree.  Returns that
-    bound."""
+    it has at most count terms and at most dim S_degree."""
     bound = min(count, graded_piece_dimension(degree))
     if bound > MAX_TERMS:
         raise ResourceLimitError(
             f"a product or power may have {bound} terms, over the cap of {MAX_TERMS}"
         )
-    return bound
 
 
 def _check_bits(bits: int, n: int):
-    """Refuse, before it is computed, an n-th power with a coefficient whose
-    |numerator| * denominator may need more than MAX_COEFFICIENT_BITS bits,
-    bits being polyring.coefficient_bits' bound."""
+    """Refuse an n-th power with a coefficient whose |numerator| * denominator
+    may need more than MAX_COEFFICIENT_BITS bits, by coefficient_bits."""
     if bits > MAX_COEFFICIENT_BITS:
         raise ResourceLimitError(
             f"parsing, power ^{n}: a coefficient may need {bits} bits, "
@@ -225,68 +161,129 @@ def _check_bits(bits: int, n: int):
         )
 
 
-def _is_scalar(value) -> bool:
-    return type(value) is tuple or isinstance(value, HomogeneousPolynomial)
+def _twisted(f: _Form):
+    degree, form_degree, coefficients = f
+    return forms.TwistedForm(form_degree, degree,
+                             {idx: _from_integers(*s) for idx, s in coefficients.items()})
 
 
-def _promote(value):
-    """A one-term product (coefficient, monomial) as a HomogeneousPolynomial;
-    a polynomial or form unchanged."""
-    if type(value) is not tuple:
-        return value
-    c, m = value  # c an int or a Fraction
-    degree = mono_degree(m)
-    check_degree(degree, "parsing")
-    return _from_integers(degree, c.denominator, {m: c.numerator} if c else {})
-
-
-def _neg(value):
-    if type(value) is tuple:
-        return -value[0], value[1]
-    return -value
-
-
-def _add(a, b):
-    a, b = _promote(a), _promote(b)
-    if isinstance(a, HomogeneousPolynomial) != isinstance(b, HomogeneousPolynomial):
+def _add(acc, value, sign: int):
+    """acc + sign * value, for sign 1 or -1, summed into acc's term dicts;
+    refused with the errors of a sum of polynomials or of forms."""
+    if type(acc) is not type(value):
         raise NotHomogeneousError("cannot add a scalar and a differential form")
-    try:
-        return a + b
-    except DegreeMismatchError as exc:
-        raise NotHomogeneousError(str(exc)) from exc
+    if type(acc) is tuple:
+        if acc[0] != value[0]:
+            raise NotHomogeneousError(f"cannot add degree {acc[0]} and degree {value[0]}")
+        return _accumulate(acc, value, sign)
+    if acc[1] != value[1]:
+        raise NotHomogeneousError("cannot add forms of different form degree")
+    if acc[0] != value[0]:
+        raise NotHomogeneousError(
+            f"cannot add forms with coefficient degrees {acc[0]} and {value[0]}")
+    coefficients = acc[2]
+    for idx, s in value[2].items():
+        if idx not in coefficients:
+            coefficients[idx] = s if sign == 1 else _accumulate((s[0], 1, {}), s, -1)
+        elif (s := _accumulate(coefficients[idx], s, sign))[2]:
+            coefficients[idx] = s
+        else:
+            del coefficients[idx]
+    return acc
+
+
+def _accumulate(acc: tuple, s: tuple, sign: int) -> tuple:
+    """acc + sign * s for scalars of one degree, summed into acc's dict; a
+    monomial whose sum reaches zero is dropped at once, as pairwise sums do."""
+    degree, den, ints = acc
+    _, s_den, s_ints = s
+    if den % s_den:  # the common denominator grows: rescale the sum so far
+        k = s_den // gcd(den, s_den)
+        for m in ints:
+            ints[m] *= k
+        den *= k
+    k = sign * (den // s_den)
+    get = ints.get
+    for m, c in s_ints.items():
+        c = get(m, 0) + c * k
+        if c:
+            ints[m] = c
+        else:
+            del ints[m]
+    return degree, den, ints
 
 
 def _mul(a, b):
-    if type(a) is tuple and type(b) is tuple:
-        m = a[1] + b[1]
-        if m & _GUARD:  # an exponent past MAX_DEGREE, so the degree is too
-            check_degree(mono_degree(a[1]) + mono_degree(b[1]), "parsing")
-        return a[0] * b[0], m
-    from .forms import wedge
+    """a * b: a product of scalars, a scalar times a form, or a wedge."""
+    degree = a[0] + b[0]
+    check_degree(degree, "parsing")
+    a_scalar, b_scalar = type(a) is tuple, type(b) is tuple
+    if a_scalar and b_scalar:
+        _check_terms(len(a[2]) * len(b[2]), degree)
+        return _times(a, b, degree)
+    if a_scalar or b_scalar:
+        s, (_, form_degree, coefficients) = (a, b) if a_scalar else (b, a)
+        return _Form((degree, form_degree, {idx: p for idx, c in coefficients.items()
+                                            if (p := _times(s, c, degree))[2]}))
+    w = forms.wedge(_twisted(a), _twisted(b))
+    return _Form((degree, w.form_degree, {idx: (degree, p._cleared[0], dict(p._cleared[1]))
+                                          for idx, p in w.coefficients.items()}))
 
-    a, b = _promote(a), _promote(b)
-    a_poly = isinstance(a, HomogeneousPolynomial)
-    b_poly = isinstance(b, HomogeneousPolynomial)
-    check_degree((a.degree if a_poly else a.coefficient_degree)
-                 + (b.degree if b_poly else b.coefficient_degree), "parsing")
-    if a_poly and b_poly:
-        _check_terms(len(a._cleared[1]) * len(b._cleared[1]), a.degree + b.degree)
-        return a * b
-    if a_poly:
-        return b.scale_by_polynomial(a)
-    if b_poly:
-        return a.scale_by_polynomial(b)
-    return wedge(a, b)
+
+def _times(a: tuple, b: tuple, degree: int) -> tuple:
+    """a * b for scalars, its terms in the order of sum_of_products: a's
+    outer, b's inner.  A monomial b shifts distinct terms to distinct terms,
+    so nothing cancels."""
+    a_ints, b_ints = a[2], b[2]
+    if len(b_ints) == 1:
+        ((m2, c2),) = b_ints.items()
+        ints = {m1 + m2: c1 * c2 for m1, c1 in a_ints.items()}
+    else:
+        acc: dict = {}
+        _multiply_into(acc, a_ints, b_ints)
+        ints = {m: c for m, c in acc.items() if c}
+    return degree, a[1] * b[1], ints
+
+
+def _power(base: tuple, n: int) -> tuple:
+    """base ** n for a scalar, refused before it is computed past a cap."""
+    degree, den, ints = base
+    degree *= n
+    check_degree(degree, "parsing")
+    if len(ints) > 1:
+        poly = _from_integers(*base)
+        terms, bits = power_bounds(poly, n)
+        _check_terms(terms, degree)
+        _check_bits(bits, n)
+        if terms * terms * bits > MAX_POWER_WORK:
+            raise ResourceLimitError(
+                f"parsing, power ^{n}: an estimated {terms * terms * bits} term products "
+                f"times coefficient bits, over the cap of {MAX_POWER_WORK}"
+            )
+        den, ints = (poly ** n)._cleared
+        return degree, den, dict(ints)
+    if not ints:  # zero, and 0^0 = 1
+        return degree, 1, {} if n else {0: 1}
+    ((m, c),) = ints.items()
+    if den != 1 or c * c != 1:  # 1 and -1 need no bits
+        c, den = c // (g := gcd(c, den)), den // g
+        _check_bits(coefficient_bits(abs(c), den, n), n)
+    return degree, den ** n, {m * n: c ** n}
 
 
 def parse_value(text: str):
     """Parse an expression into a polynomial or a twisted form."""
     if not text or not text.strip():
         raise ParseError("empty expression")
+    parser = _Parser(text)
     try:
-        return _Parser(text).parse()
+        value = parser.expr()
     except RecursionError:
         raise ParseError("expression is nested too deeply") from None
+    kind, val = parser.tokens[-1]
+    if kind != "end":
+        raise ParseError(f"trailing input near {val!r}")
+    return _from_integers(*value) if type(value) is tuple else _twisted(value)
 
 
 def parse_scalar(text: str) -> HomogeneousPolynomial:

@@ -91,7 +91,10 @@ def mono_degree(m: int) -> int:
     return (m & _FIELD) + (m >> 32 & _FIELD) + (m >> 64 & _FIELD) + (m >> 96)
 
 
+@lru_cache(maxsize=4096)
 def mono_str(m: int) -> str:
+    """m as text, such as z0^2*z1; cached, since printed polynomials repeat
+    their monomials."""
     parts = []
     for i, name in enumerate(VAR_NAMES):
         e = m >> 32 * i & _FIELD
@@ -164,6 +167,8 @@ class HomogeneousPolynomial:
 
     @classmethod
     def variable(cls, i: int) -> "HomogeneousPolynomial":
+        if i not in range(NVARS):
+            raise NotHomogeneousError(f"variable: {i!r} is not an index 0..{NVARS - 1}")
         return _wrap(1, 1, {_STEPS[i]: 1})
 
     @classmethod
@@ -409,6 +414,18 @@ def integer_terms(coeffs: dict):
     return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
 
 
+def _multiply_into(acc: dict, a_ints: dict, b_ints: dict, scale: int = 1) -> None:
+    """Add scale * a * b into the integer terms acc, for integer terms a and
+    b: a's terms outer, b's inner.  A sum that reaches zero stays in acc."""
+    get = acc.get
+    b_terms = b_ints.items()
+    for m1, c1 in a_ints.items():
+        c1 *= scale
+        for m2, c2 in b_terms:
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
+
+
 def sum_of_products(pairs) -> HomogeneousPolynomial:
     """The polynomial sum of sign*a*b over the (sign, a, b) triples in pairs.
 
@@ -438,13 +455,7 @@ def sum_of_products(pairs) -> HomogeneousPolynomial:
             for m in acc:
                 acc[m] *= s
             den = grown
-        scale = sign * (den // d)
-        b_terms = b_terms.items()
-        for m1, c1 in a_terms.items():
-            c1 *= scale
-            for m2, c2 in b_terms:
-                m = m1 + m2
-                acc[m] = acc.get(m, 0) + c1 * c2
+        _multiply_into(acc, a_terms, b_terms, sign * (den // d))
     if degree is None:
         raise ValueError("an empty sum of products has no degree")
     return _from_integers(degree, den, {m: c for m, c in acc.items() if c})

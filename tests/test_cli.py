@@ -435,3 +435,62 @@ def test_hilbert_refuses_a_groebner_basis_over_the_work_cap_quickly(capsys, tmp_
     assert code == 2
     assert re.fullmatch(r"error: buchberger, degree \d+: divisions exceed the work cap of "
                         r"50000 heap pops\n", err), err
+
+
+def _drawn_texts(st):
+    """Expressions from the parser's grammar, valid or not, and runs of its
+    alphabet with a few characters it refuses."""
+    leaf = st.sampled_from(("x", "y", "z", "t", "z0", "z3", "dz0", "dz1", "dz2", "dz3",
+                            "0", "1", "2", "7", "1/2", "3/0", "w"))
+
+    def extend(inner):
+        factor = st.one_of(inner, st.builds("{}^{}".format, inner, st.integers(0, 4)),
+                           st.builds("{}^{}".format, inner, inner), inner.map("({})".format))
+        term = st.lists(factor, min_size=1, max_size=3).flatmap(
+            lambda fs: st.sampled_from(("*", "/\\", "*")).map(lambda op: op.join(fs)))
+        return st.builds(lambda sign, ts, op: sign + op.join(ts), st.sampled_from(("", "-", "+")),
+                         st.lists(term, min_size=1, max_size=3), st.sampled_from((" + ", " - ")))
+
+    grammar = st.recursive(leaf, extend, max_leaves=8)
+    return st.one_of(grammar, st.text("xyzt0123d+-*^()/\\ _.²", max_size=20))
+
+
+_COEFFICIENTS = (("1", "-2", "1/2"), ("x", "2*y", "z - t"), ("x^2", "x*y - z^2", "(x + t)^2"))
+
+
+def _drawn_one_forms(st):
+    """Sums of g * (z_i*dz_j - z_j*dz_i) with every g of one degree:
+    projective 1-forms."""
+    def pencils(coefficients):
+        pencil = st.builds(lambda g, i, j: f"({g})*(z{i}*dz{j} - z{j}*dz{i})",
+                           st.sampled_from(coefficients), st.integers(0, 1), st.integers(2, 3))
+        return st.lists(pencil, min_size=1, max_size=3).map(" + ".join)
+
+    return st.sampled_from(_COEFFICIENTS).flatmap(pencils)
+
+
+def test_drawn_texts_through_wedge_and_hilbert_exit_cleanly(capsys, tmp_path):
+    """Valid and malformed drawn texts as wedge arguments and as the lines of
+    a hilbert ideal file: each call answers 0, 1 or 2 in under 2 s and lets
+    no exception escape.  "--" keeps a text that starts with "-" an
+    argument."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "drawn.ideal"
+    codes = set()
+    forms = st.one_of(_drawn_one_forms(st), _drawn_texts(st))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(forms, forms, st.lists(_drawn_texts(st), max_size=3))
+    def check(first, second, lines):
+        path.write_text("\n".join(lines) + "\n")
+        for argv in (["wedge", "--", first, second], ["hilbert", str(path)]):
+            started = time.perf_counter()
+            code = main(argv)
+            assert time.perf_counter() - started < 2, argv
+            assert code in (0, 1, 2), argv
+            codes.add((argv[0], code))
+            capsys.readouterr()
+
+    check()
+    assert {("wedge", 0), ("wedge", 2), ("hilbert", 0), ("hilbert", 2)} <= codes

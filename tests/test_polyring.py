@@ -1,14 +1,16 @@
 """Polynomial arithmetic, parsing and exact linear algebra."""
 
+import json
 import re
 import time
 from fractions import Fraction
 from math import comb, gcd, lcm
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from folcurves import linalg, parsing, polyring
+from folcurves import forms, linalg, parsing, polyring
 from folcurves.errors import (
     DegreeMismatchError,
     FolcurvesError,
@@ -1142,6 +1144,14 @@ def test_parser_matches_the_former_parser_on_drawn_expressions():
     "x^y", "x^(y)", "2^x", "3/0*x", "3/x", "3/", "x*y)", "x y", "(x+y", "x^", "w*x",
     "x*$", "", "   ", "dz0/\\dz0", "dz0^dz1^dz2^dz3^dz0", "x/\\y - x*y", "2/4*x^0*y",
     "0*x + 0*y", "0*x + y^2", "-(x+y)^0 + 3", "2^dz0", "dz0^x*y", "x^0", "0^0",
+    # a term that cancels in one addend and comes back in a later one goes last
+    "x^2 + y^2 - x^2 + z^2 + x^2", "x*y + y*z - x*y - y*z + t^2 + y*z + x*y",
+    "1/2*x + 1/3*y - 1/2*x + 1/6*z + 1/4*x", "(x + y)*(x - y) + y^2 - x^2 + x^2",
+    "x*dz0 + y*dz1 - x*dz0 + z*dz2 + x*dz0", "x*dz0 + y*dz0 - x*dz0 + z*dz1 + x*dz0",
+    "-(x*dz0 + y*dz1) + x*dz0 + y*dz1 + z*dz2 - y*dz1", "dz0^dz1*x - x*dz0^dz1 + y*dz1^dz2 + x*dz0^dz1",
+    # a zero coefficient of the wrong degree in the middle of a sum
+    "x - y + 0*x^2 + z", "x + y - 0 + z", "x*dz0 + 0*y^2*dz1 + z*dz2", "x*dz0 + 0*dz1 + y*dz2",
+    "x*dz0 + (y - y)*dz1^dz2 + z*dz3", "x*dz0 + y - y + z*dz1",
 ])
 def test_parser_matches_the_former_parser_on_chosen_inputs(text):
     assert _outcome(parse_value, text) == _outcome(_former_parse_value, text)
@@ -1178,3 +1188,108 @@ def test_parser_matches_the_former_parser_on_hypothesis_draws():
         assert _outcome(parse_value, text) == _outcome(_former_parse_value, text)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parser: the benchmark pools against the former parser, the
+# caps inside its in-place sums, and the objects it builds
+
+_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+def _pool_texts():
+    """The contact form, every rao-pool omega (and the pencil's first form)
+    and every line of every hilbert-pool ideal."""
+    rao = json.loads((_DATA / "rao_pool.json").read_text())
+    entries = [rao["pencil"], rao["warmup"]] + [
+        p for key in ("degree2", "degree2_special", "degree3") for p in rao[key]]
+    texts = ["z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2", rao["pencil"]["first"]]
+    texts += [entry["omega"] for entry in entries]
+    hilbert = json.loads((_DATA / "hilbert_pool.json").read_text())
+    texts += [line for entry in hilbert["ideals"] + [hilbert["warmup"]]
+              for line in entry["text"].splitlines() if line.strip()]
+    return texts
+
+
+def test_parser_matches_the_former_parser_on_the_benchmark_pools():
+    texts = _pool_texts()
+    assert len(texts) == 2 + 75 + 723
+    kinds = set()
+    for text in texts:
+        new = _outcome(parse_value, text)
+        assert new == _outcome(_former_parse_value, text), text
+        kinds.add(new[0])
+    assert kinds == {"poly", "form"}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^2 + y^2 + (x+y+z+t)^40 + z^2",
+     "a product or power may have 12341 terms, over the cap of 2000"),
+    ("x*dz0 + (x+y+z+t)^11*(x+y+z+t)^10*dz1 + y*dz2",
+     "a product or power may have 2024 terms, over the cap of 2000"),
+    ("x + y + 2^10001*x + z",
+     "parsing, power ^10001: a coefficient may need 10001 bits, over the cap of 10000"),
+    ("x^2*dz0 + y^2*dz1 - (1/2*x)^10001*dz2",
+     "parsing, power ^10001: a coefficient may need 10001 bits, over the cap of 10000"),
+    ("x + (x+y)^1999 + y", "parsing, power ^1999: an estimated 7996000000 term products "
+                           "times coefficient bits, over the cap of 1000000000"),
+    ("x^2 + y^2 + x^2147483647*x + z^2",
+     "parsing: total degree 2147483648 exceeds the degree cap 2147483647"),
+])
+def test_caps_fire_inside_a_long_sum_with_their_messages(text, message):
+    assert _outcome(parse_value, text) == (ResourceLimitError, message)
+
+
+def test_parsing_builds_one_polynomial_or_form(monkeypatch):
+    """A 1-form without a wedge builds one TwistedForm, holding one
+    polynomial per coefficient, and runs no polynomial sum, product or power
+    and no wedge; a polynomial builds one polynomial."""
+    built = {"forms": 0, "polynomials": 0}
+    init, wrap = TwistedForm.__init__, polyring._wrap
+
+    def counted_init(self, *args):
+        built["forms"] += 1
+        init(self, *args)
+
+    def counted_wrap(*args):
+        built["polynomials"] += 1
+        return wrap(*args)
+
+    def refused(*args):
+        raise AssertionError("the parser ran polynomial or form arithmetic")
+
+    monkeypatch.setattr(TwistedForm, "__init__", counted_init)
+    monkeypatch.setattr(polyring, "_wrap", counted_wrap)
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "scale"):
+        monkeypatch.setattr(HomogeneousPolynomial, name, refused)
+    monkeypatch.setattr(forms, "wedge", refused)
+    rao = json.loads((_DATA / "rao_pool.json").read_text())
+    for text in ["z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2", rao["degree2"][0]["omega"],
+                 rao["degree3"][0]["omega"], "-(x*dz0 - y*dz1) + x*dz0 - z*dz2"]:
+        built.update(forms=0, polynomials=0)
+        form = parse_value(text)
+        assert built == {"forms": 1, "polynomials": len(form.coefficients)}
+    for text in ["3*z0^3*z1 + 2*z0*z1^2*z2 - 1*z0*z2^3", "(x - y)*(x + y) + 1/2*z^2", "x - x"]:
+        built.update(forms=0, polynomials=0)
+        parse_value(text)
+        assert built == {"forms": 0, "polynomials": 1}
+
+
+def test_variable_refuses_an_index_outside_0_to_3():
+    assert [HomogeneousPolynomial.variable(i).terms for i in range(4)] == [
+        {m: 1} for m in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    for bad in (4, -1, 2**32):
+        with pytest.raises(NotHomogeneousError, match=f"^variable: {bad} is not an index 0..3$"):
+            HomogeneousPolynomial.variable(bad)
+
+
+def test_printing_formats_each_monomial_once():
+    """str writes what the former tuple printer wrote, formatting each
+    monomial once and then reading it from mono_str's cache."""
+    p = parse_polynomial("(x + 2*y - 1/3*z + t)^3")
+    den, ints = p._cleared
+    old = _tuple_str(_TuplePoly(3, den, {_unpack(m): c for m, c in ints.items()}))
+    polyring.mono_str.cache_clear()
+    assert str(p) == old and polyring.mono_str.cache_info().misses == len(ints) == 20
+    assert str(p) == old and polyring.mono_str.cache_info().misses == 20
+    assert polyring.mono_str.cache_info().maxsize == 4096
