@@ -19,7 +19,7 @@ from .errors import (
     NonIntegralGenusError,
     OutOfBoundsError,
 )
-from .sheafcoh import instanton_h1
+from .sheafcoh import _instanton_h0_e1, instanton_h1
 
 
 @dataclass(frozen=True)
@@ -239,10 +239,6 @@ def split_criterion(rao_dim: int) -> str:
     return "undetermined"
 
 
-_INSTANTON_MODULI = {1: 1, 2: 4, 4: 14}
-_INSTANTON_H0OC = {1: 1, 2: 1, 4: 5}
-
-
 def classify_low_degree(d: int, c2N: int, reduced_singular_scheme: bool = False) -> ClassificationReport:
     """Full decision procedure for foliation degrees 1, 2 and 3."""
     if d not in (1, 2, 3):
@@ -340,8 +336,7 @@ def classify_low_degree(d: int, c2N: int, reduced_singular_scheme: bool = False)
         for h in h0_options:
             h1 = instanton_h1(n, h)
             dims.append(sum(h1.values()))
-            h0e1 = {1: 5, 2: 2}.get(n, h if h is not None else 0)
-            h0s.append(sections_of_singular_scheme(n, h0e1))
+            h0s.append(sections_of_singular_scheme(n, _instanton_h0_e1(n, h)))
             comps.append(h1.get(1, 0) + 1)
         def collapse(xs):
             return xs[0] if len(set(xs)) == 1 else sorted(set(xs))

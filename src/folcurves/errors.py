@@ -95,9 +95,5 @@ class ImpossibleError(FolcurvesError):
     """
 
 
-class NonIntegralChernError(FolcurvesError):
-    """Chern series of a monad failed the integrality check."""
-
-
 class NotTemplateModeError(FolcurvesError):
     """Monad does not match the symmetric template; regularity bound refused."""

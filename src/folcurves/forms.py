@@ -328,9 +328,9 @@ def legendrian_foliation(contact: TwistedForm, omega: TwistedForm) -> FoliationP
             raise NotProjectiveError(f"{name} does not descend to P^3")
     if not is_contact_form(contact):
         raise NotContactError("first argument is not a contact form")
-    if omega.is_zero() or wedge(contact, omega).is_zero():
-        raise ProportionalInputError("second form is a multiple of the contact form")
     two_form = wedge(contact, omega)
+    if two_form.is_zero():
+        raise ProportionalInputError("second form is a multiple of the contact form")
     degree = omega.coefficient_degree
     return FoliationPresentation(
         two_form=two_form,
@@ -372,9 +372,10 @@ def legendrian_sample(degree: int, rng: Random, max_redraws: int = 20) -> Foliat
     contact = standard_contact_form()
     for _ in range(max_redraws):
         omega = random_projective_oneform(degree, rng)
-        if omega.is_zero() or wedge(contact, omega).is_zero():
+        try:
+            presentation = legendrian_foliation(contact, omega)
+        except ProportionalInputError:
             continue
-        presentation = legendrian_foliation(contact, omega)
         if hilbert_polynomial(presentation.ideal).degree() == 1:
             return presentation
     raise ResourceLimitError(f"legendrian_sample, degree {degree}: "

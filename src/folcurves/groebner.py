@@ -66,17 +66,18 @@ the Hilbert function of S/I give the dimension of the kernel each layer
 must cover in each degree; candidates (normal forms in layer 1, kernels of
 the previous differential above it) are computed only where the multiples
 of the generators found so far fall short of it.  Each degree piece of
-each differential is eliminated once (as in La Scala and Stillman,
+each differential has its kernel taken once (as in La Scala and Stillman,
 "Strategies for computing minimal free resolutions", J. Symbolic Comput.
 26, 1998).  The image check of layer L in degree e takes the kernel of the
 multiples so far, whose rank is their count less the kernel's length.  The
 generators it then finds are independent of them and come last, so that
 kernel is also the kernel of d_L in degree e, and layer L + 1 takes it as
 its candidates; it eliminates d_L itself only in degrees layer L never
-reached.  New generators are picked by an echelon form seeded with the
-independent multiples, and candidates stop once the rank reaches the
-kernel dimension.  Degree matrices are integer, cleared once under one
-denominator per matrix, which keeps their kernels.  Each layer stops at a
+reached.  Where it falls short, an echelon form picks the new generators;
+it is seeded with the independent multiples, which it eliminates a second
+time, and candidates stop once its rank reaches the kernel dimension.
+Degree matrices are integer, cleared once under one denominator per
+matrix, which keeps their kernels.  Each layer stops at a
 last degree proven from the input, and one degree past it is a safety
 margin.  Generator twists in layer L never exceed reg(S/I) + L, which is
 bounded through the lead-term quotient.  Layer 1 also stops at the largest
@@ -118,7 +119,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import comb, factorial, gcd, inf, lcm
+from math import comb, gcd, inf, lcm
 
 from .errors import (
     CrossCheckFailureError,
@@ -643,55 +644,42 @@ def _section_numerator(generators):
 # Hilbert polynomials
 
 
-@lru_cache(maxsize=None)
-def _binomial_poly(i: int) -> tuple:
-    """Power-basis coefficients of C(t+i, i)."""
-    coeffs = [Fraction(1)]
-    for j in range(1, i + 1):
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] += c * j
-            nxt[k + 1] += c
-        coeffs = nxt
-    return tuple(c / factorial(i) for c in coeffs)
+# 6 * C(t+i, i) in powers of t, lowest first, i = 0..3
+_SIX_BINOMIAL = ((6,), (6, 6), (6, 9, 3), (6, 11, 6, 1))
 
 
 class HilbertPolynomial:
-    """Polynomial in t stored in the binomial basis C(t+i, i), whose
-    coefficients are integers for every Hilbert polynomial; its power
-    coefficients are kept once known."""
+    """Polynomial in t of degree at most 3, stored in the binomial basis
+    C(t+i, i), whose coefficients are integers for every Hilbert polynomial;
+    six times its power coefficients are kept, as ints."""
 
-    __slots__ = ("coeffs", "_power")
+    __slots__ = ("coeffs", "_six_power")
 
     def __init__(self, binomial_coeffs):
         coeffs = list(binomial_coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
+        if len(coeffs) > len(_SIX_BINOMIAL):
+            raise ValueError(f"a Hilbert polynomial on P^3 has degree at most 3, "
+                             f"got {len(coeffs)} binomial coefficients")
         self.coeffs = tuple(coeffs)
-        self._power = None
+        six = [0] * max(len(coeffs), 1)
+        for b, row in zip(coeffs, _SIX_BINOMIAL):
+            for k, c in enumerate(row):
+                six[k] += b * c
+        self._six_power = tuple(six)
 
     def power_coeffs(self):
-        if self._power is None:
-            out = [Fraction(0)] * max(len(self.coeffs), 1)
-            for i, b in enumerate(self.coeffs):
-                for k, c in enumerate(_binomial_poly(i)):
-                    out[k] += b * c
-            self._power = tuple(out)
-        return list(self._power)
+        return [Fraction(c, 6) for c in self._six_power]
 
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.power_coeffs()[-1]
+        return Fraction(self._six_power[-1], 6)
 
     def __call__(self, t: int) -> Fraction:
-        total = Fraction(0)
-        for i, b in enumerate(self.coeffs):
-            total += b * _binom_ext(t + i, i)
-        return total
+        return Fraction(sum(c * t ** k for k, c in enumerate(self._six_power)), 6)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HilbertPolynomial):
@@ -720,14 +708,6 @@ class HilbertPolynomial:
 
     def __repr__(self):
         return f"HilbertPolynomial({self})"
-
-
-def _binom_ext(n: int, k: int) -> Fraction:
-    """Polynomial extension of C(n, k) to negative n."""
-    num = 1
-    for j in range(k):
-        num *= n - j
-    return Fraction(num, factorial(k))
 
 
 # ---------------------------------------------------------------------------

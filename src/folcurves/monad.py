@@ -6,9 +6,9 @@ family used by the degree-3 classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import InvalidProfileError, NonIntegralChernError, NotTemplateModeError
+from .errors import InvalidProfileError, NotTemplateModeError
+from .sheafcoh import chern_series
 
 
 @dataclass(frozen=True)
@@ -67,42 +67,19 @@ def _twists(name: str, twists) -> tuple:
     return tuple(sorted(twists))
 
 
-def _chern_series(twists):
-    """Total Chern polynomial of (+) O(a), truncated at degree 3."""
-    coeffs = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    for a in twists:
-        nxt = list(coeffs)
-        for k in range(1, 4):
-            nxt[k] = coeffs[k] + a * coeffs[k - 1]
-        coeffs = nxt
-    return coeffs
-
-
-def _series_divide(num, den):
-    """num / den as truncated power series (den has constant term 1)."""
-    out = [Fraction(0)] * 4
-    for k in range(4):
-        acc = num[k]
-        for j in range(1, k + 1):
-            acc -= den[j] * out[k - j]
-        out[k] = acc / den[0]
-    return out
-
-
 def monad_chern(spec: MonadSpec):
-    """(rank, c1, c2, c3) of the monad's middle cohomology."""
+    """(rank, c1, c2, c3) of the monad's middle cohomology: the Chern series
+    of the middle term over that of the outer terms.  The divisor has
+    constant term 1, so the quotient is a series of ints."""
     rank = spec.cohomology_rank()
     if rank < 1:
         raise InvalidProfileError(f"cohomology rank {rank} is not positive")
-    num = _chern_series(spec.middle)
-    den_product = _chern_series(tuple(spec.left) + tuple(spec.right))
-    total = _series_divide(num, den_product)
-    values = []
-    for c in total[1:]:
-        if c.denominator != 1:
-            raise NonIntegralChernError(f"non-integral Chern coefficient {c}")
-        values.append(int(c))
-    return (rank, values[0], values[1], values[2])
+    num = chern_series(spec.middle)
+    den = chern_series((*spec.left, *spec.right))
+    total = [1, 0, 0, 0]
+    for k in (1, 2, 3):
+        total[k] = num[k] - sum(den[j] * total[k - j] for j in range(1, k + 1))
+    return (rank, *total[1:])
 
 
 def monad_regularity_bound(spec: MonadSpec) -> int:

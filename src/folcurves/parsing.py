@@ -16,8 +16,8 @@ An expression is evaluated in one pass into integer term dicts.  A scalar
 is a tuple (degree, den, ints), ints / den with nonzero int coefficients
 keyed by packed monomial; a form is a _Form (degree, form_degree,
 coefficients), nonzero scalars keyed by covector index.  A sum adds each
-addend into the first in place and drops a coefficient once it reaches
-zero, so its terms keep the order of a sum taken pairwise; a product of
+addend into the first in place, with the _accumulate that polynomial sums
+use, so its terms keep the order of a sum taken pairwise; a product of
 scalars, or of a scalar and a form, multiplies term dicts in the order of
 polyring.sum_of_products.  One polynomial or form is built, at the end;
 only a power of a scalar of two or more terms and a wedge of two forms go
@@ -37,8 +37,8 @@ from math import gcd
 from . import forms
 from .errors import NotHomogeneousError, ParseError, ResourceLimitError
 from .polyring import (HomogeneousPolynomial, MAX_COEFFICIENT_BITS, MAX_POWER_WORK,
-                       _STEPS, _from_integers, _multiply_into, check_degree, coefficient_bits,
-                       graded_piece_dimension, power_bounds)
+                       _STEPS, _accumulate, _from_integers, _multiply_into, check_degree,
+                       coefficient_bits, graded_piece_dimension, power_bounds)
 
 # Largest number of terms a scalar product or power may produce; far above
 # any polynomial the shipped tests, demos and benchmark inputs parse to.
@@ -190,27 +190,6 @@ def _add(acc, value, sign: int):
         else:
             del coefficients[idx]
     return acc
-
-
-def _accumulate(acc: tuple, s: tuple, sign: int) -> tuple:
-    """acc + sign * s for scalars of one degree, summed into acc's dict; a
-    monomial whose sum reaches zero is dropped at once, as pairwise sums do."""
-    degree, den, ints = acc
-    _, s_den, s_ints = s
-    if den % s_den:  # the common denominator grows: rescale the sum so far
-        k = s_den // gcd(den, s_den)
-        for m in ints:
-            ints[m] *= k
-        den *= k
-    k = sign * (den // s_den)
-    get = ints.get
-    for m, c in s_ints.items():
-        c = get(m, 0) + c * k
-        if c:
-            ints[m] = c
-        else:
-            del ints[m]
-    return degree, den, ints
 
 
 def _mul(a, b):

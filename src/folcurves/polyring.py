@@ -374,14 +374,31 @@ def _combine(a: HomogeneousPolynomial, b: HomogeneousPolynomial, sign: int):
     """a + sign * b, for sign 1 or -1."""
     if a.degree != b.degree:
         raise DegreeMismatchError(f"cannot add degree {a.degree} and degree {b.degree}")
-    da, ta = a._cleared
-    db, tb = b._cleared
-    den = da if da == db else lcm(da, db)
-    sa, sb = den // da, sign * (den // db)
-    acc = dict(ta) if sa == 1 else {m: c * sa for m, c in ta.items()}
-    for m, c in tb.items():
-        acc[m] = acc.get(m, 0) + sb * c
-    return _from_integers(a.degree, den, {m: c for m, c in acc.items() if c})
+    den, ints = a._cleared
+    _, den, ints = _accumulate((a.degree, den, dict(ints)), (b.degree, *b._cleared), sign)
+    return _from_integers(a.degree, den, ints)
+
+
+def _accumulate(acc: tuple, s: tuple, sign: int) -> tuple:
+    """acc + sign * s for scalars (degree, den, ints) of one degree, summed
+    into acc's dict: acc's terms keep their order, s's new ones follow, and
+    a monomial whose sum reaches zero is dropped at once."""
+    degree, den, ints = acc
+    _, s_den, s_ints = s
+    if den % s_den:  # the common denominator grows: rescale the sum so far
+        k = s_den // gcd(den, s_den)
+        for m in ints:
+            ints[m] *= k
+        den *= k
+    k = sign * (den // s_den)
+    get = ints.get
+    for m, c in s_ints.items():
+        c = get(m, 0) + c * k
+        if c:
+            ints[m] = c
+        else:
+            del ints[m]
+    return degree, den, ints
 
 
 def coefficient_bits(norm: int, den: int, n: int) -> int:

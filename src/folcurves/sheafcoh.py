@@ -59,15 +59,7 @@ class SheafSymbol:
     @classmethod
     def line_sum(cls, twists) -> "SheafSymbol":
         twists = tuple(twists)
-        c1 = sum(twists)
-        c2 = sum(twists[i] * twists[j] for i in range(len(twists))
-                 for j in range(i + 1, len(twists)))
-        c3 = 0
-        if len(twists) >= 3:
-            for i in range(len(twists)):
-                for j in range(i + 1, len(twists)):
-                    for k in range(j + 1, len(twists)):
-                        c3 += twists[i] * twists[j] * twists[k]
+        _, c1, c2, c3 = chern_series(twists)
         return cls(len(twists), ChernTriple(c1, c2, c3), "line_sum", twists)
 
     @classmethod
@@ -83,6 +75,16 @@ class SheafSymbol:
         if charge < 1:
             raise InvalidProfileError("instanton charge must be at least 1")
         return cls(2, ChernTriple(0, charge, 0), "instanton", (charge, natural, h0_e1))
+
+
+def chern_series(twists) -> list:
+    """[1, c1, c2, c3]: the total Chern class of (+) O(a) over the twists,
+    truncated at degree 3, in ints."""
+    coeffs = [1, 0, 0, 0]
+    for a in twists:
+        for k in (3, 2, 1):
+            coeffs[k] += a * coeffs[k - 1]
+    return coeffs
 
 
 def euler_characteristic(symbol: SheafSymbol, twist: int = 0) -> int:

@@ -695,6 +695,136 @@ def test_hilbert_formats_its_polynomial_once_from_kept_power_coefficients(
         assert str(P) == real(fresh)
 
 
+# The former HilbertPolynomial, which computed in Fractions, kept verbatim
+# as the oracle of the integer one: _binomial_poly, the class and
+# _binom_ext, renamed.
+
+
+@lru_cache(maxsize=None)
+def _former_binomial_poly(i: int) -> tuple:
+    """Power-basis coefficients of C(t+i, i)."""
+    coeffs = [Fraction(1)]
+    for j in range(1, i + 1):
+        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            nxt[k] += c * j
+            nxt[k + 1] += c
+        coeffs = nxt
+    return tuple(c / factorial(i) for c in coeffs)
+
+
+class _FormerHilbertPolynomial:
+    """Polynomial in t stored in the binomial basis C(t+i, i), whose
+    coefficients are integers for every Hilbert polynomial; its power
+    coefficients are kept once known."""
+
+    __slots__ = ("coeffs", "_power")
+
+    def __init__(self, binomial_coeffs):
+        coeffs = list(binomial_coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+        self._power = None
+
+    def power_coeffs(self):
+        if self._power is None:
+            out = [Fraction(0)] * max(len(self.coeffs), 1)
+            for i, b in enumerate(self.coeffs):
+                for k, c in enumerate(_former_binomial_poly(i)):
+                    out[k] += b * c
+            self._power = tuple(out)
+        return list(self._power)
+
+    def degree(self) -> int:
+        return len(self.coeffs) - 1 if self.coeffs else -1
+
+    def leading_coefficient(self) -> Fraction:
+        if not self.coeffs:
+            return Fraction(0)
+        return self.power_coeffs()[-1]
+
+    def __call__(self, t: int) -> Fraction:
+        total = Fraction(0)
+        for i, b in enumerate(self.coeffs):
+            total += b * _former_binom_ext(t + i, i)
+        return total
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _FormerHilbertPolynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __str__(self) -> str:
+        power = self.power_coeffs()
+        parts = []
+        for k in range(len(power) - 1, -1, -1):
+            c = power[k]
+            if c == 0:
+                continue
+            mono = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
+            if mono and abs(c) == 1:
+                body = mono
+            elif mono:
+                body = f"{abs(c)}*{mono}"
+            else:
+                body = str(abs(c))
+            parts.append(("-" if c < 0 else "+", body))
+        return polyring._signed_sum(parts)
+
+    def __repr__(self):
+        return f"HilbertPolynomial({self})"
+
+
+def _former_binom_ext(n: int, k: int) -> Fraction:
+    """Polynomial extension of C(n, k) to negative n."""
+    num = 1
+    for j in range(k):
+        num *= n - j
+    return Fraction(num, factorial(k))
+
+
+def _binomial_tuples(rng, count):
+    """Chosen and seeded binomial coefficient tuples of length 0..4: zeros,
+    trailing zeros, signs and large values."""
+    chosen = [(), (0,), (0, 0, 0, 0), (1,), (-1,), (0, 1), (-2, 3), (0, 0, 1), (0, -1, 2),
+              (12,), (-9, 6), (1, 0, -1, 0), (5, -7, 0, 1), (0, 0, 0, -1), (10 ** 30, -1)]
+    drawn = [tuple(rng.choice((rng.randint(-6, 6), rng.randint(-10 ** 6, 10 ** 6)))
+                   for _ in range(rng.randint(0, 4))) for _ in range(count)]
+    return chosen + drawn
+
+
+def test_hilbert_polynomial_matches_the_former_fraction_class():
+    """The integer HilbertPolynomial gives the former class's power
+    coefficients, leading coefficient and values (all Fractions), string,
+    degree, equality and hash, and refuses a fifth binomial coefficient."""
+    tuples = _binomial_tuples(Random(47), 400)
+    for coeffs in tuples:
+        new, old = groebner.HilbertPolynomial(coeffs), _FormerHilbertPolynomial(coeffs)
+        assert new.coeffs == old.coeffs and new.degree() == old.degree()
+        power = new.power_coeffs()
+        assert power == old.power_coeffs() and all(type(c) is Fraction for c in power)
+        lead = new.leading_coefficient()
+        assert lead == old.leading_coefficient() and type(lead) is Fraction
+        values = [new(t) for t in range(-20, 21)]
+        assert values == [old(t) for t in range(-20, 21)]
+        assert all(type(v) is Fraction for v in values)
+        assert str(new) == str(old) and repr(new) == repr(old)
+        assert hash(new) == hash(old)
+    pairs = Random(48)
+    for _ in range(400):
+        a, b = pairs.choice(tuples), pairs.choice(tuples)
+        assert (groebner.HilbertPolynomial(a) == groebner.HilbertPolynomial(b)) == (
+            _FormerHilbertPolynomial(a) == _FormerHilbertPolynomial(b))
+    assert groebner.HilbertPolynomial((-2, 3)) == groebner.HilbertPolynomial([-2, 3, 0, 0, 0])
+    for five in ((1, 2, 3, 4, 5), (0, 0, 0, 0, -1), (1, 0, 0, 0, 1, 0)):
+        with pytest.raises(ValueError, match="degree at most 3"):
+            groebner.HilbertPolynomial(five)
+
+
 # The Hilbert polynomial's former route: six times its power coefficients
 # from the numerator in ints, then the binomial coefficients from those in
 # Fractions.  _former_from_power_coeffs is the former
@@ -724,7 +854,7 @@ def _former_from_power_coeffs(power):
     binom = []
     for i in range(len(power) - 1, -1, -1):
         b = power[i] * factorial(i)
-        base = groebner._binomial_poly(i)
+        base = _former_binomial_poly(i)
         for k in range(i + 1):
             power[k] -= b * base[k]
         binom.append(b)
