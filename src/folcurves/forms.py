@@ -318,16 +318,30 @@ def is_contact_form(form: TwistedForm) -> bool:
     return three_form == model.scale(Fraction(coeff * ref_den, got_den * ref_ints[mono]))
 
 
+def _check_projective_one_form(name: str, form: TwistedForm) -> None:
+    if form.form_degree != 1:
+        raise WrongFormDegreeError(f"{name} must be a 1-form")
+    if not is_projective(form):
+        raise NotProjectiveError(f"{name} does not descend to P^3")
+
+
+def _check_contact_form(contact: TwistedForm) -> None:
+    if not is_contact_form(contact):
+        raise NotContactError("first argument is not a contact form")
+
+
 def legendrian_foliation(contact: TwistedForm, omega: TwistedForm) -> FoliationPresentation:
     """Foliation cut out by contact ^ omega; its degree equals the
     coefficient degree of omega."""
-    for name, form in (("contact form", contact), ("second form", omega)):
-        if form.form_degree != 1:
-            raise WrongFormDegreeError(f"{name} must be a 1-form")
-        if not is_projective(form):
-            raise NotProjectiveError(f"{name} does not descend to P^3")
-    if not is_contact_form(contact):
-        raise NotContactError("first argument is not a contact form")
+    _check_projective_one_form("contact form", contact)
+    _check_projective_one_form("second form", omega)
+    _check_contact_form(contact)
+    return _legendrian_presentation(contact, omega)
+
+
+def _legendrian_presentation(contact: TwistedForm, omega: TwistedForm) -> FoliationPresentation:
+    """legendrian_foliation for a contact form and a projective 1-form
+    that have passed its checks."""
     two_form = wedge(contact, omega)
     if two_form.is_zero():
         raise ProportionalInputError("second form is a multiple of the contact form")
@@ -370,10 +384,14 @@ def legendrian_sample(degree: int, rng: Random, max_redraws: int = 20) -> Foliat
     from .groebner import hilbert_polynomial
 
     contact = standard_contact_form()
+    # the contact form is the same on every draw, so it is checked once
+    _check_projective_one_form("contact form", contact)
+    _check_contact_form(contact)
     for _ in range(max_redraws):
         omega = random_projective_oneform(degree, rng)
+        _check_projective_one_form("second form", omega)
         try:
-            presentation = legendrian_foliation(contact, omega)
+            presentation = _legendrian_presentation(contact, omega)
         except ProportionalInputError:
             continue
         if hilbert_polynomial(presentation.ideal).degree() == 1:

@@ -69,26 +69,44 @@ of the generators found so far fall short of it.  Each degree piece of
 each differential has its kernel taken once (as in La Scala and Stillman,
 "Strategies for computing minimal free resolutions", J. Symbolic Comput.
 26, 1998).  The image check of layer L in degree e takes the kernel of the
-multiples so far, whose rank is their count less the kernel's length.  The
-generators it then finds are independent of them and come last, so that
-kernel is also the kernel of d_L in degree e, and layer L + 1 takes it as
-its candidates; it eliminates d_L itself only in degrees layer L never
-reached.  Where it falls short, an echelon form picks the new generators;
-it is seeded with the independent multiples, which it eliminates a second
-time, and candidates stop once its rank reaches the kernel dimension.
-Degree matrices are integer, cleared once under one denominator per
-matrix, which keeps their kernels.  Each layer stops at a
-last degree proven from the input, and one degree past it is a safety
-margin.  Generator twists in layer L never exceed reg(S/I) + L, which is
-bounded through the lead-term quotient.  Layer 1 also stops at the largest
-given generator degree: the given generators span I, and each is in the
-image once its degree is checked.  When hilbert_numerator() is
-prod(1 - t^d_i) over the r given generators, dim S/I = 4 - r, so they are a
-regular sequence; their Koszul complex is the minimal resolution, and layer
-L stops at the sum of the L largest d_i.  Each target is met by both the
-kernel length and the rank, a dimension audit over all degrees up to
-regularity_bound() + 6 cross-checks the result, and a complete intersection's
-twists are checked against its Koszul complex's.
+multiples so far, whose rank is their count less the kernel's length; with
+no generators yet it is answered without a matrix.  The generators it then
+finds are independent of them and come last, so that kernel is also the
+kernel of d_L in degree e, and layer L + 1 takes it as its candidates; it
+eliminates d_L itself only in degrees layer L never reached.  Where it
+falls short, an echelon form of the independent multiples picks the new
+generators, and candidates stop once its rank reaches the kernel
+dimension.
+
+The multiples and the candidates of layer L in degree e all lie in
+ker(d_(L-1))_e, so where a set of rows determines its elements, the image
+check and the echelon form see only those rows: kernels and ranks are the
+same, and so are the generators picked, in the same order.  Such rows are
+  - in layer 1, and for the kernel of d_1 that layer 2 takes in degrees
+    layer 1 never reached, the monomials of in(I)_e: an f in I_e that
+    vanishes on them is zero, as f - sum f[m] * (m - NF(m)) is in I_e and
+    has standard support;
+  - in layer L >= 2, in a degree the layer below reached, the dependent
+    columns max(z) of the kernel it took there: each kernel vector is
+    nonzero on its own and zero on the others.
+Either way candidate i is the unit vector of row i, and layer 1 forms
+m - NF(m) only for the m it accepts.  Elsewhere the rows are all of
+F_(L-1) in degree e.  The row count is the kernel dimension on a second
+route, and is checked against it.  Degree matrices are integer, cleared
+once under one denominator per matrix, which keeps their kernels.
+
+Each layer stops at a last degree proven from the input, and one degree
+past it is a safety margin.  Generator twists in layer L never exceed
+reg(S/I) + L, which is bounded through the lead-term quotient.  Layer 1
+also stops at the largest given generator degree: the given generators
+span I, and each is in the image once its degree is checked.  When
+hilbert_numerator() is prod(1 - t^d_i) over the r given generators,
+dim S/I = 4 - r, so they are a regular sequence; their Koszul complex is
+the minimal resolution, and layer L stops at the sum of the L largest d_i.
+Each target is met by both the kernel length and the rank, a dimension
+audit over all degrees up to regularity_bound() + 6 cross-checks the
+result, and a complete intersection's twists are checked against its
+Koszul complex's.
 
 Rao profiles read h^1(I_C(k)) as the third Ext module of S/I, taken on the
 dualized resolution (Rao, Invent. Math. 50, 1979): at twist k it is
@@ -904,15 +922,18 @@ def _degree_basis(twists, degree):
     return [(slot, m) for slot, b in enumerate(twists) for m in packed_monomials(degree + b)]
 
 
-def _degree_matrix(columns, twists, target_twists, degree):
+def _degree_matrix(columns, twists, target_twists, degree, rows=None):
     """(den, matrix): den times the degree-e piece of the map (+) S(b_j) ->
     (+) S(c_i) sending the j-th generator to columns[j], a map from target
     slot to polynomial.  The matrix has one sparse integer column per entry
     of _degree_basis(twists, degree), over the rows
-    _degree_basis(target_twists, degree); den is the lcm of the
-    denominators of the polynomials it multiplies.  One denominator for the
-    whole matrix keeps its kernel and its rank."""
-    row_index = {key: i for i, key in enumerate(_degree_basis(target_twists, degree))}
+    _degree_basis(target_twists, degree), or over rows, a list of keys of
+    that basis, when given: entries in other rows are dropped.  den is the
+    lcm of the denominators of the polynomials it multiplies.  One
+    denominator for the whole matrix keeps its kernel and its rank."""
+    if rows is None:
+        rows = _degree_basis(target_twists, degree)
+    row_index = {key: i for i, key in enumerate(rows)}.get
     cleared = {slot: [(target, poly._cleared) for target, poly in columns[slot].items()]
                for slot, b in enumerate(twists) if degree + b >= 0}
     den = lcm(*(d for entries in cleared.values() for _, (d, _) in entries))
@@ -923,7 +944,9 @@ def _degree_matrix(columns, twists, target_twists, degree):
             s = den // d
             # kept inline: the hot loop of every degree matrix
             for pm, pc in terms.items():
-                vec[row_index[(target, pm + m)]] = pc * s
+                i = row_index((target, pm + m))
+                if i is not None:
+                    vec[i] = pc * s
         matrix.append(vec)
     return den, matrix
 
@@ -1052,7 +1075,9 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
     against the Koszul complex's; a mismatch raises CrossCheckFailureError
     naming its layer.  An alternating sum that misses H(e) in some degree
     e <= bound = regularity_bound() + 6 raises ResourceLimitError naming
-    the first such e.
+    the first such e.  A set of determining rows (see the module docstring)
+    whose size misses the dimension it determines raises
+    CrossCheckFailureError naming its layer and degree.
     """
     if ideal.is_unit_ideal():
         raise ValueError("S/I is zero; no resolution is computed")
@@ -1069,6 +1094,23 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
         return res
 
     koszul = _koszul_degrees(ideal)
+
+    def lead_rows(e):
+        """The keys (0, m) of the monomials m of in(I)_e, descending.  They
+        determine the elements of I_e: an f in I_e that vanishes on them is
+        zero, as f - sum f[m] * (m - NF(m)) is in I_e and has standard
+        support."""
+        return [(0, m) for m in sorted({g + q for g in lead_gens
+                                        for q in packed_monomials(e - mono_degree(g))})]
+
+    def checked(rows, dim, where):
+        """rows, once their count is found to be dim, the dimension of what
+        they determine, which the Hilbert function gives on a second route."""
+        if len(rows) != dim:
+            raise CrossCheckFailureError(
+                f"{where}: {len(rows)} determining rows against dimension {dim}")
+        return rows
+
     below = {}  # degree -> kernel of d_(layer-1) there, from the image checks of layer - 1
     for layer in range(1, 6):
         # no generator of F_layer lies past last (see the docstring)
@@ -1090,50 +1132,67 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
             target = (-1) ** layer * ideal.hilbert_function(e) + sum(
                 (-1) ** (layer - 1 - i) * res.layer_dimension(i, e) for i in range(layer)
             )
+            basis = _degree_basis(source, e)
+            # rows that determine the elements of ker(d_(layer-1))_e, where
+            # known; candidate i is the unit vector of row i
+            if layer == 1:
+                rows = checked(lead_rows(e), target, where)
+            elif e in below:
+                rows = checked([basis[max(z)] for _, z in below[e]], target, where)
+            else:
+                rows = None
             # the image check: one elimination of the multiples of the
             # generators found so far.  Those found in degree e are
             # independent of them and come last, so this kernel is also the
             # kernel of d_layer in degree e, which the next layer takes.
-            _, images = _degree_matrix(columns, twists, source, e)
-            kernel = kernels[e] = kernel_of_columns(images)
+            images, kernel = [], []
+            if columns:  # with no generators yet the image is zero
+                images = _degree_matrix(columns, twists, source, e, rows)[1]
+                kernel = kernel_of_columns(images)
+            kernels[e] = kernel
             if len(images) - len(kernel) == target:
                 continue
             if e == last + 1:
                 raise ResourceLimitError(
                     f"{where}: resolution generator found at the safety margin degree"
                 )
-            basis = _degree_basis(source, e)
             if layer == 1:
-                # m - NF(m) for each m in in(I)_e; the normal form is unique,
-                # so dividing by the unreduced elements gives the same one
+                candidates = None  # m - NF(m) for the m of rows, made once accepted
                 index = {m: i for i, (_, m) in enumerate(basis)}
-                candidates = []
-                for _, m in basis:
-                    if any(_divides(g, m) for g in lead_gens):
-                        r, mult = _divide({m: 1}, elements)
-                        z = {index[m]: mult}  # mult times m - NF(m)
-                        for rm, c in r.items():
-                            z[index[rm]] = -c
-                        candidates.append((mult, z))
             elif e in below:
                 candidates = below[e]
             else:  # a degree the layer below never reached
+                kernel_rows = None
+                if layer == 2:  # d_1 maps onto I_e, of dimension the rank of d_1
+                    kernel_rows = checked(lead_rows(e), res.layer_dimension(1, e) - target, where)
                 candidates = kernel_of_columns(_degree_matrix(
-                    res.differentials[layer - 2], source, res.twists[layer - 2], e)[1])
-            if len(candidates) != target:
-                raise ResourceLimitError(f"{where}: kernel dimension audit failed")
+                    res.differentials[layer - 2], source, res.twists[layer - 2], e,
+                    kernel_rows)[1])
+                if len(candidates) != target:
+                    raise ResourceLimitError(f"{where}: kernel dimension audit failed")
             # a column is dependent when it is the last one its kernel vector uses
             dependent = {max(z) for _, z in kernel}
             ech = Echelon()
             for j, vec in enumerate(images):
                 if j not in dependent:
                     ech.insert(vec)
-            for den, z in candidates:  # the candidate z / den
+            for i in range(target):
                 if ech.rank == target:
                     break
-                if ech.insert(z) is not None:
-                    twists.append(-e)
-                    columns.append(_element(z, basis, source, e, den))
+                if ech.insert(candidates[i][1] if rows is None else {i: 1}) is None:
+                    continue
+                if candidates is None:
+                    # m - NF(m); the normal form is unique, so dividing by
+                    # the unreduced elements gives the same one
+                    m = rows[i][1]
+                    r, den = _divide({m: 1}, elements)
+                    z = {index[m]: den}  # den times m - NF(m)
+                    for rm, c in r.items():
+                        z[index[rm]] = -c
+                else:
+                    den, z = candidates[i]
+                twists.append(-e)
+                columns.append(_element(z, basis, source, e, den))
             if ech.rank != target:
                 raise ResourceLimitError(f"{where}: image dimension audit failed")
         below = kernels

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from folcurves import forms
 from folcurves.errors import (
     DegreeMismatchError,
     DegreeOverflowError,
@@ -168,6 +169,28 @@ def test_legendrian_sample_error_names_the_stage():
     with pytest.raises(ResourceLimitError, match=r"^legendrian_sample, degree 3: "
                                                  r"no one-dimensional sample found in 0 draws$"):
         legendrian_sample(3, Random(0), max_redraws=0)
+
+
+def test_legendrian_sample_checks_the_contact_form_once_per_call(monkeypatch):
+    """Three draws, the first two proportional to the contact form, make
+    four wedges: one for the contact check, made once per call, and one
+    contact ^ omega per draw.  The sample is legendrian_foliation's."""
+    draws, wedges = [], []
+    real_draw, real_wedge = forms.random_projective_oneform, forms.wedge
+    proportional = W2.scale_by_polynomial(parse_polynomial("z0 + 2*z3"))
+
+    def draw(degree, rng):
+        draws.append(real_draw(degree, rng) if len(draws) == 2 else proportional)
+        return draws[-1]
+
+    monkeypatch.setattr(forms, "random_projective_oneform", draw)
+    monkeypatch.setattr(forms, "wedge", lambda a, b: wedges.append(a) or real_wedge(a, b))
+    presentation = legendrian_sample(2, Random(0))
+    assert (len(draws), len(wedges)) == (3, 4)
+    expected = legendrian_foliation(W2, draws[2])
+    assert (presentation.two_form, presentation.degree, presentation.conormal_twists) == (
+        expected.two_form, expected.degree, expected.conormal_twists)
+    assert presentation.ideal.generators == expected.ideal.generators
 
 
 def test_legendrian_rejections():

@@ -1546,36 +1546,51 @@ def test_resolution_layers_match_the_former_loop_exactly():
 
 
 def _layer_degrees(monkeypatch, ideal):
-    """The degrees _degree_matrix is called in while ideal is resolved,
-    split into layers: degrees rise within a layer, and each layer starts
-    at its smallest source twist, below where the layer before ended."""
-    degrees = []
-    real = groebner._degree_matrix
-    monkeypatch.setattr(groebner, "_degree_matrix",
-                        lambda *args: degrees.append(args[-1]) or real(*args))
-    res = minimal_free_resolution(ideal)
+    """The degrees each layer visits while ideal is resolved, and the pairs
+    (L, e) where a degree matrix of d_L is built.  Each layer reads
+    ideal.hilbert_function once per degree it visits, for its kernel
+    dimension: degrees rise within a layer, and each layer starts at its
+    smallest source twist, below where the layer before ended.  The final
+    dimension audit reads degrees 0..bound last; they are dropped."""
+    degrees, built = [], []
+    with monkeypatch.context() as m:
+        real_hilbert, real_matrix = GradedIdeal.hilbert_function, groebner._degree_matrix
+        m.setattr(GradedIdeal, "hilbert_function",
+                  lambda self, k: degrees.append(k) or real_hilbert(self, k))
+        m.setattr(groebner, "_degree_matrix",
+                  lambda columns, twists, target_twists, degree, rows=None: built.append(
+                      (columns, degree)) or real_matrix(columns, twists, target_twists, degree, rows))
+        res = minimal_free_resolution(ideal)
     layers = [[degrees[0]]]
     for previous, e in zip(degrees, degrees[1:]):
         if e < previous:
             layers.append([])
         layers[-1].append(e)
-    return res, layers
+    assert layers[-1] == list(range(res.bound + 1))
+    pieces = {(1 + [id(d) for d in res.differentials].index(id(columns)), e)
+              for columns, e in built}
+    return res, layers[:-1], pieces
 
 
 def test_resolution_layers_stop_one_degree_past_their_last_degree(monkeypatch):
     """On the gate's complete intersection of degrees 3, 2, 3 the last
     degrees are 3 (the largest generator), then 6, 8 and 8 (sums of the
-    largest Koszul degrees), not regb + L = 9, 10, 11, 12."""
+    largest Koszul degrees), not regb + L = 9, 10, 11, 12.  Each layer with
+    generators builds its differential d_L in the degree past its last; the
+    next layer builds d_L only in degrees layer L never reached, so that
+    matrix is layer L's image check."""
     ideal = _ideal(*GATE_CI)
     assert ideal.regularity_bound() == 8
-    res, layers = _layer_degrees(monkeypatch, ideal)
+    res, layers, built = _layer_degrees(monkeypatch, ideal)
     assert res.betti() == [[0, [0]], [1, [-3, -3, -2]], [2, [-6, -5, -5]], [3, [-8]]]
     assert [max(layer) for layer in layers] == [4, 7, 9, 9]
     assert [min(layer) for layer in layers] == [0, 2, 5, 8]
+    assert {(1, 4), (2, 7), (3, 9)} <= built
     # a non-complete intersection keeps regb + L above layer 1
-    res, layers = _layer_degrees(monkeypatch, _ideal(*SKEW))
+    res, layers, built = _layer_degrees(monkeypatch, _ideal(*SKEW))
     assert groebner._koszul_degrees(_ideal(*SKEW)) is None
     assert [max(layer) for layer in layers] == [3, 4, 5, 6]
+    assert {(1, 3), (2, 4), (3, 5)} <= built
 
 
 def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkeypatch):
@@ -1589,8 +1604,8 @@ def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkey
     real_matrix, real_kernel = groebner._degree_matrix, groebner.kernel_of_columns
     real_insert = Echelon.insert
 
-    def record_matrix(columns, twists, target_twists, degree):
-        out = real_matrix(columns, twists, target_twists, degree)
+    def record_matrix(columns, twists, target_twists, degree, rows=None):
+        out = real_matrix(columns, twists, target_twists, degree, rows)
         built.append(((tuple(target_twists), degree), out[1]))
         return out
 
@@ -1606,6 +1621,7 @@ def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkey
     monkeypatch.setattr(groebner, "kernel_of_columns", record_kernel)
     monkeypatch.setattr(Echelon, "insert", record_insert)
     ideals = [_ideal(*GATE_CI), _ideal(*SKEW), legendrian_sample(3, Random(0)).ideal]
+    counts = []
     for ideal in ideals:
         built.clear()
         eliminated.clear()
@@ -1614,8 +1630,200 @@ def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkey
         keys = [key for key, _ in built]
         assert len(keys) == len(set(keys)), "a degree piece of a differential was built twice"
         assert sorted(map(id, eliminated)) == sorted(id(matrix) for _, matrix in built)
-        assert res.composition_ok() and len(built) > 10
+        # an image check with no generators yet builds no matrix
+        assert res.composition_ok() and all(matrix for _, matrix in built)
         assert inserts and all(rank < ech.rank for ech, rank in inserts)
+        counts.append(len(built))
+    assert counts == [8, 3, 6]
+
+
+# the former _resolve and _degree_matrix, which built and eliminated every
+# degree matrix over all rows of its codomain piece, kept verbatim but for
+# their names, the groebner. prefixes and the docstrings, as the oracle of
+# the resolution over determining rows
+def _full_row_degree_matrix(columns, twists, target_twists, degree):
+    row_index = {key: i for i, key in enumerate(_degree_basis(target_twists, degree))}
+    cleared = {slot: [(target, poly._cleared) for target, poly in columns[slot].items()]
+               for slot, b in enumerate(twists) if degree + b >= 0}
+    den = lcm(*(d for entries in cleared.values() for _, (d, _) in entries))
+    matrix = []
+    for slot, m in _degree_basis(twists, degree):
+        vec = {}
+        for target, (d, terms) in cleared[slot]:
+            s = den // d
+            # kept inline: the hot loop of every degree matrix
+            for pm, pc in terms.items():
+                vec[row_index[(target, pm + m)]] = pc * s
+        matrix.append(vec)
+    return den, matrix
+
+
+def _full_row_resolve(ideal: GradedIdeal) -> FreeResolution:
+    if ideal.is_unit_ideal():
+        raise ValueError("S/I is zero; no resolution is computed")
+    maxdeg = ideal.max_generator_degree()
+    regb = ideal.regularity_bound()
+    bound = regb + 6
+    if bound > 60:
+        raise ResourceLimitError(f"truncation bound {bound} is too large")
+
+    elements = ideal._basis_elements()
+    lead_gens = ideal._packed_lead()
+    res = FreeResolution(twists=[[0]], differentials=[], bound=bound)
+    if not lead_gens:
+        return res
+
+    koszul = groebner._koszul_degrees(ideal)
+    below = {}  # degree -> kernel of d_(layer-1) there, from the image checks of layer - 1
+    for layer in range(1, 6):
+        # no generator of F_layer lies past last (see the docstring)
+        if layer == 1:
+            last = min(regb + 1, maxdeg)
+        elif koszul is not None:
+            # the sum is at most regb + layer unless regb is wrong, which
+            # the safety margin then reports
+            last = min(regb + layer, sum(koszul[:layer]))
+        else:
+            last = regb + layer
+        # generators of F_layer, as columns of d_layer over F_{layer-1}
+        twists, columns = [], []
+        source = res.twists[layer - 1]
+        kernels = {}
+        for e in range(min(-b for b in source), last + 2):
+            where = f"layer {layer}, degree {e}"
+            # dim ker(d_{layer-1})_e, by exactness; for layer 1, dim I_e
+            target = (-1) ** layer * ideal.hilbert_function(e) + sum(
+                (-1) ** (layer - 1 - i) * res.layer_dimension(i, e) for i in range(layer)
+            )
+            # the image check: one elimination of the multiples of the
+            # generators found so far.  Those found in degree e are
+            # independent of them and come last, so this kernel is also the
+            # kernel of d_layer in degree e, which the next layer takes.
+            _, images = _full_row_degree_matrix(columns, twists, source, e)
+            kernel = kernels[e] = kernel_of_columns(images)
+            if len(images) - len(kernel) == target:
+                continue
+            if e == last + 1:
+                raise ResourceLimitError(
+                    f"{where}: resolution generator found at the safety margin degree"
+                )
+            basis = _degree_basis(source, e)
+            if layer == 1:
+                # m - NF(m) for each m in in(I)_e; the normal form is unique,
+                # so dividing by the unreduced elements gives the same one
+                index = {m: i for i, (_, m) in enumerate(basis)}
+                candidates = []
+                for _, m in basis:
+                    if any(groebner._divides(g, m) for g in lead_gens):
+                        r, mult = _divide({m: 1}, elements)
+                        z = {index[m]: mult}  # mult times m - NF(m)
+                        for rm, c in r.items():
+                            z[index[rm]] = -c
+                        candidates.append((mult, z))
+            elif e in below:
+                candidates = below[e]
+            else:  # a degree the layer below never reached
+                candidates = kernel_of_columns(_full_row_degree_matrix(
+                    res.differentials[layer - 2], source, res.twists[layer - 2], e)[1])
+            if len(candidates) != target:
+                raise ResourceLimitError(f"{where}: kernel dimension audit failed")
+            # a column is dependent when it is the last one its kernel vector uses
+            dependent = {max(z) for _, z in kernel}
+            ech = Echelon()
+            for j, vec in enumerate(images):
+                if j not in dependent:
+                    ech.insert(vec)
+            for den, z in candidates:  # the candidate z / den
+                if ech.rank == target:
+                    break
+                if ech.insert(z) is not None:
+                    twists.append(-e)
+                    columns.append(_element(z, basis, source, e, den))
+            if ech.rank != target:
+                raise ResourceLimitError(f"{where}: image dimension audit failed")
+        below = kernels
+        if not twists:
+            break
+        if layer == 5:
+            raise ResourceLimitError(
+                f"layer 5, degree {-max(twists)}: resolution did not terminate at length 4"
+            )
+        res.twists.append(twists)
+        res.differentials.append(columns)
+
+    mismatch = res._alternating_sum_mismatch(ideal.hilbert_function)
+    if mismatch is not None:
+        e, total, expected = mismatch
+        raise ResourceLimitError(
+            f"all layers, degree {e}: resolution dimension audit failed, "
+            f"alternating sum {total} against H({e}) = {expected}"
+        )
+    if koszul is not None:
+        # a second route to the Betti table: the Koszul complex of the degrees
+        sums = [[0]]  # sums[L] lists the sums of the L-element subsets
+        for d in koszul:
+            sums = [a + [s + d for s in b] for a, b in zip(sums + [[]], [[]] + sums)]
+        for layer in range(1, max(len(res.twists), len(sums))):
+            got = sorted(res.twists[layer]) if layer < len(res.twists) else []
+            want = sorted(-s for s in sums[layer]) if layer < len(sums) else []
+            if got != want:
+                raise CrossCheckFailureError(
+                    f"layer {layer}: twists {got} differ from the Koszul twists {want} "
+                    f"of the complete intersection of degrees {koszul}"
+                )
+    return res
+
+
+
+def test_resolution_over_determining_rows_matches_the_full_row_oracle(monkeypatch):
+    """Eliminating over determining rows changes no twist, no term of a
+    differential (nor the order of its terms), no bound and no error, on
+    the rao pool, legendrian samples of degree 2 to 6, the gate's complete
+    intersection, two skew lines and random ideals.  Candidates project to
+    unit vectors, so layer 1 divides only for the generators it accepts:
+    one division per twist of F_1."""
+    ideals = _rao_pool_ideals()
+    ideals += [legendrian_sample(d, Random(seed)).ideal for d in range(2, 7) for seed in range(3)]
+    ideals += [_ideal(*GATE_CI), _ideal(*SKEW)] + list(_random_ideals(Random(26), 30))
+    divisions = []
+    real_divide = groebner._divide
+    kinds = {"resolved": 0, "error": 0}
+    for ideal in ideals:
+        ideal._basis_elements()  # Buchberger's divisions come first
+        divisions.clear()
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_divide",
+                      lambda work, table: divisions.append(work) or real_divide(work, table))
+            mine = _outcome(groebner._resolve, ideal)
+        assert mine == _outcome(_full_row_resolve, ideal)
+        if isinstance(mine[0], type):
+            kinds["error"] += 1
+            continue
+        kinds["resolved"] += 1
+        assert len(divisions) == len(mine[0][1] if len(mine[0]) > 1 else [])
+    assert kinds["error"] == 0 and kinds["resolved"] == len(ideals) >= 110, (kinds, len(ideals))
+
+
+@pytest.mark.parametrize("patch, ideal, message", [
+    ((GradedIdeal, "hilbert_function", lambda real: lambda self, k: real(self, k) + (k == 2)),
+     SKEW, r"layer 1, degree 2: 4 determining rows against dimension 3"),
+    ((FreeResolution, "layer_dimension",
+      lambda real: lambda self, i, e: real(self, i, e) + ((i, e) == (1, 3))),
+     SKEW, r"layer 2, degree 3: 4 determining rows against dimension 5"),
+    ((GradedIdeal, "hilbert_function", lambda real: lambda self, k: real(self, k) + (k == 5)),
+     GATE_CI, r"layer 2, degree 5: 38 determining rows against dimension 37"),
+], ids=["layer-1", "layer-2-from-the-kernel-below", "layer-2-kernel-of-d1"])
+def test_determining_row_count_is_audited_against_the_hilbert_function(
+        monkeypatch, patch, ideal, message):
+    """The determining rows of a degree number the dimension that exactness
+    and the Hilbert function give for what they determine: the kernel the
+    layer must cover, or I_5 = 38 for the kernel of d_1 that layer 2 takes
+    above layer 1's last degree.  One off raises CrossCheckFailureError
+    naming the layer and the degree."""
+    owner, name, wrap = patch
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    with pytest.raises(CrossCheckFailureError, match=f"^{message}$"):
+        minimal_free_resolution(_ideal(*ideal))
 
 
 def test_degree_matrix_is_the_former_fraction_matrix_over_one_denominator():
