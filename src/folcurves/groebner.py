@@ -95,6 +95,17 @@ F_(L-1) in degree e.  The row count is the kernel dimension on a second
 route, and is checked against it.  Degree matrices are integer, cleared
 once under one denominator per matrix, which keeps their kernels.
 
+The order of the rows sets the pivots, and so the fill-in, of an
+elimination, but not its kernel, which kernel_of_columns gives in one
+canonical form.  In layer L >= 2 the image check renumbers its rows of
+F_(L-1), determining or full, by ascending nonzero count, ties by index,
+and the candidates it then inserts follow that numbering: eliminating the
+sparsest rows first keeps the fill-in low (Markowitz, Management Science
+3, 1957).  Rows that are monomials of S, in layer 1's image checks and in
+the kernels of d_1 that layer 2 takes in degrees layer 1 never reached,
+keep degrevlex order: there the matrices are nearly triangular, and the
+sparse-first order makes them slower.
+
 Each layer stops at a last degree proven from the input, and one degree
 past it is a safety margin.  Generator twists in layer L never exceed
 reg(S/I) + L, which is bounded through the lead-term quotient.  Layer 1
@@ -146,7 +157,7 @@ from .errors import (
     ResourceLimitError,
     WindowTooSmallError,
 )
-from .linalg import Echelon, kernel_of_columns
+from .linalg import Echelon, kernel_of_columns, sparse_first
 from .polyring import (
     HomogeneousPolynomial,
     MAX_DEGREE,
@@ -1145,9 +1156,11 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
             # generators found so far.  Those found in degree e are
             # independent of them and come last, so this kernel is also the
             # kernel of d_layer in degree e, which the next layer takes.
-            images, kernel = [], []
+            images, kernel, renumber = [], [], dict  # dict: the rows as built
             if columns:  # with no generators yet the image is zero
                 images = _degree_matrix(columns, twists, source, e, rows)[1]
+                if layer > 1:  # rows of F_(layer-1), not monomials of S
+                    renumber = sparse_first(images, len(basis if rows is None else rows))
                 kernel = kernel_of_columns(images)
             kernels[e] = kernel
             if len(images) - len(kernel) == target:
@@ -1179,7 +1192,8 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
             for i in range(target):
                 if ech.rank == target:
                     break
-                if ech.insert(candidates[i][1] if rows is None else {i: 1}) is None:
+                # candidate i, over the rows as the image check numbers them
+                if ech.insert(renumber(candidates[i][1] if rows is None else {i: 1})) is None:
                     continue
                 if candidates is None:
                     # m - NF(m); the normal form is unique, so dividing by

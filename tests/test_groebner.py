@@ -374,6 +374,30 @@ def test_resolution_maximal_ideal_has_length_four():
     assert res.composition_ok() and res.is_minimal()
 
 
+# four forms whose ideal is no curve's (Hilbert polynomial 6).  Layer 3's
+# image check in degree 12, 170 columns over the 525 rows of F_2 there, took
+# 87-98 s with its rows in degrevlex order and takes milliseconds with its
+# sparsest rows pivoted first
+FOUR_FORMS = [
+    "3*z0^2*z2 - z0*z2^2 - z2*z3^2",
+    "-z0^2*z2 - 3*z0*z1*z2 - z1^2*z3 + 3*z0*z2*z3 + z1*z2*z3 - z0*z3^2",
+    "3*z0*z1^3 + 3*z1^3*z2 - z0^2*z2^2 + 2*z1^2*z2^2 + z1*z2^3 - 3*z0^2*z1*z3"
+    " + z0^2*z2*z3 + 3*z1*z2^2*z3 - 2*z0*z3^3",
+    "3*z1^3 + 2*z1^2*z2 - 3*z1*z2^2 + z2^3 + z1*z2*z3",
+]
+
+
+def test_resolution_of_four_forms_with_a_large_layer_3_image_check():
+    ideal = _ideal(*FOUR_FORMS)
+    res = minimal_free_resolution(ideal)
+    assert res.betti() == [[0, [0]], [1, [-4, -3, -3, -3]],
+                           [2, [-8, -8, -8, -7, -7, -7, -6, -6, -6]],
+                           [3, [-10] + [-9] * 8], [4, [-12, -10, -10]]]
+    assert res.composition_ok() and res.is_minimal()
+    P = ideal.hilbert_polynomial()
+    assert P.degree() == 0 and P(0) == 6
+
+
 @pytest.mark.parametrize("gens, where", [
     (["z0^2 + z1*z2 - z3^2", "z0*z1 + z2^2 - z0*z3"], "layer 2, degree 4"),
     (SKEW, "layer 1, degree 2"),
