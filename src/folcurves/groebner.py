@@ -63,25 +63,26 @@ their ideal has height at most |A|, so they are no regular sequence.
 
 Resolutions are built layer by layer and degree by degree.  Exactness and
 the Hilbert function of S/I give the dimension of the kernel each layer
-must cover in each degree; candidates (normal forms in layer 1, kernels of
-the previous differential above it) are computed only where the multiples
-of the generators found so far fall short of it.  Each degree piece of
+must cover in each degree; new generators are sought only where the
+multiples of those found so far fall short of it.  Each degree piece of
 each differential has its kernel taken once (as in La Scala and Stillman,
-"Strategies for computing minimal free resolutions", J. Symbolic Comput.
-26, 1998).  The image check of layer L in degree e takes the kernel of the
-multiples so far, whose rank is their count less the kernel's length; with
-no generators yet it is answered without a matrix.  The generators it then
-finds are independent of them and come last, so that kernel is also the
-kernel of d_L in degree e, and layer L + 1 takes it as its candidates; it
-eliminates d_L itself only in degrees layer L never reached.  Where it
-falls short, an echelon form of the independent multiples picks the new
-generators, and candidates stop once its rank reaches the kernel
-dimension.
+"Strategies for computing minimal free resolutions", J. Symbolic
+Comput. 26, 1998).  The image check of layer L in degree e takes the
+kernel of the multiples so far, whose rank is their count less the
+kernel's length; with no generators yet it is answered without a matrix.
+The generators it then finds are independent of them and come last, so
+that kernel is also the kernel of d_L in degree e, and layer L + 1 takes
+it; it eliminates d_L itself only in degrees layer L never reached.  Where
+the rank falls short by missing, the new generators sit at the free rows,
+no pivot of an echelon form of the image: as a stored row is reduced at
+the pivots stored before it, the image meets the free coordinates in zero,
+and with them spans the space.  On determining rows (below) they are the
+free rows' unit vectors; where the layer below never reached, the kernel
+of d_(L-1) on the free columns, of dimension missing.
 
-The multiples and the candidates of layer L in degree e all lie in
-ker(d_(L-1))_e, so where a set of rows determines its elements, the image
-check and the echelon form see only those rows: kernels and ranks are the
-same, and so are the generators picked, in the same order.  Such rows are
+The multiples of layer L in degree e all lie in ker(d_(L-1))_e, so where a
+set of rows determines its elements, the image check and the echelon form
+see only those rows.  Such rows are
   - in layer 1, and for the kernel of d_1 that layer 2 takes in degrees
     layer 1 never reached, the monomials of in(I)_e: an f in I_e that
     vanishes on them is zero, as f - sum f[m] * (m - NF(m)) is in I_e and
@@ -89,17 +90,17 @@ same, and so are the generators picked, in the same order.  Such rows are
   - in layer L >= 2, in a degree the layer below reached, the dependent
     columns max(z) of the kernel it took there: each kernel vector is
     nonzero on its own and zero on the others.
-Either way candidate i is the unit vector of row i, and layer 1 forms
-m - NF(m) only for the m it accepts.  Elsewhere the rows are all of
-F_(L-1) in degree e.  The row count is the kernel dimension on a second
-route, and is checked against it.  Degree matrices are integer, cleared
-once under one denominator per matrix, which keeps their kernels.
+Either way unit vector i is m - NF(m) in layer 1 and kernel vector i above
+it.  Elsewhere the rows are all of F_(L-1) in degree e.  The row count is
+the kernel dimension on a second route, and is checked against it.  Degree
+matrices are integer, cleared once under one denominator per matrix, which
+keeps their kernels.
 
 The order of the rows sets the pivots, and so the fill-in, of an
 elimination, but not its kernel, which kernel_of_columns gives in one
 canonical form.  In layer L >= 2 the image check renumbers its rows of
 F_(L-1), determining or full, by ascending nonzero count, ties by index,
-and the candidates it then inserts follow that numbering: eliminating the
+and reads the free rows back through that numbering: eliminating the
 sparsest rows first keeps the fill-in low (Markowitz, Management Science
 3, 1957).  Rows that are monomials of S, in layer 1's image checks and in
 the kernels of d_1 that layer 2 takes in degrees layer 1 never reached,
@@ -1088,7 +1089,8 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
     e <= bound = regularity_bound() + 6 raises ResourceLimitError naming
     the first such e.  A set of determining rows (see the module docstring)
     whose size misses the dimension it determines raises
-    CrossCheckFailureError naming its layer and degree.
+    CrossCheckFailureError naming its layer and degree, and a kernel on the
+    free columns (see there) of the wrong length ResourceLimitError.
     """
     if ideal.is_unit_ideal():
         raise ValueError("S/I is zero; no resolution is computed")
@@ -1145,7 +1147,7 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
             )
             basis = _degree_basis(source, e)
             # rows that determine the elements of ker(d_(layer-1))_e, where
-            # known; candidate i is the unit vector of row i
+            # known; unit vector i is m - NF(m), or kernel vector i
             if layer == 1:
                 rows = checked(lead_rows(e), target, where)
             elif e in below:
@@ -1156,59 +1158,57 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
             # generators found so far.  Those found in degree e are
             # independent of them and come last, so this kernel is also the
             # kernel of d_layer in degree e, which the next layer takes.
-            images, kernel, renumber = [], [], dict  # dict: the rows as built
+            nrows = len(basis if rows is None else rows)
+            images, kernel, new = [], [], range(nrows)  # new: each row's index in images
             if columns:  # with no generators yet the image is zero
                 images = _degree_matrix(columns, twists, source, e, rows)[1]
                 if layer > 1:  # rows of F_(layer-1), not monomials of S
-                    renumber = sparse_first(images, len(basis if rows is None else rows))
+                    new = sparse_first(images, nrows)
                 kernel = kernel_of_columns(images)
             kernels[e] = kernel
-            if len(images) - len(kernel) == target:
+            missing = target - (len(images) - len(kernel))
+            if not missing:
                 continue
             if e == last + 1:
                 raise ResourceLimitError(
                     f"{where}: resolution generator found at the safety margin degree"
                 )
-            if layer == 1:
-                candidates = None  # m - NF(m) for the m of rows, made once accepted
-                index = {m: i for i, (_, m) in enumerate(basis)}
-            elif e in below:
-                candidates = below[e]
-            else:  # a degree the layer below never reached
-                kernel_rows = None
-                if layer == 2:  # d_1 maps onto I_e, of dimension the rank of d_1
-                    kernel_rows = checked(lead_rows(e), res.layer_dimension(1, e) - target, where)
-                candidates = kernel_of_columns(_degree_matrix(
-                    res.differentials[layer - 2], source, res.twists[layer - 2], e,
-                    kernel_rows)[1])
-                if len(candidates) != target:
-                    raise ResourceLimitError(f"{where}: kernel dimension audit failed")
-            # a column is dependent when it is the last one its kernel vector uses
+            # new generators sit at the free rows, no pivot of an echelon form
+            # of the independent images, the columns no kernel vector ends on
             dependent = {max(z) for _, z in kernel}
             ech = Echelon()
             for j, vec in enumerate(images):
                 if j not in dependent:
                     ech.insert(vec)
-            for i in range(target):
-                if ech.rank == target:
-                    break
-                # candidate i, over the rows as the image check numbers them
-                if ech.insert(renumber(candidates[i][1] if rows is None else {i: 1})) is None:
-                    continue
-                if candidates is None:
-                    # m - NF(m); the normal form is unique, so dividing by
-                    # the unreduced elements gives the same one
+            free = [i for i in range(nrows) if new[i] not in ech.rows]
+            if layer == 1:
+                index = {m: i for i, (_, m) in enumerate(basis)}
+                found = []
+                for i in free:
+                    # den times m - NF(m); the normal form is unique, so
+                    # dividing by the unreduced elements gives the same one
                     m = rows[i][1]
                     r, den = _divide({m: 1}, elements)
-                    z = {index[m]: den}  # den times m - NF(m)
+                    z = {index[m]: den}
                     for rm, c in r.items():
                         z[index[rm]] = -c
-                else:
-                    den, z = candidates[i]
+                    found.append((den, z))
+            elif e in below:  # the kernel vectors nonzero on the free rows
+                found = [below[e][i] for i in free]
+            else:  # a degree the layer below never reached
+                kernel_rows = None
+                if layer == 2:  # d_1 maps onto I_e, of dimension the rank of d_1
+                    kernel_rows = checked(lead_rows(e), res.layer_dimension(1, e) - target, where)
+                matrix = _degree_matrix(res.differentials[layer - 2], source,
+                                        res.twists[layer - 2], e, kernel_rows)[1]
+                matrix[:] = [matrix[i] for i in free]  # the kernel on the free columns
+                found = [(den, {free[k]: x for k, x in z.items()})
+                         for den, z in kernel_of_columns(matrix)]
+                if len(found) != missing:
+                    raise ResourceLimitError(f"{where}: kernel dimension audit failed")
+            for den, z in found:
                 twists.append(-e)
                 columns.append(_element(z, basis, source, e, den))
-            if ech.rank != target:
-                raise ResourceLimitError(f"{where}: image dimension audit failed")
         below = kernels
         if not twists:
             break

@@ -75,10 +75,10 @@ class Echelon:
 
 def sparse_first(columns, nrows):
     """Renumber the rows 0..nrows-1 of the sparse columns, in place, by
-    ascending nonzero count, ties by index, and return the function that
-    renumbers a vector over those rows alike.  Eliminating the sparsest rows
-    first keeps fill-in low (Markowitz, Management Science 3, 1957), and the
-    kernel stays the same."""
+    ascending nonzero count, ties by index, and return the list of each
+    row's new position.  Eliminating the sparsest rows first keeps fill-in
+    low (Markowitz, Management Science 3, 1957), and the kernel stays the
+    same."""
     count = [0] * nrows
     for vec in columns:
         for i in vec:
@@ -86,12 +86,8 @@ def sparse_first(columns, nrows):
     new = [0] * nrows
     for k, i in enumerate(sorted(range(nrows), key=count.__getitem__)):
         new[i] = k
-
-    def renumber(vec):
-        return {new[i]: x for i, x in vec.items()}
-
-    columns[:] = map(renumber, columns)
-    return renumber
+    columns[:] = [{new[i]: x for i, x in vec.items()} for vec in columns]
+    return new
 
 
 def kernel_of_columns(columns):

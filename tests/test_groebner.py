@@ -439,6 +439,18 @@ def test_rao_window_too_small():
         rao_module_dimensions(_ideal(*SKEW), window=(0, 5))
 
 
+def test_legendrian_degree_7_takes_its_one_new_syzygy_on_the_free_columns():
+    """Layer 1 of the legendrian sample of degree 7 stops at degree 8, so
+    layer 2 takes the kernel of d_1 in degree 14 itself.  It takes it on
+    the free columns only, where it has one vector, the generator of
+    twist -14, instead of the whole 190-dimensional kernel."""
+    ideal = legendrian_sample(7, Random(0)).ideal
+    res = minimal_free_resolution(ideal)
+    assert res.betti() == [[0, [0]], [1, [-8] * 5], [2, [-14, -9, -9, -9, -9]], [3, [-10]]]
+    assert rao_module_dimensions(ideal).profile == {6: 1}
+    _assert_minimal_free_resolution(ideal, res)
+
+
 def test_the_resolution_is_kept_on_the_ideal(monkeypatch):
     """rao_module_dimensions after minimal_free_resolution takes no kernel:
     the resolution is not computed again.  A call that raises keeps
@@ -1510,17 +1522,48 @@ GATE_CI = ["2*z0*z1^2 + 3*z0^2*z2 - 2*z1*z2^2 - z1^2*z3", "2*z0^2 + 3*z1^2 - 2*z
            "-z0*z1*z2 - z1*z2^2 - 3*z0*z1*z3"]
 
 
-def _outcome(resolve, ideal):
-    """The resolution as exact data (twists, differentials with the order of
-    their terms, bound), or the type and message of the error raised."""
+def _resolved(resolve, ideal):
+    """((twists, bound), the resolution), or ((the type and message of the
+    error raised), None)."""
     try:
         res = resolve(ideal)
     except (ValueError, ResourceLimitError) as exc:
-        return type(exc), str(exc)
-    differentials = [[[(slot, poly.degree, list(poly.terms.items()))
-                       for slot, poly in column.items()] for column in columns]
-                     for columns in res.differentials]
-    return res.twists, differentials, res.bound
+        return (type(exc), str(exc)), None
+    return (res.twists, res.bound), res
+
+
+def _assert_minimal_free_resolution(ideal, res):
+    """res is a minimal free resolution of S/I, given that its twists are
+    the graded Betti numbers of S/I (the callers compare them with an
+    oracle's or a known table):
+      - the entries of d_1 generate I;
+      - composition_ok() and is_minimal() hold;
+      - rank(d_L)_e + rank(d_(L+1))_e = dim (F_L)_e, so im d_(L+1) =
+        ker d_L in degree e, in every degree e where F_(L+1) has a
+        generator.  rank(d_1)_e is dim I_e, since d_1 maps onto I; the
+        other ranks eliminate _full_row_degree_matrix.
+    By induction on L this is exactness in every degree: once F_L -> ... ->
+    S -> S/I is exact, ker d_L is the L-th syzygy module of S/I, minimally
+    generated in the degrees of the generators of F_(L+1), so the lowest
+    degree where it could differ from im d_(L+1) is one of them; at the
+    top, F_(L+1) = 0 and ker d_L has no generator."""
+    gens = [column[0] for column in res.differentials[0]] if res.differentials else []
+    assert GradedIdeal(gens).equals(ideal)
+    assert res.composition_ok() and res.is_minimal()
+
+    def rank(layer, e):
+        if layer == 1:
+            return res.layer_dimension(0, e) - ideal.hilbert_function(e)
+        matrix = _full_row_degree_matrix(res.differentials[layer - 1], res.twists[layer],
+                                         res.twists[layer - 1], e)[1]
+        ech = Echelon()
+        for vec in matrix:
+            ech.insert(vec)
+        return ech.rank
+
+    for layer in range(1, res.length()):
+        for e in sorted({-b for b in res.twists[layer + 1]}):
+            assert rank(layer, e) + rank(layer + 1, e) == res.layer_dimension(layer, e), (layer, e)
 
 
 def _resolution_cases():
@@ -1557,13 +1600,18 @@ def _resolution_cases():
 
 
 def test_resolution_layers_match_the_former_loop_exactly():
-    """Stopping each layer at its last degree changes no twist, no term of
-    a differential, no bound and no error."""
+    """Stopping each layer at its last degree changes no twist, no bound
+    and no error.  The differentials may differ from the former loop's,
+    which kept the first independent candidates where the new generators
+    now sit at the free rows of the image; each is checked to be a minimal
+    free resolution of S/I instead."""
     kinds = {}
     for ideal in _resolution_cases():
-        mine = _outcome(minimal_free_resolution, ideal)
-        assert mine == _outcome(_regb_minimal_free_resolution, ideal)
-        kind = "error" if isinstance(mine[0], type) else (
+        mine, res = _resolved(minimal_free_resolution, ideal)
+        assert mine == _resolved(_regb_minimal_free_resolution, ideal)[0]
+        if res is not None:
+            _assert_minimal_free_resolution(ideal, res)
+        kind = "error" if res is None else (
             "koszul" if ideal.generators and groebner._koszul_degrees(ideal) else "other")
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds["error"] == 2 and kinds["koszul"] >= 20 and kinds["other"] >= 19, kinds
@@ -1622,20 +1670,26 @@ def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkey
     of d_L once, and layer L + 1 takes its kernel: no piece, identified by
     its rows F_(L-1) and its degree, is built twice, and each matrix built
     goes through one kernel_of_columns call and no other.  No vector goes
-    into an echelon form whose rank has reached its final value, the
-    kernel dimension."""
+    into an echelon form whose rank has reached its final value, the rank
+    of the image; two skew lines insert none, as none of their generator
+    degrees has images yet.  In a degree the layer below never reached,
+    layer L takes the kernel of d_(L-1) on the free columns only, and each
+    of its vectors is a new generator."""
     built, eliminated, inserts = [], [], []
+    degrees = []  # the degree of each target the layers read, as _layer_degrees
     real_matrix, real_kernel = groebner._degree_matrix, groebner.kernel_of_columns
-    real_insert = Echelon.insert
+    real_insert, real_hilbert = Echelon.insert, GradedIdeal.hilbert_function
 
     def record_matrix(columns, twists, target_twists, degree, rows=None):
         out = real_matrix(columns, twists, target_twists, degree, rows)
-        built.append(((tuple(target_twists), degree), out[1]))
+        built.append(((tuple(target_twists), degree), out[1], columns, len(degrees)))
         return out
 
     def record_kernel(columns):
         eliminated.append(columns)
-        return real_kernel(columns)
+        out = real_kernel(columns)
+        kernels[id(columns)] = len(out)
+        return out
 
     def record_insert(self, vec):
         inserts.append((self, self.rank))
@@ -1644,21 +1698,36 @@ def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkey
     monkeypatch.setattr(groebner, "_degree_matrix", record_matrix)
     monkeypatch.setattr(groebner, "kernel_of_columns", record_kernel)
     monkeypatch.setattr(Echelon, "insert", record_insert)
+    monkeypatch.setattr(GradedIdeal, "hilbert_function",
+                        lambda self, k: degrees.append(k) or real_hilbert(self, k))
     ideals = [_ideal(*GATE_CI), _ideal(*SKEW), legendrian_sample(3, Random(0)).ideal]
-    counts = []
+    counts, inserted, unreached = [], 0, 0
     for ideal in ideals:
         built.clear()
         eliminated.clear()
         inserts.clear()
+        degrees.clear()
+        kernels = {}
         res = minimal_free_resolution(ideal)
-        keys = [key for key, _ in built]
+        keys = [key for key, *_ in built]
         assert len(keys) == len(set(keys)), "a degree piece of a differential was built twice"
-        assert sorted(map(id, eliminated)) == sorted(id(matrix) for _, matrix in built)
+        assert sorted(map(id, eliminated)) == sorted(id(matrix) for _, matrix, *_ in built)
         # an image check with no generators yet builds no matrix
-        assert res.composition_ok() and all(matrix for _, matrix in built)
-        assert inserts and all(rank < ech.rank for ech, rank in inserts)
+        assert res.composition_ok() and all(matrix for _, matrix, *_ in built)
+        assert all(rank < ech.rank for ech, rank in inserts)
+        inserted += len(inserts)
+        # the layer of each matrix: degrees fall where a layer starts
+        layer_at = [1]
+        for previous, e in zip(degrees, degrees[1:]):
+            layer_at.append(layer_at[-1] + (e < previous))
+        for (_, e), matrix, columns, read in built:
+            d = 1 + [id(c) for c in res.differentials].index(id(columns))
+            if d == layer_at[read - 1] - 1:  # layer L builds d_(L-1): never reached there
+                assert kernels[id(matrix)] == res.twists[d + 1].count(-e) > 0, (d, e)
+                unreached += 1
         counts.append(len(built))
     assert counts == [8, 3, 6]
+    assert inserted and unreached, (inserted, unreached)
 
 
 # the former _resolve and _degree_matrix, which built and eliminated every
@@ -1800,12 +1869,14 @@ def _full_row_resolve(ideal: GradedIdeal) -> FreeResolution:
 
 
 def test_resolution_over_determining_rows_matches_the_full_row_oracle(monkeypatch):
-    """Eliminating over determining rows changes no twist, no term of a
-    differential (nor the order of its terms), no bound and no error, on
-    the rao pool, legendrian samples of degree 2 to 6, the gate's complete
-    intersection, two skew lines and random ideals.  Candidates project to
-    unit vectors, so layer 1 divides only for the generators it accepts:
-    one division per twist of F_1."""
+    """Eliminating over determining rows changes no twist, no bound and no
+    error, on the rao pool, legendrian samples of degree 2 to 6, the gate's
+    complete intersection, two skew lines and random ideals.  The oracle
+    keeps the first independent candidates, and the resolution takes its
+    new generators at the free rows of the image, so the differentials may
+    differ; each is checked to be a minimal free resolution of S/I.  Layer
+    1 divides only for the generators it takes: one division per twist of
+    F_1."""
     ideals = _rao_pool_ideals()
     ideals += [legendrian_sample(d, Random(seed)).ideal for d in range(2, 7) for seed in range(3)]
     ideals += [_ideal(*GATE_CI), _ideal(*SKEW)] + list(_random_ideals(Random(26), 30))
@@ -1818,13 +1889,14 @@ def test_resolution_over_determining_rows_matches_the_full_row_oracle(monkeypatc
         with monkeypatch.context() as m:
             m.setattr(groebner, "_divide",
                       lambda work, table: divisions.append(work) or real_divide(work, table))
-            mine = _outcome(groebner._resolve, ideal)
-        assert mine == _outcome(_full_row_resolve, ideal)
-        if isinstance(mine[0], type):
+            mine, res = _resolved(groebner._resolve, ideal)
+        assert mine == _resolved(_full_row_resolve, ideal)[0]
+        if res is None:
             kinds["error"] += 1
             continue
         kinds["resolved"] += 1
-        assert len(divisions) == len(mine[0][1] if len(mine[0]) > 1 else [])
+        assert len(divisions) == len(res.twists[1] if len(res.twists) > 1 else [])
+        _assert_minimal_free_resolution(ideal, res)
     assert kinds["error"] == 0 and kinds["resolved"] == len(ideals) >= 110, (kinds, len(ideals))
 
 
