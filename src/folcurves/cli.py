@@ -3,6 +3,15 @@
 Exit codes: 0 success, 1 verification failure, 2 input or constraint
 rejection.  Every subcommand accepts --json; JSON payloads are
 deterministic (sorted keys, no timing data).
+
+A subcommand imports the modules it runs when it runs, so that starting
+one compiles and loads only those.  errors, polyring and groebner (with
+linalg) stay at module level: every numeric subcommand uses them, and
+deferring them as well raised the gate's peak memory.  forms, classify,
+sheafcoh, monad and verification are imported in the handlers that call
+them, and `verify` reads its suite names and default seed only when it
+checks or prints them.  Most of the saving is compilation, so cached
+bytecode shrinks it.
 """
 
 from __future__ import annotations
@@ -13,28 +22,10 @@ import sys
 import time
 from functools import lru_cache
 
-from .classify import classify_low_degree, invariants_from_c2, legendrian_moduli_dim, nc_moduli_dim
-from .errors import FolcurvesError, InvalidProfileError, ResourceLimitError
-from .forms import parse_form, legendrian_foliation, singular_ideal, wedge
-from .groebner import (
-    GradedIdeal,
-    curve_invariants,
-    graded_syzygies,
-    rao_module_dimensions,
-)
-from .monad import MonadSpec, monad_chern, monad_regularity_bound
+from .errors import (FolcurvesError, InvalidProfileError, NotProjectiveError,
+                     ResourceLimitError, WrongFormDegreeError)
+from .groebner import GradedIdeal, curve_invariants, graded_syzygies, rao_module_dimensions
 from .polyring import parse_polynomial
-from .sheafcoh import (
-    ChernTriple,
-    CohomologyTable,
-    SheafSymbol,
-    cotangent_cohomology,
-    euler_characteristic,
-    instanton_cohomology,
-    line_bundle_cohomology,
-    CLOSED_FORM,
-)
-from .verification import DEFAULT_SEED, SUITES, run_suite
 
 # Twists in one cohomology table; the shipped examples use at most 9.
 MAX_TWIST_RANGE = 1000
@@ -54,6 +45,8 @@ def _emit(args, payload, flags=(), human=()):
 
 
 def _cmd_classify(args):
+    from .classify import classify_low_degree
+
     report = classify_low_degree(args.d, args.c2, args.reduced)
     payload = report.to_json()
     verdict = report.verdict
@@ -78,8 +71,7 @@ def _cmd_classify(args):
 
 
 def _cmd_wedge(args):
-    from .errors import NotProjectiveError, WrongFormDegreeError
-    from .forms import is_projective
+    from .forms import is_projective, legendrian_foliation, parse_form, singular_ideal, wedge
 
     a = parse_form(args.form1)
     b = parse_form(args.form2)
@@ -105,8 +97,10 @@ def _cmd_wedge(args):
 
 
 def _cmd_verify(args):
+    from .verification import DEFAULT_SEED, run_suite
+
     started = time.monotonic()
-    results = run_suite(args.suite, seed=args.seed)
+    results = run_suite(args.suite, seed=DEFAULT_SEED if args.seed is None else args.seed)
     ok = all(res.ok for res in results)
     if args.json:
         body = {
@@ -169,6 +163,8 @@ def _cmd_syzygy(args):
 
 
 def _cmd_chi(args):
+    from .sheafcoh import ChernTriple, SheafSymbol, euler_characteristic
+
     symbol = SheafSymbol(args.rank, ChernTriple(args.c1, args.c2, args.c3))
     value = euler_characteristic(symbol, args.twist)
     return _emit(args, {"chi": value}, (), [f"chi = {value}"])
@@ -185,6 +181,9 @@ def _parse_range(text):
 
 
 def _cmd_cohomology(args):
+    from .sheafcoh import (CLOSED_FORM, CohomologyTable, cotangent_cohomology,
+                           instanton_cohomology, line_bundle_cohomology)
+
     twists = _parse_range(args.twist_range)
     kind = args.kind
     if kind.startswith("instanton:") or kind in ("nc", "null-correlation"):
@@ -213,6 +212,8 @@ def _cmd_cohomology(args):
 
 
 def _cmd_monad(args):
+    from .monad import MonadSpec, monad_chern, monad_regularity_bound
+
     with open(args.spec_file, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -237,6 +238,8 @@ def _cmd_monad(args):
 
 
 def _cmd_moduli(args):
+    from .classify import legendrian_moduli_dim, nc_moduli_dim
+
     if args.family == "legendrian":
         value = legendrian_moduli_dim(args.parameter)
         return _emit(args, {"family": "legendrian", "degree": args.parameter,
@@ -259,6 +262,8 @@ def _cmd_moduli(args):
 
 
 def _cmd_invariants(args):
+    from .classify import invariants_from_c2
+
     inv = invariants_from_c2(args.d, args.c2, not args.not_locally_free)
     payload = {
         "d": inv.d, "c2": inv.c2N, "c1": inv.c1N,
@@ -267,6 +272,21 @@ def _cmd_invariants(args):
     }
     return _emit(args, payload, (),
                  [f"c1 = {inv.c1N}, curve degree {inv.degC}, genus {inv.paC}"])
+
+
+class _SuiteNames:
+    """verify's --suite choices: the names of verification.SUITES, sorted,
+    read only when argparse checks a value or prints the choices."""
+
+    def __contains__(self, name):
+        from .verification import SUITES
+
+        return name in SUITES
+
+    def __iter__(self):
+        from .verification import SUITES
+
+        return iter(sorted(SUITES))
 
 
 @lru_cache(maxsize=None)
@@ -300,8 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="validate form1 as a contact form first")
 
     p = add("verify", _cmd_verify, "run the acceptance checks")
-    p.add_argument("--suite", choices=sorted(SUITES), default="all")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # argparse formats an argument once as it adds it, which would read the
+    # choices; so they are set on the action afterwards
+    p.add_argument("--suite", default="all").choices = _SuiteNames()
+    p.add_argument("--seed", type=int)  # verification.DEFAULT_SEED when omitted
 
     p = add("hilbert", _cmd_hilbert, "Hilbert polynomial of an ideal file")
     p.add_argument("ideal_file")

@@ -34,7 +34,6 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from . import forms
 from .errors import NotHomogeneousError, ParseError, ResourceLimitError
 from .polyring import (HomogeneousPolynomial, MAX_COEFFICIENT_BITS, MAX_POWER_WORK,
                        _STEPS, _accumulate, _from_integers, _multiply_into, check_degree,
@@ -162,9 +161,11 @@ def _check_bits(bits: int, n: int):
 
 
 def _twisted(f: _Form):
+    from .forms import TwistedForm  # only an expression that holds a form loads forms
+
     degree, form_degree, coefficients = f
-    return forms.TwistedForm(form_degree, degree,
-                             {idx: _from_integers(*s) for idx, s in coefficients.items()})
+    return TwistedForm(form_degree, degree,
+                       {idx: _from_integers(*s) for idx, s in coefficients.items()})
 
 
 def _add(acc, value, sign: int):
@@ -204,7 +205,9 @@ def _mul(a, b):
         s, (_, form_degree, coefficients) = (a, b) if a_scalar else (b, a)
         return _Form((degree, form_degree, {idx: p for idx, c in coefficients.items()
                                             if (p := _times(s, c, degree))[2]}))
-    w = forms.wedge(_twisted(a), _twisted(b))
+    from .forms import wedge
+
+    w = wedge(_twisted(a), _twisted(b))
     return _Form((degree, w.form_degree, {idx: (degree, p._cleared[0], dict(p._cleared[1]))
                                           for idx, p in w.coefficients.items()}))
 
