@@ -74,11 +74,12 @@ The generators it then finds are independent of them and come last, so
 that kernel is also the kernel of d_L in degree e, and layer L + 1 takes
 it; it eliminates d_L itself only in degrees layer L never reached.  Where
 the rank falls short by missing, the new generators sit at the free rows,
-no pivot of an echelon form of the image: as a stored row is reduced at
+no pivot of the echelon form the image check's elimination leaves, whose
+pivots are those of the independent images: as a stored row is reduced at
 the pivots stored before it, the image meets the free coordinates in zero,
 and with them spans the space.  On determining rows (below) they are the
 free rows' unit vectors; where the layer below never reached, the kernel
-of d_(L-1) on the free columns, of dimension missing.
+of d_(L-1), built on the free columns only, of dimension missing.
 
 The multiples of layer L in degree e all lie in ker(d_(L-1))_e, so where a
 set of rows determines its elements, the image check and the echelon form
@@ -92,9 +93,9 @@ see only those rows.  Such rows are
     nonzero on its own and zero on the others.
 Either way unit vector i is m - NF(m) in layer 1 and kernel vector i above
 it.  Elsewhere the rows are all of F_(L-1) in degree e.  The row count is
-the kernel dimension on a second route, and is checked against it.  Degree
-matrices are integer, cleared once under one denominator per matrix, which
-keeps their kernels.
+the kernel dimension on a second route, and is checked against it.  One
+builder makes every degree matrix on the column and row keys its caller
+gives, in integers over one denominator, which keeps its kernel.
 
 The order of the rows sets the pivots, and so the fill-in, of an
 elimination, but not its kernel, which kernel_of_columns gives in one
@@ -124,8 +125,8 @@ Rao profiles read h^1(I_C(k)) as the third Ext module of S/I, taken on the
 dualized resolution (Rao, Invent. Math. 50, 1979): at twist k it is
 dim3 - rank4 - rank3, where dim3 is the piece of F_3^* there and rank3,
 rank4 are the ranks of the transposed d_3 into it and d_4 out of it.  Each
-rank eliminates over the same degree matrices, taken on the transposed
-differential, until it reaches the dimension of the codomain piece.  The
+rank eliminates a degree matrix of the transposed differential, from the
+same builder, until it reaches the dimension of the codomain piece.  The
 twists are walked downward, from the last one where the piece of F_3^* is
 nonzero, and the walk stops at the first twist where every summand of F_3^*
 is generated in its piece and rank3 = dim3.  That stop is proven:
@@ -915,10 +916,10 @@ def graded_syzygies(row, weights, target_degree: int):
             f"the cap {MAX_SYZYGY_ROWS}"
         )
     basis = _degree_basis(twists, target_degree)
-    _, columns = _degree_matrix([{0: p} for p in row], twists, [0], target_degree)
+    columns = _degree_matrix([{0: p} for p in row], basis, _degree_basis([0], target_degree))
     out = []
     for den, combo in kernel_of_columns(columns):
-        element = _element(combo, basis, twists, target_degree, den)
+        element = _element(combo, basis, den)
         out.append(
             tuple(
                 element.get(slot, HomogeneousPolynomial.zero(target_degree - w))
@@ -934,44 +935,41 @@ def _degree_basis(twists, degree):
     return [(slot, m) for slot, b in enumerate(twists) for m in packed_monomials(degree + b)]
 
 
-def _degree_matrix(columns, twists, target_twists, degree, rows=None):
-    """(den, matrix): den times the degree-e piece of the map (+) S(b_j) ->
-    (+) S(c_i) sending the j-th generator to columns[j], a map from target
-    slot to polynomial.  The matrix has one sparse integer column per entry
-    of _degree_basis(twists, degree), over the rows
-    _degree_basis(target_twists, degree), or over rows, a list of keys of
-    that basis, when given: entries in other rows are dropped.  den is the
-    lcm of the denominators of the polynomials it multiplies.  One
-    denominator for the whole matrix keeps its kernel and its rank."""
-    if rows is None:
-        rows = _degree_basis(target_twists, degree)
+def _degree_matrix(columns, basis, rows):
+    """A degree piece of the map (+) S(b_j) -> (+) S(c_i) sending the j-th
+    generator to columns[j], a map from target slot to polynomial, on the
+    keys it is given: one sparse integer column per key of basis, over the
+    indices of the keys rows, both lists of _degree_basis keys of its
+    source and its target; entries in other rows are dropped.  Every
+    polynomial it multiplies is cleared under one denominator, the lcm of
+    theirs, which keeps the kernel and the rank."""
     row_index = {key: i for i, key in enumerate(rows)}.get
-    cleared = {slot: [(target, poly._cleared) for target, poly in columns[slot].items()]
-               for slot, b in enumerate(twists) if degree + b >= 0}
-    den = lcm(*(d for entries in cleared.values() for _, (d, _) in entries))
+    slots = {slot for slot, _ in basis}
+    den = lcm(*(p._cleared[0] for slot in slots for p in columns[slot].values()))
+    cleared = {slot: [(target, den // p._cleared[0], p._cleared[1])
+                      for target, p in columns[slot].items()] for slot in slots}
     matrix = []
-    for slot, m in _degree_basis(twists, degree):
+    for slot, m in basis:
         vec = {}
-        for target, (d, terms) in cleared[slot]:
-            s = den // d
+        for target, s, terms in cleared[slot]:
             # kept inline: the hot loop of every degree matrix
             for pm, pc in terms.items():
                 i = row_index((target, pm + m))
                 if i is not None:
                     vec[i] = pc * s
         matrix.append(vec)
-    return den, matrix
+    return matrix
 
 
-def _element(vec, basis, twists, degree, den):
-    """The element of (+) S(b) with coordinates vec / den over the
-    degree-e basis, as a map from slot to homogeneous polynomial; the
+def _element(vec, basis, den):
+    """The element vec / den over the _degree_basis keys basis, as a map
+    from slot to homogeneous polynomial of its monomials' degree; the
     entries of vec are nonzero ints, den a positive int."""
     slots = {}
     for ci, c in vec.items():
         slot, m = basis[ci]
         slots.setdefault(slot, {})[m] = c
-    return {slot: _from_integers(degree + twists[slot], den, terms)
+    return {slot: _from_integers(mono_degree(next(iter(terms))), den, terms)
             for slot, terms in slots.items()}
 
 
@@ -1089,8 +1087,10 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
     e <= bound = regularity_bound() + 6 raises ResourceLimitError naming
     the first such e.  A set of determining rows (see the module docstring)
     whose size misses the dimension it determines raises
-    CrossCheckFailureError naming its layer and degree, and a kernel on the
-    free columns (see there) of the wrong length ResourceLimitError.
+    CrossCheckFailureError naming its layer and degree.  New generators sit
+    at the free rows, no pivot of the image check's own echelon form; a
+    kernel of d_(L-1) built on the free columns only (see there) of the
+    wrong length raises ResourceLimitError.
     """
     if ideal.is_unit_ideal():
         raise ValueError("S/I is zero; no resolution is computed")
@@ -1147,24 +1147,24 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
             )
             basis = _degree_basis(source, e)
             # rows that determine the elements of ker(d_(layer-1))_e, where
-            # known; unit vector i is m - NF(m), or kernel vector i
+            # known (unit vector i is m - NF(m), or kernel vector i); else all
             if layer == 1:
                 rows = checked(lead_rows(e), target, where)
             elif e in below:
                 rows = checked([basis[max(z)] for _, z in below[e]], target, where)
             else:
-                rows = None
+                rows = basis
             # the image check: one elimination of the multiples of the
-            # generators found so far.  Those found in degree e are
+            # generators found so far, in ech.  Those found in degree e are
             # independent of them and come last, so this kernel is also the
             # kernel of d_layer in degree e, which the next layer takes.
-            nrows = len(basis if rows is None else rows)
-            images, kernel, new = [], [], range(nrows)  # new: each row's index in images
+            ech = Echelon()
+            images, kernel, new = [], [], range(len(rows))  # new: each row's index in images
             if columns:  # with no generators yet the image is zero
-                images = _degree_matrix(columns, twists, source, e, rows)[1]
+                images = _degree_matrix(columns, _degree_basis(twists, e), rows)
                 if layer > 1:  # rows of F_(layer-1), not monomials of S
-                    new = sparse_first(images, nrows)
-                kernel = kernel_of_columns(images)
+                    new = sparse_first(images, len(rows))
+                kernel = kernel_of_columns(images, ech)
             kernels[e] = kernel
             missing = target - (len(images) - len(kernel))
             if not missing:
@@ -1173,14 +1173,9 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
                 raise ResourceLimitError(
                     f"{where}: resolution generator found at the safety margin degree"
                 )
-            # new generators sit at the free rows, no pivot of an echelon form
-            # of the independent images, the columns no kernel vector ends on
-            dependent = {max(z) for _, z in kernel}
-            ech = Echelon()
-            for j, vec in enumerate(images):
-                if j not in dependent:
-                    ech.insert(vec)
-            free = [i for i in range(nrows) if new[i] not in ech.rows]
+            # new generators sit at the free rows, no pivot of the image
+            # check's echelon form, which holds the independent images' pivots
+            free = [i for i in range(len(rows)) if new[i] not in ech.rows]
             if layer == 1:
                 index = {m: i for i, (_, m) in enumerate(basis)}
                 found = []
@@ -1195,20 +1190,20 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
                     found.append((den, z))
             elif e in below:  # the kernel vectors nonzero on the free rows
                 found = [below[e][i] for i in free]
-            else:  # a degree the layer below never reached
-                kernel_rows = None
+            else:  # a degree the layer below never reached: the kernel on the free columns
                 if layer == 2:  # d_1 maps onto I_e, of dimension the rank of d_1
                     kernel_rows = checked(lead_rows(e), res.layer_dimension(1, e) - target, where)
-                matrix = _degree_matrix(res.differentials[layer - 2], source,
-                                        res.twists[layer - 2], e, kernel_rows)[1]
-                matrix[:] = [matrix[i] for i in free]  # the kernel on the free columns
+                else:
+                    kernel_rows = _degree_basis(res.twists[layer - 2], e)
+                matrix = _degree_matrix(res.differentials[layer - 2],
+                                        [basis[i] for i in free], kernel_rows)
                 found = [(den, {free[k]: x for k, x in z.items()})
                          for den, z in kernel_of_columns(matrix)]
                 if len(found) != missing:
                     raise ResourceLimitError(f"{where}: kernel dimension audit failed")
             for den, z in found:
                 twists.append(-e)
-                columns.append(_element(z, basis, source, e, den))
+                columns.append(_element(z, basis, den))
         below = kernels
         if not twists:
             break
@@ -1331,8 +1326,8 @@ def _dual_map_rank(twists_dom, twists_cod, columns, k: int) -> int:
                   for j in range(len(twists_dom))]
     ceiling = sum(graded_piece_dimension(-b - 4 - k) for b in twists_cod)
     ech = Echelon()
-    for vec in _degree_matrix(transposed, [-b - 4 - k for b in twists_dom],
-                              [-b - 4 - k for b in twists_cod], 0)[1]:
+    for vec in _degree_matrix(transposed, _degree_basis([-b - 4 - k for b in twists_dom], 0),
+                              _degree_basis([-b - 4 - k for b in twists_cod], 0)):
         if ech.rank == ceiling:
             break
         ech.insert(vec)

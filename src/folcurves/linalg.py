@@ -90,7 +90,7 @@ def sparse_first(columns, nrows):
     return new
 
 
-def kernel_of_columns(columns):
+def kernel_of_columns(columns, ech=None):
     """Right-kernel basis of the matrix whose j-th column is columns[j].
 
     Columns are sparse integer vectors over row indices.  Kernel vectors
@@ -101,10 +101,13 @@ def kernel_of_columns(columns):
     integer entries ints and den > 0, in one canonical form: primitive (the
     gcd of den and all entries is 1) with its entries in ascending column
     order.  So the output depends on the columns alone, not on the order of
-    their rows, which steers only the elimination path.
+    their rows, which steers only the elimination path.  Given an empty
+    Echelon ech, the elimination runs in it, whose pivots are then those of
+    an Echelon fed the independent columns in order; read only its pivots,
+    as its rows also record the columns each combines.
     """
     shift = 1 + max((max(col) for col in columns if col), default=-1)
-    ech = Echelon()
+    ech = Echelon() if ech is None else ech
     kernel = []
     for j, col in enumerate(columns):
         # column j, augmented by a unit coordinate past every row index that

@@ -458,7 +458,7 @@ def test_the_resolution_is_kept_on_the_ideal(monkeypatch):
     real = groebner.kernel_of_columns
     calls = []
     monkeypatch.setattr(groebner, "kernel_of_columns",
-                        lambda columns: calls.append(len(columns)) or real(columns))
+                        lambda columns, ech=None: calls.append(len(columns)) or real(columns, ech))
     ideal = legendrian_sample(3, Random(0)).ideal
     res = minimal_free_resolution(ideal)
     assert calls
@@ -468,7 +468,7 @@ def test_the_resolution_is_kept_on_the_ideal(monkeypatch):
     assert profile == rao_module_dimensions(GradedIdeal(ideal.generators))
     assert calls
 
-    def refuse(columns):
+    def refuse(columns, ech=None):
         raise ResourceLimitError("refused")
 
     ideal = _ideal(*SKEW)
@@ -1623,15 +1623,16 @@ def _layer_degrees(monkeypatch, ideal):
     ideal.hilbert_function once per degree it visits, for its kernel
     dimension: degrees rise within a layer, and each layer starts at its
     smallest source twist, below where the layer before ended.  The final
-    dimension audit reads degrees 0..bound last; they are dropped."""
+    dimension audit reads degrees 0..bound last; they are dropped.  A
+    matrix built is of the degree read last."""
     degrees, built = [], []
     with monkeypatch.context() as m:
         real_hilbert, real_matrix = GradedIdeal.hilbert_function, groebner._degree_matrix
         m.setattr(GradedIdeal, "hilbert_function",
                   lambda self, k: degrees.append(k) or real_hilbert(self, k))
         m.setattr(groebner, "_degree_matrix",
-                  lambda columns, twists, target_twists, degree, rows=None: built.append(
-                      (columns, degree)) or real_matrix(columns, twists, target_twists, degree, rows))
+                  lambda columns, basis, rows: built.append(
+                      (columns, degrees[-1])) or real_matrix(columns, basis, rows))
         res = minimal_free_resolution(ideal)
     layers = [[degrees[0]]]
     for previous, e in zip(degrees, degrees[1:]):
@@ -1668,31 +1669,32 @@ def test_resolution_layers_stop_one_degree_past_their_last_degree(monkeypatch):
 def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkeypatch):
     """The image check of layer L in degree e eliminates the degree-e piece
     of d_L once, and layer L + 1 takes its kernel: no piece, identified by
-    its rows F_(L-1) and its degree, is built twice, and each matrix built
-    goes through one kernel_of_columns call and no other.  No vector goes
-    into an echelon form whose rank has reached its final value, the rank
-    of the image; two skew lines insert none, as none of their generator
-    degrees has images yet.  In a degree the layer below never reached,
-    layer L takes the kernel of d_(L-1) on the free columns only, and each
-    of its vectors is a new generator."""
+    its row keys and its degree, is built twice, and each matrix built goes
+    through one kernel_of_columns call and no other.  The free rows are read
+    off that elimination's echelon form: the resolution inserts no vector
+    into any Echelon.  In a degree the layer below never reached, layer L
+    builds d_(L-1) on the free columns only, the free rows of its image
+    check of d_L, and each vector of its kernel there is a new generator.
+    The insert recorder is live: the Rao ranks of the last ideal, which
+    insert into Echelons, are seen to insert."""
     built, eliminated, inserts = [], [], []
     degrees = []  # the degree of each target the layers read, as _layer_degrees
     real_matrix, real_kernel = groebner._degree_matrix, groebner.kernel_of_columns
     real_insert, real_hilbert = Echelon.insert, GradedIdeal.hilbert_function
 
-    def record_matrix(columns, twists, target_twists, degree, rows=None):
-        out = real_matrix(columns, twists, target_twists, degree, rows)
-        built.append(((tuple(target_twists), degree), out[1], columns, len(degrees)))
+    def record_matrix(columns, basis, rows):
+        out = real_matrix(columns, basis, rows)
+        built.append(((tuple(rows), degrees[-1]), out, columns, len(degrees)))
         return out
 
-    def record_kernel(columns):
+    def record_kernel(columns, ech=None):
         eliminated.append(columns)
-        out = real_kernel(columns)
+        out = real_kernel(columns, ech)
         kernels[id(columns)] = len(out)
         return out
 
     def record_insert(self, vec):
-        inserts.append((self, self.rank))
+        inserts.append(self.rank)
         return real_insert(self, vec)
 
     monkeypatch.setattr(groebner, "_degree_matrix", record_matrix)
@@ -1701,11 +1703,10 @@ def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkey
     monkeypatch.setattr(GradedIdeal, "hilbert_function",
                         lambda self, k: degrees.append(k) or real_hilbert(self, k))
     ideals = [_ideal(*GATE_CI), _ideal(*SKEW), legendrian_sample(3, Random(0)).ideal]
-    counts, inserted, unreached = [], 0, 0
+    counts, unreached = [], 0
     for ideal in ideals:
         built.clear()
         eliminated.clear()
-        inserts.clear()
         degrees.clear()
         kernels = {}
         res = minimal_free_resolution(ideal)
@@ -1714,8 +1715,7 @@ def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkey
         assert sorted(map(id, eliminated)) == sorted(id(matrix) for _, matrix, *_ in built)
         # an image check with no generators yet builds no matrix
         assert res.composition_ok() and all(matrix for _, matrix, *_ in built)
-        assert all(rank < ech.rank for ech, rank in inserts)
-        inserted += len(inserts)
+        assert inserts == []
         # the layer of each matrix: degrees fall where a layer starts
         layer_at = [1]
         for previous, e in zip(degrees, degrees[1:]):
@@ -1724,10 +1724,17 @@ def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkey
             d = 1 + [id(c) for c in res.differentials].index(id(columns))
             if d == layer_at[read - 1] - 1:  # layer L builds d_(L-1): never reached there
                 assert kernels[id(matrix)] == res.twists[d + 1].count(-e) > 0, (d, e)
+                # the free columns: dim (F_(L-1))_e less the rank of the image
+                # check of d_L in that degree, if it built a matrix
+                rank = sum(len(image) - kernels[id(image)] for _, image, image_columns, at
+                           in built if at == read and image_columns is res.differentials[d])
+                assert len(matrix) == res.layer_dimension(d, e) - rank, (d, e)
                 unreached += 1
         counts.append(len(built))
     assert counts == [8, 3, 6]
-    assert inserted and unreached, (inserted, unreached)
+    assert unreached, unreached
+    rao_module_dimensions(ideals[-1])
+    assert inserts
 
 
 # the former _resolve and _degree_matrix, which built and eliminated every
@@ -1831,7 +1838,7 @@ def _full_row_resolve(ideal: GradedIdeal) -> FreeResolution:
                     break
                 if ech.insert(z) is not None:
                     twists.append(-e)
-                    columns.append(_element(z, basis, source, e, den))
+                    columns.append(_element(z, basis, den))
             if ech.rank != target:
                 raise ResourceLimitError(f"{where}: image dimension audit failed")
         below = kernels
@@ -1923,23 +1930,39 @@ def test_determining_row_count_is_audited_against_the_hilbert_function(
 
 
 def test_degree_matrix_is_the_former_fraction_matrix_over_one_denominator():
-    """_degree_matrix gives integer columns and one denominator, the lcm of
-    the polynomials' denominators; over it they are the former Fraction
-    columns, entry by entry and in the same order."""
+    """_degree_matrix gives integer columns, over one denominator the lcm of
+    the denominators of the polynomials it multiplies; over it they are the
+    former Fraction columns, entry by entry and in the same order.  On a
+    seeded sample of its column and row keys it is the submatrix of those
+    columns and rows, over the lcm for the slots of the columns kept."""
     rng = Random(8)
     pieces = dens = 0
+
+    def den_of(columns, slots):
+        return lcm(*(c.denominator for slot in slots for p in columns[slot].values()
+                     for c in p.terms.values()))
+
     for ideal in _random_ideals(rng, 20):
         res = minimal_free_resolution(ideal)
         for layer in range(1, res.length() + 1):
             columns = res.differentials[layer - 1]
             twists, rows = res.twists[layer], res.twists[layer - 1]
             for e in range(min(-b for b in twists), min(-b for b in twists) + 3):
-                den, matrix = _degree_matrix(columns, twists, rows, e)
+                basis, row_keys = _degree_basis(twists, e), _degree_basis(rows, e)
+                matrix = _degree_matrix(columns, basis, row_keys)
                 former = _former_degree_matrix(columns, twists, rows, e)
+                den = den_of(columns, {slot for slot, _ in basis})
                 assert [list(v.items()) for v in matrix] == [
                     [(i, c * den) for i, c in v.items()] for v in former]
                 assert all(type(c) is int for v in matrix for c in v.values())
                 assert den == lcm(*(c.denominator for v in former for c in v.values()))
+                kept = sorted(rng.sample(range(len(basis)), rng.randint(1, len(basis))))
+                kept_rows = rng.sample(range(len(row_keys)), rng.randint(0, len(row_keys)))
+                sub = _degree_matrix(columns, [basis[j] for j in kept],
+                                     [row_keys[i] for i in kept_rows])
+                scale = den_of(columns, {basis[j][0] for j in kept})
+                assert sub == [{k: former[j][i] * scale for k, i in enumerate(kept_rows)
+                                if i in former[j]} for j in kept]
                 pieces += 1
                 dens += den > 1
     assert pieces > 100 and dens > 10, (pieces, dens)
@@ -2766,7 +2789,7 @@ def test_packed_element_rebuilds_the_tuple_elements():
                for i in rng.sample(range(len(basis)), rng.randint(1, min(6, len(basis))))}
         den = rng.choice((1, 2, 6))
         cleared_by = lcm(*(Fraction(x).denominator for x in vec.values()))
-        mine = _element(_cleared_vector(vec), basis, twists, e, den * cleared_by)
+        mine = _element(_cleared_vector(vec), basis, den * cleared_by)
         theirs = _tuple_element(vec, _tuple_degree_basis(twists, e), twists, e, den)
         assert {slot: (p.degree, list(p.terms.items())) for slot, p in mine.items()} == {
             slot: (p.degree, list(p.terms.items())) for slot, p in theirs.items()}

@@ -20,7 +20,7 @@ from folcurves.errors import (
     ResourceLimitError,
 )
 from folcurves.forms import TwistedForm, random_polynomial, wedge
-from folcurves.linalg import Echelon, kernel_of_columns
+from folcurves.linalg import Echelon, kernel_of_columns, sparse_first
 from folcurves.parsing import _ALIASES, _FORM_ATOMS, _check_terms, _tokenize, parse_value
 from folcurves.polyring import (
     MAX_DEGREE,
@@ -726,6 +726,42 @@ def test_kernel_is_the_same_under_every_row_permutation():
             got = kernel_of_columns(_columns(list(perm), ncols))
             assert [(den, list(ints.items())) for den, ints in got] == want
     assert deficient >= 10 and empty >= 10, (deficient, empty)
+
+
+def test_kernel_in_a_given_echelon_keeps_the_pivots_of_the_independent_columns():
+    """kernel_of_columns(columns, ech), on an empty Echelon ech, gives the
+    kernel kernel_of_columns(columns) gives and leaves in ech exactly the
+    pivots, in order, of a fresh Echelon fed the independent columns in
+    order, the columns no kernel vector ends on.  Checked on seeded sparse
+    integer matrices, rank-deficient ones among them, with their rows as
+    they are and renumbered by sparse_first, which keeps the kernel: the
+    resolution reads its free rows off these pivots."""
+    rng = Random(37)
+    deficient = 0
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 14)
+        density = rng.choice((0.15, 0.3, 0.6))
+        columns = [{i: rng.randint(-9, 9) or 1 for i in range(nrows) if rng.random() < density}
+                   for _ in range(ncols)]
+        if ncols > 2 and rng.random() < 0.5:  # the last column combines two others
+            a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+            combined = (a * columns[0].get(i, 0) + b * columns[1].get(i, 0) for i in range(nrows))
+            columns[-1] = {i: x for i, x in enumerate(combined) if x}
+        want = kernel_of_columns(columns)
+        deficient += len(want) > max(0, ncols - nrows)
+        for renumber in (False, True):
+            cols = [dict(col) for col in columns]
+            if renumber:
+                sparse_first(cols, nrows)
+            ech = Echelon()
+            assert kernel_of_columns(cols, ech) == kernel_of_columns(cols) == want
+            dependent = {max(z) for _, z in want}
+            fresh = Echelon()
+            for j, col in enumerate(cols):
+                if j not in dependent:
+                    fresh.insert(col)
+            assert list(ech.rows) == list(fresh.rows)
+    assert deficient >= 20, deficient
 
 
 def test_partial_derivative():
