@@ -170,9 +170,19 @@ def _cmd_chi(args):
     return _emit(args, {"chi": value}, (), [f"chi = {value}"])
 
 
+def _integers(what: str, text: str, parts, form: str):
+    """The ints written in parts, cut from the argument text; an error names
+    the argument and the form it should have."""
+    try:
+        return [int(part) for part in parts]
+    except ValueError:
+        raise FolcurvesError(f"{what} {text!r} is not of the form {form}") from None
+
+
 def _parse_range(text):
     lo, _, hi = text.partition("..")
-    twists = range(int(lo), int(hi) + 1)
+    lo, hi = _integers("twist range", text, (lo, hi), "LO..HI, two integers")
+    twists = range(lo, hi + 1)
     if len(twists) > MAX_TWIST_RANGE:
         raise ResourceLimitError(
             f"twist range {text} holds {len(twists)} twists, more than {MAX_TWIST_RANGE}"
@@ -190,9 +200,9 @@ def _cmd_cohomology(args):
         if kind in ("nc", "null-correlation"):
             charge, h0 = 1, None
         else:
-            parts = kind.split(":")
-            charge = int(parts[1])
-            h0 = int(parts[2]) if len(parts) > 2 else None
+            charge, *h0 = _integers("cohomology kind", kind, kind.split(":", 2)[1:],
+                                    "instanton:N[:H0], N and H0 integers")
+            h0 = h0[0] if h0 else None
         table = instanton_cohomology(charge, h0, twists)
     else:
         table = CohomologyTable()
@@ -214,7 +224,7 @@ def _cmd_cohomology(args):
 def _cmd_monad(args):
     from .monad import MonadSpec, monad_chern, monad_regularity_bound
 
-    with open(args.spec_file, "r", encoding="utf-8") as handle:
+    with open(args.spec_file, "r", encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         except ValueError as exc:  # malformed JSON, or an int of too many digits

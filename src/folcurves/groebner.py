@@ -781,7 +781,7 @@ class GradedIdeal:
     @classmethod
     def from_file(cls, path) -> "GradedIdeal":
         lines = []
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             for raw in handle:
                 line = raw.split("#", 1)[0].strip()
                 if line:

@@ -17,8 +17,11 @@ is a tuple (degree, den, ints), ints / den with nonzero int coefficients
 keyed by packed monomial; a form is a _Form (degree, form_degree,
 coefficients), nonzero scalars keyed by covector index.  A sum adds each
 addend into the first in place, with the _accumulate that polynomial sums
-use, so its terms keep the order of a sum taken pairwise; a product of
-scalars, or of a scalar and a form, multiplies term dicts in the order of
+use, so its terms keep the order of a sum taken pairwise.  A product's
+leading run of one-term factors, natural numbers and variables each with an
+optional ^NAT, is multiplied as integers, a coefficient and a packed
+monomial, with no term dict per factor; any other product of scalars, or of
+a scalar and a form, multiplies term dicts in the order of
 polyring.sum_of_products.  One polynomial or form is built, at the end;
 only a power of a scalar of two or more terms and a wedge of two forms go
 through HomogeneousPolynomial.__pow__ and forms.wedge.  Every power is
@@ -32,6 +35,7 @@ total degree would exceed MAX_DEGREE.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from math import gcd
 
 from .errors import NotHomogeneousError, ParseError, ResourceLimitError
@@ -47,29 +51,32 @@ _ALIASES = {"x": 0, "y": 1, "z": 2, "t": 3, "z0": 0, "z1": 1, "z2": 2, "z3": 3}
 _VARIABLES = {name: _STEPS[i] for name, i in _ALIASES.items()}
 _FORM_ATOMS = {"dz0": 0, "dz1": 1, "dz2": 2, "dz3": 3}
 # A word is a run of decimal digits, a run of letters, digits and "_", "/\\"
-# or any other character but whitespace, which only separates words.
-_WORD = re.compile(r"\d+|\w+|/\\|\S")
+# or any other character but whitespace, which only separates words.  The
+# commonest words, lowercase names and one-character operators, are tried
+# first.  Known words, one-digit numerals among them, map to their tokens.
+_WORD = re.compile(r"[a-z]\w*|\d+|[-+*^()]|\w+|/\\|\S")
 _KNOWN = {word: ("op", word) for word in ("+", "-", "*", "^", "(", ")", "/", "/\\")}
 _KNOWN.update((word, ("name", word)) for word in (*_ALIASES, *_FORM_ATOMS))
+_KNOWN.update((str(i), ("num", i)) for i in range(10))
 _SIGNS = {("op", "+"): 1, ("op", "-"): -1}
 _PRODUCTS = {("op", "*"), ("op", "/\\")}
+_SLASH, _CARET, _END = ("op", "/"), ("op", "^"), ("end", None)
 
 
 def _tokenize(text: str):
-    tokens = []
-    for match in _WORD.finditer(text):
-        word = match.group()
-        token = _KNOWN.get(word)
-        if token is None:
-            if word[0].isdecimal():
-                token = ("num", int(word))
-            elif word[0].isalpha():
-                token = ("name", word)
-            else:
-                raise ParseError(
-                    f"unexpected character {word[0]!r} at position {match.start()}")
-        tokens.append(token)
-    tokens.append(("end", None))
+    words = _WORD.findall(text)
+    tokens = list(map(_KNOWN.get, words))
+    if None in tokens:  # a longer numeral, another name or a refused character
+        for i, word in enumerate(words):
+            if tokens[i] is None:
+                if word[0].isdecimal():
+                    tokens[i] = ("num", int(word))
+                elif word[0].isalpha():
+                    tokens[i] = ("name", word)
+                else:
+                    position = next(islice(_WORD.finditer(text), i, None)).start()
+                    raise ParseError(f"unexpected character {word[0]!r} at position {position}")
+    tokens.append(_END)
     return tokens
 
 
@@ -95,9 +102,36 @@ class _Parser:
         return value
 
     def term(self):
-        value = self.factor()
-        while self.tokens[-1] in _PRODUCTS:
-            self.next()
+        """A product: its leading run of one-term factors is multiplied as
+        the integers c * m of one degree, any later factor through _mul."""
+        tokens, pop = self.tokens, self.next
+        degree, c, m, run = 0, 1, 0, False
+        while True:
+            kind, val = tokens[-1]
+            if kind == "num" and tokens[-2] != _SLASH:
+                d, fc, fm = 0, val, 0
+            elif val in _VARIABLES:
+                d, fc, fm = 1, 1, _VARIABLES[val]
+            else:
+                break
+            if tokens[-2] == _CARET:
+                if tokens[-3][0] != "num":
+                    break
+                d, _, fm, fc = _term_power(d, 1, fm, fc, tokens[-3][1])
+                del tokens[-3:]
+            else:
+                pop()
+            degree += d
+            check_degree(degree, "parsing")
+            c *= fc
+            m += fm
+            run = True
+            if tokens[-1] not in _PRODUCTS:
+                return degree, 1, {m: c} if c else {}
+            pop()
+        value = _mul((degree, 1, {m: c} if c else {}), self.factor()) if run else self.factor()
+        while tokens[-1] in _PRODUCTS:
+            pop()
             value = _mul(value, self.factor())
         return value
 
@@ -135,9 +169,10 @@ class _Parser:
             value = self.expr()
             kind, val = self.next()
             if kind != "op" or val != ")":
-                raise ParseError(f"expected ')', found {val!r}")
+                raise ParseError("expected ')', found "
+                                 + ("end of input" if kind == "end" else repr(val)))
             return value
-        raise ParseError(f"unexpected token {val!r}")
+        raise ParseError("unexpected end of input" if kind == "end" else f"unexpected token {val!r}")
 
 
 def _check_terms(count: int, degree: int):
@@ -230,27 +265,36 @@ def _times(a: tuple, b: tuple, degree: int) -> tuple:
 def _power(base: tuple, n: int) -> tuple:
     """base ** n for a scalar, refused before it is computed past a cap."""
     degree, den, ints = base
+    if len(ints) <= 1:
+        ((m, c),) = ints.items() or ((0, 0),)  # zero is 0 times the monomial 1
+        degree, den, m, c = _term_power(degree, den, m, c, n)
+        return degree, den, {m: c} if c else {}
     degree *= n
     check_degree(degree, "parsing")
-    if len(ints) > 1:
-        poly = _from_integers(*base)
-        terms, bits = power_bounds(poly, n)
-        _check_terms(terms, degree)
-        _check_bits(bits, n)
-        if terms * terms * bits > MAX_POWER_WORK:
-            raise ResourceLimitError(
-                f"parsing, power ^{n}: an estimated {terms * terms * bits} term products "
-                f"times coefficient bits, over the cap of {MAX_POWER_WORK}"
-            )
-        den, ints = (poly ** n)._cleared
-        return degree, den, dict(ints)
-    if not ints:  # zero, and 0^0 = 1
-        return degree, 1, {} if n else {0: 1}
-    ((m, c),) = ints.items()
-    if den != 1 or c * c != 1:  # 1 and -1 need no bits
+    poly = _from_integers(*base)
+    terms, bits = power_bounds(poly, n)
+    _check_terms(terms, degree)
+    _check_bits(bits, n)
+    if terms * terms * bits > MAX_POWER_WORK:
+        raise ResourceLimitError(
+            f"parsing, power ^{n}: an estimated {terms * terms * bits} term products "
+            f"times coefficient bits, over the cap of {MAX_POWER_WORK}"
+        )
+    den, ints = (poly ** n)._cleared
+    return degree, den, dict(ints)
+
+
+def _term_power(degree: int, den: int, m: int, c: int, n: int):
+    """(c / den * m) ** n for a monomial m, as (degree, den, m, c), refused
+    before it is computed past a cap; a zero c keeps its degree, 0^0 = 1."""
+    degree *= n
+    check_degree(degree, "parsing")
+    if not c:
+        den = 1
+    elif den != 1 or c * c != 1:  # 1 and -1 need no bits
         c, den = c // (g := gcd(c, den)), den // g
         _check_bits(coefficient_bits(abs(c), den, n), n)
-    return degree, den ** n, {m * n: c ** n}
+    return degree, den ** n, m * n, c ** n
 
 
 def parse_value(text: str):

@@ -162,6 +162,38 @@ def test_cohomology_command(capsys):
     assert payload["twists"]["-4"] == [0, 0, 0, 1]
 
 
+@pytest.mark.parametrize("kind, twists, message", [
+    ("line", "5", "twist range '5' is not of the form LO..HI, two integers"),
+    ("line", "..3", "twist range '..3' is not of the form LO..HI, two integers"),
+    ("line", "1..a", "twist range '1..a' is not of the form LO..HI, two integers"),
+    ("instanton:x", "0..2",
+     "cohomology kind 'instanton:x' is not of the form instanton:N[:H0], N and H0 integers"),
+    ("instanton:1:", "0..2",
+     "cohomology kind 'instanton:1:' is not of the form instanton:N[:H0], N and H0 integers"),
+    ("instanton:1:0:2", "0..2",
+     "cohomology kind 'instanton:1:0:2' is not of the form instanton:N[:H0], N and H0 integers"),
+])
+def test_cohomology_names_a_malformed_argument_and_its_form(capsys, kind, twists, message):
+    assert run(capsys, ["cohomology", kind, twists]) == (2, "", f"error: {message}\n")
+
+
+def test_a_byte_order_mark_is_read_past(capsys, tmp_path):
+    """An ideal file or a monad spec that starts with a UTF-8 byte-order
+    mark gives the output of the same file without it."""
+    cases = [("hilbert", "ideal", "# two skew lines\nz0*z2\nz0*z3\nz1*z2\nz1*z3\n", []),
+             ("rao", "ideal", "z0*z2\nz0*z3\nz1*z2\nz1*z3\n", []),
+             ("monad", "json", json.dumps({"template": {"c": [1], "b": [0, 0]}}), ["--regularity"])]
+    for command, suffix, text, extra in cases:
+        plain, marked = tmp_path / f"plain.{suffix}", tmp_path / f"marked.{suffix}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        for flags in ([], ["--json"]):
+            expected = run(capsys, [command, str(plain), *extra, *flags])
+            assert expected[0] == 0
+            assert run(capsys, [command, str(marked), *extra, *flags]) == expected
+
+
 def test_monad_command(capsys, tmp_path):
     path = tmp_path / "monad.json"
     path.write_text(json.dumps({"template": {"c": [1], "b": [0, 0]}}))
@@ -287,6 +319,13 @@ def test_hilbert_reports_deep_nesting_as_bad_input(capsys, tmp_path):
     code, _, err = run(capsys, ["hilbert", str(path)])
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_hilbert_names_the_end_of_the_input(capsys, tmp_path):
+    path = tmp_path / "open.ideal"
+    path.write_text("x^2 + y^2\nx*y + (x + y\n")
+    assert run(capsys, ["hilbert", str(path)]) == (
+        2, "", "error: expected ')', found end of input\n")
 
 
 def test_rao_refuses_a_window_over_the_piece_cap_quickly(capsys, tmp_path):

@@ -1135,6 +1135,19 @@ def _outcome(parse, text):
         return type(exc), str(exc)
 
 
+# the two messages of the former parser at the end of the input, in the
+# wording of the parser, which names the end of the input
+_END_OF_INPUT = {"unexpected token None": "unexpected end of input",
+                 "expected ')', found None": "expected ')', found end of input"}
+
+
+def _former_outcome(text):
+    outcome = _outcome(_former_parse_value, text)
+    if outcome[0] is ParseError:
+        return ParseError, _END_OF_INPUT.get(outcome[1], outcome[1])
+    return outcome
+
+
 _SCALAR_NAMES = ("x", "y", "z", "t", "z0", "z1", "z2", "z3")
 
 
@@ -1206,7 +1219,7 @@ def test_parser_matches_the_former_parser_on_drawn_expressions():
         if rng.random() < 0.15:  # now and then a term of the wrong degree
             text += " + " + _draw_monomial(rng, degree + 1)
         new = _outcome(parse_value, text)
-        assert new == _outcome(_former_parse_value, text), text
+        assert new == _former_outcome(text), text
         counts[new[0] if isinstance(new[0], str) else "error"] += 1
     assert min(counts.values()) >= 40, counts
 
@@ -1224,9 +1237,25 @@ def test_parser_matches_the_former_parser_on_drawn_expressions():
     # a zero coefficient of the wrong degree in the middle of a sum
     "x - y + 0*x^2 + z", "x + y - 0 + z", "x*dz0 + 0*y^2*dz1 + z*dz2", "x*dz0 + 0*dz1 + y*dz2",
     "x*dz0 + (y - y)*dz1^dz2 + z*dz3", "x*dz0 + y - y + z*dz1",
+    # runs of numbers and variables, multiplied as integers: zeros, 0^0 and
+    # the factors that end a run (the caps are pinned below)
+    "3*2^2*x^0*y", "0*x^3 + 0*y^3", "0^0*x", "x*1/2*y", "2*x^2 - x*2*x", "1/2^3*x",
+    "x^01", "x*2^x", "x*y^", "x*w", "x*2^dz0", "2^2^2", "x*y*0^0 - y*x", "2*3^4*dz0",
+    "x*y/\\z*(x+y)*t^2",
 ])
 def test_parser_matches_the_former_parser_on_chosen_inputs(text):
-    assert _outcome(parse_value, text) == _outcome(_former_parse_value, text)
+    assert _outcome(parse_value, text) == _former_outcome(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x+", "unexpected end of input"), ("x^", "unexpected end of input"),
+    ("x*", "unexpected end of input"), ("(", "unexpected end of input"),
+    ("-", "unexpected end of input"), ("x*dz0 - ", "unexpected end of input"),
+    ("(x+y", "expected ')', found end of input"), ("x*(y", "expected ')', found end of input"),
+    ("(x+y x", "expected ')', found 'x'"), ("x + )", "unexpected token ')'"),
+])
+def test_errors_at_the_end_of_the_input_name_it(text, message):
+    assert _outcome(parse_value, text) == (ParseError, message)
 
 
 def _grammar_expressions(st):
@@ -1257,7 +1286,7 @@ def test_parser_matches_the_former_parser_on_hypothesis_draws():
                          derandomize=True)
     @hypothesis.given(_grammar_expressions(hypothesis.strategies))
     def check(text):
-        assert _outcome(parse_value, text) == _outcome(_former_parse_value, text)
+        assert _outcome(parse_value, text) == _former_outcome(text)
 
     check()
 
@@ -1289,7 +1318,7 @@ def test_parser_matches_the_former_parser_on_the_benchmark_pools():
     kinds = set()
     for text in texts:
         new = _outcome(parse_value, text)
-        assert new == _outcome(_former_parse_value, text), text
+        assert new == _former_outcome(text), text
         kinds.add(new[0])
     assert kinds == {"poly", "form"}
 
@@ -1307,6 +1336,18 @@ def test_parser_matches_the_former_parser_on_the_benchmark_pools():
                            "times coefficient bits, over the cap of 1000000000"),
     ("x^2 + y^2 + x^2147483647*x + z^2",
      "parsing: total degree 2147483648 exceeds the degree cap 2147483647"),
+    # in a run of numbers and variables, multiplied as integers, each cap
+    # fires at the power or product, and with the message, of a product of
+    # term dicts: a numeral power later in the run, a power before its
+    # product, a product after its power, and a cap before a bad name
+    ("x + y*3^6310 + z", "parsing, power ^6310: a coefficient may need 12620 bits, "
+                         "over the cap of 10000"),
+    ("x^2 + x^2147483648*y + z^2",
+     "parsing: total degree 2147483648 exceeds the degree cap 2147483647"),
+    ("x^6 + x^5*y^2147483647 + y^6",
+     "parsing: total degree 2147483652 exceeds the degree cap 2147483647"),
+    ("y + 3*x^2147483647*x*w + z",
+     "parsing: total degree 2147483648 exceeds the degree cap 2147483647"),
 ])
 def test_caps_fire_inside_a_long_sum_with_their_messages(text, message):
     assert _outcome(parse_value, text) == (ResourceLimitError, message)
@@ -1315,7 +1356,9 @@ def test_caps_fire_inside_a_long_sum_with_their_messages(text, message):
 def test_parsing_builds_one_polynomial_or_form(monkeypatch):
     """A 1-form without a wedge builds one TwistedForm, holding one
     polynomial per coefficient, and runs no polynomial sum, product or power
-    and no wedge; a polynomial builds one polynomial."""
+    and no wedge; a polynomial builds one polynomial.  A hilbert-pool line,
+    a sum of products of numbers and powers of variables, multiplies no term
+    dicts: it runs none of _mul, _times and _power."""
     built = {"forms": 0, "polynomials": 0}
     init, wrap = TwistedForm.__init__, polyring._wrap
 
@@ -1344,6 +1387,16 @@ def test_parsing_builds_one_polynomial_or_form(monkeypatch):
     for text in ["3*z0^3*z1 + 2*z0*z1^2*z2 - 1*z0*z2^3", "(x - y)*(x + y) + 1/2*z^2", "x - x"]:
         built.update(forms=0, polynomials=0)
         parse_value(text)
+        assert built == {"forms": 0, "polynomials": 1}
+    for name in ("_mul", "_times", "_power"):
+        monkeypatch.setattr(parsing, name, refused)
+    hilbert = json.loads((_DATA / "hilbert_pool.json").read_text())
+    lines = [line for entry in hilbert["ideals"] + [hilbert["warmup"]]
+             for line in entry["text"].splitlines() if line.strip()]
+    assert len(lines) == 723
+    for text in lines:
+        built.update(forms=0, polynomials=0)
+        assert parse_value(text).degree > 0
         assert built == {"forms": 0, "polynomials": 1}
 
 
