@@ -1,11 +1,12 @@
 """Exact-arithmetic toolkit for foliations by curves on projective 3-space.
 
 Submodules: polyring (homogeneous polynomial arithmetic), linalg (exact
-sparse elimination), groebner (bases, Hilbert data, resolutions, Rao
-profiles), forms (twisted differential forms and the wedge pipeline),
-sheafcoh (cohomology tables), classify (invariant formulas and the
-low-degree classification), monad (monad Chern data and regularity),
-verification (acceptance checks) and cli.
+sparse elimination), groebner (bases and Hilbert data), resolution (graded
+syzygies, free resolutions, Rao profiles), forms (twisted differential
+forms and the wedge pipeline), sheafcoh (cohomology tables), classify
+(invariant formulas and the low-degree classification), monad (monad Chern
+data and regularity), verification (acceptance checks), records (the base
+of the plain record classes) and cli.
 
 The package namespace is lazy (PEP 562): `import folcurves` loads no
 submodule.  Each public name below is imported from its submodule on first
@@ -34,14 +35,16 @@ _SUBMODULE = {
         "radial_contraction", "random_projective_oneform", "singular_ideal",
         "standard_contact_form", "vector_field_to_twoform", "wedge"), "forms"),
     **dict.fromkeys((
-        "FreeResolution", "GradedIdeal", "HilbertPolynomial", "RaoProfile",
-        "buchberger", "curve_invariants", "graded_syzygies", "hilbert_polynomial",
-        "minimal_free_resolution", "normal_form", "rao_module_dimensions"), "groebner"),
+        "GradedIdeal", "HilbertPolynomial", "buchberger", "curve_invariants",
+        "hilbert_polynomial", "normal_form"), "groebner"),
     **dict.fromkeys((
         "MonadSpec", "instanton_monad", "mismatched_charge6_monads", "monad_chern",
         "monad_regularity_bound"), "monad"),
     **dict.fromkeys((
         "HomogeneousPolynomial", "graded_piece_dimension", "parse_polynomial"), "polyring"),
+    **dict.fromkeys((
+        "FreeResolution", "RaoProfile", "graded_syzygies", "minimal_free_resolution",
+        "rao_module_dimensions"), "resolution"),
     **dict.fromkeys((
         "ChernTriple", "CohomologyTable", "SheafSymbol", "cotangent_cohomology",
         "euler_characteristic", "hom_lower_bound", "hrr_polynomial",

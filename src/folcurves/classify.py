@@ -8,7 +8,6 @@ both numbers are reported side by side and nothing is silently reconciled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from .errors import (
@@ -19,20 +18,17 @@ from .errors import (
     NonIntegralGenusError,
     OutOfBoundsError,
 )
+from .records import FrozenRecord, Record
 from .sheafcoh import _instanton_h0_e1, instanton_h1
 
 
-@dataclass(frozen=True)
-class FoliationInvariants:
-    """Numeric invariants of a foliation by curves of degree d."""
+class FoliationInvariants(FrozenRecord):
+    """Numeric invariants of a foliation by curves of degree d: the Chern
+    numbers c2N, c1N of its conormal sheaf, the degree degC and arithmetic
+    genus paC of its singular curve, c3, and whether the conormal sheaf is
+    locally free."""
 
-    d: int
-    c2N: int
-    c1N: int
-    degC: int
-    paC: int
-    c3: int
-    locally_free: bool
+    __slots__ = ("d", "c2N", "c1N", "degC", "paC", "c3", "locally_free")
 
     def identity_residual(self) -> int:
         """Chern-number closure; zero exactly when c3 accounting matches."""
@@ -44,14 +40,10 @@ class FoliationInvariants:
         )
 
 
-@dataclass
-class DiscrepancyFlag:
+class DiscrepancyFlag(Record):
     """A tabulated value that disagrees with the formula-derived one."""
 
-    claim: str
-    computed: object
-    stated: object
-    location: str
+    __slots__ = ("claim", "computed", "stated", "location")
 
     def to_json(self):
         return {
@@ -62,18 +54,13 @@ class DiscrepancyFlag:
         }
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(Record):
     """Structured verdict for a (degree, c2) classification query."""
 
-    verdict: dict
-    degC: int
-    paC: int
-    components: object = None
-    dim_moduli: object = None
-    h0_OC: object = None
-    charge: object = None
-    flags: list = field(default_factory=list)
+    __slots__ = ("verdict", "degC", "paC", "components", "dim_moduli", "h0_OC", "charge",
+                 "flags")
+    _defaults = {"components": None, "dim_moduli": None, "h0_OC": None, "charge": None,
+                 "flags": list}
 
     def to_json(self):
         return {

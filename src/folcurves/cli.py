@@ -5,13 +5,15 @@ rejection.  Every subcommand accepts --json; JSON payloads are
 deterministic (sorted keys, no timing data).
 
 A subcommand imports the modules it runs when it runs, so that starting
-one compiles and loads only those.  errors, polyring and groebner (with
-linalg) stay at module level: every numeric subcommand uses them, and
-deferring them as well raised the gate's peak memory.  forms, classify,
-sheafcoh, monad and verification are imported in the handlers that call
-them, and `verify` reads its suite names and default seed only when it
-checks or prints them.  Most of the saving is compilation, so cached
-bytecode shrinks it.
+one compiles and loads only those.  errors, polyring and groebner stay at
+module level: every numeric subcommand uses them, and deferring them as
+well raised the gate's peak memory.  forms, resolution (with linalg),
+classify, sheafcoh, monad and verification are imported in the handlers
+that call them, and `verify` reads its suite names and default seed only
+when it checks or prints them.  So `hilbert` loads parsing besides;
+`wedge` forms and parsing, and resolution too with --rao; `rao` and
+`syzygy` resolution; `verify` every module.  Most of the saving is
+compilation, so cached bytecode shrinks it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 from .errors import (FolcurvesError, InvalidProfileError, NotProjectiveError,
                      ResourceLimitError, WrongFormDegreeError)
-from .groebner import GradedIdeal, curve_invariants, graded_syzygies, rao_module_dimensions
+from .groebner import GradedIdeal, curve_invariants
 from .polyring import parse_polynomial
 
 # Twists in one cohomology table; the shipped examples use at most 9.
@@ -81,8 +83,9 @@ def _cmd_wedge(args):
         if not is_projective(form):
             raise NotProjectiveError(f"{name} argument does not descend to P^3")
     two_form = legendrian_foliation(a, b).two_form if args.legendrian else wedge(a, b)
-    payload = {"two_form": str(two_form)}
-    human = [f"wedge: {two_form}"]
+    text = str(two_form)
+    payload = {"two_form": text}
+    human = [f"wedge: {text}"]
     if args.invariants or args.rao:
         ideal = singular_ideal(two_form)
         if args.invariants:
@@ -90,6 +93,8 @@ def _cmd_wedge(args):
             payload["invariants"] = {"degree": deg, "genus": genus}
             human.append(f"singular curve: degree {deg}, genus {genus}")
         if args.rao:
+            from .resolution import rao_module_dimensions
+
             profile = rao_module_dimensions(ideal)
             payload["rao"] = profile.to_json()
             human.append(f"Rao profile: {profile.to_json()}")
@@ -142,6 +147,8 @@ def _cmd_hilbert(args):
 
 
 def _cmd_rao(args):
+    from .resolution import rao_module_dimensions
+
     ideal = GradedIdeal.from_file(args.ideal_file)
     window = tuple(args.window) if args.window else None
     profile = rao_module_dimensions(ideal, window)
@@ -150,6 +157,8 @@ def _cmd_rao(args):
 
 
 def _cmd_syzygy(args):
+    from .resolution import graded_syzygies
+
     row = [parse_polynomial(s) for s in args.row.split(",")]
     weights = [int(w) for w in args.weights.split(",")]
     basis = graded_syzygies(row, weights, args.degree)

@@ -9,7 +9,6 @@ call of polyring.sum_of_products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -34,6 +33,7 @@ from .polyring import (
     packed_monomials,
     sum_of_products,
 )
+from .records import FrozenRecord
 
 
 def _merge_sign(left: tuple, right: tuple):
@@ -266,14 +266,13 @@ def vector_field_to_twoform(field) -> TwistedForm:
     return contract_with_field(radial_contraction(TwistedForm.volume()), field)
 
 
-@dataclass(frozen=True)
-class FoliationPresentation:
-    """A foliation by curves presented by a decomposable projective 2-form."""
+class FoliationPresentation(FrozenRecord):
+    """A foliation by curves presented by a decomposable projective 2-form
+    (a TwistedForm) of degree degree, with its singular GradedIdeal ideal
+    and, when known, the tuple of its conormal twists."""
 
-    two_form: TwistedForm
-    degree: int
-    ideal: GradedIdeal
-    conormal_twists: tuple | None = None
+    __slots__ = ("two_form", "degree", "ideal", "conormal_twists")
+    _defaults = {"conormal_twists": None}
 
     def singular_curve_invariants(self):
         from .groebner import curve_invariants

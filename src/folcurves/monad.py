@@ -5,25 +5,22 @@ family used by the degree-3 classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidProfileError, NotTemplateModeError
+from .records import FrozenRecord
 from .sheafcoh import chern_series
 
 
-@dataclass(frozen=True)
-class MonadSpec:
-    """Three-term monad recorded by the twist multisets of its terms.
+class MonadSpec(FrozenRecord):
+    """Three-term monad recorded by the twist multisets of its terms, each a
+    tuple.
 
     Template mode stores the symmetric shape: left = {-c_i}, right = {c_i},
-    middle = {-b_j} united with {b_j}.
+    middle = {-b_j} united with {b_j}, and keeps the tuples c_list and
+    b_list, which are None otherwise.
     """
 
-    left: tuple
-    middle: tuple
-    right: tuple
-    c_list: tuple | None = None
-    b_list: tuple | None = None
+    __slots__ = ("left", "middle", "right", "c_list", "b_list")
+    _defaults = {"c_list": None, "b_list": None}
 
     @classmethod
     def from_twists(cls, left, middle, right) -> "MonadSpec":

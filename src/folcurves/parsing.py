@@ -46,6 +46,11 @@ from .polyring import (HomogeneousPolynomial, MAX_COEFFICIENT_BITS, MAX_POWER_WO
 # Largest number of terms a scalar product or power may produce; far above
 # any polynomial the shipped tests, demos and benchmark inputs parse to.
 MAX_TERMS = 2_000
+# Most digits a numeral may have: the default of Python's own limit on
+# converting a string to an int, which an interpreter may set otherwise or
+# lack.  A longer numeral is refused before it is converted, so that every
+# interpreter gives the same ParseError.
+MAX_NUMERAL_DIGITS = 4300
 
 _ALIASES = {"x": 0, "y": 1, "z": 2, "t": 3, "z0": 0, "z1": 1, "z2": 2, "z3": 3}
 _VARIABLES = {name: _STEPS[i] for name, i in _ALIASES.items()}
@@ -70,14 +75,23 @@ def _tokenize(text: str):
         for i, word in enumerate(words):
             if tokens[i] is None:
                 if word[0].isdecimal():
+                    if len(word) > MAX_NUMERAL_DIGITS:
+                        raise ParseError(
+                            f"numeral of {len(word)} digits at position {_position(text, i)}, "
+                            f"over the cap of {MAX_NUMERAL_DIGITS}")
                     tokens[i] = ("num", int(word))
                 elif word[0].isalpha():
                     tokens[i] = ("name", word)
                 else:
-                    position = next(islice(_WORD.finditer(text), i, None)).start()
-                    raise ParseError(f"unexpected character {word[0]!r} at position {position}")
+                    raise ParseError(
+                        f"unexpected character {word[0]!r} at position {_position(text, i)}")
     tokens.append(_END)
     return tokens
+
+
+def _position(text: str, i: int) -> int:
+    """Where word i of text starts."""
+    return next(islice(_WORD.finditer(text), i, None)).start()
 
 
 class _Form(tuple):

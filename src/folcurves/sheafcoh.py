@@ -11,7 +11,6 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
@@ -20,19 +19,18 @@ from .errors import (
     UnsupportedFormIndexError,
     UnsupportedRankError,
 )
+from .records import FrozenRecord, Record
 
 CLOSED_FORM = "closed_form"
 CHI_FORCED = "chi_forced"
 TABULATED = "tabulated"
 
 
-@dataclass(frozen=True)
-class ChernTriple:
+class ChernTriple(FrozenRecord):
     """Chern numbers against powers of the hyperplane class."""
 
-    c1: int
-    c2: int
-    c3: int = 0
+    __slots__ = ("c1", "c2", "c3")
+    _defaults = {"c3": 0}
 
     def twist(self, t: int, rank: int) -> "ChernTriple":
         """Chern triple of E(t) for rank 1 or 2."""
@@ -43,14 +41,11 @@ class ChernTriple:
         raise UnsupportedRankError(f"twist rule implemented for rank <= 2, got {rank}")
 
 
-@dataclass(frozen=True)
-class SheafSymbol:
+class SheafSymbol(FrozenRecord):
     """Numeric avatar of a sheaf on P^3: rank, Chern triple, kind tag."""
 
-    rank: int
-    chern: ChernTriple
-    kind: str = "generic"
-    data: tuple = ()
+    __slots__ = ("rank", "chern", "kind", "data")
+    _defaults = {"kind": "generic", "data": ()}
 
     @classmethod
     def line_bundle(cls, a: int) -> "SheafSymbol":
@@ -137,12 +132,11 @@ def hrr_polynomial(symbol: SheafSymbol):
     return coeffs
 
 
-@dataclass
-class CohomologyTable:
+class CohomologyTable(Record):
     """Rows of (h0, h1, h2, h3) per twist with per-entry provenance tags."""
 
-    rows: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    __slots__ = ("rows", "provenance")
+    _defaults = {"rows": dict, "provenance": dict}
 
     def set_row(self, twist: int, values, tags):
         self.rows[twist] = tuple(int(v) for v in values)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import marshal
 import os
 import threading
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from math import lcm
@@ -47,15 +46,7 @@ from .forms import (
     standard_contact_form,
     wedge,
 )
-from .groebner import (
-    GradedIdeal,
-    curve_invariants,
-    graded_syzygies,
-    hilbert_polynomial,
-    minimal_free_resolution,
-    normal_form,
-    rao_module_dimensions,
-)
+from .groebner import GradedIdeal, curve_invariants, hilbert_polynomial, normal_form
 from .linalg import Echelon
 from .monad import instanton_monad, monad_regularity_bound
 from .polyring import (
@@ -65,6 +56,8 @@ from .polyring import (
     parse_polynomial,
     sum_of_products,
 )
+from .records import Record
+from .resolution import graded_syzygies, minimal_free_resolution, rao_module_dimensions
 from .sheafcoh import (
     ChernTriple,
     SheafSymbol,
@@ -76,13 +69,9 @@ from .sheafcoh import (
 DEFAULT_SEED = 0
 
 
-@dataclass
-class CriterionResult:
-    cid: str
-    title: str
-    ok: bool
-    details: list = field(default_factory=list)
-    flags: list = field(default_factory=list)
+class CriterionResult(Record):
+    __slots__ = ("cid", "title", "ok", "details", "flags")
+    _defaults = {"details": list, "flags": list}
 
     def to_json(self):
         return {

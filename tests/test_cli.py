@@ -59,6 +59,24 @@ def test_wedge_with_invariants_and_rao(capsys):
     assert payload["rao"] == {"profile": {"0": 1}, "total": 1}
 
 
+def test_wedge_formats_its_two_form_once(monkeypatch, capsys):
+    """The JSON payload and the human line hold one text of the 2-form."""
+    from folcurves.forms import TwistedForm
+
+    formatted = []
+    real = TwistedForm.__str__
+    monkeypatch.setattr(TwistedForm, "__str__", lambda self: formatted.append(1) or real(self))
+    outputs = []
+    for argv in (WEDGE_ARGS, WEDGE_ARGS + ["--json"]):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and len(formatted) == 1
+        formatted.clear()
+        outputs.append(out)
+    text = r"z0*z2*dz1/\dz3 - z0*z3*dz1/\dz2 - z1*z2*dz0/\dz3 + z1*z3*dz0/\dz2"
+    assert outputs[0] == f"wedge: {text}\n"
+    assert json.loads(outputs[1])["payload"]["two_form"] == text
+
+
 def test_wedge_rejects_non_projective(capsys):
     code, _, err = run(capsys, ["wedge", "z0*dz0", "z1*dz0", "--legendrian"])
     assert code == 2
@@ -267,6 +285,14 @@ def test_hilbert_with_a_huge_power_answers(capsys, tmp_path):
     code, out, _ = run(capsys, ["hilbert", str(path)])
     assert code == 0
     assert "Hilbert polynomial: t^2 + 2*t + 1" in out
+
+
+def test_hilbert_refuses_a_numeral_over_the_digit_cap(capsys, tmp_path):
+    path = tmp_path / "long.ideal"
+    path.write_text("1" * 5000 + "*x\ny\n")
+    code, out, err = run(capsys, ["hilbert", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: numeral of 5000 digits at position 0, over the cap of 4300\n"
 
 
 def test_hilbert_refuses_a_power_over_the_term_cap_quickly(capsys, tmp_path):

@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from folcurves import cli, groebner, polyring, verification
+from folcurves import cli, groebner, polyring, resolution, verification
 from folcurves.errors import (
     CrossCheckFailureError,
     DegreeMismatchError,
@@ -24,19 +24,11 @@ from folcurves.errors import (
 from folcurves.forms import legendrian_sample, parse_form, singular_ideal, wedge
 from folcurves.groebner import (
     DEFAULT_PAIR_CAP,
-    FreeResolution,
     GradedIdeal,
-    _degree_basis,
-    _degree_matrix,
     _divide,
-    _dual_map_rank,
-    _element,
     buchberger,
     curve_invariants,
-    graded_syzygies,
-    minimal_free_resolution,
     normal_form,
-    rao_module_dimensions,
 )
 from folcurves.linalg import Echelon, kernel_of_columns
 from folcurves.polyring import (
@@ -49,6 +41,16 @@ from folcurves.polyring import (
     integer_terms,
     monomials_of_degree,
     parse_polynomial,
+)
+from folcurves.resolution import (
+    FreeResolution,
+    _degree_basis,
+    _degree_matrix,
+    _dual_map_rank,
+    _element,
+    graded_syzygies,
+    minimal_free_resolution,
+    rao_module_dimensions,
 )
 from tuple_monomials import ONE_MONO, degrevlex_key, mono_degree, mono_mul
 
@@ -455,9 +457,9 @@ def test_the_resolution_is_kept_on_the_ideal(monkeypatch):
     """rao_module_dimensions after minimal_free_resolution takes no kernel:
     the resolution is not computed again.  A call that raises keeps
     nothing, so the next call resolves."""
-    real = groebner.kernel_of_columns
+    real = resolution.kernel_of_columns
     calls = []
-    monkeypatch.setattr(groebner, "kernel_of_columns",
+    monkeypatch.setattr(resolution, "kernel_of_columns",
                         lambda columns, ech=None: calls.append(len(columns)) or real(columns, ech))
     ideal = legendrian_sample(3, Random(0)).ideal
     res = minimal_free_resolution(ideal)
@@ -472,11 +474,11 @@ def test_the_resolution_is_kept_on_the_ideal(monkeypatch):
         raise ResourceLimitError("refused")
 
     ideal = _ideal(*SKEW)
-    monkeypatch.setattr(groebner, "kernel_of_columns", refuse)
+    monkeypatch.setattr(resolution, "kernel_of_columns", refuse)
     with pytest.raises(ResourceLimitError, match="^refused$"):
         minimal_free_resolution(ideal)
     assert ideal._resolution is None
-    monkeypatch.setattr(groebner, "kernel_of_columns", real)
+    monkeypatch.setattr(resolution, "kernel_of_columns", real)
     assert minimal_free_resolution(ideal).betti() == minimal_free_resolution(_ideal(*SKEW)).betti()
 
 
@@ -1409,10 +1411,10 @@ def test_buchberger_matches_sympy_grevlex():
 
 
 def test_rao_negative_dimension_names_the_twist(monkeypatch):
-    true_rank = groebner._dual_map_rank
+    true_rank = resolution._dual_map_rank
     # the walk starts at twist 0, where dim3 = 1 and h = 1: a rank 1 too high
     # gives h = 0 and rank3 = dim3, the stop; 2 too high gives h = -1
-    monkeypatch.setattr(groebner, "_dual_map_rank", lambda *args: true_rank(*args) + 2)
+    monkeypatch.setattr(resolution, "_dual_map_rank", lambda *args: true_rank(*args) + 2)
     with pytest.raises(ResourceLimitError,
                        match=r"^Rao twist 0: negative cohomology dimension -1$"):
         rao_module_dimensions(_ideal(*SKEW))
@@ -1612,7 +1614,7 @@ def test_resolution_layers_match_the_former_loop_exactly():
         if res is not None:
             _assert_minimal_free_resolution(ideal, res)
         kind = "error" if res is None else (
-            "koszul" if ideal.generators and groebner._koszul_degrees(ideal) else "other")
+            "koszul" if ideal.generators and resolution._koszul_degrees(ideal) else "other")
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds["error"] == 2 and kinds["koszul"] >= 20 and kinds["other"] >= 19, kinds
 
@@ -1627,10 +1629,10 @@ def _layer_degrees(monkeypatch, ideal):
     matrix built is of the degree read last."""
     degrees, built = [], []
     with monkeypatch.context() as m:
-        real_hilbert, real_matrix = GradedIdeal.hilbert_function, groebner._degree_matrix
+        real_hilbert, real_matrix = GradedIdeal.hilbert_function, resolution._degree_matrix
         m.setattr(GradedIdeal, "hilbert_function",
                   lambda self, k: degrees.append(k) or real_hilbert(self, k))
-        m.setattr(groebner, "_degree_matrix",
+        m.setattr(resolution, "_degree_matrix",
                   lambda columns, basis, rows: built.append(
                       (columns, degrees[-1])) or real_matrix(columns, basis, rows))
         res = minimal_free_resolution(ideal)
@@ -1661,7 +1663,7 @@ def test_resolution_layers_stop_one_degree_past_their_last_degree(monkeypatch):
     assert {(1, 4), (2, 7), (3, 9)} <= built
     # a non-complete intersection keeps regb + L above layer 1
     res, layers, built = _layer_degrees(monkeypatch, _ideal(*SKEW))
-    assert groebner._koszul_degrees(_ideal(*SKEW)) is None
+    assert resolution._koszul_degrees(_ideal(*SKEW)) is None
     assert [max(layer) for layer in layers] == [3, 4, 5, 6]
     assert {(1, 3), (2, 4), (3, 5)} <= built
 
@@ -1679,7 +1681,7 @@ def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkey
     insert into Echelons, are seen to insert."""
     built, eliminated, inserts = [], [], []
     degrees = []  # the degree of each target the layers read, as _layer_degrees
-    real_matrix, real_kernel = groebner._degree_matrix, groebner.kernel_of_columns
+    real_matrix, real_kernel = resolution._degree_matrix, resolution.kernel_of_columns
     real_insert, real_hilbert = Echelon.insert, GradedIdeal.hilbert_function
 
     def record_matrix(columns, basis, rows):
@@ -1697,8 +1699,8 @@ def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkey
         inserts.append(self.rank)
         return real_insert(self, vec)
 
-    monkeypatch.setattr(groebner, "_degree_matrix", record_matrix)
-    monkeypatch.setattr(groebner, "kernel_of_columns", record_kernel)
+    monkeypatch.setattr(resolution, "_degree_matrix", record_matrix)
+    monkeypatch.setattr(resolution, "kernel_of_columns", record_kernel)
     monkeypatch.setattr(Echelon, "insert", record_insert)
     monkeypatch.setattr(GradedIdeal, "hilbert_function",
                         lambda self, k: degrees.append(k) or real_hilbert(self, k))
@@ -1773,7 +1775,7 @@ def _full_row_resolve(ideal: GradedIdeal) -> FreeResolution:
     if not lead_gens:
         return res
 
-    koszul = groebner._koszul_degrees(ideal)
+    koszul = resolution._koszul_degrees(ideal)
     below = {}  # degree -> kernel of d_(layer-1) there, from the image checks of layer - 1
     for layer in range(1, 6):
         # no generator of F_layer lies past last (see the docstring)
@@ -1894,9 +1896,9 @@ def test_resolution_over_determining_rows_matches_the_full_row_oracle(monkeypatc
         ideal._basis_elements()  # Buchberger's divisions come first
         divisions.clear()
         with monkeypatch.context() as m:
-            m.setattr(groebner, "_divide",
+            m.setattr(resolution, "_divide",
                       lambda work, table: divisions.append(work) or real_divide(work, table))
-            mine, res = _resolved(groebner._resolve, ideal)
+            mine, res = _resolved(resolution._resolve, ideal)
         assert mine == _resolved(_full_row_resolve, ideal)[0]
         if res is None:
             kinds["error"] += 1
@@ -1973,7 +1975,7 @@ def test_dual_map_rank_stops_at_the_dimension_of_the_piece(monkeypatch):
     dimension of its codomain piece, and the ranks are the former code's."""
     ceiling = []  # the dimension of the piece whose rank is being taken, if any
     stops = late = 0
-    real_rank, real_insert = groebner._dual_map_rank, Echelon.insert
+    real_rank, real_insert = resolution._dual_map_rank, Echelon.insert
 
     def rank(twists_dom, twists_cod, columns, k):
         nonlocal stops
@@ -1992,7 +1994,7 @@ def test_dual_map_rank_stops_at_the_dimension_of_the_piece(monkeypatch):
         late += bool(ceiling) and self.rank == ceiling[-1]
         return real_insert(self, vec)
 
-    monkeypatch.setattr(groebner, "_dual_map_rank", rank)
+    monkeypatch.setattr(resolution, "_dual_map_rank", rank)
     monkeypatch.setattr(Echelon, "insert", insert)
     # each walk reaches the ceiling once, at the twist where it stops
     for ideal in (_ideal(*SKEW), *(legendrian_sample(d, Random(0)).ideal for d in (2, 3, 4, 5))):
@@ -2014,10 +2016,10 @@ def test_koszul_certificate_holds_exactly_when_the_dimension_is_4_minus_r():
                _ideal("z0", "z1", "z2", "z3", "z0 + z1"), _ideal("z0*z1", "z0*z2")]
     for ideal in ideals:
         r = len(ideal.generators)
-        certified = groebner._koszul_degrees(ideal) is not None
+        certified = resolution._koszul_degrees(ideal) is not None
         assert certified == (ideal.hilbert_polynomial().degree() == 3 - r)
         if certified:
-            assert groebner._koszul_degrees(ideal) == sorted(
+            assert resolution._koszul_degrees(ideal) == sorted(
                 (g.degree for g in ideal.generators), reverse=True)
         seen[certified] += 1
     assert seen[True] >= 30 and seen[False] >= 20, seen
@@ -2032,7 +2034,7 @@ def test_koszul_last_degrees_never_exceed_the_regularity_bound():
     for ideal in _resolution_cases():
         if not ideal.generators or ideal.is_unit_ideal():
             continue
-        koszul = groebner._koszul_degrees(ideal)
+        koszul = resolution._koszul_degrees(ideal)
         if koszul is None:
             continue
         regb = ideal.regularity_bound()
@@ -2046,13 +2048,13 @@ def test_koszul_last_degrees_never_exceed_the_regularity_bound():
 def test_resolution_safety_margin_fires_on_an_underestimated_koszul_bound(monkeypatch):
     """With every Koszul sum one too low, layer 2 of the gate's complete
     intersection meets its degree-6 generator at the safety margin."""
-    real = groebner._koszul_degrees
+    real = resolution._koszul_degrees
 
     def one_too_low(ideal):
         degrees = real(ideal)
         return [degrees[0] - 1] + degrees[1:]
 
-    monkeypatch.setattr(groebner, "_koszul_degrees", one_too_low)
+    monkeypatch.setattr(resolution, "_koszul_degrees", one_too_low)
     with pytest.raises(ResourceLimitError,
                        match=r"^layer 2, degree 6: resolution generator found at the safety "
                              r"margin degree$"):
@@ -2085,7 +2087,7 @@ def test_koszul_cross_check_names_the_layer_that_lost_a_generator(
 
     monkeypatch.setattr(FreeResolution, "_alternating_sum_mismatch", audit_then_change)
     ideal = _ideal(*gens)
-    degrees = re.escape(str(groebner._koszul_degrees(ideal)))
+    degrees = re.escape(str(resolution._koszul_degrees(ideal)))
     with pytest.raises(CrossCheckFailureError,
                        match=f"^{message}of the complete intersection of degrees {degrees}$"):
         minimal_free_resolution(ideal)
@@ -2205,7 +2207,7 @@ def test_section_route_falls_back_on_a_complete_intersection_the_section_misses(
     assert list(ideal.hilbert_numerator().items()) == list(
         _exact_numerator(ideal.generators).items())
     assert ideal._elements is not None
-    assert groebner._koszul_degrees(ideal) is not None
+    assert resolution._koszul_degrees(ideal) is not None
 
 
 def test_section_route_gives_up_a_non_complete_intersection_early(monkeypatch):
@@ -3129,12 +3131,12 @@ def _former_rao_module_dimensions(ideal, window=None):
     if P.degree() != 1:
         raise NotACurveError("the ideal does not cut out a curve")
     if window is None:
-        window = groebner.default_rao_window(ideal)
+        window = resolution.default_rao_window(ideal)
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window")
 
-    res = groebner.minimal_free_resolution(ideal)
+    res = resolution.minimal_free_resolution(ideal)
     profile = {}
     if res.length() >= 3:
         t2, t3 = res.twists[2], res.twists[3]
@@ -3146,13 +3148,13 @@ def _former_rao_module_dimensions(ideal, window=None):
                                 for t in (t2, t3, t4))
             if dim3 == 0:
                 break  # the pieces only shrink as k grows
-            if max(dim2, dim3, dim4) > groebner.MAX_DUAL_PIECE:
+            if max(dim2, dim3, dim4) > resolution.MAX_DUAL_PIECE:
                 raise ResourceLimitError(
                     f"Rao twist {k}: a dual-map piece of dimension "
-                    f"{max(dim2, dim3, dim4)} exceeds the cap {groebner.MAX_DUAL_PIECE}"
+                    f"{max(dim2, dim3, dim4)} exceeds the cap {resolution.MAX_DUAL_PIECE}"
                 )
-            rank4 = groebner._dual_map_rank(t3, t4, d4, k) if t4 else 0
-            rank3 = groebner._dual_map_rank(t2, t3, d3, k)
+            rank4 = resolution._dual_map_rank(t3, t4, d4, k) if t4 else 0
+            rank3 = resolution._dual_map_rank(t2, t3, d3, k)
             h = dim3 - rank4 - rank3
             if h < 0:
                 raise ResourceLimitError(f"Rao twist {k}: negative cohomology dimension {h}")
@@ -3162,7 +3164,7 @@ def _former_rao_module_dimensions(ideal, window=None):
         raise WindowTooSmallError(
             f"nonzero value at a window endpoint of [{lo}, {hi}]"
         )
-    return groebner.RaoProfile(profile=profile, total=sum(profile.values()), window=(lo, hi))
+    return resolution.RaoProfile(profile=profile, total=sum(profile.values()), window=(lo, hi))
 
 
 def _rao_or_error(run, ideal, window):
@@ -3193,11 +3195,11 @@ def test_rao_walk_down_gives_the_former_profiles_and_stops_soundly(monkeypatch):
     ideals += [skew, redundant, _ideal("z1", "z0^2", "z0*z2"), truncated]
     ideals += [verification._random_ci_curve(Random(seed)) for seed in range(6)]
     walked = []
-    real_rank = groebner._dual_map_rank
-    monkeypatch.setattr(groebner, "_dual_map_rank",
+    real_rank = resolution._dual_map_rank
+    monkeypatch.setattr(resolution, "_dual_map_rank",
                         lambda *args: walked.append(args[3]) or real_rank(*args))
     resolutions = {}  # by id: each ideal is resolved once, both walks read it
-    monkeypatch.setattr(groebner, "minimal_free_resolution",
+    monkeypatch.setattr(resolution, "minimal_free_resolution",
                         lambda ideal: resolutions[id(ideal)])
     outcomes = {"profile": 0, "error": 0}
     stops = certified = unstoppable = 0
@@ -3209,7 +3211,7 @@ def test_rao_walk_down_gives_the_former_profiles_and_stops_soundly(monkeypatch):
             mine = walked[:]
             assert got == _rao_or_error(_former_rao_module_dimensions, ideal, window)
             outcomes["profile" if isinstance(got, dict) else "error"] += 1
-            lo = (window or groebner.default_rao_window(ideal))[0]
+            lo = (window or resolution.default_rao_window(ideal))[0]
             if res.length() == 4:
                 assert min(mine) == lo
                 unstoppable += 1
@@ -3242,9 +3244,9 @@ def test_rao_walk_waits_until_every_summand_of_f3_dual_is_generated(monkeypatch)
                                 {1 + i: HomogeneousPolynomial.variable(i) for i in range(NVARS)}]],
         bound=0)
     walked = []
-    real_rank = groebner._dual_map_rank
-    monkeypatch.setattr(groebner, "minimal_free_resolution", lambda ideal: tail)
-    monkeypatch.setattr(groebner, "_dual_map_rank",
+    real_rank = resolution._dual_map_rank
+    monkeypatch.setattr(resolution, "minimal_free_resolution", lambda ideal: tail)
+    monkeypatch.setattr(resolution, "_dual_map_rank",
                         lambda *args: walked.append(args[3]) or real_rank(*args))
     assert rao_module_dimensions(_ideal(*SKEW), window=(-3, 4)).profile == {0: 1}
     assert walked == [3, 2, 1, 0, -1]

@@ -27,12 +27,13 @@ PUBLIC = {
         is_contact_form is_decomposable is_projective legendrian_foliation legendrian_sample
         parse_form pencil_form radial_contraction random_projective_oneform singular_ideal
         standard_contact_form vector_field_to_twoform wedge""",
-    "groebner": """FreeResolution GradedIdeal HilbertPolynomial RaoProfile buchberger
-        curve_invariants graded_syzygies hilbert_polynomial minimal_free_resolution
-        normal_form rao_module_dimensions""",
+    "groebner": """GradedIdeal HilbertPolynomial buchberger curve_invariants
+        hilbert_polynomial normal_form""",
     "monad": """MonadSpec instanton_monad mismatched_charge6_monads monad_chern
         monad_regularity_bound""",
     "polyring": "HomogeneousPolynomial graded_piece_dimension parse_polynomial",
+    "resolution": """FreeResolution RaoProfile graded_syzygies minimal_free_resolution
+        rao_module_dimensions""",
     "sheafcoh": """ChernTriple CohomologyTable SheafSymbol cotangent_cohomology
         euler_characteristic hom_lower_bound hrr_polynomial instanton_cohomology
         line_bundle_cohomology null_correlation_h0 serre_dual_twist""",
@@ -40,10 +41,16 @@ PUBLIC = {
 NAMES = {name: module for module, names in PUBLIC.items() for name in names.split()}
 
 MODULES = {"folcurves", "folcurves.cli", "folcurves.errors", "folcurves.polyring",
-           "folcurves.groebner", "folcurves.linalg"}
-EVERY_MODULE = MODULES | {f"folcurves.{m}" for m in (
+           "folcurves.groebner"}
+# what every subcommand that builds a free resolution loads besides
+RESOLUTION = {"folcurves.resolution", "folcurves.linalg", "folcurves.records"}
+EVERY_MODULE = MODULES | RESOLUTION | {f"folcurves.{m}" for m in (
     "classify", "forms", "monad", "parsing", "sheafcoh", "verification")}
 WEDGE = ["wedge", "z0*dz1 - z1*dz0", "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2", "--invariants"]
+# the public names that moved from groebner to resolution, which groebner
+# still answers for
+MOVED = PUBLIC["resolution"].split() + [
+    "MAX_DUAL_PIECE", "MAX_SYZYGY_COLUMNS", "MAX_SYZYGY_ROWS", "default_rao_window"]
 
 
 def fresh(script: str):
@@ -59,7 +66,8 @@ def fresh(script: str):
 LOADED = """
 import contextlib, io, json, sys
 def loaded():
-    return sorted(m for m in sys.modules if m == "folcurves" or m.startswith("folcurves."))
+    return sorted(m for m in sys.modules if m == "folcurves" or m.startswith("folcurves.")
+                  or m in ("dataclasses", "inspect"))
 """
 
 
@@ -75,10 +83,15 @@ print(json.dumps([before, loaded()]))""")
 
 @pytest.mark.parametrize("argv, added", [
     (["hilbert", "{file}"], {"folcurves.parsing"}),
-    (WEDGE, {"folcurves.parsing", "folcurves.forms"}),
+    (WEDGE, {"folcurves.parsing", "folcurves.forms", "folcurves.records"}),
     (["verify", "--suite", "syzygy"], EVERY_MODULE - MODULES),
-], ids=["hilbert", "wedge", "verify"])
+    (WEDGE + ["--rao"], {"folcurves.parsing", "folcurves.forms"} | RESOLUTION),
+    (["rao", "{file}"], {"folcurves.parsing"} | RESOLUTION),
+    (["syzygy", "z0,z1", "1,1", "2"], {"folcurves.parsing"} | RESOLUTION),
+], ids=["hilbert", "wedge", "verify", "wedge-rao", "rao", "syzygy"])
 def test_each_subcommand_loads_the_modules_it_runs(tmp_path, argv, added):
+    """Neither dataclasses nor inspect is ever loaded, and only the
+    subcommands that build a free resolution load resolution and linalg."""
     path = tmp_path / "ideal.txt"
     path.write_text("z0*z1\nz2^2 - z0*z3\n", encoding="utf-8")
     argv = [str(path) if arg == "{file}" else arg for arg in argv]
@@ -89,6 +102,21 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps([code, loaded()]))""")
     assert code == 0
     assert set(modules) == MODULES | added
+
+
+def test_no_other_subcommand_loads_dataclasses_or_inspect(tmp_path):
+    spec = tmp_path / "monad.json"
+    spec.write_text('{"template": {"c": [1], "b": [0, 0]}}', encoding="utf-8")
+    runs = [["classify", "3", "12", "--reduced"], ["chi", "2", "0", "1", "0", "1"],
+            ["cohomology", "instanton:1", "--", "-2..1"], ["monad", str(spec), "--regularity"],
+            ["moduli", "nc", "2"], ["invariants", "3", "12"]]
+    codes, modules = fresh(LOADED + f"""
+from folcurves.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in {runs!r}]
+print(json.dumps([codes, loaded()]))""")
+    assert codes == [0] * len(runs)
+    assert not {"dataclasses", "inspect"} & set(modules)
 
 
 @pytest.mark.parametrize("access", ["attribute", "from-import"])
@@ -109,6 +137,29 @@ from folcurves import verification  # a submodule no public name loads
 assert verification is sys.modules["folcurves.verification"]
 print(json.dumps(loaded()))"""
     assert set(fresh(script)) == EVERY_MODULE - {"folcurves.cli", "folcurves.parsing"}
+
+
+def test_groebner_still_answers_for_the_names_that_moved_to_resolution():
+    """Reading a moved name, or kernel_of_columns, from groebner imports
+    resolution and gives its object; groebner's namespace stays as it was,
+    so a name rebound in resolution reads the same through groebner."""
+    assert fresh(LOADED + f"""
+import folcurves.groebner as groebner
+before = dict(vars(groebner))
+assert "folcurves.resolution" not in sys.modules
+from folcurves.groebner import {", ".join(MOVED)}
+import folcurves.resolution as resolution
+from folcurves.linalg import kernel_of_columns
+for name in {MOVED!r}:
+    assert getattr(groebner, name) is getattr(resolution, name), name
+assert groebner.kernel_of_columns is kernel_of_columns
+resolution.kernel_of_columns = len
+assert groebner.kernel_of_columns is len
+assert vars(groebner) == before
+try:
+    groebner._resolve
+except AttributeError as exc:
+    print(json.dumps(str(exc)))""") == "module 'folcurves.groebner' has no attribute '_resolve'"
 
 
 def test_star_import_and_dir_list_exactly_the_public_names():

@@ -76,6 +76,22 @@ def test_parse_rejects_malformed():
             parse_polynomial(bad)
 
 
+def test_parse_refuses_a_numeral_over_the_digit_cap():
+    """A numeral of more than MAX_NUMERAL_DIGITS digits, anywhere, is a
+    ParseError naming its digit count, its position and the cap, raised
+    before the numeral is converted; one of exactly that many digits parses."""
+    assert parsing.MAX_NUMERAL_DIGITS == 4300
+    longest = "9" * 4300
+    assert parse_value(f"{longest}*x").terms == {(1, 0, 0, 0): Fraction(int(longest))}
+    for text, digits, position in (("1" * 5000 + "*x", 5000, 0),
+                                   ("x + " + "2" * 4301 + "*y", 4301, 4),
+                                   ("x^" + "3" * 4301, 4301, 2),
+                                   ("x/" + "4" * 4301, 4301, 2)):
+        with pytest.raises(ParseError, match=f"^numeral of {digits} digits at position "
+                                             f"{position}, over the cap of 4300$"):
+            parse_value(text)
+
+
 def test_parse_caps_the_terms_of_products_and_powers():
     # bounds: min(364 * 286, dim S_21 = 2024) and min(C(43, 40), dim S_40) = 12341
     for big in ("(x+y+z+t)^11*(x+y+z+t)^10", "(x+y+z+t)^40", "(x+y)^100000000"):
