@@ -160,7 +160,8 @@ def _cmd_syzygy(args):
     from .resolution import graded_syzygies
 
     row = [parse_polynomial(s) for s in args.row.split(",")]
-    weights = [int(w) for w in args.weights.split(",")]
+    weights = _integers("weight list", args.weights, args.weights.split(","),
+                        "W1,...,Wn, one integer per row entry")
     basis = graded_syzygies(row, weights, args.degree)
     payload = {
         "dimension": len(basis),

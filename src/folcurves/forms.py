@@ -24,7 +24,7 @@ from .errors import (
     WrongFormDegreeError,
     ZeroFormError,
 )
-from .groebner import GradedIdeal
+from .groebner import GradedIdeal, curve_invariants, hilbert_polynomial
 from .polyring import (
     NVARS,
     HomogeneousPolynomial,
@@ -275,8 +275,6 @@ class FoliationPresentation(FrozenRecord):
     _defaults = {"conormal_twists": None}
 
     def singular_curve_invariants(self):
-        from .groebner import curve_invariants
-
         return curve_invariants(self.ideal)
 
 
@@ -380,8 +378,6 @@ def random_projective_oneform(coefficient_degree: int, rng: Random) -> TwistedFo
 def legendrian_sample(degree: int, rng: Random, max_redraws: int = 20) -> FoliationPresentation:
     """Draw a legendrian foliation of the given degree whose singular scheme
     is a curve, redrawing on degenerate samples (at most max_redraws)."""
-    from .groebner import hilbert_polynomial
-
     contact = standard_contact_form()
     # the contact form is the same on every draw, so it is checked once
     _check_projective_one_form("contact form", contact)

@@ -44,6 +44,11 @@ it.  Elsewhere the rows are all of F_(L-1) in degree e.  The row count is
 the kernel dimension on a second route, and is checked against it.  One
 builder makes every degree matrix on the column and row keys its caller
 gives, in integers over one denominator, which keeps its kernel.
+graded_kernel, that builder and then kernel_of_columns, is the one route
+to the kernel of a degree piece as elements, maps from slot to polynomial:
+graded_syzygies and the kernel on the free columns take it.  Only the
+image check, which also reads its echelon form, calls kernel_of_columns
+itself.
 
 The order of the rows sets the pivots, and so the fill-in, of an
 elimination, but not its kernel, which kernel_of_columns gives in one
@@ -167,18 +172,11 @@ def graded_syzygies(row, weights, target_degree: int):
             f"graded_syzygies, degree {target_degree}: {rows} rows exceed "
             f"the cap {MAX_SYZYGY_ROWS}"
         )
-    basis = _degree_basis(twists, target_degree)
-    columns = _degree_matrix([{0: p} for p in row], basis, _degree_basis([0], target_degree))
-    out = []
-    for den, combo in kernel_of_columns(columns):
-        element = _element(combo, basis, den)
-        out.append(
-            tuple(
-                element.get(slot, HomogeneousPolynomial.zero(target_degree - w))
-                for slot, w in enumerate(weights)
-            )
-        )
-    return out
+    zeros = [HomogeneousPolynomial.zero(target_degree - w) for w in weights]
+    kernel = graded_kernel([{0: p} for p in row], _degree_basis(twists, target_degree),
+                           _degree_basis([0], target_degree))
+    return [tuple(element.get(slot, zero) for slot, zero in enumerate(zeros))
+            for element in kernel]
 
 
 def _degree_basis(twists, degree):
@@ -223,6 +221,15 @@ def _element(vec, basis, den):
         slots.setdefault(slot, {})[m] = c
     return {slot: _from_integers(mono_degree(next(iter(terms))), den, terms)
             for slot, terms in slots.items()}
+
+
+def graded_kernel(columns, basis, rows):
+    """The kernel of the degree piece _degree_matrix(columns, basis, rows),
+    as elements over the keys of basis (maps from slot to homogeneous
+    polynomial), in kernel_of_columns' canonical order: the one route to
+    the kernel of a degree piece."""
+    return [_element(z, basis, den)
+            for den, z in kernel_of_columns(_degree_matrix(columns, basis, rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -426,33 +433,26 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
             # check's echelon form, which holds the independent images' pivots
             free = [i for i in range(len(rows)) if new[i] not in ech.rows]
             if layer == 1:
-                index = {m: i for i, (_, m) in enumerate(basis)}
                 found = []
-                for i in free:
-                    # den times m - NF(m); the normal form is unique, so
-                    # dividing by the unreduced elements gives the same one
-                    m = rows[i][1]
+                for _, m in (rows[i] for i in free):
+                    # m - NF(m); the normal form is unique, so dividing by
+                    # the unreduced elements gives the same one
                     r, den = _divide({m: 1}, elements)
-                    z = {index[m]: den}
-                    for rm, c in r.items():
-                        z[index[rm]] = -c
-                    found.append((den, z))
+                    terms = {m: den} | {rm: -c for rm, c in r.items()}
+                    found.append({0: _from_integers(e, den, terms)})
             elif e in below:  # the kernel vectors nonzero on the free rows
-                found = [below[e][i] for i in free]
+                found = [_element(z, basis, den) for den, z in (below[e][i] for i in free)]
             else:  # a degree the layer below never reached: the kernel on the free columns
                 if layer == 2:  # d_1 maps onto I_e, of dimension the rank of d_1
                     kernel_rows = checked(lead_rows(e), res.layer_dimension(1, e) - target, where)
                 else:
                     kernel_rows = _degree_basis(res.twists[layer - 2], e)
-                matrix = _degree_matrix(res.differentials[layer - 2],
-                                        [basis[i] for i in free], kernel_rows)
-                found = [(den, {free[k]: x for k, x in z.items()})
-                         for den, z in kernel_of_columns(matrix)]
+                found = graded_kernel(res.differentials[layer - 2],
+                                      [basis[i] for i in free], kernel_rows)
                 if len(found) != missing:
                     raise ResourceLimitError(f"{where}: kernel dimension audit failed")
-            for den, z in found:
-                twists.append(-e)
-                columns.append(_element(z, basis, den))
+            twists += [-e] * len(found)
+            columns += found
         below = kernels
         if not twists:
             break

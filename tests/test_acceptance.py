@@ -29,13 +29,9 @@ from folcurves.forms import (
     standard_contact_form,
     wedge,
 )
-from folcurves.groebner import (
-    GradedIdeal,
-    curve_invariants,
-    hilbert_polynomial,
-    rao_module_dimensions,
-)
+from folcurves.groebner import GradedIdeal, curve_invariants, hilbert_polynomial
 from folcurves.monad import instanton_monad, monad_regularity_bound
+from folcurves.resolution import rao_module_dimensions
 from folcurves.sheafcoh import (
     ChernTriple,
     SheafSymbol,

@@ -26,7 +26,8 @@ from folcurves.errors import (
     OutOfBoundsError,
 )
 from folcurves.forms import legendrian_sample
-from folcurves.groebner import curve_invariants, rao_module_dimensions
+from folcurves.groebner import curve_invariants
+from folcurves.resolution import rao_module_dimensions
 
 
 def test_invariants_examples():

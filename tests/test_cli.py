@@ -147,6 +147,13 @@ def test_syzygy_command(capsys):
     assert payload["dimension"] == 8
 
 
+@pytest.mark.parametrize("weights", ["1,x", "1,", "1 2", ""])
+def test_syzygy_names_a_malformed_weight_list_and_its_form(capsys, weights):
+    assert run(capsys, ["syzygy", "z0,z1", weights, "2"]) == (
+        2, "", f"error: weight list {weights!r} is not of the form "
+        "W1,...,Wn, one integer per row entry\n")
+
+
 def test_syzygy_json_columns_are_pinned(capsys):
     """The column text of syzygy --json: each kernel vector over rational
     row entries, written in lowest terms."""

@@ -36,8 +36,9 @@ from folcurves.forms import (
     vector_field_to_twoform,
     wedge,
 )
-from folcurves.groebner import GradedIdeal, curve_invariants, rao_module_dimensions
+from folcurves.groebner import GradedIdeal, curve_invariants
 from folcurves.polyring import NVARS, HomogeneousPolynomial, monomials_of_degree, parse_polynomial
+from folcurves.resolution import rao_module_dimensions
 
 W1 = pencil_form()
 W2 = standard_contact_form()

@@ -48,6 +48,7 @@ from folcurves.resolution import (
     _degree_matrix,
     _dual_map_rank,
     _element,
+    graded_kernel,
     graded_syzygies,
     minimal_free_resolution,
     rao_module_dimensions,
@@ -1968,6 +1969,92 @@ def test_degree_matrix_is_the_former_fraction_matrix_over_one_denominator():
                 pieces += 1
                 dens += den > 1
     assert pieces > 100 and dens > 10, (pieces, dens)
+
+
+def test_graded_kernel_on_a_subset_of_the_source_keys():
+    """graded_kernel on a seeded subset of the source keys of a degree
+    piece, as the free-column kernel takes it, over all the rows: each
+    element lies on those keys and maps to zero, the elements are
+    independent, and there are as many as keys less the rank of the
+    matrix on them."""
+    rng = Random(9)
+    pieces = nonzero = 0
+    for ideal in _random_ideals(rng, 30):
+        res = minimal_free_resolution(ideal)
+        for layer in range(1, res.length() + 1):
+            columns = res.differentials[layer - 1]
+            twists, targets = res.twists[layer], res.twists[layer - 1]
+            # the least degree, and those where d_L has a kernel: F_(L+1)'s
+            above = res.twists[layer + 1] if layer < res.length() else []
+            for e in sorted({min(-b for b in twists)} | {-b for b in above}):
+                basis, rows = _degree_basis(twists, e), _degree_basis(targets, e)
+                keys = [basis[j] for j in sorted(rng.sample(
+                    range(len(basis)), rng.randint((len(basis) + 1) // 2, len(basis))))]
+                kernel = graded_kernel(columns, keys, rows)
+                rank = Echelon()
+                for vec in _degree_matrix(columns, keys, rows):
+                    rank.insert(vec)
+                assert len(kernel) == len(keys) - rank.rank
+                index = {key: i for i, key in enumerate(keys)}
+                spanned = Echelon()
+                for element in kernel:
+                    images = {}
+                    for slot, g in element.items():
+                        assert g.degree == e + twists[slot] and g
+                        assert all((slot, m) in index for m in g._cleared[1])
+                        for target, entry in columns[slot].items():
+                            images.setdefault(target, []).append(g * entry)
+                    assert not any(sum(ps[1:], ps[0]) for ps in images.values())
+                    scale = lcm(*(g._cleared[0] for g in element.values()))
+                    spanned.insert({index[slot, m]: c * (scale // g._cleared[0])
+                                    for slot, g in element.items()
+                                    for m, c in g._cleared[1].items()})
+                assert spanned.rank == len(kernel)
+                pieces += 1
+                nonzero += bool(kernel)
+    assert pieces > 100 and nonzero > 20, (pieces, nonzero)
+
+
+def _former_graded_syzygies(row, weights, target_degree):
+    """The former graded_syzygies, which flattened by hand, kept verbatim
+    but for its caps and degree checks as the oracle of graded_kernel."""
+    twists = [-w for w in weights]
+    basis = _degree_basis(twists, target_degree)
+    columns = _degree_matrix([{0: p} for p in row], basis, _degree_basis([0], target_degree))
+    out = []
+    for den, combo in kernel_of_columns(columns):
+        element = _element(combo, basis, den)
+        out.append(
+            tuple(
+                element.get(slot, HomogeneousPolynomial.zero(target_degree - w))
+                for slot, w in enumerate(weights)
+            )
+        )
+    return out
+
+
+def test_graded_syzygies_is_the_former_flattened_route():
+    """graded_syzygies, through graded_kernel, gives the former route's
+    tuples on seeded rows with rational and zero entries: the same
+    polynomials in the same order, the order of each polynomial's cleared
+    terms included."""
+    def exact(tuples):
+        return [[(g.degree, g._cleared[0], list(g._cleared[1].items())) for g in tup]
+                for tup in tuples]
+
+    rng = Random(10)
+    found = 0
+    for _ in range(30):
+        weights = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        row = [HomogeneousPolynomial(w, {m: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                                         for m in monomials_of_degree(w)
+                                         if rng.random() < 0.4})
+               for w in weights]
+        target = max(weights) + rng.randint(0, 2)
+        got = graded_syzygies(row, weights, target)
+        assert exact(got) == exact(_former_graded_syzygies(row, weights, target))
+        found += len(got)
+    assert found > 100, found
 
 
 def test_dual_map_rank_stops_at_the_dimension_of_the_piece(monkeypatch):
