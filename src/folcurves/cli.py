@@ -88,6 +88,9 @@ def _cmd_wedge(args):
     human = [f"wedge: {text}"]
     if args.invariants or args.rao:
         ideal = singular_ideal(two_form)
+        if args.rao:
+            # the Rao profile needs the basis: taken first, the Hilbert query reads it
+            ideal._basis_elements()
         if args.invariants:
             deg, genus = curve_invariants(ideal)
             payload["invariants"] = {"degree": deg, "genus": genus}

@@ -50,14 +50,40 @@ d_1, ..., d_r, 1, the answer is certified in three lines:
   - a homogeneous regular sequence of positive degrees stays regular in
     any order, so f_1, ..., f_r is one;
   - so HS(S/I) = prod(1 - t^d_i) / (1 - t)^4.
-Otherwise the lead ideal of the four-variable basis answers, as it always
-does once that basis exists.  With z3 among its generators the certifying
-run walks only standard monomials in z0..z2; it gives up at the first
-finished degree where they outnumber H_CI, which shows that the cut forms
-are no regular sequence.  Forms above MAX_SECTION_DEGREE are never cut: a
-sparse form turns dense on the section.  Nor are r forms that all vanish on
-a coordinate subspace z_A = 0 with |A| < r, which their exponents show:
-their ideal has height at most |A|, so they are no regular sequence.
+Otherwise a four-variable basis answers (see below).  With z3 among its
+generators the certifying run walks only standard monomials in z0..z2; it
+gives up at the first finished degree where they outnumber H_CI, which
+shows that the cut forms are no regular sequence.  Forms above
+MAX_SECTION_DEGREE are never cut: a sparse form turns dense on the
+section.  Nor are r forms that all vanish on a coordinate subspace
+z_A = 0 with |A| < r, which their exponents show: their ideal has height
+at most |A|, so they are no regular sequence.
+
+hilbert_numerator thus tries two routes in turn.  Once a basis exists, its
+lead ideal answers.  Before one exists, the section is tried first, and
+when it certifies nothing the lead ideal of a basis of renamed generators
+answers: the variable in the most terms becomes z3, the others follow in
+ascending count of terms, ties by index, and the identity renames nothing.
+A renaming of the variables is a graded automorphism of S, so the renamed
+ideal has the Hilbert series of I, but not its cost: degrevlex treats its
+last variable apart (Bayer and Stillman, as above), and with the variable
+of the most terms there Buchberger ran faster on the draws measured below.
+The renamed basis is not kept, and no other query reads it; a caller that
+needs the basis after Hilbert data takes the basis first (as resolution's
+rao_module_dimensions, the wedge command with --rao and
+forms.legendrian_sample do), so no ideal runs Buchberger twice.  On a
+2-vCPU x86_64 machine under Python 3.11, Buchberger on the 31 hilbert-pool
+ideals the section does not certify took 0.14 s before the renaming and
+0.11 s after it (-20% to -24% over three runs).  On 60 uncertified draws
+of the pool's generator from a seed apart from the pool's it took 0.30 s
+against 0.22 s (-26% to -27% over three runs), 44 of them faster, the
+per-ideal time ratio 0.46, 0.78 and 1.12 at p10, p50 and p90, the worst
+1.46.  On 60 uncertified ideals of 1-5 forms of degree 2 or 3 holding
+about half, 85% or all of the monomials of their degree, the median time
+ratio over 21 interleaved passes was 0.95, 0.98 and 0.97 (the last
+renames nothing: its counts are even).  The section keeps its order: on
+the pool's 209 certified ideals the certifying runs took 0.18 s either
+way.
 
 Graded syzygies, free resolutions and Rao profiles are resolution's, which
 this module does not import; each public name of resolution, and
@@ -91,13 +117,16 @@ DEFAULT_PAIR_CAP = 100_000
 # Most standard monomials buchberger's Hilbert-driven skip walks through in
 # one call; past it no more pairs are skipped in the call, so a pair of huge
 # degree (z0*z1 and z1^(10^8)) is not preceded by a walk through every degree
-# below it.  The largest any hilbert-pool ideal walks is 1008.
+# below it.  The largest any hilbert-pool ideal walks is 1008 on its own
+# variables and 973 on the renamed ones of hilbert_numerator.
 MAX_STANDARD_WALK = 20_000
 # Most heap pops the divisions of one _groebner_elements call may make, of
 # its generators and S-polynomials together.  The largest any shipped test,
-# demo or benchmark input makes is 2098 (a hilbert-pool ideal).  On a 2-vCPU
-# x86_64 machine under Python 3.11, (x+y+z)^40, (x+y+t)^40, (y+z+t)^39*x
-# reaches the cap in about 0.3 s; it ran past 20 s before there was one.
+# demo or benchmark input makes is 3901 (a degree-7 legendrian sample of the
+# tests); a hilbert-pool ideal makes at most 2098 on its own variables and
+# 2072 on the renamed ones of hilbert_numerator.  On a 2-vCPU x86_64 machine
+# under Python 3.11, (x+y+z)^40, (x+y+t)^40, (y+z+t)^39*x reaches the cap in
+# about 0.2 s in either order; it ran past 20 s before there was one.
 MAX_BUCHBERGER_POPS = 50_000
 # Largest generator degree the section route of hilbert_numerator cuts.  A
 # sparse form turns dense on the section: on a 2-vCPU x86_64 machine under
@@ -564,6 +593,32 @@ def _section_numerator(generators):
 
 
 # ---------------------------------------------------------------------------
+# the lead ideal of a renamed basis
+
+
+def _renamed_lead(generators) -> tuple:
+    """Minimal generators of the lead ideal, packed and ascending, of a
+    degrevlex basis of the generators after a renaming of the variables
+    (see the module docstring): the variable in the most terms becomes z3,
+    the others follow in ascending count of terms, ties by index.  A
+    renaming keeps the Hilbert series, not the lead ideal; the identity
+    renames nothing."""
+    # each term adds one to the field of every variable it has, at the guard
+    # bit: shifted down, the sum packs the count of terms of each variable
+    packed = sum(_nonzero_fields(m) for g in generators for m in g._cleared[1]) >> 31
+    order = sorted(range(NVARS), key=lambda v: (packed >> 32 * v & _FIELD, v))
+    if order != list(range(NVARS)):
+        # z_v becomes z_order.index(v); integer terms generate the same ideal
+        s0, s1, s2, s3 = (32 * order.index(v) for v in range(NVARS))
+        generators = [
+            _from_integers(g.degree, 1, {
+                (m & _FIELD) << s0 | (m >> 32 & _FIELD) << s1 | (m >> 64 & _FIELD) << s2
+                | m >> 96 << s3: c for m, c in g._cleared[1].items()})
+            for g in generators]
+    return _minimalize(e[0] for e in _groebner_elements(generators))
+
+
+# ---------------------------------------------------------------------------
 # Hilbert polynomials
 
 
@@ -641,8 +696,9 @@ class GradedIdeal:
     """Homogeneous ideal with cached Groebner basis and Hilbert data.
 
     The first query runs Buchberger and keeps its integer basis elements,
-    except a Hilbert query that the hyperplane section certifies (see the
-    module docstring), which computes a basis of the cut forms only.
+    except a Hilbert query, which certifies on the hyperplane section or
+    reads a basis of renamed generators and keeps neither basis (see the
+    module docstring).
     lead_ideal, is_unit_ideal, the other Hilbert queries, regularity_bound
     and the resolution read only the elements; groebner_basis, contains and
     equals also build the monic reduced basis from them, once.  The minimal
@@ -717,12 +773,16 @@ class GradedIdeal:
     def hilbert_numerator(self) -> dict:
         """Coefficients of HS(S/I) * (1-t)^4, keyed by ascending exponent;
         empty for the unit ideal.  Before any basis exists, a complete
-        intersection of up to three forms is tried on the section."""
+        intersection of up to three forms is tried on the section, and
+        failing that the lead ideal of a renamed basis, which is not kept,
+        answers (see the module docstring)."""
         if self._numerator is None:
             if self._elements is None:
                 self._numerator = _section_numerator(self.generators)
             if self._numerator is None:
-                self._numerator = dict(_minimal_numerator(self._packed_lead()))
+                lead = (_renamed_lead(self.generators) if self._elements is None
+                        else self._packed_lead())
+                self._numerator = dict(_minimal_numerator(lead))
         return self._numerator
 
     def hilbert_function(self, k: int) -> int:

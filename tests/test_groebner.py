@@ -1,7 +1,9 @@
 """Groebner engine: bases, Hilbert data, syzygies, resolutions, Rao profiles."""
 
 import hashlib
+import itertools
 import json
+import os
 import re
 import time
 from fractions import Fraction
@@ -13,7 +15,7 @@ from random import Random
 
 import pytest
 
-from folcurves import cli, groebner, polyring, resolution, verification
+from folcurves import cli, forms, groebner, polyring, resolution, verification
 from folcurves.errors import (
     CrossCheckFailureError,
     DegreeMismatchError,
@@ -2237,9 +2239,19 @@ def _section_cases():
         yield [g for g in gens if g]
 
 
-def test_section_route_matches_the_exact_numerator_on_random_ideals():
+def _spy_section(monkeypatch):
+    """The answers of the _section_numerator calls made from now on."""
+    answers = []
+    real = groebner._section_numerator
+    monkeypatch.setattr(groebner, "_section_numerator",
+                        lambda gens: answers.append(real(gens)) or answers[-1])
+    return answers
+
+
+def test_section_route_matches_the_exact_numerator_on_random_ideals(monkeypatch):
     """Certified or not, hilbert_numerator() has the exact route's keys,
-    values and key order; a certified query builds no four-variable basis."""
+    values and key order; no query keeps a four-variable basis."""
+    answers = _spy_section(monkeypatch)
     seen = {"certified": 0, "complete-intersection fallback": 0, "other fallback": 0}
     for gens in _section_cases():
         if not gens:
@@ -2247,7 +2259,8 @@ def test_section_route_matches_the_exact_numerator_on_random_ideals():
         ideal = GradedIdeal(gens)
         exact = _exact_numerator(gens)
         assert list(ideal.hilbert_numerator().items()) == list(exact.items())
-        if ideal._elements is None:
+        assert ideal._elements is None
+        if answers.pop() is not None:
             assert exact == _sorted_ci_numerator(gens)
             seen["certified"] += 1
         elif exact == _sorted_ci_numerator(gens):
@@ -2258,12 +2271,13 @@ def test_section_route_matches_the_exact_numerator_on_random_ideals():
     assert seen["certified"] >= 80 and seen["other fallback"] >= 15, seen
 
 
-def test_section_route_matches_the_exact_numerator_on_the_hilbert_pool():
+def test_section_route_matches_the_exact_numerator_on_the_hilbert_pool(monkeypatch):
     """All 240 ideals of the benchmark's hilbert pool: the same numerator in
     the same key order, the recorded Hilbert polynomial, and at least 209 of
     the 213 complete intersections certified on the section."""
     pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
                        / "hilbert_pool.json").read_text())["ideals"]
+    answers = _spy_section(monkeypatch)
     certified = complete = 0
     for entry in pool:
         exprs = entry["text"].splitlines()
@@ -2273,7 +2287,7 @@ def test_section_route_matches_the_exact_numerator_on_the_hilbert_pool():
         recorded = json.loads(entry["stdout"])["payload"]["hilbert_polynomial"]
         assert str(ideal.hilbert_polynomial()) == recorded
         complete += exact == _sorted_ci_numerator(ideal.generators)
-        certified += ideal._elements is None
+        certified += answers.pop() is not None
     assert (len(pool), complete) == (240, 213)
     assert certified >= 209
 
@@ -2284,16 +2298,16 @@ def test_section_route_matches_the_exact_numerator_on_the_hilbert_pool():
     (["z1", "z3 - z0 - 3*z2"], False),
 ], ids=["cut-vanishes", "point-on-section", "line-on-section"])
 def test_section_route_falls_back_on_a_complete_intersection_the_section_misses(
-        exprs, cut_vanishes):
+        exprs, cut_vanishes, monkeypatch):
     """Complete intersections whose cut is not regular: a generator divisible
     by z3 - l, the point (1:0:0:1) and a line lying on z3 = l."""
     ideal = _ideal(*exprs)
     assert [not groebner._section_cut(g) for g in ideal.generators] == (
         [cut_vanishes] + [False] * (len(exprs) - 1))
-    assert groebner._section_numerator(ideal.generators) is None
+    answers = _spy_section(monkeypatch)
     assert list(ideal.hilbert_numerator().items()) == list(
         _exact_numerator(ideal.generators).items())
-    assert ideal._elements is not None
+    assert answers == [None]
     assert resolution._koszul_degrees(ideal) is not None
 
 
@@ -2354,10 +2368,7 @@ def test_a_certified_hilbert_query_never_builds_the_four_variable_basis(
         monkeypatch, tmp_path, capsys):
     """The one basis the hilbert command computes for a certified complete
     intersection is the section's: of the cut forms, in z0..z2, and z3."""
-    bases = []
-    real = groebner._groebner_elements
-    monkeypatch.setattr(groebner, "_groebner_elements",
-                        lambda gens, *args, **kw: bases.append(gens) or real(gens, *args, **kw))
+    bases = _spy_buchberger(monkeypatch)
     path = tmp_path / "quartic.ideal"
     path.write_text("z0*z1 - z2*z3\nz0^2 + z1^2 + z2^2 + z3^2\n")
     assert cli.main(["hilbert", str(path)]) == 0
@@ -2401,6 +2412,162 @@ def test_section_route_matches_sympy_hilbert_polynomials():
         if checked == 20:
             break
     assert checked == 20
+
+
+# ---------------------------------------------------------------------------
+# the renamed route of hilbert_numerator
+
+
+def _spy_buchberger(monkeypatch):
+    """The generators of the _groebner_elements calls made from now on."""
+    runs = []
+    real = groebner._groebner_elements
+    monkeypatch.setattr(groebner, "_groebner_elements",
+                        lambda gens, *args, **kw: runs.append(gens) or real(gens, *args, **kw))
+    return runs
+
+
+@pytest.mark.parametrize("exprs, renamed", [
+    # z0 in three terms, z1 and z2 in two, z3 in one
+    (["z0^2", "z0*z1", "z0*z2", "z3^2 + z1*z2"], ["z3^2", "z1*z3", "z2*z3", "z0^2 + z1*z2"]),
+    # z2 in one term; z0, z1 and z3 in two each keep their order
+    (["z0*z1", "z0*z3", "z1*z2", "z3^2"], ["z1*z2", "z1*z3", "z0*z2", "z3^2"]),
+    # every variable in two terms: the identity
+    (SKEW, SKEW),
+], ids=["most-frequent-last", "ties-by-index", "identity"])
+def test_renamed_route_puts_the_variable_in_the_most_terms_last(monkeypatch, exprs, renamed):
+    """Four generators, which the section never cuts: the one Buchberger run
+    of the Hilbert query takes the renamed generators and leaves no basis,
+    and lead_ideal() still reads the identity order's."""
+    ideal = _ideal(*exprs)
+    exact = _exact_numerator(ideal.generators)
+    lead = GradedIdeal(ideal.generators).lead_ideal()
+    runs = _spy_buchberger(monkeypatch)
+    assert list(ideal.hilbert_numerator().items()) == list(exact.items())
+    assert [[str(g) for g in gens] for gens in runs] == [
+        [str(parse_polynomial(e)) for e in renamed]]
+    assert ideal._elements is None
+    runs.clear()
+    assert ideal.lead_ideal() == lead
+    assert runs == [ideal.generators]
+
+
+def _renamed(g, perm):
+    """g with z_perm[v] written for z_v, on exponent tuples."""
+    def rename(m):
+        e = [0] * NVARS
+        for v, w in enumerate(perm):
+            e[w] = m[v]
+        return tuple(e)
+
+    return HomogeneousPolynomial(g.degree, {rename(m): c for m, c in g.terms.items()})
+
+
+def _pool_like(rng):
+    """Three forms of degree 3 or 4, six terms each, coefficients in +-1..3:
+    a draw like those of the benchmark's hilbert pool."""
+    return [HomogeneousPolynomial(deg, {m: rng.choice((-3, -2, -1, 1, 2, 3))
+                                        for m in rng.sample(monomials_of_degree(deg), 6)})
+            for deg in [rng.choice((3, 4)) for _ in range(3)]]
+
+
+def _renamed_route_cases():
+    """Seeded generators: pool-like draws the section does not certify, from
+    a seed apart from the pool's, dense forms, 1 to 6 sparse forms, monomial
+    ideals, a redundant generator, and the unit and zero ideals."""
+    rng = Random(777)
+    cases = {}
+    while len(cases) < 4:
+        gens = _pool_like(rng)
+        if groebner._section_numerator(gens) is None:
+            cases[f"pool-like-{len(cases)}"] = gens
+    cases["dense-2-3"] = [_dense_form(rng, 2), _dense_form(rng, 3)]
+    cases["dense-2-2-2-2"] = [_dense_form(rng, 2) for _ in range(4)]
+    for n in range(1, 7):
+        cases[f"sparse-{n}"] = [g for g in (_sparse_form(rng, rng.randint(1, 3))
+                                            for _ in range(n)) if g]
+    exprs = {
+        "monomial": ["z0^2*z1", "z1*z2^3", "z0*z3^2", "z2^2*z3", "z3^4"],
+        "staircase": [f"z1^{i}*z2^{6 - i}" for i in range(7)],
+        "redundant": SKEW + ["z0*z2 - 2*z1*z3"],
+        "unit": ["z0^2", "2/3", "z1"],
+        "zero": [],
+    }
+    for name, lines in exprs.items():
+        cases[name] = list(_ideal(*lines).generators)
+    return cases
+
+
+RENAMED_ROUTE_CASES = _renamed_route_cases()
+
+
+@pytest.mark.parametrize("name", RENAMED_ROUTE_CASES)
+def test_renamed_route_matches_the_identity_order_under_every_renaming(name):
+    """Under each of the 24 renamings of the variables, the renamed route's
+    numerator has the keys, values and key order of the identity order's
+    lead ideal, which is the same for all of them."""
+    gens = RENAMED_ROUTE_CASES[name]
+    exact = list(_exact_numerator(gens).items())
+    for perm in itertools.permutations(range(NVARS)):
+        renamed = [_renamed(g, perm) for g in gens]
+        assert list(_exact_numerator(renamed).items()) == exact, perm
+        route = groebner._minimal_numerator(groebner._renamed_lead(renamed))
+        assert list(dict(route).items()) == exact, perm
+    assert list(GradedIdeal(gens).hilbert_numerator().items()) == exact
+
+
+def test_renamed_route_matches_the_identity_order_on_hypothesis_draws():
+    """Random sparse ideals of one to five forms of degree 1 to 3."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient = st.integers(-3, 3).filter(bool)
+
+    def form(deg):
+        return st.dictionaries(st.sampled_from(monomials_of_degree(deg)), coefficient,
+                               min_size=1, max_size=4).map(
+            lambda terms: HomogeneousPolynomial(deg, terms))
+
+    ideals = st.lists(st.integers(1, 3).flatmap(form), min_size=1, max_size=5)
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(ideals)
+    def check(gens):
+        route = groebner._minimal_numerator(groebner._renamed_lead(gens))
+        assert list(dict(route).items()) == list(_exact_numerator(gens).items())
+
+    check()
+
+
+def test_each_ideal_runs_buchberger_at_most_once(monkeypatch, capsys, tmp_path):
+    """A command that needs the basis after Hilbert data takes the basis
+    first, so the Hilbert query reads it: wedge --invariants --rao, rao, a
+    legendrian sample and its Rao profile, and the serial gate, which makes
+    the 86 runs it made before the renamed route."""
+    runs = _spy_buchberger(monkeypatch)
+    assert cli.main(["wedge", "z0*dz1 - z1*dz0", "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2",
+                     "--invariants", "--rao"]) == 0
+    assert len(runs) == 1
+    path = tmp_path / "skew.ideal"
+    path.write_text("\n".join(SKEW) + "\n")
+    runs.clear()
+    assert cli.main(["rao", str(path)]) == 0
+    assert len(runs) == 1
+
+    drawn = []
+    real = forms._legendrian_presentation
+    monkeypatch.setattr(forms, "_legendrian_presentation",
+                        lambda contact, omega: drawn.append(real(contact, omega)) or drawn[-1])
+    runs.clear()
+    sample = legendrian_sample(2, Random(0))
+    assert rao_module_dimensions(sample.ideal).total == 1
+    assert runs == [p.ideal.generators for p in drawn] and drawn[-1] is sample
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    runs.clear()
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "all", "--seed", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert len(runs) <= 86
 
 
 # ---------------------------------------------------------------------------
