@@ -33,41 +33,24 @@ H_CI.  Pairs wait in one list per lcm degree, sorted when that degree is
 reached, while the degree-d monomials no current lead divides are kept,
 advanced one degree at a time; once they number H_CI(d), the leads span
 in(I)_d and every pair left in the list reduces to zero, so the rest of the
-list is dropped in one step.  With five or more generators the bound would
-be Froeberg's conjecture, and no pair is skipped this way.
+list is dropped in one step.  A finished degree where they outnumber H_CI(d)
+shows that the generators are no regular sequence, and the walk stops
+there.  With five or more generators the bound would be Froeberg's
+conjecture, and no pair is skipped this way.  The argument holds over any
+field.
 
-Hilbert data of up to three forms mostly come without a basis in four
-variables; a generic linear section keeps them (Bayer and Stillman,
-Invent. Math. 87, 1987).  Take l = z0 + 2*z1 + 3*z2: the hyperplane
-z3 = l holds no coordinate point.  hilbert_numerator first cuts each form
-f_i to f_i(z0, z1, z2, l), a form in z0..z2, and runs Buchberger on the
-cut forms and z3.  These generate the image of I + (z3 - l) under the
-change of coordinates z3 -> z3 + l, so the two ideals have one Hilbert
-series.  When it is the complete-intersection series of the degrees
-d_1, ..., d_r, 1, the answer is certified in three lines:
-  - f_1, ..., f_r, z3 - l generate an ideal of height r + 1 (as in
-    resolution._koszul_degrees), so they are a regular sequence;
-  - a homogeneous regular sequence of positive degrees stays regular in
-    any order, so f_1, ..., f_r is one;
-  - so HS(S/I) = prod(1 - t^d_i) / (1 - t)^4.
-Otherwise a four-variable basis answers (see below).  With z3 among its
-generators the certifying run walks only standard monomials in z0..z2; it
-gives up at the first finished degree where they outnumber H_CI, which
-shows that the cut forms are no regular sequence.  Forms above
-MAX_SECTION_DEGREE are never cut: a sparse form turns dense on the
-section.  Nor are r forms that all vanish on a coordinate subspace
-z_A = 0 with |A| < r, which their exponents show: their ideal has height
-at most |A|, so they are no regular sequence.
-
-hilbert_numerator thus tries two routes in turn.  Once a basis exists, its
-lead ideal answers.  Before one exists, the section is tried first, and
-when it certifies nothing the lead ideal of a basis of renamed generators
+hilbert_numerator tries two routes in turn.  Once a basis exists, its
+lead ideal answers.  Before one exists, a complete intersection of up to
+three forms is certified on a hyperplane section over a prime field
+(folcurves.section, imported on the first query that tries it), and when
+that certifies nothing the lead ideal of a basis of renamed generators
 answers: the variable in the most terms becomes z3, the others follow in
 ascending count of terms, ties by index, and the identity renames nothing.
 A renaming of the variables is a graded automorphism of S, so the renamed
 ideal has the Hilbert series of I, but not its cost: degrevlex treats its
-last variable apart (Bayer and Stillman, as above), and with the variable
-of the most terms there Buchberger ran faster on the draws measured below.
+last variable apart (Bayer and Stillman, Invent. Math. 87, 1987), and with
+the variable of the most terms there Buchberger ran faster on the draws
+measured below.
 The renamed basis is not kept, and no other query reads it; a caller that
 needs the basis after Hilbert data takes the basis first (as resolution's
 rao_module_dimensions, the wedge command with --rao and
@@ -81,9 +64,7 @@ per-ideal time ratio 0.46, 0.78 and 1.12 at p10, p50 and p90, the worst
 1.46.  On 60 uncertified ideals of 1-5 forms of degree 2 or 3 holding
 about half, 85% or all of the monomials of their degree, the median time
 ratio over 21 interleaved passes was 0.95, 0.98 and 0.97 (the last
-renames nothing: its counts are even).  The section keeps its order: on
-the pool's 209 certified ideals the certifying runs took 0.18 s either
-way.
+renames nothing: its counts are even).
 
 Graded syzygies, free resolutions and Rao profiles are resolution's, which
 this module does not import; each public name of resolution, and
@@ -110,7 +91,6 @@ from .polyring import (
     exponent_tuples,
     graded_piece_dimension,
     mono_degree,
-    sum_of_products,
 )
 
 DEFAULT_PAIR_CAP = 100_000
@@ -118,22 +98,17 @@ DEFAULT_PAIR_CAP = 100_000
 # one call; past it no more pairs are skipped in the call, so a pair of huge
 # degree (z0*z1 and z1^(10^8)) is not preceded by a walk through every degree
 # below it.  The largest any hilbert-pool ideal walks is 1008 on its own
-# variables and 973 on the renamed ones of hilbert_numerator.
+# variables, 864 on the renamed ones of hilbert_numerator and 64 on the section.
 MAX_STANDARD_WALK = 20_000
 # Most heap pops the divisions of one _groebner_elements call may make, of
 # its generators and S-polynomials together.  The largest any shipped test,
 # demo or benchmark input makes is 3901 (a degree-7 legendrian sample of the
-# tests); a hilbert-pool ideal makes at most 2098 on its own variables and
-# 2072 on the renamed ones of hilbert_numerator.  On a 2-vCPU x86_64 machine
-# under Python 3.11, (x+y+z)^40, (x+y+t)^40, (y+z+t)^39*x reaches the cap in
-# about 0.2 s in either order; it ran past 20 s before there was one.
+# tests); a hilbert-pool ideal makes at most 2098 on its own variables, 2072
+# on the renamed ones of hilbert_numerator and 246 on the section.  On a
+# 2-vCPU x86_64 machine under Python 3.11, (x+y+z)^40, (x+y+t)^40,
+# (y+z+t)^39*x reaches the cap in about 0.2 s in either order; it ran past
+# 20 s before there was one.
 MAX_BUCHBERGER_POPS = 50_000
-# Largest generator degree the section route of hilbert_numerator cuts.  A
-# sparse form turns dense on the section: on a 2-vCPU x86_64 machine under
-# Python 3.11, z0^d + z3^d, z1^d + z2^d, z2^d - z3^d took 0.08 s to certify
-# at d = 8 against 0.005 s for the four-variable route, and 6.7 s against
-# 0.02 s at d = 12.  The hilbert-pool ideals have degree 3 or 4.
-MAX_SECTION_DEGREE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +312,13 @@ def _next_standard(standard, leads):
             if n == _nonzero_fields(u).bit_count() and u not in leads}
 
 
-def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bool = False):
+def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bool = False,
+                       divide=_divide, element=_basis_element):
     """A degrevlex Groebner basis of the ideal, as primitive integer basis
     elements with pairwise distinct leads; neither minimal nor reduced.  The
     unit ideal gives [(0, 1, [])] (0 packs the monomial 1), the zero ideal
-    [].
+    [].  divide and element, given as a pair, replace _divide and
+    _basis_element; the section passes its prime-field pair.
 
     Pairs (k, new), k < new, are processed in the order (lcm degree, lcm
     ascending in degrevlex, k, new) with the product and chain criteria.
@@ -355,9 +332,9 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
     _ci_hilbert_function of the _ci_numerator of the kept generators'
     degrees, computed once per call.
 
-    With give_up it returns None instead at the first finished degree whose
-    standard monomials outnumber the bound: that degree shows I is no
-    complete intersection of the kept generators.
+    At the first finished degree whose standard monomials outnumber the
+    bound, which shows I is no complete intersection of the kept
+    generators, the walk stops, or with give_up the call returns None.
 
     Raises ResourceLimitError when more than pair_cap pairs are processed
     (skipped and pruned pairs count), an S-polynomial that no criterion
@@ -373,9 +350,9 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
     basis = []
     # ascending degrevlex by lead, the smallest int of its degree
     for g in sorted(gens, key=lambda g: (g.degree, -min(g._cleared[1]))):
-        r, _ = _divide(dict(g._cleared[1]), basis, budget)
+        r, _ = divide(dict(g._cleared[1]), basis, budget)
         if r:
-            basis.append(_basis_element(r))
+            basis.append(element(r))
 
     lead = []
     leads_of_degree = {}  # degree -> the leads of that degree, for the Hilbert walk
@@ -408,8 +385,11 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
                     f"buchberger, degree {degree}: pair cap {pair_cap} exceeded")
             if numerator is not None:
                 while std_degree < degree and walked <= MAX_STANDARD_WALK:
-                    if give_up and bound is not None and len(standard) > bound:
-                        return None
+                    if bound is not None and len(standard) > bound:
+                        if give_up:
+                            return None
+                        numerator = None  # the walk stops; no later pair is skipped
+                        break
                     walked += len(standard)
                     std_degree += 1
                     standard = _next_standard(standard, leads_of_degree.get(std_degree, ()))
@@ -440,10 +420,10 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
             if degree > MAX_DEGREE:
                 raise ResourceLimitError(
                     f"buchberger: S-polynomial of degree {degree} exceeds degree cap {MAX_DEGREE}")
-            r, _ = _divide(_s_polynomial_terms(basis[i], basis[j]), basis, budget)
+            r, _ = divide(_s_polynomial_terms(basis[i], basis[j]), basis, budget)
             if not r:
                 continue
-            basis.append(_basis_element(r))
+            basis.append(element(r))
             add_lead(basis[-1][0])
             standard.discard(lead[-1])  # a lead of the pair degree is not standard
     return basis
@@ -539,57 +519,6 @@ def _minimal_regularity_bound(gens: tuple) -> int:
     v, k, colon = _pivot(gens, mixed)
     return max(_minimal_regularity_bound(_minimalize(colon)) + k,
                _minimal_regularity_bound(_plus(gens, v, 1)) + k - 1)
-
-
-# ---------------------------------------------------------------------------
-# complete intersections certified on a hyperplane section
-
-_SECTION = HomogeneousPolynomial(1, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2, (0, 0, 1, 0): 3})
-_Z3 = HomogeneousPolynomial.variable(3)
-
-
-@lru_cache(maxsize=None)
-def _section_power(e: int) -> HomogeneousPolynomial:
-    """l^e, for e <= MAX_SECTION_DEGREE."""
-    return _SECTION ** e
-
-
-def _section_cut(f: HomogeneousPolynomial) -> HomogeneousPolynomial:
-    """f(z0, z1, z2, l) for l = z0 + 2*z1 + 3*z2: a form in z0..z2 of the
-    same degree."""
-    den, ints = f._cleared
-    slices = {}
-    for m, c in ints.items():
-        e = m >> 96  # the exponent of z3
-        slices.setdefault(e, {})[m - (e << 96)] = c
-    return sum_of_products((1, _from_integers(f.degree - e, den, terms), _section_power(e))
-                           for e, terms in slices.items())
-
-
-def _section_numerator(generators):
-    """_ci_numerator of the degrees of the generators, nonzero forms, sorted
-    by exponent as hilbert_numerator is, when their cuts and z3 certify
-    that they are a regular sequence (see the module docstring); None when
-    they do not, or when there are more than three, or one is constant or
-    of degree above MAX_SECTION_DEGREE, or every monomial of every form has
-    a positive exponent at some index in a set A of fewer indices than there
-    are forms.  Then the forms vanish on z_A = 0, so their ideal has height
-    at most |A| and they are no regular sequence; nothing is cut."""
-    degrees = [g.degree for g in generators]
-    if not 0 < len(degrees) <= 3 or min(degrees) < 1 or max(degrees) > MAX_SECTION_DEGREE:
-        return None
-    supports = {sum(1 << v for v in range(NVARS) if m >> 32 * v & _FIELD)
-                for g in generators for m in g._cleared[1]}
-    for a in range(1, 1 << NVARS):  # A as a bit mask
-        if a.bit_count() < len(degrees) and all(s & a for s in supports):
-            return None
-    elements = _groebner_elements([_section_cut(g) for g in generators] + [_Z3], give_up=True)
-    if elements is None:
-        return None
-    lead = _minimalize(e[0] for e in elements)
-    if dict(_minimal_numerator(lead)) != _ci_numerator(degrees + [1]):  # z3 has degree 1
-        return None
-    return dict(sorted(_ci_numerator(degrees).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +707,8 @@ class GradedIdeal:
         answers (see the module docstring)."""
         if self._numerator is None:
             if self._elements is None:
+                from .section import _section_numerator
+
                 self._numerator = _section_numerator(self.generators)
             if self._numerator is None:
                 lead = (_renamed_lead(self.generators) if self._elements is None

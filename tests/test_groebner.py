@@ -15,7 +15,7 @@ from random import Random
 
 import pytest
 
-from folcurves import cli, forms, groebner, polyring, resolution, verification
+from folcurves import cli, forms, groebner, polyring, resolution, section, verification
 from folcurves.errors import (
     CrossCheckFailureError,
     DegreeMismatchError,
@@ -2207,6 +2207,60 @@ def test_gate_json_is_byte_identical_to_the_recorded_output(capsys):
 
 SECTION = "z0 + 2*z1 + 3*z2"
 
+# The exact section certificate, the oracle of folcurves.section, which
+# certifies over F_P: groebner's former _SECTION, _Z3, _section_power and
+# _section_cut, verbatim, and _former_section_numerator.
+_SECTION = HomogeneousPolynomial(1, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2, (0, 0, 1, 0): 3})
+_Z3 = HomogeneousPolynomial.variable(3)
+
+
+@lru_cache(maxsize=None)
+def _section_power(e: int) -> HomogeneousPolynomial:
+    """l^e, for e <= MAX_SECTION_DEGREE."""
+    return _SECTION ** e
+
+
+def _section_cut(f: HomogeneousPolynomial) -> HomogeneousPolynomial:
+    """f(z0, z1, z2, l) for l = z0 + 2*z1 + 3*z2: a form in z0..z2 of the
+    same degree."""
+    den, ints = f._cleared
+    slices = {}
+    for m, c in ints.items():
+        e = m >> 96  # the exponent of z3
+        slices.setdefault(e, {})[m - (e << 96)] = c
+    return polyring.sum_of_products((1, _from_integers(f.degree - e, den, terms), _section_power(e))
+                                    for e, terms in slices.items())
+
+
+def _former_section_numerator(generators, refuse_by_exponents=False):
+    """The former groebner._section_numerator, exact over Q, verbatim but
+    for the prefixes, line breaks and refuse_by_exponents.  Without that
+    flag it cuts every form it can, as before the exponent refusal; with
+    it, it refuses as groebner did before the certificate moved to
+    folcurves.section over F_P."""
+    degrees = [g.degree for g in generators]
+    if (not 0 < len(degrees) <= 3 or min(degrees) < 1
+            or max(degrees) > section.MAX_SECTION_DEGREE):
+        return None
+    if refuse_by_exponents:
+        supports = {sum(1 << v for v in range(NVARS) if m >> 32 * v & polyring._FIELD)
+                    for g in generators for m in g._cleared[1]}
+        for a in range(1, 1 << NVARS):  # A as a bit mask
+            if a.bit_count() < len(degrees) and all(s & a for s in supports):
+                return None
+    elements = groebner._groebner_elements(
+        [_section_cut(g) for g in generators] + [_Z3], give_up=True)
+    if elements is None:
+        return None
+    lead = groebner._minimalize(e[0] for e in elements)
+    if dict(groebner._minimal_numerator(lead)) != groebner._ci_numerator(degrees + [1]):
+        return None
+    return dict(sorted(groebner._ci_numerator(degrees).items()))
+
+
+def _exact_section_numerator(generators):
+    return _former_section_numerator(generators, refuse_by_exponents=True)
+
 
 def _exact_numerator(gens):
     """hilbert_numerator by the lead ideal of the four-variable basis."""
@@ -2242,15 +2296,16 @@ def _section_cases():
 def _spy_section(monkeypatch):
     """The answers of the _section_numerator calls made from now on."""
     answers = []
-    real = groebner._section_numerator
-    monkeypatch.setattr(groebner, "_section_numerator",
+    real = section._section_numerator
+    monkeypatch.setattr(section, "_section_numerator",
                         lambda gens: answers.append(real(gens)) or answers[-1])
     return answers
 
 
 def test_section_route_matches_the_exact_numerator_on_random_ideals(monkeypatch):
     """Certified or not, hilbert_numerator() has the exact route's keys,
-    values and key order; no query keeps a four-variable basis."""
+    values and key order; no query keeps a four-variable basis.  The
+    section over F_P answers as the exact section does."""
     answers = _spy_section(monkeypatch)
     seen = {"certified": 0, "complete-intersection fallback": 0, "other fallback": 0}
     for gens in _section_cases():
@@ -2260,6 +2315,7 @@ def test_section_route_matches_the_exact_numerator_on_random_ideals(monkeypatch)
         exact = _exact_numerator(gens)
         assert list(ideal.hilbert_numerator().items()) == list(exact.items())
         assert ideal._elements is None
+        assert answers[-1] == _exact_section_numerator(gens)
         if answers.pop() is not None:
             assert exact == _sorted_ci_numerator(gens)
             seen["certified"] += 1
@@ -2273,8 +2329,9 @@ def test_section_route_matches_the_exact_numerator_on_random_ideals(monkeypatch)
 
 def test_section_route_matches_the_exact_numerator_on_the_hilbert_pool(monkeypatch):
     """All 240 ideals of the benchmark's hilbert pool: the same numerator in
-    the same key order, the recorded Hilbert polynomial, and at least 209 of
-    the 213 complete intersections certified on the section."""
+    the same key order, the recorded Hilbert polynomial, and 209 of the 213
+    complete intersections certified on the section, those the exact
+    section certifies."""
     pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
                        / "hilbert_pool.json").read_text())["ideals"]
     answers = _spy_section(monkeypatch)
@@ -2287,9 +2344,10 @@ def test_section_route_matches_the_exact_numerator_on_the_hilbert_pool(monkeypat
         recorded = json.loads(entry["stdout"])["payload"]["hilbert_polynomial"]
         assert str(ideal.hilbert_polynomial()) == recorded
         complete += exact == _sorted_ci_numerator(ideal.generators)
+        assert answers[-1] == _exact_section_numerator(ideal.generators)
         certified += answers.pop() is not None
     assert (len(pool), complete) == (240, 213)
-    assert certified >= 209
+    assert certified == 209
 
 
 @pytest.mark.parametrize("exprs, cut_vanishes", [
@@ -2302,8 +2360,9 @@ def test_section_route_falls_back_on_a_complete_intersection_the_section_misses(
     """Complete intersections whose cut is not regular: a generator divisible
     by z3 - l, the point (1:0:0:1) and a line lying on z3 = l."""
     ideal = _ideal(*exprs)
-    assert [not groebner._section_cut(g) for g in ideal.generators] == (
-        [cut_vanishes] + [False] * (len(exprs) - 1))
+    for cut in (_section_cut, section._section_cut):
+        assert [not cut(g) for g in ideal.generators] == (
+            [cut_vanishes] + [False] * (len(exprs) - 1))
     answers = _spy_section(monkeypatch)
     assert list(ideal.hilbert_numerator().items()) == list(
         _exact_numerator(ideal.generators).items())
@@ -2316,15 +2375,17 @@ def test_section_route_gives_up_a_non_complete_intersection_early(monkeypatch):
     standard monomials outnumber the complete-intersection count, before
     its queue empties."""
     gens = _degenerate_ideals()["common-linear-factor"]
-    cuts = [groebner._section_cut(g) for g in gens] + [HomogeneousPolynomial.variable(3)]
+    cuts = [section._section_cut(g) for g in gens] + [section._Z3]
+    run = partial(groebner._groebner_elements, divide=section._divide,
+                  element=section._monic_element)
     divided = []
     real = groebner._s_polynomial_terms
     monkeypatch.setattr(groebner, "_s_polynomial_terms",
                         lambda e, f: divided.append(1) or real(e, f))
-    assert groebner._groebner_elements(cuts, give_up=True) is None
+    assert run(cuts, give_up=True) is None
     stopped = len(divided)
     divided.clear()
-    assert groebner._groebner_elements(cuts)
+    assert run(cuts)
     assert 0 < stopped < len(divided)
     assert GradedIdeal(gens).hilbert_numerator() == _exact_numerator(gens)
 
@@ -2332,7 +2393,7 @@ def test_section_route_gives_up_a_non_complete_intersection_early(monkeypatch):
 @pytest.mark.parametrize("exprs", [["2/3"], ["z0^2", "2/3", "z1"]])
 def test_section_route_leaves_a_constant_generator_to_the_exact_route(exprs):
     ideal = _ideal(*exprs)
-    assert groebner._section_numerator(ideal.generators) is None
+    assert section._section_numerator(ideal.generators) is None
     with pytest.raises(ValueError, match="^the unit ideal has no Hilbert polynomial$"):
         ideal.hilbert_polynomial()
     assert ideal.hilbert_numerator() == {}
@@ -2347,7 +2408,7 @@ def test_section_route_skips_a_form_of_huge_degree_quickly(exprs):
     ideal = _ideal(*exprs)
     P = ideal.hilbert_polynomial()
     assert time.perf_counter() - started < 1
-    assert groebner._section_power.cache_info().currsize <= groebner.MAX_SECTION_DEGREE + 1
+    assert len(section._POWERS) <= section.MAX_SECTION_DEGREE + 1
     if exprs[-1] != "z0^100000000":
         assert ideal.hilbert_numerator() == _sorted_ci_numerator(ideal.generators)
     else:
@@ -2360,7 +2421,7 @@ def test_rao_builds_the_four_variable_basis_without_cutting_a_section(monkeypatc
     def refuse(f):
         raise AssertionError("a section was cut")
 
-    monkeypatch.setattr(groebner, "_section_cut", refuse)
+    monkeypatch.setattr(section, "_section_cut", refuse)
     assert rao_module_dimensions(_ideal(*GATE_CI[:2])).total == 0
 
 
@@ -2390,7 +2451,7 @@ def test_section_route_matches_sympy_hilbert_polynomials():
         gens = [g for g in (_sparse_form(rng, rng.randint(1, 3))
                             for _ in range(rng.randint(2, 3))) if g]
         ideal = GradedIdeal(gens)
-        if len(gens) < 2 or groebner._section_numerator(ideal.generators) is None:
+        if len(gens) < 2 or section._section_numerator(ideal.generators) is None:
             continue
         P = ideal.hilbert_polynomial()
         assert ideal._elements is None
@@ -2412,6 +2473,143 @@ def test_section_route_matches_sympy_hilbert_polynomials():
         if checked == 20:
             break
     assert checked == 20
+
+
+def _uncertified_pool(monkeypatch):
+    """The hilbert-pool ideals the section does not certify, as their
+    generators and as the renamed generators of their Hilbert query."""
+    pool = json.loads(HILBERT_POOL.read_text())["ideals"]
+    out = []
+    with monkeypatch.context() as m:
+        answers, runs = _spy_section(m), _spy_buchberger(m)
+        for entry in pool:
+            gens = list(_ideal(*entry["text"].splitlines()).generators)
+            runs.clear()
+            GradedIdeal(gens).hilbert_numerator()
+            if answers.pop() is None:
+                out.append((gens, list(runs[-1])))
+    return out
+
+
+def test_section_over_the_prime_field_answers_as_the_exact_section_on_held_out_draws():
+    """1000 pool-like draws from a seed apart from the pool's: the same
+    ideals certified, with the same numerators."""
+    rng = Random(4242)
+    certified = 0
+    for _ in range(1000):
+        gens = _pool_like(rng)
+        got = section._section_numerator(gens)
+        assert got == _exact_section_numerator(gens), [str(g) for g in gens]
+        certified += got is not None
+    assert 700 <= certified <= 950, certified
+
+
+def test_section_over_the_prime_field_reads_rational_coefficients():
+    """Forms with fractions, some over P or P^2, answer as their cleared
+    integer forms and as the exact section."""
+    P = section.P
+    rng = Random(61)
+    certified = 0
+    for gens in itertools.islice(_section_cases(), 60):
+        if not gens:
+            continue
+        scaled = [g.scale(Fraction(rng.choice((1, 2, 7)), rng.choice((3, P, P * P))))
+                  for g in gens]
+        got = section._section_numerator(scaled)
+        assert got == _exact_section_numerator(scaled) == section._section_numerator(gens)
+        certified += got is not None
+    assert certified >= 40, certified
+
+
+@pytest.mark.parametrize("exprs", [
+    ["32749*z0^3 + 65498*z1^3", "32749*z2^2*z0 + 32749*z3^3", "32749*z1*z2*z3 + 32749*z0^3"],
+    ["32749*z0^2 + 32749*z1*z2", "z1^2 - z0*z3"],
+    ["98247*z0*z1 - 32749*z2*z3", "32749*z0^2 + 32749*z1^2 + 32749*z2^2 + 32749*z3^2"],
+], ids=["every-form", "one-form", "multiples-of-3p-and-p"])
+def test_section_over_the_prime_field_falls_back_on_forms_that_vanish_mod_p(
+        exprs, monkeypatch, tmp_path, capsys):
+    """Forms whose every coefficient is a multiple of P cut to zero mod P:
+    the section gives up, and the exact route gives the numerator, and the
+    hilbert --json output, of the same forms divided by P, which the
+    section certifies."""
+    P = section.P
+    ideal = _ideal(*exprs)
+    vanishing = [all(c % P == 0 for c in g._cleared[1].values()) for g in ideal.generators]
+    assert [not section._section_cut(g) for g in ideal.generators] == vanishing
+    divided = GradedIdeal([g.scale(Fraction(1, P)) if v else g
+                           for g, v in zip(ideal.generators, vanishing)])
+    assert section._section_numerator(ideal.generators) is None
+    assert section._section_numerator(divided.generators) is not None
+    assert _exact_section_numerator(ideal.generators) == section._section_numerator(
+        divided.generators)
+    assert list(ideal.hilbert_numerator().items()) == list(divided.hilbert_numerator().items())
+    outputs = []
+    for gens in (ideal.generators, divided.generators):
+        path = tmp_path / "ideal.txt"
+        path.write_text("".join(f"{g}\n" for g in gens))
+        assert cli.main(["hilbert", str(path), "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_section_over_the_prime_field_never_answers_otherwise_than_the_exact_section():
+    """Coefficients that are multiples of P or up to 10^12: the section over
+    F_P certifies some of the ideals the exact section certifies and gives
+    up on the rest, never certifying another; the Hilbert numerator is the
+    exact route's either way."""
+    P = section.P
+    rng = Random(62)
+    kept = lost = 0
+    for _ in range(150):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            deg = rng.randint(1, 3)
+            monomials = monomials_of_degree(deg)
+            terms = {m: rng.choice((P * rng.randint(-3, 3), rng.randint(-10**12, 10**12),
+                                    rng.randint(-3, 3)))
+                     for m in rng.sample(monomials, rng.randint(2, min(5, len(monomials))))}
+            gens.append(HomogeneousPolynomial(deg, terms))
+        gens = [g for g in gens if g]
+        if not gens:
+            continue
+        got, exact = section._section_numerator(gens), _exact_section_numerator(gens)
+        assert got in (None, exact)
+        kept += got is not None
+        lost += got is None and exact is not None
+        assert list(GradedIdeal(gens).hilbert_numerator().items()) == list(
+            _exact_numerator(gens).items())
+    assert kept >= 80 and lost >= 15, (kept, lost)
+
+
+def test_section_over_the_prime_field_answers_as_the_exact_section_on_hypothesis_draws():
+    """One to three sparse forms of degree 1 to 4 whose coefficients are
+    small, multiples of P or large, now and then times a common linear
+    form, which no exponent shows: the F_P answer is None or the exact
+    section's, and None whenever the exact section's is."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    P = section.P
+    coefficient = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(lambda k: k * P),
+                            st.integers(-10**12, 10**12)).filter(bool)
+    factor = parse_polynomial("z0 + z1 - z2 + 2*z3")
+
+    def form(deg):
+        return st.dictionaries(st.sampled_from(monomials_of_degree(deg)), coefficient,
+                               min_size=1, max_size=6).map(
+            lambda terms: HomogeneousPolynomial(deg, terms))
+
+    ideals = st.tuples(st.lists(st.integers(1, 4).flatmap(form), min_size=1, max_size=3),
+                       st.booleans())
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(ideals)
+    def check(drawn):
+        gens, shared = drawn
+        if shared:
+            gens = [factor * g for g in gens]
+        assert section._section_numerator(gens) in (None, _exact_section_numerator(gens))
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -2479,7 +2677,7 @@ def _renamed_route_cases():
     cases = {}
     while len(cases) < 4:
         gens = _pool_like(rng)
-        if groebner._section_numerator(gens) is None:
+        if section._section_numerator(gens) is None:
             cases[f"pool-like-{len(cases)}"] = gens
     cases["dense-2-3"] = [_dense_form(rng, 2), _dense_form(rng, 3)]
     cases["dense-2-2-2-2"] = [_dense_form(rng, 2) for _ in range(4)]
@@ -2813,7 +3011,7 @@ def test_packed_buchberger_gives_the_tuple_elements_on_the_section_cuts():
     for gens in _section_cases():
         if not gens or any(g.degree == 0 for g in gens):
             continue
-        cuts = [groebner._section_cut(g) for g in gens] + [HomogeneousPolynomial.variable(3)]
+        cuts = [_section_cut(g) for g in gens] + [HomogeneousPolynomial.variable(3)]
         given_up += _assert_same_elements(cuts, give_up=True) is None
         _assert_same_elements(cuts)
         finished += 1
@@ -3060,23 +3258,6 @@ HILBERT_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "hil
 RAO_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rao_pool.json"
 
 
-def _former_section_numerator(generators):
-    """The former groebner._section_numerator, which cut every form it
-    could, verbatim but for the groebner. prefixes and line breaks."""
-    degrees = [g.degree for g in generators]
-    if (not 0 < len(degrees) <= 3 or min(degrees) < 1
-            or max(degrees) > groebner.MAX_SECTION_DEGREE):
-        return None
-    elements = groebner._groebner_elements(
-        [groebner._section_cut(g) for g in generators] + [groebner._Z3], give_up=True)
-    if elements is None:
-        return None
-    lead = groebner._minimalize(e[0] for e in elements)
-    if dict(groebner._minimal_numerator(lead)) != groebner._ci_numerator(degrees + [1]):
-        return None
-    return dict(sorted(groebner._ci_numerator(degrees).items()))
-
-
 def _planted_section_cases():
     """Seeded (forms, |A|): 1 to 3 forms of degree 1 to 4.  In most draws
     every monomial of every form has a positive exponent at some index of a
@@ -3118,12 +3299,12 @@ def test_exponent_refusal_agrees_with_the_former_section_route(monkeypatch):
     many indices as forms is no certificate: such forms are still cut, and
     some certify."""
     cuts = []
-    real = groebner._section_cut
-    monkeypatch.setattr(groebner, "_section_cut", lambda g: cuts.append(g) or real(g))
+    real = section._section_cut
+    monkeypatch.setattr(section, "_section_cut", lambda g: cuts.append(g) or real(g))
     seen = {"refused": 0, "certified": 0, "certified with |A| = r": 0, "fell back": 0}
     for gens, planted in _planted_section_cases():
         cuts.clear()
-        got = groebner._section_numerator(gens)
+        got = section._section_numerator(gens)
         refused = not cuts
         assert got == _former_section_numerator(gens)
         if refused:
@@ -3144,13 +3325,13 @@ def test_exponent_refusal_refuses_exactly_the_curves_of_the_hilbert_pool(monkeyp
     certifies 209 of the other 213."""
     pool = json.loads(HILBERT_POOL.read_text())["ideals"]
     cuts = []
-    real = groebner._section_cut
-    monkeypatch.setattr(groebner, "_section_cut", lambda g: cuts.append(g) or real(g))
+    real = section._section_cut
+    monkeypatch.setattr(section, "_section_cut", lambda g: cuts.append(g) or real(g))
     refused = certified = 0
     for entry in pool:
         ideal = _ideal(*entry["text"].splitlines())
         cuts.clear()
-        got = groebner._section_numerator(ideal.generators)
+        got = section._section_numerator(ideal.generators)
         if not cuts:
             assert got is None and ideal.hilbert_polynomial().degree() == 1
             assert ideal.hilbert_numerator() != _sorted_ci_numerator(ideal.generators)
@@ -3251,7 +3432,7 @@ def _elements_or_message(run, gens, **kw):
 def _both_routes(gens):
     """(generators, give_up) of the four-variable run and of the certifying
     run on the section."""
-    cuts = [groebner._section_cut(g) for g in gens] + [HomogeneousPolynomial.variable(3)]
+    cuts = [_section_cut(g) for g in gens] + [HomogeneousPolynomial.variable(3)]
     return [(gens, False), (cuts, True)]
 
 
@@ -3316,6 +3497,40 @@ def test_degree_lists_give_the_heap_queue_elements_on_random_ideals(monkeypatch)
     for gens in cases:
         _assert_same_as_the_heap_queue(monkeypatch, gens)
     assert len(cases) >= 250
+
+
+def test_the_hilbert_walk_stops_at_a_degree_over_the_bound_with_the_same_elements(
+        monkeypatch):
+    """A run that does not give up stops walking standard monomials at the
+    first finished degree that outnumbers the complete-intersection count.
+    The heap queue walks on; the elements are the same, on random ideals and
+    on the 31 hilbert-pool ideals the section does not certify, on their
+    own variables and renamed, where also the same S-polynomials are
+    divided, and the walk takes fewer steps on most of them."""
+    pairs = _uncertified_pool(monkeypatch)
+    assert len(pairs) == 31
+    steps = []
+    real = groebner._next_standard
+    monkeypatch.setattr(groebner, "_next_standard",
+                        lambda standard, leads: steps.append(1) or real(standard, leads))
+
+    def walk(run, gens):
+        steps.clear()
+        return run(gens), len(steps)
+
+    shorter = 0
+    for gens in [gens for pair in pairs for gens in pair]:
+        _assert_same_as_the_heap_queue(monkeypatch, gens)
+        (new, walked), (old, walked_on) = (walk(groebner._groebner_elements, gens),
+                                           walk(_heap_groebner_elements, gens))
+        assert new == old and walked <= walked_on
+        shorter += walked < walked_on
+    assert shorter >= 40, shorter
+    rng = Random(51)
+    cases = [list(ideal.generators) for ideal in _random_ideals(Random(52), 60)]
+    cases += [_random_generators(rng) for _ in range(100)] + list(_degenerate_ideals().values())
+    for gens in cases:
+        assert groebner._groebner_elements(gens) == _heap_groebner_elements(gens)
 
 
 def test_degree_lists_raise_the_heap_queue_pair_cap_errors():

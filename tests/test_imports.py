@@ -44,6 +44,8 @@ MODULES = {"folcurves", "folcurves.cli", "folcurves.errors", "folcurves.polyring
            "folcurves.groebner"}
 # what every subcommand that builds a free resolution loads besides
 RESOLUTION = {"folcurves.resolution", "folcurves.linalg", "folcurves.records"}
+# what a Hilbert query before any basis loads besides: the section certificate
+SECTION = {"folcurves.section"}
 EVERY_MODULE = MODULES | RESOLUTION | {f"folcurves.{m}" for m in (
     "classify", "forms", "monad", "parsing", "sheafcoh", "verification")}
 WEDGE = ["wedge", "z0*dz1 - z1*dz0", "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2", "--invariants"]
@@ -82,16 +84,17 @@ print(json.dumps([before, loaded()]))""")
 
 
 @pytest.mark.parametrize("argv, added", [
-    (["hilbert", "{file}"], {"folcurves.parsing"}),
-    (WEDGE, {"folcurves.parsing", "folcurves.forms", "folcurves.records"}),
+    (["hilbert", "{file}"], {"folcurves.parsing"} | SECTION),
+    (WEDGE, {"folcurves.parsing", "folcurves.forms", "folcurves.records"} | SECTION),
     (["verify", "--suite", "syzygy"], EVERY_MODULE - MODULES),
     (WEDGE + ["--rao"], {"folcurves.parsing", "folcurves.forms"} | RESOLUTION),
     (["rao", "{file}"], {"folcurves.parsing"} | RESOLUTION),
     (["syzygy", "z0,z1", "1,1", "2"], {"folcurves.parsing"} | RESOLUTION),
 ], ids=["hilbert", "wedge", "verify", "wedge-rao", "rao", "syzygy"])
 def test_each_subcommand_loads_the_modules_it_runs(tmp_path, argv, added):
-    """Neither dataclasses nor inspect is ever loaded, and only the
-    subcommands that build a free resolution load resolution and linalg."""
+    """Neither dataclasses nor inspect is ever loaded, only the
+    subcommands that build a free resolution load resolution and linalg,
+    and only those that ask for Hilbert data before a basis load section."""
     path = tmp_path / "ideal.txt"
     path.write_text("z0*z1\nz2^2 - z0*z3\n", encoding="utf-8")
     argv = [str(path) if arg == "{file}" else arg for arg in argv]
@@ -102,6 +105,27 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps([code, loaded()]))""")
     assert code == 0
     assert set(modules) == MODULES | added
+
+
+def test_verify_loads_the_section_only_where_the_ci_rao_draws_run():
+    """Run in order, the gate's criteria and property items load
+    folcurves.section first at the ci-rao draws, whose complete-intersection
+    curves a Hilbert query finds before any basis; every other check takes
+    its basis first or never asks for Hilbert data."""
+    seen = fresh(LOADED + """
+from folcurves import verification
+seen = []
+for cid, check in verification.CRITERIA.items():
+    if cid == "properties":
+        for tag, item in verification.property_items(0):
+            assert item(), tag
+            seen.append([tag, "folcurves.section" in sys.modules])
+    else:
+        assert check(0).ok, cid
+        seen.append([cid, "folcurves.section" in sys.modules])
+print(json.dumps(seen))""")
+    first = next(k for k, (name, _) in enumerate(seen) if name == "ci-rao")
+    assert [loaded for _, loaded in seen] == [False] * first + [True] * (len(seen) - first)
 
 
 def test_no_other_subcommand_loads_dataclasses_or_inspect(tmp_path):
