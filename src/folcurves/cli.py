@@ -24,8 +24,7 @@ import sys
 import time
 from functools import lru_cache
 
-from .errors import (FolcurvesError, InvalidProfileError, NotProjectiveError,
-                     ResourceLimitError, WrongFormDegreeError)
+from .errors import FolcurvesError, InvalidProfileError, ResourceLimitError
 from .groebner import GradedIdeal, curve_invariants
 from .polyring import parse_polynomial
 
@@ -73,15 +72,13 @@ def _cmd_classify(args):
 
 
 def _cmd_wedge(args):
-    from .forms import is_projective, legendrian_foliation, parse_form, singular_ideal, wedge
+    from .forms import (_check_projective_one_form, legendrian_foliation, parse_form,
+                        singular_ideal, wedge)
 
     a = parse_form(args.form1)
     b = parse_form(args.form2)
-    for name, form in (("first", a), ("second", b)):
-        if form.form_degree != 1:
-            raise WrongFormDegreeError(f"{name} argument is not a 1-form")
-        if not is_projective(form):
-            raise NotProjectiveError(f"{name} argument does not descend to P^3")
+    _check_projective_one_form("first argument", a)
+    _check_projective_one_form("second argument", b)
     two_form = legendrian_foliation(a, b).two_form if args.legendrian else wedge(a, b)
     text = str(two_form)
     payload = {"two_form": text}

@@ -25,11 +25,11 @@ a scalar and a form, multiplies term dicts in the order of
 polyring.sum_of_products.  One polynomial or form is built, at the end;
 only a power of a scalar of two or more terms and a wedge of two forms go
 through HomogeneousPolynomial.__pow__ and forms.wedge.  Every power is
-refused before it is computed when its coefficients could exceed
-MAX_COEFFICIENT_BITS bits, and a power of a polynomial also when its
-estimated work exceeds MAX_POWER_WORK; a power or a product of scalars when
-it may have more than MAX_TERMS terms; and every product or power when its
-total degree would exceed MAX_DEGREE.
+refused before it is computed by polyring.check_power, the rule
+HomogeneousPolynomial.__pow__ applies, on the caps of its coefficient bits
+and estimated work; a power or a product of scalars when it may have more
+than MAX_TERMS terms; and every product or power when its total degree
+would exceed MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from itertools import islice
 from math import gcd
 
 from .errors import NotHomogeneousError, ParseError, ResourceLimitError
-from .polyring import (HomogeneousPolynomial, MAX_COEFFICIENT_BITS, MAX_POWER_WORK,
-                       _STEPS, _accumulate, _from_integers, _multiply_into, check_degree,
-                       coefficient_bits, graded_piece_dimension, power_bounds)
+from .polyring import (HomogeneousPolynomial, _STEPS, _accumulate, _from_integers,
+                       _multiply_into, check_degree, check_power, coefficient_bits,
+                       graded_piece_dimension, power_bounds)
 
 # Largest number of terms a scalar product or power may produce; far above
 # any polynomial the shipped tests, demos and benchmark inputs parse to.
@@ -199,16 +199,6 @@ def _check_terms(count: int, degree: int):
         )
 
 
-def _check_bits(bits: int, n: int):
-    """Refuse an n-th power with a coefficient whose |numerator| * denominator
-    may need more than MAX_COEFFICIENT_BITS bits, by coefficient_bits."""
-    if bits > MAX_COEFFICIENT_BITS:
-        raise ResourceLimitError(
-            f"parsing, power ^{n}: a coefficient may need {bits} bits, "
-            f"over the cap of {MAX_COEFFICIENT_BITS}"
-        )
-
-
 def _twisted(f: _Form):
     from .forms import TwistedForm  # only an expression that holds a form loads forms
 
@@ -288,12 +278,7 @@ def _power(base: tuple, n: int) -> tuple:
     poly = _from_integers(*base)
     terms, bits = power_bounds(poly, n)
     _check_terms(terms, degree)
-    _check_bits(bits, n)
-    if terms * terms * bits > MAX_POWER_WORK:
-        raise ResourceLimitError(
-            f"parsing, power ^{n}: an estimated {terms * terms * bits} term products "
-            f"times coefficient bits, over the cap of {MAX_POWER_WORK}"
-        )
+    check_power(terms, bits, n, "parsing, power")
     den, ints = (poly ** n)._cleared
     return degree, den, dict(ints)
 
@@ -307,7 +292,7 @@ def _term_power(degree: int, den: int, m: int, c: int, n: int):
         den = 1
     elif den != 1 or c * c != 1:  # 1 and -1 need no bits
         c, den = c // (g := gcd(c, den)), den // g
-        _check_bits(coefficient_bits(abs(c), den, n), n)
+        check_power(1, coefficient_bits(abs(c), den, n), n, "parsing, power")
     return degree, den ** n, m * n, c ** n
 
 

@@ -235,19 +235,12 @@ class HomogeneousPolynomial:
         return self.scale(other)
 
     def __pow__(self, n: int) -> "HomogeneousPolynomial":
-        """self ** n, refused before it is computed when a coefficient may
-        need more than MAX_COEFFICIENT_BITS bits or the estimated work
-        exceeds MAX_POWER_WORK (see power_bounds), or its degree MAX_DEGREE."""
+        """self ** n, refused before it is computed by check_power on its
+        power_bounds, or when its degree exceeds MAX_DEGREE."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
         check_degree(self.degree * n, f"polynomial power ^{n}")
-        terms, bits = power_bounds(self, n)
-        if bits > MAX_COEFFICIENT_BITS or terms * terms * bits > MAX_POWER_WORK:
-            raise ResourceLimitError(
-                f"polynomial power ^{n}: up to {terms} terms with coefficients of up to "
-                f"{bits} bits, over the caps of {MAX_COEFFICIENT_BITS} bits and "
-                f"{MAX_POWER_WORK} term products times bits"
-            )
+        check_power(*power_bounds(self, n), n, "polynomial power")
         # repeated squaring over the bits of n, low bit first
         out, base = HomogeneousPolynomial.constant(1), self
         while n:
@@ -419,6 +412,20 @@ def power_bounds(p: HomogeneousPolynomial, n: int):
     terms = min(comb(len(ints) + n - 1, n) if ints else 1,
                 graded_piece_dimension(n * p.degree))
     return terms, coefficient_bits(sum(abs(c) for c in ints.values()), den, n)
+
+
+def check_power(terms: int, bits: int, n: int, stage: str) -> None:
+    """Refuse an n-th power whose coefficients may need more than
+    MAX_COEFFICIENT_BITS bits, or whose estimated work, terms * terms * bits
+    for up to terms terms (see power_bounds), exceeds MAX_POWER_WORK; the
+    message starts "{stage} ^{n}: "."""
+    if bits > MAX_COEFFICIENT_BITS:
+        raise ResourceLimitError(f"{stage} ^{n}: a coefficient may need {bits} bits, "
+                                 f"over the cap of {MAX_COEFFICIENT_BITS}")
+    if terms * terms * bits > MAX_POWER_WORK:
+        raise ResourceLimitError(
+            f"{stage} ^{n}: an estimated {terms * terms * bits} term products "
+            f"times coefficient bits, over the cap of {MAX_POWER_WORK}")
 
 
 def integer_terms(coeffs: dict):

@@ -63,16 +63,18 @@ sparse-first order makes them slower.
 
 Each layer stops at a last degree proven from the input, and one degree
 past it is a safety margin.  Generator twists in layer L never exceed
-reg(S/I) + L, which is bounded through the lead-term quotient.  Layer 1
-also stops at the largest given generator degree: the given generators
-span I, and each is in the image once its degree is checked.  When
+reg(S/I) + L, so layer L stops there, with reg(S/I) bounded through the
+lead-term quotient; one stop rule serves every ideal.  When
 hilbert_numerator() is prod(1 - t^d_i) over the r given generators,
 dim S/I = 4 - r, so they are a regular sequence; their Koszul complex is
-the minimal resolution, and layer L stops at the sum of the L largest d_i.
-Each target is met by both the kernel length and the rank, a dimension
-audit over all degrees up to regularity_bound() + 6 cross-checks the
-result, and a complete intersection's twists are checked against its
-Koszul complex's.
+the minimal resolution, and reg(S/I) = sum(d_i - 1) exactly (Eisenbud,
+The Geometry of Syzygies, GTM 229), which is taken instead of the bound
+where it is smaller.  Layer 1 also stops at the largest given generator
+degree: the given generators span I, and each is in the image once its
+degree is checked.  Each target is met by both the kernel length and
+the rank, a dimension audit over all degrees up to regularity_bound() + 6
+cross-checks the result, and a complete intersection's twists are checked
+against its Koszul complex's.
 
 Rao profiles read h^1(I_C(k)) as the third Ext module of S/I, taken on the
 dualized resolution (Rao, Invent. Math. 50, 1979): at twist k it is
@@ -99,6 +101,7 @@ twists below the stop are neither eliminated nor checked.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import lcm
 
 from .errors import (
@@ -326,17 +329,15 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
     its image check one degree further as a safety margin, where a missing
     generator raises ResourceLimitError.  The last degree is the smallest
     of these that apply, each proven from the input:
-      - regb + L, regb = regularity_bound(): generator twists of F_L never
-        exceed reg(S/I) + L;
+      - reg + L: generator twists of F_L never exceed reg(S/I) + L, and
+        reg is regb = regularity_bound(), or for a complete intersection
+        (_koszul_degrees) the smaller sum(d_i - 1), its regularity read
+        off the Koszul complex; that sum never exceeds regb, so every
+        Koszul twist is at most bound;
       - in layer 1, the largest degree of a given generator: the image
         check in each degree puts every given generator of that degree in
         the image, and the given generators span I, so past the largest
-        the image is all of I_e;
-      - for a complete intersection (_koszul_degrees), the sum of the L
-        largest degrees: the Koszul complex of a regular sequence is its
-        minimal resolution, so the twists of F_L are the sums of L degrees.
-        That sum never exceeds regb + L, as reg(S/I) = sum(d_i - 1) <=
-        regb, so every Koszul twist is at most bound.
+        the image is all of I_e.
     For a complete intersection the computed twists are then checked
     against the Koszul complex's; a mismatch raises CrossCheckFailureError
     naming its layer.  An alternating sum that misses H(e) in some degree
@@ -363,6 +364,10 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
         return res
 
     koszul = _koszul_degrees(ideal)
+    # reg(S/I) is sum(d_i - 1) for a complete intersection, read off its
+    # Koszul complex; that is at most regb unless regb is wrong, which the
+    # safety margin then reports
+    reg = regb if koszul is None else min(regb, sum(d - 1 for d in koszul))
 
     def lead_rows(e):
         """The keys (0, m) of the monomials m of in(I)_e, descending.  They
@@ -383,14 +388,7 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
     below = {}  # degree -> kernel of d_(layer-1) there, from the image checks of layer - 1
     for layer in range(1, 6):
         # no generator of F_layer lies past last (see the docstring)
-        if layer == 1:
-            last = min(regb + 1, maxdeg)
-        elif koszul is not None:
-            # the sum is at most regb + layer unless regb is wrong, which
-            # the safety margin then reports
-            last = min(regb + layer, sum(koszul[:layer]))
-        else:
-            last = regb + layer
+        last = min(reg + 1, maxdeg) if layer == 1 else reg + layer
         # generators of F_layer, as columns of d_layer over F_{layer-1}
         twists, columns = [], []
         source = res.twists[layer - 1]
@@ -472,12 +470,9 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
         )
     if koszul is not None:
         # a second route to the Betti table: the Koszul complex of the degrees
-        sums = [[0]]  # sums[L] lists the sums of the L-element subsets
-        for d in koszul:
-            sums = [a + [s + d for s in b] for a, b in zip(sums + [[]], [[]] + sums)]
-        for layer in range(1, max(len(res.twists), len(sums))):
+        for layer in range(1, max(len(res.twists), len(koszul) + 1)):
             got = sorted(res.twists[layer]) if layer < len(res.twists) else []
-            want = sorted(-s for s in sums[layer]) if layer < len(sums) else []
+            want = sorted(-sum(c) for c in combinations(koszul, layer))
             if got != want:
                 raise CrossCheckFailureError(
                     f"layer {layer}: twists {got} differ from the Koszul twists {want} "

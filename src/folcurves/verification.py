@@ -5,16 +5,18 @@ Discrepancy flags raised by the checks are data, not failures; a criterion
 fails only when a computation contradicts its expected value.
 
 `run_suite` splits a suite between two processes when it can.  The
-criteria and property items that build a free resolution or a Rao profile
-(`_CHILD_CRITERIA`, `_CHILD_TAGS`) are the share of a child forked with
-`os.fork`; the closed-form criteria, the Groebner-basis items and the
-Leibniz pairs are the parent's.  The randomized properties are
-`property_items(seed)`, (tag, check) items whose inputs are drawn from
-`Random(seed)` as the items are produced, never depending on a check, so
-the parent and the child replay the same draws and each checks exactly the
-inputs of a serial run.  The child sends its results back
-through a pipe with `marshal`, and the parent assembles both shares, so the
-output does not depend on the split.
+criteria that compute with polynomials (`_CHILD_CRITERIA`: wedges,
+syzygies, Groebner bases of forms' singular ideals, resolutions and Rao
+profiles) and the property items that build a free resolution or a Rao
+profile (`_CHILD_TAGS`) are the share of a child forked with `os.fork`;
+the closed-form criteria, which compute with numbers only, the
+Groebner-basis items and the Leibniz pairs are the parent's.  The
+randomized properties are `property_items(seed)`, (tag, check) items
+whose inputs are drawn from `Random(seed)` as the items are produced,
+never depending on a check, so the parent and the child replay the same
+draws and each checks exactly the inputs of a serial run.  The child
+sends its results back through a pipe with `marshal`, and the parent
+assembles both shares, so the output does not depend on the split.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .forms import (
     standard_contact_form,
     wedge,
 )
-from .groebner import GradedIdeal, curve_invariants, hilbert_polynomial, normal_form
+from .groebner import GradedIdeal, curve_invariants, hilbert_polynomial
 from .monad import instanton_monad, monad_regularity_bound
 from .polyring import (
     HomogeneousPolynomial,
@@ -336,8 +338,7 @@ _PROPERTY_CLAIMS = (
 
 
 def _reduces_to_zero(ideal):
-    gb = list(ideal.groebner_basis())
-    return all(normal_form(g, gb).is_zero() for g in ideal.generators)
+    return all(map(ideal.contains, ideal.generators))
 
 
 def _resolution_ok(ideal):
@@ -458,8 +459,9 @@ SUITES = {
 }
 
 
-# Criteria and property items that build a free resolution or a Rao
-# profile: the second process's share.
+# The second process's share: the criteria that compute with polynomials
+# (the others are closed formulas over numbers), and the property items
+# that build a free resolution or a Rao profile.
 _CHILD_CRITERIA = frozenset({"pencil-contact", "legendrian-deg2", "syzygy", "deg3-genus"})
 _CHILD_TAGS = frozenset({"resolution", "redundant", "ci-rao"})
 

@@ -1651,19 +1651,20 @@ def _layer_degrees(monkeypatch, ideal):
 
 
 def test_resolution_layers_stop_one_degree_past_their_last_degree(monkeypatch):
-    """On the gate's complete intersection of degrees 3, 2, 3 the last
-    degrees are 3 (the largest generator), then 6, 8 and 8 (sums of the
-    largest Koszul degrees), not regb + L = 9, 10, 11, 12.  Each layer with
-    generators builds its differential d_L in the degree past its last; the
-    next layer builds d_L only in degrees layer L never reached, so that
-    matrix is layer L's image check."""
+    """On the gate's complete intersection of degrees 3, 2, 3 the Koszul
+    complex gives reg(S/I) = 2 + 1 + 2 = 5, below regularity_bound() = 8,
+    so the last degrees are 3 (the largest generator), then reg + L = 7, 8
+    and 9, not regb + L = 10, 11, 12.  Each layer with generators builds its
+    differential d_L in the degree past its last; the next layer builds d_L
+    only in degrees layer L never reached, so that matrix is layer L's
+    image check."""
     ideal = _ideal(*GATE_CI)
     assert ideal.regularity_bound() == 8
     res, layers, built = _layer_degrees(monkeypatch, ideal)
     assert res.betti() == [[0, [0]], [1, [-3, -3, -2]], [2, [-6, -5, -5]], [3, [-8]]]
-    assert [max(layer) for layer in layers] == [4, 7, 9, 9]
+    assert [max(layer) for layer in layers] == [4, 8, 9, 10]
     assert [min(layer) for layer in layers] == [0, 2, 5, 8]
-    assert {(1, 4), (2, 7), (3, 9)} <= built
+    assert {(1, 4), (2, 8), (3, 9)} <= built
     # a non-complete intersection keeps regb + L above layer 1
     res, layers, built = _layer_degrees(monkeypatch, _ideal(*SKEW))
     assert resolution._koszul_degrees(_ideal(*SKEW)) is None
@@ -1912,6 +1913,32 @@ def test_resolution_over_determining_rows_matches_the_full_row_oracle(monkeypatc
     assert kinds["error"] == 0 and kinds["resolved"] == len(ideals) >= 110, (kinds, len(ideals))
 
 
+def test_complete_intersections_stop_as_the_former_koszul_loop_did():
+    """A complete intersection's layers stop at reg + L with reg =
+    sum(d_i - 1), where the former loop stopped layer L at the sum of the L
+    largest d_i; _full_row_resolve keeps that rule.  On the certified draws
+    among 150 of _random_ideal(Random(5), 4, 3), the gate's complete
+    intersection and 40 complete-intersection curves the twists and the
+    bound are the same.  Where a layer now reaches a degree through the
+    kernel that the layer below took, the differentials may differ; each
+    such resolution is checked to be a minimal free resolution of S/I."""
+    rng = Random(5)
+    ideals = [ideal for ideal in (verification._random_ideal(rng, 4, 3) for _ in range(150))
+              if resolution._koszul_degrees(ideal) is not None]
+    ideals.append(_ideal(*GATE_CI))
+    ideals += [verification._random_ci_curve(Random(seed)) for seed in range(100, 140)]
+    assert len(ideals) == 148
+    differ = 0
+    for ideal in ideals:
+        mine, res = _resolved(minimal_free_resolution, ideal)
+        former, oracle = _resolved(_full_row_resolve, ideal)
+        assert mine == former
+        if res.differentials != oracle.differentials:
+            _assert_minimal_free_resolution(ideal, res)
+            differ += 1
+    assert differ, "no differential differs: the minimality check never ran"
+
+
 @pytest.mark.parametrize("patch, ideal, message", [
     ((GradedIdeal, "hilbert_function", lambda real: lambda self, k: real(self, k) + (k == 2)),
      SKEW, r"layer 1, degree 2: 4 determining rows against dimension 3"),
@@ -2117,8 +2144,9 @@ def test_koszul_certificate_holds_exactly_when_the_dimension_is_4_minus_r():
 def test_koszul_last_degrees_never_exceed_the_regularity_bound():
     """For a complete intersection of degrees d_1 >= ... >= d_r the sum of
     the L largest is at most regularity_bound() + L, since reg(S/I) =
-    sum(d_i - 1): the clamp on the Koszul last degree binds only on a wrong
-    bound, and no Koszul twist lies past the audit's bound."""
+    sum(d_i - 1): the minimum with the bound that gives the resolution's
+    reg binds only on a wrong bound, and no Koszul twist lies past the
+    audit's bound."""
     seen = 0
     for ideal in _resolution_cases():
         if not ideal.generators or ideal.is_unit_ideal():
@@ -2135,8 +2163,10 @@ def test_koszul_last_degrees_never_exceed_the_regularity_bound():
 
 
 def test_resolution_safety_margin_fires_on_an_underestimated_koszul_bound(monkeypatch):
-    """With every Koszul sum one too low, layer 2 of the gate's complete
-    intersection meets its degree-6 generator at the safety margin."""
+    """With the largest Koszul degree one too low, reg(S/I) = sum(d_i - 1)
+    reads one too low: 4 for the gate's complete intersection, whose layer
+    3 meets its degree-8 generator at the safety margin 4 + 3 + 1, and -1
+    for two variables, whose layer 1 meets its generators at degree 1."""
     real = resolution._koszul_degrees
 
     def one_too_low(ideal):
@@ -2145,10 +2175,10 @@ def test_resolution_safety_margin_fires_on_an_underestimated_koszul_bound(monkey
 
     monkeypatch.setattr(resolution, "_koszul_degrees", one_too_low)
     with pytest.raises(ResourceLimitError,
-                       match=r"^layer 2, degree 6: resolution generator found at the safety "
+                       match=r"^layer 3, degree 8: resolution generator found at the safety "
                              r"margin degree$"):
         minimal_free_resolution(_ideal(*GATE_CI))
-    with pytest.raises(ResourceLimitError, match=r"^layer 2, degree 2: .*safety margin degree$"):
+    with pytest.raises(ResourceLimitError, match=r"^layer 1, degree 1: .*safety margin degree$"):
         minimal_free_resolution(_ideal("z0", "z1"))
 
 

@@ -102,7 +102,7 @@ def test_parse_caps_the_terms_of_products_and_powers():
 
 
 def test_parse_caps_the_coefficient_bits_of_powers():
-    assert parsing.MAX_COEFFICIENT_BITS == 10_000
+    assert polyring.MAX_COEFFICIENT_BITS == 10_000
     for ok, big, n in (("2^10000*x", "2^10001*x", 10001),
                        ("(2*x)^10000", "(2*x)^10001", 10001),
                        ("(1/2*x)^10000", "(1/2*x)^10001", 10001),
@@ -501,6 +501,39 @@ def test_power_refuses_unbounded_work_quickly():
     # the parser refuses first, with its own message
     with pytest.raises(ResourceLimitError, match=r"^parsing, power \^1000: an estimated "):
         parse_polynomial("(x + y)^1000")
+
+
+@pytest.mark.parametrize("text, n, cap", [
+    ("12345*x", 714, None), ("12345*x", 715, "bits"),
+    ("1/2*x", 10_000, None), ("1/2*x", 10_001, "bits"),
+    ("x + 2^999*y", 10, None), ("x + 2^1000*y", 10, "bits"),
+    # (n + 1)^2 * 10n term products times bits: 9.97e8, then 1.003e9
+    ("x + 1000*y", 463, None), ("x + 1000*y", 464, "work"),
+    ("x + y", 1000, "work"),
+    ("x - y", 7, None), ("2/3*x*y - z^2", 5, None), ("x + y + z + t", 11, None),
+    ("0*x", 3, None), ("-1", 100_000_001, None),
+])
+def test_parsed_and_library_powers_apply_one_rule(text, n, cap):
+    """A power parsed and the same power taken with ** agree on both sides
+    of the coefficient-bit cap and of the work cap: equal results, or the
+    same refusal by polyring.check_power but for the stage it names."""
+    def outcome(make):
+        try:
+            return make(), None
+        except ResourceLimitError as exc:
+            return None, str(exc)
+
+    parsed, parse_error = outcome(lambda: parse_polynomial(f"({text})^{n}"))
+    powered, pow_error = outcome(lambda: parse_polynomial(text) ** n)
+    assert parsed == powered
+    if cap is None:
+        assert parse_error is None and pow_error is None
+        return
+    stage = f"parsing, power ^{n}: "
+    assert parse_error.startswith(stage)
+    assert pow_error == f"polynomial power ^{n}: " + parse_error[len(stage):]
+    assert parse_error[len(stage):].startswith(
+        "a coefficient may need" if cap == "bits" else "an estimated")
 
 
 def test_serialize_parse_identity_random():
