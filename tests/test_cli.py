@@ -478,8 +478,8 @@ def test_hilbert_refuses_a_degree_over_the_packing_cap_quickly(capsys, tmp_path)
 
 def test_hilbert_answers_a_high_power_in_a_mixed_generator_quickly(capsys, tmp_path):
     """The monomial-ideal recursions take z0^k in one step; x^500*y used to
-    recurse once per unit of the exponent and crash.  rao refuses the curve's
-    resolution bound instead."""
+    recurse once per unit of the exponent and crash.  rao refuses the last
+    degree of the curve's Betti table, power + 2, instead."""
     path = tmp_path / "plane.ideal"
     for power in (500, 100000000):
         path.write_text(f"x^{power}*y\nz\n")
@@ -493,7 +493,39 @@ def test_hilbert_answers_a_high_power_in_a_mixed_generator_quickly(capsys, tmp_p
         started = time.perf_counter()
         code, _, err = run(capsys, ["rao", str(path)])
         assert time.perf_counter() - started < 1
-        assert (code, err) == (2, f"error: truncation bound {power + 6} is too large\n")
+        assert (code, err) == (2, f"error: Betti table degree {power + 2} exceeds the cap 56\n")
+
+
+@pytest.mark.parametrize("text, degree", [
+    ("z0^30\nz1^31\n", 61), ("z0^28\nz1^29\n", 57), ("z0^2\nz0*z1\nz1^56\n", 57),
+    ("z0*z1\nz1*z2\nz2^55*z3\n", 57),
+])
+def test_rao_refuses_what_the_truncation_bound_refused(capsys, tmp_path, text, degree):
+    """Curves whose regularity_bound() + 6 exceeded 60, which the former
+    truncation bound refused, are refused by the last degree of their Betti
+    table, before any elimination.  z0^27, z1^29, at a truncation bound of
+    60 and a last degree of 56, is refused by neither."""
+    path = tmp_path / "curve.ideal"
+    path.write_text(text)
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["rao", str(path)])
+    assert time.perf_counter() - started < 2
+    assert (code, err) == (2, f"error: Betti table degree {degree} exceeds the cap 56\n")
+
+
+def test_rao_refuses_a_lead_table_over_the_lattice_cap_quickly(capsys, tmp_path):
+    """(z0, z1)^11 * (z2, z3)^11, two skew lines of multiplicity 66, has 144
+    monomial generators of degree 22 and an lcm lattice of 6084 elements;
+    its enumeration stops past 5000 elements with exit code 2, before any
+    elimination."""
+    path = tmp_path / "lines.ideal"
+    path.write_text("".join(f"z0^{i}*z1^{11 - i}*z2^{j}*z3^{11 - j}\n"
+                            for i in range(12) for j in range(12)))
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["rao", str(path)])
+    assert time.perf_counter() - started < 5
+    assert code == 2 and re.fullmatch(
+        r"error: lead Betti table: (\d+) lcm lattice elements exceed the cap 5000\n", err)
 
 
 def test_hilbert_refuses_a_groebner_basis_over_the_work_cap_quickly(capsys, tmp_path):

@@ -55,9 +55,14 @@ from folcurves.resolution import (
     minimal_free_resolution,
     rao_module_dimensions,
 )
+from eager_resolution import _alternating_sum_mismatch
 from tuple_monomials import ONE_MONO, degrevlex_key, mono_degree, mono_mul
 
 SKEW = ["z0*z2", "z0*z3", "z1*z2", "z1*z3"]
+# the largest ideal the acceptance gate resolves: a complete intersection of
+# degrees 3, 2, 3 with regularity_bound 8 and regularity 5
+GATE_CI = ["2*z0*z1^2 + 3*z0^2*z2 - 2*z1*z2^2 - z1^2*z3", "2*z0^2 + 3*z1^2 - 2*z0*z2 - z3^2",
+           "-z0*z1*z2 - z1*z2^2 - 3*z0*z1*z3"]
 
 
 # The monomial operations on exponent tuples that polyring and groebner had
@@ -403,14 +408,45 @@ def test_resolution_of_four_forms_with_a_large_layer_3_image_check():
     assert P.degree() == 0 and P(0) == 6
 
 
-@pytest.mark.parametrize("gens, where", [
-    (["z0^2 + z1*z2 - z3^2", "z0*z1 + z2^2 - z0*z3"], "layer 2, degree 4"),
-    (SKEW, "layer 1, degree 2"),
-], ids=["quadrics", "skew-lines"])
-def test_resolution_safety_margin_fires_on_an_underestimated_bound(monkeypatch, gens, where):
-    true_bound = GradedIdeal.regularity_bound
-    monkeypatch.setattr(GradedIdeal, "regularity_bound", lambda self: true_bound(self) - 1)
-    with pytest.raises(ResourceLimitError, match=f"^{where}: .*safety margin degree"):
+def _one_lower(entry):
+    """A wrapper of lead_betti whose tables have beta at entry one lower,
+    and no entry where that leaves 0."""
+    def wrap(real):
+        return lambda lead: tuple((key, n - (key == entry)) for key, n in real(lead)
+                                  if n - (key == entry))
+    return wrap
+
+
+def _first_koszul_degree_one_lower(real):
+    def koszul(ideal):
+        degrees = real(ideal)
+        return degrees and [degrees[0] - 1] + degrees[1:]
+    return koszul
+
+
+@pytest.mark.parametrize("gens, patch, message", [
+    (["z0^2 + z1*z2 - z3^2", "z0*z1 + z2^2 - z0*z3"],
+     ("_koszul_degrees", _first_koszul_degree_one_lower), "layer 1, degree 2: 2 generators, "
+                                                           "more than the Betti table's 1"),
+    (SKEW, ("lead_betti", _one_lower((1, 2))),
+     "layer 1, degree 2: 4 generators, more than the Betti table's 3"),
+    (GATE_CI, ("_koszul_degrees", _first_koszul_degree_one_lower),
+     "layer 1, degree 3: 2 generators, more than the Betti table's 1"),
+    (["z0", "z1"], ("_koszul_degrees", _first_koszul_degree_one_lower),
+     "layer 1, degree 1: 2 generators, more than the Betti table's 1"),
+    (SKEW, ("lead_betti", _one_lower((3, 4))),
+     "all layers, degree 4: K-polynomial coefficient 0 against -1 in the Hilbert numerator"),
+], ids=["quadrics", "skew-lines", "gate-ci", "two-variables", "skew-lines-top-layer"])
+def test_resolution_refuses_a_generator_its_table_rules_out(monkeypatch, gens, patch, message):
+    """A Betti table that underestimates beta(I), here by one in an entry,
+    the one of a complete intersection's Koszul complex with its largest
+    degree one too low, or beta(in I) with an entry one lower, is found
+    out.  A generator in a degree the table has too few for raises
+    CrossCheckFailureError naming the layer and degree; a degree the table
+    leaves out is never visited, and the K-polynomial audit names it."""
+    name, wrap = patch
+    monkeypatch.setattr(resolution, name, wrap(getattr(resolution, name)))
+    with pytest.raises(CrossCheckFailureError, match=f"^{re.escape(message)}$"):
         minimal_free_resolution(_ideal(*gens))
 
 
@@ -1521,20 +1557,16 @@ def _regb_minimal_free_resolution(ideal: GradedIdeal) -> FreeResolution:
     return res
 
 
-# the largest ideal the acceptance gate resolves: a complete intersection of
-# degrees 3, 2, 3 with regularity_bound 8 and regularity 5
-GATE_CI = ["2*z0*z1^2 + 3*z0^2*z2 - 2*z1*z2^2 - z1^2*z3", "2*z0^2 + 3*z1^2 - 2*z0*z2 - z3^2",
-           "-z0*z1*z2 - z1*z2^2 - 3*z0*z1*z3"]
-
-
 def _resolved(resolve, ideal):
-    """((twists, bound), the resolution), or ((the type and message of the
-    error raised), None)."""
+    """(the twists, the resolution), or (the type of the error raised,
+    None).  The bound and the refusals' messages are left out: the former
+    loops bound their audit by regularity_bound() + 6 and refuse on it,
+    where the resolution reads both off the Betti table that schedules it."""
     try:
         res = resolve(ideal)
     except (ValueError, ResourceLimitError) as exc:
-        return (type(exc), str(exc)), None
-    return (res.twists, res.bound), res
+        return type(exc), None
+    return res.twists, res
 
 
 def _assert_minimal_free_resolution(ideal, res):
@@ -1605,8 +1637,8 @@ def _resolution_cases():
 
 
 def test_resolution_layers_match_the_former_loop_exactly():
-    """Stopping each layer at its last degree changes no twist, no bound
-    and no error.  The differentials may differ from the former loop's,
+    """Scheduling each layer from the Betti table changes no twist and no
+    kind of error.  The differentials may differ from the former loop's,
     which kept the first independent candidates where the new generators
     now sit at the free rows of the image; each is checked to be a minimal
     free resolution of S/I instead."""
@@ -1624,73 +1656,97 @@ def test_resolution_layers_match_the_former_loop_exactly():
 
 def _layer_degrees(monkeypatch, ideal):
     """The degrees each layer visits while ideal is resolved, and the pairs
-    (L, e) where a degree matrix of d_L is built.  Each layer reads
-    ideal.hilbert_function once per degree it visits, for its kernel
-    dimension: degrees rise within a layer, and each layer starts at its
-    smallest source twist, below where the layer before ended.  The final
-    dimension audit reads degrees 0..bound last; they are dropped.  A
-    matrix built is of the degree read last."""
-    degrees, built = [], []
+    (L, e) where a degree matrix of d_L is built during it.  Each layer
+    reads ideal.hilbert_function once per degree it visits, for its kernel
+    dimension, and nothing else reads it; layer L reads it while the
+    resolution holds L twist lists.  The degree of a matrix is read off its
+    first column key."""
+    made, reads, built = [], [], []
     with monkeypatch.context() as m:
         real_hilbert, real_matrix = GradedIdeal.hilbert_function, resolution._degree_matrix
+        m.setattr(resolution, "FreeResolution",
+                  lambda **fields: made.append(FreeResolution(**fields)) or made[-1])
         m.setattr(GradedIdeal, "hilbert_function",
-                  lambda self, k: degrees.append(k) or real_hilbert(self, k))
+                  lambda self, k: reads.append((len(made[-1].twists), k)) or real_hilbert(self, k))
         m.setattr(resolution, "_degree_matrix",
                   lambda columns, basis, rows: built.append(
-                      (columns, degrees[-1])) or real_matrix(columns, basis, rows))
+                      (columns, basis[0])) or real_matrix(columns, basis, rows))
         res = minimal_free_resolution(ideal)
-    layers = [[degrees[0]]]
-    for previous, e in zip(degrees, degrees[1:]):
-        if e < previous:
-            layers.append([])
-        layers[-1].append(e)
-    assert layers[-1] == list(range(res.bound + 1))
-    pieces = {(1 + [id(d) for d in res.differentials].index(id(columns)), e)
-              for columns, e in built}
-    return res, layers[:-1], pieces
+    layers = [[e for layer, e in reads if layer == L] for L in range(1, res.length() + 1)]
+    assert reads == [(L, e) for L, degrees in enumerate(layers, 1) for e in degrees]
+    return res, layers, {_piece(res, columns, key) for columns, key in built}
+
+
+def _piece(res, columns, key):
+    """(L, e) for a degree matrix of d_L, columns, whose first column key
+    is key = (slot, m): m has degree e + b for the twist b of that slot."""
+    layer = 1 + [id(d) for d in list.__iter__(res.differentials)].index(id(columns))
+    slot, m = key
+    return layer, polyring.mono_degree(m) - res.twists[layer][slot]
 
 
 def test_resolution_layers_stop_one_degree_past_their_last_degree(monkeypatch):
-    """On the gate's complete intersection of degrees 3, 2, 3 the Koszul
-    complex gives reg(S/I) = 2 + 1 + 2 = 5, below regularity_bound() = 8,
-    so the last degrees are 3 (the largest generator), then reg + L = 7, 8
-    and 9, not regb + L = 10, 11, 12.  Each layer with generators builds its
-    differential d_L in the degree past its last; the next layer builds d_L
-    only in degrees layer L never reached, so that matrix is layer L's
-    image check."""
+    """Layer L visits degree e only where the Betti table that schedules it
+    has beta_(L,e) + beta_(L+1,e) > 0, and layer 1 stops one degree past the
+    largest given generator degree.  The gate's complete intersection of
+    degrees 3, 2, 3 is scheduled by its Koszul complex, its own table: layer
+    1 visits 2 and 3, layer 2 visits 5, 6 and 8, layer 3 visits 8, where the
+    former loop visited 0..4, 2..8, 5..9 and 8..10, regularity_bound() being
+    8.  The skew lines' lead ideal is their ideal, and the legendrian sample
+    of degree 3 has a lead table with beta_(1,5) = 1 that I has not.  Each
+    layer with generators builds its differential d_L in the degrees it
+    visits past its first generator.  The legendrian's layer-2 generator of
+    degree 2d = 6 lies past layer 1's stop, 5, and is counted but not built:
+    no matrix of d_1 in degree 6 is made until differentials[1] is read."""
     ideal = _ideal(*GATE_CI)
     assert ideal.regularity_bound() == 8
     res, layers, built = _layer_degrees(monkeypatch, ideal)
     assert res.betti() == [[0, [0]], [1, [-3, -3, -2]], [2, [-6, -5, -5]], [3, [-8]]]
-    assert [max(layer) for layer in layers] == [4, 8, 9, 10]
-    assert [min(layer) for layer in layers] == [0, 2, 5, 8]
-    assert {(1, 4), (2, 8), (3, 9)} <= built
-    # a non-complete intersection keeps regb + L above layer 1
-    res, layers, built = _layer_degrees(monkeypatch, _ideal(*SKEW))
-    assert resolution._koszul_degrees(_ideal(*SKEW)) is None
-    assert [max(layer) for layer in layers] == [3, 4, 5, 6]
-    assert {(1, 3), (2, 4), (3, 5)} <= built
+    assert layers == [[2, 3], [5, 6, 8], [8]] and res.bound == 8
+    assert {(1, 3), (2, 6), (2, 8)} <= built
+    # a non-complete intersection is scheduled by its lead ideal's table
+    ideal = _ideal(*SKEW)
+    res, layers, built = _layer_degrees(monkeypatch, ideal)
+    assert resolution._koszul_degrees(ideal) is None
+    assert dict(resolution.lead_betti(ideal._packed_lead())) == {
+        (0, 0): 1, (1, 2): 4, (2, 3): 4, (3, 4): 1}
+    assert layers == [[2, 3], [3, 4], [4]] and res.bound == 4
+    assert built == {(1, 3), (2, 4)}
+    ideal = legendrian_sample(3, Random(0)).ideal
+    res, layers, built = _layer_degrees(monkeypatch, ideal)
+    assert dict(resolution.lead_betti(ideal._packed_lead())) == {
+        (0, 0): 1, (1, 4): 5, (1, 5): 1, (2, 5): 5, (2, 6): 1, (3, 6): 1}
+    assert res.betti() == [[0, [0]], [1, [-4] * 5], [2, [-6] + [-5] * 4], [3, [-6]]]
+    assert layers == [[4, 5], [5, 6], [6]] and res.bound == 6
+    assert built == {(1, 5), (2, 6)}
+    with monkeypatch.context() as m:
+        m.setattr(resolution, "_degree_matrix",
+                  lambda columns, basis, rows: built.add(_piece(res, columns, basis[0]))
+                  or _degree_matrix(columns, basis, rows))
+        res.differentials[1]
+    assert built == {(1, 5), (2, 6), (1, 6)}
 
 
 def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkeypatch):
     """The image check of layer L in degree e eliminates the degree-e piece
     of d_L once, and layer L + 1 takes its kernel: no piece, identified by
-    its row keys and its degree, is built twice, and each matrix built goes
-    through one kernel_of_columns call and no other.  The free rows are read
-    off that elimination's echelon form: the resolution inserts no vector
-    into any Echelon.  In a degree the layer below never reached, layer L
-    builds d_(L-1) on the free columns only, the free rows of its image
-    check of d_L, and each vector of its kernel there is a new generator.
-    The insert recorder is live: the Rao ranks of the last ideal, which
-    insert into Echelons, are seen to insert."""
-    built, eliminated, inserts = [], [], []
-    degrees = []  # the degree of each target the layers read, as _layer_degrees
-    real_matrix, real_kernel = resolution._degree_matrix, resolution.kernel_of_columns
-    real_insert, real_hilbert = Echelon.insert, GradedIdeal.hilbert_function
+    its layer, degree and row keys, is built twice, and each matrix built
+    goes through one kernel_of_columns call and no other.  The free rows
+    are read off that elimination's echelon form: the resolution inserts no
+    vector into any Echelon.  In a degree layer 1 never reached, layer 2
+    counts its generators and defers their columns; each such piece of d_1
+    is built once, on the free columns only, the free rows of layer 2's
+    image check of d_2 there, when a later image check of layer 2 or a read
+    of differentials[1] first needs it, and each vector of its kernel is a
+    new generator.  The insert recorder is live: the Rao ranks of the last
+    ideal, which insert into Echelons, are seen to insert."""
+    built, eliminated, inserts, kernels = [], [], [], {}
+    real_matrix, real_kernel, real_insert = (resolution._degree_matrix,
+                                             resolution.kernel_of_columns, Echelon.insert)
 
     def record_matrix(columns, basis, rows):
         out = real_matrix(columns, basis, rows)
-        built.append(((tuple(rows), degrees[-1]), out, columns, len(degrees)))
+        built.append((columns, basis[0], tuple(rows), out))
         return out
 
     def record_kernel(columns, ech=None):
@@ -1706,39 +1762,34 @@ def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkey
     monkeypatch.setattr(resolution, "_degree_matrix", record_matrix)
     monkeypatch.setattr(resolution, "kernel_of_columns", record_kernel)
     monkeypatch.setattr(Echelon, "insert", record_insert)
-    monkeypatch.setattr(GradedIdeal, "hilbert_function",
-                        lambda self, k: degrees.append(k) or real_hilbert(self, k))
     ideals = [_ideal(*GATE_CI), _ideal(*SKEW), legendrian_sample(3, Random(0)).ideal]
-    counts, unreached = [], 0
+    counts = []
     for ideal in ideals:
         built.clear()
         eliminated.clear()
-        degrees.clear()
-        kernels = {}
         res = minimal_free_resolution(ideal)
-        keys = [key for key, *_ in built]
-        assert len(keys) == len(set(keys)), "a degree piece of a differential was built twice"
-        assert sorted(map(id, eliminated)) == sorted(id(matrix) for _, matrix, *_ in built)
+        during = len(built)
+        assert res.composition_ok()  # reads every differential
+        pieces = [(*_piece(res, columns, key), rows) for columns, key, rows, _ in built]
+        assert len(pieces) == len(set(pieces)), "a degree piece of a differential was built twice"
+        assert sorted(map(id, eliminated)) == sorted(id(matrix) for *_, matrix in built)
         # an image check with no generators yet builds no matrix
-        assert res.composition_ok() and all(matrix for _, matrix, *_ in built)
+        assert all(matrix for *_, matrix in built)
         assert inserts == []
-        # the layer of each matrix: degrees fall where a layer starts
-        layer_at = [1]
-        for previous, e in zip(degrees, degrees[1:]):
-            layer_at.append(layer_at[-1] + (e < previous))
-        for (_, e), matrix, columns, read in built:
-            d = 1 + [id(c) for c in res.differentials].index(id(columns))
-            if d == layer_at[read - 1] - 1:  # layer L builds d_(L-1): never reached there
-                assert kernels[id(matrix)] == res.twists[d + 1].count(-e) > 0, (d, e)
-                # the free columns: dim (F_(L-1))_e less the rank of the image
-                # check of d_L in that degree, if it built a matrix
-                rank = sum(len(image) - kernels[id(image)] for _, image, image_columns, at
-                           in built if at == read and image_columns is res.differentials[d])
-                assert len(matrix) == res.layer_dimension(d, e) - rank, (d, e)
-                unreached += 1
-        counts.append(len(built))
-    assert counts == [8, 3, 6]
-    assert unreached, unreached
+        deferred = [(e, matrix) for (layer, e, _), (*_, matrix) in zip(pieces, built)
+                    if layer == 1 and e > ideal.max_generator_degree() + 1]
+        for e, matrix in deferred:
+            assert kernels[id(matrix)] == res.twists[2].count(-e) > 0, e
+            # the free columns: dim (F_1)_e less the rank of the image check
+            # of d_2 in that degree, if it built a matrix
+            rank = sum(len(image) - kernels[id(image)] for (layer, d, _), (*_, image)
+                       in zip(pieces, built) if (layer, d) == (2, e))
+            assert len(matrix) == res.layer_dimension(1, e) - rank, e
+        counts.append((during, len(built), len(deferred)))
+    # the gate's deferred pieces, of degrees 5 and 6, are built by layer 2's
+    # image checks in degrees 6 and 8; the legendrian's, of degree 6, only
+    # by the read
+    assert counts == [(5, 5, 2), (2, 2, 0), (2, 3, 1)]
     rao_module_dimensions(ideals[-1])
     assert inserts
 
@@ -1857,7 +1908,7 @@ def _full_row_resolve(ideal: GradedIdeal) -> FreeResolution:
         res.twists.append(twists)
         res.differentials.append(columns)
 
-    mismatch = res._alternating_sum_mismatch(ideal.hilbert_function)
+    mismatch = _alternating_sum_mismatch(res, ideal.hilbert_function)
     if mismatch is not None:
         e, total, expected = mismatch
         raise ResourceLimitError(
@@ -1882,7 +1933,7 @@ def _full_row_resolve(ideal: GradedIdeal) -> FreeResolution:
 
 
 def test_resolution_over_determining_rows_matches_the_full_row_oracle(monkeypatch):
-    """Eliminating over determining rows changes no twist, no bound and no
+    """Eliminating over determining rows changes no twist and no kind of
     error, on the rao pool, legendrian samples of degree 2 to 6, the gate's
     complete intersection, two skew lines and random ideals.  The oracle
     keeps the first independent candidates, and the resolution takes its
@@ -1914,12 +1965,12 @@ def test_resolution_over_determining_rows_matches_the_full_row_oracle(monkeypatc
 
 
 def test_complete_intersections_stop_as_the_former_koszul_loop_did():
-    """A complete intersection's layers stop at reg + L with reg =
-    sum(d_i - 1), where the former loop stopped layer L at the sum of the L
-    largest d_i; _full_row_resolve keeps that rule.  On the certified draws
+    """A complete intersection's layers visit only the degrees of its
+    Koszul complex's Betti table, where the former loop stopped layer L at
+    the sum of the L largest d_i; _full_row_resolve keeps that rule.  On the certified draws
     among 150 of _random_ideal(Random(5), 4, 3), the gate's complete
-    intersection and 40 complete-intersection curves the twists and the
-    bound are the same.  Where a layer now reaches a degree through the
+    intersection and 40 complete-intersection curves the twists are the
+    same.  Where a layer now reaches a degree through the
     kernel that the layer below took, the differentials may differ; each
     such resolution is checked to be a minimal free resolution of S/I."""
     rng = Random(5)
@@ -2162,26 +2213,6 @@ def test_koszul_last_degrees_never_exceed_the_regularity_bound():
     assert seen >= 90
 
 
-def test_resolution_safety_margin_fires_on_an_underestimated_koszul_bound(monkeypatch):
-    """With the largest Koszul degree one too low, reg(S/I) = sum(d_i - 1)
-    reads one too low: 4 for the gate's complete intersection, whose layer
-    3 meets its degree-8 generator at the safety margin 4 + 3 + 1, and -1
-    for two variables, whose layer 1 meets its generators at degree 1."""
-    real = resolution._koszul_degrees
-
-    def one_too_low(ideal):
-        degrees = real(ideal)
-        return [degrees[0] - 1] + degrees[1:]
-
-    monkeypatch.setattr(resolution, "_koszul_degrees", one_too_low)
-    with pytest.raises(ResourceLimitError,
-                       match=r"^layer 3, degree 8: resolution generator found at the safety "
-                             r"margin degree$"):
-        minimal_free_resolution(_ideal(*GATE_CI))
-    with pytest.raises(ResourceLimitError, match=r"^layer 1, degree 1: .*safety margin degree$"):
-        minimal_free_resolution(_ideal("z0", "z1"))
-
-
 @pytest.mark.parametrize("gens, change, message", [
     (GATE_CI, lambda twists: twists[3].pop(),
      r"layer 3: twists \[\] differ from the Koszul twists \[-8\] "),
@@ -2195,16 +2226,16 @@ def test_resolution_safety_margin_fires_on_an_underestimated_koszul_bound(monkey
         "extra-layer"])
 def test_koszul_cross_check_names_the_layer_that_lost_a_generator(
         monkeypatch, gens, change, message):
-    """A resolution that passes the dimension audit and then loses or gains
-    a generator fails the check against the Koszul complex."""
-    real = FreeResolution._alternating_sum_mismatch
+    """A resolution that passes the K-polynomial audit and then loses or
+    gains a generator fails the check against the Koszul complex."""
+    real = FreeResolution._k_polynomial
 
-    def audit_then_change(self, hilbert_function):
-        mismatch = real(self, hilbert_function)
+    def audit_then_change(self):
+        kpoly = real(self)
         change(self.twists)
-        return mismatch
+        return kpoly
 
-    monkeypatch.setattr(FreeResolution, "_alternating_sum_mismatch", audit_then_change)
+    monkeypatch.setattr(FreeResolution, "_k_polynomial", audit_then_change)
     ideal = _ideal(*gens)
     degrees = re.escape(str(resolution._koszul_degrees(ideal)))
     with pytest.raises(CrossCheckFailureError,
@@ -2213,14 +2244,15 @@ def test_koszul_cross_check_names_the_layer_that_lost_a_generator(
 
 
 def test_resolution_dimension_audit_names_its_degree(monkeypatch):
-    """H(6) of a line is read only by the final audit; one off there is
-    reported with the degree, the alternating sum and H(6)."""
-    real = GradedIdeal.hilbert_function
-    monkeypatch.setattr(GradedIdeal, "hilbert_function",
-                        lambda self, k: real(self, k) + (k == 6))
-    with pytest.raises(ResourceLimitError,
-                       match=r"^all layers, degree 6: resolution dimension audit failed, "
-                             r"alternating sum 7 against H\(6\) = 8$"):
+    """The t^6 coefficient of a line's Hilbert numerator is read only by the
+    final audit, which compares the K-polynomial of the twists with the
+    whole numerator; one off there is reported with the degree and both
+    coefficients."""
+    real = GradedIdeal.hilbert_numerator
+    monkeypatch.setattr(GradedIdeal, "hilbert_numerator", lambda self: {**real(self), 6: 1})
+    with pytest.raises(CrossCheckFailureError,
+                       match=r"^all layers, degree 6: K-polynomial coefficient 0 against 1 "
+                             r"in the Hilbert numerator$"):
         minimal_free_resolution(_ideal("z0", "z1"))
 
 
