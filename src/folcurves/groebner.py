@@ -40,12 +40,15 @@ conjecture, and no pair is skipped this way.  The argument holds over any
 field.
 
 hilbert_numerator tries two routes in turn.  Once a basis exists, its
-lead ideal answers.  Before one exists, a complete intersection of up to
-three forms is certified on a hyperplane section over a prime field
-(folcurves.section, imported on the first query that tries it), and when
-that certifies nothing the lead ideal of a basis of renamed generators
-answers: the variable in the most terms becomes z3, the others follow in
-ascending count of terms, ties by index, and the identity renames nothing.
+lead ideal answers.  Before one exists, up to three forms are certified on
+a hyperplane section over a prime field (folcurves.section, imported on
+the first query that tries it): a complete intersection by the Koszul
+bound, and three forms in a coordinate line ideal by a Buchsbaum-Rim
+bound, each on a second plane when the first misses.  When that certifies
+nothing the lead ideal of a basis of renamed generators answers: the
+variable in the most terms becomes z3, the others follow in ascending
+count of terms, ties by index, and the identity renames nothing;
+monomials are their own lead ideal, with no basis to compute.
 A renaming of the variables is a graded automorphism of S, so the renamed
 ideal has the Hilbert series of I, but not its cost: degrevlex treats its
 last variable apart (Bayer and Stillman, Invent. Math. 87, 1987), and with
@@ -56,12 +59,12 @@ needs the basis after Hilbert data takes the basis first (as resolution's
 rao_module_dimensions, the wedge command with --rao and
 forms.legendrian_sample do), so no ideal runs Buchberger twice.  On a
 2-vCPU x86_64 machine under Python 3.11, Buchberger on the 31 hilbert-pool
-ideals the section does not certify took 0.14 s before the renaming and
-0.11 s after it (-20% to -24% over three runs).  On 60 uncertified draws
-of the pool's generator from a seed apart from the pool's it took 0.30 s
-against 0.22 s (-26% to -27% over three runs), 44 of them faster, the
-per-ideal time ratio 0.46, 0.78 and 1.12 at p10, p50 and p90, the worst
-1.46.  On 60 uncertified ideals of 1-5 forms of degree 2 or 3 holding
+ideals the Koszul bound on the first plane does not certify took 0.14 s
+before the renaming and 0.11 s after it (-20% to -24% over three runs).
+On 60 such draws of the pool's generator from a seed apart from the
+pool's it took 0.30 s against 0.22 s (-26% to -27% over three runs), 44 of
+them faster, the per-ideal time ratio 0.46, 0.78 and 1.12 at p10, p50 and
+p90, the worst 1.46.  On 60 uncertified ideals of 1-5 forms of degree 2 or 3 holding
 about half, 85% or all of the monomials of their degree, the median time
 ratio over 21 interleaved passes was 0.95, 0.98 and 0.97 (the last
 renames nothing: its counts are even).
@@ -98,12 +101,12 @@ DEFAULT_PAIR_CAP = 100_000
 # one call; past it no more pairs are skipped in the call, so a pair of huge
 # degree (z0*z1 and z1^(10^8)) is not preceded by a walk through every degree
 # below it.  The largest any hilbert-pool ideal walks is 1008 on its own
-# variables, 864 on the renamed ones of hilbert_numerator and 64 on the section.
+# variables, 288 on the renamed ones of hilbert_numerator and 69 on the section.
 MAX_STANDARD_WALK = 20_000
 # Most heap pops the divisions of one _groebner_elements call may make, of
 # its generators and S-polynomials together.  The largest any shipped test,
 # demo or benchmark input makes is 3901 (a degree-7 legendrian sample of the
-# tests); a hilbert-pool ideal makes at most 2098 on its own variables, 2072
+# tests); a hilbert-pool ideal makes at most 2098 on its own variables, 1997
 # on the renamed ones of hilbert_numerator and 246 on the section.  On a
 # 2-vCPU x86_64 machine under Python 3.11, (x+y+z)^40, (x+y+t)^40,
 # (y+z+t)^39*x reaches the cap in about 0.2 s in either order; it ran past
@@ -313,7 +316,7 @@ def _next_standard(standard, leads):
 
 
 def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bool = False,
-                       divide=_divide, element=_basis_element):
+                       divide=_divide, element=_basis_element, bound=None):
     """A degrevlex Groebner basis of the ideal, as primitive integer basis
     elements with pairwise distinct leads; neither minimal nor reduced.  The
     unit ideal gives [(0, 1, [])] (0 packs the monomial 1), the zero ideal
@@ -326,15 +329,17 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
     reached: a new element's lead has the current degree and no earlier
     lead divides it, so its pairs all have higher lcm degrees.  So a pair
     still waits exactly when it comes after the current one, which the
-    chain criterion reads.  With at most four nonzero generators, the rest
-    of a degree is dropped at once when the Hilbert bound shows that it
-    reduces to zero (see the module docstring); the bound is
-    _ci_hilbert_function of the _ci_numerator of the kept generators'
-    degrees, computed once per call.
+    chain criterion reads.  The rest of a degree is dropped at once when
+    the Hilbert bound shows that it reduces to zero (see the module
+    docstring): _ci_hilbert_function of the numerator bound, a lower bound
+    for HS(S/I) * (1-t)^4 that the section passes.  None takes the
+    _ci_numerator of the kept generators' degrees when there are at most
+    four, and no bound with more.
 
     At the first finished degree whose standard monomials outnumber the
-    bound, which shows I is no complete intersection of the kept
-    generators, the walk stops, or with give_up the call returns None.
+    bound, which shows that I does not meet it (with None, that I is no
+    complete intersection of the kept generators), the walk stops, or with
+    give_up the call returns None.
 
     Raises ResourceLimitError when more than pair_cap pairs are processed
     (skipped and pruned pairs count), an S-polynomial that no criterion
@@ -368,9 +373,10 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
 
     for e in basis:
         add_lead(e[0])
-    # the bound takes the kept generators: they generate I, and are no more
-    numerator = _ci_numerator(mono_degree(m) for m in lead) if len(gens) <= 4 else None
-    standard, std_degree, bound = {0}, 0, None  # standard monomials of std_degree
+    if bound is None and len(gens) <= 4:
+        # the kept generators: they generate I, and are no more
+        bound = _ci_numerator(mono_degree(m) for m in lead)
+    standard, std_degree, least = {0}, 0, None  # standard monomials of std_degree
     walked = 0
     processed = 0
     while waiting:
@@ -383,18 +389,18 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
             if processed > pair_cap:
                 raise ResourceLimitError(
                     f"buchberger, degree {degree}: pair cap {pair_cap} exceeded")
-            if numerator is not None:
+            if bound is not None:
                 while std_degree < degree and walked <= MAX_STANDARD_WALK:
-                    if bound is not None and len(standard) > bound:
+                    if least is not None and len(standard) > least:
                         if give_up:
                             return None
-                        numerator = None  # the walk stops; no later pair is skipped
+                        bound = None  # the walk stops; no later pair is skipped
                         break
                     walked += len(standard)
                     std_degree += 1
                     standard = _next_standard(standard, leads_of_degree.get(std_degree, ()))
-                    bound = _ci_hilbert_function(numerator, std_degree)
-                if std_degree == degree and len(standard) == bound:
+                    least = _ci_hilbert_function(bound, std_degree)
+                if std_degree == degree and len(standard) == least:
                     # the leads span in(I)_degree: the rest of the degree reduces to zero
                     processed += len(pairs)
                     if processed > pair_cap:
@@ -531,7 +537,11 @@ def _renamed_lead(generators) -> tuple:
     (see the module docstring): the variable in the most terms becomes z3,
     the others follow in ascending count of terms, ties by index.  A
     renaming keeps the Hilbert series, not the lead ideal; the identity
-    renames nothing."""
+    renames nothing.  Generators of one term each are their own lead
+    ideal: they come back minimalized, not renamed, and no Buchberger
+    runs."""
+    if all(len(g._cleared[1]) == 1 for g in generators):
+        return _minimalize(m for g in generators for m in g._cleared[1])
     # each term adds one to the field of every variable it has, at the guard
     # bit: shifted down, the sum packs the count of terms of each variable
     packed = sum(_nonzero_fields(m) for g in generators for m in g._cleared[1]) >> 31

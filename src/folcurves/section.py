@@ -1,49 +1,78 @@
-"""Complete intersections certified on a hyperplane section, over F_P.
+"""Hilbert numerators certified on a hyperplane section, over F_P.
 
 Hilbert data of up to three forms mostly come without a basis in four
 variables; a generic linear section keeps them (Bayer and Stillman,
-Invent. Math. 87, 1987).  Take l = z0 + 2*z1 + 3*z2: the hyperplane
-z3 = l holds no coordinate point.  _section_numerator cuts each form f_i
-to f_i(z0, z1, z2, l), a form in z0..z2, and runs Buchberger on the cut
-forms and z3.  These generate the image of I + (z3 - l) under the change
-of coordinates z3 -> z3 + l, so the two ideals have one Hilbert series.
-When it is the complete-intersection series of the degrees d_1, ..., d_r,
-1, the answer is certified in three lines:
-  - f_1, ..., f_r, z3 - l generate an ideal of height r + 1 (as in
-    resolution._koszul_degrees), so they are a regular sequence;
-  - a homogeneous regular sequence of positive degrees stays regular in
-    any order, so f_1, ..., f_r is one;
-  - so HS(S/I) = prod(1 - t^d_i) / (1 - t)^4.
-Otherwise groebner's four-variable route answers.  With z3 among its
-generators the certifying run walks only standard monomials in z0..z2; it
-gives up at the first finished degree where they outnumber H_CI, which
-shows that the cut forms are no regular sequence.  Forms above
-MAX_SECTION_DEGREE are never cut: a sparse form turns dense on the
-section.  Nor are r forms that all vanish on a coordinate subspace
-z_A = 0 with |A| < r, which their exponents show: their ideal has height
-at most |A|, so they are no regular sequence.
+Invent. Math. 87, 1987).  For a plane z3 = l of PLANES, the first
+l = z0 + 2*z1 + 3*z2, _section_numerator cuts each form f_i to
+f_i(z0, z1, z2, l), a form in z0..z2, and runs Buchberger on the cut forms
+and z3.  These generate the image of I + (z3 - l) under the change of
+coordinates z3 -> z3 + l, so the two ideals have one Hilbert series.
+
+The run certifies a lower bound B(d) <= H(S/I)(d), B = N(t) / (1-t)^4, of
+one of two kinds:
+  - the Koszul bound, N = prod(1 - t^d_i), for forms of degrees d_i (see
+    groebner: the rank of the map onto I_d only drops under specialization,
+    and up to four generic forms are a regular sequence);
+  - the line bound, for three forms in a coordinate line ideal
+    P = (z_a, z_b).  Write f_i = z_a*a_i + z_b*b_i, C = (2, d1, d2, d3) and
+    s = d1 + d2 + d3.  P/I is the cokernel of
+    [[-z_b, a_1, a_2, a_3], [z_a, b_1, b_2, b_3]] from
+    S(-2) + S(-d1) + S(-d2) + S(-d3) to S(-1)^2.  When the maximal minors
+    have codimension 3, the Buchsbaum-Rim complex
+    0 -> S(1-s)^2 -> sum of S(2 - sum T) over the 3-subsets T of C -> ...
+    resolves P/I (Buchsbaum and Rim, Trans. AMS 111, 1964; Eisenbud,
+    Commutative Algebra, GTM 150, A2.6), so HS(S/P) + HS(P/I) has
+    N = (1-t)^2 + 2t - sum_(c in C) t^c + sum_T t^(sum T - 2) - 2t^(s-1).
+    Off the line z_a = z_b = 0 the minors vanish exactly on V(I), and on it
+    where the 2x2 minors of the a_i, b_i do; for generic a_i, b_i both
+    sets are finite.  So the generic triple of these degrees in P has
+    codimension 3, and by the same semicontinuity B bounds every triple.
+Three forms with one such line and none smaller take the line bound; any
+other r forms whose exponents show a subspace z_A = 0, |A| < r, on which
+all of them vanish are no regular sequence and take groebner's exact
+route uncut.  These are forms with a common variable factor and forms in
+two coordinate line ideals, whose curves hold two lines (Hilbert
+polynomial 2t + c).
+
+One sandwich proves either certificate.  Let J be the ideal over Q of the
+integer cut forms (each form's cleared integer terms, cut) and z3, J_P
+that of their residues mod P, and L the ideal of the leads the run
+computes.  In every degree d:
+  - H(S/I)(d) <= sum_(e <= d) H(S/J)(e), since multiplication by z3 - l
+    maps (S/I)_(e-1) to (S/I)_e with cokernel (S/(I + (z3 - l)))_e;
+  - H(S/J)(e) <= H(S/J_P)(e): J_e is spanned by the monomial multiples of
+    the generators, and a minor of their integer coefficient matrix that
+    is nonzero mod P is nonzero over Q (the one-sided fact behind modular
+    Groebner methods; Arnold, J. Symbolic Comput. 35, 2003);
+  - H(S/J_P)(e) <= H(S/L)(e), since L lies in in(J_P).
+When L has the numerator N(1-t), the sum of its Hilbert function up to d
+is B(d), so B(d) <= H(S/I)(d) <= B(d) and the answer is N.  Nothing here
+asks the run to skip soundly: a Hilbert skip on a bad bound drops leads,
+which the last step allows.  The run's Hilbert walk reads N(1-t) as its
+bound and gives up at the first finished degree where the standard
+monomials outnumber it; L can then never reach N(1-t).  A miss (a cut
+that vanishes mod P, a give-up or another numerator) is tried once more
+on the second plane, l = 7*z0 - 3*z1 + 2*z2, and then falls through to
+groebner's exact route, so no answer depends on P or the planes.  Forms
+above MAX_SECTION_DEGREE are never cut: a sparse form turns dense on the
+section.
 
 The run is over F_P, P = 32749, the largest prime below 2^15, so that the
-product of two residues fits in one 30-bit digit of a Python int.  Let J
-be the ideal over Q of the integer cut forms (each form's cleared integer
-terms, cut) and z3, and J_P that of their residues.  In every degree d,
-dim J_d >= dim (J_P)_d: J_d is spanned by the monomial multiples of the
-generators, and a minor of their integer coefficient matrix that is nonzero
-mod P is nonzero over Q (the one-sided fact behind modular Groebner
-methods; Arnold, J. Symbolic Comput. 35, 2003).  H_CI is a lower bound
-over any field (see groebner), so H_CI <= H_(S/J) <= H_(S/J_P), and
-H_(S/J_P) = H_CI certifies H_(S/J) = H_CI.  A miss (a give-up, a cut that
-vanishes mod P or a numerator that differs) falls through to groebner's
-exact route, so no answer depends on P.
+product of two residues fits in one 30-bit digit of a Python int.  Each
+form is cut mod P with l^e tabulated mod P.  Every element is kept monic,
+and a residue is reduced only when its term is popped, so division needs
+no gcd and never rescales the work or the remainder.
 
-Each form is cut mod P with l^e tabulated mod P.  Every element is kept
-monic, and a residue is reduced only when its term is popped, so division
-needs no gcd and never rescales the work or the remainder.  Measured on a
-2-vCPU x86_64 machine under Python 3.11, in CPU time, the median of 9
-interleaved rounds of the best of 5 passes: the certificate over the 240
-hilbert-pool ideals took 186 ms over Q and 145 ms over F_P (-22%), and it
-certifies the same 209 of them.  On 1000 draws of the pool's kind from
-another seed it certifies the 840 the certificate over Q does.
+Of the 240 hilbert-pool ideals the first plane certifies 209 complete
+intersections and 21 ideals in a coordinate line ideal, the second plane
+4 and 2; the 4 left hold two lines, and 2 of them are refused uncut.  On
+1000 draws of the pool's kind from Random(4242) the counts are 840 and
+120, 22 and 4, with 14 left.  Measured on a 2-vCPU x86_64 machine under
+Python 3.11, in CPU time, the best of 5 passes in each of 5 interleaved
+rounds: the Hilbert queries of the 21 took 76-123 ms by the exact route
+and 28-31 ms on the section, those of the 6 took 29-47 ms and 16-19 ms,
+and those of the 4 left 24-38 ms and 26-41 ms.  Over F_P rather than Q,
+the Koszul certificate over the pool took 145 ms against 186 ms.
 """
 
 from __future__ import annotations
@@ -62,32 +91,36 @@ P = 32749  # the largest prime below 2^15 (see the module docstring)
 # at d = 12 (over Q the certificate took 0.036 s and 3.5 s).  The
 # hilbert-pool ideals have degree 3 or 4.
 MAX_SECTION_DEGREE = 8
+# The hyperplanes z3 = l tried in turn, each l as its coefficients of z0,
+# z1, z2; all nonzero, so neither holds a coordinate point
+PLANES = ((1, 2, 3), (7, -3, 2))
 
 _Z3 = _wrap(1, 1, {_STEPS[3]: 1})
-_POWERS = [{0: 1}]  # l^e mod P for e < len(_POWERS), packed
+_POWERS = tuple([{0: 1}] for _ in PLANES)  # l^e mod P for e < len, packed, per plane
 
 
-def _power(e: int) -> dict:
-    """l^e mod P, for e <= MAX_SECTION_DEGREE."""
-    while len(_POWERS) <= e:
+def _power(plane: int, e: int) -> dict:
+    """l^e mod P for the l of PLANES[plane], for e <= MAX_SECTION_DEGREE."""
+    powers = _POWERS[plane]
+    while len(powers) <= e:
         acc = {}
-        for m, c in _POWERS[-1].items():
-            for step, k in zip(_STEPS, (1, 2, 3)):  # l = z0 + 2*z1 + 3*z2
+        for m, c in powers[-1].items():
+            for step, k in zip(_STEPS, PLANES[plane]):
                 acc[m + step] = (acc.get(m + step, 0) + k * c) % P
-        _POWERS.append({m: c for m, c in acc.items() if c})
-    return _POWERS[e]
+        powers.append({m: c for m, c in acc.items() if c})
+    return powers[e]
 
 
-def _section_cut(f):
-    """f(z0, z1, z2, l) times f's denominator, its coefficients reduced mod
-    P into [1, P): a form in z0..z2 of f's degree, zero when the cut
-    vanishes mod P."""
+def _section_cut(f, plane: int = 0):
+    """f(z0, z1, z2, l) for the l of PLANES[plane] times f's denominator, its
+    coefficients reduced mod P into [1, P): a form in z0..z2 of f's degree,
+    zero when the cut vanishes mod P."""
     acc = {}
     for m, c in f._cleared[1].items():
         e = m >> 96  # the exponent of z3
         m -= e << 96
         c %= P
-        for pm, pc in _power(e).items():
+        for pm, pc in _power(plane, e).items():
             acc[m + pm] = acc.get(m + pm, 0) + c * pc
     return _wrap(f.degree, 1, {m: c % P for m, c in acc.items() if c % P})
 
@@ -135,32 +168,60 @@ def _monic_element(terms: dict):
     return lead, 1, [(m, c * inverse % P) for m, c in terms.items() if m != lead]
 
 
+def _line_bound(degrees) -> dict:
+    """The nonzero coefficients of N(t), keyed by exponent: for three forms
+    of these degrees in a coordinate line ideal P, N(t) / (1-t)^4 is a
+    coefficientwise lower bound for HS(S/I), and HS(S/I) itself when the
+    Buchsbaum-Rim complex resolves P/I (see the module docstring).  With
+    C = (2, d1, d2, d3) and s = d1 + d2 + d3,
+    N = 1 + t^2 + sum over c in C of (t^(s-c) - t^c) - 2t^(s-1)."""
+    s = sum(degrees)
+    numerator = {0: 1, 2: 1, s - 1: -2}
+    for c in (2, *degrees):
+        numerator[s - c] = numerator.get(s - c, 0) + 1
+        numerator[c] = numerator.get(c, 0) - 1
+    return {a: c for a, c in numerator.items() if c}
+
+
+def _certifies(generators, plane: int, numerator: dict) -> bool:
+    """Whether the F_P run on the cuts by PLANES[plane] and z3 ends on leads
+    whose Hilbert numerator is numerator * (1-t), the lower bound its
+    Hilbert walk reads; False when a cut vanishes mod P or the run gives
+    up."""
+    cuts = [_section_cut(g, plane) for g in generators]
+    if not all(cuts):
+        return False
+    target = dict(numerator)  # times 1 - t, the factor of z3
+    for a, c in numerator.items():
+        target[a + 1] = target.get(a + 1, 0) - c
+    target = {a: c for a, c in target.items() if c}
+    elements = groebner._groebner_elements(cuts + [_Z3], give_up=True, divide=_divide,
+                                           element=_monic_element, bound=target)
+    return elements is not None and dict(
+        groebner._minimal_numerator(groebner._minimalize(e[0] for e in elements))) == target
+
+
 def _section_numerator(generators):
-    """_ci_numerator of the degrees of the generators, nonzero forms, sorted
-    by exponent as hilbert_numerator is, when their cuts and z3 certify
-    that they are a regular sequence (see the module docstring); None when
-    they do not, or when there are more than three, or one is constant or
-    of degree above MAX_SECTION_DEGREE, or every monomial of every form has
-    a positive exponent at some index in a set A of fewer indices than there
-    are forms.  Then the forms vanish on z_A = 0, so their ideal has height
-    at most |A| and they are no regular sequence; nothing is cut."""
+    """hilbert_numerator of the generators, nonzero forms, when a section
+    run certifies it (see the module docstring); None when none does, or
+    when there are more than three forms, or one is constant or of degree
+    above MAX_SECTION_DEGREE, or their exponents show a coordinate subspace
+    z_A = 0 that no bound covers.  That is a set A of fewer indices than
+    forms at which every monomial of every form has a positive exponent,
+    other than one pair A = {a, b} for three forms, which the line bound
+    takes; nothing is cut then."""
     degrees = [g.degree for g in generators]
     if not 0 < len(degrees) <= 3 or min(degrees) < 1 or max(degrees) > MAX_SECTION_DEGREE:
         return None
     supports = {sum(1 << v for v in range(NVARS) if m >> 32 * v & _FIELD)
                 for g in generators for m in g._cleared[1]}
-    for a in range(1, 1 << NVARS):  # A as a bit mask
-        if a.bit_count() < len(degrees) and all(s & a for s in supports):
-            return None
-    cuts = [_section_cut(g) for g in generators]
-    if not all(cuts):
+    covers = [a for a in range(1, 1 << NVARS)  # A as a bit mask
+              if a.bit_count() < len(degrees) and all(s & a for s in supports)]
+    # one cover of three forms is a pair: a single index lies in three pairs
+    if len(covers) > 1 or covers and len(degrees) < 3:
         return None
-    elements = groebner._groebner_elements(cuts + [_Z3], give_up=True,
-                                           divide=_divide, element=_monic_element)
-    if elements is None:
-        return None
-    lead = groebner._minimalize(e[0] for e in elements)
-    # z3 has degree 1
-    if dict(groebner._minimal_numerator(lead)) != groebner._ci_numerator(degrees + [1]):
-        return None
-    return dict(sorted(groebner._ci_numerator(degrees).items()))
+    numerator = _line_bound(degrees) if covers else groebner._ci_numerator(degrees)
+    for plane in range(len(PLANES)):
+        if _certifies(generators, plane, numerator):
+            return dict(sorted(numerator.items()))
+    return None

@@ -2389,46 +2389,89 @@ def test_section_route_matches_the_exact_numerator_on_random_ideals(monkeypatch)
     assert seen["certified"] >= 80 and seen["other fallback"] >= 15, seen
 
 
+def _spy_planes(monkeypatch):
+    """(plane, bound, certified) for each plane the _section_numerator calls
+    made from now on try: its index in section.PLANES, "line" or "Koszul",
+    and the outcome."""
+    tried = []
+    real = section._certifies
+
+    def spy(gens, plane, numerator):
+        line = numerator == section._line_bound([g.degree for g in gens])
+        tried.append((plane, "line" if line else "Koszul", real(gens, plane, numerator)))
+        return tried[-1][2]
+
+    monkeypatch.setattr(section, "_certifies", spy)
+    return tried
+
+
 def test_section_route_matches_the_exact_numerator_on_the_hilbert_pool(monkeypatch):
     """All 240 ideals of the benchmark's hilbert pool: the same numerator in
-    the same key order, the recorded Hilbert polynomial, and 209 of the 213
-    complete intersections certified on the section, those the exact
-    section certifies."""
+    the same key order and the recorded Hilbert polynomial.  Every certified
+    answer is the four-variable route's: 236 of them, 209 complete
+    intersections and 21 ideals in a coordinate line ideal on the first
+    plane, 4 and 2 on the second.  The 4 left contain two lines, their
+    Hilbert polynomial 2t + c: 2 lie in two coordinate line ideals, which
+    their exponents show, and 2 miss on both planes."""
     pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data"
                        / "hilbert_pool.json").read_text())["ideals"]
-    answers = _spy_section(monkeypatch)
-    certified = complete = 0
+    answers, tried = _spy_section(monkeypatch), _spy_planes(monkeypatch)
+    seen = {}
     for entry in pool:
         exprs = entry["text"].splitlines()
         ideal = _ideal(*exprs)
         exact = _exact_numerator(ideal.generators)
+        tried.clear()
         assert list(ideal.hilbert_numerator().items()) == list(exact.items())
+        P = ideal.hilbert_polynomial()
         recorded = json.loads(entry["stdout"])["payload"]["hilbert_polynomial"]
-        assert str(ideal.hilbert_polynomial()) == recorded
-        complete += exact == _sorted_ci_numerator(ideal.generators)
-        assert answers[-1] == _exact_section_numerator(ideal.generators)
-        certified += answers.pop() is not None
-    assert (len(pool), complete) == (240, 213)
-    assert certified == 209
+        assert str(P) == recorded
+        answer = answers.pop()
+        if answer is None:
+            assert (P.degree(), P.leading_coefficient()) == (1, 2)
+            key = "left, missed on both planes" if tried else "left, refused"
+            assert tried in ([], [(0, "line", False), (1, "line", False)])
+            seen[key] = seen.get(key, 0) + 1
+            continue
+        assert list(answer.items()) == list(exact.items())
+        plane, bound, _ = tried[-1]
+        assert (bound == "Koszul") == (exact == _sorted_ci_numerator(ideal.generators))
+        seen[bound, plane] = seen.get((bound, plane), 0) + 1
+    assert seen == {("Koszul", 0): 209, ("line", 0): 21, ("Koszul", 1): 4, ("line", 1): 2,
+                    "left, missed on both planes": 2, "left, refused": 2}, seen
 
 
-@pytest.mark.parametrize("exprs, cut_vanishes", [
-    ([f"(z3 - ({SECTION}))*z0", "z1^2", "z2^3"], True),
-    (["z1", "z2", "z3 - z0"], False),
-    (["z1", "z3 - z0 - 3*z2"], False),
-], ids=["cut-vanishes", "point-on-section", "line-on-section"])
+# the second plane, z3 = l2
+SECOND = "7*z0 - 3*z1 + 2*z2"
+
+
+@pytest.mark.parametrize("exprs, vanishing, certified", [
+    ([f"(z3 - ({SECTION}))*z0", "z1^2", "z2^3"], [True, False], True),
+    (["z1", "z2", "z3 - z0"], [False, False], True),
+    (["z1", "z3 - z0 - 3*z2"], [False, False], True),
+    (["z1 - z0", "z2 - z0", "z3 - 6*z0"], [False, False], False),
+    ([f"(z3 - ({SECTION}))*(z3 - ({SECOND}))*z0", "z1^2", "z2^3"], [True, True], False),
+], ids=["cut-vanishes", "point-on-section", "line-on-section", "point-on-both",
+        "cut-vanishes-on-both"])
 def test_section_route_falls_back_on_a_complete_intersection_the_section_misses(
-        exprs, cut_vanishes, monkeypatch):
-    """Complete intersections whose cut is not regular: a generator divisible
-    by z3 - l, the point (1:0:0:1) and a line lying on z3 = l."""
+        exprs, vanishing, certified, monkeypatch):
+    """Complete intersections whose cut by the first plane is not regular: a
+    generator divisible by z3 - l, the point (1:0:0:1) and a line lying on
+    z3 = l.  The second plane certifies them.  The point (1:1:1:6) lies on
+    both planes, and a generator divisible by both z3 - l and z3 - l2 cuts
+    to zero on both: these fall back to the exact route."""
     ideal = _ideal(*exprs)
     for cut in (_section_cut, section._section_cut):
         assert [not cut(g) for g in ideal.generators] == (
-            [cut_vanishes] + [False] * (len(exprs) - 1))
-    answers = _spy_section(monkeypatch)
-    assert list(ideal.hilbert_numerator().items()) == list(
-        _exact_numerator(ideal.generators).items())
-    assert answers == [None]
+            vanishing[:1] + [False] * (len(exprs) - 1))
+    assert [not section._section_cut(g, 1) for g in ideal.generators] == (
+        vanishing[1:] + [False] * (len(exprs) - 1))
+    assert section.PLANES[1] == (7, -3, 2)
+    answers, tried = _spy_section(monkeypatch), _spy_planes(monkeypatch)
+    exact = _exact_numerator(ideal.generators)
+    assert list(ideal.hilbert_numerator().items()) == list(exact.items())
+    assert tried == [(0, "Koszul", False), (1, "Koszul", certified)]
+    assert answers == [exact if certified else None]
     assert resolution._koszul_degrees(ideal) is not None
 
 
@@ -2470,7 +2513,7 @@ def test_section_route_skips_a_form_of_huge_degree_quickly(exprs):
     ideal = _ideal(*exprs)
     P = ideal.hilbert_polynomial()
     assert time.perf_counter() - started < 1
-    assert len(section._POWERS) <= section.MAX_SECTION_DEGREE + 1
+    assert all(len(powers) <= section.MAX_SECTION_DEGREE + 1 for powers in section._POWERS)
     if exprs[-1] != "z0^100000000":
         assert ideal.hilbert_numerator() == _sorted_ci_numerator(ideal.generators)
     else:
@@ -2537,33 +2580,47 @@ def test_section_route_matches_sympy_hilbert_polynomials():
     assert checked == 20
 
 
-def _uncertified_pool(monkeypatch):
-    """The hilbert-pool ideals the section does not certify, as their
-    generators and as the renamed generators of their Hilbert query."""
+def _koszul_uncertified_pool(monkeypatch):
+    """The hilbert-pool ideals the exact section, with the Koszul bound on
+    the first plane only, does not certify, as their generators and as the
+    renamed generators of their _renamed_lead run."""
     pool = json.loads(HILBERT_POOL.read_text())["ideals"]
     out = []
     with monkeypatch.context() as m:
-        answers, runs = _spy_section(m), _spy_buchberger(m)
+        runs = _spy_buchberger(m)
         for entry in pool:
             gens = list(_ideal(*entry["text"].splitlines()).generators)
-            runs.clear()
-            GradedIdeal(gens).hilbert_numerator()
-            if answers.pop() is None:
+            if _exact_section_numerator(gens) is None:
+                runs.clear()
+                groebner._renamed_lead(gens)
                 out.append((gens, list(runs[-1])))
     return out
 
 
-def test_section_over_the_prime_field_answers_as_the_exact_section_on_held_out_draws():
-    """1000 pool-like draws from a seed apart from the pool's: the same
-    ideals certified, with the same numerators."""
+def test_section_over_the_prime_field_answers_as_the_exact_section_on_held_out_draws(
+        monkeypatch):
+    """1000 pool-like draws from a seed apart from the pool's: every
+    certified answer is the four-variable route's numerator, in its key
+    order.  840 certify with the Koszul bound and 120 with the line bound on
+    the first plane, 22 and 4 on the second; of the 14 left, 7 lie in two
+    coordinate line ideals and are refused, and 7 miss on both planes."""
+    tried = _spy_planes(monkeypatch)
     rng = Random(4242)
-    certified = 0
+    seen = {}
     for _ in range(1000):
         gens = _pool_like(rng)
+        tried.clear()
         got = section._section_numerator(gens)
-        assert got == _exact_section_numerator(gens), [str(g) for g in gens]
-        certified += got is not None
-    assert 700 <= certified <= 950, certified
+        if got is None:
+            key = "missed" if tried else "refused"
+        else:
+            assert list(got.items()) == list(_exact_numerator(gens).items()), [
+                str(g) for g in gens]
+            plane, bound, _ = tried[-1]
+            key = bound, plane
+        seen[key] = seen.get(key, 0) + 1
+    assert seen == {("Koszul", 0): 840, ("line", 0): 120, ("Koszul", 1): 22, ("line", 1): 4,
+                    "refused": 7, "missed": 7}, seen
 
 
 def test_section_over_the_prime_field_reads_rational_coefficients():
@@ -2587,23 +2644,27 @@ def test_section_over_the_prime_field_reads_rational_coefficients():
     ["32749*z0^3 + 65498*z1^3", "32749*z2^2*z0 + 32749*z3^3", "32749*z1*z2*z3 + 32749*z0^3"],
     ["32749*z0^2 + 32749*z1*z2", "z1^2 - z0*z3"],
     ["98247*z0*z1 - 32749*z2*z3", "32749*z0^2 + 32749*z1^2 + 32749*z2^2 + 32749*z3^2"],
-], ids=["every-form", "one-form", "multiples-of-3p-and-p"])
+    # LINE_TRIPLE times P, as in the CI's line-bound step
+    ["32749*z0^3 + 32749*z1*z2^2 + 32749*z0*z3^2", "32749*z1^3 - 65498*z0*z2*z3 + 32749*z1*z2^2",
+     "32749*z0^2*z1 + 98247*z1*z3^2 - 32749*z0*z2^2"],
+], ids=["every-form", "one-form", "multiples-of-3p-and-p", "line-bound"])
 def test_section_over_the_prime_field_falls_back_on_forms_that_vanish_mod_p(
         exprs, monkeypatch, tmp_path, capsys):
-    """Forms whose every coefficient is a multiple of P cut to zero mod P:
-    the section gives up, and the exact route gives the numerator, and the
-    hilbert --json output, of the same forms divided by P, which the
-    section certifies."""
+    """Forms whose every coefficient is a multiple of P cut to zero mod P on
+    both planes: the section gives up, and the exact route gives the
+    numerator, and the hilbert --json output, of the same forms divided by
+    P, which the section certifies, by the line bound for forms in
+    (z0, z1)."""
     P = section.P
     ideal = _ideal(*exprs)
     vanishing = [all(c % P == 0 for c in g._cleared[1].values()) for g in ideal.generators]
-    assert [not section._section_cut(g) for g in ideal.generators] == vanishing
+    for plane in range(len(section.PLANES)):
+        assert [not section._section_cut(g, plane) for g in ideal.generators] == vanishing
     divided = GradedIdeal([g.scale(Fraction(1, P)) if v else g
                            for g, v in zip(ideal.generators, vanishing)])
     assert section._section_numerator(ideal.generators) is None
-    assert section._section_numerator(divided.generators) is not None
-    assert _exact_section_numerator(ideal.generators) == section._section_numerator(
-        divided.generators)
+    assert list(_exact_numerator(ideal.generators).items()) == list(
+        section._section_numerator(divided.generators).items())
     assert list(ideal.hilbert_numerator().items()) == list(divided.hilbert_numerator().items())
     outputs = []
     for gens in (ideal.generators, divided.generators):
@@ -2615,10 +2676,10 @@ def test_section_over_the_prime_field_falls_back_on_forms_that_vanish_mod_p(
 
 
 def test_section_over_the_prime_field_never_answers_otherwise_than_the_exact_section():
-    """Coefficients that are multiples of P or up to 10^12: the section over
-    F_P certifies some of the ideals the exact section certifies and gives
-    up on the rest, never certifying another; the Hilbert numerator is the
-    exact route's either way."""
+    """Coefficients that are multiples of P or up to 10^12: every numerator
+    the section over F_P certifies is the four-variable route's.  It gives
+    up on some ideals the exact section certifies, whose cuts vanish mod P;
+    the Hilbert numerator is the exact route's either way."""
     P = section.P
     rng = Random(62)
     kept = lost = 0
@@ -2634,20 +2695,19 @@ def test_section_over_the_prime_field_never_answers_otherwise_than_the_exact_sec
         gens = [g for g in gens if g]
         if not gens:
             continue
-        got, exact = section._section_numerator(gens), _exact_section_numerator(gens)
-        assert got in (None, exact)
+        got, exact = section._section_numerator(gens), _exact_numerator(gens)
+        assert got is None or list(got.items()) == list(exact.items())
         kept += got is not None
-        lost += got is None and exact is not None
-        assert list(GradedIdeal(gens).hilbert_numerator().items()) == list(
-            _exact_numerator(gens).items())
+        lost += got is None and _exact_section_numerator(gens) is not None
+        assert list(GradedIdeal(gens).hilbert_numerator().items()) == list(exact.items())
     assert kept >= 80 and lost >= 15, (kept, lost)
 
 
 def test_section_over_the_prime_field_answers_as_the_exact_section_on_hypothesis_draws():
     """One to three sparse forms of degree 1 to 4 whose coefficients are
     small, multiples of P or large, now and then times a common linear
-    form, which no exponent shows: the F_P answer is None or the exact
-    section's, and None whenever the exact section's is."""
+    form, which no exponent shows: the F_P answer is None or the
+    four-variable route's numerator."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     P = section.P
@@ -2669,9 +2729,141 @@ def test_section_over_the_prime_field_answers_as_the_exact_section_on_hypothesis
         gens, shared = drawn
         if shared:
             gens = [factor * g for g in gens]
-        assert section._section_numerator(gens) in (None, _exact_section_numerator(gens))
+        assert section._section_numerator(gens) in (None, _exact_numerator(gens))
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the line bound of the section route
+
+
+def _line_triple(rng, a, b):
+    """Three seeded forms z_a*A_i + z_b*B_i of degree 1 to 4, A_i and B_i
+    sparse or dense; a form that comes out zero is drawn again."""
+    gens = []
+    while len(gens) < 3:
+        deg = rng.randint(1, 4)
+        A, B = ((_dense_form if rng.random() < 0.3 else _sparse_form)(rng, deg - 1)
+                for _ in range(2))
+        g = HomogeneousPolynomial.variable(a) * A + HomogeneousPolynomial.variable(b) * B
+        if g:
+            gens.append(g)
+    return gens
+
+
+def test_line_bound_is_a_lower_bound_met_where_the_section_certifies(monkeypatch):
+    """240 seeded triples in (z_a, z_b), 40 for each coordinate pair: in
+    every degree up to 20 the four-variable Hilbert function is at least the
+    line bound's, and where the section certifies with the line bound, it
+    is the line bound, in the route's key order."""
+    tried = _spy_planes(monkeypatch)
+    rng = Random(4343)
+    seen = {"certified": 0, "above the bound": 0}
+    for a, b in itertools.combinations(range(NVARS), 2):
+        for _ in range(40):
+            gens = _line_triple(rng, a, b)
+            exact = _exact_numerator(gens)
+            bound = section._line_bound([g.degree for g in gens])
+            values = [groebner._ci_hilbert_function(exact, d) for d in range(21)]
+            least = [groebner._ci_hilbert_function(bound, d) for d in range(21)]
+            assert all(v >= w for v, w in zip(values, least)), [str(g) for g in gens]
+            tried.clear()
+            got = section._section_numerator(gens)
+            if got is not None and tried[-1][1] == "line":
+                assert list(got.items()) == list(exact.items()) == sorted(bound.items())
+                seen["certified"] += 1
+            seen["above the bound"] += values != least
+    assert seen["certified"] >= 150 and seen["above the bound"] >= 30, seen
+
+
+# three forms of degrees 3, 3, 3 in (z0, z1), z0*a_i + z1*b_i; the CI's
+# line-bound step takes the same forms
+LINE_TRIPLE = ["z0^3 + z1*z2^2 + z0*z3^2", "z1^3 - 2*z0*z2*z3 + z1*z2^2",
+               "z0^2*z1 + 3*z1*z3^2 - z0*z2^2"]
+LINE_PRESENTATION = [("z0^2 + z3^2", "z2^2"), ("-2*z2*z3", "z1^2 + z2^2"),
+                     ("z0*z1 - z2^2", "3*z3^2")]
+
+
+def test_buchsbaum_rim_resolves_a_triple_whose_minors_have_codimension_3():
+    """The maximal minors of [[-z1, a_1, a_2, a_3], [z0, b_1, b_2, b_3]],
+    the presentation of P/I for P = (z0, z1), have a constant Hilbert
+    polynomial by the exact route: they have codimension 3, so the
+    Buchsbaum-Rim complex resolves P/I, and HS(S/I) is the line bound of
+    degrees 3, 3, 3, 1 - 3t^3 + 3t^6 + t^7 - 2t^8 over (1-t)^4."""
+    z0, z1 = HomogeneousPolynomial.variable(0), HomogeneousPolynomial.variable(1)
+    columns = [(-z1, z0)] + [(parse_polynomial(x), parse_polynomial(y))
+                             for x, y in LINE_PRESENTATION]
+    ideal = _ideal(*LINE_TRIPLE)
+    assert [z0 * x + z1 * y for x, y in columns[1:]] == list(ideal.generators)
+    minors = GradedIdeal([x * v - y * u for (u, v), (x, y) in itertools.combinations(columns, 2)])
+    assert len(minors.generators) == 6
+    minors.lead_ideal()  # the four-variable basis first: the Hilbert query reads it
+    assert minors.hilbert_polynomial().degree() <= 0
+    exact = _exact_numerator(ideal.generators)
+    assert section._line_bound([3, 3, 3]) == exact == {0: 1, 3: -3, 6: 3, 7: 1, 8: -2}
+    assert ideal.hilbert_numerator() == exact
+
+
+def test_line_bound_matches_sympy_hilbert_polynomials(monkeypatch):
+    """On 20 seeded triples in a coordinate line ideal that the line bound
+    certifies, the Hilbert function and polynomial equal those counted from
+    the lead ideal of sympy's grevlex basis."""
+    sympy = pytest.importorskip("sympy")
+    zs = sympy.symbols("z0:4")
+    tried = _spy_planes(monkeypatch)
+    rng = Random(4444)
+    checked = 0
+    while checked < 20:
+        a, b = rng.sample(range(NVARS), 2)
+        gens = []
+        while len(gens) < 3:
+            deg = rng.randint(1, 3)
+            g = (HomogeneousPolynomial.variable(a) * _sparse_form(rng, deg - 1)
+                 + HomogeneousPolynomial.variable(b) * _sparse_form(rng, deg - 1))
+            if g:
+                gens.append(g)
+        ideal = GradedIdeal(gens)
+        tried.clear()
+        if section._section_numerator(ideal.generators) is None or tried[-1][1] != "line":
+            continue
+        P = ideal.hilbert_polynomial()
+        assert ideal._elements is None
+        polys = [sympy.Poly.from_dict({m: int(c) for m, c in g.terms.items()}, *zs, domain="QQ")
+                 for g in gens]
+        leads = [sympy.Poly(g, *zs, domain="QQ").terms(order="grevlex")[0][0]
+                 for g in sympy.groebner(polys, *zs, order="grevlex", domain="QQ").exprs]
+
+        def count(k):
+            return sum(not any(mono_divides(lead, m) for lead in leads)
+                       for m in monomials_of_degree(k))
+
+        top = sum(g.degree for g in gens)
+        assert [ideal.hilbert_function(k) for k in range(top + 4)] == [
+            count(k) for k in range(top + 4)]
+        assert [P(k) for k in range(top, top + 4)] == [count(k) for k in range(top, top + 4)]
+        checked += 1
+
+
+@pytest.mark.parametrize("exprs, planes", [
+    (["z0^2*z2 + z1*z3^2", "z0*z1*z3 - z1^2*z2", "z0*z2^2 + 2*z1*z3^2"], []),
+    (["z0*z1^2 + z0*z2*z3", "z0^2*z3 - z0*z1*z2", "z0*z3^2 + z0^3"], []),
+    (["z0^2 - z0*z2", "z1^2 - z1*z3", "2*z0*z1 - z0*z3 - z1*z2"], [0, 1]),
+], ids=["two-coordinate-lines", "shared-variable-factor", "coordinate-line-and-another"])
+def test_line_bound_leaves_curves_through_two_lines_to_the_exact_route(
+        exprs, planes, monkeypatch):
+    """Forms in (z0, z1) and in (z2, z3), and forms that share the factor z0,
+    are refused before any cut.  Forms in (z0, z1) and in (z0 - z2, z1 - z3)
+    take the line bound and miss on both planes.  The exact route answers."""
+    ideal = _ideal(*exprs)
+    answers, tried = _spy_section(monkeypatch), _spy_planes(monkeypatch)
+    assert list(ideal.hilbert_numerator().items()) == list(
+        _exact_numerator(ideal.generators).items())
+    assert answers == [None]
+    assert tried == [(plane, "line", False) for plane in planes]
+    if planes:
+        P = ideal.hilbert_polynomial()
+        assert (P.degree(), P.leading_coefficient()) == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -2690,10 +2882,12 @@ def _spy_buchberger(monkeypatch):
 @pytest.mark.parametrize("exprs, renamed", [
     # z0 in three terms, z1 and z2 in two, z3 in one
     (["z0^2", "z0*z1", "z0*z2", "z3^2 + z1*z2"], ["z3^2", "z1*z3", "z2*z3", "z0^2 + z1*z2"]),
-    # z2 in one term; z0, z1 and z3 in two each keep their order
-    (["z0*z1", "z0*z3", "z1*z2", "z3^2"], ["z1*z2", "z1*z3", "z0*z2", "z3^2"]),
-    # every variable in two terms: the identity
-    (SKEW, SKEW),
+    # z2 in one term; z0, z1 and z3 in three each keep their order
+    (["z0*z1 + z3^2", "z0*z3 - z1^2", "z1*z2", "z0^2 - z3^2"],
+     ["z1*z2 + z3^2", "z1*z3 - z2^2", "z0*z2", "z1^2 - z3^2"]),
+    # every variable in three terms: the identity
+    (["z0*z2 - z1*z3", "z0*z3", "z1*z2", "z0*z1 - z2*z3"],
+     ["z0*z2 - z1*z3", "z0*z3", "z1*z2", "z0*z1 - z2*z3"]),
 ], ids=["most-frequent-last", "ties-by-index", "identity"])
 def test_renamed_route_puts_the_variable_in_the_most_terms_last(monkeypatch, exprs, renamed):
     """Four generators, which the section never cuts: the one Buchberger run
@@ -2796,6 +2990,26 @@ def test_renamed_route_matches_the_identity_order_on_hypothesis_draws():
         assert list(dict(route).items()) == list(_exact_numerator(gens).items())
 
     check()
+
+
+def test_renamed_route_reads_monomials_as_their_own_lead_ideal(monkeypatch):
+    """Generators of one term each: _renamed_lead is the four-variable
+    Buchberger route's lead ideal, and no _groebner_elements call is made.
+    60 seeded ideals of 1 to 8 monomials of degree 1 to 6 with coefficients,
+    a staircase and the unit and zero ideals."""
+    rng = Random(4545)
+    cases = [[HomogeneousPolynomial(deg, {rng.choice(monomials_of_degree(deg)): rng.choice((-2, 1, 3))})
+              for deg in (rng.randint(1, 6) for _ in range(rng.randint(1, 8)))]
+             for _ in range(60)]
+    cases += [list(_ideal(*lines).generators) for lines in (
+        [f"z1^{i}*z2^{12 - i}" for i in range(13)], ["z0^2", "2/3", "z1"], [])]
+    for gens in cases:
+        expected = GradedIdeal(gens)._packed_lead()
+        with monkeypatch.context() as m:
+            runs = _spy_buchberger(m)
+            assert groebner._renamed_lead(gens) == expected
+            assert runs == []
+    assert len(cases) == 63
 
 
 def test_each_ideal_runs_buchberger_at_most_once(monkeypatch, capsys, tmp_path):
@@ -3357,49 +3571,59 @@ def _planted_section_cases():
 
 def test_exponent_refusal_agrees_with_the_former_section_route(monkeypatch):
     """A refusal, None before any form is cut, only where the former route
-    also returned None, and the former value everywhere.  A set A of as
-    many indices as forms is no certificate: such forms are still cut, and
-    some certify."""
+    also returned None, and the former value wherever it certified.  The
+    line bound and the second plane certify more, each the four-variable
+    route's numerator.  A set A of as many indices as forms is no
+    certificate: such forms are still cut, and some certify."""
     cuts = []
     real = section._section_cut
-    monkeypatch.setattr(section, "_section_cut", lambda g: cuts.append(g) or real(g))
-    seen = {"refused": 0, "certified": 0, "certified with |A| = r": 0, "fell back": 0}
+    monkeypatch.setattr(section, "_section_cut",
+                        lambda g, *plane: cuts.append(g) or real(g, *plane))
+    seen = {"refused": 0, "certified": 0, "certified with |A| = r": 0, "certified anew": 0,
+            "fell back": 0}
     for gens, planted in _planted_section_cases():
         cuts.clear()
         got = section._section_numerator(gens)
+        former = _former_section_numerator(gens)
         refused = not cuts
-        assert got == _former_section_numerator(gens)
         if refused:
-            assert got is None
+            assert got is former is None
             seen["refused"] += 1
-        elif got is not None:
+        elif former is not None:
+            assert got == former
             seen["certified"] += 1
             seen["certified with |A| = r"] += planted == len(gens)
+        elif got is not None:
+            assert list(got.items()) == list(_exact_numerator(gens).items())
+            seen["certified anew"] += 1
         else:
             seen["fell back"] += 1
-    assert seen["refused"] >= 40 and seen["certified"] >= 100, seen
-    assert seen["certified with |A| = r"] >= 20 and seen["fell back"] >= 10, seen
+    assert seen["refused"] >= 30 and seen["certified"] >= 100, seen
+    assert seen["certified with |A| = r"] >= 20 and seen["certified anew"] >= 5, seen
+    assert seen["fell back"] >= 10, seen
 
 
 def test_exponent_refusal_refuses_exactly_the_curves_of_the_hilbert_pool(monkeypatch):
     """The 27 pool ideals that are no complete intersection all vanish on a
-    coordinate line and are refused without a cut; the section still
-    certifies 209 of the other 213."""
+    coordinate line, which their exponents show, and the 213 others on no
+    coordinate subspace.  The 27 take the line bound but for 2 of them,
+    which vanish on two coordinate lines and are refused without a cut; 23
+    certify.  The section certifies 213 of the 213 others."""
     pool = json.loads(HILBERT_POOL.read_text())["ideals"]
-    cuts = []
-    real = section._section_cut
-    monkeypatch.setattr(section, "_section_cut", lambda g: cuts.append(g) or real(g))
-    refused = certified = 0
+    tried = _spy_planes(monkeypatch)
+    seen = {}
     for entry in pool:
         ideal = _ideal(*entry["text"].splitlines())
-        cuts.clear()
+        tried.clear()
         got = section._section_numerator(ideal.generators)
-        if not cuts:
-            assert got is None and ideal.hilbert_polynomial().degree() == 1
-            assert ideal.hilbert_numerator() != _sorted_ci_numerator(ideal.generators)
-            refused += 1
-        certified += got is not None
-    assert (refused, certified) == (27, 209)
+        key = tried[0][1] if tried else "refused"
+        curve = ideal.hilbert_numerator() != _sorted_ci_numerator(ideal.generators)
+        assert curve == (key != "Koszul")
+        if curve:
+            assert ideal.hilbert_polynomial().degree() == 1
+        seen[key, got is not None] = seen.get((key, got is not None), 0) + 1
+    assert seen == {("refused", False): 2, ("line", True): 23, ("line", False): 2,
+                    ("Koszul", True): 213}, seen
 
 
 def _heap_groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bool = False):
@@ -3566,10 +3790,11 @@ def test_the_hilbert_walk_stops_at_a_degree_over_the_bound_with_the_same_element
     """A run that does not give up stops walking standard monomials at the
     first finished degree that outnumbers the complete-intersection count.
     The heap queue walks on; the elements are the same, on random ideals and
-    on the 31 hilbert-pool ideals the section does not certify, on their
-    own variables and renamed, where also the same S-polynomials are
-    divided, and the walk takes fewer steps on most of them."""
-    pairs = _uncertified_pool(monkeypatch)
+    on the 31 hilbert-pool ideals the Koszul bound on the first plane does
+    not certify, on their own variables and renamed, where also the same
+    S-polynomials are divided, and the walk takes fewer steps on most of
+    them."""
+    pairs = _koszul_uncertified_pool(monkeypatch)
     assert len(pairs) == 31
     steps = []
     real = groebner._next_standard
