@@ -86,18 +86,17 @@ def _cmd_wedge(args):
     if args.invariants or args.rao:
         ideal = singular_ideal(two_form)
         if args.rao:
-            # the Rao profile needs the basis: taken first, the Hilbert query reads it
-            ideal._basis_elements()
+            # first: it takes the basis, so the Hilbert query reads it and cuts no section
+            from .resolution import rao_module_dimensions
+
+            rao = rao_module_dimensions(ideal).to_json()
         if args.invariants:
             deg, genus = curve_invariants(ideal)
             payload["invariants"] = {"degree": deg, "genus": genus}
             human.append(f"singular curve: degree {deg}, genus {genus}")
         if args.rao:
-            from .resolution import rao_module_dimensions
-
-            profile = rao_module_dimensions(ideal)
-            payload["rao"] = profile.to_json()
-            human.append(f"Rao profile: {profile.to_json()}")
+            payload["rao"] = rao
+            human.append(f"Rao profile: {rao}")
     return _emit(args, payload, (), human)
 
 

@@ -389,9 +389,6 @@ def legendrian_sample(degree: int, rng: Random, max_redraws: int = 20) -> Foliat
             presentation = _legendrian_presentation(contact, omega)
         except ProportionalInputError:
             continue
-        # samples are resolved (the gate's legendrian criteria): the basis,
-        # taken first, also answers the Hilbert query
-        presentation.ideal._basis_elements()
         if hilbert_polynomial(presentation.ideal).degree() == 1:
             return presentation
     raise ResourceLimitError(f"legendrian_sample, degree {degree}: "

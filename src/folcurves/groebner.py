@@ -39,35 +39,15 @@ there.  With five or more generators the bound would be Froeberg's
 conjecture, and no pair is skipped this way.  The argument holds over any
 field.
 
-hilbert_numerator tries two routes in turn.  Once a basis exists, its
-lead ideal answers.  Before one exists, up to three forms are certified on
-a hyperplane section over a prime field (folcurves.section, imported on
-the first query that tries it): a complete intersection by the Koszul
-bound, and three forms in a coordinate line ideal by a Buchsbaum-Rim
-bound, each on a second plane when the first misses.  When that certifies
-nothing the lead ideal of a basis of renamed generators answers: the
-variable in the most terms becomes z3, the others follow in ascending
-count of terms, ties by index, and the identity renames nothing;
-monomials are their own lead ideal, with no basis to compute.
-A renaming of the variables is a graded automorphism of S, so the renamed
-ideal has the Hilbert series of I, but not its cost: degrevlex treats its
-last variable apart (Bayer and Stillman, Invent. Math. 87, 1987), and with
-the variable of the most terms there Buchberger ran faster on the draws
-measured below.
-The renamed basis is not kept, and no other query reads it; a caller that
-needs the basis after Hilbert data takes the basis first (as resolution's
-rao_module_dimensions, the wedge command with --rao and
-forms.legendrian_sample do), so no ideal runs Buchberger twice.  On a
-2-vCPU x86_64 machine under Python 3.11, Buchberger on the 31 hilbert-pool
-ideals the Koszul bound on the first plane does not certify took 0.14 s
-before the renaming and 0.11 s after it (-20% to -24% over three runs).
-On 60 such draws of the pool's generator from a seed apart from the
-pool's it took 0.30 s against 0.22 s (-26% to -27% over three runs), 44 of
-them faster, the per-ideal time ratio 0.46, 0.78 and 1.12 at p10, p50 and
-p90, the worst 1.46.  On 60 uncertified ideals of 1-5 forms of degree 2 or 3 holding
-about half, 85% or all of the monomials of their degree, the median time
-ratio over 21 interleaved passes was 0.95, 0.98 and 0.97 (the last
-renames nothing: its counts are even).
+hilbert_numerator tries two routes in turn.  Before a basis exists, up to
+three forms are certified on a hyperplane section over a prime field
+(folcurves.section, imported on the first query that tries it): a complete
+intersection by the Koszul bound, and three forms in a coordinate line ideal
+by a Buchsbaum-Rim bound, each on a second plane when the first misses.
+When that certifies nothing, or once a basis exists, the lead ideal of the
+ideal's own basis answers, and the basis is kept for every later query, so
+no ideal runs Buchberger twice.  Generators of one term each are their own
+basis, with no Buchberger run.
 
 Graded syzygies, free resolutions and Rao profiles are resolution's, which
 this module does not import; each public name of resolution, and
@@ -101,16 +81,15 @@ DEFAULT_PAIR_CAP = 100_000
 # one call; past it no more pairs are skipped in the call, so a pair of huge
 # degree (z0*z1 and z1^(10^8)) is not preceded by a walk through every degree
 # below it.  The largest any hilbert-pool ideal walks is 1008 on its own
-# variables, 288 on the renamed ones of hilbert_numerator and 69 on the section.
+# variables and 69 on the section.
 MAX_STANDARD_WALK = 20_000
 # Most heap pops the divisions of one _groebner_elements call may make, of
 # its generators and S-polynomials together.  The largest any shipped test,
 # demo or benchmark input makes is 3901 (a degree-7 legendrian sample of the
-# tests); a hilbert-pool ideal makes at most 2098 on its own variables, 1997
-# on the renamed ones of hilbert_numerator and 246 on the section.  On a
-# 2-vCPU x86_64 machine under Python 3.11, (x+y+z)^40, (x+y+t)^40,
-# (y+z+t)^39*x reaches the cap in about 0.2 s in either order; it ran past
-# 20 s before there was one.
+# tests); a hilbert-pool ideal makes at most 2098 on its own variables and
+# 246 on the section.  On a 2-vCPU x86_64 machine under Python 3.11,
+# (x+y+z)^40, (x+y+t)^40, (y+z+t)^39*x reaches the cap in about 0.2 s in
+# either order; it ran past 20 s before there was one.
 MAX_BUCHBERGER_POPS = 50_000
 
 
@@ -528,36 +507,6 @@ def _minimal_regularity_bound(gens: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the lead ideal of a renamed basis
-
-
-def _renamed_lead(generators) -> tuple:
-    """Minimal generators of the lead ideal, packed and ascending, of a
-    degrevlex basis of the generators after a renaming of the variables
-    (see the module docstring): the variable in the most terms becomes z3,
-    the others follow in ascending count of terms, ties by index.  A
-    renaming keeps the Hilbert series, not the lead ideal; the identity
-    renames nothing.  Generators of one term each are their own lead
-    ideal: they come back minimalized, not renamed, and no Buchberger
-    runs."""
-    if all(len(g._cleared[1]) == 1 for g in generators):
-        return _minimalize(m for g in generators for m in g._cleared[1])
-    # each term adds one to the field of every variable it has, at the guard
-    # bit: shifted down, the sum packs the count of terms of each variable
-    packed = sum(_nonzero_fields(m) for g in generators for m in g._cleared[1]) >> 31
-    order = sorted(range(NVARS), key=lambda v: (packed >> 32 * v & _FIELD, v))
-    if order != list(range(NVARS)):
-        # z_v becomes z_order.index(v); integer terms generate the same ideal
-        s0, s1, s2, s3 = (32 * order.index(v) for v in range(NVARS))
-        generators = [
-            _from_integers(g.degree, 1, {
-                (m & _FIELD) << s0 | (m >> 32 & _FIELD) << s1 | (m >> 64 & _FIELD) << s2
-                | m >> 96 << s3: c for m, c in g._cleared[1].items()})
-            for g in generators]
-    return _minimalize(e[0] for e in _groebner_elements(generators))
-
-
-# ---------------------------------------------------------------------------
 # Hilbert polynomials
 
 
@@ -634,14 +583,14 @@ class HilbertPolynomial:
 class GradedIdeal:
     """Homogeneous ideal with cached Groebner basis and Hilbert data.
 
-    The first query runs Buchberger and keeps its integer basis elements,
-    except a Hilbert query, which certifies on the hyperplane section or
-    reads a basis of renamed generators and keeps neither basis (see the
-    module docstring).
-    lead_ideal, is_unit_ideal, the other Hilbert queries, regularity_bound
-    and the resolution read only the elements; groebner_basis, contains and
-    equals also build the monic reduced basis from them, once.  The minimal
-    free resolution is kept too, once one is computed.
+    The first query runs Buchberger, or reads monomial generators, and
+    keeps the integer basis elements, except a Hilbert query that the
+    hyperplane section certifies, which keeps no basis (see the module
+    docstring).  lead_ideal, is_unit_ideal, the other Hilbert queries,
+    regularity_bound and the resolution read only the elements;
+    groebner_basis, contains and equals also build the monic reduced basis
+    from them, once.  The minimal free resolution is kept too, once one is
+    computed.
     """
 
     def __init__(self, generators):
@@ -677,9 +626,15 @@ class GradedIdeal:
 
     def _basis_elements(self):
         """The integer basis elements of _groebner_elements, computed on the
-        first call."""
+        first call.  Generators of one term each are their own basis: their
+        minimal monomials, each with coefficient 1, and no Buchberger run."""
         if self._elements is None:
-            self._elements = _groebner_elements(self.generators)
+            gens = self.generators
+            if all(len(g._cleared[1]) == 1 for g in gens):
+                leads = _minimalize(m for g in gens for m in g._cleared[1])
+                self._elements = [(m, 1, []) for m in leads]
+            else:
+                self._elements = _groebner_elements(gens)
         return self._elements
 
     def groebner_basis(self):
@@ -711,19 +666,16 @@ class GradedIdeal:
 
     def hilbert_numerator(self) -> dict:
         """Coefficients of HS(S/I) * (1-t)^4, keyed by ascending exponent;
-        empty for the unit ideal.  Before any basis exists, a complete
-        intersection of up to three forms is tried on the section, and
-        failing that the lead ideal of a renamed basis, which is not kept,
-        answers (see the module docstring)."""
+        empty for the unit ideal.  Before any basis exists, up to three
+        forms are tried on the section, and failing that the lead ideal of
+        the basis, which is kept, answers (see the module docstring)."""
         if self._numerator is None:
             if self._elements is None:
                 from .section import _section_numerator
 
                 self._numerator = _section_numerator(self.generators)
             if self._numerator is None:
-                lead = (_renamed_lead(self.generators) if self._elements is None
-                        else self._packed_lead())
-                self._numerator = dict(_minimal_numerator(lead))
+                self._numerator = dict(_minimal_numerator(self._packed_lead()))
         return self._numerator
 
     def hilbert_function(self, k: int) -> int:

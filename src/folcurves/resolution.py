@@ -62,11 +62,18 @@ from math import lcm
 from .errors import (
     CrossCheckFailureError,
     DegreeMismatchError,
-    NotACurveError,
     ResourceLimitError,
     WindowTooSmallError,
 )
-from .groebner import GradedIdeal, _ci_numerator, _divide, _divides, _lcm, _nonzero_fields
+from .groebner import (
+    GradedIdeal,
+    _ci_numerator,
+    _divide,
+    _divides,
+    _lcm,
+    _nonzero_fields,
+    curve_invariants,
+)
 from .linalg import Echelon, kernel_of_columns, sparse_first
 from .polyring import (
     HomogeneousPolynomial,
@@ -505,9 +512,7 @@ def rao_module_dimensions(ideal: GradedIdeal, window=None) -> RaoProfile:
     walked down from min(hi, max(-b - 4)) over the twists b of F_3 to the
     proven stop (see the module docstring); it must vanish at both ends."""
     ideal._basis_elements()  # the resolution needs the basis: no section is cut first
-    P = ideal.hilbert_polynomial()
-    if P.degree() != 1:
-        raise NotACurveError("the ideal does not cut out a curve")
+    curve_invariants(ideal)  # refuses a non-curve
     if window is None:
         window = default_rao_window(ideal)
     lo, hi = window

@@ -83,6 +83,26 @@ def test_wedge_rejects_non_projective(capsys):
     assert "error:" in err
 
 
+# two 1-forms with the common factor z2: the singular scheme holds the
+# surfaces z0 = 0 and z2^2 = 0
+COMMON_FACTOR = ["z2*(z0*dz1 - z1*dz0)", "z2*(z0*dz3 - z3*dz0)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["wedge", *COMMON_FACTOR, "--invariants", "--rao"], ["wedge", *COMMON_FACTOR, "--rao"],
+    ["rao", "{file}"],
+], ids=["wedge-invariants-rao", "wedge-rao", "rao"])
+def test_a_non_curve_is_refused_with_its_hilbert_polynomial(capsys, tmp_path, argv):
+    from folcurves.forms import parse_form, singular_ideal, wedge
+
+    path = tmp_path / "surfaces.ideal"
+    ideal = singular_ideal(wedge(*map(parse_form, COMMON_FACTOR)))
+    path.write_text("".join(f"{g}\n" for g in ideal.generators))
+    code, out, err = run(capsys, [str(path) if arg == "{file}" else arg for arg in argv])
+    assert (code, out) == (2, "")
+    assert err == "error: Hilbert polynomial 3/2*t^2 + 3/2*t + 2 has degree 2, expected 1\n"
+
+
 def test_json_outputs_are_deterministic(capsys):
     argv = WEDGE_ARGS + ["--invariants", "--json"]
     _, first, _ = run(capsys, argv)

@@ -2320,8 +2320,12 @@ def _former_section_numerator(generators, refuse_by_exponents=False):
     return dict(sorted(groebner._ci_numerator(degrees).items()))
 
 
-def _exact_section_numerator(generators):
-    return _former_section_numerator(generators, refuse_by_exponents=True)
+def _first_plane_koszul_certifies(generators) -> bool:
+    """Whether the former section route, the Koszul bound on the first plane
+    alone, certifies the generators.  It selects the inputs of
+    _koszul_uncertified_pool and counts the certificates lost mod P; every
+    section answer is checked against _exact_numerator."""
+    return _former_section_numerator(generators, refuse_by_exponents=True) is not None
 
 
 def _exact_numerator(gens):
@@ -2366,27 +2370,32 @@ def _spy_section(monkeypatch):
 
 def test_section_route_matches_the_exact_numerator_on_random_ideals(monkeypatch):
     """Certified or not, hilbert_numerator() has the exact route's keys,
-    values and key order; no query keeps a four-variable basis.  The
-    section over F_P answers as the exact section does."""
-    answers = _spy_section(monkeypatch)
-    seen = {"certified": 0, "complete-intersection fallback": 0, "other fallback": 0}
+    values and key order, and so has every certified answer of the section
+    over F_P; a query keeps the four-variable basis exactly when the section
+    certifies nothing.  96 ideals certify by the Koszul bound on the first
+    plane, and 19 that are no complete intersection fall back."""
+    answers, tried = _spy_section(monkeypatch), _spy_planes(monkeypatch)
+    seen = {}
     for gens in _section_cases():
         if not gens:
             continue
         ideal = GradedIdeal(gens)
         exact = _exact_numerator(gens)
+        tried.clear()
         assert list(ideal.hilbert_numerator().items()) == list(exact.items())
-        assert ideal._elements is None
-        assert answers[-1] == _exact_section_numerator(gens)
-        if answers.pop() is not None:
-            assert exact == _sorted_ci_numerator(gens)
-            seen["certified"] += 1
+        answer = answers.pop()
+        assert (ideal._elements is None) == (answer is not None)
+        if answer is not None:
+            assert list(answer.items()) == list(exact.items())
+            plane, bound, _ = tried[-1]
+            assert (bound == "Koszul") == (exact == _sorted_ci_numerator(gens))
+            key = bound, plane
         elif exact == _sorted_ci_numerator(gens):
-            seen["complete-intersection fallback"] += 1
+            key = "complete-intersection fallback"
         else:
-            seen["other fallback"] += 1
-    assert sum(seen.values()) >= 100
-    assert seen["certified"] >= 80 and seen["other fallback"] >= 15, seen
+            key = "other fallback"
+        seen[key] = seen.get(key, 0) + 1
+    assert seen == {("Koszul", 0): 96, "other fallback": 19}, seen
 
 
 def _spy_planes(monkeypatch):
@@ -2580,20 +2589,25 @@ def test_section_route_matches_sympy_hilbert_polynomials():
     assert checked == 20
 
 
-def _koszul_uncertified_pool(monkeypatch):
-    """The hilbert-pool ideals the exact section, with the Koszul bound on
-    the first plane only, does not certify, as their generators and as the
-    renamed generators of their _renamed_lead run."""
+def _most_terms_last(gens):
+    """gens renamed as a former Hilbert route renamed them: the variable in
+    the most terms becomes z3, the others follow in ascending count of
+    terms, ties by index."""
+    counts = [sum(1 for g in gens for m in g.terms if m[v]) for v in range(NVARS)]
+    order = sorted(range(NVARS), key=lambda v: (counts[v], v))
+    return [_renamed(g, [order.index(v) for v in range(NVARS)]) for g in gens]
+
+
+def _koszul_uncertified_pool():
+    """The hilbert-pool ideals the former section route, with the Koszul
+    bound on the first plane only, does not certify, as their generators
+    and renamed by _most_terms_last."""
     pool = json.loads(HILBERT_POOL.read_text())["ideals"]
     out = []
-    with monkeypatch.context() as m:
-        runs = _spy_buchberger(m)
-        for entry in pool:
-            gens = list(_ideal(*entry["text"].splitlines()).generators)
-            if _exact_section_numerator(gens) is None:
-                runs.clear()
-                groebner._renamed_lead(gens)
-                out.append((gens, list(runs[-1])))
+    for entry in pool:
+        gens = list(_ideal(*entry["text"].splitlines()).generators)
+        if not _first_plane_koszul_certifies(gens):
+            out.append((gens, _most_terms_last(gens)))
     return out
 
 
@@ -2625,7 +2639,8 @@ def test_section_over_the_prime_field_answers_as_the_exact_section_on_held_out_d
 
 def test_section_over_the_prime_field_reads_rational_coefficients():
     """Forms with fractions, some over P or P^2, answer as their cleared
-    integer forms and as the exact section."""
+    integer forms, and every certified answer, 51 of them, is the
+    four-variable route's numerator, in its key order."""
     P = section.P
     rng = Random(61)
     certified = 0
@@ -2635,9 +2650,11 @@ def test_section_over_the_prime_field_reads_rational_coefficients():
         scaled = [g.scale(Fraction(rng.choice((1, 2, 7)), rng.choice((3, P, P * P))))
                   for g in gens]
         got = section._section_numerator(scaled)
-        assert got == _exact_section_numerator(scaled) == section._section_numerator(gens)
-        certified += got is not None
-    assert certified >= 40, certified
+        assert got == section._section_numerator(gens)
+        if got is not None:
+            assert list(got.items()) == list(_exact_numerator(scaled).items())
+            certified += 1
+    assert certified == 51, certified
 
 
 @pytest.mark.parametrize("exprs", [
@@ -2698,7 +2715,7 @@ def test_section_over_the_prime_field_never_answers_otherwise_than_the_exact_sec
         got, exact = section._section_numerator(gens), _exact_numerator(gens)
         assert got is None or list(got.items()) == list(exact.items())
         kept += got is not None
-        lost += got is None and _exact_section_numerator(gens) is not None
+        lost += got is None and _first_plane_koszul_certifies(gens)
         assert list(GradedIdeal(gens).hilbert_numerator().items()) == list(exact.items())
     assert kept >= 80 and lost >= 15, (kept, lost)
 
@@ -2867,43 +2884,22 @@ def test_line_bound_leaves_curves_through_two_lines_to_the_exact_route(
 
 
 # ---------------------------------------------------------------------------
-# the renamed route of hilbert_numerator
+# renamed generators, monomial bases and one Buchberger run per ideal
 
 
-def _spy_buchberger(monkeypatch):
-    """The generators of the _groebner_elements calls made from now on."""
+def _spy_buchberger(monkeypatch, over_q=False):
+    """The generators of the _groebner_elements calls made from now on; with
+    over_q, only of those over Q, not the section's over F_P."""
     runs = []
     real = groebner._groebner_elements
-    monkeypatch.setattr(groebner, "_groebner_elements",
-                        lambda gens, *args, **kw: runs.append(gens) or real(gens, *args, **kw))
+
+    def spy(gens, *args, **kw):
+        if not (over_q and "divide" in kw):
+            runs.append(gens)
+        return real(gens, *args, **kw)
+
+    monkeypatch.setattr(groebner, "_groebner_elements", spy)
     return runs
-
-
-@pytest.mark.parametrize("exprs, renamed", [
-    # z0 in three terms, z1 and z2 in two, z3 in one
-    (["z0^2", "z0*z1", "z0*z2", "z3^2 + z1*z2"], ["z3^2", "z1*z3", "z2*z3", "z0^2 + z1*z2"]),
-    # z2 in one term; z0, z1 and z3 in three each keep their order
-    (["z0*z1 + z3^2", "z0*z3 - z1^2", "z1*z2", "z0^2 - z3^2"],
-     ["z1*z2 + z3^2", "z1*z3 - z2^2", "z0*z2", "z1^2 - z3^2"]),
-    # every variable in three terms: the identity
-    (["z0*z2 - z1*z3", "z0*z3", "z1*z2", "z0*z1 - z2*z3"],
-     ["z0*z2 - z1*z3", "z0*z3", "z1*z2", "z0*z1 - z2*z3"]),
-], ids=["most-frequent-last", "ties-by-index", "identity"])
-def test_renamed_route_puts_the_variable_in_the_most_terms_last(monkeypatch, exprs, renamed):
-    """Four generators, which the section never cuts: the one Buchberger run
-    of the Hilbert query takes the renamed generators and leaves no basis,
-    and lead_ideal() still reads the identity order's."""
-    ideal = _ideal(*exprs)
-    exact = _exact_numerator(ideal.generators)
-    lead = GradedIdeal(ideal.generators).lead_ideal()
-    runs = _spy_buchberger(monkeypatch)
-    assert list(ideal.hilbert_numerator().items()) == list(exact.items())
-    assert [[str(g) for g in gens] for gens in runs] == [
-        [str(parse_polynomial(e)) for e in renamed]]
-    assert ideal._elements is None
-    runs.clear()
-    assert ideal.lead_ideal() == lead
-    assert runs == [ideal.generators]
 
 
 def _renamed(g, perm):
@@ -2957,21 +2953,24 @@ RENAMED_ROUTE_CASES = _renamed_route_cases()
 
 @pytest.mark.parametrize("name", RENAMED_ROUTE_CASES)
 def test_renamed_route_matches_the_identity_order_under_every_renaming(name):
-    """Under each of the 24 renamings of the variables, the renamed route's
-    numerator has the keys, values and key order of the identity order's
-    lead ideal, which is the same for all of them."""
+    """A renaming of the variables keeps the Hilbert series.  Under each of
+    the 24 renamings, the Hilbert query on the renamed generators, certified
+    on the section or read from their own basis, and the four-variable
+    route's numerator have the keys, values and key order of the identity
+    order's lead ideal."""
     gens = RENAMED_ROUTE_CASES[name]
     exact = list(_exact_numerator(gens).items())
     for perm in itertools.permutations(range(NVARS)):
         renamed = [_renamed(g, perm) for g in gens]
         assert list(_exact_numerator(renamed).items()) == exact, perm
-        route = groebner._minimal_numerator(groebner._renamed_lead(renamed))
-        assert list(dict(route).items()) == exact, perm
+        assert list(GradedIdeal(renamed).hilbert_numerator().items()) == exact, perm
     assert list(GradedIdeal(gens).hilbert_numerator().items()) == exact
 
 
 def test_renamed_route_matches_the_identity_order_on_hypothesis_draws():
-    """Random sparse ideals of one to five forms of degree 1 to 3."""
+    """Random sparse ideals of one to five forms of degree 1 to 3 under a
+    drawn renaming: the Hilbert query on the renamed generators has the
+    identity order's numerator."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     coefficient = st.integers(-3, 3).filter(bool)
@@ -2984,19 +2983,20 @@ def test_renamed_route_matches_the_identity_order_on_hypothesis_draws():
     ideals = st.lists(st.integers(1, 3).flatmap(form), min_size=1, max_size=5)
 
     @hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
-    @hypothesis.given(ideals)
-    def check(gens):
-        route = groebner._minimal_numerator(groebner._renamed_lead(gens))
-        assert list(dict(route).items()) == list(_exact_numerator(gens).items())
+    @hypothesis.given(ideals, st.permutations(range(NVARS)))
+    def check(gens, perm):
+        renamed = GradedIdeal([_renamed(g, perm) for g in gens])
+        assert list(renamed.hilbert_numerator().items()) == list(_exact_numerator(gens).items())
 
     check()
 
 
-def test_renamed_route_reads_monomials_as_their_own_lead_ideal(monkeypatch):
-    """Generators of one term each: _renamed_lead is the four-variable
-    Buchberger route's lead ideal, and no _groebner_elements call is made.
-    60 seeded ideals of 1 to 8 monomials of degree 1 to 6 with coefficients,
-    a staircase and the unit and zero ideals."""
+def test_monomial_generators_are_their_own_basis(monkeypatch):
+    """Generators of one term each: _basis_elements makes no
+    _groebner_elements call, its lead ideal is the four-variable Buchberger
+    route's and its reduced basis is buchberger's.  60 seeded ideals of 1 to
+    8 monomials of degree 1 to 6 with coefficients, a staircase and the unit
+    and zero ideals."""
     rng = Random(4545)
     cases = [[HomogeneousPolynomial(deg, {rng.choice(monomials_of_degree(deg)): rng.choice((-2, 1, 3))})
               for deg in (rng.randint(1, 6) for _ in range(rng.randint(1, 8)))]
@@ -3004,28 +3004,54 @@ def test_renamed_route_reads_monomials_as_their_own_lead_ideal(monkeypatch):
     cases += [list(_ideal(*lines).generators) for lines in (
         [f"z1^{i}*z2^{12 - i}" for i in range(13)], ["z0^2", "2/3", "z1"], [])]
     for gens in cases:
-        expected = GradedIdeal(gens)._packed_lead()
+        ideal = GradedIdeal(gens)
         with monkeypatch.context() as m:
             runs = _spy_buchberger(m)
-            assert groebner._renamed_lead(gens) == expected
+            ideal._basis_elements()
             assert runs == []
+        assert ideal._packed_lead() == groebner._minimalize(
+            e[0] for e in groebner._groebner_elements(gens))
+        assert list(ideal.groebner_basis()) == buchberger(gens)
     assert len(cases) == 63
 
 
-def test_each_ideal_runs_buchberger_at_most_once(monkeypatch, capsys, tmp_path):
-    """A command that needs the basis after Hilbert data takes the basis
-    first, so the Hilbert query reads it: wedge --invariants --rao, rao, a
-    legendrian sample and its Rao profile, and the serial gate, which makes
-    the 86 runs it made before the renamed route."""
+def test_the_441_line_staircase_reads_its_lead_ideal_without_buchberger(monkeypatch):
+    """The staircase x^i*y^(440-i), just under the pair cap, is its own
+    lead ideal, read in well under a second."""
+    ideal = _ideal(*[f"z0^{i}*z1^{440 - i}" for i in range(441)])
     runs = _spy_buchberger(monkeypatch)
-    assert cli.main(["wedge", "z0*dz1 - z1*dz0", "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2",
-                     "--invariants", "--rao"]) == 0
-    assert len(runs) == 1
-    path = tmp_path / "skew.ideal"
-    path.write_text("\n".join(SKEW) + "\n")
+    started = time.perf_counter()
+    lead = ideal.lead_ideal()
+    assert time.perf_counter() - started < 1
+    assert runs == []
+    assert lead == tuple((i, 440 - i, 0, 0) for i in range(441))
+
+
+def test_each_ideal_runs_buchberger_at_most_once(monkeypatch, capsys, tmp_path):
+    """Over Q, with no caller taking the basis first: wedge --invariants
+    --rao, rao, curve invariants before a Rao profile, a legendrian sample
+    and its Rao profile, and the serial gate.  The Hilbert query keeps the
+    basis it reads, and monomial ideals, such as the pencil-contact wedge
+    and SKEW, run none."""
+    runs = _spy_buchberger(monkeypatch, over_q=True)
+    contact = "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2"
+    omega = str(forms.random_projective_oneform(2, Random(0)))
+    for pair, runs_made in ((["z0*dz1 - z1*dz0", contact], 0), ([contact, omega], 1)):
+        runs.clear()
+        assert cli.main(["wedge", *pair, "--invariants", "--rao"]) == 0
+        assert len(runs) == runs_made, pair
+    cubic = ["z0*z2 - z1^2", "z1*z3 - z2^2", "z0*z3 - z1*z2"]
+    for lines, runs_made in ((SKEW, 0), (cubic, 1)):
+        path = tmp_path / "ideal.txt"
+        path.write_text("\n".join(lines) + "\n")
+        runs.clear()
+        assert cli.main(["rao", str(path)]) == 0
+        assert len(runs) == runs_made, lines
     runs.clear()
-    assert cli.main(["rao", str(path)]) == 0
-    assert len(runs) == 1
+    ideal = _ideal(*cubic)
+    assert curve_invariants(ideal) == (3, 0)
+    assert rao_module_dimensions(ideal).total == 0
+    assert runs == [ideal.generators]
 
     drawn = []
     real = forms._legendrian_presentation
@@ -3041,7 +3067,7 @@ def test_each_ideal_runs_buchberger_at_most_once(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
     assert cli.main(["verify", "--suite", "all", "--seed", "0", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
-    assert len(runs) <= 86
+    assert len(runs) <= 79
 
 
 # ---------------------------------------------------------------------------
@@ -3791,10 +3817,10 @@ def test_the_hilbert_walk_stops_at_a_degree_over_the_bound_with_the_same_element
     first finished degree that outnumbers the complete-intersection count.
     The heap queue walks on; the elements are the same, on random ideals and
     on the 31 hilbert-pool ideals the Koszul bound on the first plane does
-    not certify, on their own variables and renamed, where also the same
-    S-polynomials are divided, and the walk takes fewer steps on most of
-    them."""
-    pairs = _koszul_uncertified_pool(monkeypatch)
+    not certify, on their own variables and renamed by _most_terms_last,
+    where also the same S-polynomials are divided, and the walk takes fewer
+    steps on most of them."""
+    pairs = _koszul_uncertified_pool()
     assert len(pairs) == 31
     steps = []
     real = groebner._next_standard

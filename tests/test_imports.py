@@ -107,11 +107,11 @@ print(json.dumps([code, loaded()]))""")
     assert set(modules) == MODULES | added
 
 
-def test_verify_loads_the_section_only_where_the_ci_rao_draws_run():
+def test_verify_loads_the_section_first_where_the_legendrian_draws_run():
     """Run in order, the gate's criteria and property items load
-    folcurves.section first at the ci-rao draws, whose complete-intersection
-    curves a Hilbert query finds before any basis; every other check takes
-    its basis first or never asks for Hilbert data."""
+    folcurves.section first at legendrian-deg2, whose draws ask for Hilbert
+    data before any basis; the checks before it build their basis first or
+    never ask for Hilbert data."""
     seen = fresh(LOADED + """
 from folcurves import verification
 seen = []
@@ -124,7 +124,7 @@ for cid, check in verification.CRITERIA.items():
         assert check(0).ok, cid
         seen.append([cid, "folcurves.section" in sys.modules])
 print(json.dumps(seen))""")
-    first = next(k for k, (name, _) in enumerate(seen) if name == "ci-rao")
+    first = next(k for k, (name, _) in enumerate(seen) if name == "legendrian-deg2")
     assert [loaded for _, loaded in seen] == [False] * first + [True] * (len(seen) - first)
 
 
