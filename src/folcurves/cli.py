@@ -6,14 +6,14 @@ deterministic (sorted keys, no timing data).
 
 A subcommand imports the modules it runs when it runs, so that starting
 one compiles and loads only those.  errors, polyring and groebner stay at
-module level: every numeric subcommand uses them, and deferring them as
-well raised the gate's peak memory.  forms, resolution (with linalg),
-classify, sheafcoh, monad and verification are imported in the handlers
-that call them, and `verify` reads its suite names and default seed only
-when it checks or prints them.  So `hilbert` loads parsing besides;
-`wedge` forms and parsing, and resolution too with --rao; `rao` and
-`syzygy` resolution; `verify` every module.  Most of the saving is
-compilation, so cached bytecode shrinks it.
+module level: every numeric subcommand uses them, and deferring them
+raised the gate's peak memory.  The other modules are imported in the
+handlers, and `verify` reads its suite names and default seed only when
+it needs them.  So `hilbert` loads parsing besides; `wedge` forms and
+parsing, and resolution with --rao; `rao` and `syzygy` resolution;
+`verify` every module.  section loads only for Hilbert data of at most
+three forms, not all of one term, before any basis: on `hilbert`,
+`wedge --invariants` and verify's ci-rao draws, never on `rao`.
 """
 
 from __future__ import annotations
@@ -85,16 +85,14 @@ def _cmd_wedge(args):
     human = [f"wedge: {text}"]
     if args.invariants or args.rao:
         ideal = singular_ideal(two_form)
-        if args.rao:
-            # first: it takes the basis, so the Hilbert query reads it and cuts no section
-            from .resolution import rao_module_dimensions
-
-            rao = rao_module_dimensions(ideal).to_json()
         if args.invariants:
             deg, genus = curve_invariants(ideal)
             payload["invariants"] = {"degree": deg, "genus": genus}
             human.append(f"singular curve: degree {deg}, genus {genus}")
         if args.rao:
+            from .resolution import rao_module_dimensions
+
+            rao = rao_module_dimensions(ideal).to_json()
             payload["rao"] = rao
             human.append(f"Rao profile: {rao}")
     return _emit(args, payload, (), human)

@@ -19,9 +19,9 @@ class DegreeMismatchError(FolcurvesError):
 
 class ResourceLimitError(FolcurvesError):
     """A work cap was exceeded (S-pairs, Buchberger's division steps, terms,
-    coefficient bits, total degree, piece dimensions, twist range, regularity
-    bound, sample redraws), or an audit of a resolution or a Rao profile
-    failed."""
+    coefficient bits, total degree, piece dimensions, lcm lattice, Betti
+    table degree, twist range, sample redraws), or an audit of a resolution
+    or a Rao profile failed."""
 
 
 class NotACurveError(FolcurvesError):

@@ -39,15 +39,14 @@ there.  With five or more generators the bound would be Froeberg's
 conjecture, and no pair is skipped this way.  The argument holds over any
 field.
 
-hilbert_numerator tries two routes in turn.  Before a basis exists, up to
-three forms are certified on a hyperplane section over a prime field
-(folcurves.section, imported on the first query that tries it): a complete
-intersection by the Koszul bound, and three forms in a coordinate line ideal
-by a Buchsbaum-Rim bound, each on a second plane when the first misses.
-When that certifies nothing, or once a basis exists, the lead ideal of the
-ideal's own basis answers, and the basis is kept for every later query, so
-no ideal runs Buchberger twice.  Generators of one term each are their own
-basis, with no Buchberger run.
+GradedIdeal alone picks the route of a Hilbert query.  Generators of one
+term each are their own basis from construction.  Before any basis
+exists, at most MAX_SECTION_FORMS forms are certified on a hyperplane
+section over a prime field (folcurves.section, imported only then), by
+the Koszul bound or, for three forms in a coordinate line ideal, a
+Buchsbaum-Rim bound, which it passes to _groebner_elements as a
+certificate.  Otherwise the lead ideal of the ideal's own basis answers,
+and the basis is kept, so no ideal runs Buchberger twice.
 
 Graded syzygies, free resolutions and Rao profiles are resolution's, which
 this module does not import; each public name of resolution, and
@@ -91,6 +90,8 @@ MAX_STANDARD_WALK = 20_000
 # (x+y+z)^40, (x+y+t)^40, (y+z+t)^39*x reaches the cap in about 0.2 s in
 # either order; it ran past 20 s before there was one.
 MAX_BUCHBERGER_POPS = 50_000
+# Most forms certified on the hyperplane section, which refuses more itself
+MAX_SECTION_FORMS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +295,8 @@ def _next_standard(standard, leads):
             if n == _nonzero_fields(u).bit_count() and u not in leads}
 
 
-def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bool = False,
-                       divide=_divide, element=_basis_element, bound=None):
+def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, divide=_divide,
+                       element=_basis_element, bound=None):
     """A degrevlex Groebner basis of the ideal, as primitive integer basis
     elements with pairwise distinct leads; neither minimal nor reduced.  The
     unit ideal gives [(0, 1, [])] (0 packs the monomial 1), the zero ideal
@@ -310,15 +311,14 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
     still waits exactly when it comes after the current one, which the
     chain criterion reads.  The rest of a degree is dropped at once when
     the Hilbert bound shows that it reduces to zero (see the module
-    docstring): _ci_hilbert_function of the numerator bound, a lower bound
-    for HS(S/I) * (1-t)^4 that the section passes.  None takes the
-    _ci_numerator of the kept generators' degrees when there are at most
-    four, and no bound with more.
+    docstring): _ci_hilbert_function of a lower bound for HS(S/I) * (1-t)^4.
 
-    At the first finished degree whose standard monomials outnumber the
-    bound, which shows that I does not meet it (with None, that I is no
-    complete intersection of the kept generators), the walk stops, or with
-    give_up the call returns None.
+    A bound the caller passes is a certificate the run must meet: at the
+    first finished degree whose standard monomials outnumber it, the call
+    returns None.  With None the call steers by the _ci_numerator of the
+    kept generators' degrees when there are at most four, and by no bound
+    with more; a finished degree above that bound shows that I is no
+    complete intersection of the kept generators, and the walk stops there.
 
     Raises ResourceLimitError when more than pair_cap pairs are processed
     (skipped and pruned pairs count), an S-polynomial that no criterion
@@ -352,7 +352,8 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
 
     for e in basis:
         add_lead(e[0])
-    if bound is None and len(gens) <= 4:
+    certify = bound is not None
+    if not certify and len(gens) <= 4:
         # the kept generators: they generate I, and are no more
         bound = _ci_numerator(mono_degree(m) for m in lead)
     standard, std_degree, least = {0}, 0, None  # standard monomials of std_degree
@@ -371,7 +372,7 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bo
             if bound is not None:
                 while std_degree < degree and walked <= MAX_STANDARD_WALK:
                     if least is not None and len(standard) > least:
-                        if give_up:
+                        if certify:
                             return None
                         bound = None  # the walk stops; no later pair is skipped
                         break
@@ -442,13 +443,17 @@ def _minimalize(gens):
 def _pivot(gens, mixed):
     """(v, k, J : v^k) for the minimal generators gens of J, mixed those
     with more than one variable: v is the variable in most mixed generators,
-    the first on ties, and k its least positive exponent in gens."""
+    the first on ties, k its least positive exponent in gens, and J : v^k
+    its minimal generators, ascending.  No generator h without v divides a
+    g / v^k (it would divide g), so only the h are checked against those."""
     counts = [sum(1 for g in mixed if g >> 32 * v & _FIELD) for v in range(NVARS)]
     v = max(range(NVARS), key=counts.__getitem__)
     k = min(e for e in (g >> 32 * v & _FIELD for g in gens) if e)
     power = k << 32 * v
-    colon = tuple(g - power if g >> 32 * v & _FIELD else g for g in gens)
-    return v, k, colon
+    quotients = [g - power for g in gens if g >> 32 * v & _FIELD]
+    kept = [h for h in gens if not h >> 32 * v & _FIELD
+            and not any(q < h and not (h - q) & _GUARD for q in quotients)]
+    return v, k, tuple(sorted(quotients + kept))
 
 
 def _plus(gens, v, k):
@@ -467,7 +472,6 @@ def _minimal_numerator(gens: tuple) -> tuple:
     With a mixed generator, 0 -> S/(J : v^k)(-k) -> S/J -> S/(J + v^k) -> 0
     splits it (see _pivot).  J + v^k is smaller than J: v lies in a mixed
     minimal generator, so any pure power of v among them is above v^k.
-    Only J : v^k needs _minimalize.
     """
     if not gens:
         return ((0, 1),)
@@ -480,7 +484,7 @@ def _minimal_numerator(gens: tuple) -> tuple:
     res = {}
     for a, c in _minimal_numerator(_plus(gens, v, k)):
         res[a] = res.get(a, 0) + c
-    for a, c in _minimal_numerator(_minimalize(colon)):
+    for a, c in _minimal_numerator(colon):
         res[a + k] = res.get(a + k, 0) + c
     return tuple(sorted((a, c) for a, c in res.items() if c))
 
@@ -502,7 +506,7 @@ def _minimal_regularity_bound(gens: tuple) -> int:
     if not mixed:
         return sum(mono_degree(g) - 1 for g in gens)
     v, k, colon = _pivot(gens, mixed)
-    return max(_minimal_regularity_bound(_minimalize(colon)) + k,
+    return max(_minimal_regularity_bound(colon) + k,
                _minimal_regularity_bound(_plus(gens, v, 1)) + k - 1)
 
 
@@ -583,14 +587,14 @@ class HilbertPolynomial:
 class GradedIdeal:
     """Homogeneous ideal with cached Groebner basis and Hilbert data.
 
-    The first query runs Buchberger, or reads monomial generators, and
-    keeps the integer basis elements, except a Hilbert query that the
-    hyperplane section certifies, which keeps no basis (see the module
-    docstring).  lead_ideal, is_unit_ideal, the other Hilbert queries,
-    regularity_bound and the resolution read only the elements;
-    groebner_basis, contains and equals also build the monic reduced basis
-    from them, once.  The minimal free resolution is kept too, once one is
-    computed.
+    Generators of one term each are their own basis from construction.
+    Otherwise the first query runs Buchberger and keeps the integer basis
+    elements, except a Hilbert query that the hyperplane section certifies,
+    which keeps no basis (see the module docstring).  lead_ideal,
+    is_unit_ideal, the other Hilbert queries, regularity_bound and the
+    resolution read only the elements; groebner_basis, contains and equals
+    also build the monic reduced basis from them, once.  The minimal free
+    resolution is kept too, once one is computed.
     """
 
     def __init__(self, generators):
@@ -602,6 +606,9 @@ class GradedIdeal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._elements = None
+        if all(len(g._cleared[1]) == 1 for g in gens):  # a basis: their minimal monomials
+            leads = _minimalize(m for g in gens for m in g._cleared[1])
+            self._elements = [(m, 1, []) for m in leads]
         self._gb = None
         self._lead = None
         self._numerator = None
@@ -625,16 +632,9 @@ class GradedIdeal:
         return cls.from_expressions(lines)
 
     def _basis_elements(self):
-        """The integer basis elements of _groebner_elements, computed on the
-        first call.  Generators of one term each are their own basis: their
-        minimal monomials, each with coefficient 1, and no Buchberger run."""
+        """The integer basis elements of _groebner_elements, computed once."""
         if self._elements is None:
-            gens = self.generators
-            if all(len(g._cleared[1]) == 1 for g in gens):
-                leads = _minimalize(m for g in gens for m in g._cleared[1])
-                self._elements = [(m, 1, []) for m in leads]
-            else:
-                self._elements = _groebner_elements(gens)
+            self._elements = _groebner_elements(self.generators)
         return self._elements
 
     def groebner_basis(self):
@@ -666,11 +666,11 @@ class GradedIdeal:
 
     def hilbert_numerator(self) -> dict:
         """Coefficients of HS(S/I) * (1-t)^4, keyed by ascending exponent;
-        empty for the unit ideal.  Before any basis exists, up to three
-        forms are tried on the section, and failing that the lead ideal of
-        the basis, which is kept, answers (see the module docstring)."""
+        empty for the unit ideal.  The section, for at most MAX_SECTION_FORMS
+        forms before any basis exists, or else the lead ideal of the basis,
+        which is kept, answers (see the module docstring)."""
         if self._numerator is None:
-            if self._elements is None:
+            if self._elements is None and len(self.generators) <= MAX_SECTION_FORMS:
                 from .section import _section_numerator
 
                 self._numerator = _section_numerator(self.generators)

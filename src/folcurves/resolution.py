@@ -197,9 +197,8 @@ def graded_kernel(columns, basis, rows):
 # pool's 27.  On a 2-vCPU x86_64 machine under Python 3.11, (z0, z1)^100
 # (5151 elements) took 0.25 s and (z0, z1)^200 (20301) 1.8 s.
 MAX_LEAD_LATTICE = 5_000
-# Largest last degree of the Betti table that schedules a resolution.  It
-# replaces a cap of 60 on regularity_bound() + 6, which for two forms of
-# degrees a and b was a + b + 4, where the table's last degree is a + b.
+# Largest last degree of the Betti table that schedules a resolution,
+# refused before any elimination; two forms of degrees a and b end at a + b.
 MAX_RESOLUTION_DEGREE = 56
 
 # the faces of the simplex on a vertex set a, bit s set for each subset s of a,

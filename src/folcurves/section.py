@@ -1,9 +1,9 @@
 """Hilbert numerators certified on a hyperplane section, over F_P.
 
-Hilbert data of up to three forms mostly come without a basis in four
-variables; a generic linear section keeps them (Bayer and Stillman,
-Invent. Math. 87, 1987).  For a plane z3 = l of PLANES, the first
-l = z0 + 2*z1 + 3*z2, _section_numerator cuts each form f_i to
+Hilbert data of up to groebner.MAX_SECTION_FORMS = 3 forms mostly come
+without a basis in four variables; a generic linear section keeps them
+(Bayer and Stillman, Invent. Math. 87, 1987).  For a plane z3 = l of
+PLANES, the first l = z0 + 2*z1 + 3*z2, _certifies cuts each form f_i to
 f_i(z0, z1, z2, l), a form in z0..z2, and runs Buchberger on the cut forms
 and z3.  These generate the image of I + (z3 - l) under the change of
 coordinates z3 -> z3 + l, so the two ideals have one Hilbert series.
@@ -48,13 +48,13 @@ computes.  In every degree d:
 When L has the numerator N(1-t), the sum of its Hilbert function up to d
 is B(d), so B(d) <= H(S/I)(d) <= B(d) and the answer is N.  Nothing here
 asks the run to skip soundly: a Hilbert skip on a bad bound drops leads,
-which the last step allows.  The run's Hilbert walk reads N(1-t) as its
-bound and gives up at the first finished degree where the standard
-monomials outnumber it; L can then never reach N(1-t).  A miss (a cut
-that vanishes mod P, a give-up or another numerator) is tried once more
-on the second plane, l = 7*z0 - 3*z1 + 2*z2, and then falls through to
-groebner's exact route, so no answer depends on P or the planes.  Forms
-above MAX_SECTION_DEGREE are never cut: a sparse form turns dense on the
+which the last step allows.  The run takes N(1-t) as a certificate and
+gives up at the first finished degree where the standard monomials
+outnumber it; L can then never reach N(1-t).  A miss (a cut that vanishes
+mod P, a give-up or another numerator) is tried once more on the second
+plane, l = 7*z0 - 3*z1 + 2*z2, and then falls through to groebner's exact
+route, so no answer depends on P or the planes.  Forms above
+MAX_SECTION_DEGREE are never cut: a sparse form turns dense on the
 section.
 
 The run is over F_P, P = 32749, the largest prime below 2^15, so that the
@@ -100,7 +100,7 @@ _POWERS = tuple([{0: 1}] for _ in PLANES)  # l^e mod P for e < len, packed, per 
 
 
 def _power(plane: int, e: int) -> dict:
-    """l^e mod P for the l of PLANES[plane], for e <= MAX_SECTION_DEGREE."""
+    """l^e mod P for the l of PLANES[plane], tabulated up to e."""
     powers = _POWERS[plane]
     while len(powers) <= e:
         acc = {}
@@ -183,35 +183,38 @@ def _line_bound(degrees) -> dict:
     return {a: c for a, c in numerator.items() if c}
 
 
-def _certifies(generators, plane: int, numerator: dict) -> bool:
-    """Whether the F_P run on the cuts by PLANES[plane] and z3 ends on leads
-    whose Hilbert numerator is numerator * (1-t), the lower bound its
-    Hilbert walk reads; False when a cut vanishes mod P or the run gives
-    up."""
-    cuts = [_section_cut(g, plane) for g in generators]
-    if not all(cuts):
-        return False
+def _certifies(generators, numerator: dict) -> bool:
+    """Whether, on a plane of PLANES, tried in turn, the F_P run on the cuts
+    and z3 ends on leads whose Hilbert numerator is numerator * (1-t), for
+    a lower bound numerator of HS(S/I) * (1-t)^4 proven as in the module
+    docstring; a plane misses when a cut vanishes mod P or the run gives up."""
     target = dict(numerator)  # times 1 - t, the factor of z3
     for a, c in numerator.items():
         target[a + 1] = target.get(a + 1, 0) - c
     target = {a: c for a, c in target.items() if c}
-    elements = groebner._groebner_elements(cuts + [_Z3], give_up=True, divide=_divide,
-                                           element=_monic_element, bound=target)
-    return elements is not None and dict(
-        groebner._minimal_numerator(groebner._minimalize(e[0] for e in elements))) == target
+    for plane in range(len(PLANES)):
+        cuts = [_section_cut(g, plane) for g in generators]
+        elements = all(cuts) and groebner._groebner_elements(
+            cuts + [_Z3], divide=_divide, element=_monic_element, bound=target)
+        if elements and dict(groebner._minimal_numerator(
+                groebner._minimalize(e[0] for e in elements))) == target:
+            return True
+    return False
 
 
 def _section_numerator(generators):
     """hilbert_numerator of the generators, nonzero forms, when a section
     run certifies it (see the module docstring); None when none does, or
-    when there are more than three forms, or one is constant or of degree
-    above MAX_SECTION_DEGREE, or their exponents show a coordinate subspace
+    when there are more forms than groebner.MAX_SECTION_FORMS, which the
+    bounds need, or one is constant or of degree above MAX_SECTION_DEGREE,
+    or their exponents show a coordinate subspace
     z_A = 0 that no bound covers.  That is a set A of fewer indices than
     forms at which every monomial of every form has a positive exponent,
     other than one pair A = {a, b} for three forms, which the line bound
     takes; nothing is cut then."""
     degrees = [g.degree for g in generators]
-    if not 0 < len(degrees) <= 3 or min(degrees) < 1 or max(degrees) > MAX_SECTION_DEGREE:
+    if (not 0 < len(degrees) <= groebner.MAX_SECTION_FORMS or min(degrees) < 1
+            or max(degrees) > MAX_SECTION_DEGREE):
         return None
     supports = {sum(1 << v for v in range(NVARS) if m >> 32 * v & _FIELD)
                 for g in generators for m in g._cleared[1]}
@@ -221,7 +224,4 @@ def _section_numerator(generators):
     if len(covers) > 1 or covers and len(degrees) < 3:
         return None
     numerator = _line_bound(degrees) if covers else groebner._ci_numerator(degrees)
-    for plane in range(len(PLANES)):
-        if _certifies(generators, plane, numerator):
-            return dict(sorted(numerator.items()))
-    return None
+    return dict(sorted(numerator.items())) if _certifies(generators, numerator) else None

@@ -157,6 +157,7 @@ def test_legendrian_foliation_degree2_sample():
     assert presentation.degree == 2
     assert presentation.conormal_twists == (-2, -3)
     assert curve_invariants(presentation.ideal) == (5, 1)
+    assert presentation.singular_curve_invariants() == (5, 1)
 
 
 def test_legendrian_degree3_sample_has_degree10():

@@ -2294,12 +2294,33 @@ def _section_cut(f: HomogeneousPolynomial) -> HomogeneousPolynomial:
                                     for e, terms in slices.items())
 
 
+def _koszul_certificate(generators):
+    """The bound the former give_up flag of _groebner_elements certified:
+    the _ci_numerator of the degrees of the nonzero generators it keeps,
+    each divided by those kept before it."""
+    kept = []
+    for g in sorted((g for g in generators if g),
+                    key=lambda g: (g.degree, -min(g._cleared[1]))):
+        r, _ = groebner._divide(dict(g._cleared[1]), kept)
+        if r:
+            kept.append(groebner._basis_element(r))
+    return groebner._ci_numerator(polyring.mono_degree(e[0]) for e in kept)
+
+
+def _certifying_elements(gens, give_up=False, **kw):
+    """_groebner_elements(gens, **kw) as the former flag ran it: with
+    give_up, certifying the bound _koszul_certificate(gens)."""
+    return groebner._groebner_elements(
+        gens, bound=_koszul_certificate(gens) if give_up else None, **kw)
+
+
 def _former_section_numerator(generators, refuse_by_exponents=False):
     """The former groebner._section_numerator, exact over Q, verbatim but
-    for the prefixes, line breaks and refuse_by_exponents.  Without that
-    flag it cuts every form it can, as before the exponent refusal; with
-    it, it refuses as groebner did before the certificate moved to
-    folcurves.section over F_P."""
+    for the prefixes, line breaks, refuse_by_exponents and the bound
+    _certifying_elements passes for the former give_up flag.  Without
+    refuse_by_exponents it cuts every form it can, as before the exponent
+    refusal; with it, it refuses as groebner did before the certificate
+    moved to folcurves.section over F_P."""
     degrees = [g.degree for g in generators]
     if (not 0 < len(degrees) <= 3 or min(degrees) < 1
             or max(degrees) > section.MAX_SECTION_DEGREE):
@@ -2310,7 +2331,7 @@ def _former_section_numerator(generators, refuse_by_exponents=False):
         for a in range(1, 1 << NVARS):  # A as a bit mask
             if a.bit_count() < len(degrees) and all(s & a for s in supports):
                 return None
-    elements = groebner._groebner_elements(
+    elements = _certifying_elements(
         [_section_cut(g) for g in generators] + [_Z3], give_up=True)
     if elements is None:
         return None
@@ -2372,8 +2393,9 @@ def test_section_route_matches_the_exact_numerator_on_random_ideals(monkeypatch)
     """Certified or not, hilbert_numerator() has the exact route's keys,
     values and key order, and so has every certified answer of the section
     over F_P; a query keeps the four-variable basis exactly when the section
-    certifies nothing.  96 ideals certify by the Koszul bound on the first
-    plane, and 19 that are no complete intersection fall back."""
+    certifies nothing.  86 ideals certify by the Koszul bound on the first
+    plane, and 18 that are no complete intersection fall back; 11 of
+    one-term generators are their own basis and never reach the section."""
     answers, tried = _spy_section(monkeypatch), _spy_planes(monkeypatch)
     seen = {}
     for gens in _section_cases():
@@ -2383,6 +2405,10 @@ def test_section_route_matches_the_exact_numerator_on_random_ideals(monkeypatch)
         exact = _exact_numerator(gens)
         tried.clear()
         assert list(ideal.hilbert_numerator().items()) == list(exact.items())
+        if all(len(g._cleared[1]) == 1 for g in gens):  # their own basis: no section
+            assert not answers and ideal._elements is not None
+            seen["monomial"] = seen.get("monomial", 0) + 1
+            continue
         answer = answers.pop()
         assert (ideal._elements is None) == (answer is not None)
         if answer is not None:
@@ -2395,22 +2421,32 @@ def test_section_route_matches_the_exact_numerator_on_random_ideals(monkeypatch)
         else:
             key = "other fallback"
         seen[key] = seen.get(key, 0) + 1
-    assert seen == {("Koszul", 0): 96, "other fallback": 19}, seen
+    assert seen == {("Koszul", 0): 86, "other fallback": 18, "monomial": 11}, seen
 
 
 def _spy_planes(monkeypatch):
     """(plane, bound, certified) for each plane the _section_numerator calls
     made from now on try: its index in section.PLANES, "line" or "Koszul",
-    and the outcome."""
-    tried = []
-    real = section._certifies
+    and the outcome.  A _certifies call cuts on each plane it tries, in
+    turn, and stops at the plane that certifies."""
+    tried, planes = [], []
+    certifies, cut = section._certifies, section._section_cut
 
-    def spy(gens, plane, numerator):
+    def spy_cut(g, plane=0):
+        if plane not in planes:
+            planes.append(plane)
+        return cut(g, plane)
+
+    def spy(gens, numerator):
+        planes.clear()
         line = numerator == section._line_bound([g.degree for g in gens])
-        tried.append((plane, "line" if line else "Koszul", real(gens, plane, numerator)))
-        return tried[-1][2]
+        certified = certifies(gens, numerator)
+        tried.extend((plane, "line" if line else "Koszul", certified and plane == planes[-1])
+                     for plane in planes)
+        return certified
 
     monkeypatch.setattr(section, "_certifies", spy)
+    monkeypatch.setattr(section, "_section_cut", spy_cut)
     return tried
 
 
@@ -2496,7 +2532,7 @@ def test_section_route_gives_up_a_non_complete_intersection_early(monkeypatch):
     real = groebner._s_polynomial_terms
     monkeypatch.setattr(groebner, "_s_polynomial_terms",
                         lambda e, f: divided.append(1) or real(e, f))
-    assert run(cuts, give_up=True) is None
+    assert run(cuts, bound=_koszul_certificate(cuts)) is None
     stopped = len(divided)
     divided.clear()
     assert run(cuts)
@@ -2568,7 +2604,8 @@ def test_section_route_matches_sympy_hilbert_polynomials():
         if len(gens) < 2 or section._section_numerator(ideal.generators) is None:
             continue
         P = ideal.hilbert_polynomial()
-        assert ideal._elements is None
+        # monomial generators are their own basis; others certify with none
+        assert (ideal._elements is None) == any(len(g._cleared[1]) > 1 for g in gens)
         polys = [sympy.Poly.from_dict({m: int(c) for m, c in g.terms.items()}, *zs, domain="QQ")
                  for g in gens]
         leads = [sympy.Poly(g, *zs, domain="QQ").terms(order="grevlex")[0][0]
@@ -2992,9 +3029,10 @@ def test_renamed_route_matches_the_identity_order_on_hypothesis_draws():
 
 
 def test_monomial_generators_are_their_own_basis(monkeypatch):
-    """Generators of one term each: _basis_elements makes no
-    _groebner_elements call, its lead ideal is the four-variable Buchberger
-    route's and its reduced basis is buchberger's.  60 seeded ideals of 1 to
+    """Generators of one term each are the ideal's basis from construction:
+    neither that nor the Hilbert query makes a _groebner_elements call, over
+    Q or on the section, the lead ideal is the four-variable Buchberger
+    route's and the reduced basis is buchberger's.  60 seeded ideals of 1 to
     8 monomials of degree 1 to 6 with coefficients, a staircase and the unit
     and zero ideals."""
     rng = Random(4545)
@@ -3004,10 +3042,11 @@ def test_monomial_generators_are_their_own_basis(monkeypatch):
     cases += [list(_ideal(*lines).generators) for lines in (
         [f"z1^{i}*z2^{12 - i}" for i in range(13)], ["z0^2", "2/3", "z1"], [])]
     for gens in cases:
-        ideal = GradedIdeal(gens)
         with monkeypatch.context() as m:
             runs = _spy_buchberger(m)
-            ideal._basis_elements()
+            ideal = GradedIdeal(gens)
+            assert ideal._elements is not None
+            ideal.hilbert_numerator()
             assert runs == []
         assert ideal._packed_lead() == groebner._minimalize(
             e[0] for e in groebner._groebner_elements(gens))
@@ -3229,7 +3268,7 @@ def _as_tuples(elements):
 
 
 def _assert_same_elements(gens, give_up=False):
-    new = groebner._groebner_elements(gens, give_up=give_up)
+    new = _certifying_elements(gens, give_up)
     assert _as_tuples(new) == _tuple_groebner_elements(gens, give_up=give_up)
     return new
 
@@ -3508,6 +3547,31 @@ def test_monomial_recursions_minimalizing_once_per_node_match_the_former_ones():
             == _entry_minimalizing_regularity_bound(staircase))
 
 
+def test_pivot_returns_the_colon_minimal_and_ascending():
+    """On seeded minimal monomial ideals and the 441-line staircase, the
+    colon J : v^k that _pivot returns is _minimalize of the raw colon, the
+    g / v^k of the generators g with v and the generators without v; some
+    generators without v are dropped, and neither recursion minimalizes
+    the colon again."""
+    rng = Random(46)
+    cases = [groebner._minimalize(
+        _pack(tuple(rng.choice((0, 0, 1, 2, rng.randint(3, 6))) for _ in range(NVARS)))
+        for _ in range(rng.randint(2, 8))) for _ in range(400)]
+    cases.append(groebner._minimalize(_pack((i, 440 - i, 0, 0)) for i in range(441)))
+    checked = dropped = 0
+    for gens in cases:
+        mixed = [g for g in gens if groebner._nonzero_fields(g).bit_count() > 1]
+        if not mixed or 0 in gens:
+            continue
+        v, k, colon = groebner._pivot(gens, mixed)
+        power = k << 32 * v
+        raw = [g - power if g >> 32 * v & polyring._FIELD else g for g in gens]
+        assert colon == groebner._minimalize(raw), [_unpack(g) for g in gens]
+        checked += 1
+        dropped += len(colon) < len(raw)
+    assert checked >= 300 and dropped >= 40, (checked, dropped)
+
+
 def test_staircase_lead_ideal_and_hilbert_data_have_their_closed_forms():
     """The n + 1 monomials x^i*y^(n-i) generate (x, y)^n: HS(S/I)*(1-t)^4 is
     1 - (n+1) t^n + n t^(n+1), and the bound is reg(S/I) = n - 1."""
@@ -3765,7 +3829,7 @@ def _assert_same_as_the_heap_queue(monkeypatch, gens, give_up=False):
     with monkeypatch.context() as m:
         m.setattr(groebner, "_s_polynomial_terms",
                   lambda e, f: divided.append((e[0], f[0])) or real(e, f))
-        new = groebner._groebner_elements(gens, give_up=give_up)
+        new = _certifying_elements(gens, give_up)
         mine, divided[:] = divided[:], []
         assert new == _heap_groebner_elements(gens, give_up=give_up)
     assert mine == divided
@@ -3859,9 +3923,9 @@ def test_degree_lists_raise_the_heap_queue_pair_cap_errors():
     cases += [(gens, False) for gens in _degenerate_ideals().values()]
     raised = 0
     for gens, give_up in cases:
-        needed = _smallest_pair_cap(partial(groebner._groebner_elements, give_up=give_up), gens)
+        needed = _smallest_pair_cap(partial(_certifying_elements, give_up=give_up), gens)
         for cap in {needed, needed - 1, *rng.sample(range(needed), min(needed, 6))}:
-            new = _elements_or_message(groebner._groebner_elements, gens, pair_cap=cap, give_up=give_up)
+            new = _elements_or_message(_certifying_elements, gens, pair_cap=cap, give_up=give_up)
             assert new == _elements_or_message(_heap_groebner_elements, gens, pair_cap=cap, give_up=give_up)
             raised += isinstance(new, str)
     assert len(cases) == 16 and raised >= 70

@@ -44,7 +44,8 @@ MODULES = {"folcurves", "folcurves.cli", "folcurves.errors", "folcurves.polyring
            "folcurves.groebner"}
 # what every subcommand that builds a free resolution loads besides
 RESOLUTION = {"folcurves.resolution", "folcurves.linalg", "folcurves.records"}
-# what a Hilbert query before any basis loads besides: the section certificate
+# what a Hilbert query of at most three forms, not all of one term, loads
+# besides before any basis: the section certificate
 SECTION = {"folcurves.section"}
 EVERY_MODULE = MODULES | RESOLUTION | {f"folcurves.{m}" for m in (
     "classify", "forms", "monad", "parsing", "sheafcoh", "verification")}
@@ -85,7 +86,7 @@ print(json.dumps([before, loaded()]))""")
 
 @pytest.mark.parametrize("argv, added", [
     (["hilbert", "{file}"], {"folcurves.parsing"} | SECTION),
-    (WEDGE, {"folcurves.parsing", "folcurves.forms", "folcurves.records"} | SECTION),
+    (WEDGE, {"folcurves.parsing", "folcurves.forms", "folcurves.records"}),
     (["verify", "--suite", "syzygy"], EVERY_MODULE - MODULES),
     (WEDGE + ["--rao"], {"folcurves.parsing", "folcurves.forms"} | RESOLUTION),
     (["rao", "{file}"], {"folcurves.parsing"} | RESOLUTION),
@@ -94,7 +95,9 @@ print(json.dumps([before, loaded()]))""")
 def test_each_subcommand_loads_the_modules_it_runs(tmp_path, argv, added):
     """Neither dataclasses nor inspect is ever loaded, only the
     subcommands that build a free resolution load resolution and linalg,
-    and only those that ask for Hilbert data before a basis load section."""
+    and only those that ask for Hilbert data of at most three forms, not
+    all of one term, before a basis load section: the wedge ideal has six
+    one-term generators."""
     path = tmp_path / "ideal.txt"
     path.write_text("z0*z1\nz2^2 - z0*z3\n", encoding="utf-8")
     argv = [str(path) if arg == "{file}" else arg for arg in argv]
@@ -107,11 +110,13 @@ print(json.dumps([code, loaded()]))""")
     assert set(modules) == MODULES | added
 
 
-def test_verify_loads_the_section_first_where_the_legendrian_draws_run():
+def test_verify_loads_the_section_first_where_the_ci_rao_draws_run():
     """Run in order, the gate's criteria and property items load
-    folcurves.section first at legendrian-deg2, whose draws ask for Hilbert
-    data before any basis; the checks before it build their basis first or
-    never ask for Hilbert data."""
+    folcurves.section first at the ci-rao items, whose draws ask for Hilbert
+    data of two quadrics before any basis; the checks before them build
+    their basis first, ask for Hilbert data of more than three forms or of
+    monomials, or never ask for Hilbert data.  The legendrian draws are
+    wedge ideals of more than three forms."""
     seen = fresh(LOADED + """
 from folcurves import verification
 seen = []
@@ -124,7 +129,7 @@ for cid, check in verification.CRITERIA.items():
         assert check(0).ok, cid
         seen.append([cid, "folcurves.section" in sys.modules])
 print(json.dumps(seen))""")
-    first = next(k for k, (name, _) in enumerate(seen) if name == "legendrian-deg2")
+    first = next(k for k, (name, _) in enumerate(seen) if name == "ci-rao")
     assert [loaded for _, loaded in seen] == [False] * first + [True] * (len(seen) - first)
 
 
