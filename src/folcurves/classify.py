@@ -226,8 +226,54 @@ def split_criterion(rao_dim: int) -> str:
     return "undetermined"
 
 
+# Table 1, the split rows: (d, c2) -> (conormal twists, descending; connected
+# components and h0(O_C) of the singular curve)
+_SPLIT_ROWS = {
+    (1, 4): ((-2, -2), 2, 2),
+    (2, 6): ((-2, -3), 1, 1),
+    (3, 8): ((-2, -4), 1, 1),
+    (3, 9): ((-3, -3), 1, 1),
+}
+# Table 1, the rows where no foliation exists: (d, c2) -> the reason
+_NO_FOLIATION = {
+    (1, 3): "degree-1 foliations with curve singular scheme have split "
+            "conormal (-2, -2), so c2 must be 4",
+    **{(2, c2): f"degree-2 foliations need even c2 (genus formula), got {c2}"
+       for c2 in (5, 7, 9)},
+    (2, 4): "c2 = 4 forces a section of the normalized conormal with "
+            "negative-degree zero scheme; no such foliation exists",
+    (2, 8): "c2 = 8 would make the normalized conormal a stable (-1, 2) "
+            "bundle, whose degree-2 syzygies drop rank on two planes; "
+            "no such foliation exists",
+    **{(3, c2): f"c2 = {c2}: no split type with vanishing low twists exists and "
+                "stability forces c2 >= 10"
+       for c2 in (5, 6, 7)},
+    (3, 15): "c2 = 15: the triple-line structures forced here give h1 of the "
+             "curve ideal sheaf equal to 10, contradicting the monad bound",
+    (3, 16): "c2 = 16: the singular scheme would be a multiplicity-2 line of "
+             "genus -13, contradicting 13-regularity of the normalized bundle",
+}
+# The stable rows of degree 3 by normalized charge n = c2 - 9: with a reduced
+# singular scheme, (constraints, the h0(E(1)) options); without one, the
+# profiles excluded
+_REDUCED_CHARGES = {
+    3: (("h0(E(1)) <= 1 (special profiles excluded)",), (0, 1)),
+    4: (("charge-4 instanton with natural cohomology required",), (0,)),
+}
+_EXCLUDED_PROFILES = {
+    4: ("t'Hooft charge-4 profile excluded",),
+    5: ("natural-cohomology and t'Hooft charge-5 profiles excluded",),
+}
+
+
+def _collapse(xs):
+    """The one value of xs, or its distinct values ascending."""
+    return xs[0] if len(set(xs)) == 1 else sorted(set(xs))
+
+
 def classify_low_degree(d: int, c2N: int, reduced_singular_scheme: bool = False) -> ClassificationReport:
-    """Full decision procedure for foliation degrees 1, 2 and 3."""
+    """Full decision procedure for foliation degrees 1, 2 and 3: the split
+    and no-foliation rows of Table 1, then the stable rows of degree 3."""
     if d not in (1, 2, 3):
         raise OutOfBoundsError("classification covers degrees 1, 2 and 3")
     lower, upper = d + 2, d * d + 2 * d + 1
@@ -235,111 +281,39 @@ def classify_low_degree(d: int, c2N: int, reduced_singular_scheme: bool = False)
         raise OutOfBoundsError(
             f"c2 = {c2N} outside [{lower}, {upper}] for a locally free conormal"
         )
-
-    if d == 1:
-        if c2N != 4:
-            raise ImpossibleError(
-                "degree-1 foliations with curve singular scheme have split "
-                "conormal (-2, -2), so c2 must be 4"
-            )
-        inv = invariants_from_c2(1, 4)
+    if (d, c2N) in _NO_FOLIATION:
+        raise ImpossibleError(_NO_FOLIATION[d, c2N])
+    inv = invariants_from_c2(d, c2N)
+    if (d, c2N) in _SPLIT_ROWS:
+        twists, components, h0 = _SPLIT_ROWS[d, c2N]
+        _, _, flags = ci_foliation_invariants(-2 - twists[0], -2 - twists[1])
         return ClassificationReport(
-            verdict={"type": "split", "twists": [-2, -2]},
-            degC=inv.degC, paC=inv.paC, components=2, dim_moduli=None,
-            h0_OC=2, charge=None, flags=[],
-        )
-
-    if d == 2:
-        if c2N % 2 != 0:
-            raise ImpossibleError(
-                f"degree-2 foliations need even c2 (genus formula), got {c2N}"
-            )
-        if c2N == 4:
-            raise ImpossibleError(
-                "c2 = 4 forces a section of the normalized conormal with "
-                "negative-degree zero scheme; no such foliation exists"
-            )
-        if c2N == 8:
-            raise ImpossibleError(
-                "c2 = 8 would make the normalized conormal a stable (-1, 2) "
-                "bundle, whose degree-2 syzygies drop rank on two planes; "
-                "no such foliation exists"
-            )
-        inv = invariants_from_c2(2, 6)
-        return ClassificationReport(
-            verdict={"type": "split", "twists": [-2, -3]},
-            degC=inv.degC, paC=inv.paC, components=1, dim_moduli=None,
-            h0_OC=1, charge=None, flags=[],
-        )
-
-    # degree 3
-    if c2N in (5, 6, 7):
-        raise ImpossibleError(
-            f"c2 = {c2N}: no split type with vanishing low twists exists and "
-            "stability forces c2 >= 10"
-        )
-    if c2N == 16:
-        raise ImpossibleError(
-            "c2 = 16: the singular scheme would be a multiplicity-2 line of "
-            "genus -13, contradicting 13-regularity of the normalized bundle"
-        )
-    if c2N == 15:
-        raise ImpossibleError(
-            "c2 = 15: the triple-line structures forced here give h1 of the "
-            "curve ideal sheaf equal to 10, contradicting the monad bound"
-        )
-    if c2N in (8, 9):
-        twists = [-2, -4] if c2N == 8 else [-3, -3]
-        inv = invariants_from_c2(3, c2N)
-        d1, d2 = -2 - twists[0], -2 - twists[1]
-        _, _, flags = ci_foliation_invariants(min(d1, d2), max(d1, d2))
-        return ClassificationReport(
-            verdict={"type": "split", "twists": twists},
-            degC=inv.degC, paC=inv.paC, components=1,
-            dim_moduli=None, h0_OC=1, charge=None, flags=flags,
+            verdict={"type": "split", "twists": list(twists)},
+            degC=inv.degC, paC=inv.paC, components=components, h0_OC=h0, flags=flags,
         )
 
     # stable range: c2N in 10..14, normalized charge n = c2N - 9
     n = c2N - 9
-    inv = invariants_from_c2(3, c2N)
-    constraints = []
     if reduced_singular_scheme:
         if n == 5:
             raise ImpossibleError(
                 "c2 = 14 with reduced singular scheme: a degree-4 reduced "
                 "curve cannot have 8 or more connected components"
             )
-        if n == 4:
-            constraints.append("charge-4 instanton with natural cohomology required")
-            h0_options = [0]
-        elif n == 3:
-            constraints.append("h0(E(1)) <= 1 (special profiles excluded)")
-            h0_options = [0, 1]
-        else:
-            h0_options = [None]
-        dims = []
-        h0s = []
-        comps = []
+        constraints, h0_options = _REDUCED_CHARGES.get(n, ((), (None,)))
+        dims, h0s, comps = [], [], []
         for h in h0_options:
             h1 = instanton_h1(n, h)
             dims.append(sum(h1.values()))
             h0s.append(sections_of_singular_scheme(n, _instanton_h0_e1(n, h)))
             comps.append(h1.get(1, 0) + 1)
-        def collapse(xs):
-            return xs[0] if len(set(xs)) == 1 else sorted(set(xs))
-        return ClassificationReport(
-            verdict={"type": "instanton", "charge": n, "constraints": constraints},
-            degC=inv.degC, paC=inv.paC,
-            components=collapse(comps), dim_moduli=collapse(dims),
-            h0_OC=collapse(h0s), charge=n, flags=[],
-        )
-    constraints.append("stable normalized conormal; instanton property needs a reduced singular scheme")
-    if n == 4:
-        constraints.append("t'Hooft charge-4 profile excluded")
-    if n == 5:
-        constraints.append("natural-cohomology and t'Hooft charge-5 profiles excluded")
+        components, dim_moduli, h0 = _collapse(comps), _collapse(dims), _collapse(h0s)
+    else:
+        constraints = ("stable normalized conormal; instanton property needs a reduced "
+                       "singular scheme", *_EXCLUDED_PROFILES.get(n, ()))
+        components = dim_moduli = h0 = None
     return ClassificationReport(
-        verdict={"type": "instanton", "charge": n, "constraints": constraints},
-        degC=inv.degC, paC=inv.paC, components=None, dim_moduli=None,
-        h0_OC=None, charge=n, flags=[],
+        verdict={"type": "instanton", "charge": n, "constraints": list(constraints)},
+        degC=inv.degC, paC=inv.paC, components=components, dim_moduli=dim_moduli,
+        h0_OC=h0, charge=n,
     )

@@ -83,10 +83,11 @@ DEFAULT_PAIR_CAP = 100_000
 # variables and 69 on the section.
 MAX_STANDARD_WALK = 20_000
 # Most heap pops the divisions of one _groebner_elements call may make, of
-# its generators and S-polynomials together.  The largest any shipped test,
-# demo or benchmark input makes is 3901 (a degree-7 legendrian sample of the
-# tests); a hilbert-pool ideal makes at most 2098 on its own variables and
-# 246 on the section.  On a 2-vCPU x86_64 machine under Python 3.11,
+# its generators and S-polynomials together.  The largest any shipped input
+# makes is 21277, 43% of the cap (CI's wedge query with the degree-12
+# 1-form); CI's legendrian samples of degree 8, 9 and 10 make 5805, 8393 and
+# 11682, and a hilbert-pool ideal at most 2098 on its own variables and 246
+# on the section.  On a 2-vCPU x86_64 machine under Python 3.11,
 # (x+y+z)^40, (x+y+t)^40, (y+z+t)^39*x reaches the cap in about 0.2 s in
 # either order; it ran past 20 s before there was one.
 MAX_BUCHBERGER_POPS = 50_000
@@ -145,6 +146,14 @@ def _basis_element(terms: dict):
     return lead, terms[lead] // g, [(m, c // g) for m, c in terms.items() if m != lead]
 
 
+def _pop_cap_error(m: int) -> ResourceLimitError:
+    """The refusal of a division whose pop of the monomial m overdraws
+    Buchberger's budget; section's division raises it too."""
+    return ResourceLimitError(
+        f"buchberger, degree {mono_degree(m)}: divisions exceed the work cap of "
+        f"{MAX_BUCHBERGER_POPS} heap pops")
+
+
 def _divide(work: dict, table, budget=None):
     """Pseudo-remainder of the integer terms work (consumed) under division
     by a list of basis elements, each term reduced by the first element
@@ -172,9 +181,7 @@ def _divide(work: dict, table, budget=None):
         m = heappop(heap)
         left -= 1
         if left < 0:
-            raise ResourceLimitError(
-                f"buchberger, degree {mono_degree(m)}: divisions exceed the work cap of "
-                f"{MAX_BUCHBERGER_POPS} heap pops")
+            raise _pop_cap_error(m)
         c = work.pop(m, 0)
         if not c:
             continue
@@ -309,8 +316,8 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, divide=_div
     reached: a new element's lead has the current degree and no earlier
     lead divides it, so its pairs all have higher lcm degrees.  So a pair
     still waits exactly when it comes after the current one, which the
-    chain criterion reads.  The rest of a degree is dropped at once when
-    the Hilbert bound shows that it reduces to zero (see the module
+    chain criterion reads.  The rest of a degree is skipped, pair by pair,
+    once the Hilbert bound shows that it reduces to zero (see the module
     docstring): _ci_hilbert_function of a lower bound for HS(S/I) * (1-t)^4.
 
     A bound the caller passes is a certificate the run must meet: at the
@@ -381,12 +388,7 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, divide=_div
                     standard = _next_standard(standard, leads_of_degree.get(std_degree, ()))
                     least = _ci_hilbert_function(bound, std_degree)
                 if std_degree == degree and len(standard) == least:
-                    # the leads span in(I)_degree: the rest of the degree reduces to zero
-                    processed += len(pairs)
-                    if processed > pair_cap:
-                        raise ResourceLimitError(
-                            f"buchberger, degree {degree}: pair cap {pair_cap} exceeded")
-                    break
+                    continue  # the leads span in(I)_degree: the pair reduces to zero
             if not _nonzero_fields(lead[i]) & _nonzero_fields(lead[j]):
                 continue  # coprime leads
             top = _lcm(lead[i], lead[j])

@@ -87,10 +87,11 @@ from .records import Record
 
 # Largest graded piece of a dualized resolution module that a Rao profile
 # may eliminate over; pieces grow like C(-k, 3) as the twist k falls.  The
-# largest any shipped demo, benchmark input or test curve reaches is 60
-# (legendrian degree 7, twist 5), but for two probes whose walk never stops
-# early: a line with an embedded point (1680 at twist -14, refused at -15)
-# and a truncated ideal, F_4 != 0 (560).
+# largest any shipped input reaches is 290 (CI's wedge query with the
+# degree-12 1-form, twist 10; its legendrian sample of degree 10 reaches 169
+# at twist 8), but for two probes whose walk never stops early: a line with
+# an embedded point (1680 at twist -14, refused at -15) and a truncated
+# ideal, F_4 != 0 (560).
 MAX_DUAL_PIECE = 2000
 # Most columns, the dimension of the degree piece of (+) S(-w_i), that
 # graded_syzygies may eliminate over.  The largest any shipped test, demo or

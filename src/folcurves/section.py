@@ -80,8 +80,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from . import groebner
-from .errors import ResourceLimitError
-from .polyring import NVARS, _FIELD, _GUARD, _STEPS, _wrap, mono_degree
+from .polyring import NVARS, _FIELD, _GUARD, _STEPS, _wrap
 
 P = 32749  # the largest prime below 2^15 (see the module docstring)
 # Largest generator degree the section route cuts.  A sparse form turns
@@ -137,9 +136,7 @@ def _divide(work: dict, table, budget):
         m = heappop(heap)
         left -= 1
         if left < 0:
-            raise ResourceLimitError(
-                f"buchberger, degree {mono_degree(m)}: divisions exceed the work cap of "
-                f"{groebner.MAX_BUCHBERGER_POPS} heap pops")
+            raise groebner._pop_cap_error(m)
         c = work.pop(m) % P  # no term leaves work before its pop: the heap holds each once
         if not c:
             continue

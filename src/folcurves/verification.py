@@ -29,6 +29,7 @@ from itertools import combinations
 from random import Random
 
 from .classify import (
+    _CI_STATED_GENERA,
     ci_foliation_invariants,
     classify_low_degree,
     invariants_from_c2,
@@ -287,7 +288,8 @@ def check_degree3_genus_report(seed=DEFAULT_SEED):
     _check(r, P.degree() == 1 and power[1] == 10, "Hilbert polynomial has slope 10")
     constant = int(power[0])
     genus = 1 - constant
-    formula_value, tabulated_value = 11, 5
+    _, formula_value, _ = ci_foliation_invariants(0, 2)
+    tabulated_value = _CI_STATED_GENERA[(0, 2)]
     if genus == formula_value:
         match = "formula"
     elif genus == tabulated_value:
@@ -299,8 +301,8 @@ def check_degree3_genus_report(seed=DEFAULT_SEED):
         f"{match} value (formula {formula_value}, tabulated {tabulated_value})"
     )
     r.flags.append({
-        "claim": "degree-3 legendrian split case: tabulated genus 5, "
-                 "formula genus 11, sampled instance decides",
+        "claim": f"degree-3 legendrian split case: tabulated genus {tabulated_value}, "
+                 f"formula genus {formula_value}, sampled instance decides",
         "computed": genus,
         "stated": tabulated_value,
         "location": "deg3-split-genus-sample",

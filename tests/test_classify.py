@@ -5,6 +5,8 @@ from random import Random
 import pytest
 
 from folcurves.classify import (
+    _SPLIT_ROWS,
+    ClassificationReport,
     ci_foliation_invariants,
     classify_low_degree,
     connected_components,
@@ -20,6 +22,7 @@ from folcurves.classify import (
 )
 from folcurves.errors import (
     DegreeTooSmallError,
+    FolcurvesError,
     ImpossibleError,
     InconsistentTripleError,
     NonIntegralGenusError,
@@ -28,6 +31,7 @@ from folcurves.errors import (
 from folcurves.forms import legendrian_sample
 from folcurves.groebner import curve_invariants
 from folcurves.resolution import rao_module_dimensions
+from folcurves.sheafcoh import _instanton_h0_e1, instanton_h1
 
 
 def test_invariants_examples():
@@ -239,3 +243,159 @@ def test_legendrian_samples_of_degree_d_split_with_the_c2_formula_curve(d):
         profile = rao_module_dimensions(ideal)
         assert profile.profile == {d - 1: 1}
         assert split_criterion(profile.total) == "splits"
+
+
+# the former classify.classify_low_degree, an if-ladder over the rows of
+# Table 1, verbatim but for its name
+def _former_classify_low_degree(d: int, c2N: int, reduced_singular_scheme: bool = False) -> ClassificationReport:
+    """Full decision procedure for foliation degrees 1, 2 and 3."""
+    if d not in (1, 2, 3):
+        raise OutOfBoundsError("classification covers degrees 1, 2 and 3")
+    lower, upper = d + 2, d * d + 2 * d + 1
+    if not lower <= c2N <= upper:
+        raise OutOfBoundsError(
+            f"c2 = {c2N} outside [{lower}, {upper}] for a locally free conormal"
+        )
+
+    if d == 1:
+        if c2N != 4:
+            raise ImpossibleError(
+                "degree-1 foliations with curve singular scheme have split "
+                "conormal (-2, -2), so c2 must be 4"
+            )
+        inv = invariants_from_c2(1, 4)
+        return ClassificationReport(
+            verdict={"type": "split", "twists": [-2, -2]},
+            degC=inv.degC, paC=inv.paC, components=2, dim_moduli=None,
+            h0_OC=2, charge=None, flags=[],
+        )
+
+    if d == 2:
+        if c2N % 2 != 0:
+            raise ImpossibleError(
+                f"degree-2 foliations need even c2 (genus formula), got {c2N}"
+            )
+        if c2N == 4:
+            raise ImpossibleError(
+                "c2 = 4 forces a section of the normalized conormal with "
+                "negative-degree zero scheme; no such foliation exists"
+            )
+        if c2N == 8:
+            raise ImpossibleError(
+                "c2 = 8 would make the normalized conormal a stable (-1, 2) "
+                "bundle, whose degree-2 syzygies drop rank on two planes; "
+                "no such foliation exists"
+            )
+        inv = invariants_from_c2(2, 6)
+        return ClassificationReport(
+            verdict={"type": "split", "twists": [-2, -3]},
+            degC=inv.degC, paC=inv.paC, components=1, dim_moduli=None,
+            h0_OC=1, charge=None, flags=[],
+        )
+
+    # degree 3
+    if c2N in (5, 6, 7):
+        raise ImpossibleError(
+            f"c2 = {c2N}: no split type with vanishing low twists exists and "
+            "stability forces c2 >= 10"
+        )
+    if c2N == 16:
+        raise ImpossibleError(
+            "c2 = 16: the singular scheme would be a multiplicity-2 line of "
+            "genus -13, contradicting 13-regularity of the normalized bundle"
+        )
+    if c2N == 15:
+        raise ImpossibleError(
+            "c2 = 15: the triple-line structures forced here give h1 of the "
+            "curve ideal sheaf equal to 10, contradicting the monad bound"
+        )
+    if c2N in (8, 9):
+        twists = [-2, -4] if c2N == 8 else [-3, -3]
+        inv = invariants_from_c2(3, c2N)
+        d1, d2 = -2 - twists[0], -2 - twists[1]
+        _, _, flags = ci_foliation_invariants(min(d1, d2), max(d1, d2))
+        return ClassificationReport(
+            verdict={"type": "split", "twists": twists},
+            degC=inv.degC, paC=inv.paC, components=1,
+            dim_moduli=None, h0_OC=1, charge=None, flags=flags,
+        )
+
+    # stable range: c2N in 10..14, normalized charge n = c2N - 9
+    n = c2N - 9
+    inv = invariants_from_c2(3, c2N)
+    constraints = []
+    if reduced_singular_scheme:
+        if n == 5:
+            raise ImpossibleError(
+                "c2 = 14 with reduced singular scheme: a degree-4 reduced "
+                "curve cannot have 8 or more connected components"
+            )
+        if n == 4:
+            constraints.append("charge-4 instanton with natural cohomology required")
+            h0_options = [0]
+        elif n == 3:
+            constraints.append("h0(E(1)) <= 1 (special profiles excluded)")
+            h0_options = [0, 1]
+        else:
+            h0_options = [None]
+        dims = []
+        h0s = []
+        comps = []
+        for h in h0_options:
+            h1 = instanton_h1(n, h)
+            dims.append(sum(h1.values()))
+            h0s.append(sections_of_singular_scheme(n, _instanton_h0_e1(n, h)))
+            comps.append(h1.get(1, 0) + 1)
+        def collapse(xs):
+            return xs[0] if len(set(xs)) == 1 else sorted(set(xs))
+        return ClassificationReport(
+            verdict={"type": "instanton", "charge": n, "constraints": constraints},
+            degC=inv.degC, paC=inv.paC,
+            components=collapse(comps), dim_moduli=collapse(dims),
+            h0_OC=collapse(h0s), charge=n, flags=[],
+        )
+    constraints.append("stable normalized conormal; instanton property needs a reduced singular scheme")
+    if n == 4:
+        constraints.append("t'Hooft charge-4 profile excluded")
+    if n == 5:
+        constraints.append("natural-cohomology and t'Hooft charge-5 profiles excluded")
+    return ClassificationReport(
+        verdict={"type": "instanton", "charge": n, "constraints": constraints},
+        degC=inv.degC, paC=inv.paC, components=None, dim_moduli=None,
+        h0_OC=None, charge=n, flags=[],
+    )
+
+
+def _outcome(run, *args):
+    """The report run(*args) gives, its repr and JSON, or the class and
+    message of the error it raises."""
+    try:
+        report = run(*args)
+    except FolcurvesError as exc:
+        return type(exc), str(exc)
+    return report, repr(report), report.to_json()
+
+
+def test_classification_equals_the_former_ladder_of_rows():
+    """Table 1 read from data gives the former if-ladder's report, repr and
+    JSON, or its error class and message, on every degree -1..5, c2 -2..21
+    and reducedness."""
+    for d in range(-1, 6):
+        for c2 in range(-2, 22):
+            for reduced in (False, True):
+                assert (_outcome(classify_low_degree, d, c2, reduced)
+                        == _outcome(_former_classify_low_degree, d, c2, reduced)), (d, c2, reduced)
+
+
+@pytest.mark.parametrize("row", sorted(_SPLIT_ROWS))
+def test_each_split_row_is_a_conormal_of_its_degree_and_c2(row):
+    """A split conormal O(a) + O(b) of a degree-d foliation has a + b =
+    -(d + 3) and c2 = a*b, and the row's report carries the curve of
+    invariants_from_c2."""
+    d, c2 = row
+    twists, _, _ = _SPLIT_ROWS[row]
+    assert sum(twists) == -(d + 3) and twists[0] * twists[1] == c2
+    report = classify_low_degree(d, c2)
+    inv = invariants_from_c2(d, c2)
+    assert report.verdict == {"type": "split", "twists": list(twists)}
+    assert (report.degC, report.paC) == (inv.degC, inv.paC)

@@ -3964,6 +3964,21 @@ def test_buchberger_work_cap_counts_the_pops_of_every_division_in_a_call(monkeyp
     assert normal_form(gens[0] * gens[1], gens[:2]).is_zero()
 
 
+def test_both_divisions_refuse_a_spent_budget_with_the_message_the_cli_prints():
+    """Division over Q and the section's over F_P, given a spent budget,
+    each raise at the first pop the refusal that hilbert prints for a basis
+    over the work cap, naming the degree of the work."""
+    terms = _ideal("z0^2*z1 + z2^3").generators[0]._cleared[1]
+    messages = []
+    for divide in (groebner._divide, section._divide):
+        with pytest.raises(ResourceLimitError) as refused:
+            divide(dict(terms), [], [0])
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+    assert re.fullmatch(r"buchberger, degree 3: divisions exceed the work cap of "
+                        r"50000 heap pops", messages[0]), messages
+
+
 # ---------------------------------------------------------------------------
 # the downward Rao walk and its proven lower end
 
