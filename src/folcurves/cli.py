@@ -5,9 +5,9 @@ rejection.  Every subcommand accepts --json; JSON payloads are
 deterministic (sorted keys, no timing data).
 
 A subcommand imports the modules it runs when it runs, so that starting
-one compiles and loads only those.  errors, polyring and groebner stay at
-module level: every numeric subcommand uses them, and deferring them
-raised the gate's peak memory.  The other modules are imported in the
+one compiles and loads only those.  errors, records, polyring and groebner
+stay at module level: every numeric subcommand uses them, and deferring
+them raised the gate's peak memory.  The other modules are imported in the
 handlers, and `verify` reads its suite names and default seed only when
 it needs them.  So `hilbert` loads parsing besides; `wedge` forms and
 parsing, and resolution with --rao; `rao` and `syzygy` resolution;

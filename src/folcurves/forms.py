@@ -43,7 +43,7 @@ def _merge_sign(left: tuple, right: tuple):
     return merged, (-1) ** inversions
 
 
-class TwistedForm:
+class TwistedForm(FrozenRecord):
     """Differential q-form with homogeneous polynomial coefficients."""
 
     __slots__ = ("form_degree", "coefficient_degree", "coefficients")
@@ -64,12 +64,7 @@ class TwistedForm:
                         f"coefficient of degree {poly.degree}, expected {coefficient_degree}"
                     )
                 clean[idx] = poly
-        object.__setattr__(self, "form_degree", form_degree)
-        object.__setattr__(self, "coefficient_degree", coefficient_degree)
-        object.__setattr__(self, "coefficients", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistedForm is immutable")
+        super().__init__(form_degree, coefficient_degree, clean)
 
     @classmethod
     def zero(cls, form_degree: int, coefficient_degree: int) -> "TwistedForm":
@@ -134,16 +129,7 @@ class TwistedForm:
             {idx: p.scale(c) for idx, p in self.coefficients.items()},
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwistedForm):
-            return NotImplemented
-        return (
-            self.form_degree == other.form_degree
-            and self.coefficient_degree == other.coefficient_degree
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
+    def __hash__(self):  # the dict of coefficients hashed as a frozenset of its items
         return hash(
             (self.form_degree, self.coefficient_degree,
              frozenset(self.coefficients.items()))

@@ -74,6 +74,7 @@ from .polyring import (
     graded_piece_dimension,
     mono_degree,
 )
+from .records import FrozenRecord
 
 DEFAULT_PAIR_CAP = 100_000
 # Most standard monomials buchberger's Hilbert-driven skip walks through in
@@ -520,12 +521,12 @@ def _minimal_regularity_bound(gens: tuple) -> int:
 _SIX_BINOMIAL = ((6,), (6, 6), (6, 9, 3), (6, 11, 6, 1))
 
 
-class HilbertPolynomial:
+class HilbertPolynomial(FrozenRecord):
     """Polynomial in t of degree at most 3, stored in the binomial basis
     C(t+i, i), whose coefficients are integers for every Hilbert polynomial;
-    six times its power coefficients are kept, as ints."""
+    six times its power coefficients are ints, read off those."""
 
-    __slots__ = ("coeffs", "_six_power")
+    __slots__ = ("coeffs",)
 
     def __init__(self, binomial_coeffs):
         coeffs = list(binomial_coeffs)
@@ -534,12 +535,15 @@ class HilbertPolynomial:
         if len(coeffs) > len(_SIX_BINOMIAL):
             raise ValueError(f"a Hilbert polynomial on P^3 has degree at most 3, "
                              f"got {len(coeffs)} binomial coefficients")
-        self.coeffs = tuple(coeffs)
-        six = [0] * max(len(coeffs), 1)
-        for b, row in zip(coeffs, _SIX_BINOMIAL):
+        super().__init__(tuple(coeffs))
+
+    @property
+    def _six_power(self) -> list:
+        six = [0] * max(len(self.coeffs), 1)
+        for b, row in zip(self.coeffs, _SIX_BINOMIAL):
             for k, c in enumerate(row):
                 six[k] += b * c
-        self._six_power = tuple(six)
+        return six
 
     def power_coeffs(self):
         return [Fraction(c, 6) for c in self._six_power]
@@ -553,12 +557,7 @@ class HilbertPolynomial:
     def __call__(self, t: int) -> Fraction:
         return Fraction(sum(c * t ** k for k, c in enumerate(self._six_power)), 6)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HilbertPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
+    def __hash__(self):  # of coeffs itself, not of the field tuple (coeffs,)
         return hash(self.coeffs)
 
     def __str__(self) -> str:

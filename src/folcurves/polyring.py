@@ -31,6 +31,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .errors import DegreeMismatchError, NotHomogeneousError, ResourceLimitError
+from .records import FrozenRecord
 
 NVARS = 4
 VAR_NAMES = ("z0", "z1", "z2", "z3")
@@ -122,7 +123,7 @@ def graded_piece_dimension(k: int) -> int:
     return comb(k + 3, 3) if k >= 0 else 0
 
 
-class HomogeneousPolynomial:
+class HomogeneousPolynomial(FrozenRecord):
     """Sparse homogeneous polynomial with exact rational coefficients."""
 
     # The coefficients in their canonical cleared form (den, ints).
@@ -143,11 +144,7 @@ class HomogeneousPolynomial:
                         f"expected {degree}"
                     )
                 clean[m] = c
-        _set_degree(self, degree)
-        _set_cleared(self, integer_terms(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomogeneousPolynomial is immutable")
+        super().__init__(degree, integer_terms(clean))
 
     @property
     def terms(self) -> dict:
@@ -269,14 +266,13 @@ class HomogeneousPolynomial:
                 res[m - step] = c * e
         return _from_integers(max(self.degree - 1, 0), den, res)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HomogeneousPolynomial):
-            return NotImplemented
-        return self.degree == other.degree and self._cleared == other._cleared
-
-    def __hash__(self):
+    def __hash__(self):  # the dict of terms hashed as a frozenset of its items
         den, ints = self._cleared
         return hash((self.degree, den, frozenset(ints.items())))
+
+    def __reduce__(self):
+        # the constructor takes exponent tuples; _wrap takes the cleared form
+        return _wrap, (self.degree, *self._cleared)
 
     def __str__(self) -> str:
         den, ints = self._cleared

@@ -6,7 +6,10 @@ keyword; one named in _defaults may be left out, and a default that is a
 type (list, dict) is called afresh for each record.  == holds between
 records of one class with equal fields; a Record is unhashable.
 FrozenRecord adds a hash of the fields and refuses assignment and deletion
-with AttributeError.
+with AttributeError.  copy and pickle rebuild a record through its
+constructor; a subclass whose constructor takes other values than its
+fields, as HomogeneousPolynomial's takes exponent tuples, overrides
+__reduce__.
 """
 
 

@@ -201,6 +201,13 @@ MAX_LEAD_LATTICE = 5_000
 # Largest last degree of the Betti table that schedules a resolution,
 # refused before any elimination; two forms of degrees a and b end at a + b.
 MAX_RESOLUTION_DEGREE = 56
+# Most columns of an image check or a deferred kernel of _resolve.  The
+# largest any shipped test, demo, gate, CI step or benchmark input reaches is
+# 1207 (a test's lead ideal, layer 2); CI's degree-12 wedge query 1144. The
+# legendrian sample of degree 15 reaches 2240 (4.8 s on a 2-vCPU x86_64
+# machine, Python 3.11).  z0^2, z0*z1, z1^n is refused from n = 19 on; n = 55
+# ran past 90 s before there was a cap.
+MAX_RESOLUTION_COLUMNS = 2_500
 
 # the faces of the simplex on a vertex set a, bit s set for each subset s of a,
 # keyed by the guard bits _nonzero_fields gives the fields of a
@@ -354,8 +361,9 @@ def minimal_free_resolution(ideal: GradedIdeal) -> FreeResolution:
 def _resolve(ideal: GradedIdeal) -> FreeResolution:
     """Minimal graded free resolution of S/I, scheduled by a Betti table
     (see the module docstring) whose last degree past MAX_RESOLUTION_DEGREE
-    is refused with ResourceLimitError before any elimination.  Layer 2's
-    deferred columns are built with their kernel-length audit.
+    is refused with ResourceLimitError before any elimination, and a piece of
+    more than MAX_RESOLUTION_COLUMNS columns before its rows or matrix.
+    Layer 2's deferred columns are built with their kernel-length audit.
     CrossCheckFailureError names the layer and degree of more generators
     than the table has, or of determining rows that miss their dimension;
     the first degree where the K-polynomial misses hilbert_numerator(); or
@@ -391,10 +399,16 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
                 f"{where}: {len(rows)} determining rows against dimension {dim}")
         return rows
 
+    def capped(size, where):
+        if size > MAX_RESOLUTION_COLUMNS:
+            raise ResourceLimitError(f"{where}: {size} columns exceed the cap "
+                                     f"{MAX_RESOLUTION_COLUMNS}")
+
     def build(columns, pending):
         """Layer 2's deferred columns into their slots: for each (at, keys,
         rows, count, where) of pending, the kernel of d_1 on keys over rows."""
         for at, keys, rows, count, where in pending:
+            capped(len(keys), where)
             found = graded_kernel(res.differentials[0], keys, rows)
             if len(found) != count:
                 raise ResourceLimitError(f"{where}: kernel dimension audit failed")
@@ -412,6 +426,7 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
         kernels = {}
         for e in visits:
             where = f"layer {layer}, degree {e}"
+            capped(sum(graded_piece_dimension(e + b) for b in twists), where)
             # dim ker(d_{layer-1})_e, by exactness; for layer 1, dim I_e
             target = (-1) ** layer * ideal.hilbert_function(e) + sum(
                 (-1) ** (layer - 1 - i) * res.layer_dimension(i, e) for i in range(layer)

@@ -9,6 +9,7 @@ import pytest
 
 from folcurves.cli import build_parser, main
 from folcurves.groebner import GradedIdeal
+from folcurves.resolution import minimal_free_resolution
 
 WEDGE_ARGS = ["wedge", "z0*dz1 - z1*dz0", "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2"]
 
@@ -546,6 +547,31 @@ def test_rao_refuses_a_lead_table_over_the_lattice_cap_quickly(capsys, tmp_path)
     assert time.perf_counter() - started < 5
     assert code == 2 and re.fullmatch(
         r"error: lead Betti table: (\d+) lcm lattice elements exceed the cap 5000\n", err)
+
+
+@pytest.mark.parametrize("n, degree, columns", [(19, 20, 2664), (55, 55, 55440)])
+def test_rao_refuses_an_image_check_over_the_column_cap_quickly(capsys, tmp_path, n, degree,
+                                                                columns):
+    """z0^2, z0*z1, z1^n has a Betti table ending at degree n + 1, under the
+    degree cap, and a layer-1 image check of 2*C(n+1, 3) columns in degree
+    n; at n = 55 its resolution ran past 90 s.  The first piece over the
+    column cap is refused, naming its layer and degree, before its rows or
+    matrix are built: from n = 19 on, in degree n + 1, at n = 55 already in
+    degree n.  n = 10 and n = 18 answer as they did before the cap."""
+    path = tmp_path / "probe.ideal"
+    path.write_text(f"z0^2\nz0*z1\nz1^{n}\n")
+    started = time.perf_counter()
+    code, _, err = run(capsys, ["rao", str(path)])
+    assert time.perf_counter() - started < 1
+    assert (code, err) == (2, f"error: layer 1, degree {degree}: {columns} columns exceed "
+                              f"the cap 2500\n")
+    for n in (10, 18):
+        path.write_text(f"z0^2\nz0*z1\nz1^{n}\n")
+        assert run(capsys, ["rao", str(path), "--json"]) == (
+            0, '{"flags": [], "payload": {"profile": {}, "total": 0}, "status": "ok"}\n', "")
+        ideal = GradedIdeal.from_file(path)
+        assert minimal_free_resolution(ideal).betti() == [
+            [0, [0]], [1, [-n, -2, -2]], [2, [-n - 1, -3]]]
 
 
 def test_hilbert_refuses_a_groebner_basis_over_the_work_cap_quickly(capsys, tmp_path):

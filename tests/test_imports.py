@@ -40,10 +40,12 @@ PUBLIC = {
 }
 NAMES = {name: module for module, names in PUBLIC.items() for name in names.split()}
 
-MODULES = {"folcurves", "folcurves.cli", "folcurves.errors", "folcurves.polyring",
-           "folcurves.groebner"}
+# what `import folcurves.cli` loads: records with polyring and groebner, as
+# polynomials and Hilbert polynomials are FrozenRecords
+MODULES = {"folcurves", "folcurves.cli", "folcurves.errors", "folcurves.records",
+           "folcurves.polyring", "folcurves.groebner"}
 # what every subcommand that builds a free resolution loads besides
-RESOLUTION = {"folcurves.resolution", "folcurves.linalg", "folcurves.records"}
+RESOLUTION = {"folcurves.resolution", "folcurves.linalg"}
 # what a Hilbert query of at most three forms, not all of one term, loads
 # besides before any basis: the section certificate
 SECTION = {"folcurves.section"}
@@ -86,7 +88,7 @@ print(json.dumps([before, loaded()]))""")
 
 @pytest.mark.parametrize("argv, added", [
     (["hilbert", "{file}"], {"folcurves.parsing"} | SECTION),
-    (WEDGE, {"folcurves.parsing", "folcurves.forms", "folcurves.records"}),
+    (WEDGE, {"folcurves.parsing", "folcurves.forms"}),
     (["verify", "--suite", "syzygy"], EVERY_MODULE - MODULES),
     (WEDGE + ["--rao"], {"folcurves.parsing", "folcurves.forms"} | RESOLUTION),
     (["rao", "{file}"], {"folcurves.parsing"} | RESOLUTION),

@@ -1,15 +1,21 @@
 """The plain records keep the constructor, defaults, repr, == and, for the
-frozen ones, the hash and read-only fields they had as dataclasses."""
+frozen ones, the hash and read-only fields they had as dataclasses; the
+polynomials, forms and Hilbert polynomials built on FrozenRecord copy,
+pickle and refuse assignment like them."""
 
 import copy
 import pickle
+from random import Random
 
 import pytest
 
 from folcurves.classify import ClassificationReport, DiscrepancyFlag, FoliationInvariants
-from folcurves.forms import FoliationPresentation
+from folcurves.forms import FoliationPresentation, TwistedForm, legendrian_sample, parse_form, wedge
+from folcurves.groebner import GradedIdeal, HilbertPolynomial, curve_invariants
 from folcurves.monad import MonadSpec
-from folcurves.resolution import FreeResolution, RaoProfile
+from folcurves.polyring import HomogeneousPolynomial, parse_polynomial
+from folcurves.resolution import (FreeResolution, RaoProfile, minimal_free_resolution,
+                                  rao_module_dimensions)
 from folcurves.sheafcoh import ChernTriple, CohomologyTable, SheafSymbol
 from folcurves.verification import CriterionResult
 
@@ -95,3 +101,70 @@ def test_records_keep_their_dataclass_behaviour(name):
         assert record == other
     with pytest.raises(AttributeError):
         record.not_a_field = 1  # no __dict__
+
+
+# The values the package hands out: a polynomial with rational
+# coefficients, the 2-form of the pencil with the contact form, the Hilbert
+# polynomial of the twisted cubic, and a legendrian sample, each with its
+# fields.
+ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+               "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+def _values():
+    polynomial = parse_polynomial("1/2*z0^2 - 3/7*z1*z2 + z3^2")
+    two_form = wedge(parse_form("z0*dz1 - z1*dz0"),
+                     parse_form("z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2"))
+    hilbert = GradedIdeal.from_expressions(
+        ["z0*z2 - z1^2", "z1*z3 - z2^2", "z0*z3 - z1*z2"]).hilbert_polynomial()
+    return {HomogeneousPolynomial: (polynomial, ("degree", "_cleared")),
+            TwistedForm: (two_form, ("form_degree", "coefficient_degree", "coefficients")),
+            HilbertPolynomial: (hilbert, ("coeffs",))}
+
+
+@pytest.mark.parametrize("trip", list(ROUND_TRIPS))
+def test_polynomials_forms_and_hilbert_polynomials_copy_and_pickle(trip):
+    for cls, (value, _) in _values().items():
+        again = ROUND_TRIPS[trip](value)
+        assert type(again) is cls and again == value and hash(again) == hash(value)
+        assert str(again) == str(value) and repr(again) == repr(value)
+    sample = legendrian_sample(3, Random(0))
+    again = ROUND_TRIPS[trip](sample)
+    assert again.two_form == sample.two_form and again.two_form.coefficients
+    assert (again.degree, again.conormal_twists) == (sample.degree, sample.conormal_twists)
+    assert again.ideal.equals(sample.ideal)
+
+
+@pytest.mark.parametrize("trip", list(ROUND_TRIPS))
+def test_an_ideal_copies_and_pickles_with_its_deferred_resolution_layer(trip):
+    """After a Rao walk the sample's resolution still defers layer 2's
+    columns; the ideal comes back with the same resolution and Rao profile,
+    and equals the original."""
+    ideal = legendrian_sample(3, Random(0)).ideal
+    profile = rao_module_dimensions(ideal)
+    assert ideal._resolution.differentials.deferred
+    again = ROUND_TRIPS[trip](ideal)
+    assert again.equals(ideal)
+    assert rao_module_dimensions(again) == profile
+    assert again._resolution == ideal._resolution
+    assert minimal_free_resolution(again).composition_ok()
+
+
+def test_polynomials_forms_and_hilbert_polynomials_refuse_assignment():
+    for value, fields in _values().values():
+        for name in fields:
+            kept = getattr(value, name)
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, kept)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.not_a_field = 1  # no __dict__
+    assert HilbertPolynomial.__slots__ == ("coeffs",)
+    # the cached Hilbert polynomial of two skew lines cannot be changed
+    # under the curve invariants read from it
+    skew = GradedIdeal.from_expressions(["z0*z2", "z0*z3", "z1*z2", "z1*z3"])
+    with pytest.raises(AttributeError):
+        skew.hilbert_polynomial().coeffs = (5, 3)
+    assert curve_invariants(skew) == (2, -1)
+    assert str(skew.hilbert_polynomial()) == "2*t + 2"
