@@ -46,7 +46,9 @@ section over a prime field (folcurves.section, imported only then), by
 the Koszul bound or, for three forms in a coordinate line ideal, a
 Buchsbaum-Rim bound, which it passes to _groebner_elements as a
 certificate.  Otherwise the lead ideal of the ideal's own basis answers,
-and the basis is kept, so no ideal runs Buchberger twice.
+and the basis is kept, so no ideal runs Buchberger twice.  The one
+exception is made before any query: forms certifies a wedge ideal's
+conormal bound on the section and stores its numerator and Rao twist.
 
 Graded syzygies, free resolutions and Rao profiles are resolution's, which
 this module does not import; each public name of resolution, and
@@ -85,10 +87,10 @@ DEFAULT_PAIR_CAP = 100_000
 MAX_STANDARD_WALK = 20_000
 # Most heap pops the divisions of one _groebner_elements call may make, of
 # its generators and S-polynomials together.  The largest any shipped input
-# makes is 21277, 43% of the cap (CI's wedge query with the degree-12
-# 1-form); CI's legendrian samples of degree 8, 9 and 10 make 5805, 8393 and
-# 11682, and a hilbert-pool ideal at most 2098 on its own variables and 246
-# on the section.  On a 2-vCPU x86_64 machine under Python 3.11,
+# makes is 11682 (CI's legendrian sample of degree 10); CI's wedge
+# queries of degree 12, 16 and 20 make 2328, 4880 and 8856 on the section,
+# and a hilbert-pool ideal at most 2098 on its own variables and 246 on
+# the section.  On a 2-vCPU x86_64 machine under Python 3.11,
 # (x+y+z)^40, (x+y+t)^40, (y+z+t)^39*x reaches the cap in about 0.2 s in
 # either order; it ran past 20 s before there was one.
 MAX_BUCHBERGER_POPS = 50_000
@@ -613,6 +615,7 @@ class GradedIdeal:
         self._gb = None
         self._lead = None
         self._numerator = None
+        self._rao_twist = None  # set with _numerator by a conormal certificate (forms)
         self._hilbert = None
         self._resolution = None
 

@@ -525,8 +525,12 @@ def default_rao_window(ideal: GradedIdeal):
 def rao_module_dimensions(ideal: GradedIdeal, window=None) -> RaoProfile:
     """h^1 of the ideal sheaf of the curve, twist by twist, over the window,
     walked down from min(hi, max(-b - 4)) over the twists b of F_3 to the
-    proven stop (see the module docstring); it must vanish at both ends."""
-    ideal._basis_elements()  # the resolution needs the basis: no section is cut first
+    proven stop (see the module docstring); it must vanish at both ends.
+    It is 1 at the _rao_twist of a certified wedge ideal (forms._wedge_ideal)
+    and 0 elsewhere, with no basis or resolution."""
+    twist = ideal._rao_twist
+    if twist is None:
+        ideal._basis_elements()  # the resolution needs the basis: no section is cut first
     curve_invariants(ideal)  # refuses a non-curve
     if window is None:
         window = default_rao_window(ideal)
@@ -534,9 +538,11 @@ def rao_module_dimensions(ideal: GradedIdeal, window=None) -> RaoProfile:
     if lo > hi:
         raise ValueError("empty window")
 
-    res = minimal_free_resolution(ideal)
     profile = {}
-    if res.length() >= 3:
+    if twist is not None:
+        if lo <= twist <= hi:
+            profile[twist] = 1
+    elif (res := minimal_free_resolution(ideal)).length() >= 3:
         t2, t3 = res.twists[2], res.twists[3]
         t4 = res.twists[4] if res.length() >= 4 else []
         d3 = res.differentials[2]

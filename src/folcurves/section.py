@@ -1,7 +1,8 @@
 """Hilbert numerators certified on a hyperplane section, over F_P.
 
-Hilbert data of up to groebner.MAX_SECTION_FORMS = 3 forms mostly come
-without a basis in four variables; a generic linear section keeps them
+Hilbert data of up to groebner.MAX_SECTION_FORMS = 3 forms, and of the
+coefficients of a wedge of two 1-forms, mostly come without a basis in
+four variables; a generic linear section keeps them
 (Bayer and Stillman, Invent. Math. 87, 1987).  For a plane z3 = l of
 PLANES, the first l = z0 + 2*z1 + 3*z2, _certifies cuts each form f_i to
 f_i(z0, z1, z2, l), a form in z0..z2, and runs Buchberger on the cut forms
@@ -9,7 +10,7 @@ and z3.  These generate the image of I + (z3 - l) under the change of
 coordinates z3 -> z3 + l, so the two ideals have one Hilbert series.
 
 The run certifies a lower bound B(d) <= H(S/I)(d), B = N(t) / (1-t)^4, of
-one of two kinds:
+one of three kinds:
   - the Koszul bound, N = prod(1 - t^d_i), for forms of degrees d_i (see
     groebner: the rank of the map onto I_d only drops under specialization,
     and up to four generic forms are a regular sequence);
@@ -26,7 +27,8 @@ one of two kinds:
     Off the line z_a = z_b = 0 the minors vanish exactly on V(I), and on it
     where the 2x2 minors of the a_i, b_i do; for generic a_i, b_i both
     sets are finite.  So the generic triple of these degrees in P has
-    codimension 3, and by the same semicontinuity B bounds every triple.
+    codimension 3, and by the same semicontinuity B bounds every triple;
+  - the conormal bound of a wedge, forms._conormal_bound (below).
 Three forms with one such line and none smaller take the line bound; any
 other r forms whose exponents show a subspace z_A = 0, |A| < r, on which
 all of them vanish are no regular sequence and take groebner's exact
@@ -34,7 +36,7 @@ route uncut.  These are forms with a common variable factor and forms in
 two coordinate line ideals, whose curves hold two lines (Hilbert
 polynomial 2t + c).
 
-One sandwich proves either certificate.  Let J be the ideal over Q of the
+One sandwich proves each certificate.  Let J be the ideal over Q of the
 integer cut forms (each form's cleared integer terms, cut) and z3, J_P
 that of their residues mod P, and L the ideal of the leads the run
 computes.  In every degree d:
@@ -54,14 +56,32 @@ outnumber it; L can then never reach N(1-t).  A miss (a cut that vanishes
 mod P, a give-up or another numerator) is tried once more on the second
 plane, l = 7*z0 - 3*z1 + 2*z2, and then falls through to groebner's exact
 route, so no answer depends on P or the planes.  Forms above
-MAX_SECTION_DEGREE are never cut: a sparse form turns dense on the
-section.
+MAX_SECTION_DEGREE are never cut for the first two bounds, nor wedges
+above forms._MAX_CONORMAL_DEGREE for the third: a sparse form turns dense
+on the section.
+
+The conormal bound: let a, b be projective 1-forms with coefficients of
+degrees c_a, c_b, w = a ^ b != 0 and d = c_a + c_b - 1, the foliation's
+degree in the paper's 0 -> N* -> Omega^1 -> I_Z(d-1) -> 0.  Then w =
+i_R i_v vol for a vector field v of degree d, the coefficients of w are
+the z_i v_j - z_j v_i, and I_k = i_v H^0(Omega^1(t)), t = k - d + 1, as
+the g*(z_i dz_j - z_j dz_i) span H^0(Omega^1(t)).
+i_v w = 0 gives i_v a = i_v b = 0, and S*a + S*b is direct, so
+H(S/I)(k) >= C(k+3, 3) - h^0(Omega^1(t)) + h^0(O(t-1-c_a)) +
+h^0(O(t-1-c_b)): by the Koszul resolution of H^0_*(Omega^1),
+N = 1 - 6t^(d+1) + 4t^(d+2) - t^(d+3) + t^(d+c_a) + t^(d+c_b).  Once
+certified, the kernel of i_v is S(-1-c_a) + S(-1-c_b), free, and local
+cohomology of 0 -> it -> M -> I(d-1) -> 0, M = H^0_*(Omega^1), where
+H^1_m(M) = 0 and H^2_m(M) = H^1_*(Omega^1) is one dimension in twist 0,
+makes I saturated with h^1(I_Z(k)) = 1 at k = d - 1 and 0 elsewhere.  A
+wedge whose coefficients share a factor exceeds B and misses.
 
 The run is over F_P, P = 32749, the largest prime below 2^15, so that the
 product of two residues fits in one 30-bit digit of a Python int.  Each
-form is cut mod P with l^e tabulated mod P.  Every element is kept monic,
-and a residue is reduced only when its term is popped, so division needs
-no gcd and never rescales the work or the remainder.
+form is cut mod P with l^e mod P, tabulated up to MAX_SECTION_DEGREE and
+made for the one cut above it.  Every element is kept monic, and a
+residue is reduced only when its term is popped, so division needs no
+gcd and never rescales the work or the remainder.
 
 Of the 240 hilbert-pool ideals the first plane certifies 209 complete
 intersections and 21 ideals in a coordinate line ideal, the second plane
@@ -98,28 +118,33 @@ _Z3 = _wrap(1, 1, {_STEPS[3]: 1})
 _POWERS = tuple([{0: 1}] for _ in PLANES)  # l^e mod P for e < len, packed, per plane
 
 
-def _power(plane: int, e: int) -> dict:
-    """l^e mod P for the l of PLANES[plane], tabulated up to e."""
+def _powers(plane: int, top: int) -> list:
+    """l^e mod P for the l of PLANES[plane], e = 0..top: the _POWERS table,
+    and, when top is above MAX_SECTION_DEGREE, a copy made longer, so that
+    the table never holds more than MAX_SECTION_DEGREE + 1 powers."""
     powers = _POWERS[plane]
-    while len(powers) <= e:
+    for e in range(len(powers), top + 1):
+        if e == MAX_SECTION_DEGREE + 1:
+            powers = list(powers)
         acc = {}
         for m, c in powers[-1].items():
             for step, k in zip(_STEPS, PLANES[plane]):
                 acc[m + step] = (acc.get(m + step, 0) + k * c) % P
         powers.append({m: c for m, c in acc.items() if c})
-    return powers[e]
+    return powers
 
 
 def _section_cut(f, plane: int = 0):
     """f(z0, z1, z2, l) for the l of PLANES[plane] times f's denominator, its
     coefficients reduced mod P into [1, P): a form in z0..z2 of f's degree,
     zero when the cut vanishes mod P."""
+    powers = _powers(plane, f.degree)
     acc = {}
     for m, c in f._cleared[1].items():
         e = m >> 96  # the exponent of z3
         m -= e << 96
         c %= P
-        for pm, pc in _power(plane, e).items():
+        for pm, pc in powers[e].items():
             acc[m + pm] = acc.get(m + pm, 0) + c * pc
     return _wrap(f.degree, 1, {m: c % P for m, c in acc.items() if c % P})
 

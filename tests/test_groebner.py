@@ -1762,7 +1762,7 @@ def test_each_degree_piece_of_a_differential_is_built_and_eliminated_once(monkey
     monkeypatch.setattr(resolution, "_degree_matrix", record_matrix)
     monkeypatch.setattr(resolution, "kernel_of_columns", record_kernel)
     monkeypatch.setattr(Echelon, "insert", record_insert)
-    ideals = [_ideal(*GATE_CI), _ideal(*SKEW), legendrian_sample(3, Random(0)).ideal]
+    ideals = [_ideal(*GATE_CI), _ideal(*SKEW), _exact_legendrian(3, 0)]
     counts = []
     for ideal in ideals:
         built.clear()
@@ -2164,7 +2164,7 @@ def test_dual_map_rank_stops_at_the_dimension_of_the_piece(monkeypatch):
     monkeypatch.setattr(resolution, "_dual_map_rank", rank)
     monkeypatch.setattr(Echelon, "insert", insert)
     # each walk reaches the ceiling once, at the twist where it stops
-    for ideal in (_ideal(*SKEW), *(legendrian_sample(d, Random(0)).ideal for d in (2, 3, 4, 5))):
+    for ideal in (_ideal(*SKEW), *(_exact_legendrian(d, 0) for d in (2, 3, 4, 5))):
         rao_module_dimensions(ideal)
     assert late == 0 and stops >= 5, (late, stops)
 
@@ -3071,11 +3071,14 @@ def test_each_ideal_runs_buchberger_at_most_once(monkeypatch, capsys, tmp_path):
     --rao, rao, curve invariants before a Rao profile, a legendrian sample
     and its Rao profile, and the serial gate.  The Hilbert query keeps the
     basis it reads, and monomial ideals, such as the pencil-contact wedge
-    and SKEW, run none."""
+    and SKEW, run none.  Nor does a wedge ideal that the conormal bound
+    certifies, a legendrian sample's included; the same wedge with omega
+    times P, whose cut vanishes mod P, takes the exact route."""
     runs = _spy_buchberger(monkeypatch, over_q=True)
     contact = "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2"
-    omega = str(forms.random_projective_oneform(2, Random(0)))
-    for pair, runs_made in ((["z0*dz1 - z1*dz0", contact], 0), ([contact, omega], 1)):
+    omega = forms.random_projective_oneform(2, Random(0))
+    for pair, runs_made in ((["z0*dz1 - z1*dz0", contact], 0), ([contact, str(omega)], 0),
+                            ([contact, str(omega.scale(section.P))], 1)):
         runs.clear()
         assert cli.main(["wedge", *pair, "--invariants", "--rao"]) == 0
         assert len(runs) == runs_made, pair
@@ -3092,14 +3095,10 @@ def test_each_ideal_runs_buchberger_at_most_once(monkeypatch, capsys, tmp_path):
     assert rao_module_dimensions(ideal).total == 0
     assert runs == [ideal.generators]
 
-    drawn = []
-    real = forms._legendrian_presentation
-    monkeypatch.setattr(forms, "_legendrian_presentation",
-                        lambda contact, omega: drawn.append(real(contact, omega)) or drawn[-1])
     runs.clear()
     sample = legendrian_sample(2, Random(0))
     assert rao_module_dimensions(sample.ideal).total == 1
-    assert runs == [p.ideal.generators for p in drawn] and drawn[-1] is sample
+    assert runs == []
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     runs.clear()
@@ -3812,6 +3811,13 @@ def _both_routes(gens):
     return [(gens, False), (cuts, True)]
 
 
+def _exact_legendrian(d, seed):
+    """The ideal of legendrian_sample(d, Random(seed)), its generators taken
+    afresh, so that it carries no conormal certificate and the exact route,
+    a basis over Q and a resolution, answers for it."""
+    return GradedIdeal(legendrian_sample(d, Random(seed)).ideal.generators)
+
+
 def _rao_pool_ideals():
     pool = json.loads(RAO_POOL.read_text())
     entries = (pool["degree2"] + pool["degree2_special"] + pool["degree3"]
@@ -4052,7 +4058,7 @@ def test_rao_walk_down_gives_the_former_profiles_and_stops_soundly(monkeypatch):
         list(skew.generators) + [parse_polynomial("z1*z3^3") * skew.generators[0]])
     truncated = _ideal(*(f"z{v}*{s}" for v in range(NVARS) for s in SKEW))
     ideals = _rao_pool_ideals()
-    ideals += [legendrian_sample(d, Random(seed)).ideal for d in range(2, 6) for seed in range(3)]
+    ideals += [_exact_legendrian(d, seed) for d in range(2, 6) for seed in range(3)]
     ideals += [skew, redundant, _ideal("z1", "z0^2", "z0*z2"), truncated]
     ideals += [verification._random_ci_curve(Random(seed)) for seed in range(6)]
     walked = []

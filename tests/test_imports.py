@@ -47,11 +47,16 @@ MODULES = {"folcurves", "folcurves.cli", "folcurves.errors", "folcurves.records"
 # what every subcommand that builds a free resolution loads besides
 RESOLUTION = {"folcurves.resolution", "folcurves.linalg"}
 # what a Hilbert query of at most three forms, not all of one term, loads
-# besides before any basis: the section certificate
+# besides before any basis, and a wedge ideal that is not its own basis:
+# the section certificate
 SECTION = {"folcurves.section"}
 EVERY_MODULE = MODULES | RESOLUTION | {f"folcurves.{m}" for m in (
     "classify", "forms", "monad", "parsing", "sheafcoh", "verification")}
-WEDGE = ["wedge", "z0*dz1 - z1*dz0", "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2", "--invariants"]
+# the contact form with a 1-form of degree 2, whose wedge ideal the conormal
+# bound certifies, and with the pencil form, whose wedge ideal is monomial
+CONTACT = "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2"
+WEDGE = ["wedge", CONTACT, "z3*(z0*dz2 - z2*dz0) + z0*(z1*dz3 - z3*dz1)", "--invariants"]
+MONOMIAL_WEDGE = ["wedge", "z0*dz1 - z1*dz0", CONTACT, "--invariants", "--rao"]
 # the public names that moved from groebner to resolution, which groebner
 # still answers for
 MOVED = PUBLIC["resolution"].split() + [
@@ -88,18 +93,21 @@ print(json.dumps([before, loaded()]))""")
 
 @pytest.mark.parametrize("argv, added", [
     (["hilbert", "{file}"], {"folcurves.parsing"} | SECTION),
-    (WEDGE, {"folcurves.parsing", "folcurves.forms"}),
+    (WEDGE, {"folcurves.parsing", "folcurves.forms"} | SECTION),
     (["verify", "--suite", "syzygy"], EVERY_MODULE - MODULES),
-    (WEDGE + ["--rao"], {"folcurves.parsing", "folcurves.forms"} | RESOLUTION),
+    (WEDGE + ["--rao"], {"folcurves.parsing", "folcurves.forms"} | RESOLUTION | SECTION),
+    (MONOMIAL_WEDGE, {"folcurves.parsing", "folcurves.forms"} | RESOLUTION),
     (["rao", "{file}"], {"folcurves.parsing"} | RESOLUTION),
     (["syzygy", "z0,z1", "1,1", "2"], {"folcurves.parsing"} | RESOLUTION),
-], ids=["hilbert", "wedge", "verify", "wedge-rao", "rao", "syzygy"])
+], ids=["hilbert", "wedge", "verify", "wedge-rao", "wedge-monomial-rao", "rao", "syzygy"])
 def test_each_subcommand_loads_the_modules_it_runs(tmp_path, argv, added):
-    """Neither dataclasses nor inspect is ever loaded, only the
-    subcommands that build a free resolution load resolution and linalg,
-    and only those that ask for Hilbert data of at most three forms, not
-    all of one term, before a basis load section: the wedge ideal has six
-    one-term generators."""
+    """Neither dataclasses nor inspect is ever loaded, and only the
+    subcommands that build a free resolution or take a Rao profile load
+    resolution and linalg.  section is loaded for Hilbert data of at most
+    three forms, not all of one term, before a basis, and for the conormal
+    certificate of a wedge ideal that is not its own basis; the pencil's
+    wedge with the contact form has four one-term generators, and its Rao
+    profile is resolved without it."""
     path = tmp_path / "ideal.txt"
     path.write_text("z0*z1\nz2^2 - z0*z3\n", encoding="utf-8")
     argv = [str(path) if arg == "{file}" else arg for arg in argv]
@@ -114,11 +122,11 @@ print(json.dumps([code, loaded()]))""")
 
 def test_verify_loads_the_section_first_where_the_ci_rao_draws_run():
     """Run in order, the gate's criteria and property items load
-    folcurves.section first at the ci-rao items, whose draws ask for Hilbert
-    data of two quadrics before any basis; the checks before them build
-    their basis first, ask for Hilbert data of more than three forms or of
-    monomials, or never ask for Hilbert data.  The legendrian draws are
-    wedge ideals of more than three forms."""
+    folcurves.section first at the first legendrian criterion, whose
+    samples are wedge ideals certified by the conormal bound; the checks
+    before it ask for Hilbert data of monomials only (the pencil-contact
+    wedge, its own basis) or never ask for Hilbert data.  The ci-rao draws
+    later ask for Hilbert data of two quadrics before any basis."""
     seen = fresh(LOADED + """
 from folcurves import verification
 seen = []
@@ -131,7 +139,7 @@ for cid, check in verification.CRITERIA.items():
         assert check(0).ok, cid
         seen.append([cid, "folcurves.section" in sys.modules])
 print(json.dumps(seen))""")
-    first = next(k for k, (name, _) in enumerate(seen) if name == "ci-rao")
+    first = next(k for k, (name, _) in enumerate(seen) if name == "legendrian-deg2")
     assert [loaded for _, loaded in seen] == [False] * first + [True] * (len(seen) - first)
 
 

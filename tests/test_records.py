@@ -14,6 +14,7 @@ from folcurves.forms import FoliationPresentation, TwistedForm, legendrian_sampl
 from folcurves.groebner import GradedIdeal, HilbertPolynomial, curve_invariants
 from folcurves.monad import MonadSpec
 from folcurves.polyring import HomogeneousPolynomial, parse_polynomial
+from folcurves import resolution
 from folcurves.resolution import (FreeResolution, RaoProfile, minimal_free_resolution,
                                   rao_module_dimensions)
 from folcurves.sheafcoh import ChernTriple, CohomologyTable, SheafSymbol
@@ -21,14 +22,17 @@ from folcurves.verification import CriterionResult
 
 # Each record: its required fields' values, in order, its fields with their
 # defaults, whether it is frozen, and the repr the dataclass gave the record
-# of those values.  A default of list or dict is a fresh one per record.
+# of those values.  A default of list or dict is a fresh one per record.  A
+# presentation is frozen on its fields but the ideal, which is derived from
+# its form: those are the fields it compares and hashes on.
 RECORDS = {
     "FreeResolution": (FreeResolution, ([[0], [-2, -2], [-4]], [], 8), {}, False,
                        "FreeResolution(twists=[[0], [-2, -2], [-4]], differentials=[], bound=8)"),
     "RaoProfile": (RaoProfile, ({1: 2}, 2, (-2, 7)), {}, False,
                    "RaoProfile(profile={1: 2}, total=2, window=(-2, 7))"),
     "FoliationPresentation": (
-        FoliationPresentation, ("z0*dz1 - z1*dz0", 0, "ideal"), {"conormal_twists": None}, True,
+        FoliationPresentation, ("z0*dz1 - z1*dz0", 0, "ideal"), {"conormal_twists": None},
+        ("two_form", "degree", "conormal_twists"),
         "FoliationPresentation(two_form='z0*dz1 - z1*dz0', degree=0, ideal='ideal', "
         "conormal_twists=None)"),
     "FoliationInvariants": (
@@ -88,7 +92,9 @@ def test_records_keep_their_dataclass_behaviour(name):
             cls(*required[:-1])
     assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
     if frozen:
-        assert hash(record) == hash(cls(*values)) == hash(values)
+        keyed = values if frozen is True else tuple(
+            value for field, value in zip(fields, values) if field in frozen)
+        assert hash(record) == hash(cls(*values)) == hash(keyed)
         with pytest.raises(AttributeError, match=f"cannot assign to field '{fields[0]}'"):
             setattr(record, fields[0], 1)
         with pytest.raises(AttributeError):
@@ -130,17 +136,45 @@ def test_polynomials_forms_and_hilbert_polynomials_copy_and_pickle(trip):
         assert str(again) == str(value) and repr(again) == repr(value)
     sample = legendrian_sample(3, Random(0))
     again = ROUND_TRIPS[trip](sample)
-    assert again.two_form == sample.two_form and again.two_form.coefficients
-    assert (again.degree, again.conormal_twists) == (sample.degree, sample.conormal_twists)
+    assert again == sample and hash(again) == hash(sample) and again.two_form.coefficients
     assert again.ideal.equals(sample.ideal)
+
+
+def test_presentations_compare_on_form_degree_and_twists_not_the_ideal_object():
+    sample = legendrian_sample(3, Random(0))
+    other = FoliationPresentation(sample.two_form, 3, GradedIdeal(sample.ideal.generators),
+                                  sample.conormal_twists)
+    assert other == sample and hash(other) == hash(sample)
+    assert FoliationPresentation(sample.two_form, 3, sample.ideal) != sample
+
+
+@pytest.mark.parametrize("trip", list(ROUND_TRIPS))
+def test_a_certified_wedge_ideal_copies_with_its_certificate(trip, monkeypatch):
+    """The copy of a legendrian sample keeps the conormal certificate: its
+    ideal answers its Hilbert data and Rao profile with no basis and no
+    resolution."""
+    sample = legendrian_sample(3, Random(0))
+    again = ROUND_TRIPS[trip](sample)
+    assert again == sample and hash(again) == hash(sample)
+
+    def refuse(*args):
+        raise AssertionError("the certified ideal needs no basis and no resolution")
+
+    monkeypatch.setattr(GradedIdeal, "_basis_elements", refuse)
+    monkeypatch.setattr(resolution, "minimal_free_resolution", refuse)
+    assert again.ideal.hilbert_numerator() == sample.ideal.hilbert_numerator()
+    assert curve_invariants(again.ideal) == (10, 11)
+    assert rao_module_dimensions(again.ideal).to_json() == {"profile": {"2": 1}, "total": 1}
+    assert again.ideal._elements is None and again.ideal._resolution is None
 
 
 @pytest.mark.parametrize("trip", list(ROUND_TRIPS))
 def test_an_ideal_copies_and_pickles_with_its_deferred_resolution_layer(trip):
     """After a Rao walk the sample's resolution still defers layer 2's
     columns; the ideal comes back with the same resolution and Rao profile,
-    and equals the original."""
-    ideal = legendrian_sample(3, Random(0)).ideal
+    and equals the original.  The sample's generators are taken afresh, so
+    that the exact route, not the conormal certificate, answers."""
+    ideal = GradedIdeal(legendrian_sample(3, Random(0)).ideal.generators)
     profile = rao_module_dimensions(ideal)
     assert ideal._resolution.differentials.deferred
     again = ROUND_TRIPS[trip](ideal)
