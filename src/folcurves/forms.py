@@ -24,7 +24,7 @@ from .errors import (
     WrongFormDegreeError,
     ZeroFormError,
 )
-from .groebner import GradedIdeal, curve_invariants, hilbert_polynomial
+from .groebner import GradedIdeal, _series, curve_invariants, hilbert_polynomial
 from .polyring import (
     NVARS,
     HomogeneousPolynomial,
@@ -256,19 +256,16 @@ def vector_field_to_twoform(field) -> TwistedForm:
 # bound is cut on the section.  A sparse form turns dense there, so the
 # cut costs what a dense one does: on a 2-vCPU x86_64 machine under Python
 # 3.11 the certificate of the contact form's wedge with a seeded 1-form of
-# degree 20, 23 and 28 took 0.14, 0.25 and 0.59 s of CPU time.  CI's
-# largest wedge query has c_a + c_b = 21.
+# degree 20, 23 and 28 took 0.08, 0.12-0.13 and 0.24-0.31 s of CPU time
+# (best of 3).  CI's largest wedge query, degree 23, has c_a + c_b = 24.
 _MAX_CONORMAL_DEGREE = 24
 
 
 def _conormal_bound(c_a: int, c_b: int) -> dict:
-    """The conormal bound's N(t), nonzero coefficients by ascending exponent,
-    for 1-forms with coefficients of degrees c_a and c_b (folcurves.section)."""
+    """The conormal bound's N(t), a groebner._series, for 1-forms with
+    coefficients of degrees c_a and c_b (folcurves.section)."""
     d = c_a + c_b - 1
-    numerator = {0: 1, d + 1: -6, d + 2: 4, d + 3: -1}
-    for c in (c_a, c_b):
-        numerator[d + c] = numerator.get(d + c, 0) + 1
-    return {e: c for e, c in sorted(numerator.items()) if c}
+    return _series([(0, 1), (d + 1, -6), (d + 2, 4), (d + 3, -1), (d + c_a, 1), (d + c_b, 1)])
 
 
 def _wedge_ideal(a: TwistedForm, b: TwistedForm, two_form: TwistedForm) -> GradedIdeal:

@@ -265,18 +265,25 @@ def _reduced_basis(basis):
     return out
 
 
+def _series(terms) -> dict:
+    """The sums of the coefficients of the (exponent, coefficient) pairs
+    terms, by exponent, the nonzero ones keyed by ascending exponent: the
+    one form of every numerator in t here."""
+    sums = {}
+    for a, c in terms:
+        sums[a] = sums.get(a, 0) + c
+    return {a: sums[a] for a in sorted(sums) if sums[a]}
+
+
 def _ci_numerator(degrees) -> dict:
-    """The nonzero coefficients of prod(1 - t^e for e in degrees), keyed by
-    exponent: the numerator of HS(S/I) * (1-t)^4 when forms of these degrees
-    are a regular sequence.  Zero coefficients are dropped, as in
-    hilbert_numerator ((1-t)^2 (1-t^2) has none at t^2)."""
-    numerator = {0: 1}
+    """prod(1 - t^e for e in degrees), a _series of its 2^len(degrees)
+    expanded terms (every caller passes at most four degrees): the
+    numerator of HS(S/I) * (1-t)^4 when forms of these degrees are a
+    regular sequence ((1-t)^2 (1-t^2) has no key t^2)."""
+    terms = [(0, 1)]
     for e in degrees:
-        shifted = dict(numerator)
-        for a, c in numerator.items():
-            shifted[a + e] = shifted.get(a + e, 0) - c
-        numerator = shifted
-    return {a: c for a, c in numerator.items() if c}
+        terms += [(a + e, -c) for a, c in terms]
+    return _series(terms)
 
 
 def _ci_hilbert_function(numerator, d: int) -> int:
@@ -484,14 +491,10 @@ def _minimal_numerator(gens: tuple) -> tuple:
         return ()
     mixed = [g for g in gens if _nonzero_fields(g).bit_count() > 1]
     if not mixed:
-        return tuple(sorted(_ci_numerator(mono_degree(g) for g in gens).items()))
+        return tuple(_ci_numerator(mono_degree(g) for g in gens).items())
     v, k, colon = _pivot(gens, mixed)
-    res = {}
-    for a, c in _minimal_numerator(_plus(gens, v, k)):
-        res[a] = res.get(a, 0) + c
-    for a, c in _minimal_numerator(colon):
-        res[a + k] = res.get(a + k, 0) + c
-    return tuple(sorted((a, c) for a, c in res.items() if c))
+    return tuple(_series([*_minimal_numerator(_plus(gens, v, k)),
+                          *((a + k, c) for a, c in _minimal_numerator(colon))]).items())
 
 
 @lru_cache(maxsize=None)
@@ -672,7 +675,13 @@ class GradedIdeal:
         """Coefficients of HS(S/I) * (1-t)^4, keyed by ascending exponent;
         empty for the unit ideal.  The section, for at most MAX_SECTION_FORMS
         forms before any basis exists, or else the lead ideal of the basis,
-        which is kept, answers (see the module docstring)."""
+        which is kept, answers (see the module docstring).  Each call
+        returns a fresh dict."""
+        return dict(self._hilbert_numerator())
+
+    def _hilbert_numerator(self) -> dict:
+        """hilbert_numerator's kept dict itself, computed on the first call,
+        for the readers here and in resolution, which never change it."""
         if self._numerator is None:
             if self._elements is None and len(self.generators) <= MAX_SECTION_FORMS:
                 from .section import _section_numerator
@@ -684,7 +693,7 @@ class GradedIdeal:
 
     def hilbert_function(self, k: int) -> int:
         """dim (S/I)_k, exact in every degree."""
-        return _ci_hilbert_function(self.hilbert_numerator(), k)
+        return _ci_hilbert_function(self._hilbert_numerator(), k)
 
     def hilbert_polynomial(self) -> HilbertPolynomial:
         """The Hilbert polynomial of S/I, computed on the first call and
@@ -698,7 +707,7 @@ class GradedIdeal:
         b_i = (-1)^(3-i) sum_a c_a C(a, 3-i), i = 0..3.
         """
         if self._hilbert is None:
-            num = self.hilbert_numerator()
+            num = self._hilbert_numerator()
             if not num:  # only the unit ideal has HS(S/I) = 0
                 raise ValueError("the unit ideal has no Hilbert polynomial")
             self._hilbert = HilbertPolynomial(

@@ -51,7 +51,8 @@ MAX_COEFFICIENT_BITS = 10_000
 # Xeon VM with Python 3.11 ((x+y)^1000 is 1.002e9); (x+y+z)^60 is 4.3e8.  The largest estimate any
 # shipped test reaches is 2.9e6, for (x+y+z+t)^11; demos and benchmark
 # inputs reach 0, raising only variables to powers, and the package takes
-# no power of a polynomial itself (the section tabulates l^e mod a prime).
+# no power of a polynomial itself (the section cuts by Horner's rule mod a
+# prime, multiplying by l once per step).
 MAX_POWER_WORK = 10**9
 
 _FIELD = (1 << 32) - 1

@@ -55,7 +55,7 @@ refused before eliminating.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -72,6 +72,7 @@ from .groebner import (
     _divides,
     _lcm,
     _nonzero_fields,
+    _series,
     curve_invariants,
 )
 from .linalg import Echelon, kernel_of_columns, sparse_first
@@ -262,7 +263,8 @@ def lead_betti(lead: tuple) -> tuple:
 
 class _Differentials(list):
     """FreeResolution.differentials as _resolve leaves it: reading layer i
-    first calls deferred[i], which builds the columns deferred there."""
+    first builds its columns deferred in deferred[i] (see _build_deferred),
+    None until then.  Copies and pickles carry both unbuilt."""
 
     __slots__ = ("deferred",)
 
@@ -270,9 +272,12 @@ class _Differentials(list):
         layers = range(len(self))[i]
         for layer in layers if isinstance(i, slice) else (layers,):
             if layer in self.deferred:
-                self.deferred[layer]()
+                _build_deferred(self, list.__getitem__(self, layer), self.deferred[layer])
                 del self.deferred[layer]
         return super().__getitem__(i)
+
+    def __reduce__(self):
+        return _Differentials, (list.copy(self),), (None, {"deferred": self.deferred})
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -314,12 +319,8 @@ class FreeResolution(Record):
                    == hilbert_function(e) for e in range(self.bound + 1))
 
     def _k_polynomial(self) -> dict:
-        """sum_i (-1)^i sum_(b in twists[i]) t^(-b), exponent to coefficient."""
-        kpoly = Counter()
-        for i, twists in enumerate(self.twists):
-            for b in twists:
-                kpoly[-b] += (-1) ** i
-        return kpoly
+        """sum_i (-1)^i sum_(b in twists[i]) t^(-b), a groebner._series."""
+        return _series((-b, (-1) ** i) for i, twists in enumerate(self.twists) for b in twists)
 
     def composition_ok(self) -> bool:
         for i in range(1, len(self.differentials)):
@@ -338,6 +339,25 @@ class FreeResolution(Record):
                        for column in columns for poly in column.values())
 
 
+def _capped(size, where):
+    if size > MAX_RESOLUTION_COLUMNS:
+        raise ResourceLimitError(f"{where}: {size} columns exceed the cap "
+                                 f"{MAX_RESOLUTION_COLUMNS}")
+
+
+def _build_deferred(differentials, columns, pending):
+    """Layer 2's deferred columns into their slots of columns: for each
+    (at, keys, rows, count, where) of pending, which is then emptied, the
+    kernel of d_1, differentials[0], on keys over rows."""
+    for at, keys, rows, count, where in pending:
+        _capped(len(keys), where)
+        found = graded_kernel(differentials[0], keys, rows)
+        if len(found) != count:
+            raise ResourceLimitError(f"{where}: kernel dimension audit failed")
+        columns[at:at + count] = found
+    pending.clear()
+
+
 def _koszul_degrees(ideal: GradedIdeal):
     """The degrees of the given generators, largest first, when these are a
     regular sequence, exactly when hilbert_numerator() is prod(1 - t^d)
@@ -345,7 +365,7 @@ def _koszul_degrees(ideal: GradedIdeal):
     forms generate an ideal of height r, and conversely the Koszul complex
     of a regular sequence is exact; otherwise None."""
     degrees = sorted((g.degree for g in ideal.generators), reverse=True)
-    if len(degrees) > 4 or ideal.hilbert_numerator() != _ci_numerator(degrees):
+    if len(degrees) > 4 or ideal._hilbert_numerator() != _ci_numerator(degrees):
         return None
     return degrees
 
@@ -399,22 +419,6 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
                 f"{where}: {len(rows)} determining rows against dimension {dim}")
         return rows
 
-    def capped(size, where):
-        if size > MAX_RESOLUTION_COLUMNS:
-            raise ResourceLimitError(f"{where}: {size} columns exceed the cap "
-                                     f"{MAX_RESOLUTION_COLUMNS}")
-
-    def build(columns, pending):
-        """Layer 2's deferred columns into their slots: for each (at, keys,
-        rows, count, where) of pending, the kernel of d_1 on keys over rows."""
-        for at, keys, rows, count, where in pending:
-            capped(len(keys), where)
-            found = graded_kernel(res.differentials[0], keys, rows)
-            if len(found) != count:
-                raise ResourceLimitError(f"{where}: kernel dimension audit failed")
-            columns[at:at + count] = found
-        pending.clear()
-
     below = {}  # degree -> kernel of d_(layer-1) there, from the image checks of layer - 1
     for layer in range(1, max(L for L, _ in table) + 1):
         visits = sorted({e for (L, e) in table if L in (layer, layer + 1)})
@@ -426,7 +430,7 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
         kernels = {}
         for e in visits:
             where = f"layer {layer}, degree {e}"
-            capped(sum(graded_piece_dimension(e + b) for b in twists), where)
+            _capped(sum(graded_piece_dimension(e + b) for b in twists), where)
             # dim ker(d_{layer-1})_e, by exactness; for layer 1, dim I_e
             target = (-1) ** layer * ideal.hilbert_function(e) + sum(
                 (-1) ** (layer - 1 - i) * res.layer_dimension(i, e) for i in range(layer)
@@ -444,7 +448,7 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
             ech = Echelon()
             images, kernel, new = [], [], range(len(rows))  # new: each row's index in images
             if columns:  # with no generators yet the image is zero
-                build(columns, pending)
+                _build_deferred(res.differentials, columns, pending)
                 images = _degree_matrix(columns, _degree_basis(twists, e), rows)
                 if layer > 1:  # rows of F_(layer-1), not monomials of S
                     new = sparse_first(images, len(rows))
@@ -483,15 +487,15 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
         res.twists.append(twists)
         res.differentials.append(columns)
         if pending:
-            res.differentials.deferred[layer - 1] = partial(build, columns, pending)
+            res.differentials.deferred[layer - 1] = pending
 
-    kpoly, numerator = res._k_polynomial(), ideal.hilbert_numerator()
-    wrong = [e for e in kpoly.keys() | numerator.keys() if kpoly[e] != numerator.get(e, 0)]
+    kpoly, numerator = res._k_polynomial(), ideal._hilbert_numerator()
+    wrong = _series([*kpoly.items(), *((e, -c) for e, c in numerator.items())])
     if wrong:
-        e = min(wrong)
+        e = next(iter(wrong))  # the lowest
         raise CrossCheckFailureError(f"all layers, degree {e}: K-polynomial coefficient "
-                                     f"{kpoly[e]} against {numerator.get(e, 0)} in the Hilbert "
-                                     f"numerator")
+                                     f"{kpoly.get(e, 0)} against {numerator.get(e, 0)} in the "
+                                     f"Hilbert numerator")
     if koszul is not None:  # a second route to the Betti table: the Koszul complex
         for layer in range(1, max(len(res.twists), len(koszul) + 1)):
             got = sorted(res.twists[layer]) if layer < len(res.twists) else []

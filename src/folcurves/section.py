@@ -78,10 +78,12 @@ wedge whose coefficients share a factor exceeds B and misses.
 
 The run is over F_P, P = 32749, the largest prime below 2^15, so that the
 product of two residues fits in one 30-bit digit of a Python int.  Each
-form is cut mod P with l^e mod P, tabulated up to MAX_SECTION_DEGREE and
-made for the one cut above it.  Every element is kept monic, and a
-residue is reduced only when its term is popped, so division needs no
-gcd and never rescales the work or the remainder.
+form is cut mod P by Horner's rule in z3, no power of l kept between
+cuts: a running sum, reduced mod P, is multiplied by l once per exponent
+of z3 below the form's top one, each exponent's terms added on the way.
+Every element is kept monic, and a residue is reduced only when its term
+is popped, so division needs no gcd and never rescales the work or the
+remainder.
 
 Of the 240 hilbert-pool ideals the first plane certifies 209 complete
 intersections and 21 ideals in a coordinate line ideal, the second plane
@@ -115,38 +117,26 @@ MAX_SECTION_DEGREE = 8
 PLANES = ((1, 2, 3), (7, -3, 2))
 
 _Z3 = _wrap(1, 1, {_STEPS[3]: 1})
-_POWERS = tuple([{0: 1}] for _ in PLANES)  # l^e mod P for e < len, packed, per plane
-
-
-def _powers(plane: int, top: int) -> list:
-    """l^e mod P for the l of PLANES[plane], e = 0..top: the _POWERS table,
-    and, when top is above MAX_SECTION_DEGREE, a copy made longer, so that
-    the table never holds more than MAX_SECTION_DEGREE + 1 powers."""
-    powers = _POWERS[plane]
-    for e in range(len(powers), top + 1):
-        if e == MAX_SECTION_DEGREE + 1:
-            powers = list(powers)
-        acc = {}
-        for m, c in powers[-1].items():
-            for step, k in zip(_STEPS, PLANES[plane]):
-                acc[m + step] = (acc.get(m + step, 0) + k * c) % P
-        powers.append({m: c for m, c in acc.items() if c})
-    return powers
 
 
 def _section_cut(f, plane: int = 0):
     """f(z0, z1, z2, l) for the l of PLANES[plane] times f's denominator, its
     coefficients reduced mod P into [1, P): a form in z0..z2 of f's degree,
-    zero when the cut vanishes mod P."""
-    powers = _powers(plane, f.degree)
-    acc = {}
+    zero when the cut vanishes mod P.  By Horner's rule in z3: from f's top
+    exponent of z3 down, that exponent's terms, z3 removed, plus l times
+    the running sum."""
+    by_z3 = {}
     for m, c in f._cleared[1].items():
         e = m >> 96  # the exponent of z3
-        m -= e << 96
-        c %= P
-        for pm, pc in powers[e].items():
-            acc[m + pm] = acc.get(m + pm, 0) + c * pc
-    return _wrap(f.degree, 1, {m: c % P for m, c in acc.items() if c % P})
+        by_z3.setdefault(e, {})[m - (e << 96)] = c
+    steps, acc = tuple(zip(_STEPS, PLANES[plane])), {}
+    for e in range(max(by_z3, default=0), -1, -1):
+        out = by_z3.get(e, {})
+        for m, c in acc.items():
+            for step, k in steps:
+                out[m + step] = out.get(m + step, 0) + k * c
+        acc = {m: r for m, c in out.items() if (r := c % P)}
+    return _wrap(f.degree, 1, acc)
 
 
 def _divide(work: dict, table, budget):
@@ -191,18 +181,15 @@ def _monic_element(terms: dict):
 
 
 def _line_bound(degrees) -> dict:
-    """The nonzero coefficients of N(t), keyed by exponent: for three forms
-    of these degrees in a coordinate line ideal P, N(t) / (1-t)^4 is a
-    coefficientwise lower bound for HS(S/I), and HS(S/I) itself when the
-    Buchsbaum-Rim complex resolves P/I (see the module docstring).  With
-    C = (2, d1, d2, d3) and s = d1 + d2 + d3,
-    N = 1 + t^2 + sum over c in C of (t^(s-c) - t^c) - 2t^(s-1)."""
-    s = sum(degrees)
-    numerator = {0: 1, 2: 1, s - 1: -2}
-    for c in (2, *degrees):
-        numerator[s - c] = numerator.get(s - c, 0) + 1
-        numerator[c] = numerator.get(c, 0) - 1
-    return {a: c for a, c in numerator.items() if c}
+    """N(t), a groebner._series: for three forms of these degrees in a
+    coordinate line ideal P, N(t) / (1-t)^4 is a coefficientwise lower
+    bound for HS(S/I), and HS(S/I) itself when the Buchsbaum-Rim complex
+    resolves P/I (see the module docstring).  With C = (2, d1, d2, d3) and
+    s = d1 + d2 + d3, N = 1 + t^2 + sum over c in C of (t^(s-c) - t^c) -
+    2t^(s-1)."""
+    s, C = sum(degrees), (2, *degrees)
+    return groebner._series([(0, 1), (2, 1), (s - 1, -2), *((s - c, 1) for c in C),
+                             *((c, -1) for c in C)])
 
 
 def _certifies(generators, numerator: dict) -> bool:
@@ -210,10 +197,8 @@ def _certifies(generators, numerator: dict) -> bool:
     and z3 ends on leads whose Hilbert numerator is numerator * (1-t), for
     a lower bound numerator of HS(S/I) * (1-t)^4 proven as in the module
     docstring; a plane misses when a cut vanishes mod P or the run gives up."""
-    target = dict(numerator)  # times 1 - t, the factor of z3
-    for a, c in numerator.items():
-        target[a + 1] = target.get(a + 1, 0) - c
-    target = {a: c for a, c in target.items() if c}
+    # times 1 - t, the factor of z3
+    target = groebner._series([*numerator.items(), *((a + 1, -c) for a, c in numerator.items())])
     for plane in range(len(PLANES)):
         cuts = [_section_cut(g, plane) for g in generators]
         elements = all(cuts) and groebner._groebner_elements(
@@ -246,4 +231,4 @@ def _section_numerator(generators):
     if len(covers) > 1 or covers and len(degrees) < 3:
         return None
     numerator = _line_bound(degrees) if covers else groebner._ci_numerator(degrees)
-    return dict(sorted(numerator.items())) if _certifies(generators, numerator) else None
+    return numerator if _certifies(generators, numerator) else None

@@ -189,7 +189,6 @@ def test_wedge_answers_high_degrees_with_the_papers_curve(d, capsys):
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["invariants"] == {"degree": d * d + 1, "genus": d ** 3 - 2 * d * d + d - 1}
     assert payload["rao"] == {"profile": {str(d - 1): 1}, "total": 1}
-    assert all(len(powers) <= section.MAX_SECTION_DEGREE + 1 for powers in section._POWERS)
 
 
 def _sparse_omega(n):
@@ -217,7 +216,6 @@ def test_no_wedge_above_the_conormal_cap_is_cut(monkeypatch):
         omega = parse_form(_sparse_omega(n))
         ideal = _wedge_ideal(contact, omega, wedge(contact, omega))
         assert len(calls) == cuts and ideal._rao_twist is None and ideal._numerator is None
-    assert all(len(powers) <= section.MAX_SECTION_DEGREE + 1 for powers in section._POWERS)
 
 
 @pytest.mark.parametrize("flags, code", [
@@ -225,14 +223,13 @@ def test_no_wedge_above_the_conormal_cap_is_cut(monkeypatch):
 ])
 def test_a_sparse_form_of_huge_degree_is_answered_quickly_and_uncut(flags, code, monkeypatch):
     """Its wedge with the contact form has coefficients of degree 10^5 + 2,
-    far above the conormal cap: no section is cut, the power tables stay
-    short, and the exact route finds the surface in well under 1 s."""
+    far above the conormal cap: no section is cut, and the exact route
+    finds the surface in well under 1 s."""
     calls = _count_certificates(monkeypatch)
     started = time.perf_counter()
     assert cli.main(["wedge", CONTACT, _sparse_omega(100_000), *flags]) == code
     assert time.perf_counter() - started < 1
     assert calls == []
-    assert all(len(powers) <= section.MAX_SECTION_DEGREE + 1 for powers in section._POWERS)
 
 
 def test_legendrian_wedge_alone_cuts_no_section(monkeypatch, capsys):

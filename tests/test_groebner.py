@@ -1406,6 +1406,21 @@ def test_ci_hilbert_function_bounds_the_hilbert_function():
     assert _ci_values((2, 2, 2, 2), 6) == [1, 4, 6, 4, 1, 0]
 
 
+def test_series_sums_by_ascending_exponent_and_drops_zeros():
+    """_series, the one form of a numerator in t: the coefficients of equal
+    exponents summed, the nonzero ones keyed by ascending exponent."""
+    got = groebner._series([(3, 1), (0, 1), (3, -1), (1, 2), (0, 1), (1, 1)])
+    assert got == {0: 2, 1: 3} and list(got) == [0, 1]
+    assert groebner._series([]) == {} and groebner._series([(2, 1), (2, -1)]) == {}
+    # the terms of (1-t)^2 (1-t^2) = 1 - 2t + 2t^3 - t^4: no t^2 key
+    terms = [(a + b + c, x * y * z) for (a, x), (b, y), (c, z)
+             in itertools.product([(0, 1), (1, -1)], [(0, 1), (1, -1)], [(0, 1), (2, -1)])]
+    assert list(groebner._series(terms).items()) == [(0, 1), (1, -2), (3, 2), (4, -1)]
+    for numerator in (groebner._ci_numerator((4, 1, 3, 2)), section._line_bound([4, 3, 3]),
+                      forms._conormal_bound(3, 1)):
+        assert list(numerator) == sorted(numerator) and all(numerator.values())
+
+
 def test_ci_numerator_keeps_only_nonzero_coefficients():
     """(1-t)^2 (1-t^2) = 1 - 2t + 2t^3 - t^4 has no t^2 term, and neither
     has hilbert_numerator of a complete intersection of those degrees."""
@@ -2248,8 +2263,8 @@ def test_resolution_dimension_audit_names_its_degree(monkeypatch):
     final audit, which compares the K-polynomial of the twists with the
     whole numerator; one off there is reported with the degree and both
     coefficients."""
-    real = GradedIdeal.hilbert_numerator
-    monkeypatch.setattr(GradedIdeal, "hilbert_numerator", lambda self: {**real(self), 6: 1})
+    real = GradedIdeal._hilbert_numerator
+    monkeypatch.setattr(GradedIdeal, "_hilbert_numerator", lambda self: {**real(self), 6: 1})
     with pytest.raises(CrossCheckFailureError,
                        match=r"^all layers, degree 6: K-polynomial coefficient 0 against 1 "
                              r"in the Hilbert numerator$"):
@@ -2292,6 +2307,46 @@ def _section_cut(f: HomogeneousPolynomial) -> HomogeneousPolynomial:
         slices.setdefault(e, {})[m - (e << 96)] = c
     return polyring.sum_of_products((1, _from_integers(f.degree - e, den, terms), _section_power(e))
                                     for e, terms in slices.items())
+
+
+# The section cut by a table of the powers l^e mod P, kept per plane up to
+# MAX_SECTION_DEGREE and made longer for one cut above it: the oracle of
+# folcurves.section's Horner cut.  Its former _POWERS, _powers and
+# _section_cut, verbatim but for the prefixes.  _TABLE_POWERS: l^e mod P for
+# e < len, packed, per plane.
+_TABLE_POWERS = tuple([{0: 1}] for _ in section.PLANES)
+
+
+def _table_powers(plane: int, top: int) -> list:
+    """l^e mod P for the l of PLANES[plane], e = 0..top: the _POWERS table,
+    and, when top is above MAX_SECTION_DEGREE, a copy made longer, so that
+    the table never holds more than MAX_SECTION_DEGREE + 1 powers."""
+    powers = _TABLE_POWERS[plane]
+    for e in range(len(powers), top + 1):
+        if e == section.MAX_SECTION_DEGREE + 1:
+            powers = list(powers)
+        acc = {}
+        for m, c in powers[-1].items():
+            for step, k in zip(polyring._STEPS, section.PLANES[plane]):
+                acc[m + step] = (acc.get(m + step, 0) + k * c) % section.P
+        powers.append({m: c for m, c in acc.items() if c})
+    return powers
+
+
+def _table_section_cut(f, plane: int = 0):
+    """f(z0, z1, z2, l) for the l of PLANES[plane] times f's denominator, its
+    coefficients reduced mod P into [1, P): a form in z0..z2 of f's degree,
+    zero when the cut vanishes mod P."""
+    powers = _table_powers(plane, f.degree)
+    acc = {}
+    for m, c in f._cleared[1].items():
+        e = m >> 96  # the exponent of z3
+        m -= e << 96
+        c %= section.P
+        for pm, pc in powers[e].items():
+            acc[m + pm] = acc.get(m + pm, 0) + c * pc
+    return polyring._wrap(f.degree, 1, {m: c % section.P for m, c in acc.items()
+                                        if c % section.P})
 
 
 def _koszul_certificate(generators):
@@ -2558,11 +2613,44 @@ def test_section_route_skips_a_form_of_huge_degree_quickly(exprs):
     ideal = _ideal(*exprs)
     P = ideal.hilbert_polynomial()
     assert time.perf_counter() - started < 1
-    assert all(len(powers) <= section.MAX_SECTION_DEGREE + 1 for powers in section._POWERS)
     if exprs[-1] != "z0^100000000":
         assert ideal.hilbert_numerator() == _sorted_ci_numerator(ideal.generators)
     else:
         assert str(P) == "t^2 + 2*t + 1"
+
+
+def _contact_wedge(d):
+    """The generators of the wedge ideal of the contact form and the seeded
+    1-form of degree d, whose coefficients have degree d + 1."""
+    omega = forms.random_projective_oneform(d, Random(0))
+    return singular_ideal(wedge(forms.standard_contact_form(), omega)).generators
+
+
+def test_horner_cut_equals_the_table_cut():
+    """On both planes the Horner cut equals the table cut on the hilbert
+    pool, on 1000 pool-like draws from a seed apart from the pool's, on the
+    contact wedges of degree 2 to 23 (the largest c_a + c_b the conormal
+    cap admits is 24), on a form without z3, on lone powers of z3 and on
+    forms whose coefficients are multiples of P, whose cuts vanish."""
+    pool = json.loads(HILBERT_POOL.read_text())["ideals"]
+    rng = Random(4242)
+    cases = [_ideal(*entry["text"].splitlines()).generators for entry in pool]
+    cases += [_pool_like(rng) for _ in range(1000)]
+    cases += [_contact_wedge(d) for d in range(2, 24)]
+    multiples = _ideal("32749*z0^3 + 65498*z1^3", "32749*z2^2*z0 + 32749*z3^3",
+                       "32749*z1*z2*z3 + 32749*z0^3").generators
+    cases += [_ideal("z0^2*z1 - 3*z2^3").generators, multiples,
+              [HomogeneousPolynomial.variable(3) ** e for e in (1, 2, 9, 23)]]
+    cuts = 0
+    for gens in cases:
+        for g in gens:
+            for plane in range(len(section.PLANES)):
+                assert section._section_cut(g, plane) == _table_section_cut(g, plane), (
+                    str(g), plane)
+                cuts += 1
+    assert cuts == 2 * (3 * 1240 + 6 * 22 + 1 + 3 + 4)
+    assert not any(section._section_cut(g, plane) for g in multiples
+                   for plane in range(len(section.PLANES)))
 
 
 def test_rao_builds_the_four_variable_basis_without_cutting_a_section(monkeypatch):

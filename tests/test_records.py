@@ -172,14 +172,24 @@ def test_a_certified_wedge_ideal_copies_with_its_certificate(trip, monkeypatch):
 def test_an_ideal_copies_and_pickles_with_its_deferred_resolution_layer(trip):
     """After a Rao walk the sample's resolution still defers layer 2's
     columns; the ideal comes back with the same resolution and Rao profile,
-    and equals the original.  The sample's generators are taken afresh, so
-    that the exact route, not the conormal certificate, answers."""
+    and equals the original.  Copying builds no deferred column, and a deep
+    copy or a pickle builds its own, equal to the original's, leaving the
+    original's unbuilt.  The sample's generators are taken afresh, so that
+    the exact route, not the conormal certificate, answers."""
     ideal = GradedIdeal(legendrian_sample(3, Random(0)).ideal.generators)
     profile = rao_module_dimensions(ideal)
-    assert ideal._resolution.differentials.deferred
+    original = ideal._resolution.differentials
+    assert original.deferred
     again = ROUND_TRIPS[trip](ideal)
+    assert original.deferred
     assert again.equals(ideal)
     assert rao_module_dimensions(again) == profile
+    if trip != "copy":  # a shallow copy shares the resolution itself
+        copied = again._resolution.differentials
+        assert copied.deferred and copied is not original
+        built = copied[1]
+        assert not copied.deferred and original.deferred
+        assert built == original[1] and not original.deferred
     assert again._resolution == ideal._resolution
     assert minimal_free_resolution(again).composition_ok()
 
@@ -202,3 +212,26 @@ def test_polynomials_forms_and_hilbert_polynomials_refuse_assignment():
         skew.hilbert_polynomial().coeffs = (5, 3)
     assert curve_invariants(skew) == (2, -1)
     assert str(skew.hilbert_polynomial()) == "2*t + 2"
+
+
+@pytest.mark.parametrize("route", ["lead-ideal", "section", "conormal"])
+def test_a_hilbert_numerator_handed_out_cannot_change_the_ideal(route):
+    """hilbert_numerator() returns a fresh dict on each route, so a change
+    to it leaves the kept numerator, and the Hilbert function, polynomial
+    and curve invariants read from it, as they were."""
+    if route == "lead-ideal":  # two skew lines: four forms, past the section
+        ideal, curve = GradedIdeal.from_expressions(["z0*z2", "z0*z3", "z1*z2", "z1*z3"]), (2, -1)
+    elif route == "section":  # two quadrics, certified on the section
+        ideal = GradedIdeal.from_expressions(["z0*z1 - z2*z3", "z0^2 + z1^2 - z2^2 + 3*z3^2"])
+        curve = (4, 1)
+    else:
+        ideal, curve = legendrian_sample(3, Random(0)).ideal, (10, 11)
+    numerator = ideal.hilbert_numerator()
+    kept, values = dict(numerator), [ideal.hilbert_function(k) for k in range(8)]
+    numerator[5] = 1
+    numerator[0] = 7
+    assert ideal.hilbert_numerator() == kept and ideal.hilbert_numerator() is not numerator
+    assert [ideal.hilbert_function(k) for k in range(8)] == values
+    assert ideal.hilbert_polynomial().degree() == 1 and curve_invariants(ideal) == curve
+    assert (ideal._elements is None) == (route != "lead-ideal")
+
