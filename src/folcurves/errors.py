@@ -20,8 +20,7 @@ class DegreeMismatchError(FolcurvesError):
 class ResourceLimitError(FolcurvesError):
     """A work cap was exceeded (S-pairs, Buchberger's division steps, terms,
     coefficient bits, total degree, piece dimensions, lcm lattice, Betti
-    table degree, twist range, sample redraws), or an audit of a resolution
-    or a Rao profile failed."""
+    table degree, twist range, sample redraws)."""
 
 
 class NotACurveError(FolcurvesError):

@@ -325,28 +325,19 @@ def pencil_form() -> TwistedForm:
 
 
 def is_contact_form(form: TwistedForm) -> bool:
-    """Cheap contact test: d(w) ^ w equals a nonzero constant multiple of i_R(vol).
+    """True iff form is a 1-form w with linear coefficients for which
+    d(w) ^ w is nonzero and killed by the radial contraction i_R.
 
-    For linear-coefficient 1-forms this is equivalent to nowhere degeneracy.
+    The Koszul complex of z0..z3 is exact, so the 3-forms with linear
+    coefficients that i_R kills are exactly the constant multiples of
+    i_R(vol); w is contact, nowhere degenerate, iff d(w) ^ w is a nonzero
+    one.  For projective w the second condition always holds: there
+    i_R d(w) = 2 w by Cartan's formula, so i_R(d(w) ^ w) = 2 w ^ w = 0.
     """
     if form.form_degree != 1 or form.coefficient_degree != 1:
         return False
     three_form = wedge(exterior_derivative(form), form)
-    if three_form.is_zero():
-        return False
-    model = radial_contraction(TwistedForm.volume())
-    ref = model.coefficient((1, 2, 3))  # the z0 slot
-    got = three_form.coefficient((1, 2, 3))
-    if got.is_zero():
-        return False
-    ref_den, ref_ints = ref._cleared
-    got_den, got_ints = got._cleared
-    mono = next(iter(ref_ints))
-    coeff = got_ints.get(mono)
-    if coeff is None:
-        return False
-    # (coeff / got_den) / (ref_ints[mono] / ref_den), nonzero
-    return three_form == model.scale(Fraction(coeff * ref_den, got_den * ref_ints[mono]))
+    return not three_form.is_zero() and radial_contraction(three_form).is_zero()
 
 
 def _check_projective_one_form(name: str, form: TwistedForm) -> None:
@@ -411,14 +402,15 @@ def random_projective_oneform(coefficient_degree: int, rng: Random) -> TwistedFo
 
 def legendrian_sample(degree: int, rng: Random, max_redraws: int = 20) -> FoliationPresentation:
     """Draw a legendrian foliation of the given degree whose singular scheme
-    is a curve, redrawing on degenerate samples (at most max_redraws)."""
+    is a curve, redrawing on degenerate samples (at most max_redraws).
+
+    The forms skip legendrian_foliation's checks, which they always pass:
+    the standard contact form is contact and projective, and each draw of
+    random_projective_oneform is a sum of multiples of z_i dz_j - z_j dz_i,
+    each of which i_R kills."""
     contact = standard_contact_form()
-    # the contact form is the same on every draw, so it is checked once
-    _check_projective_one_form("contact form", contact)
-    _check_contact_form(contact)
     for _ in range(max_redraws):
         omega = random_projective_oneform(degree, rng)
-        _check_projective_one_form("second form", omega)
         try:
             presentation = _legendrian_presentation(contact, omega)
         except ProportionalInputError:

@@ -87,10 +87,12 @@ DEFAULT_PAIR_CAP = 100_000
 MAX_STANDARD_WALK = 20_000
 # Most heap pops the divisions of one _groebner_elements call may make, of
 # its generators and S-polynomials together.  The largest any shipped input
-# makes is 11682 (CI's legendrian sample of degree 10); CI's wedge
-# queries of degree 12, 16 and 20 make 2328, 4880 and 8856 on the section,
-# and a hilbert-pool ideal at most 2098 on its own variables and 246 on
-# the section.  On a 2-vCPU x86_64 machine under Python 3.11,
+# makes is 12959, on the section (CI's wedge query of degree 23); CI's
+# wedge queries of degree 12, 16 and 20 make 2328, 4880 and 8856 there, its
+# legendrian sample of degree 10 on the exact route 11682 over Q, and a
+# hilbert-pool ideal at most 2098 on its own variables and 246 on the
+# section.  The legendrian sample of degree 15 on the exact route makes
+# 45571 over Q.  On a 2-vCPU x86_64 machine under Python 3.11,
 # (x+y+z)^40, (x+y+t)^40, (y+z+t)^39*x reaches the cap in about 0.2 s in
 # either order; it ran past 20 s before there was one.
 MAX_BUCHBERGER_POPS = 50_000

@@ -113,12 +113,6 @@ def packed_monomials(k: int) -> tuple:
                  for e1 in range(k + 1 - e3 - e2))
 
 
-@lru_cache(maxsize=None)
-def monomials_of_degree(k: int) -> tuple:
-    """All degree-k monomials as exponent tuples, descending degrevlex."""
-    return tuple(exponent_tuples(packed_monomials(k)))
-
-
 def graded_piece_dimension(k: int) -> int:
     """Dimension of the degree-k piece of the coordinate ring, C(k+3,3)."""
     return comb(k + 3, 3) if k >= 0 else 0

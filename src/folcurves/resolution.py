@@ -88,11 +88,12 @@ from .records import Record
 
 # Largest graded piece of a dualized resolution module that a Rao profile
 # may eliminate over; pieces grow like C(-k, 3) as the twist k falls.  The
-# largest any shipped input reaches is 290 (CI's wedge query with the
-# degree-12 1-form, twist 10; its legendrian sample of degree 10 reaches 169
-# at twist 8), but for two probes whose walk never stops early: a line with
-# an embedded point (1680 at twist -14, refused at -15) and a truncated
-# ideal, F_4 != 0 (560).
+# largest any shipped input reaches is 169 (CI's legendrian sample of
+# degree 10 on the exact route, twist 8; the wedge queries build no dual
+# piece, since the conormal certificate gives their profile), but for two
+# probes whose walk never stops early: a line with an embedded point (1680
+# at twist -14, refused at -15) and a truncated ideal, F_4 != 0 (560).  The
+# legendrian sample of degree 15 on the exact route reaches 564.
 MAX_DUAL_PIECE = 2000
 # Most columns, the dimension of the degree piece of (+) S(-w_i), that
 # graded_syzygies may eliminate over.  The largest any shipped test, demo or
@@ -204,10 +205,13 @@ MAX_LEAD_LATTICE = 5_000
 MAX_RESOLUTION_DEGREE = 56
 # Most columns of an image check or a deferred kernel of _resolve.  The
 # largest any shipped test, demo, gate, CI step or benchmark input reaches is
-# 1207 (a test's lead ideal, layer 2); CI's degree-12 wedge query 1144. The
-# legendrian sample of degree 15 reaches 2240 (4.8 s on a 2-vCPU x86_64
-# machine, Python 3.11).  z0^2, z0*z1, z1^n is refused from n = 19 on; n = 55
-# ran past 90 s before there was a cap.
+# 1207 (a test's lead ideal, layer 2); CI's legendrian sample of degree 10
+# on the exact route 660, and the wedge queries none, since the conormal
+# certificate answers them.  The legendrian sample of degree 15 on the exact
+# route reaches 2240 in its deferred kernel of degree 30: on a 2-vCPU x86_64
+# machine under Python 3.11 its Rao profile, which defers it, took 4.0-4.8 s
+# of CPU time, and building it 148 s.  z0^2, z0*z1, z1^n is refused from
+# n = 19 on; n = 55 ran past 90 s before there was a cap.
 MAX_RESOLUTION_COLUMNS = 2_500
 
 # the faces of the simplex on a vertex set a, bit s set for each subset s of a,
@@ -353,7 +357,7 @@ def _build_deferred(differentials, columns, pending):
         _capped(len(keys), where)
         found = graded_kernel(differentials[0], keys, rows)
         if len(found) != count:
-            raise ResourceLimitError(f"{where}: kernel dimension audit failed")
+            raise CrossCheckFailureError(f"{where}: kernel dimension audit failed")
         columns[at:at + count] = found
     pending.clear()
 
@@ -383,9 +387,9 @@ def _resolve(ideal: GradedIdeal) -> FreeResolution:
     (see the module docstring) whose last degree past MAX_RESOLUTION_DEGREE
     is refused with ResourceLimitError before any elimination, and a piece of
     more than MAX_RESOLUTION_COLUMNS columns before its rows or matrix.
-    Layer 2's deferred columns are built with their kernel-length audit.
     CrossCheckFailureError names the layer and degree of more generators
-    than the table has, or of determining rows that miss their dimension;
+    than the table has, of determining rows that miss their dimension, or
+    of a deferred kernel of layer 2 that misses its length when built;
     the first degree where the K-polynomial misses hilbert_numerator(); or
     the layer where a complete intersection's twists miss the Koszul ones.
     """
@@ -563,7 +567,7 @@ def rao_module_dimensions(ideal: GradedIdeal, window=None) -> RaoProfile:
             rank3 = _dual_map_rank(t2, t3, d3, k)
             h = dim3 - rank4 - rank3
             if h < 0:
-                raise ResourceLimitError(f"Rao twist {k}: negative cohomology dimension {h}")
+                raise CrossCheckFailureError(f"Rao twist {k}: negative cohomology dimension {h}")
             if h:
                 profile[k] = h
             elif k <= generated and rank3 == dim3:

@@ -1,5 +1,7 @@
 """Twisted forms: wedge, contraction, projectivity, the foliation pipeline."""
 
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -37,7 +39,8 @@ from folcurves.forms import (
     wedge,
 )
 from folcurves.groebner import GradedIdeal, curve_invariants
-from folcurves.polyring import NVARS, HomogeneousPolynomial, monomials_of_degree, parse_polynomial
+from folcurves.polyring import (NVARS, HomogeneousPolynomial, exponent_tuples, packed_monomials,
+                                parse_polynomial)
 from folcurves.resolution import rao_module_dimensions
 
 W1 = pencil_form()
@@ -173,11 +176,14 @@ def test_legendrian_sample_error_names_the_stage():
         legendrian_sample(3, Random(0), max_redraws=0)
 
 
-def test_legendrian_sample_checks_the_contact_form_once_per_call(monkeypatch):
+def test_legendrian_sample_makes_one_wedge_per_draw(monkeypatch):
     """Three draws, the first two proportional to the contact form, make
-    four wedges: one for the contact check, made once per call, and one
-    contact ^ omega per draw.  The sample is legendrian_foliation's."""
-    draws, wedges = [], []
+    three wedges, one contact ^ omega per draw, and no check of either
+    form: the standard contact form is contact and projective
+    (test_contact_check, test_is_projective), and so is every draw
+    (test_random_projective_oneform_is_projective).  The sample is
+    legendrian_foliation's."""
+    draws, wedges, checks = [], [], []
     real_draw, real_wedge = forms.random_projective_oneform, forms.wedge
     proportional = W2.scale_by_polynomial(parse_polynomial("z0 + 2*z3"))
 
@@ -187,8 +193,12 @@ def test_legendrian_sample_checks_the_contact_form_once_per_call(monkeypatch):
 
     monkeypatch.setattr(forms, "random_projective_oneform", draw)
     monkeypatch.setattr(forms, "wedge", lambda a, b: wedges.append(a) or real_wedge(a, b))
+    for name in ("_check_contact_form", "_check_projective_one_form"):
+        real_check = getattr(forms, name)
+        monkeypatch.setattr(forms, name, lambda *args, real_check=real_check, name=name: (
+            checks.append(name) or real_check(*args)))
     presentation = legendrian_sample(2, Random(0))
-    assert (len(draws), len(wedges)) == (3, 4)
+    assert (len(draws), len(wedges), checks) == (3, 3, [])
     expected = legendrian_foliation(W2, draws[2])
     assert (presentation.two_form, presentation.degree, presentation.conormal_twists) == (
         expected.two_form, expected.degree, expected.conormal_twists)
@@ -210,6 +220,83 @@ def test_contact_check():
     assert is_contact_form(W2)
     assert not is_contact_form(W1)
     assert is_contact_form(parse_form("z0*dz2 - z2*dz0 + z1*dz3 - z3*dz1"))
+
+
+# the former is_contact_form, kept verbatim as the oracle of the Koszul test:
+# d(w) ^ w compared with a constant multiple of i_R(vol)
+def _former_is_contact_form(form: TwistedForm) -> bool:
+    """Cheap contact test: d(w) ^ w equals a nonzero constant multiple of i_R(vol).
+
+    For linear-coefficient 1-forms this is equivalent to nowhere degeneracy.
+    """
+    if form.form_degree != 1 or form.coefficient_degree != 1:
+        return False
+    three_form = wedge(exterior_derivative(form), form)
+    if three_form.is_zero():
+        return False
+    model = radial_contraction(TwistedForm.volume())
+    ref = model.coefficient((1, 2, 3))  # the z0 slot
+    got = three_form.coefficient((1, 2, 3))
+    if got.is_zero():
+        return False
+    ref_den, ref_ints = ref._cleared
+    got_den, got_ints = got._cleared
+    mono = next(iter(ref_ints))
+    coeff = got_ints.get(mono)
+    if coeff is None:
+        return False
+    # (coeff / got_den) / (ref_ints[mono] / ref_den), nonzero
+    return three_form == model.scale(Fraction(coeff * ref_den, got_den * ref_ints[mono]))
+
+
+def _sparse_linear_oneform(rng, projective):
+    """A linear 1-form of 1 to 4 terms c*z_j*dz_i, often degenerate, or when
+    projective of 1 to 4 terms c*(z_j*dz_i - z_i*dz_j), i != j, often with
+    a zero Pfaffian."""
+    form = TwistedForm.zero(1, 1)
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.sample(range(NVARS), 2) if projective else (
+            rng.randrange(NVARS), rng.randrange(NVARS))
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        term = TwistedForm(1, 1, {(i,): HomogeneousPolynomial.variable(j).scale(c)})
+        if projective:
+            term = term - TwistedForm(1, 1, {(j,): HomogeneousPolynomial.variable(i).scale(c)})
+        form = form + term
+    return form
+
+
+def test_contact_test_by_the_koszul_complex_matches_the_former_test():
+    """is_contact_form, d(w) ^ w nonzero and killed by i_R, answers what the
+    former proportionality test answered on 3103 seeded linear 1-forms:
+    projective draws, dense forms with coefficients bounded by 1, 2 and 4,
+    sparse ones, the zero form, the pencil form and the contact form.  A
+    contact form is projective, so no dense draw is contact, but most have
+    d(w) ^ w nonzero and not a multiple of i_R(vol), which the former test
+    refused by its scaled comparison.  Both refuse 2- and 3-forms and
+    1-forms with coefficients of degree 2."""
+    rng = Random(47)
+    other = [wedge(W1, W2), exterior_derivative(W2), _random_form(rng, 2, 1),
+             _random_form(rng, 3, 1), random_projective_oneform(2, rng),
+             W2.scale_by_polynomial(parse_polynomial("z0 + z3")),
+             TwistedForm.zero(1, 2), _random_form(rng, 1, 2)]
+    fixed = other + [TwistedForm.zero(1, 1), W1, W2]
+    parts = [
+        [random_projective_oneform(1, rng) for _ in range(1000)],
+        [TwistedForm(1, 1, {(i,): random_polynomial(1, rng, bound=bound)
+                            for i in range(NVARS)})
+         for bound in (1, 2, 4) for _ in range(500)],
+        [_sparse_linear_oneform(rng, projective=False) for _ in range(300)],
+        [_sparse_linear_oneform(rng, projective=True) for _ in range(300)],
+    ]
+    inputs = fixed + [form for part in parts for form in part]
+    answers = [is_contact_form(form) for form in inputs]
+    assert answers == [_former_is_contact_form(form) for form in inputs]
+    assert answers[:len(fixed)] == [False] * (len(other) + 2) + [True]
+    outcomes = Counter(
+        "contact" if answer else
+        "zero" if wedge(exterior_derivative(form), form).is_zero() else "not a multiple"
+        for form, answer in zip(inputs[len(other):], answers[len(other):]))
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 300, outcomes
 
 
 def test_exterior_derivative_of_contact_form():
@@ -246,8 +333,9 @@ def test_vector_field_radial_shift_invariance():
 
 
 def test_random_projective_oneform_is_projective():
+    """legendrian_sample relies on it and checks no draw."""
     rng = Random(6)
-    for degree in (1, 2, 3):
+    for degree in (1, 2, 3, 4):
         form = random_projective_oneform(degree, rng)
         assert form.coefficient_degree == degree
         assert is_projective(form)
@@ -349,7 +437,7 @@ def _sparse_form(rng, q, coeff_degree):
     coefficients = {}
     for idx in combinations(range(NVARS), q):
         if rng.random() < 0.6:
-            terms = {m: rng.randint(-2, 2) for m in monomials_of_degree(coeff_degree)
+            terms = {m: rng.randint(-2, 2) for m in exponent_tuples(packed_monomials(coeff_degree))
                      if rng.random() < 0.4}
             coefficients[idx] = HomogeneousPolynomial(coeff_degree, terms)
     return TwistedForm(q, coeff_degree, coefficients)
