@@ -12,8 +12,8 @@ handlers, and `verify` reads its suite names and default seed only when
 it needs them.  So `hilbert` loads parsing besides; `wedge` forms and
 parsing, and resolution with --rao; `rao` and `syzygy` resolution;
 `verify` every module.  section loads only for a section certificate
-(see groebner and forms): on `hilbert`, `wedge --invariants` or --rao
-and `verify`, never on `rao`.
+(see groebner): on `hilbert`, `wedge --invariants` or --rao and
+`verify`, never on `rao`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import sys
 import time
 from functools import lru_cache
 
-from .errors import (FolcurvesError, InvalidProfileError, ProportionalInputError,
-                     ResourceLimitError)
+from .errors import FolcurvesError, InvalidProfileError, ResourceLimitError
 from .groebner import GradedIdeal, curve_invariants
 from .polyring import parse_polynomial
 
@@ -73,23 +72,23 @@ def _cmd_classify(args):
 
 
 def _cmd_wedge(args):
-    from .forms import (_check_contact_form, _check_projective_one_form, _wedge_ideal,
+    from .forms import (_check_projective_one_form, _wedge_ideal, legendrian_foliation,
                         parse_form, wedge)
 
-    a = parse_form(args.form1)
-    b = parse_form(args.form2)
-    _check_projective_one_form("first argument", a)
-    _check_projective_one_form("second argument", b)
+    a, b = parse_form(args.form1), parse_form(args.form2)
     if args.legendrian:
-        _check_contact_form(a)
-    two_form = wedge(a, b)
-    if args.legendrian and two_form.is_zero():
-        raise ProportionalInputError("second form is a multiple of the contact form")
+        presentation = legendrian_foliation(a, b)
+        two_form, ideal = presentation.two_form, presentation.ideal
+    else:
+        _check_projective_one_form("first argument", a)
+        _check_projective_one_form("second argument", b)
+        two_form, ideal = wedge(a, b), None
     text = str(two_form)
     payload = {"two_form": text}
     human = [f"wedge: {text}"]
     if args.invariants or args.rao:
-        ideal = _wedge_ideal(a, b, two_form)
+        if ideal is None:
+            ideal = _wedge_ideal(a, b, two_form)
         if args.invariants:
             deg, genus = curve_invariants(ideal)
             payload["invariants"] = {"degree": deg, "genus": genus}

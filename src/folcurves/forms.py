@@ -24,7 +24,7 @@ from .errors import (
     WrongFormDegreeError,
     ZeroFormError,
 )
-from .groebner import GradedIdeal, _series, curve_invariants, hilbert_polynomial
+from .groebner import GradedIdeal, curve_invariants, hilbert_polynomial
 from .polyring import (
     NVARS,
     HomogeneousPolynomial,
@@ -252,38 +252,11 @@ def vector_field_to_twoform(field) -> TwistedForm:
     return contract_with_field(radial_contraction(TwistedForm.volume()), field)
 
 
-# Largest c_a + c_b, the degree of a wedge's coefficients, whose conormal
-# bound is cut on the section.  A sparse form turns dense there, so the
-# cut costs what a dense one does: on a 2-vCPU x86_64 machine under Python
-# 3.11 the certificate of the contact form's wedge with a seeded 1-form of
-# degree 20, 23 and 28 took 0.08, 0.12-0.13 and 0.24-0.31 s of CPU time
-# (best of 3).  CI's largest wedge query, degree 23, has c_a + c_b = 24.
-_MAX_CONORMAL_DEGREE = 24
-
-
-def _conormal_bound(c_a: int, c_b: int) -> dict:
-    """The conormal bound's N(t), a groebner._series, for 1-forms with
-    coefficients of degrees c_a and c_b (folcurves.section)."""
-    d = c_a + c_b - 1
-    return _series([(0, 1), (d + 1, -6), (d + 2, 4), (d + 3, -1), (d + c_a, 1), (d + c_b, 1)])
-
-
 def _wedge_ideal(a: TwistedForm, b: TwistedForm, two_form: TwistedForm) -> GradedIdeal:
-    """singular_ideal(two_form) for two_form = a ^ b, a and b projective
-    1-forms.  When the section certifies the conormal bound, the ideal
-    keeps its numerator and, as _rao_twist, the one twist c_a + c_b - 2
-    where h^1 of its ideal sheaf is nonzero (it is 1).  A miss, a wedge
-    above _MAX_CONORMAL_DEGREE, or an ideal that is its own basis, whose
-    Hilbert data never cut a section, is left to the exact route."""
+    """singular_ideal(two_form), two_form = a ^ b for projective 1-forms a and
+    b, with their coefficient degrees recorded for folcurves.section."""
     ideal = singular_ideal(two_form)
-    c_a, c_b = a.coefficient_degree, b.coefficient_degree
-    if ideal._elements is None and c_a + c_b <= _MAX_CONORMAL_DEGREE:
-        from .section import _certifies
-
-        numerator = _conormal_bound(c_a, c_b)
-        if _certifies(ideal.generators, numerator):
-            ideal._numerator = numerator
-            ideal._rao_twist = c_a + c_b - 2
+    ideal._conormal = a.coefficient_degree, b.coefficient_degree
     return ideal
 
 
@@ -347,17 +320,13 @@ def _check_projective_one_form(name: str, form: TwistedForm) -> None:
         raise NotProjectiveError(f"{name} does not descend to P^3")
 
 
-def _check_contact_form(contact: TwistedForm) -> None:
-    if not is_contact_form(contact):
-        raise NotContactError("first argument is not a contact form")
-
-
 def legendrian_foliation(contact: TwistedForm, omega: TwistedForm) -> FoliationPresentation:
     """Foliation cut out by contact ^ omega; its degree equals the
     coefficient degree of omega."""
     _check_projective_one_form("contact form", contact)
     _check_projective_one_form("second form", omega)
-    _check_contact_form(contact)
+    if not is_contact_form(contact):
+        raise NotContactError("first argument is not a contact form")
     return _legendrian_presentation(contact, omega)
 
 
@@ -368,12 +337,9 @@ def _legendrian_presentation(contact: TwistedForm, omega: TwistedForm) -> Foliat
     if two_form.is_zero():
         raise ProportionalInputError("second form is a multiple of the contact form")
     degree = omega.coefficient_degree
-    return FoliationPresentation(
-        two_form=two_form,
-        degree=degree,
-        ideal=_wedge_ideal(contact, omega, two_form),
-        conormal_twists=(-2, -1 - degree),
-    )
+    ideal = _wedge_ideal(contact, omega, two_form)
+    return FoliationPresentation(two_form=two_form, degree=degree, ideal=ideal,
+                                 conormal_twists=(-2, -1 - degree))
 
 
 def random_polynomial(degree: int, rng: Random, bound: int = 9) -> HomogeneousPolynomial:

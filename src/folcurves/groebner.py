@@ -41,14 +41,14 @@ field.
 
 GradedIdeal alone picks the route of a Hilbert query.  Generators of one
 term each are their own basis from construction.  Before any basis
-exists, at most MAX_SECTION_FORMS forms are certified on a hyperplane
-section over a prime field (folcurves.section, imported only then), by
-the Koszul bound or, for three forms in a coordinate line ideal, a
-Buchsbaum-Rim bound, which it passes to _groebner_elements as a
-certificate.  Otherwise the lead ideal of the ideal's own basis answers,
-and the basis is kept, so no ideal runs Buchberger twice.  The one
-exception is made before any query: forms certifies a wedge ideal's
-conormal bound on the section and stores its numerator and Rao twist.
+exists, the first query certifies a bound on a hyperplane section over
+a prime field (folcurves.section, imported only then), which passes it
+to _groebner_elements as a certificate: a wedge ideal's conormal bound,
+from the factor degrees forms records, and otherwise, for at most
+MAX_SECTION_FORMS forms, the Koszul bound or, for three forms in a
+coordinate line ideal, a Buchsbaum-Rim bound.  Otherwise the lead ideal
+of the ideal's own basis answers, and the basis is kept, so no ideal runs
+Buchberger twice.
 
 Graded syzygies, free resolutions and Rao profiles are resolution's, which
 this module does not import; each public name of resolution, and
@@ -598,11 +598,12 @@ class GradedIdeal:
     Generators of one term each are their own basis from construction.
     Otherwise the first query runs Buchberger and keeps the integer basis
     elements, except a Hilbert query that the hyperplane section certifies,
-    which keeps no basis (see the module docstring).  lead_ideal,
-    is_unit_ideal, the other Hilbert queries, regularity_bound and the
-    resolution read only the elements; groebner_basis, contains and equals
-    also build the monic reduced basis from them, once.  The minimal free
-    resolution is kept too, once one is computed.
+    which keeps no basis (see the module docstring).  _conormal, a wedge's
+    (c_a, c_b) from forms, stays past that query only if certified.
+    lead_ideal, is_unit_ideal, the other Hilbert queries, regularity_bound
+    and the resolution read only the elements; groebner_basis, contains and
+    equals also build the monic reduced basis from them, once.  The minimal
+    free resolution is kept too, once one is computed.
     """
 
     def __init__(self, generators):
@@ -617,12 +618,8 @@ class GradedIdeal:
         if all(len(g._cleared[1]) == 1 for g in gens):  # a basis: their minimal monomials
             leads = _minimalize(m for g in gens for m in g._cleared[1])
             self._elements = [(m, 1, []) for m in leads]
-        self._gb = None
-        self._lead = None
-        self._numerator = None
-        self._rao_twist = None  # set with _numerator by a conormal certificate (forms)
-        self._hilbert = None
-        self._resolution = None
+        self._gb = self._lead = None
+        self._numerator = self._conormal = self._hilbert = self._resolution = None
 
     @classmethod
     def from_expressions(cls, expressions) -> "GradedIdeal":
@@ -675,22 +672,25 @@ class GradedIdeal:
 
     def hilbert_numerator(self) -> dict:
         """Coefficients of HS(S/I) * (1-t)^4, keyed by ascending exponent;
-        empty for the unit ideal.  The section, for at most MAX_SECTION_FORMS
-        forms before any basis exists, or else the lead ideal of the basis,
-        which is kept, answers (see the module docstring).  Each call
-        returns a fresh dict."""
+        empty for the unit ideal.  The section, before any basis exists, for
+        a wedge ideal or at most MAX_SECTION_FORMS forms, or else the lead
+        ideal of the basis, which is kept, answers (see the module
+        docstring).  Each call returns a fresh dict."""
         return dict(self._hilbert_numerator())
 
     def _hilbert_numerator(self) -> dict:
         """hilbert_numerator's kept dict itself, computed on the first call,
         for the readers here and in resolution, which never change it."""
         if self._numerator is None:
-            if self._elements is None and len(self.generators) <= MAX_SECTION_FORMS:
-                from .section import _section_numerator
+            if self._elements is None and (self._conormal
+                                           or len(self.generators) <= MAX_SECTION_FORMS):
+                from .section import _certified_numerator
 
-                self._numerator = _section_numerator(self.generators)
-            if self._numerator is None:
+                self._numerator, self._conormal = _certified_numerator(self.generators,
+                                                                       self._conormal)
+            if self._numerator is None:  # the basis answers; no conormal bound is certified
                 self._numerator = dict(_minimal_numerator(self._packed_lead()))
+                self._conormal = None
         return self._numerator
 
     def hilbert_function(self, k: int) -> int:

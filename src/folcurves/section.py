@@ -28,7 +28,8 @@ one of three kinds:
     where the 2x2 minors of the a_i, b_i do; for generic a_i, b_i both
     sets are finite.  So the generic triple of these degrees in P has
     codimension 3, and by the same semicontinuity B bounds every triple;
-  - the conormal bound of a wedge, forms._conormal_bound (below).
+  - the conormal bound of a wedge, _conormal_bound (below), which
+    _certified_numerator tries first when forms recorded (c_a, c_b).
 Three forms with one such line and none smaller take the line bound; any
 other r forms whose exponents show a subspace z_A = 0, |A| < r, on which
 all of them vanish are no regular sequence and take groebner's exact
@@ -55,10 +56,8 @@ gives up at the first finished degree where the standard monomials
 outnumber it; L can then never reach N(1-t).  A miss (a cut that vanishes
 mod P, a give-up or another numerator) is tried once more on the second
 plane, l = 7*z0 - 3*z1 + 2*z2, and then falls through to groebner's exact
-route, so no answer depends on P or the planes.  Forms above
-MAX_SECTION_DEGREE are never cut for the first two bounds, nor wedges
-above forms._MAX_CONORMAL_DEGREE for the third: a sparse form turns dense
-on the section.
+route, so no answer depends on P or the planes.  Nothing above the
+degree caps is cut (see MAX_SECTION_DEGREE).
 
 The conormal bound: let a, b be projective 1-forms with coefficients of
 degrees c_a, c_b, w = a ^ b != 0 and d = c_a + c_b - 1, the foliation's
@@ -73,8 +72,8 @@ N = 1 - 6t^(d+1) + 4t^(d+2) - t^(d+3) + t^(d+c_a) + t^(d+c_b).  Once
 certified, the kernel of i_v is S(-1-c_a) + S(-1-c_b), free, and local
 cohomology of 0 -> it -> M -> I(d-1) -> 0, M = H^0_*(Omega^1), where
 H^1_m(M) = 0 and H^2_m(M) = H^1_*(Omega^1) is one dimension in twist 0,
-makes I saturated with h^1(I_Z(k)) = 1 at k = d - 1 and 0 elsewhere.  A
-wedge whose coefficients share a factor exceeds B and misses.
+makes I saturated with h^1(I_Z(k)) = 1 at k = d - 1 and 0 elsewhere: Rao
+profile {c_a + c_b - 2: 1}.  A common factor lifts H(S/I) above B: a miss.
 
 The run is over F_P, P = 32749, the largest prime below 2^15, so that the
 product of two residues fits in one 30-bit digit of a Python int.  Each
@@ -105,13 +104,15 @@ from . import groebner
 from .polyring import NVARS, _FIELD, _GUARD, _STEPS, _wrap
 
 P = 32749  # the largest prime below 2^15 (see the module docstring)
-# Largest generator degree the section route cuts.  A sparse form turns
-# dense on the section: on a 2-vCPU x86_64 machine under Python 3.11,
-# z0^d + z3^d, z1^d + z2^d, z2^d - z3^d took 0.010 s to certify at d = 8
-# against 0.003 s for the four-variable route, and 0.058 s against 0.013 s
-# at d = 12 (over Q the certificate took 0.036 s and 3.5 s).  The
-# hilbert-pool ideals have degree 3 or 4.
+# Largest form degree cut for the first two bounds, and c_a + c_b for the
+# conormal bound.  A sparse form turns dense on the section: on a 2-vCPU
+# x86_64 machine under Python 3.11 z0^d + z3^d, z1^d + z2^d, z2^d - z3^d
+# took 0.010 s to certify at d = 8 and 0.058 s at d = 12, against 0.003 and
+# 0.013 s on four variables, and the contact form's wedge with a seeded
+# 1-form of degree 20, 23 and 28 took 0.08, 0.12-0.13 and 0.24-0.31 s.
+# The hilbert pool has degrees 3 and 4; CI's largest wedge has c_a + c_b = 24.
 MAX_SECTION_DEGREE = 8
+_MAX_CONORMAL_DEGREE = 24
 # The hyperplanes z3 = l tried in turn, each l as its coefficients of z0,
 # z1, z2; all nonzero, so neither holds a coordinate point
 PLANES = ((1, 2, 3), (7, -3, 2))
@@ -192,6 +193,14 @@ def _line_bound(degrees) -> dict:
                              *((c, -1) for c in C)])
 
 
+def _conormal_bound(c_a: int, c_b: int) -> dict:
+    """The conormal bound's N(t), a groebner._series, for 1-forms with
+    coefficients of degrees c_a and c_b (see the module docstring)."""
+    d = c_a + c_b - 1
+    return groebner._series([(0, 1), (d + 1, -6), (d + 2, 4), (d + 3, -1), (d + c_a, 1),
+                             (d + c_b, 1)])
+
+
 def _certifies(generators, numerator: dict) -> bool:
     """Whether, on a plane of PLANES, tried in turn, the F_P run on the cuts
     and z3 ends on leads whose Hilbert numerator is numerator * (1-t), for
@@ -232,3 +241,14 @@ def _section_numerator(generators):
         return None
     numerator = _line_bound(degrees) if covers else groebner._ci_numerator(degrees)
     return numerator if _certifies(generators, numerator) else None
+
+
+def _certified_numerator(generators, conormal):
+    """(N, conormal) when a section run certifies the conormal bound N for
+    conormal = (c_a, c_b), c_a + c_b <= _MAX_CONORMAL_DEGREE, of the wedge
+    whose coefficients the generators are; else (_section_numerator, None)."""
+    if conormal is not None and sum(conormal) <= _MAX_CONORMAL_DEGREE:
+        numerator = _conormal_bound(*conormal)
+        if _certifies(generators, numerator):
+            return numerator, conormal
+    return _section_numerator(generators), None

@@ -66,10 +66,10 @@ class SheafSymbol(FrozenRecord):
         return cls(2, ChernTriple(0, 1, 0), "null_correlation")
 
     @classmethod
-    def instanton(cls, charge: int, natural: bool = False, h0_e1=None) -> "SheafSymbol":
+    def instanton(cls, charge: int) -> "SheafSymbol":
         if charge < 1:
             raise InvalidProfileError("instanton charge must be at least 1")
-        return cls(2, ChernTriple(0, charge, 0), "instanton", (charge, natural, h0_e1))
+        return cls(2, ChernTriple(0, charge, 0), "instanton", (charge,))
 
 
 def chern_series(twists) -> list:

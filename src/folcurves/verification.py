@@ -310,13 +310,13 @@ def check_degree3_genus_report(seed=DEFAULT_SEED):
     return r
 
 
-def _random_ideal(rng, max_gens=3, max_degree=3):
-    """Two to max_gens random forms of degree 1..max_degree; forms of
-    positive degree never generate S, so no draw is the unit ideal."""
+def _random_ideal(rng, max_gens=3):
+    """Two to max_gens random forms of degree 1..3; forms of positive
+    degree never generate S, so no draw is the unit ideal."""
     while True:
         gens = []
         for _ in range(rng.randint(2, max_gens)):
-            deg = rng.randint(1, max_degree)
+            deg = rng.randint(1, 3)
             terms = {}
             monos = packed_monomials(deg)
             for m in rng.sample(monos, k=min(len(monos), rng.randint(2, 5))):

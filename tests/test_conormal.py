@@ -1,9 +1,11 @@
 """The conormal certificate of wedge ideals against the exact route.
 
-A wedge ideal that forms._wedge_ideal certifies keeps the conormal bound's
-Hilbert numerator and the Rao twist d - 1.  The exact route, a basis over Q
-and a resolution, stays the oracle: each certified answer must equal that
-of GradedIdeal(generators), the same generators with no certificate."""
+forms._wedge_ideal records the factor degrees (c_a, c_b) of a wedge ideal;
+its first Hilbert query tries the conormal bound on the section, and a
+certified ideal keeps that numerator and (c_a, c_b), whose Rao twist is
+c_a + c_b - 2 = d - 1.  The exact route, a basis over Q and a resolution,
+stays the oracle: each certified answer must equal that of
+GradedIdeal(generators), the same generators with no certificate."""
 
 import json
 import time
@@ -17,12 +19,11 @@ from folcurves import cli, section
 from folcurves.errors import (NotACurveError, ProportionalInputError, WindowTooSmallError,
                               ZeroFormError)
 from folcurves.forms import (
-    _MAX_CONORMAL_DEGREE,
-    _conormal_bound,
     _wedge_ideal,
     legendrian_foliation,
     legendrian_sample,
     parse_form,
+    pencil_form,
     random_projective_oneform,
     standard_contact_form,
     wedge,
@@ -30,16 +31,26 @@ from folcurves.forms import (
 from folcurves.groebner import GradedIdeal, _ci_hilbert_function, curve_invariants
 from folcurves.polyring import HomogeneousPolynomial
 from folcurves.resolution import rao_module_dimensions
+from folcurves.section import _MAX_CONORMAL_DEGREE, _conormal_bound
 from folcurves.sheafcoh import cotangent_cohomology, line_bundle_cohomology
 
 RAO_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rao_pool.json"
 CONTACT = "z0*dz1 - z1*dz0 + z2*dz3 - z3*dz2"
 
 
+def _certified_twist(ideal):
+    """The Rao twist c_a + c_b - 2 of the ideal's certified conormal bound,
+    read after its first Hilbert query, which this makes; None when that
+    query certified none."""
+    ideal.hilbert_numerator()
+    return None if ideal._conormal is None else sum(ideal._conormal) - 2
+
+
 def _certified(a, b):
-    """The wedge ideal of a and b, asserted certified."""
+    """The wedge ideal of a and b, asserted certified by its first query."""
     ideal = _wedge_ideal(a, b, wedge(a, b))
-    assert ideal._rao_twist == a.coefficient_degree + b.coefficient_degree - 2
+    assert _certified_twist(ideal) == a.coefficient_degree + b.coefficient_degree - 2
+    assert ideal._numerator == _conormal_bound(a.coefficient_degree, b.coefficient_degree)
     assert ideal._elements is None and ideal._resolution is None
     return ideal
 
@@ -60,7 +71,7 @@ def _assert_exact(ideal, rao=True):
     assert list(ideal.hilbert_numerator()) == sorted(ideal.hilbert_numerator())
     if rao:
         assert _profile(ideal) == _profile(exact)
-    if ideal._rao_twist is not None:  # the certificate answered: no basis, no resolution
+    if ideal._conormal is not None:  # the certificate answered: no basis, no resolution
         assert ideal._elements is None and ideal._resolution is None
 
 
@@ -90,9 +101,9 @@ def test_every_rao_pool_entry_but_the_monomial_pencil_is_certified_and_exact():
         a, b = parse_form(entry.get("first", CONTACT)), parse_form(entry["omega"])
         ideal = _wedge_ideal(a, b, wedge(a, b))
         if entry is pool["pencil"]:
-            assert ideal._elements is not None and ideal._rao_twist is None
+            assert _certified_twist(ideal) is None and ideal._elements is not None
         else:
-            assert ideal._rao_twist == entry["degree"] - 1
+            assert _certified_twist(ideal) == entry["degree"] - 1
             certified += 1
         _assert_exact(ideal)
         assert rao_module_dimensions(ideal).to_json() == entry["rao"]
@@ -102,7 +113,7 @@ def test_every_rao_pool_entry_but_the_monomial_pencil_is_certified_and_exact():
 @pytest.mark.parametrize("d", range(2, 11))
 def test_legendrian_samples_are_certified_and_exact(d):
     sample = legendrian_sample(d, Random(0))
-    assert sample.ideal._rao_twist == d - 1
+    assert _certified_twist(sample.ideal) == d - 1
     _assert_exact(sample.ideal)
     assert curve_invariants(sample.ideal) == (d * d + 1, d ** 3 - 2 * d * d + d - 1)
 
@@ -133,7 +144,7 @@ def test_a_common_factor_misses_and_takes_the_exact_route():
             HomogeneousPolynomial.variable(0))
         b = random_projective_oneform(c_b, rng)
         ideal = _wedge_ideal(a, b, wedge(a, b))
-        assert ideal._rao_twist is None and ideal._numerator is None
+        assert _certified_twist(ideal) is None and ideal._elements is not None
         _assert_exact(ideal, rao=False)
         with pytest.raises(NotACurveError):
             curve_invariants(ideal)
@@ -153,7 +164,7 @@ def test_a_form_whose_cut_vanishes_mod_p_gives_the_divided_forms_answer(capsys):
     contact = standard_contact_form()
     multiple = omega.scale(section.P)
     ideal = _wedge_ideal(contact, multiple, wedge(contact, multiple))
-    assert ideal._rao_twist is None and ideal._numerator is None
+    assert _certified_twist(ideal) is None and ideal._elements is not None
 
 
 def test_a_zero_wedge_is_still_refused():
@@ -197,25 +208,31 @@ def _sparse_omega(n):
 
 
 def _count_certificates(monkeypatch):
+    """The (generators, numerator) of each section._certifies call from now on."""
     calls = []
     real = section._certifies
-    monkeypatch.setattr(section, "_certifies",
-                        lambda generators, numerator: calls.append(numerator) or real(
-                            generators, numerator))
+
+    def spy(generators, numerator):
+        calls.append((generators, numerator))
+        return real(generators, numerator)
+
+    monkeypatch.setattr(section, "_certifies", spy)
     return calls
 
 
 def test_no_wedge_above_the_conormal_cap_is_cut(monkeypatch):
-    """c_a + c_b = _MAX_CONORMAL_DEGREE is cut on the section (this wedge
-    vanishes on a surface, so it misses); one degree more is left to the
-    exact route uncut."""
+    """c_a + c_b = _MAX_CONORMAL_DEGREE is cut on the section at the first
+    Hilbert query (this wedge vanishes on a surface, so it misses); one
+    degree more is left to the exact route uncut."""
     calls = _count_certificates(monkeypatch)
     contact = standard_contact_form()
     for n, cuts in ((_MAX_CONORMAL_DEGREE - 2, 1), (_MAX_CONORMAL_DEGREE - 1, 0)):
         calls.clear()
         omega = parse_form(_sparse_omega(n))
         ideal = _wedge_ideal(contact, omega, wedge(contact, omega))
-        assert len(calls) == cuts and ideal._rao_twist is None and ideal._numerator is None
+        assert calls == []
+        assert _certified_twist(ideal) is None and ideal._elements is not None
+        assert len(calls) == cuts
 
 
 @pytest.mark.parametrize("flags, code", [
@@ -233,9 +250,10 @@ def test_a_sparse_form_of_huge_degree_is_answered_quickly_and_uncut(flags, code,
 
 
 def test_legendrian_wedge_alone_cuts_no_section(monkeypatch, capsys):
-    """wedge --legendrian checks the contact form and the wedge but builds
-    no ideal; the same call with --invariants certifies it, and a multiple
-    of the contact form is still refused."""
+    """wedge --legendrian builds its presentation with legendrian_foliation
+    but makes no Hilbert query, so it cuts no section; the same call with
+    --invariants certifies it, and a multiple of the contact form is still
+    refused."""
     calls = _count_certificates(monkeypatch)
     omega = str(random_projective_oneform(2, Random(0)))
     assert cli.main(["wedge", CONTACT, omega, "--legendrian"]) == 0
@@ -245,3 +263,44 @@ def test_legendrian_wedge_alone_cuts_no_section(monkeypatch, capsys):
     multiple = str(standard_contact_form().scale(3))
     assert cli.main(["wedge", CONTACT, multiple, "--legendrian"]) == 2
     assert "multiple of the contact form" in capsys.readouterr().err
+
+
+def test_the_first_hilbert_query_alone_cuts_the_conormal_certificate(monkeypatch):
+    """_wedge_ideal and legendrian_foliation record (c_a, c_b) and cut no
+    section.  The first hilbert_polynomial makes the one run that building
+    the ideal made before the certificate moved into GradedIdeal: the
+    conormal bound of a wedge ideal that is not its own basis, up to the
+    cap, whether it certifies or misses; a monomial wedge and one above the
+    cap make none.  A Rao profile after it makes none and builds no basis,
+    and neither does one asked first, past the one run of its query."""
+    calls = _count_certificates(monkeypatch)
+    contact, rng = standard_contact_form(), Random(48)
+    omega = random_projective_oneform(2, rng)
+    common = random_projective_oneform(1, rng).scale_by_polynomial(
+        HomogeneousPolynomial.variable(0))
+    over = parse_form(_sparse_omega(_MAX_CONORMAL_DEGREE - 1))
+    for a, b, runs in ((contact, omega, 1), (common, omega, 1), (pencil_form(), contact, 0),
+                       (contact, over, 0)):
+        ideal = _wedge_ideal(a, b, wedge(a, b))
+        assert calls == []
+        ideal.hilbert_polynomial()
+        bound = _conormal_bound(a.coefficient_degree, b.coefficient_degree)
+        assert calls == [(ideal.generators, bound)] * runs
+        calls.clear()
+
+    def refuse(*args):
+        raise AssertionError("the certified ideal needs no basis")
+
+    for query_first in (True, False):
+        ideal = legendrian_foliation(contact, omega).ideal
+        assert calls == []
+        if query_first:
+            ideal.hilbert_polynomial()
+            assert calls == [(ideal.generators, _conormal_bound(1, 2))]
+            calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(GradedIdeal, "_basis_elements", refuse)
+            assert rao_module_dimensions(ideal).to_json() == {"profile": {"1": 1}, "total": 1}
+        assert calls == ([] if query_first else [(ideal.generators, _conormal_bound(1, 2))])
+        assert ideal._elements is None and ideal._resolution is None
+        calls.clear()

@@ -193,7 +193,7 @@ def test_legendrian_sample_makes_one_wedge_per_draw(monkeypatch):
 
     monkeypatch.setattr(forms, "random_projective_oneform", draw)
     monkeypatch.setattr(forms, "wedge", lambda a, b: wedges.append(a) or real_wedge(a, b))
-    for name in ("_check_contact_form", "_check_projective_one_form"):
+    for name in ("is_contact_form", "_check_projective_one_form"):
         real_check = getattr(forms, name)
         monkeypatch.setattr(forms, name, lambda *args, real_check=real_check, name=name: (
             checks.append(name) or real_check(*args)))

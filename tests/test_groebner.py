@@ -1419,7 +1419,7 @@ def test_series_sums_by_ascending_exponent_and_drops_zeros():
              in itertools.product([(0, 1), (1, -1)], [(0, 1), (1, -1)], [(0, 1), (2, -1)])]
     assert list(groebner._series(terms).items()) == [(0, 1), (1, -2), (3, 2), (4, -1)]
     for numerator in (groebner._ci_numerator((4, 1, 3, 2)), section._line_bound([4, 3, 3]),
-                      forms._conormal_bound(3, 1)):
+                      section._conormal_bound(3, 1)):
         assert list(numerator) == sorted(numerator) and all(numerator.values())
 
 
@@ -1986,13 +1986,13 @@ def test_complete_intersections_stop_as_the_former_koszul_loop_did():
     """A complete intersection's layers visit only the degrees of its
     Koszul complex's Betti table, where the former loop stopped layer L at
     the sum of the L largest d_i; _full_row_resolve keeps that rule.  On the certified draws
-    among 150 of _random_ideal(Random(5), 4, 3), the gate's complete
+    among 150 of _random_ideal(Random(5), 4), the gate's complete
     intersection and 40 complete-intersection curves the twists are the
     same.  Where a layer now reaches a degree through the
     kernel that the layer below took, the differentials may differ; each
     such resolution is checked to be a minimal free resolution of S/I."""
     rng = Random(5)
-    ideals = [ideal for ideal in (verification._random_ideal(rng, 4, 3) for _ in range(150))
+    ideals = [ideal for ideal in (verification._random_ideal(rng, 4) for _ in range(150))
               if resolution._koszul_degrees(ideal) is not None]
     ideals.append(_ideal(*GATE_CI))
     ideals += [verification._random_ci_curve(Random(seed)) for seed in range(100, 140)]
