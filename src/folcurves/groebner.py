@@ -3,9 +3,12 @@
 Everything is exact.  The monomial order is fixed to degrevlex.  Hilbert
 series of lead-term ideals drive degree and genus.
 
-Monomials are polyring's packed exponent vectors.  No polynomial and no
-S-polynomial of Buchberger's exceeds MAX_DEGREE, so their guard bits stay
-clear, which divisibility, lcm and coprimality read (see below).
+Monomials are polyring's packed exponent vectors, except in the
+Buchberger run of folcurves.section, which packs three variables in
+narrower fields and passes that packing with its arithmetic.  No
+polynomial and no S-polynomial of a run exceeds its packing's degree cap,
+MAX_DEGREE for polyring's, so their guard bits stay clear, which
+divisibility, lcm and coprimality read (see polyring).
 
 Division and Buchberger run fraction-free over Z.  Basis elements are kept
 primitive and S-polynomials are formed with integer cofactors; division is
@@ -37,7 +40,8 @@ list is dropped in one step.  A finished degree where they outnumber H_CI(d)
 shows that the generators are no regular sequence, and the walk stops
 there.  With five or more generators the bound would be Froeberg's
 conjecture, and no pair is skipped this way.  The argument holds over any
-field.
+field, and in three variables, S/(z3) for the section, with z3 counted
+among the forms.
 
 GradedIdeal alone picks the route of a Hilbert query.  Generators of one
 term each are their own basis from construction.  Before any basis
@@ -70,7 +74,10 @@ from .polyring import (
     _FIELD,
     _GUARD,
     _STEPS,
+    _divides,
     _from_integers,
+    _lcm,
+    _nonzero_fields,
     _signed_sum,
     exponent_tuples,
     graded_piece_dimension,
@@ -83,14 +90,14 @@ DEFAULT_PAIR_CAP = 100_000
 # one call; past it no more pairs are skipped in the call, so a pair of huge
 # degree (z0*z1 and z1^(10^8)) is not preceded by a walk through every degree
 # below it.  The largest any hilbert-pool ideal walks is 1008 on its own
-# variables and 69 on the section.
+# variables and 69 on the section's three.
 MAX_STANDARD_WALK = 20_000
 # Most heap pops the divisions of one _groebner_elements call may make, of
 # its generators and S-polynomials together.  The largest any shipped input
-# makes is 12959, on the section (CI's wedge query of degree 23); CI's
-# wedge queries of degree 12, 16 and 20 make 2328, 4880 and 8856 there, its
+# makes is 12958, on the section (CI's wedge query of degree 23); CI's
+# wedge queries of degree 12, 16 and 20 make 2327, 4879 and 8855 there, its
 # legendrian sample of degree 10 on the exact route 11682 over Q, and a
-# hilbert-pool ideal at most 2098 on its own variables and 246 on the
+# hilbert-pool ideal at most 2098 on its own variables and 245 on the
 # section.  The legendrian sample of degree 15 on the exact route makes
 # 45571 over Q.  On a 2-vCPU x86_64 machine under Python 3.11,
 # (x+y+z)^40, (x+y+t)^40, (y+z+t)^39*x reaches the cap in about 0.2 s in
@@ -98,36 +105,6 @@ MAX_STANDARD_WALK = 20_000
 MAX_BUCHBERGER_POPS = 50_000
 # Most forms certified on the hyperplane section, which refuses more itself
 MAX_SECTION_FORMS = 3
-
-
-# ---------------------------------------------------------------------------
-# monomial bit tricks
-#
-# Among monomials of one degree the smallest int is the largest in
-# degrevlex, so a min-heap of them hands out terms in descending order.  A
-# divisor is never larger than its multiple.  Quotients are -, and d divides
-# m when m - d is nonnegative with no guard bit set (the lowest field that
-# borrows sets its own); lcm and coprimality treat all four fields at once
-# through the guard bits.  The exponent of z_v in m is m >> 32*v & _FIELD.
-
-_LOW = _GUARD - sum(_STEPS)  # 2^31 - 1 in each field
-
-
-def _divides(d: int, m: int) -> bool:
-    q = m - d
-    return q >= 0 and not q & _GUARD
-
-
-def _lcm(a: int, b: int) -> int:
-    # the guard bit of a field of (a | GUARD) - b is set where a's exponent
-    # is the larger; spread over the field, it picks a's exponent there
-    keep = ((a | _GUARD) - b) & _GUARD
-    return b ^ ((a ^ b) & (keep - (keep >> 31)))
-
-
-def _nonzero_fields(p: int) -> int:
-    """The guard bits of the fields of p that are nonzero."""
-    return (p + _LOW) & _GUARD
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +129,9 @@ def _basis_element(terms: dict):
 
 
 def _pop_cap_error(m: int) -> ResourceLimitError:
-    """The refusal of a division whose pop of the monomial m overdraws
-    Buchberger's budget; section's division raises it too."""
+    """The refusal of a division whose pop of the monomial m, packed as
+    polyring packs, overdraws Buchberger's budget; section's division
+    raises it too."""
     return ResourceLimitError(
         f"buchberger, degree {mono_degree(m)}: divisions exceed the work cap of "
         f"{MAX_BUCHBERGER_POPS} heap pops")
@@ -231,12 +209,11 @@ def normal_form(f: HomogeneousPolynomial, basis) -> HomogeneousPolynomial:
     return _from_integers(f.degree, mult * den, remainder)
 
 
-def _s_polynomial_terms(e, f) -> dict:
-    """Integer terms of (b/g)·(L/lead e)·e - (a/g)·(L/lead f)·f for basis
-    elements e and f with lead coefficients a and b, g = gcd(a, b) and L the
-    lcm of their leads; the leads cancel."""
+def _s_polynomial_terms(e, f, top) -> dict:
+    """Integer terms of (b/g)·(top/lead e)·e - (a/g)·(top/lead f)·f for basis
+    elements e and f with lead coefficients a and b, g = gcd(a, b) and top
+    the lcm of their leads; the leads cancel."""
     (le, a, te), (lf, b, tf) = e, f
-    top = _lcm(le, lf)
     g = gcd(a, b)
     acc = {}
     for lead, tail, scale in ((le, te, b // g), (lf, tf, -(a // g))):
@@ -300,27 +277,35 @@ def _ci_hilbert_function(numerator, d: int) -> int:
     return sum(c * graded_piece_dimension(d - a) for a, c in numerator.items())
 
 
-def _next_standard(standard, leads):
-    """The standard monomials of degree d + 1 from those of degree d: a
-    monomial is standard when all its divisors of degree d are and it is
-    not itself one of the leads of degree d + 1."""
+def _next_standard(standard, leads, steps, low, guard):
+    """The standard monomials of degree d + 1 from those of degree d, in a
+    packing of the variables steps, guard mask guard and low the bits below
+    it: a monomial is standard when all its divisors of degree d are and it
+    is not itself one of the leads of degree d + 1."""
     hits = {}
     for m in standard:
-        for step in _STEPS:
+        for step in steps:
             u = m + step
             hits[u] = hits.get(u, 0) + 1
     # u has one divisor of degree d per nonzero exponent
     return {u for u, n in hits.items()
-            if n == _nonzero_fields(u).bit_count() and u not in leads}
+            if n == ((u + low) & guard).bit_count() and u not in leads}
 
 
-def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, divide=_divide,
-                       element=_basis_element, bound=None):
-    """A degrevlex Groebner basis of the ideal, as primitive integer basis
-    elements with pairwise distinct leads; neither minimal nor reduced.  The
-    unit ideal gives [(0, 1, [])] (0 packs the monomial 1), the zero ideal
-    [].  divide and element, given as a pair, replace _divide and
-    _basis_element; the section passes its prime-field pair.
+# The arithmetic and monomial packing of a Buchberger run, (divide,
+# element, steps, guard, width, cap): its division and basis-element maker,
+# the packed variables, the guard mask, the bits of one field and the
+# largest degree whose exponents fit below the guard bits.  The exact
+# route's is over Z on polyring's packing; section passes its own over F_P.
+_OVER_Z = (_divide, _basis_element, _STEPS, _GUARD, 32, MAX_DEGREE)
+
+
+def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, ring=_OVER_Z,
+                       bound=None):
+    """A degrevlex Groebner basis of the ideal of the integer terms
+    generators, dicts packed as ring packs, as ring's basis elements with
+    pairwise distinct leads; neither minimal nor reduced.  The unit ideal
+    gives [(0, 1, [])] (0 packs the monomial 1), the zero ideal [].
 
     Pairs (k, new), k < new, are processed in the order (lcm degree, lcm
     ascending in degrevlex, k, new) with the product and chain criteria.
@@ -333,27 +318,31 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, divide=_div
     docstring): _ci_hilbert_function of a lower bound for HS(S/I) * (1-t)^4.
 
     A bound the caller passes is a certificate the run must meet: at the
-    first finished degree whose standard monomials outnumber it, the call
-    returns None.  With None the call steers by the _ci_numerator of the
-    kept generators' degrees when there are at most four, and by no bound
-    with more; a finished degree above that bound shows that I is no
+    first finished degree whose standard monomials outnumber it, or at an
+    S-polynomial above ring's degree cap, the call returns None.  With None
+    the call steers by the _ci_numerator of the kept generators' degrees
+    and a degree 1 for each of the four variables ring does not pack (z3
+    for the section's three), when there are at most four in all, and by no
+    bound with more; a finished degree above that bound shows that I is no
     complete intersection of the kept generators, and the walk stops there.
 
     Raises ResourceLimitError when more than pair_cap pairs are processed
     (skipped and pruned pairs count), an S-polynomial that no criterion
-    pruned exceeds MAX_DEGREE, past which its exponents would not fit their
-    packed fields, or the divisions of the call make more than
+    pruned exceeds the degree cap, past which its exponents would not fit
+    their packed fields, or the divisions of the call make more than
     MAX_BUCHBERGER_POPS heap pops.
     """
+    divide, element, steps, guard, width, cap = ring
+    low, ones = guard - sum(steps), (1 << width) - 1  # m % ones is m's degree
     gens = [g for g in generators if g]
-    if any(g.degree == 0 for g in gens):
+    if any(0 in g for g in gens):
         return [(0, 1, [])]
     budget = [MAX_BUCHBERGER_POPS]
     # each generator divided by those kept before it: no lead divides another
     basis = []
     # ascending degrevlex by lead, the smallest int of its degree
-    for g in sorted(gens, key=lambda g: (g.degree, -min(g._cleared[1]))):
-        r, _ = divide(dict(g._cleared[1]), basis, budget)
+    for g in sorted(gens, key=lambda g: (min(g) % ones, -min(g))):
+        r, _ = divide(dict(g), basis, budget)
         if r:
             basis.append(element(r))
 
@@ -364,20 +353,20 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, divide=_div
     def add_lead(m):
         new = len(lead)
         lead.append(m)
-        leads_of_degree.setdefault(mono_degree(m), set()).add(m)
+        leads_of_degree.setdefault(m % ones, set()).add(m)
         for k in range(new):
-            top = _lcm(lead[k], m)
-            waiting.setdefault(mono_degree(top), []).append((-top, k, new))
+            top = _lcm(lead[k], m, guard, width)
+            waiting.setdefault(top % ones, []).append((-top, k, new))
 
     for e in basis:
         add_lead(e[0])
     certify = bound is not None
-    if not certify and len(gens) <= 4:
-        # the kept generators: they generate I, and are no more
-        bound = _ci_numerator(mono_degree(m) for m in lead)
+    if not certify and len(gens) <= len(steps):
+        # the kept generators and any variable not packed (z3, on three):
+        # they generate I, and are no more
+        bound = _ci_numerator([m % ones for m in lead] + [1] * (4 - len(steps)))
     standard, std_degree, least = {0}, 0, None  # standard monomials of std_degree
-    walked = 0
-    processed = 0
+    walked = processed = 0
     while waiting:
         degree = min(waiting)
         pairs = waiting.pop(degree)
@@ -397,30 +386,33 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, divide=_div
                         break
                     walked += len(standard)
                     std_degree += 1
-                    standard = _next_standard(standard, leads_of_degree.get(std_degree, ()))
+                    standard = _next_standard(standard, leads_of_degree.get(std_degree, ()),
+                                              steps, low, guard)
                     least = _ci_hilbert_function(bound, std_degree)
                 if std_degree == degree and len(standard) == least:
                     continue  # the leads span in(I)_degree: the pair reduces to zero
-            if not _nonzero_fields(lead[i]) & _nonzero_fields(lead[j]):
+            if not (lead[i] + low) & (lead[j] + low) & guard:
                 continue  # coprime leads
-            top = _lcm(lead[i], lead[j])
+            top = _lcm(lead[i], lead[j], guard, width)
             chained = False
             for k, other in enumerate(lead):
                 q = top - other
-                if q < 0 or q & _GUARD or k == i or k == j:  # not _divides(other, top), inline
+                if q < 0 or q & guard or k == i or k == j:  # not _divides(other, top), inline
                     continue
                 # of (i, k) and (j, k), only one with lcm top that comes after
                 # (i, j) still waits
-                if not (k > j and _lcm(lead[i], other) == top
-                        or k > i and _lcm(lead[j], other) == top):
+                if not (k > j and _lcm(lead[i], other, guard, width) == top
+                        or k > i and _lcm(lead[j], other, guard, width) == top):
                     chained = True
                     break
             if chained:
                 continue
-            if degree > MAX_DEGREE:
+            if degree > cap:
+                if certify:
+                    return None  # a miss, as a give-up is
                 raise ResourceLimitError(
-                    f"buchberger: S-polynomial of degree {degree} exceeds degree cap {MAX_DEGREE}")
-            r, _ = divide(_s_polynomial_terms(basis[i], basis[j]), basis, budget)
+                    f"buchberger: S-polynomial of degree {degree} exceeds degree cap {cap}")
+            r, _ = divide(_s_polynomial_terms(basis[i], basis[j], top), basis, budget)
             if not r:
                 continue
             basis.append(element(r))
@@ -433,7 +425,7 @@ def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP):
     """Reduced degrevlex Groebner basis, monic and sorted by ascending lead:
     _reduced_basis of _groebner_elements, whose arguments and errors it
     takes."""
-    return _reduced_basis(_groebner_elements(generators, pair_cap))
+    return _reduced_basis(_groebner_elements([g._cleared[1] for g in generators], pair_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +632,7 @@ class GradedIdeal:
     def _basis_elements(self):
         """The integer basis elements of _groebner_elements, computed once."""
         if self._elements is None:
-            self._elements = _groebner_elements(self.generators)
+            self._elements = _groebner_elements([g._cleared[1] for g in self.generators])
         return self._elements
 
     def groebner_basis(self):

@@ -58,6 +58,34 @@ MAX_POWER_WORK = 10**9
 _FIELD = (1 << 32) - 1
 _GUARD = sum(1 << 32 * i + 31 for i in range(NVARS))
 _STEPS = tuple(1 << 32 * i for i in range(NVARS))  # z0, z1, z2, z3
+_LOW = _GUARD - sum(_STEPS)  # 2^31 - 1 in each field
+
+
+# Monomial bit tricks.  Among monomials of one degree the smallest int is
+# the largest in degrevlex, so a min-heap of them hands out terms in
+# descending order.  A divisor is never larger than its multiple.
+# Quotients are -, and d divides m when m - d is nonnegative with no guard
+# bit set (the lowest field that borrows sets its own); lcm and coprimality
+# treat all fields at once through the guard bits.  The exponent of z_v in
+# m is m >> 32*v & _FIELD.  _lcm takes another packing's guard mask and
+# field width, as a Buchberger run on a hyperplane section packs three
+# variables in narrower fields (see groebner and section).
+
+def _divides(d: int, m: int) -> bool:
+    q = m - d
+    return q >= 0 and not q & _GUARD
+
+
+def _lcm(a: int, b: int, guard: int = _GUARD, width: int = 32) -> int:
+    # the guard bit of a field of (a | guard) - b is set where a's exponent
+    # is the larger; spread over the field, it picks a's exponent there
+    keep = ((a | guard) - b) & guard
+    return b ^ ((a ^ b) & (keep - (keep >> width - 1)))
+
+
+def _nonzero_fields(p: int) -> int:
+    """The guard bits of the fields of p that are nonzero."""
+    return (p + _LOW) & _GUARD
 
 
 def check_degree(degree: int, stage: str) -> None:

@@ -6,8 +6,10 @@ four variables; a generic linear section keeps them
 (Bayer and Stillman, Invent. Math. 87, 1987).  For a plane z3 = l of
 PLANES, the first l = z0 + 2*z1 + 3*z2, _certifies cuts each form f_i to
 f_i(z0, z1, z2, l), a form in z0..z2, and runs Buchberger on the cut forms
-and z3.  These generate the image of I + (z3 - l) under the change of
-coordinates z3 -> z3 + l, so the two ideals have one Hilbert series.
+alone, in three variables.  With z3 they generate the image of
+I + (z3 - l) under the change of coordinates z3 -> z3 + l, so the two
+ideals have one Hilbert series; z3's lead is coprime to theirs, so it
+only joins the leads at the end.
 
 The run certifies a lower bound B(d) <= H(S/I)(d), B = N(t) / (1-t)^4, of
 one of three kinds:
@@ -39,8 +41,8 @@ polynomial 2t + c).
 
 One sandwich proves each certificate.  Let J be the ideal over Q of the
 integer cut forms (each form's cleared integer terms, cut) and z3, J_P
-that of their residues mod P, and L the ideal of the leads the run
-computes.  In every degree d:
+that of their residues mod P, and L the ideal of z3 and the leads the run
+computes, lifted to four variables.  In every degree d:
   - H(S/I)(d) <= sum_(e <= d) H(S/J)(e), since multiplication by z3 - l
     maps (S/I)_(e-1) to (S/I)_e with cokernel (S/(I + (z3 - l)))_e;
   - H(S/J)(e) <= H(S/J_P)(e): J_e is spanned by the monomial multiples of
@@ -51,12 +53,13 @@ computes.  In every degree d:
 When L has the numerator N(1-t), the sum of its Hilbert function up to d
 is B(d), so B(d) <= H(S/I)(d) <= B(d) and the answer is N.  Nothing here
 asks the run to skip soundly: a Hilbert skip on a bad bound drops leads,
-which the last step allows.  The run takes N(1-t) as a certificate and
-gives up at the first finished degree where the standard monomials
-outnumber it; L can then never reach N(1-t).  A miss (a cut that vanishes
-mod P, a give-up or another numerator) is tried once more on the second
-plane, l = 7*z0 - 3*z1 + 2*z2, and then falls through to groebner's exact
-route, so no answer depends on P or the planes.  Nothing above the
+which the last step allows.  The run takes N(1-t) as a certificate, whose
+coefficients over (1-t)^4 are the Hilbert function in z0..z2 that its
+walk of standard monomials counts, and gives up at the first finished
+degree where they outnumber it; L can then never reach N(1-t).  A miss
+(a cut that vanishes mod P, a give-up or another numerator) is tried once
+more on the second plane, l = 7*z0 - 3*z1 + 2*z2, and then falls through
+to groebner's exact route, so no answer depends on P or the planes.  Nothing above the
 degree caps is cut (see MAX_SECTION_DEGREE).
 
 The conormal bound: let a, b be projective 1-forms with coefficients of
@@ -76,8 +79,11 @@ makes I saturated with h^1(I_Z(k)) = 1 at k = d - 1 and 0 elsewhere: Rao
 profile {c_a + c_b - 2: 1}.  A common factor lifts H(S/I) above B: a miss.
 
 The run is over F_P, P = 32749, the largest prime below 2^15, so that the
-product of two residues fits in one 30-bit digit of a Python int.  Each
-form is cut mod P by Horner's rule in z3, no power of l kept between
+product of two residues fits in one 30-bit digit of a Python int, and so
+does each monomial: it packs z0^e0 z1^e1 z2^e2 as e0 | e1 << 10 | e2 << 20
+(_OVER_FP), a guard bit at the top of each field, up to degree 511, and
+an S-polynomial above that is a miss.  Each form is cut mod P straight
+into that packing by Horner's rule in z3, no power of l kept between
 cuts: a running sum, reduced mod P, is multiplied by l once per exponent
 of z3 below the form's top one, each exponent's terms added on the way.
 Every element is kept monic, and a residue is reduced only when its term
@@ -89,11 +95,11 @@ intersections and 21 ideals in a coordinate line ideal, the second plane
 4 and 2; the 4 left hold two lines, and 2 of them are refused uncut.  On
 1000 draws of the pool's kind from Random(4242) the counts are 840 and
 120, 22 and 4, with 14 left.  Measured on a 2-vCPU x86_64 machine under
-Python 3.11, in CPU time, the best of 5 passes in each of 5 interleaved
-rounds: the Hilbert queries of the 21 took 76-123 ms by the exact route
-and 28-31 ms on the section, those of the 6 took 29-47 ms and 16-19 ms,
-and those of the 4 left 24-38 ms and 26-41 ms.  Over F_P rather than Q,
-the Koszul certificate over the pool took 145 ms against 186 ms.
+Python 3.11, in CPU time, the median over 9 interleaved rounds of the best
+of 5 passes, against the former run on four variables with z3 as a
+generator: the pool's certificates took 145 ms against 173 ms, the Hilbert
+queries of the 21 took 12.5 ms against 16.1 ms and those of the 6 7.5 ms
+against 9.4 ms; those of the 4 left, which take the exact route, 25 ms.
 """
 
 from __future__ import annotations
@@ -101,49 +107,57 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from . import groebner
-from .polyring import NVARS, _FIELD, _GUARD, _STEPS, _wrap
+from .polyring import NVARS, _FIELD, _STEPS
 
 P = 32749  # the largest prime below 2^15 (see the module docstring)
 # Largest form degree cut for the first two bounds, and c_a + c_b for the
 # conormal bound.  A sparse form turns dense on the section: on a 2-vCPU
-# x86_64 machine under Python 3.11 z0^d + z3^d, z1^d + z2^d, z2^d - z3^d
-# took 0.010 s to certify at d = 8 and 0.058 s at d = 12, against 0.003 and
-# 0.013 s on four variables, and the contact form's wedge with a seeded
-# 1-form of degree 20, 23 and 28 took 0.08, 0.12-0.13 and 0.24-0.31 s.
+# x86_64 machine under Python 3.11 (CPU time, medians as in the module
+# docstring) z0^d + z3^d, z1^d + z2^d, z2^d - z3^d took 0.008 s to certify
+# at d = 8 and 0.051 s at d = 12, against 0.003 and 0.013 s by the exact
+# route on four variables, and the contact form's wedge with a seeded
+# 1-form of degree 20, 23 and 28 took 0.055, 0.085 and 0.166 s.
 # The hilbert pool has degrees 3 and 4; CI's largest wedge has c_a + c_b = 24.
 MAX_SECTION_DEGREE = 8
 _MAX_CONORMAL_DEGREE = 24
 # The hyperplanes z3 = l tried in turn, each l as its coefficients of z0,
 # z1, z2; all nonzero, so neither holds a coordinate point
 PLANES = ((1, 2, 3), (7, -3, 2))
+# The run's packing of z0, z1, z2 and its guard mask (see the module docstring)
+_CUT_STEPS = (1, 1 << 10, 1 << 20)
+_CUT_GUARD = 1 << 9 | 1 << 19 | 1 << 29
 
-_Z3 = _wrap(1, 1, {_STEPS[3]: 1})
 
-
-def _section_cut(f, plane: int = 0):
+def _section_cut(f, plane: int = 0) -> dict:
     """f(z0, z1, z2, l) for the l of PLANES[plane] times f's denominator, its
-    coefficients reduced mod P into [1, P): a form in z0..z2 of f's degree,
-    zero when the cut vanishes mod P.  By Horner's rule in z3: from f's top
-    exponent of z3 down, that exponent's terms, z3 removed, plus l times
-    the running sum."""
+    coefficients reduced mod P into [1, P): the terms, packed as the run
+    packs them, of a form in z0..z2 of f's degree, at most 511; empty when
+    the cut vanishes mod P.  By Horner's rule in z3: from f's top exponent
+    of z3 down, that exponent's terms, z3 removed, plus l times the
+    running sum."""
     by_z3 = {}
-    for m, c in f._cleared[1].items():
-        e = m >> 96  # the exponent of z3
-        by_z3.setdefault(e, {})[m - (e << 96)] = c
-    steps, acc = tuple(zip(_STEPS, PLANES[plane])), {}
+    for m, c in f._cleared[1].items():  # z0..z2 moved to the run's fields
+        by_z3.setdefault(m >> 96, {})[m & 1023 | m >> 22 & 1023 << 10 | m >> 44 & 1023 << 20] = c
+    steps, acc = tuple(zip(_CUT_STEPS, PLANES[plane])), {}
     for e in range(max(by_z3, default=0), -1, -1):
         out = by_z3.get(e, {})
         for m, c in acc.items():
             for step, k in steps:
                 out[m + step] = out.get(m + step, 0) + k * c
         acc = {m: r for m, c in out.items() if (r := c % P)}
-    return _wrap(f.degree, 1, acc)
+    return acc
+
+
+def _lift(m: int) -> int:
+    """The monomial m of the run's packing in polyring's."""
+    return m & 1023 | (m >> 10 & 1023) << 32 | (m >> 20) << 64
 
 
 def _divide(work: dict, table, budget):
-    """groebner._divide over F_P, for monic elements: the remainder, its
-    residues in [1, P), of the integer terms work (consumed), and 1.  A
-    term's residue is taken when it is popped; until then it is any integer."""
+    """groebner._divide over F_P, for monic elements in the run's packing:
+    the remainder, its residues in [1, P), of the integer terms work
+    (consumed), and 1.  A term's residue is taken when it is popped; until
+    then it is any integer."""
     heap = list(work)
     heapify(heap)
     remainder = {}
@@ -152,13 +166,13 @@ def _divide(work: dict, table, budget):
         m = heappop(heap)
         left -= 1
         if left < 0:
-            raise groebner._pop_cap_error(m)
+            raise groebner._pop_cap_error(_lift(m))
         c = work.pop(m) % P  # no term leaves work before its pop: the heap holds each once
         if not c:
             continue
         for lead, _, tail in table:
             q = m - lead
-            if q >= 0 and not q & _GUARD:
+            if q >= 0 and not q & _CUT_GUARD:
                 for gm, gc in tail:
                     mm = gm + q
                     v = work.get(mm)
@@ -179,6 +193,13 @@ def _monic_element(terms: dict):
     lead = min(terms)
     inverse = pow(terms[lead], -1, P)
     return lead, 1, [(m, c * inverse % P) for m, c in terms.items() if m != lead]
+
+
+# The run's arithmetic and packing, as groebner._groebner_elements takes
+# them: over F_P in three 10-bit fields, up to degree 511.  The largest
+# S-pair degree a run reaches over tier-1, the demos, CI's steps and both
+# benchmark pools is 45, for CI's wedge query of degree 23.
+_OVER_FP = (_divide, _monic_element, _CUT_STEPS, _CUT_GUARD, 10, 511)
 
 
 def _line_bound(degrees) -> dict:
@@ -203,17 +224,17 @@ def _conormal_bound(c_a: int, c_b: int) -> dict:
 
 def _certifies(generators, numerator: dict) -> bool:
     """Whether, on a plane of PLANES, tried in turn, the F_P run on the cuts
-    and z3 ends on leads whose Hilbert numerator is numerator * (1-t), for
-    a lower bound numerator of HS(S/I) * (1-t)^4 proven as in the module
-    docstring; a plane misses when a cut vanishes mod P or the run gives up."""
+    ends on leads that, lifted to four variables and with z3, have the
+    Hilbert numerator numerator * (1-t), for a lower bound numerator of
+    HS(S/I) * (1-t)^4 proven as in the module docstring; a plane misses
+    when a cut vanishes mod P or the run gives up."""
     # times 1 - t, the factor of z3
     target = groebner._series([*numerator.items(), *((a + 1, -c) for a, c in numerator.items())])
     for plane in range(len(PLANES)):
         cuts = [_section_cut(g, plane) for g in generators]
-        elements = all(cuts) and groebner._groebner_elements(
-            cuts + [_Z3], divide=_divide, element=_monic_element, bound=target)
-        if elements and dict(groebner._minimal_numerator(
-                groebner._minimalize(e[0] for e in elements))) == target:
+        elements = all(cuts) and groebner._groebner_elements(cuts, ring=_OVER_FP, bound=target)
+        if elements and dict(groebner._minimal_numerator(groebner._minimalize(
+                [_STEPS[3], *(_lift(e[0]) for e in elements)]))) == target:
             return True
     return False
 

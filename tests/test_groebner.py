@@ -1319,7 +1319,8 @@ def _count_s_polynomials(monkeypatch, gens):
     calls = []
     real = groebner._s_polynomial_terms
     with monkeypatch.context() as m:
-        m.setattr(groebner, "_s_polynomial_terms", lambda e, f: calls.append(1) or real(e, f))
+        m.setattr(groebner, "_s_polynomial_terms",
+                  lambda e, f, top: calls.append(1) or real(e, f, top))
         return buchberger(gens), len(calls)
 
 
@@ -1369,7 +1370,7 @@ def test_hilbert_skip_gives_up_a_long_walk(monkeypatch):
     steps = []
     real = groebner._next_standard
     monkeypatch.setattr(groebner, "_next_standard",
-                        lambda standard, leads: steps.append(1) or real(standard, leads))
+                        lambda standard, *packing: steps.append(1) or real(standard, *packing))
     gens = [parse_polynomial("z0*z1"), parse_polynomial("z1^100000000")]
     assert buchberger(gens) == _former_buchberger(gens)
     assert 0 < len(steps) < 100
@@ -2368,6 +2369,13 @@ def _table_section_cut(f, plane: int = 0):
                                         if c % section.P})
 
 
+def _narrowed(f) -> dict:
+    """The integer terms of f, a form in z0..z2, packed as the section's
+    run packs them: e0 | e1 << 10 | e2 << 20."""
+    return {e0 | e1 << 10 | e2 << 20: c
+            for (e0, e1, e2, _), c in zip(exponent_tuples(f._cleared[1]), f._cleared[1].values())}
+
+
 def _koszul_certificate(generators):
     """The bound the former give_up flag of _groebner_elements certified:
     the _ci_numerator of the degrees of the nonzero generators it keeps,
@@ -2381,11 +2389,17 @@ def _koszul_certificate(generators):
     return groebner._ci_numerator(polyring.mono_degree(e[0]) for e in kept)
 
 
+def _terms(gens):
+    """The integer terms of the polynomials gens, as _groebner_elements
+    takes them."""
+    return [g._cleared[1] for g in gens]
+
+
 def _certifying_elements(gens, give_up=False, **kw):
     """_groebner_elements(gens, **kw) as the former flag ran it: with
     give_up, certifying the bound _koszul_certificate(gens)."""
     return groebner._groebner_elements(
-        gens, bound=_koszul_certificate(gens) if give_up else None, **kw)
+        _terms(gens), bound=_koszul_certificate(gens) if give_up else None, **kw)
 
 
 def _former_section_numerator(generators, refuse_by_exponents=False):
@@ -2600,14 +2614,14 @@ def test_section_route_gives_up_a_non_complete_intersection_early(monkeypatch):
     standard monomials outnumber the complete-intersection count, before
     its queue empties."""
     gens = _degenerate_ideals()["common-linear-factor"]
-    cuts = [section._section_cut(g) for g in gens] + [section._Z3]
-    run = partial(groebner._groebner_elements, divide=section._divide,
-                  element=section._monic_element)
+    cuts = [section._section_cut(g) for g in gens]
+    run = partial(groebner._groebner_elements, ring=section._OVER_FP)
     divided = []
     real = groebner._s_polynomial_terms
     monkeypatch.setattr(groebner, "_s_polynomial_terms",
-                        lambda e, f: divided.append(1) or real(e, f))
-    assert run(cuts, bound=_koszul_certificate(cuts)) is None
+                        lambda e, f, top: divided.append(1) or real(e, f, top))
+    # the Koszul certificate of the cuts in z0..z2: the forms' times 1 - t
+    assert run(cuts, bound=groebner._ci_numerator([g.degree for g in gens] + [1])) is None
     stopped = len(divided)
     divided.clear()
     assert run(cuts)
@@ -2665,7 +2679,7 @@ def test_horner_cut_equals_the_table_cut():
     for gens in cases:
         for g in gens:
             for plane in range(len(section.PLANES)):
-                assert section._section_cut(g, plane) == _table_section_cut(g, plane), (
+                assert section._section_cut(g, plane) == _narrowed(_table_section_cut(g, plane)), (
                     str(g), plane)
                 cuts += 1
     assert cuts == 2 * (3 * 1240 + 6 * 22 + 1 + 3 + 4)
@@ -2686,15 +2700,16 @@ def test_rao_builds_the_four_variable_basis_without_cutting_a_section(monkeypatc
 def test_a_certified_hilbert_query_never_builds_the_four_variable_basis(
         monkeypatch, tmp_path, capsys):
     """The one basis the hilbert command computes for a certified complete
-    intersection is the section's: of the cut forms, in z0..z2, and z3."""
+    intersection is the section's: of the cut forms, in z0..z2, each
+    monomial one 30-bit digit."""
     bases = _spy_buchberger(monkeypatch)
     path = tmp_path / "quartic.ideal"
     path.write_text("z0*z1 - z2*z3\nz0^2 + z1^2 + z2^2 + z3^2\n")
     assert cli.main(["hilbert", str(path)]) == 0
     assert capsys.readouterr().out == (
         "Hilbert polynomial: 4*t\ncurve invariants: degree 4, genus 1\n")
-    assert len(bases) == 1 and bases[0][-1] == HomogeneousPolynomial.variable(3)
-    assert all(m[3] == 0 for g in bases[0][:-1] for m in g.terms)
+    assert len(bases) == 1 and len(bases[0]) == 2
+    assert all(m < 1 << 30 for g in bases[0] for m in g)
 
 
 def test_section_route_matches_sympy_hilbert_polynomials():
@@ -3039,7 +3054,7 @@ def _spy_buchberger(monkeypatch, over_q=False):
     real = groebner._groebner_elements
 
     def spy(gens, *args, **kw):
-        if not (over_q and "divide" in kw):
+        if not (over_q and kw.get("ring", groebner._OVER_Z) is not groebner._OVER_Z):
             runs.append(gens)
         return real(gens, *args, **kw)
 
@@ -3159,7 +3174,7 @@ def test_monomial_generators_are_their_own_basis(monkeypatch):
             ideal.hilbert_numerator()
             assert runs == []
         assert ideal._packed_lead() == groebner._minimalize(
-            e[0] for e in groebner._groebner_elements(gens))
+            e[0] for e in groebner._groebner_elements(_terms(gens)))
         assert list(ideal.groebner_basis()) == buchberger(gens)
     assert len(cases) == 63
 
@@ -3203,7 +3218,7 @@ def test_each_ideal_runs_buchberger_at_most_once(monkeypatch, capsys, tmp_path):
     ideal = _ideal(*cubic)
     assert curve_invariants(ideal) == (3, 0)
     assert rao_module_dimensions(ideal).total == 0
-    assert runs == [ideal.generators]
+    assert runs == [_terms(ideal.generators)]
 
     runs.clear()
     sample = legendrian_sample(2, Random(0))
@@ -3828,8 +3843,10 @@ def test_exponent_refusal_refuses_exactly_the_curves_of_the_hilbert_pool(monkeyp
 def _heap_groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_up: bool = False):
     """The former groebner._groebner_elements, one heap of pairs and a set
     of pending pairs, verbatim but for the groebner. prefixes, line breaks,
-    polyring.mono_degree for the former groebner._degree, and the packed
-    terms read from _cleared for the removed groebner._packed_terms."""
+    polyring.mono_degree for the former groebner._degree, the packed terms
+    read from _cleared for the removed groebner._packed_terms, and polyring's
+    packing passed to _next_standard and the lcm to _s_polynomial_terms,
+    which now take them."""
     gens = [g for g in generators if g]
     if any(g.degree == 0 for g in gens):
         return [(0, 1, [])]
@@ -3872,7 +3889,8 @@ def _heap_groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_u
                 walked += len(standard)
                 std_degree += 1
                 standard = groebner._next_standard(
-                    standard, {m for m in lead if polyring.mono_degree(m) == std_degree})
+                    standard, {m for m in lead if polyring.mono_degree(m) == std_degree},
+                    polyring._STEPS, polyring._LOW, polyring._GUARD)
                 bound = groebner._ci_hilbert_function(numerator, std_degree)
             if std_degree == degree and len(standard) == bound:
                 continue
@@ -3895,7 +3913,7 @@ def _heap_groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, give_u
             raise ResourceLimitError(
                 f"buchberger: S-polynomial of degree {degree} exceeds degree cap "
                 f"{groebner.MAX_DEGREE}")
-        r, _ = groebner._divide(groebner._s_polynomial_terms(basis[i], basis[j]), basis)
+        r, _ = groebner._divide(groebner._s_polynomial_terms(basis[i], basis[j], top), basis)
         if not r:
             continue
         basis.append(groebner._basis_element(r))
@@ -3944,7 +3962,7 @@ def _assert_same_as_the_heap_queue(monkeypatch, gens, give_up=False):
     real = groebner._s_polynomial_terms
     with monkeypatch.context() as m:
         m.setattr(groebner, "_s_polynomial_terms",
-                  lambda e, f: divided.append((e[0], f[0])) or real(e, f))
+                  lambda e, f, top: divided.append((e[0], f[0])) or real(e, f, top))
         new = _certifying_elements(gens, give_up)
         mine, divided[:] = divided[:], []
         assert new == _heap_groebner_elements(gens, give_up=give_up)
@@ -4005,7 +4023,7 @@ def test_the_hilbert_walk_stops_at_a_degree_over_the_bound_with_the_same_element
     steps = []
     real = groebner._next_standard
     monkeypatch.setattr(groebner, "_next_standard",
-                        lambda standard, leads: steps.append(1) or real(standard, leads))
+                        lambda standard, *packing: steps.append(1) or real(standard, *packing))
 
     def walk(run, gens):
         steps.clear()
@@ -4014,7 +4032,7 @@ def test_the_hilbert_walk_stops_at_a_degree_over_the_bound_with_the_same_element
     shorter = 0
     for gens in [gens for pair in pairs for gens in pair]:
         _assert_same_as_the_heap_queue(monkeypatch, gens)
-        (new, walked), (old, walked_on) = (walk(groebner._groebner_elements, gens),
+        (new, walked), (old, walked_on) = (walk(_certifying_elements, gens),
                                            walk(_heap_groebner_elements, gens))
         assert new == old and walked <= walked_on
         shorter += walked < walked_on
@@ -4023,7 +4041,7 @@ def test_the_hilbert_walk_stops_at_a_degree_over_the_bound_with_the_same_element
     cases = [list(ideal.generators) for ideal in _random_ideals(Random(52), 60)]
     cases += [_random_generators(rng) for _ in range(100)] + list(_degenerate_ideals().values())
     for gens in cases:
-        assert groebner._groebner_elements(gens) == _heap_groebner_elements(gens)
+        assert groebner._groebner_elements(_terms(gens)) == _heap_groebner_elements(gens)
 
 
 def test_degree_lists_raise_the_heap_queue_pair_cap_errors():
@@ -4055,7 +4073,7 @@ def _smallest_pop_budget(monkeypatch, gens):
         while lo < hi:
             mid = (lo + hi) // 2
             m.setattr(groebner, "MAX_BUCHBERGER_POPS", mid)
-            if isinstance(_elements_or_message(groebner._groebner_elements, gens), str):
+            if isinstance(_elements_or_message(groebner._groebner_elements, _terms(gens)), str):
                 lo = mid + 1
             else:
                 hi = mid
@@ -4071,7 +4089,7 @@ def test_buchberger_work_cap_counts_the_pops_of_every_division_in_a_call(monkeyp
     assert _smallest_pop_budget(monkeypatch, gens) == 2098
     assert groebner.MAX_BUCHBERGER_POPS >= 20 * 2098
     monkeypatch.setattr(groebner, "MAX_BUCHBERGER_POPS", 2097)
-    message = _elements_or_message(groebner._groebner_elements, gens)
+    message = _elements_or_message(groebner._groebner_elements, _terms(gens))
     assert re.fullmatch(r"buchberger, degree \d+: divisions exceed the work cap of 2097 "
                         r"heap pops", message), message
     monkeypatch.setattr(groebner, "MAX_BUCHBERGER_POPS", 0)
@@ -4084,9 +4102,9 @@ def test_both_divisions_refuse_a_spent_budget_with_the_message_the_cli_prints():
     """Division over Q and the section's over F_P, given a spent budget,
     each raise at the first pop the refusal that hilbert prints for a basis
     over the work cap, naming the degree of the work."""
-    terms = _ideal("z0^2*z1 + z2^3").generators[0]._cleared[1]
+    form = _ideal("z0^2*z1 + z2^3").generators[0]
     messages = []
-    for divide in (groebner._divide, section._divide):
+    for divide, terms in ((groebner._divide, form._cleared[1]), (section._divide, _narrowed(form))):
         with pytest.raises(ResourceLimitError) as refused:
             divide(dict(terms), [], [0])
         messages.append(str(refused.value))
