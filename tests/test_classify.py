@@ -245,9 +245,11 @@ def test_legendrian_samples_of_degree_d_split_with_the_c2_formula_curve(d):
         assert split_criterion(profile.total) == "splits"
 
 
-# the former classify.classify_low_degree, an if-ladder over the rows of
-# Table 1, verbatim but for its name
-def _former_classify_low_degree(d: int, c2N: int, reduced_singular_scheme: bool = False) -> ClassificationReport:
+# Table 1 as an if-ladder over its rows, transcribed by hand (the package
+# decided this way before the rows became data).  It is the oracle of the
+# rows read from data: no computation reaches the table's impossibility
+# verdicts and messages another way
+def _ladder_classify_low_degree(d: int, c2N: int, reduced_singular_scheme: bool = False) -> ClassificationReport:
     """Full decision procedure for foliation degrees 1, 2 and 3."""
     if d not in (1, 2, 3):
         raise OutOfBoundsError("classification covers degrees 1, 2 and 3")
@@ -377,14 +379,14 @@ def _outcome(run, *args):
 
 
 def test_classification_equals_the_former_ladder_of_rows():
-    """Table 1 read from data gives the former if-ladder's report, repr and
-    JSON, or its error class and message, on every degree -1..5, c2 -2..21
-    and reducedness."""
+    """Table 1 read from data gives the hand-written if-ladder's report,
+    repr and JSON, or its error class and message, on every degree -1..5,
+    c2 -2..21 and reducedness."""
     for d in range(-1, 6):
         for c2 in range(-2, 22):
             for reduced in (False, True):
                 assert (_outcome(classify_low_degree, d, c2, reduced)
-                        == _outcome(_former_classify_low_degree, d, c2, reduced)), (d, c2, reduced)
+                        == _outcome(_ladder_classify_low_degree, d, c2, reduced)), (d, c2, reduced)
 
 
 @pytest.mark.parametrize("row", sorted(_SPLIT_ROWS))

@@ -1,12 +1,20 @@
 """Command-line interface: payloads, exit codes, determinism."""
 
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import pytest
 
+from folcurves import polyring
 from folcurves.cli import build_parser, main
 from folcurves.groebner import GradedIdeal
 from folcurves.resolution import minimal_free_resolution
@@ -522,8 +530,8 @@ def test_hilbert_answers_a_high_power_in_a_mixed_generator_quickly(capsys, tmp_p
     ("z0*z1\nz1*z2\nz2^55*z3\n", 57),
 ])
 def test_rao_refuses_what_the_truncation_bound_refused(capsys, tmp_path, text, degree):
-    """Curves whose regularity_bound() + 6 exceeded 60, which the former
-    truncation bound refused, are refused by the last degree of their Betti
+    """Curves whose regularity_bound() + 6 exceeded 60, which a truncation
+    bound at 60 refused, are refused by the last degree of their Betti
     table, before any elimination.  z0^27, z1^29, at a truncation bound of
     60 and a last degree of 56, is refused by neither."""
     path = tmp_path / "curve.ideal"
@@ -644,3 +652,97 @@ def test_drawn_texts_through_wedge_and_hilbert_exit_cleanly(capsys, tmp_path):
 
     check()
     assert {("wedge", 0), ("wedge", 2), ("hilbert", 0), ("hilbert", 2)} <= codes
+
+
+# ---------------------------------------------------------------------------
+# hostile arguments for every subcommand, each in its own process
+
+ROOT = Path(__file__).resolve().parents[1]
+# every subcommand, each with hostile arguments: far out-of-range integers,
+# long twist ranges, huge charges and parameters, empty, malformed and
+# missing files, rows over the column cap, unknown names and suites
+HOSTILE = [
+    ["classify", "3", str(10 ** 30)], ["classify", "--", "-99999999999", "5"],
+    ["classify", "abc", "1"],
+    ["invariants", "1000000", str(10 ** 12)], ["invariants", "--", "-5", "3"],
+    ["chi", "2", "0", "100000", "0", "100001"], ["chi", "--", "-1", "0", "0", "0", "0"],
+    ["chi", "2", "0", "1", "0", str(10 ** 30)],
+    ["cohomology", "line", "--", "-100001..100001"], ["cohomology", "instanton:100000", "0..3"],
+    ["cohomology", "bogus", "0..1"], ["cohomology", "nc", "5..1"], ["cohomology", "line", "x..y"],
+    ["moduli", "legendrian", str(10 ** 9)], ["moduli", "nc", "--", "-3"], ["moduli", "other", "1"],
+    ["monad", "{empty}"], ["monad", "{malformed}"], ["monad", "{wide}", "--regularity"],
+    ["monad", "{missing}"],
+    ["syzygy", "z0,z1", "1,1", "100001"], ["syzygy", "(z0+z1+z2+z3)^3", "3", "40"],
+    ["syzygy", "z0", "2", "3"], ["syzygy", ",", ",", "1"],
+    ["rao", "{empty}"], ["rao", "{malformed}"], ["rao", "{skew}", "--window", "-100001", "100001"],
+    ["verify", "--suite", "nope"], ["verify", "--suite", "table1", "--seed", str(-10 ** 30)],
+]
+# seeded draws: each # becomes an integer of up to 40 digits and either sign;
+# "--" lets a negative one through as a positional argument
+DRAWN = [["classify", "--", "#", "#"], ["invariants", "--", "#", "#"],
+         ["chi", "--", "2", "#", "#", "#", "#"], ["cohomology", "--", "line", "#..#"],
+         ["cohomology", "--", "instanton:#", "0..3"], ["moduli", "legendrian", "--", "#"],
+         ["moduli", "nc", "--", "#"], ["syzygy", "--", "z0,z1", "1,1", "#"],
+         ["rao", "{skew}", "--window", "#", "#"], ["verify", "--suite", "formulas", "--seed", "#"]]
+
+
+def _run_budgeted(argv, budget):
+    """The exit code of folcurves argv in a fresh interpreter, or None when
+    it passes its budget in seconds; then its whole process group, forked
+    children too, is killed and reaped, so none is left running."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen([sys.executable, "-m", "folcurves.cli", *argv], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                          start_new_session=True) as child:
+        try:
+            return child.wait(timeout=budget)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            return None
+
+
+def test_hostile_arguments_to_every_subcommand_exit_cleanly(tmp_path):
+    """The chosen cases and three seeded draws of each DRAWN template exit
+    0, 1 or 2 within 5 s, four at a time."""
+    rng = Random(51)
+    files = {"empty": "", "malformed": '{"left": [1,\n', "missing": None,
+             "wide": json.dumps({"left": [], "middle": [0] * 200, "right": []}),
+             "skew": "z0*z2\nz0*z3\nz1*z2\nz1*z3\n"}
+    paths = {}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / f"{name}.txt")
+        if text is not None:
+            (tmp_path / f"{name}.txt").write_text(text)
+    cases = [[re.sub("#", lambda _: str(rng.choice((1, -1)) * rng.randrange(10 ** rng.randint(
+        5, 40))), arg.format(**paths)) for arg in argv] for argv in HOSTILE + DRAWN * 3]
+    assert len({argv[0] for argv in cases} | {"wedge", "hilbert"}) == 11
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        codes = list(pool.map(lambda argv: _run_budgeted(argv, 5), cases))
+    assert [(argv, code) for argv, code in zip(cases, codes) if code not in (0, 1, 2)] == []
+    assert {0, 2} <= set(codes)
+
+
+def _dense_forms(count, degree):
+    """count forms with every monomial of the degree, coefficients drawn by
+    Random(1).randint(1, 99)."""
+    rng = Random(1)
+    return [" + ".join(f"{rng.randint(1, 99)}*{polyring.mono_str(m)}"
+                       for m in polyring.packed_monomials(degree)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("command", ["hilbert", "rao", "syzygy"])
+@pytest.mark.xfail(strict=True, reason="runs for minutes under every cap (ROADMAP item 28)")
+def test_the_known_hangs_exit_within_a_second(tmp_path, command):
+    """Three dense nonics through hilbert, four dense quintics through rao
+    and four dense sextics at degree 13 through syzygy each run past a
+    minute; the child is killed at 1 s."""
+    path = tmp_path / "dense.ideal"
+    if command == "syzygy":
+        argv = ["syzygy", ",".join(_dense_forms(4, 6)), "6,6,6,6", "13"]
+    else:
+        path.write_text("\n".join(_dense_forms(3, 9) if command == "hilbert"
+                                  else _dense_forms(4, 5)) + "\n")
+        argv = [command, str(path)]
+    assert _run_budgeted(argv, 1) in (0, 1, 2)

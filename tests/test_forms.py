@@ -1,7 +1,6 @@
 """Twisted forms: wedge, contraction, projectivity, the foliation pipeline."""
 
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -9,7 +8,6 @@ import pytest
 
 from folcurves import forms
 from folcurves.errors import (
-    DegreeMismatchError,
     DegreeOverflowError,
     NotContactError,
     NotProjectiveError,
@@ -20,7 +18,6 @@ from folcurves.errors import (
 )
 from folcurves.forms import (
     TwistedForm,
-    _merge_sign,
     contract_with_field,
     exterior_derivative,
     is_contact_form,
@@ -41,6 +38,8 @@ from folcurves.forms import (
 from folcurves.groebner import GradedIdeal, curve_invariants
 from folcurves.polyring import (NVARS, HomogeneousPolynomial, exponent_tuples, packed_monomials,
                                 parse_polynomial)
+
+import oracles
 from folcurves.resolution import rao_module_dimensions
 
 W1 = pencil_form()
@@ -222,31 +221,32 @@ def test_contact_check():
     assert is_contact_form(parse_form("z0*dz2 - z2*dz0 + z1*dz3 - z3*dz1"))
 
 
-# the former is_contact_form, kept verbatim as the oracle of the Koszul test:
-# d(w) ^ w compared with a constant multiple of i_R(vol)
-def _former_is_contact_form(form: TwistedForm) -> bool:
-    """Cheap contact test: d(w) ^ w equals a nonzero constant multiple of i_R(vol).
+_CONTACT_POINTS = [(3, -7, 11, 5), (-13, 2, 17, -19), (23, 29, -31, 37)]
 
-    For linear-coefficient 1-forms this is equivalent to nowhere degeneracy.
-    """
+
+def _contact_by_definition(form: TwistedForm) -> bool:
+    """Whether a twisted 1-form with linear coefficients is a contact form:
+    for a projective one, i_R w = sum z_i w_i = 0, the Pfaffian of its skew
+    coefficient matrix is nonzero; for any other, dw ^ w is a nonzero
+    constant multiple of i_R(vol), which is checked at seeded points, where
+    the 3-forms, linear, agree exactly when their coefficients do.  Anything
+    else is no contact form."""
     if form.form_degree != 1 or form.coefficient_degree != 1:
         return False
-    three_form = wedge(exterior_derivative(form), form)
-    if three_form.is_zero():
-        return False
-    model = radial_contraction(TwistedForm.volume())
-    ref = model.coefficient((1, 2, 3))  # the z0 slot
-    got = three_form.coefficient((1, 2, 3))
-    if got.is_zero():
-        return False
-    ref_den, ref_ints = ref._cleared
-    got_den, got_ints = got._cleared
-    mono = next(iter(ref_ints))
-    coeff = got_ints.get(mono)
-    if coeff is None:
-        return False
-    # (coeff / got_den) / (ref_ints[mono] / ref_den), nonzero
-    return three_form == model.scale(Fraction(coeff * ref_den, got_den * ref_ints[mono]))
+    if all(sum(x[i] * w.get((i,), 0) for i in range(4)) == 0
+           for x in _CONTACT_POINTS for w in [oracles.form_at(form, x)]):
+        return oracles.pfaffian(form) != 0
+    volume = {(0, 1, 2, 3): 1}
+    ratios = set()
+    for x in _CONTACT_POINTS:
+        three = oracles.wedge_at(oracles.derivative_form_at(form, x), oracles.form_at(form, x))
+        model = oracles.contract_at(volume, list(x))
+        if set(three) != set(model):
+            return False
+        ratios |= {three[k] / model[k] for k in model}
+        if len(ratios) > 1:
+            return False
+    return len(ratios) == 1 and 0 not in ratios
 
 
 def _sparse_linear_oneform(rng, projective):
@@ -267,13 +267,13 @@ def _sparse_linear_oneform(rng, projective):
 
 def test_contact_test_by_the_koszul_complex_matches_the_former_test():
     """is_contact_form, d(w) ^ w nonzero and killed by i_R, answers what the
-    former proportionality test answered on 3103 seeded linear 1-forms:
+    definition does, the Pfaffian for a projective form and dw ^ w against
+    i_R(vol) at seeded points for any other, on 3103 seeded linear 1-forms:
     projective draws, dense forms with coefficients bounded by 1, 2 and 4,
     sparse ones, the zero form, the pencil form and the contact form.  A
     contact form is projective, so no dense draw is contact, but most have
-    d(w) ^ w nonzero and not a multiple of i_R(vol), which the former test
-    refused by its scaled comparison.  Both refuse 2- and 3-forms and
-    1-forms with coefficients of degree 2."""
+    d(w) ^ w nonzero and not a multiple of i_R(vol).  Both refuse 2- and
+    3-forms and 1-forms with coefficients of degree 2."""
     rng = Random(47)
     other = [wedge(W1, W2), exterior_derivative(W2), _random_form(rng, 2, 1),
              _random_form(rng, 3, 1), random_projective_oneform(2, rng),
@@ -290,7 +290,7 @@ def test_contact_test_by_the_koszul_complex_matches_the_former_test():
     ]
     inputs = fixed + [form for part in parts for form in part]
     answers = [is_contact_form(form) for form in inputs]
-    assert answers == [_former_is_contact_form(form) for form in inputs]
+    assert answers == [_contact_by_definition(form) for form in inputs]
     assert answers[:len(fixed)] == [False] * (len(other) + 2) + [True]
     outcomes = Counter(
         "contact" if answer else
@@ -342,94 +342,7 @@ def test_random_projective_oneform_is_projective():
 
 
 # ---------------------------------------------------------------------------
-# the former loops, kept verbatim as oracles: each built one intermediate
-# polynomial per product and added it in, dropping zero coefficients as it
-# went
-
-
-def _former_form_add(self: TwistedForm, other: TwistedForm) -> TwistedForm:
-    if self.form_degree != other.form_degree:
-        raise DegreeMismatchError("cannot add forms of different form degree")
-    if self.coefficient_degree != other.coefficient_degree:
-        raise DegreeMismatchError(
-            "cannot add forms with coefficient degrees "
-            f"{self.coefficient_degree} and {other.coefficient_degree}"
-        )
-    res = dict(self.coefficients)
-    for idx, poly in other.coefficients.items():
-        s = res.get(idx)
-        total = poly if s is None else s + poly
-        if total.is_zero():
-            res.pop(idx, None)
-        else:
-            res[idx] = total
-    return TwistedForm(self.form_degree, self.coefficient_degree, res)
-
-
-def _former_wedge(a: TwistedForm, b: TwistedForm) -> TwistedForm:
-    """Exterior product; coefficient degrees add."""
-    q = a.form_degree + b.form_degree
-    if q > NVARS:
-        raise DegreeOverflowError(f"wedge would have form degree {q} > 4")
-    coeff_degree = a.coefficient_degree + b.coefficient_degree
-    res: dict = {}
-    for idx_a, pa in a.coefficients.items():
-        set_a = set(idx_a)
-        for idx_b, pb in b.coefficients.items():
-            if set_a & set(idx_b):
-                continue
-            merged, sign = _merge_sign(idx_a, idx_b)
-            term = (pa * pb).scale(sign)
-            s = res.get(merged)
-            total = term if s is None else s + term
-            if total.is_zero():
-                res.pop(merged, None)
-            else:
-                res[merged] = total
-    return TwistedForm(q, coeff_degree, res)
-
-
-def _former_contract_with_field(form: TwistedForm, field) -> TwistedForm:
-    """Interior product with a polynomial vector field (4-tuple, common degree)."""
-    if form.form_degree < 1:
-        raise WrongFormDegreeError("cannot contract a 0-form")
-    field = tuple(field)
-    degrees = {p.degree for p in field}
-    if len(degrees) != 1:
-        raise DegreeMismatchError("vector field components must share one degree")
-    field_degree = degrees.pop()
-    res: dict = {}
-    for idx, poly in form.coefficients.items():
-        for pos, i in enumerate(idx):
-            if field[i].is_zero():
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            term = (field[i] * poly).scale((-1) ** pos)
-            s = res.get(rest)
-            total = term if s is None else s + term
-            if total.is_zero():
-                res.pop(rest, None)
-            else:
-                res[rest] = total
-    return TwistedForm(form.form_degree - 1, form.coefficient_degree + field_degree, res)
-
-
-def _former_exterior_derivative(form: TwistedForm) -> TwistedForm:
-    """Exterior derivative of a 1-form (all the contact check needs)."""
-    if form.form_degree != 1:
-        raise WrongFormDegreeError("exterior derivative implemented for 1-forms only")
-    result = TwistedForm.zero(2, max(form.coefficient_degree - 1, 0))
-    for (i,), poly in form.coefficients.items():
-        for j in range(NVARS):
-            dp = poly.partial(j)
-            if dp.is_zero():
-                continue
-            term = _former_wedge(
-                TwistedForm(1, dp.degree, {(j,): dp}),
-                TwistedForm.basis_covector(i),
-            )
-            result = _former_form_add(result, term)
-    return result
+# wedge, sum, contraction and exterior derivative at seeded points
 
 
 def _sparse_form(rng, q, coeff_degree):
@@ -443,12 +356,24 @@ def _sparse_form(rng, q, coeff_degree):
     return TwistedForm(q, coeff_degree, coefficients)
 
 
-def _same(new, old):
-    assert new == old and str(new) == str(old)
-    assert (new.form_degree, new.coefficient_degree) == (old.form_degree,
-                                                         old.coefficient_degree)
-    # no coefficient stored is zero, nor any coefficient of one
-    assert all(p and all(p.terms.values()) for p in new.coefficients.values())
+_POINTS = oracles.points(23, 2, 10 ** 4)
+
+
+def _assert_form(form, q, coeff_degree, value):
+    """form is a q-form with coefficients of the given degree, stores no
+    zero coefficient and no coefficient with a zero term, and at each
+    seeded point has the values that value(point) gives."""
+    assert (form.form_degree, form.coefficient_degree) == (q, coeff_degree)
+    assert all(p and all(p.terms.values()) for p in form.coefficients.values())
+    assert all(tuple(idx) == tuple(sorted(set(idx))) for idx in form.coefficients)
+    assert all(oracles.form_at(form, x) == value(x) for x in _POINTS)
+    assert parse_form(str(form)) == form if form.coefficients else str(form) == "0"
+
+
+def _sum_at(a, b):
+    out = Counter(a)
+    out.update(b)
+    return {k: v for k, v in out.items() if v}
 
 
 def test_wedge_and_addition_match_the_former_loops():
@@ -459,13 +384,17 @@ def test_wedge_and_addition_match_the_former_loops():
         q = rng.randint(0, 4 - p)
         a = _sparse_form(rng, p, rng.randint(0, 3))
         b = _sparse_form(rng, q, rng.randint(0, 3))
-        _same(wedge(a, b), _former_wedge(a, b))
+        degree = a.coefficient_degree + b.coefficient_degree
+        _assert_form(wedge(a, b), p + q, degree, lambda x: oracles.wedge_at(
+            oracles.form_at(a, x), oracles.form_at(b, x)))
         if 2 * p <= 4:
-            _same(wedge(a, a), _former_wedge(a, a))
+            _assert_form(wedge(a, a), 2 * p, 2 * a.coefficient_degree, lambda x: oracles.wedge_at(
+                oracles.form_at(a, x), oracles.form_at(a, x)))
             zeros += wedge(a, a).is_zero()
         c = _sparse_form(rng, p, a.coefficient_degree)
-        _same(a + c, _former_form_add(a, c))
-        _same(a + (-a), _former_form_add(a, -a))
+        _assert_form(a + c, p, a.coefficient_degree,
+                     lambda x: _sum_at(oracles.form_at(a, x), oracles.form_at(c, x)))
+        _assert_form(a + (-a), p, a.coefficient_degree, lambda x: {})
         assert (a + (-a)).is_zero()
     assert zeros > 50
 
@@ -476,18 +405,19 @@ def test_contraction_matches_the_former_loop():
         form = _sparse_form(rng, rng.randint(1, 4), rng.randint(0, 3))
         degree = rng.randint(0, 2)
         field = [_sparse_form(rng, 0, degree).coefficient(()) for _ in range(NVARS)]
-        _same(contract_with_field(form, field), _former_contract_with_field(form, field))
-        # contracting twice with one field cancels to zero
         once = contract_with_field(form, field)
+        _assert_form(once, form.form_degree - 1, form.coefficient_degree + degree,
+                     lambda x: oracles.contract_at(oracles.form_at(form, x), [
+                         oracles.evaluate(f, x) for f in field]))
+        # contracting twice with one field cancels to zero
         if once.form_degree:
-            _same(contract_with_field(once, field), _former_contract_with_field(once, field))
-            assert contract_with_field(once, field).is_zero()
+            _assert_form(contract_with_field(once, field), once.form_degree - 1,
+                         once.coefficient_degree + degree, lambda x: {})
 
 
 def test_exterior_derivative_matches_the_former_wedges():
     rng = Random(23)
-    for _ in range(200):
-        form = _sparse_form(rng, 1, rng.randint(0, 4))
-        _same(exterior_derivative(form), _former_exterior_derivative(form))
-    for form in (W1, W2, random_projective_oneform(3, rng)):
-        _same(exterior_derivative(form), _former_exterior_derivative(form))
+    forms = [_sparse_form(rng, 1, rng.randint(0, 4)) for _ in range(200)]
+    for form in forms + [W1, W2, random_projective_oneform(3, rng)]:
+        _assert_form(exterior_derivative(form), 2, max(form.coefficient_degree - 1, 0),
+                     lambda x: oracles.derivative_form_at(form, x))

@@ -3,6 +3,7 @@ namespace, and verify's command line, which reads its suite names and
 default seed only when it needs them."""
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -252,3 +253,27 @@ def test_verify_without_seed_runs_the_default_seed(capsys):
     assert default == outcome(capsys, main, ["verify", "--suite", "formulas", "--json",
                                              "--seed", "0"])
     assert default[0] == 0
+
+
+def test_the_oracles_import_only_the_standard_library_and_the_input_types():
+    """tests/oracles.py imports the standard library and, of folcurves, only
+    the public input types it reads (HomogeneousPolynomial, exponent_tuples,
+    packed_monomials) and linalg.Echelon, and imports nothing at run time,
+    so that no oracle runs the code it checks."""
+    allowed = {("folcurves.polyring", "HomogeneousPolynomial"),
+               ("folcurves.polyring", "exponent_tuples"),
+               ("folcurves.polyring", "packed_monomials"), ("folcurves.linalg", "Echelon")}
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    folcurves_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.partition(".")[0] in sys.stdlib_module_names for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "a relative import"
+            if node.module.partition(".")[0] == "folcurves":
+                folcurves_names |= {(node.module, a.name) for a in node.names}
+            else:
+                assert node.module.partition(".")[0] in sys.stdlib_module_names, node.module
+        elif isinstance(node, ast.Name):
+            assert node.id not in ("__import__", "importlib", "eval", "exec"), node.id
+    assert folcurves_names and folcurves_names <= allowed, folcurves_names - allowed

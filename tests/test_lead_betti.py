@@ -1,7 +1,7 @@
 """The lead ideal's Betti table and the resolution it schedules: the table
-against two resolutions of the monomial ideal in(I) and against the
-legendrian closed form, the scheduled resolution against the former eager
-loop (eager_resolution), and its deferred columns."""
+against the resolution of the monomial ideal in(I) and its Koszul homology,
+and against the legendrian closed form; the scheduled resolution against
+the Betti tables of the oracles, and its deferred columns."""
 
 import json
 from collections import Counter
@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from eager_resolution import eager_resolve
+import oracles
 from folcurves import resolution, verification
 from folcurves.forms import legendrian_sample, parse_form, singular_ideal, wedge
 from folcurves.groebner import GradedIdeal
@@ -29,13 +29,25 @@ def _sets():
     seeds 0 and 1, and 150 draws of verification._random_ideal."""
     pool = json.loads(RAO_POOL.read_text())
     entries = [pool["pencil"]] + pool["degree2_special"] + pool["degree2"] + pool["degree3"]
-    rao = [singular_ideal(wedge(parse_form(e.get("first", CONTACT)), parse_form(e["omega"])))
-           for e in entries]
+    forms = [(parse_form(e.get("first", CONTACT)), parse_form(e["omega"])) for e in entries]
+    rao = [singular_ideal(wedge(a, b)) for a, b in forms]
     legendrian = [legendrian_sample(d, Random(seed)).ideal for d in range(2, 9) for seed in (0, 1)]
     draws = Random(39)
     random = [verification._random_ideal(draws) for _ in range(150)]
     return {name: [ideal.generators for ideal in ideals]
             for name, ideals in (("rao", rao), ("legendrian", legendrian), ("random", random))}
+
+
+@lru_cache(maxsize=None)
+def _conormals():
+    """The conormal twists (a, b), N* = O(-a) + O(-b), of the rao and
+    legendrian sets: one more than the coefficient degrees of the two
+    1-forms wedged."""
+    pool = json.loads(RAO_POOL.read_text())
+    entries = [pool["pencil"]] + pool["degree2_special"] + pool["degree2"] + pool["degree3"]
+    rao = [(parse_form(e.get("first", CONTACT)).coefficient_degree + 1,
+            parse_form(e["omega"]).coefficient_degree + 1) for e in entries]
+    return rao + [(2, d + 1) for d in range(2, 9) for _ in (0, 1)]
 
 
 def _ideals():
@@ -59,8 +71,8 @@ def _k_polynomial(table):
 
 def test_lead_betti_is_the_betti_table_of_the_resolved_lead_ideal():
     """lead_betti(in(I)) is the Betti table of in(I) as the package resolves
-    it, scheduled by that table, and as the former eager loop resolves it,
-    which never reads the table; its K-polynomial is I's Hilbert
+    it, scheduled by that table, and as the Koszul homology of S/in(I) has
+    it, one multidegree at a time; its K-polynomial is I's Hilbert
     numerator."""
     seen = Counter()
     for name, ideal in _ideals():
@@ -68,7 +80,7 @@ def test_lead_betti_is_the_betti_table_of_the_resolved_lead_ideal():
         table = lead_betti(lead)
         mono = [_from_integers(mono_degree(g), 1, {g: 1}) for g in lead]
         assert table == _table(minimal_free_resolution(GradedIdeal(mono))), (name, lead)
-        assert table == _table(eager_resolve(GradedIdeal(mono))), (name, lead)
+        assert dict(table) == oracles.monomial_betti(ideal.lead_ideal()), (name, lead)
         assert _k_polynomial(table) == ideal.hilbert_numerator()
         seen[name] += 1
     assert seen == {"rao": 74, "legendrian": 14, "random": 150}
@@ -91,17 +103,24 @@ def test_legendrian_resolutions_have_the_closed_form_table(d):
 
 
 def test_scheduled_resolution_matches_the_eager_loop():
-    """The same twists and every differential, column for column, as the
-    former loop, which visited every degree up to regularity_bound() + L + 1
-    and built every column at once.  A column whose build was deferred is
-    built on the first read of its layer, and equals the eager one.  Layer
-    2 defers its generator of degree 2d on the legendrian samples of degree
-    d >= 3 and the ten degree-3 draws of the pool, where 2d lies past layer
-    1's stop, d + 2."""
+    """The twists are the Betti numbers of S/I: for the legendrian samples
+    and the certified wedges of the pool, split_betti's, else the Koszul
+    homology's.  The bound is the last degree of the table that scheduled
+    the resolution.  A column whose build was deferred is built on the
+    first read of its layer, and the resolution read in full composes to
+    zero and is minimal.  Layer 2 defers its generator of degree 2d on the
+    legendrian samples of degree d >= 3 and the ten degree-3 draws of the
+    pool, where 2d lies past layer 1's stop, d + 2."""
     deferred = Counter()
+    conormals = iter(_conormals())
     for name, ideal in _ideals():
-        res, eager = minimal_free_resolution(ideal), eager_resolve(ideal)
-        assert res.twists == eager.twists, name
+        res = minimal_free_resolution(ideal)
+        if name == "random":
+            got = _table(res)
+            assert dict(got) == oracles.betti(ideal.generators, max(j for (_, j), _ in got) + 1)
+        else:
+            a, b = next(conormals)
+            assert dict(_table(res)) == oracles.split_betti(a + b - 3, a, b), name
         # the last degree of the table that scheduled it: the lead ideal's,
         # or for a complete intersection the Koszul complex's, the top twist
         last = max(e for _, e in dict(lead_betti(ideal._packed_lead())))
@@ -109,27 +128,30 @@ def test_scheduled_resolution_matches_the_eager_loop():
                              else -res.twists[-1][0]), name
         for layer in res.differentials.deferred:  # the unbuilt columns hold None
             deferred[name] += list.__getitem__(res.differentials, layer).count(None)
-        assert [res.differentials[i] for i in range(res.length())] == eager.differentials, name
-        assert not res.differentials.deferred and None not in sum(eager.differentials, [])
+        read = [res.differentials[i] for i in range(res.length())]
+        assert not res.differentials.deferred and None not in sum(read, [])
+        assert res.composition_ok() and res.is_minimal()
     assert deferred["legendrian"] == 12 and deferred["rao"] == 10, deferred
 
 
 def test_differentials_read_as_a_list():
     """Slices, iteration, equality and repr read the deferred columns too,
-    and each is built once."""
+    and each is built once: as a resolution read column by column has
+    them."""
     ideal = legendrian_sample(4, Random(0)).ideal
-    eager = eager_resolve(ideal)
+    full = minimal_free_resolution(GradedIdeal(ideal.generators))
+    built = [full.differentials[i] for i in range(full.length())]
     res = minimal_free_resolution(ideal)
     assert res.differentials.deferred
-    assert res.differentials[1:] == eager.differentials[1:]
+    assert res.differentials[1:] == built[1:]
     assert not res.differentials.deferred
-    for read in (list, repr, lambda d: d == eager.differentials):
+    for read in (list, repr, lambda d: d == built):
         res = minimal_free_resolution(GradedIdeal(ideal.generators))
         assert res.differentials.deferred
         read(res.differentials)
         assert not res.differentials.deferred
-        assert list(res.differentials) == eager.differentials
-    assert res == type(res)(eager.twists, eager.differentials, res.bound)
+        assert list(res.differentials) == built
+    assert res == type(res)(full.twists, built, res.bound)
 
 
 def test_the_rao_walk_builds_no_deferred_column(monkeypatch):

@@ -1,6 +1,7 @@
 """Monad Chern data and the regularity bound."""
 
-from fractions import Fraction
+from itertools import combinations
+from math import prod
 from random import Random
 
 import pytest
@@ -112,66 +113,22 @@ def test_twist_lists_must_be_lists_of_integers():
     assert MonadSpec.from_twists([1], (0, 0, 0, 0), [-1]) == MonadSpec((1,), (0, 0, 0, 0), (-1,))
 
 
-# The former Chern data of line-bundle sums and monads, in Fractions, kept
-# verbatim as the oracle of the integer series: the triple loops of
-# SheafSymbol.line_sum, and monad.py's _chern_series, _series_divide and
-# monad_chern with its integrality check, whose error class is gone.
+# Chern data by definition: c_k of a sum of line bundles O(a_i) is the
+# k-th elementary symmetric function of the twists, and the middle
+# cohomology E of a monad A -> B -> C has c(A) c(E) c(C) = c(B), truncated
+# past c_3.
 
 
-class _NonIntegralChernError(Exception):
-    pass
+def _elementary(twists) -> list:
+    """[1, e_1, e_2, e_3] of the twists, each a sum over the k-sets of them."""
+    return [sum(prod(chosen) for chosen in combinations(twists, k)) for k in range(4)]
 
 
-def _former_line_sum(twists) -> SheafSymbol:
-    twists = tuple(twists)
-    c1 = sum(twists)
-    c2 = sum(twists[i] * twists[j] for i in range(len(twists))
-             for j in range(i + 1, len(twists)))
-    c3 = 0
-    if len(twists) >= 3:
-        for i in range(len(twists)):
-            for j in range(i + 1, len(twists)):
-                for k in range(j + 1, len(twists)):
-                    c3 += twists[i] * twists[j] * twists[k]
-    return SheafSymbol(len(twists), ChernTriple(c1, c2, c3), "line_sum", twists)
-
-
-def _former_chern_series(twists):
-    """Total Chern polynomial of (+) O(a), truncated at degree 3."""
-    coeffs = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    for a in twists:
-        nxt = list(coeffs)
-        for k in range(1, 4):
-            nxt[k] = coeffs[k] + a * coeffs[k - 1]
-        coeffs = nxt
-    return coeffs
-
-
-def _former_series_divide(num, den):
-    """num / den as truncated power series (den has constant term 1)."""
-    out = [Fraction(0)] * 4
-    for k in range(4):
-        acc = num[k]
-        for j in range(1, k + 1):
-            acc -= den[j] * out[k - j]
-        out[k] = acc / den[0]
+def _truncated_product(*series) -> list:
+    out = [1, 0, 0, 0]
+    for factor in series:
+        out = [sum(out[i] * factor[k - i] for i in range(k + 1)) for k in range(4)]
     return out
-
-
-def _former_monad_chern(spec: MonadSpec):
-    """(rank, c1, c2, c3) of the monad's middle cohomology."""
-    rank = spec.cohomology_rank()
-    if rank < 1:
-        raise InvalidProfileError(f"cohomology rank {rank} is not positive")
-    num = _former_chern_series(spec.middle)
-    den_product = _former_chern_series(tuple(spec.left) + tuple(spec.right))
-    total = _former_series_divide(num, den_product)
-    values = []
-    for c in total[1:]:
-        if c.denominator != 1:
-            raise _NonIntegralChernError(f"non-integral Chern coefficient {c}")
-        values.append(int(c))
-    return (rank, values[0], values[1], values[2])
 
 
 def _twist_lists(rng, count):
@@ -184,15 +141,18 @@ def _twist_lists(rng, count):
 def test_chern_series_and_line_sums_match_the_former_fraction_code():
     for twists in _twist_lists(Random(49), 300):
         series = chern_series(twists)
-        assert series == _former_chern_series(twists)
+        assert series == _elementary(twists)
         assert all(type(c) is int for c in series)
         symbol = SheafSymbol.line_sum(twists)
-        assert symbol == _former_line_sum(twists)
+        assert symbol == SheafSymbol(len(twists), ChernTriple(*series[1:]), "line_sum",
+                                     tuple(twists))
         assert all(type(c) is int for c in (symbol.chern.c1, symbol.chern.c2, symbol.chern.c3))
-    assert SheafSymbol.line_sum(iter([2, -1, 3])) == _former_line_sum([2, -1, 3])
+    assert SheafSymbol.line_sum(iter([2, -1, 3])) == SheafSymbol.line_sum([2, -1, 3])
 
 
 def test_monad_chern_matches_the_former_fraction_code():
+    """(rank, c1, c2, c3) with c(A) c(E) c(C) = c(B) through c_3 and the
+    rank of B less those of A and C; a rank below 1 is refused."""
     rng = Random(50)
     specs = [*mismatched_charge6_monads(), *(instanton_monad(n) for n in range(1, 7)),
              MonadSpec.from_twists((), (-1, 0), ()), MonadSpec.from_twists((), (), ()),
@@ -203,13 +163,15 @@ def test_monad_chern_matches_the_former_fraction_code():
         specs.append(MonadSpec.from_twists(left, middle, right))
     ranks = set()
     for spec in specs:
-        try:
-            expected = _former_monad_chern(spec)
-        except InvalidProfileError as exc:
-            with pytest.raises(InvalidProfileError, match=f"^{exc}$"):
+        rank = len(spec.middle) - len(spec.left) - len(spec.right)
+        if rank < 1:
+            with pytest.raises(InvalidProfileError,
+                               match=f"^cohomology rank {rank} is not positive$"):
                 monad_chern(spec)
             continue
         got = monad_chern(spec)
-        assert got == expected and type(got) is tuple and all(type(c) is int for c in got)
-        ranks.add(got[0])
+        assert type(got) is tuple and all(type(c) is int for c in got) and got[0] == rank
+        assert _truncated_product(_elementary(spec.left), [1, *got[1:]],
+                                  _elementary(spec.right)) == _elementary(spec.middle)
+        ranks.add(rank)
     assert len(ranks) > 5

@@ -3,9 +3,10 @@
 import json
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from pathlib import Path
 from random import Random
 
@@ -19,9 +20,9 @@ from folcurves.errors import (
     ParseError,
     ResourceLimitError,
 )
-from folcurves.forms import TwistedForm, random_polynomial, wedge
+from folcurves.forms import TwistedForm, random_polynomial
 from folcurves.linalg import Echelon, kernel_of_columns, sparse_first
-from folcurves.parsing import _ALIASES, _FORM_ATOMS, _check_terms, _tokenize, parse_value
+from folcurves.parsing import parse_value
 from folcurves.polyring import (
     MAX_DEGREE,
     HomogeneousPolynomial,
@@ -34,8 +35,7 @@ from folcurves.polyring import (
     parse_polynomial,
     sum_of_products,
 )
-from tuple_monomials import ONE_MONO, degrevlex_key, mono_degree, mono_mul, mono_str
-from tuple_monomials import monomials_of_degree as former_monomials_of_degree
+import oracles
 
 
 def test_parse_cancellation_keeps_degree_tag():
@@ -128,7 +128,7 @@ def test_graded_piece_dimension():
 
 
 def test_degrevlex_listing_degree_two():
-    listed = [mono_str(m) for m in exponent_tuples(packed_monomials(2))]
+    listed = [polyring.mono_str(m) for m in packed_monomials(2)]
     assert listed == ["z0^2", "z0*z1", "z1^2", "z0*z2", "z1*z2", "z2^2",
                       "z0*z3", "z1*z3", "z2*z3", "z3^2"]
 
@@ -169,34 +169,6 @@ def test_product_degree_commutativity_distributivity():
         assert cancelled.is_zero() and cancelled.degree == f.degree + g.degree
 
 
-def _former_sum_of_products(pairs) -> HomogeneousPolynomial:
-    """The polynomial sum of sign*a*b over the (sign, a, b) triples in pairs.
-
-    pairs must be non-empty, and every product a*b must have one degree.
-    All products accumulate into one dict, so a sum of many products builds
-    no intermediate polynomials; zero coefficients are dropped once, at the
-    end.
-    """
-    acc: dict = {}
-    degree = None
-    for sign, a, b in pairs:
-        if degree is None:
-            degree = a.degree + b.degree
-        elif a.degree + b.degree != degree:
-            raise DegreeMismatchError(
-                f"cannot add degree {degree} and degree {a.degree + b.degree}"
-            )
-        b_terms = b.terms.items()
-        for m1, c1 in a.terms.items():
-            c1 = sign * c1
-            for m2, c2 in b_terms:
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                acc[m] = acc.get(m, 0) + c1 * c2
-    if degree is None:
-        raise ValueError("an empty sum of products has no degree")
-    return HomogeneousPolynomial(degree, {m: c for m, c in acc.items() if c})
-
-
 _MIXED = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), Fraction(7, 12), Fraction(-3, 4),
           Fraction(9, 5), 1, -1, 2, -7]
 
@@ -209,6 +181,38 @@ def _random_rational_poly(rng, degree):
     chosen = rng.sample(monos, rng.randint(1, min(6, len(monos))))
     return HomogeneousPolynomial(degree,
                                  {m: rng.choice(_MIXED) * rng.randint(1, 3) for m in chosen})
+
+
+_POINTS = oracles.points(19, 2, 10 ** 4)
+
+
+def _assert_canonical(p):
+    """p holds its terms in the canonical cleared form: Fractions read back
+    from ints over the lcm of their denominators, that lcm and the ints
+    coprime, in the order of the ints; its string parses
+    back to it, its lead is the degrevlex largest term, and it equals and
+    hashes as the polynomial built again from its terms."""
+    den, ints = p._cleared
+    terms = p.terms
+    assert all(type(c) is Fraction and c for c in terms.values())
+    assert den == lcm(*(c.denominator for c in terms.values())) and gcd(den, *ints.values()) == 1
+    assert [_unpack(m) for m in ints] == list(terms)
+    assert parse_polynomial(str(p)) == p if terms else str(p) == "0"
+    if terms:
+        lead = oracles.lead_of(terms)
+        assert p.lead_monomial() == lead and p.lead_coefficient() == terms[lead]
+    rebuilt = HomogeneousPolynomial(p.degree, terms)
+    assert p == rebuilt and rebuilt == p and hash(p) == hash(rebuilt)
+
+
+def _assert_value(p, degree, value, canonical=True):
+    """p is of the given degree and, if canonical, in the canonical form,
+    and at each seeded point, or the first when not canonical, has the value
+    that value(point) gives."""
+    if canonical:
+        _assert_canonical(p)
+    assert p.degree == degree
+    assert all(oracles.evaluate(p, x) == value(x) for x in _POINTS[:2 if canonical else 1])
 
 
 def test_sum_of_products_matches_the_former_fraction_kernel():
@@ -225,10 +229,9 @@ def test_sum_of_products_matches_the_former_fraction_kernel():
             # cancel some triples: negated sign, or the factors swapped
             for sign, a, b in list(pairs):
                 pairs.append((-sign, b, a) if rng.random() < 0.5 else (-sign, a, b))
-        new, old = sum_of_products(pairs), _former_sum_of_products(pairs)
-        assert new == old and new.degree == old.degree
-        assert list(new.terms.items()) == list(old.terms.items())
-        assert all(type(c) is Fraction for c in new.terms.values())
+        new = sum_of_products(pairs)
+        _assert_value(new, total, lambda x: sum(
+            sign * oracles.evaluate(a, x) * oracles.evaluate(b, x) for sign, a, b in pairs))
         seen.add((len(pairs) == 1, new.is_zero(), total == 0,
                   any(c.denominator > 1 for c in new.terms.values())))
     # one-pair products, sums cancelling to zero, constants and results with
@@ -268,105 +271,10 @@ def test_sum_of_products_clears_each_factor_once(monkeypatch):
     triples = [[(1, f, g), (-1, g, f), (2, f, g)] for f in fs for g in fs]
     sums = [sum_of_products(t) for t in triples]
     assert len(calls) == built
-    assert sums == [_former_sum_of_products(t) for t in triples]
+    for total, triple in zip(sums, triples):
+        _assert_value(total, triple[0][1].degree + triple[0][2].degree, lambda x: sum(
+            sign * oracles.evaluate(a, x) * oracles.evaluate(b, x) for sign, a, b in triple))
     assert all(f._cleared == _packed(real(f.terms)) for f in fs)
-
-
-# ---------------------------------------------------------------------------
-# the cleared integer form against the former Fraction methods of
-# HomogeneousPolynomial, copied verbatim as module functions; only the calls
-# between them are renamed (is_zero and sorted_terms inlined), and the
-# removed _raw is the constructor, so that no oracle runs the new arithmetic
-
-
-def _fraction_add(self, other):
-    if self.degree != other.degree:
-        raise DegreeMismatchError(
-            f"cannot add degree {self.degree} and degree {other.degree}"
-        )
-    acc = dict(self.terms)
-    for m, c in other.terms.items():
-        acc[m] = acc.get(m, 0) + c
-    return HomogeneousPolynomial(self.degree, {m: c for m, c in acc.items() if c})
-
-
-def _fraction_sub(self, other):
-    return _fraction_add(self, _fraction_neg(other))
-
-
-def _fraction_neg(self):
-    return HomogeneousPolynomial(
-        self.degree, {m: -c for m, c in self.terms.items()})
-
-
-def _fraction_scale(self, c):
-    c = Fraction(c)
-    return HomogeneousPolynomial(
-        self.degree, {m: v * c for m, v in self.terms.items()} if c else {})
-
-
-def _fraction_multiply_monomial(self, mono, coeff=1):
-    coeff = Fraction(coeff)
-    terms = {mono_mul(m, mono): c * coeff for m, c in self.terms.items()} if coeff else {}
-    return HomogeneousPolynomial(self.degree + mono_degree(mono), terms)
-
-
-def _fraction_lead_monomial(self):
-    if not self.terms:
-        raise ValueError("zero polynomial has no lead monomial")
-    return max(self.terms, key=degrevlex_key)
-
-
-def _fraction_lead_coefficient(self):
-    return self.terms[_fraction_lead_monomial(self)]
-
-
-def _fraction_monic(self):
-    if not self.terms:
-        return self
-    return _fraction_scale(self, 1 / _fraction_lead_coefficient(self))
-
-
-def _fraction_partial(self, i):
-    """Partial derivative with respect to z_i."""
-    deg = max(self.degree - 1, 0)
-    res = {}
-    for m, c in self.terms.items():
-        if m[i] == 0:
-            continue
-        d = list(m)
-        d[i] -= 1
-        res[tuple(d)] = c * m[i]
-    return HomogeneousPolynomial(deg, res)
-
-
-def _fraction_eq(self, other):
-    if not isinstance(other, HomogeneousPolynomial):
-        return NotImplemented
-    if not self.terms and not other.terms:
-        return self.degree == other.degree
-    return self.degree == other.degree and self.terms == other.terms
-
-
-def _fraction_str(self):
-    if not self.terms:
-        return "0"
-    parts = []
-    for m, c in sorted(self.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True):
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        if m == ONE_MONO:
-            body = str(c)
-        elif c == 1:
-            body = mono_str(m)
-        else:
-            body = f"{c}*{mono_str(m)}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
 
 
 def _as_fractions(p):
@@ -387,26 +295,6 @@ def _as_cleared(p):
     return polyring._from_integers(p.degree, den, ints)
 
 
-def _assert_same(new, old):
-    """new, a fresh result of the integer code, is old, the oracle's result:
-    canonical cleared form, str, lead coefficient, terms in the same order
-    as Fractions, equality both ways and across forms, and the hash."""
-    assert new.degree == old.degree
-    (den, ints), (old_den, old_ints) = new._cleared, _packed(integer_terms(old.terms))
-    assert den == old_den and list(ints.items()) == list(old_ints.items())
-    assert str(new) == _fraction_str(old)
-    assert bool(new) == bool(old.terms) and new.is_zero() == (not old.terms)
-    if old.terms:
-        lead = new.lead_coefficient()
-        assert type(lead) is Fraction and lead == _fraction_lead_coefficient(old)
-        assert new.lead_monomial() == _fraction_lead_monomial(old)
-    assert new == _as_cleared(old) and _as_cleared(old) == new  # both cleared
-    assert list(new.terms.items()) == list(old.terms.items())
-    assert all(type(c) is Fraction for c in new.terms.values())
-    assert new == old and old == new and new == _as_fractions(old)
-    assert hash(new) == hash(old) == hash(_as_fractions(old)) == hash(_as_cleared(old))
-
-
 def _operands(rng, count):
     """(degree, rational draws, integral draws) for the differential tests."""
     for _ in range(count):
@@ -415,38 +303,54 @@ def _operands(rng, count):
             _random_poly(rng, degree) for _ in range(2)]
 
 
+def _monomial_at(mono, x):
+    return prod(v ** e for v, e in zip(x, mono))
+
+
 def test_cleared_arithmetic_matches_the_former_fraction_methods():
+    """Negation, scaling, monomial multiples, partial derivatives, monic
+    forms, sums and differences of polynomials built from Fractions and
+    from the cleared form: each result canonical and, at seeded points, the
+    value of its definition; equality is equality of degree and terms."""
     rng = Random(41)
     scalars = [0, 1, -1, 3, -6, Fraction(1, 2), Fraction(-2, 3), Fraction(9, 4), "5/6", 0.5]
     seen = set()
     for degree, rational, integral in _operands(rng, 40):
         inputs = rational + integral
         for p in inputs:
+            def at(x, p=p):
+                return oracles.evaluate(p, x)
+
+            lead = p.terms[oracles.lead_of(p.terms)] if p else 1
             for form in (_as_fractions(p), _as_cleared(p)):
-                _assert_same(-form, _fraction_neg(p))
+                _assert_value(-form, degree, lambda x: -at(x))
                 c = rng.choice(scalars)
-                _assert_same(form.scale(c), _fraction_scale(p, c))
-                _assert_same(form * c, _fraction_scale(p, c))
+                _assert_value(form.scale(c), degree, lambda x: Fraction(c) * at(x))
+                _assert_value(form * c, degree, lambda x: Fraction(c) * at(x))
                 mono = rng.choice(exponent_tuples(packed_monomials(rng.randint(0, 2))))
                 c = rng.choice(scalars)
-                _assert_same(form.multiply_monomial(mono, c),
-                             _fraction_multiply_monomial(p, mono, c))
-                _assert_same(form.multiply_monomial(mono), _fraction_multiply_monomial(p, mono))
+                _assert_value(form.multiply_monomial(mono, c), degree + sum(mono),
+                              lambda x: Fraction(c) * _monomial_at(mono, x) * at(x))
+                _assert_value(form.multiply_monomial(mono), degree + sum(mono),
+                              lambda x: _monomial_at(mono, x) * at(x))
                 i = rng.randrange(4)
-                _assert_same(form.partial(i), _fraction_partial(p, i))
-                _assert_same(form.monic(), _fraction_monic(p))
+                _assert_value(form.partial(i), max(degree - 1, 0),
+                              lambda x: oracles.derivative_at(p, i, x))
+                _assert_value(form.monic(), degree, lambda x: at(x) / lead)
                 seen.add((bool(p), p._cleared[0] > 1))
         for p in inputs:
             for q in inputs:
                 for a, b in ((_as_fractions(p), _as_cleared(q)), (_as_cleared(p), _as_cleared(q)),
                              (_as_fractions(p), _as_fractions(q))):
-                    _assert_same(a + b, _fraction_add(p, q))
-                    _assert_same(a - b, _fraction_sub(p, q))
-                    assert (a == b) is _fraction_eq(p, q) is (b == a)
-                    assert (a != b) is (not _fraction_eq(p, q))
+                    _assert_value(a + b, degree,
+                                  lambda x: oracles.evaluate(p, x) + oracles.evaluate(q, x))
+                    _assert_value(a - b, degree,
+                                  lambda x: oracles.evaluate(p, x) - oracles.evaluate(q, x))
+                    assert (a == b) is (p.terms == q.terms) is (b == a)
+                    assert (a != b) is (p.terms != q.terms)
         # sums that cancel, and zeros of another degree
         p = rational[0]
-        _assert_same(p - _as_cleared(p), _fraction_sub(p, p))
+        _assert_value(p - _as_cleared(p), degree, lambda x: 0)
         assert _as_cleared(p) + (-p) == HomogeneousPolynomial.zero(degree)
         assert HomogeneousPolynomial.zero(degree) != _as_cleared(HomogeneousPolynomial.zero(degree + 1))
     # zero and nonzero inputs, with and without denominators, all occurred
@@ -637,57 +541,35 @@ def test_dependent_square_has_rank_two():
     assert len(kernel_of_columns(_columns(rows))) == 1
 
 
-def _fraction_kernel_of_columns(columns, normalize: bool = True):
-    """Right-kernel basis of the matrix whose j-th column is columns[j].
-
-    Columns are sparse vectors over row indices.  Kernel vectors are sparse
-    over column indices and come out in a canonical order (one per dependent
-    column, in column order).
-    """
-    # Pivot rows are not back-substituted, but each stored row only involves
-    # coordinates that become pivots later (if at all), so one reduction pass
-    # in insertion order is complete.
-    pivots: dict = {}  # row index -> (value row, combination row), insertion order
-    kernel = []
-    for j, col in enumerate(columns):
-        v = dict(col)
-        combo = {j: Fraction(1)}
-        for p, (pv, pc) in pivots.items():
-            f = v.get(p)
-            if not f:
-                continue
-            for c, rc in pv.items():
-                s = v.get(c, 0) - f * rc
-                if s:
-                    v[c] = s
-                else:
-                    v.pop(c, None)
-            for c, rc in pc.items():
-                s = combo.get(c, 0) - f * rc
-                if s:
-                    combo[c] = s
-                else:
-                    combo.pop(c, None)
-        if v:
-            p = min(v)
-            inv = 1 / v[p]
-            pivots[p] = ({c: x * inv for c, x in v.items()},
-                         {c: x * inv for c, x in combo.items()})
-        else:
-            if normalize:
-                lead = combo[min(combo)]
-                combo = {c: x / lead for c, x in combo.items()}
-            kernel.append(combo)
-    return kernel
+def _assert_canonical_kernel(columns, kernel):
+    """kernel is kernel_of_columns' answer for the sparse columns of ints or
+    Fractions: one vector per dependent column j, in column order, the
+    unique one that lies on j and the independent columns before it, maps
+    to zero and is 1 at its first column, given as a primitive (den, ints)
+    with den > 0 and ascending keys.  Independence is read off textbook Fraction ranks."""
+    ncols = len(columns)
+    nrows = 1 + max((max(col) for col in columns if col), default=-1)
+    rows = [[col.get(i, 0) for col in columns] for i in range(nrows)]
+    ranks = [oracles.fraction_rank([row[:k] for row in rows]) if nrows else 0
+             for k in range(ncols + 1)]
+    dependent = [j for j in range(ncols) if ranks[j + 1] == ranks[j]]
+    assert [max(ints) for _, ints in kernel] == dependent
+    for (den, ints), j in zip(kernel, dependent):
+        assert type(den) is int and den > 0 and ints[min(ints)] == den
+        assert all(type(x) is int for x in ints.values()) and gcd(den, *ints.values()) == 1
+        assert list(ints) == sorted(ints)
+        assert all(k == j or k not in dependent for k in ints)
+        for i in range(nrows):
+            assert sum(Fraction(columns[k].get(i, 0)) * x for k, x in ints.items()) == 0
 
 
 def test_integer_engine_matches_the_fraction_engine():
-    """Kernels equal those of the former Fraction elimination (kept above as
-    the oracle) and ranks equal Bareiss ranks, on sparse rational matrices."""
-    from math import lcm
-
+    """On sparse rational matrices cleared under one denominator, which
+    keeps the kernel, kernel_of_columns gives the canonical kernel, and
+    Echelon and the oracles' Span give the Bareiss and the textbook Fraction
+    ranks."""
     rng = Random(2024)
-    assert kernel_of_columns([]) == _fraction_kernel_of_columns([]) == []
+    assert kernel_of_columns([]) == []
     for _ in range(150):
         nrows, ncols = rng.randint(0, 7), rng.randint(1, 11)
         density = rng.choice((0.2, 0.4, 0.7))
@@ -701,18 +583,13 @@ def test_integer_engine_matches_the_fraction_engine():
             for row in rows:
                 row[j] = 0
         columns = _columns(rows, ncols)
-        # the integer engine takes the matrix cleared under one denominator,
-        # which keeps its kernel; the oracle takes its Fraction entries
         den = lcm(*(Fraction(x).denominator for row in rows for x in row))
         cleared = _columns([[int(x * den) for x in row] for row in rows], ncols)
         kernel = kernel_of_columns(cleared)
-        exact = [{i: Fraction(x) for i, x in col.items()} for col in columns]
-        assert [{i: Fraction(x, d) for i, x in vec.items()} for d, vec in kernel] == (
-            _fraction_kernel_of_columns(exact))
-        assert all(type(d) is int and d > 0 and type(x) is int
-                   for d, vec in kernel for x in vec.values())
+        _assert_canonical_kernel(columns, kernel)
         rank = _bareiss_rank([[int(x * den) for x in row] for row in rows])
-        assert _rank(columns) == rank == ncols - len(kernel)
+        assert _rank(columns) == rank == ncols - len(kernel) == oracles.rank(columns)
+        assert rank == (oracles.fraction_rank(rows) if rows else 0)
         ech = Echelon()
         for k, col in enumerate(cleared):
             before = ech.rank
@@ -722,7 +599,7 @@ def test_integer_engine_matches_the_fraction_engine():
 def test_integer_vectors_are_copied_without_a_denominator_pass():
     """Echelon.insert and kernel_of_columns copy the caller's integer
     vectors, reduce the copies in place and leave the vectors as they were;
-    they agree with the same vectors given to the Fraction oracle.  linalg
+    the kernel is the canonical one by textbook Fraction ranks.  linalg
     has nothing to clear denominators or build Fractions with."""
     assert not {"Fraction", "integer_terms", "lcm"} & set(vars(linalg))
     rng = Random(29)
@@ -734,9 +611,7 @@ def test_integer_vectors_are_copied_without_a_denominator_pass():
         pivots = [ech.insert(v) for v in vectors]
         kernel = kernel_of_columns(vectors)
         assert vectors == copies
-        exact = [{i: Fraction(x) for i, x in v.items()} for v in vectors]
-        assert [{i: Fraction(x, d) for i, x in vec.items()} for d, vec in kernel] == (
-            _fraction_kernel_of_columns(exact))
+        _assert_canonical_kernel(vectors, kernel)
         assert [p is not None for p in pivots] == [
             _rank(vectors[:k + 1]) > _rank(vectors[:k]) for k in range(len(vectors))]
 
@@ -820,7 +695,7 @@ def test_partial_derivative():
 
 def test_monomial_order_is_total():
     monos = exponent_tuples(packed_monomials(3))
-    keys = [degrevlex_key(m) for m in monos]
+    keys = [(sum(m), -m[3], -m[2], -m[1], -m[0]) for m in monos]
     assert len(set(keys)) == len(keys)
     assert keys == sorted(keys, reverse=True)
     assert list(packed_monomials(3)) == sorted(packed_monomials(3))
@@ -863,308 +738,60 @@ def test_malformed_monomials_and_degrees_over_the_cap_are_refused():
 
 
 # ---------------------------------------------------------------------------
-# the packed monomials against the former tuple forms: polyring's
-# monomials_of_degree (tuple_monomials), and sum_of_products,
-# multiply_monomial, partial, __str__ and lead_monomial as they were on
-# exponent-tuple keys, verbatim as functions of a stand-in that holds the
-# tuple-keyed cleared form, with the stand-in for _wrap
+# the packed monomials: their order, and arithmetic in every degree 0..12
 
 
-class _TuplePoly:
-    """degree and the cleared form (den, ints) keyed by exponent tuple."""
-
-    __slots__ = ("degree", "_cleared")
-
-    def __init__(self, degree, den, ints):
-        self.degree, self._cleared = degree, (den, ints)
-
-
-_wrap = _TuplePoly
-
-
-def _tuple_from_integers(degree: int, den: int, ints: dict):
-    if den != 1:
-        if den < 0:
-            den, ints = -den, {m: -c for m, c in ints.items()}
-        g = polyring._gcd_with(den, ints.values())
-        if g != 1:
-            den //= g
-            ints = {m: c // g for m, c in ints.items()}
-    return _wrap(degree, den, ints)
-
-
-def _tuple_sum_of_products(pairs):
-    acc: dict = {}
-    den = 1  # acc holds the result times den
-    degree = None
-    for sign, a, b in pairs:
-        if degree is None:
-            degree = a.degree + b.degree
-        elif a.degree + b.degree != degree:
-            raise DegreeMismatchError(
-                f"cannot add degree {degree} and degree {a.degree + b.degree}"
-            )
-        da, a_terms = a._cleared
-        db, b_terms = b._cleared
-        d = da * db
-        if den % d:  # the common denominator grows: rescale what is summed so far
-            grown = lcm(den, d)
-            s = grown // den
-            for m in acc:
-                acc[m] *= s
-            den = grown
-        scale = sign * (den // d)
-        b_terms = b_terms.items()
-        for m1, c1 in a_terms.items():
-            c1 *= scale
-            for m2, c2 in b_terms:
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                acc[m] = acc.get(m, 0) + c1 * c2
-    if degree is None:
-        raise ValueError("an empty sum of products has no degree")
-    return _tuple_from_integers(degree, den, {m: c for m, c in acc.items() if c})
-
-
-def _tuple_multiply_monomial(self, mono, coeff=1):
-    num, q = polyring._ratio(coeff)
-    degree = self.degree + mono_degree(mono)
-    if not num:
-        return _wrap(degree, 1, {})
-    den, ints = self._cleared
-    d, f, g = polyring._scaling(den, ints, num, q)
-    e0, e1, e2, e3 = mono
-    return _wrap(degree, d, {(m[0] + e0, m[1] + e1, m[2] + e2, m[3] + e3): c // g * f
-                             for m, c in ints.items()})
-
-
-def _tuple_partial(self, i):
-    den, ints = self._cleared
-    res = {}
-    for m, c in ints.items():
-        e = m[i]
-        if e:
-            d = list(m)
-            d[i] -= 1
-            res[tuple(d)] = c * e
-    return _tuple_from_integers(max(self.degree - 1, 0), den, res)
-
-
-def _tuple_str(self):
-    den, ints = self._cleared
-    parts = []
-    for m, c in sorted(ints.items(), key=lambda t: degrevlex_key(t[0]), reverse=True):
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        g = gcd(c, den)  # |c|/den in lowest terms, as str(Fraction) writes it
-        coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
-        if m == ONE_MONO:
-            body = coeff
-        elif c == den:
-            body = mono_str(m)
-        else:
-            body = f"{coeff}*{mono_str(m)}"
-        parts.append((sign, body))
-    return polyring._signed_sum(parts)
-
-
-def _tuple_lead_monomial(self):
-    ints = self._cleared[1]
-    if not ints:
-        raise ValueError("zero polynomial has no lead monomial")
-    return max(ints, key=degrevlex_key)
-
-
-def _tuple_draw(rng, degree):
-    """(packed polynomial, tuple stand-in) of one seeded draw: sparse, mixed
-    denominators, zero about one time in eight."""
-    monos = former_monomials_of_degree(degree)
+def _draw(rng, degree):
+    """A seeded sparse polynomial with mixed denominators, zero about one
+    time in eight."""
+    monos = exponent_tuples(packed_monomials(degree))
     chosen = [] if rng.random() < 1 / 8 else rng.sample(monos, rng.randint(1, min(8, len(monos))))
-    coeffs = {m: rng.choice(_MIXED) * rng.randint(1, 3) for m in chosen}
-    den, ints = integer_terms(coeffs)
-    return HomogeneousPolynomial(degree, coeffs), _TuplePoly(degree, den, ints)
-
-
-def _assert_same_layout(new, old):
-    """new, a packed polynomial, holds old's cleared form, keys unpacked, in
-    the same order."""
-    den, ints = new._cleared
-    assert (new.degree, den) == (old.degree, old._cleared[0])
-    assert [(_unpack(m), c) for m, c in ints.items()] == list(old._cleared[1].items())
+    return HomogeneousPolynomial(degree,
+                                 {m: rng.choice(_MIXED) * rng.randint(1, 3) for m in chosen})
 
 
 def test_packed_arithmetic_matches_the_former_tuple_forms():
+    """packed_monomials(k) lists the exponent tuples of degree k in
+    descending degrevlex; sums of products, monomial multiples and partial
+    derivatives in every degree 0..12 are canonical and have the values of
+    their definitions at seeded points (test_cleared_arithmetic_matches_the_former_fraction_methods
+    checks their canonical form)."""
     for k in range(13):
-        former = former_monomials_of_degree(k)
-        assert tuple(exponent_tuples(packed_monomials(k))) == former
-        assert packed_monomials(k) == tuple(_pack(m) for m in former)
+        monos = exponent_tuples(packed_monomials(k))
+        assert monos == sorted(oracles.monomials(k), key=lambda m: (-m[3], -m[2], -m[1]),
+                               reverse=True)
+        assert len(monos) == comb(k + 3, 3) and packed_monomials(k) == tuple(map(_pack, monos))
     rng = Random(47)
     units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     seen = set()
     for case in range(300):
         total = case % 13
-        triples, stand_ins = [], []
+        triples = []
         for _ in range(rng.randint(1, 4)):
             da = rng.randint(0, total)
-            (a, ta), (b, tb) = _tuple_draw(rng, da), _tuple_draw(rng, total - da)
-            sign = rng.choice((1, -1, 2))
-            triples.append((sign, a, b))
-            stand_ins.append((sign, ta, tb))
-        new, old = sum_of_products(triples), _tuple_sum_of_products(stand_ins)
-        _assert_same_layout(new, old)
-        assert str(new) == _tuple_str(old)
-        if new:
-            assert new.lead_monomial() == _tuple_lead_monomial(old)
-            assert new.sorted_terms()[0][0] == new.lead_monomial()
-        for p, tp in ((triples[0][1], stand_ins[0][1]), (new, old)):
-            mono = rng.choice(former_monomials_of_degree(rng.randint(0, 3)))
+            triples.append((rng.choice((1, -1, 2)), _draw(rng, da), _draw(rng, total - da)))
+        new = sum_of_products(triples)
+        _assert_value(new, total, canonical=False, value=lambda x: sum(
+            sign * oracles.evaluate(a, x) * oracles.evaluate(b, x) for sign, a, b in triples))
+        assert new.terms == HomogeneousPolynomial(total, new.terms).terms
+        for p in (triples[0][1], new):
+            mono = rng.choice(exponent_tuples(packed_monomials(rng.randint(0, 3))))
             coeff = rng.choice((1, 0, -3, Fraction(2, 3)))
-            _assert_same_layout(p.multiply_monomial(mono, coeff),
-                                _tuple_multiply_monomial(tp, mono, coeff))
+            _assert_value(p.multiply_monomial(mono, coeff), p.degree + sum(mono),
+                          lambda x: coeff * _monomial_at(mono, x) * oracles.evaluate(p, x), False)
             for i in range(4):
-                _assert_same_layout(p.partial(i), _tuple_partial(tp, i))
-                _assert_same_layout(p.multiply_monomial(units[i]).partial(i),
-                                    _tuple_partial(_tuple_multiply_monomial(tp, units[i]), i))
+                _assert_value(p.partial(i), max(p.degree - 1, 0),
+                              lambda x: oracles.derivative_at(p, i, x), False)
+                _assert_value(p.multiply_monomial(units[i]).partial(i), p.degree, lambda x: (
+                    oracles.evaluate(p, x) + x[i] * oracles.derivative_at(p, i, x)), False)
         seen.add((total, bool(new)))
     # every degree 0..12, with zero and nonzero sums
     assert {t for t, _ in seen} == set(range(13)) and {z for _, z in seen} == {True, False}
 
 
 # ---------------------------------------------------------------------------
-# the parser against the former parser, which built a polynomial for every
-# atom and ran a polynomial product for every '*' and '^'
-
-
-class _FormerParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}")
-
-    def parse(self):
-        value = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input near {val!r}")
-        return value
-
-    def expr(self):
-        kind, val = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.next()
-            negate = val == "-"
-        value = self.term()
-        if negate:
-            value = _former_neg(value)
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                value = _former_add(value, _former_neg(rhs) if val == "-" else rhs)
-            else:
-                return value
-
-    def term(self):
-        value = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in ("*", "/\\"):
-                self.next()
-                value = _former_mul(value, self.factor())
-            else:
-                return value
-
-    def factor(self):
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind2, val2 = self.peek()
-            if kind2 == "num":
-                if not isinstance(base, HomogeneousPolynomial):
-                    raise ParseError("exponent applies only to scalar atoms")
-                self.next()
-                count = comb(len(base.terms) + val2 - 1, val2) if base else 1
-                _check_terms(count, val2 * base.degree)
-                return base ** val2
-            rhs = self.factor()
-            if isinstance(base, HomogeneousPolynomial) and isinstance(
-                rhs, HomogeneousPolynomial
-            ):
-                raise ParseError("'^' between scalars needs a natural-number exponent")
-            return _former_mul(base, rhs)
-        return base
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            k2, v2 = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.next()
-                k3, v3 = self.next()
-                if k3 != "num" or v3 == 0:
-                    raise ParseError("malformed rational literal")
-                return HomogeneousPolynomial.constant(Fraction(val, v3))
-            return HomogeneousPolynomial.constant(val)
-        if kind == "name":
-            if val in _ALIASES:
-                return HomogeneousPolynomial.variable(_ALIASES[val])
-            if val in _FORM_ATOMS:
-                return TwistedForm.basis_covector(_FORM_ATOMS[val])
-            raise ParseError(f"unknown name {val!r}")
-        if kind == "op" and val == "(":
-            value = self.expr()
-            self.expect_op(")")
-            return value
-        raise ParseError(f"unexpected token {val!r}")
-
-
-def _former_neg(value):
-    return -value
-
-
-def _former_add(a, b):
-    if isinstance(a, HomogeneousPolynomial) != isinstance(b, HomogeneousPolynomial):
-        raise NotHomogeneousError("cannot add a scalar and a differential form")
-    try:
-        return a + b
-    except DegreeMismatchError as exc:
-        raise NotHomogeneousError(str(exc)) from exc
-
-
-def _former_mul(a, b):
-    a_poly = isinstance(a, HomogeneousPolynomial)
-    b_poly = isinstance(b, HomogeneousPolynomial)
-    if a_poly and b_poly:
-        _check_terms(len(a.terms) * len(b.terms), a.degree + b.degree)
-        return a * b
-    if a_poly:
-        return b.scale_by_polynomial(a)
-    if b_poly:
-        return a.scale_by_polynomial(b)
-    return wedge(a, b)
-
-
-def _former_parse_value(text: str):
-    if not text or not text.strip():
-        raise ParseError("empty expression")
-    try:
-        return _FormerParser(text).parse()
-    except RecursionError:
-        raise ParseError("expression is nested too deeply") from None
+# the parser against expression trees drawn with their values, and against
+# Python's own evaluation of the same text
 
 
 def _layout(value):
@@ -1183,116 +810,264 @@ def _outcome(parse, text):
         return type(exc), str(exc)
 
 
-# the two messages of the former parser at the end of the input, in the
-# wording of the parser, which names the end of the input
-_END_OF_INPUT = {"unexpected token None": "unexpected end of input",
-                 "expected ')', found None": "expected ')', found end of input"}
-
-
-def _former_outcome(text):
-    outcome = _outcome(_former_parse_value, text)
-    if outcome[0] is ParseError:
-        return ParseError, _END_OF_INPUT.get(outcome[1], outcome[1])
-    return outcome
-
-
 _SCALAR_NAMES = ("x", "y", "z", "t", "z0", "z1", "z2", "z3")
+_VARIABLE = {name: i % 4 for i, name in enumerate(_SCALAR_NAMES)}
+# the drawn numbers and coefficients, as text and as value
+_COEFFICIENTS = {"": 1, "3*": 3, "0*": 0, "2/3*": Fraction(2, 3), "1/4*": Fraction(1, 4),
+                 "2^3*": 8, "7/7*": 1, "12*": 12}
+_NUMBERS = {"5": 5, "1/2": Fraction(1, 2), "0": 0, "3^2": 9}
 
 
 def _draw_coefficient(rng):
-    return rng.choice(("", "", "3*", "0*", "2/3*", "1/4*", "2^3*", "7/7*", "12*"))
+    text = rng.choice(("", "", *_COEFFICIENTS))
+    return text, _COEFFICIENTS[text]
 
 
 def _draw_monomial(rng, degree):
-    """A product of variables and their powers of this degree, possibly
-    with a number in front."""
+    """(text, value at a point) of a product of variables and their powers
+    of this degree, possibly with a number in front."""
     factors = []
     while degree:
         e = rng.randint(1, degree)
         name = rng.choice(_SCALAR_NAMES)
-        factors.append(name if e == 1 and rng.random() < 0.5 else f"{name}^{e}")
+        factors.append((name if e == 1 and rng.random() < 0.5 else f"{name}^{e}",
+                        lambda x, v=_VARIABLE[name], e=e: x[v] ** e))
         degree -= e
     if not factors or rng.random() < 0.3:
-        factors.insert(rng.randrange(len(factors) + 1), rng.choice(("5", "1/2", "0", "3^2")))
-    return _draw_coefficient(rng) + "*".join(factors)
+        number = rng.choice(tuple(_NUMBERS))
+        factors.insert(rng.randrange(len(factors) + 1), (number, lambda x, n=number: _NUMBERS[n]))
+    coefficient, c = _draw_coefficient(rng)
+    return (coefficient + "*".join(text for text, _ in factors),
+            lambda x: c * prod(value(x) for _, value in factors), "product")
 
 
 def _draw_scalar(rng, degree, depth):
-    """A homogeneous scalar expression of the given degree."""
+    """(text, value at a point, kind) of a homogeneous scalar expression
+    tree of the given degree: a monomial, a signed sum, a power or a
+    product, a sum in parentheses wherever it is a factor."""
     roll = rng.random()
     if depth <= 0 or roll < 0.35:
         return _draw_monomial(rng, degree)
     if roll < 0.65:
-        text = rng.choice(("", "-", "+")) + _unsigned(_draw_scalar(rng, degree, depth - 1))
-        for _ in range(rng.randint(1, 3)):
-            text += rng.choice((" + ", " - ")) + _unsigned(_draw_scalar(rng, degree, depth - 1))
-        return text
+        parts = [_draw_scalar(rng, degree, depth - 1) for _ in range(rng.randint(2, 4))]
+        signs = [rng.choice(("", "-", "+"))] + [rng.choice(("+", "-")) for _ in parts[1:]]
+        text = signs[0] + _factor(parts[0]) + "".join(
+            f" {sign} {_factor(part)}" for sign, part in zip(signs[1:], parts[1:]))
+        return text, lambda x: sum((-1 if sign == "-" else 1) * part[1](x)
+                                   for sign, part in zip(signs, parts)), "sum"
     if roll < 0.8 and degree:
         e = rng.choice([k for k in range(1, degree + 1) if degree % k == 0])
-        return f"({_draw_scalar(rng, e, depth - 1)})^{degree // e}"
+        text, value, _ = _draw_scalar(rng, e, depth - 1)
+        return f"({text})^{degree // e}", lambda x: value(x) ** (degree // e), "power"
     split = rng.randint(0, degree)
-    return (f"{_draw_coefficient(rng)}({_draw_scalar(rng, split, depth - 1)})"
-            f"*{_unsigned(_draw_scalar(rng, degree - split, depth - 1))}")
+    coefficient, c = _draw_coefficient(rng)
+    (a, f, _), b = _draw_scalar(rng, split, depth - 1), _draw_scalar(rng, degree - split, depth - 1)
+    return f"{coefficient}({a})*{_factor(b)}", lambda x: c * f(x) * b[1](x), "product"
 
 
-def _unsigned(text):
-    return f"({text})" if text[0] in "+-" else text
+def _factor(part):
+    """The text of a drawn tree as a factor: a sum in parentheses."""
+    return f"({part[0]})" if part[2] == "sum" else part[0]
 
 
 def _draw_form(rng, degree, depth):
-    """A 1- or 2-form expression with coefficients of the given degree."""
-    pieces = []
+    """(text, value at a point) of a 1- or 2-form expression with
+    coefficients of the given degree, its value a map from index tuple to
+    number; a sum of 1- and 2-forms has value None."""
+    pieces, values = [], []
     for _ in range(rng.randint(1, 3)):
         a, b = rng.sample(range(4), 2)
-        wedge_text = rng.choice((f"dz{a}", f"dz{a} /\\ dz{b}", f"dz{a}^dz{b}"))
-        coefficient = _draw_scalar(rng, degree, depth)
-        if rng.random() < 0.5:
-            pieces.append(f"({coefficient})*{wedge_text}")
-        else:
-            pieces.append(f"{wedge_text}*({coefficient})")
-    return rng.choice(("", "-")) + rng.choice((" + ", " - ")).join(pieces)
+        two = oracles.wedge_at({(a,): 1}, {(b,): 1})
+        wedge_text, basis = rng.choice(((f"dz{a}", {(a,): 1}), (f"dz{a} /\\ dz{b}", two),
+                                        (f"dz{a}^dz{b}", two)))
+        text, value, _ = _draw_scalar(rng, degree, depth)
+        pieces.append(f"({text})*{wedge_text}" if rng.random() < 0.5 else f"{wedge_text}*({text})")
+        values.append((basis, value))
+    sign, joint = rng.choice(("", "-")), rng.choice((" + ", " - "))
+
+    def at(x):
+        if len({len(next(iter(basis))) for basis, _ in values}) > 1:
+            return None
+        out = Counter()
+        for n, (basis, value) in enumerate(values):
+            c = value(x) * (-1 if (sign if n == 0 else joint == " - ") else 1)
+            for idx, s in basis.items():
+                out[idx] += s * c
+        return {idx: v for idx, v in out.items() if v}
+
+    return sign + joint.join(pieces), at, None
 
 
 def test_parser_matches_the_former_parser_on_drawn_expressions():
-    """Equal values, with the same terms in the same dict order, or the same
-    exception with the same message."""
+    """Scalar and form expression trees rendered to text parse to values
+    that equal the trees' at seeded points; sums of 1- and 2-forms and, now
+    and then, a term of the wrong degree added, are refused unless that
+    term is zero."""
     rng = Random(21)
     counts = {"poly": 0, "form": 0, "error": 0}
     for _ in range(400):
         degree = rng.randint(0, 4)
-        if rng.random() < 0.7:
-            text = _draw_scalar(rng, degree, 3)
-        else:
-            text = _draw_form(rng, degree, 2)
+        draw = _draw_scalar(rng, degree, 3) if rng.random() < 0.7 else _draw_form(rng, degree, 2)
+        text, value, _ = draw
+        extra = None
         if rng.random() < 0.15:  # now and then a term of the wrong degree
-            text += " + " + _draw_monomial(rng, degree + 1)
-        new = _outcome(parse_value, text)
-        assert new == _former_outcome(text), text
-        counts[new[0] if isinstance(new[0], str) else "error"] += 1
+            extra, extra_value, _ = _draw_monomial(rng, degree + 1)
+            text += " + " + extra
+        try:
+            parsed = parse_value(text)
+        except FolcurvesError:
+            assert extra is not None or value(_POINTS[0]) is None, text
+            counts["error"] += 1
+            continue
+        if extra is not None:
+            assert all(extra_value(x) == 0 for x in _POINTS), text
+        for x in _POINTS:
+            if isinstance(parsed, HomogeneousPolynomial):
+                assert parsed.degree == degree and oracles.evaluate(parsed, x) == value(x), text
+            else:
+                assert oracles.form_at(parsed, x) == value(x), text
+        counts["poly" if isinstance(parsed, HomogeneousPolynomial) else "form"] += 1
     assert min(counts.values()) >= 40, counts
 
 
-@pytest.mark.parametrize("text", [
-    "x + 1", "x^2 - y", "3*x*y + z", "x*dz0 + y^2*dz1", "x + dz0", "dz0^2", "(dz0)^2",
-    "x^y", "x^(y)", "2^x", "3/0*x", "3/x", "3/", "x*y)", "x y", "(x+y", "x^", "w*x",
-    "x*$", "", "   ", "dz0/\\dz0", "dz0^dz1^dz2^dz3^dz0", "x/\\y - x*y", "2/4*x^0*y",
-    "0*x + 0*y", "0*x + y^2", "-(x+y)^0 + 3", "2^dz0", "dz0^x*y", "x^0", "0^0",
-    # a term that cancels in one addend and comes back in a later one goes last
-    "x^2 + y^2 - x^2 + z^2 + x^2", "x*y + y*z - x*y - y*z + t^2 + y*z + x*y",
-    "1/2*x + 1/3*y - 1/2*x + 1/6*z + 1/4*x", "(x + y)*(x - y) + y^2 - x^2 + x^2",
-    "x*dz0 + y*dz1 - x*dz0 + z*dz2 + x*dz0", "x*dz0 + y*dz0 - x*dz0 + z*dz1 + x*dz0",
-    "-(x*dz0 + y*dz1) + x*dz0 + y*dz1 + z*dz2 - y*dz1", "dz0^dz1*x - x*dz0^dz1 + y*dz1^dz2 + x*dz0^dz1",
-    # a zero coefficient of the wrong degree in the middle of a sum
-    "x - y + 0*x^2 + z", "x + y - 0 + z", "x*dz0 + 0*y^2*dz1 + z*dz2", "x*dz0 + 0*dz1 + y*dz2",
-    "x*dz0 + (y - y)*dz1^dz2 + z*dz3", "x*dz0 + y - y + z*dz1",
-    # runs of numbers and variables, multiplied as integers: zeros, 0^0 and
-    # the factors that end a run (the caps are pinned below)
-    "3*2^2*x^0*y", "0*x^3 + 0*y^3", "0^0*x", "x*1/2*y", "2*x^2 - x*2*x", "1/2^3*x",
-    "x^01", "x*2^x", "x*y^", "x*w", "x*2^dz0", "2^2^2", "x*y*0^0 - y*x", "2*3^4*dz0",
-    "x*y/\\z*(x+y)*t^2",
+# chosen inputs and what the parser answers: the printed value, or the
+# class and message of the refusal
+CHOSEN = dict([
+    ('x + 1', ('NotHomogeneousError', 'cannot add degree 1 and degree 0')),
+    ('x^2 - y', ('NotHomogeneousError', 'cannot add degree 2 and degree 1')),
+    ('3*x*y + z', ('NotHomogeneousError', 'cannot add degree 2 and degree 1')),
+    ('x*dz0 + y^2*dz1',
+     ('NotHomogeneousError', 'cannot add forms with coefficient degrees 1 and 2')),
+    ('x + dz0', ('NotHomogeneousError', 'cannot add a scalar and a differential form')),
+    ('dz0^2', ('ParseError', 'exponent applies only to scalar atoms')),
+    ('(dz0)^2', ('ParseError', 'exponent applies only to scalar atoms')),
+    ('x^y', ('ParseError', "'^' between scalars needs a natural-number exponent")),
+    ('x^(y)', ('ParseError', "'^' between scalars needs a natural-number exponent")),
+    ('2^x', ('ParseError', "'^' between scalars needs a natural-number exponent")),
+    ('3/0*x', ('ParseError', 'malformed rational literal')),
+    ('3/x', ('ParseError', 'malformed rational literal')),
+    ('3/', ('ParseError', 'malformed rational literal')),
+    ('x*y)', ('ParseError', "trailing input near ')'")),
+    ('x y', ('ParseError', "trailing input near 'y'")),
+    ('(x+y', ('ParseError', "expected ')', found end of input")),
+    ('x^', ('ParseError', 'unexpected end of input')),
+    ('w*x', ('ParseError', "unknown name 'w'")),
+    ('x*$', ('ParseError', "unexpected character '$' at position 2")),
+    ('', ('ParseError', 'empty expression')),
+    ('   ', ('ParseError', 'empty expression')),
+    ('dz0/\\dz0', '0'),
+    ('dz0^dz1^dz2^dz3^dz0', ('DegreeOverflowError', 'wedge would have form degree 5 > 4')),
+    ('x/\\y - x*y', '0'),
+    ('2/4*x^0*y', '1/2*z1'),
+    ('0*x + 0*y', '0'),
+    ('0*x + y^2', ('NotHomogeneousError', 'cannot add degree 1 and degree 2')),
+    ('-(x+y)^0 + 3', '2'),
+    ('2^dz0', '2*dz0'),
+    ('dz0^x*y', 'z0*z1*dz0'),
+    ('x^0', '1'),
+    ('0^0', '1'),
+    ('x^2 + y^2 - x^2 + z^2 + x^2', 'z0^2 + z1^2 + z2^2'),
+    ('x*y + y*z - x*y - y*z + t^2 + y*z + x*y', 'z0*z1 + z1*z2 + z3^2'),
+    ('1/2*x + 1/3*y - 1/2*x + 1/6*z + 1/4*x', '1/4*z0 + 1/3*z1 + 1/6*z2'),
+    ('(x + y)*(x - y) + y^2 - x^2 + x^2', 'z0^2'),
+    ('x*dz0 + y*dz1 - x*dz0 + z*dz2 + x*dz0', 'z2*dz2 + z1*dz1 + z0*dz0'),
+    ('x*dz0 + y*dz0 - x*dz0 + z*dz1 + x*dz0', 'z2*dz1 + (z0 + z1)*dz0'),
+    ('-(x*dz0 + y*dz1) + x*dz0 + y*dz1 + z*dz2 - y*dz1', 'z2*dz2 - z1*dz1'),
+    ('dz0^dz1*x - x*dz0^dz1 + y*dz1^dz2 + x*dz0^dz1', 'z1*dz1/\\dz2 + z0*dz0/\\dz1'),
+    ('x - y + 0*x^2 + z', ('NotHomogeneousError', 'cannot add degree 1 and degree 2')),
+    ('x + y - 0 + z', ('NotHomogeneousError', 'cannot add degree 1 and degree 0')),
+    ('x*dz0 + 0*y^2*dz1 + z*dz2',
+     ('NotHomogeneousError', 'cannot add forms with coefficient degrees 1 and 2')),
+    ('x*dz0 + 0*dz1 + y*dz2',
+     ('NotHomogeneousError', 'cannot add forms with coefficient degrees 1 and 0')),
+    ('x*dz0 + (y - y)*dz1^dz2 + z*dz3',
+     ('NotHomogeneousError', 'cannot add forms of different form degree')),
+    ('x*dz0 + y - y + z*dz1',
+     ('NotHomogeneousError', 'cannot add a scalar and a differential form')),
+    ('3*2^2*x^0*y', '12*z1'),
+    ('0*x^3 + 0*y^3', '0'),
+    ('0^0*x', 'z0'),
+    ('x*1/2*y', '1/2*z0*z1'),
+    ('2*x^2 - x*2*x', '0'),
+    ('1/2^3*x', '1/8*z0'),
+    ('x^01', 'z0'),
+    ('x*2^x', ('ParseError', "'^' between scalars needs a natural-number exponent")),
+    ('x*y^', ('ParseError', 'unexpected end of input')),
+    ('x*w', ('ParseError', "unknown name 'w'")),
+    ('x*2^dz0', '2*z0*dz0'),
+    ('2^2^2', ('ParseError', "trailing input near '^'")),
+    ('x*y*0^0 - y*x', '0'),
+    ('2*3^4*dz0', '162*dz0'),
+    ('x*y/\\z*(x+y)*t^2', 'z0^2*z1*z2*z3^2 + z0*z1^2*z2*z3^2'),
 ])
+
+
+@pytest.mark.parametrize("text", list(CHOSEN))
 def test_parser_matches_the_former_parser_on_chosen_inputs(text):
-    assert _outcome(parse_value, text) == _former_outcome(text)
+    """Each answer is pinned, as a printed value or an error class and
+    message; each value parsed also equals Python's evaluation of the text
+    at seeded points."""
+    expected = CHOSEN[text]
+    try:
+        parsed = parse_value(text)
+    except FolcurvesError as exc:
+        assert (type(exc).__name__, str(exc)) == expected
+        return
+    assert str(parsed) == expected
+    _assert_python_value(text, parsed)
+
+
+class _FormAt:
+    """A differential form's values at a point, index tuple to number, as
+    Python's operators combine them: + and - of forms, * and ^ with a
+    number or a form (the wedge)."""
+
+    def __init__(self, values):
+        self.values = {k: v for k, v in values.items() if v}
+
+    def __add__(self, other):
+        if not isinstance(other, _FormAt):
+            return NotImplemented
+        out = Counter(self.values)
+        out.update(other.values)
+        return _FormAt(out)
+
+    def __neg__(self):
+        return _FormAt({k: -v for k, v in self.values.items()})
+
+    def __pos__(self):
+        return self
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, _FormAt):
+            return _FormAt(oracles.wedge_at(self.values, other.values))
+        return _FormAt({k: v * other for k, v in self.values.items()})
+
+    __rmul__ = __pow__ = __rpow__ = __mul__
+
+
+def _python_value(text, x):
+    """text evaluated by Python at the point x: each rational literal and
+    numeral a Fraction, ^ as ** and /\\ as *, the variables x's coordinates
+    and dz0..dz3 the basis 1-forms."""
+    code = text.replace("/\\", "*")
+    code = re.sub(r"\b(\d+)/(\d+)\b", r"(F('\1')/F('\2'))", code)
+    code = re.sub(r"(?<![\w'])(\d+)\b", r"F('\1')", code).replace("^", "**")
+    names = {name: Fraction(x[v]) for name, v in _VARIABLE.items()}
+    names.update({f"dz{i}": _FormAt({(i,): 1}) for i in range(4)}, F=Fraction)
+    return eval(code, {"__builtins__": {}}, names)
+
+
+def _assert_python_value(text, parsed):
+    for x in _POINTS:
+        value = _python_value(text, x)
+        if isinstance(parsed, HomogeneousPolynomial):
+            assert oracles.evaluate(parsed, x) == value, text
+        else:
+            assert oracles.form_at(parsed, x) == value.values, text
 
 
 @pytest.mark.parametrize("text, message", [
@@ -1328,19 +1103,29 @@ def _grammar_expressions(st):
 
 
 def test_parser_matches_the_former_parser_on_hypothesis_draws():
+    """Strings of the parser's grammar: each value parsed equals Python's
+    evaluation of the same text at seeded points; the rest are refused with
+    a FolcurvesError."""
     hypothesis = pytest.importorskip("hypothesis")
+    parsed = []
 
     @hypothesis.settings(max_examples=100, deadline=None, database=None,
                          derandomize=True)
     @hypothesis.given(_grammar_expressions(hypothesis.strategies))
     def check(text):
-        assert _outcome(parse_value, text) == _former_outcome(text)
+        try:
+            value = parse_value(text)
+        except FolcurvesError:
+            return
+        _assert_python_value(text, value)
+        parsed.append(text)
 
     check()
+    assert len(parsed) >= 10, parsed
 
 
 # ---------------------------------------------------------------------------
-# the one-pass parser: the benchmark pools against the former parser, the
+# the one-pass parser: the benchmark pools against Python's evaluation, the
 # caps inside its in-place sums, and the objects it builds
 
 _DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -1365,10 +1150,10 @@ def test_parser_matches_the_former_parser_on_the_benchmark_pools():
     assert len(texts) == 2 + 75 + 723
     kinds = set()
     for text in texts:
-        new = _outcome(parse_value, text)
-        assert new == _former_outcome(text), text
-        kinds.add(new[0])
-    assert kinds == {"poly", "form"}
+        value = parse_value(text)
+        _assert_python_value(text, value)
+        kinds.add(type(value))
+    assert kinds == {HomogeneousPolynomial, TwistedForm}
 
 
 @pytest.mark.parametrize("text, message", [
@@ -1457,12 +1242,16 @@ def test_variable_refuses_an_index_outside_0_to_3():
 
 
 def test_printing_formats_each_monomial_once():
-    """str writes what the former tuple printer wrote, formatting each
-    monomial once and then reading it from mono_str's cache."""
+    """str writes each term as its sign, its coefficient in lowest terms
+    unless 1, and its monomial, the terms in descending degrevlex, formatting
+    each monomial once and then reading it from mono_str's cache."""
     p = parse_polynomial("(x + 2*y - 1/3*z + t)^3")
     den, ints = p._cleared
-    old = _tuple_str(_TuplePoly(3, den, {_unpack(m): c for m, c in ints.items()}))
     polyring.mono_str.cache_clear()
-    assert str(p) == old and polyring.mono_str.cache_info().misses == len(ints) == 20
-    assert str(p) == old and polyring.mono_str.cache_info().misses == 20
+    text = str(p)
+    assert polyring.mono_str.cache_info().misses == len(ints) == 20
+    assert str(p) == text and polyring.mono_str.cache_info().misses == 20
     assert polyring.mono_str.cache_info().maxsize == 4096
+    assert text.startswith("z0^3 + 6*z0^2*z1 + 12*z0*z1^2 + 8*z1^3 - z0^2*z2 - 4*z0*z1*z2")
+    assert text.endswith(" - z2*z3^2 + z3^3") and " - 1/27*z2^3 " in text
+    assert parse_polynomial(text) == p

@@ -1,6 +1,6 @@
 """The section's run on three variables, each monomial packed in 10-bit
-fields, against the former run on four variables (four_variable_section),
-and the narrow packing's degree cap."""
+fields: its elements reduce the cuts to zero over F_P, its verdicts are
+pinned per input set, and the narrow packing's degree cap."""
 
 import json
 from random import Random
@@ -11,7 +11,7 @@ from folcurves import cli, forms, groebner, section
 from folcurves.errors import ResourceLimitError
 from folcurves.polyring import _STEPS
 
-import four_variable_section as former
+import oracles
 from test_groebner import HILBERT_POOL, LINE_TRIPLE, _ideal, _pool_like
 
 # CI's multiples-of-P inputs: forms whose every coefficient is a multiple of
@@ -36,27 +36,50 @@ def _three_variable_run(generators, numerator: dict, plane: int):
         groebner._minimalize(leads))) == target
 
 
-def _lifted(elements):
-    """The basis elements of section's run in polyring's packing."""
-    lift = section._lift
-    return [(lift(lead), a, [(lift(m), c) for m, c in tail]) for lead, a, tail in elements]
+def _narrow_terms(terms: dict) -> dict:
+    """Terms over z0..z2 packed in 10-bit fields as exponent tuples."""
+    return {(m & 1023, m >> 10 & 1023, m >> 20, 0): c for m, c in terms.items()}
 
 
-def _assert_same_runs(generators, numerator: dict) -> list:
-    """On each plane the two runs give the same verdict and the same
-    lifted lead set, and indeed the same elements but for the former run's
-    z3.  Returns the verdict on each plane."""
+def _reduces_mod_p(f: dict, basis) -> bool:
+    """Whether the terms f have remainder 0 mod P on textbook division by
+    the terms dicts basis, each element divided by its degrevlex lead."""
+    P = section.P
+    table = [(lead, pow(g[lead], -1, P), g) for g in basis for lead in [oracles.lead_of(g)]]
+    work = {m: c % P for m, c in f.items() if c % P}
+    while work:
+        m = oracles.lead_of(work)
+        c = work.pop(m)
+        for lead, inverse, g in table:
+            if all(a <= b for a, b in zip(lead, m)):
+                factor = c * inverse
+                for t, x in g.items():
+                    if t != lead:
+                        key = tuple(a + b - e for a, b, e in zip(t, m, lead))
+                        y = (work.get(key, 0) - factor * x) % P
+                        if y:
+                            work[key] = y
+                        else:
+                            work.pop(key, None)
+                break
+        else:
+            return False
+    return True
+
+
+def _assert_runs(generators, numerator: dict) -> list:
+    """On each plane, the run's elements, where it finishes, have their
+    degrevlex largest term first and reduce every cut form to zero over
+    F_P.  Returns the verdict on each plane."""
     verdicts = []
     for plane in range(len(section.PLANES)):
         elements, certified = _three_variable_run(generators, numerator, plane)
-        former_elements, former_certified = former.four_variable_run(generators, numerator, plane)
-        assert certified == former_certified, ([str(g) for g in generators], plane)
-        if former_elements:
-            assert {_STEPS[3]} | {e[0] for e in _lifted(elements)} == {
-                e[0] for e in former_elements}
-            assert [(_STEPS[3], 1, [])] + _lifted(elements) == former_elements
-        else:
-            assert elements is former_elements  # False: a cut vanishes; None: a give-up
+        if elements:
+            basis = [_narrow_terms({lead: a, **dict(tail)}) for lead, a, tail in elements]
+            assert [oracles.lead_of(g) for g in basis] == [
+                _narrow_terms({e[0]: 1}).popitem()[0] for e in elements]
+            for g in generators:
+                assert _reduces_mod_p(_narrow_terms(section._section_cut(g, plane)), basis)
         verdicts.append(certified)
     return verdicts
 
@@ -66,8 +89,7 @@ def test_three_variables_run_as_four_on_the_hilbert_pool():
     (bound, verdict on the first plane, on the second) counted.  The line
     bound is a lower bound only for forms in a coordinate line ideal; on
     the others a Hilbert skip on it drops leads, so that the run meets it on
-    most complete intersections, which section never runs under it.  The
-    two runs agree there too."""
+    most complete intersections, which section never runs under it."""
     pool = json.loads(HILBERT_POOL.read_text())["ideals"]
     seen = {}
     for entry in pool:
@@ -75,7 +97,7 @@ def test_three_variables_run_as_four_on_the_hilbert_pool():
         degrees = [g.degree for g in gens]
         for name, numerator in (("Koszul", groebner._ci_numerator(degrees)),
                                 ("line", section._line_bound(degrees))):
-            verdicts = _assert_same_runs(gens, numerator)
+            verdicts = _assert_runs(gens, numerator)
             assert section._certifies(gens, numerator) == any(verdicts)
             key = name, *verdicts
             seen[key] = seen.get(key, 0) + 1
@@ -99,7 +121,7 @@ def test_three_variables_run_as_four_on_held_out_draws(monkeypatch):
         tried.clear()
         section._section_numerator(gens)
         for numerator, answer in tried:
-            assert any(_assert_same_runs(gens, numerator)) == answer
+            assert any(_assert_runs(gens, numerator)) == answer
             certified += answer
             runs += 1
     assert runs == 993 and certified == 986, (runs, certified)
@@ -112,7 +134,7 @@ def test_three_variables_run_as_four_on_contact_wedges():
     for d in range(1, 24):
         omega = forms.random_projective_oneform(d, Random(0))
         ideal = forms._wedge_ideal(contact, omega, forms.wedge(contact, omega))
-        verdicts = _assert_same_runs(ideal.generators, section._conormal_bound(*ideal._conormal))
+        verdicts = _assert_runs(ideal.generators, section._conormal_bound(*ideal._conormal))
         assert verdicts[0], d
 
 
@@ -129,7 +151,7 @@ def test_three_variables_run_as_four_on_the_ci_multiples_of_p(name):
     for gens in (divided, multiples):
         for bound, numerator in (("koszul", groebner._ci_numerator(degrees)),
                                  ("line", section._line_bound(degrees))):
-            verdicts = _assert_same_runs(gens, numerator)
+            verdicts = _assert_runs(gens, numerator)
             assert section._certifies(gens, numerator) == any(verdicts)
             if gens is multiples or bound == tried:
                 assert verdicts == [gens is divided] * 2, bound
@@ -137,27 +159,20 @@ def test_three_variables_run_as_four_on_the_ci_multiples_of_p(name):
 
 def test_an_uncertified_run_on_three_variables_steers_as_four_do(monkeypatch):
     """With no certificate, a run on the cuts steers by the Koszul bound of
-    its kept forms and z3, as the former run steers by that of the cuts and
-    z3: on every pool ideal's first-plane cuts the S-polynomials of the same
-    lcms are divided, in the same order, to the same elements."""
+    its kept forms and z3: on every pool ideal's first-plane cuts it divides
+    as many S-polynomials, 2544, as the run on four variables, the cuts and
+    z3 steered by theirs, divided, and its elements reduce the cuts to zero
+    over F_P."""
     divided = []
     real = groebner._s_polynomial_terms
     monkeypatch.setattr(groebner, "_s_polynomial_terms",
                         lambda e, f, top: divided.append(top) or real(e, f, top))
-    pairs = 0
     for entry in json.loads(HILBERT_POOL.read_text())["ideals"]:
-        gens = _ideal(*entry["text"].splitlines()).generators
-        divided.clear()
-        elements = groebner._groebner_elements([section._section_cut(g) for g in gens],
-                                               ring=section._OVER_FP)
-        mine, divided[:] = [section._lift(top) for top in divided], []
-        former_elements = groebner._groebner_elements(
-            [f._cleared[1] for f in [former._section_cut(g) for g in gens] + [former._Z3]],
-            ring=former._OVER_FP_ON_FOUR)
-        assert [(_STEPS[3], 1, [])] + _lifted(elements) == former_elements
-        assert mine == divided
-        pairs += len(mine)
-    assert pairs > 240
+        cuts = [section._section_cut(g) for g in _ideal(*entry["text"].splitlines()).generators]
+        elements = groebner._groebner_elements(cuts, ring=section._OVER_FP)
+        basis = [_narrow_terms({lead: a, **dict(tail)}) for lead, a, tail in elements]
+        assert all(_reduces_mod_p(_narrow_terms(cut), basis) for cut in cuts)
+    assert len(divided) == 2544
 
 
 def test_a_run_past_the_narrow_cap_is_a_miss_that_takes_the_exact_route(
