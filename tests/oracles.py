@@ -7,11 +7,12 @@ elimination, which test_polyring checks against fraction_rank, a textbook
 elimination over Fractions.
 
 (a) quotient_dimension(gens, k): dim (S/I)_k, dim S_k less the rank of the
-    monomial multiples of the generators in degree k; in_ideal and
-    assert_groebner_basis from the same ranks; values_of, the Hilbert
-    function of a numerator; remainder and s_pairs_reduce, textbook
-    division and Buchberger's criterion; monomial_numerator, inclusion and
-    exclusion over a monomial ideal.
+    monomial multiples of the generators in degree k; in_ideal from the
+    same ranks; values_of, the Hilbert function of a numerator; remainder,
+    textbook division over Q or mod a prime, and s_pairs_reduce,
+    Buchberger's criterion; assert_groebner_basis from the ranks and the
+    criterion; monomial_numerator, inclusion and exclusion over a monomial
+    ideal.
 (b) betti(gens, top): beta_{i,j}(S/I) for j <= top, the dimensions of the
     Koszul homology H_i(z0..z3; S/I)_j (Eisenbud, The Geometry of
     Syzygies, GTM 229, 2005); monomial_betti, the same one multidegree at
@@ -55,7 +56,7 @@ def _add(a, b):
 def cleared(vec: dict) -> dict:
     """The sparse vector vec of ints or Fractions times the lcm of its
     denominators, its zero entries dropped: the same line, in ints."""
-    den = lcm(*(Fraction(x).denominator for x in vec.values()))
+    den = lcm(*(x.denominator for x in vec.values()))
     return {i: int(x * den) for i, x in vec.items() if x}
 
 
@@ -177,33 +178,44 @@ def values_of(numerator: dict, top: int) -> list:
             for k in range(top + 1)]
 
 
+def divides(a, b) -> bool:
+    """Whether the exponent tuple a divides b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 def standard_count(leads, k: int) -> int:
     """The degree-k monomials that no exponent tuple of leads divides."""
-    return sum(not any(all(a <= b for a, b in zip(lead, m)) for lead in leads)
-               for m in monomials(k))
+    return sum(not any(divides(lead, m) for lead in leads) for m in monomials(k))
+
+
+def degrevlex_key(m):
+    """Sort key of exponent tuples, larger in degrevlex: the larger degree,
+    then the smaller last differing exponent."""
+    return (sum(m), -m[3], -m[2], -m[1], -m[0])
 
 
 def lead_of(terms: dict):
-    """The degrevlex largest exponent tuple among the keys of terms:
-    the largest degree, then the smallest last differing exponent."""
-    return max(terms, key=lambda m: (sum(m), -m[3], -m[2], -m[1], -m[0]))
+    """The degrevlex largest exponent tuple among the keys of terms."""
+    return max(terms, key=degrevlex_key)
 
 
-def assert_groebner_basis(basis, gens, top=None):
-    """basis spans the ideal gens generate and is a Groebner basis of it in
-    degrees <= top (by default its largest degree): each element lies
-    in the ideal and its lead monomials leave as many standard monomials as
-    the ideal's quotient has, degree by degree.  Returns the leads."""
-    basis = [_terms(g) for g in basis]
-    basis = [b for b in basis if b]
-    for b in basis:
-        f = HomogeneousPolynomial(sum(next(iter(b))), b)
-        assert in_ideal(f, gens), str(f)
+def assert_groebner_basis(basis, gens):
+    """basis is a Groebner basis of the ideal I that gens generate: each
+    element lies in I, its lead monomials leave as many standard monomials
+    as S/I has in each degree up to the largest of the basis and the
+    generators, so that it generates I, and every S-polynomial reduces to 0
+    on it (Buchberger's criterion).  Returns the leads."""
+    basis = [b for b in map(_terms, basis) if b]
+    gens = [g for g in gens if _terms(g)]
     leads = [lead_of(b) for b in basis]
-    if top is None:
-        top = max((sum(m) for m in leads), default=0)
+    top = max((sum(lead_of(t)) for t in basis + [_terms(g) for g in gens]), default=0)
     for k in range(top + 1):
-        assert standard_count(leads, k) == quotient_dimension(gens, k), k
+        piece, index = ideal_piece(gens, k), _index(k)
+        assert standard_count(leads, k) == comb(k + 3, 3) - piece.rank, k
+        for b in basis:
+            if sum(next(iter(b))) == k:
+                assert not piece.insert(cleared({index[m]: c for m, c in b.items()})), b
+    s_pairs_reduce(basis)
     return leads
 
 
@@ -284,7 +296,7 @@ def monomial_betti(gens) -> dict:
     gens = list(set(gens))
 
     def outside(m):
-        return not any(all(a <= b for a, b in zip(g, m)) for g in gens)
+        return not any(divides(g, m) for g in gens)
 
     lcms = {(0, 0, 0, 0)}
     for g in gens:
@@ -358,8 +370,8 @@ def evaluate(f, point) -> Fraction:
     integers or Fractions."""
     terms = _terms(f)
     den = lcm(*(c.denominator for c in terms.values()))
-    return Fraction(sum(c.numerator * (den // c.denominator)
-                        * prod(x ** e for x, e in zip(point, m)) for m, c in terms.items()), den)
+    return Fraction(sum(c.numerator * (den // c.denominator) * prod(map(pow, point, m))
+                        for m, c in terms.items()), den)
 
 
 def derivative_at(f, v: int, point) -> Fraction:
@@ -502,30 +514,77 @@ def degree_matrix(columns, twists, target_twists, e: int) -> list:
     return out
 
 
-def remainder(f: dict, basis) -> dict:
-    """The remainder of the terms f on division by the terms dicts basis:
-    the degrevlex largest term left is divided by the first element whose
-    lead divides it, else moved to the remainder."""
-    table = [(lead_of(g), g) for g in basis if g]
-    work, out = {m: Fraction(c) for m, c in f.items()}, {}
-    while work:
-        m = lead_of(work)
-        c = work.pop(m)
-        for lead, g in table:
-            if all(a <= b for a, b in zip(lead, m)):
-                q = tuple(b - a for a, b in zip(lead, m))
-                factor = c / g[lead]
-                for t, x in g.items():
-                    if t != lead:
-                        key = _add(t, q)
-                        y = work.get(key, 0) - factor * x
-                        if y:
-                            work[key] = y
-                        else:
-                            work.pop(key, None)
+def _descending(m):
+    """Heap key of exponent tuples that pops the degrevlex largest first."""
+    return (-sum(m), m[3], m[2], m[1], m[0])
+
+
+def _table(basis, modulus=None) -> list:
+    """(lead, a, the other terms) of each nonzero terms dict of basis: over
+    Q cleared to integers, a its lead coefficient; mod a prime, a the
+    inverse of it."""
+    out = []
+    for g in basis:
+        g = cleared(g) if modulus is None else g
+        if g:
+            lead = lead_of(g)
+            a = g[lead] if modulus is None else pow(g[lead], -1, modulus)
+            out.append((lead, a, [(t, x) for t, x in g.items() if t != lead]))
+    return out
+
+
+def remainder(f: dict, basis, modulus=None) -> dict:
+    """The remainder of the terms f on division by the terms dicts basis,
+    over Q or, given a prime modulus, over the integers mod it: the
+    degrevlex largest term left is divided by the first element whose lead
+    divides it, else moved to the remainder."""
+    return _remainder(f, _table(basis, modulus), modulus)
+
+
+def _remainder(f: dict, table, modulus=None) -> dict:
+    """remainder on a _table.  Over Q the terms left are kept as integers
+    over one common denominator, as Span keeps its rows."""
+    if modulus:
+        work, den = {m: c % modulus for m, c in f.items() if c % modulus}, 1
+    else:
+        # the terms left are work / den
+        work, den = cleared(f), lcm(*(c.denominator for c in f.values()))
+    todo = [(_descending(m), m) for m in work]
+    heapify(todo)
+    out = {}
+    while todo:
+        m = heappop(todo)[1]
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for lead, a, tail in table:
+            if divides(lead, m):
+                if modulus:
+                    t = c * a
+                else:
+                    g = gcd(a, c)
+                    s, t = a // g, c // g
+                    if s < 0:
+                        s, t = -s, -t
+                    if s != 1:
+                        den *= s
+                        work = {k: y * s for k, y in work.items()}
+                q = tuple(b - e for e, b in zip(lead, m))
+                for u, x in tail:
+                    key = _add(u, q)
+                    y = work.get(key, 0)
+                    if not y:
+                        heappush(todo, (_descending(key), key))
+                    y -= t * x
+                    if modulus:
+                        y %= modulus
+                    if y:
+                        work[key] = y
+                    else:
+                        work.pop(key, None)
                 break
         else:
-            out[m] = c
+            out[m] = Fraction(c, den) if modulus is None else c
     return out
 
 
@@ -533,21 +592,19 @@ def s_pairs_reduce(basis) -> int:
     """Buchberger's criterion on the terms dicts basis: every S-polynomial of
     two elements whose leads share a variable has remainder 0.  Returns the
     number of S-polynomials divided."""
-    basis = [{m: Fraction(c) for m, c in _terms(g).items()} for g in basis]
-    basis = [g for g in basis if g]
-    leads = [lead_of(g) for g in basis]
+    table = _table(_terms(g) for g in basis)
     divided = 0
-    for i, j in combinations(range(len(basis)), 2):
-        a, b = leads[i], leads[j]
-        if not any(x and y for x, y in zip(a, b)):
+    for (a, x, f), (b, y, g) in combinations(table, 2):
+        if not any(i and j for i, j in zip(a, b)):
             continue
         top = tuple(map(max, a, b))
+        # y z^(top - a) f - x z^(top - b) g, the leads cancelled
         s = Counter()
-        for g, lead, sign in ((basis[i], a, 1), (basis[j], b, -1)):
-            q = tuple(t - x for t, x in zip(top, lead))
-            for t, x in g.items():
-                s[_add(t, q)] += sign * x / g[lead]
-        assert not remainder({m: c for m, c in s.items() if c}, basis), (i, j)
+        for lead, c, tail in ((a, y, f), (b, -x, g)):
+            q = tuple(t - e for t, e in zip(top, lead))
+            for t, z in tail:
+                s[_add(t, q)] += c * z
+        assert not _remainder({m: c for m, c in s.items() if c}, table), (a, b)
         divided += 1
     return divided
 

@@ -62,25 +62,12 @@ GATE_CI = ["2*z0*z1^2 + 3*z0^2*z2 - 2*z1*z2^2 - z1^2*z3", "2*z0^2 + 3*z1^2 - 2*z
            "-z0*z1*z2 - z1*z2^2 - 3*z0*z1*z3"]
 
 
-def mono_divides(d, m) -> bool:
-    return d[0] <= m[0] and d[1] <= m[1] and d[2] <= m[2] and d[3] <= m[3]
-
-
 def mono_quotient(m, d):
     return (m[0] - d[0], m[1] - d[1], m[2] - d[2], m[3] - d[3])
 
 
-def mono_lcm(a, b):
-    return (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
-
-
 def mono_coprime(a, b) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
-def _degrevlex_key(m):
-    """Sort key of exponent tuples: larger is larger in degrevlex."""
-    return (sum(m), -m[3], -m[2], -m[1], -m[0])
 
 
 def _packed_numerator(gens):
@@ -688,16 +675,16 @@ def test_composition_and_dual_ranks_match_the_former_code():
 
 def _assert_reduced_basis(gens, basis=None):
     """basis, by default buchberger(gens), is the reduced Groebner basis of
-    the ideal gens generate: its elements lie in the ideal, with Fraction
-    coefficients, monic and by ascending lead, no term of one divisible by
-    the lead of another, and their leads leave the ideal's quotient
-    dimension in every degree up to the largest.  Returns it."""
+    the ideal gens generate: a Groebner basis of it by
+    assert_groebner_basis, with Fraction coefficients, monic and by
+    ascending lead, no term of one divisible by the lead of another.
+    Returns it."""
     basis = buchberger(gens) if basis is None else basis
     leads = oracles.assert_groebner_basis(basis, gens)
-    assert leads == sorted(leads, key=_degrevlex_key)
+    assert leads == sorted(leads, key=oracles.degrevlex_key)
     for g, lead in zip(basis, leads):
         assert g.terms[lead] == 1 and all(type(c) is Fraction for c in g.terms.values())
-        assert not any(mono_divides(other, m) for other in leads if other != lead
+        assert not any(oracles.divides(other, m) for other in leads if other != lead
                        for m in g.terms), str(g)
     return basis
 
@@ -995,7 +982,7 @@ def test_buchberger_matches_sympy_grevlex():
             terms = sympy.Poly(g, *zs, domain="QQ").terms(order="grevlex")
             lc = terms[0][1]  # the grevlex lead; Poly.monic() would use lex
             theirs.append({m: Fraction(int((c / lc).p), int((c / lc).q)) for m, c in terms})
-        theirs.sort(key=lambda terms: _degrevlex_key(oracles.lead_of(terms)))
+        theirs.sort(key=lambda terms: oracles.degrevlex_key(oracles.lead_of(terms)))
         assert [g.terms for g in buchberger(gens)] == theirs
         largest = max(largest, len(theirs))
     assert largest >= 10
@@ -1945,11 +1932,7 @@ def test_section_route_matches_sympy_hilbert_polynomials():
                  for g in gens]
         leads = [sympy.Poly(g, *zs, domain="QQ").terms(order="grevlex")[0][0]
                  for g in sympy.groebner(polys, *zs, order="grevlex", domain="QQ").exprs]
-
-        def count(k):
-            return sum(not any(mono_divides(lead, m) for lead in leads)
-                       for m in exponent_tuples(packed_monomials(k)))
-
+        count = partial(oracles.standard_count, leads)
         top = sum(g.degree for g in gens)
         assert [ideal.hilbert_function(k) for k in range(top + 4)] == [
             count(k) for k in range(top + 4)]
@@ -2225,11 +2208,7 @@ def test_line_bound_matches_sympy_hilbert_polynomials(monkeypatch):
                  for g in gens]
         leads = [sympy.Poly(g, *zs, domain="QQ").terms(order="grevlex")[0][0]
                  for g in sympy.groebner(polys, *zs, order="grevlex", domain="QQ").exprs]
-
-        def count(k):
-            return sum(not any(mono_divides(lead, m) for lead in leads)
-                       for m in exponent_tuples(packed_monomials(k)))
-
+        count = partial(oracles.standard_count, leads)
         top = sum(g.degree for g in gens)
         assert [ideal.hilbert_function(k) for k in range(top + 4)] == [
             count(k) for k in range(top + 4)]
@@ -2491,12 +2470,12 @@ def test_packed_monomials_match_the_tuple_operations():
             assert (pa < pb) == (a[::-1] < b[::-1])
             assert (pa == pb) == (a == b)
             assert _unpack(pa + pb) == tuple(x + y for x, y in zip(a, b))
-            assert groebner._divides(pb, pa) == mono_divides(b, a)
-            if mono_divides(b, a):
+            assert groebner._divides(pb, pa) == oracles.divides(b, a)
+            if oracles.divides(b, a):
                 assert _unpack(pa - pb) == mono_quotient(a, b)
                 divisible += 1
-            assert _unpack(groebner._lcm(pa, pb)) == mono_lcm(a, b)
-            assert _unpack(groebner._lcm(pb, pa)) == mono_lcm(a, b)
+            assert _unpack(groebner._lcm(pa, pb)) == tuple(map(max, a, b))
+            assert _unpack(groebner._lcm(pb, pa)) == tuple(map(max, a, b))
             packed_coprime = not groebner._nonzero_fields(pa) & groebner._nonzero_fields(pb)
             assert packed_coprime == mono_coprime(a, b)
             coprime += packed_coprime
@@ -2522,7 +2501,7 @@ def test_packed_division_matches_the_tuple_division():
                                      [_element_terms(e) for e in table])
         r, mult = _divide(dict(work), table)
         assert mult > 0 and {_unpack(m): Fraction(c, mult) for m, c in r.items()} == expected
-        assert [_unpack(m) for m in r] == sorted(expected, key=_degrevlex_key, reverse=True)
+        assert [_unpack(m) for m in r] == sorted(expected, key=oracles.degrevlex_key, reverse=True)
 
 
 def test_packed_buchberger_gives_the_tuple_elements_on_random_ideals():
@@ -2541,9 +2520,10 @@ def test_packed_buchberger_gives_the_tuple_elements_on_random_ideals():
 
 def test_packed_buchberger_gives_the_tuple_elements_on_the_section_cuts():
     """The runs on the cuts z3 = l and z3 of the section cases, over Q, run
-    to the end, give elements that reduce the cuts to zero; steered by the
-    Koszul bound of the cut forms and z3, as the section steers its runs, a
-    run gives up on some and ends with the same elements on the others."""
+    to the end, give a Groebner basis of the ideal of the cuts, by
+    assert_groebner_basis; steered by the Koszul bound of the cut forms and
+    z3, as the section steers its runs, a run gives up on some and ends
+    with the same elements on the others."""
     given_up = finished = 0
     for gens in _section_cases():
         if not gens or any(g.degree == 0 for g in gens):
@@ -2551,8 +2531,7 @@ def test_packed_buchberger_gives_the_tuple_elements_on_the_section_cuts():
         cuts = [_substituted(g) for g in gens] + [HomogeneousPolynomial.variable(3)]
         bound = groebner._ci_numerator([g.degree for g in cuts])
         steered = groebner._groebner_elements(_terms(cuts), bound=bound)
-        elements = groebner._groebner_elements(_terms(cuts))
-        assert _generate(elements, cuts)
+        elements = _assert_elements(cuts)
         given_up += steered is None
         assert steered in (None, elements)
         finished += 1
@@ -2588,7 +2567,7 @@ def _minimal(gens) -> list:
     """The distinct exponent tuples of gens that no other one divides,
     ascending."""
     gens = set(gens)
-    return sorted(g for g in gens if not any(h != g and mono_divides(h, g) for h in gens))
+    return sorted(g for g in gens if not any(h != g and oracles.divides(h, g) for h in gens))
 
 
 def _assert_monomial_hilbert_data(gens):
@@ -2680,7 +2659,7 @@ def test_staircase_lead_ideal_and_hilbert_data_have_their_closed_forms():
 def test_packed_degree_tables_keep_the_order_of_the_tuple_tables():
     for k in range(13):
         assert [_unpack(m) for _, m in _degree_basis([0], k)] == sorted(
-            oracles.monomials(k), key=_degrevlex_key, reverse=True)
+            oracles.monomials(k), key=oracles.degrevlex_key, reverse=True)
     twists = [0, -1, -3, 2]
     for e in range(-2, 6):
         assert [(slot, _unpack(m)) for slot, m in _degree_basis(twists, e)] == [
@@ -2934,8 +2913,9 @@ def test_degree_lists_give_the_heap_queue_elements_on_random_ideals(monkeypatch)
     divided = 0
     for gens in cases:
         divided += _divided(monkeypatch, partial(_assert_elements, gens))[1]
-    # the section cases, whose Groebner bases test_packed_buchberger_gives_
-    # the_tuple_elements_on_the_section_cuts checks on their cuts
+    # the section cases, whose Groebner bases on their cuts z3 = l and z3
+    # test_packed_buchberger_gives_the_tuple_elements_on_the_section_cuts
+    # checks; here, on their own variables, the elements generate the ideal
     for gens in [gens for gens in _section_cases() if gens]:
         elements, n = _divided(monkeypatch, partial(_steered, gens))
         assert _generate(elements, gens)

@@ -258,11 +258,11 @@ def test_verify_without_seed_runs_the_default_seed(capsys):
 def test_the_oracles_import_only_the_standard_library_and_the_input_types():
     """tests/oracles.py imports the standard library and, of folcurves, only
     the public input types it reads (HomogeneousPolynomial, exponent_tuples,
-    packed_monomials) and linalg.Echelon, and imports nothing at run time,
-    so that no oracle runs the code it checks."""
+    packed_monomials), and imports nothing at run time, so that no oracle
+    runs the code it checks."""
     allowed = {("folcurves.polyring", "HomogeneousPolynomial"),
                ("folcurves.polyring", "exponent_tuples"),
-               ("folcurves.polyring", "packed_monomials"), ("folcurves.linalg", "Echelon")}
+               ("folcurves.polyring", "packed_monomials")}
     tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
     folcurves_names = set()
     for node in ast.walk(tree):

@@ -41,32 +41,6 @@ def _narrow_terms(terms: dict) -> dict:
     return {(m & 1023, m >> 10 & 1023, m >> 20, 0): c for m, c in terms.items()}
 
 
-def _reduces_mod_p(f: dict, basis) -> bool:
-    """Whether the terms f have remainder 0 mod P on textbook division by
-    the terms dicts basis, each element divided by its degrevlex lead."""
-    P = section.P
-    table = [(lead, pow(g[lead], -1, P), g) for g in basis for lead in [oracles.lead_of(g)]]
-    work = {m: c % P for m, c in f.items() if c % P}
-    while work:
-        m = oracles.lead_of(work)
-        c = work.pop(m)
-        for lead, inverse, g in table:
-            if all(a <= b for a, b in zip(lead, m)):
-                factor = c * inverse
-                for t, x in g.items():
-                    if t != lead:
-                        key = tuple(a + b - e for a, b, e in zip(t, m, lead))
-                        y = (work.get(key, 0) - factor * x) % P
-                        if y:
-                            work[key] = y
-                        else:
-                            work.pop(key, None)
-                break
-        else:
-            return False
-    return True
-
-
 def _assert_runs(generators, numerator: dict) -> list:
     """On each plane, the run's elements, where it finishes, have their
     degrevlex largest term first and reduce every cut form to zero over
@@ -79,7 +53,8 @@ def _assert_runs(generators, numerator: dict) -> list:
             assert [oracles.lead_of(g) for g in basis] == [
                 _narrow_terms({e[0]: 1}).popitem()[0] for e in elements]
             for g in generators:
-                assert _reduces_mod_p(_narrow_terms(section._section_cut(g, plane)), basis)
+                assert not oracles.remainder(_narrow_terms(section._section_cut(g, plane)), basis,
+                                             section.P)
         verdicts.append(certified)
     return verdicts
 
@@ -171,7 +146,7 @@ def test_an_uncertified_run_on_three_variables_steers_as_four_do(monkeypatch):
         cuts = [section._section_cut(g) for g in _ideal(*entry["text"].splitlines()).generators]
         elements = groebner._groebner_elements(cuts, ring=section._OVER_FP)
         basis = [_narrow_terms({lead: a, **dict(tail)}) for lead, a, tail in elements]
-        assert all(_reduces_mod_p(_narrow_terms(cut), basis) for cut in cuts)
+        assert not any(oracles.remainder(_narrow_terms(cut), basis, section.P) for cut in cuts)
     assert len(divided) == 2544
 
 
