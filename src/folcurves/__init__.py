@@ -1,7 +1,8 @@
 """Exact-arithmetic toolkit for foliations by curves on projective 3-space.
 
 Submodules: polyring (homogeneous polynomial arithmetic), linalg (exact
-sparse elimination), groebner (bases and Hilbert data), resolution (graded
+sparse elimination), hilbert (Hilbert numerators and polynomials),
+groebner (bases and Hilbert data of ideals), resolution (graded
 syzygies, free resolutions, Rao profiles), forms (twisted differential
 forms and the wedge pipeline), sheafcoh (cohomology tables), classify
 (invariant formulas and the low-degree classification), monad (monad Chern
@@ -35,8 +36,9 @@ _SUBMODULE = {
         "radial_contraction", "random_projective_oneform", "singular_ideal",
         "standard_contact_form", "vector_field_to_twoform", "wedge"), "forms"),
     **dict.fromkeys((
-        "GradedIdeal", "HilbertPolynomial", "buchberger", "curve_invariants",
-        "hilbert_polynomial", "normal_form"), "groebner"),
+        "GradedIdeal", "buchberger", "curve_invariants", "hilbert_polynomial",
+        "normal_form"), "groebner"),
+    "HilbertPolynomial": "hilbert",
     **dict.fromkeys((
         "MonadSpec", "instanton_monad", "mismatched_charge6_monads", "monad_chern",
         "monad_regularity_bound"), "monad"),

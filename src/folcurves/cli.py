@@ -5,15 +5,15 @@ rejection.  Every subcommand accepts --json; JSON payloads are
 deterministic (sorted keys, no timing data).
 
 A subcommand imports the modules it runs when it runs, so that starting
-one compiles and loads only those.  errors, records, polyring and groebner
-stay at module level: every numeric subcommand uses them, and deferring
-them raised the gate's peak memory.  The other modules are imported in the
-handlers, and `verify` reads its suite names and default seed only when
-it needs them.  So `hilbert` loads parsing besides; `wedge` forms and
-parsing, and resolution with --rao; `rao` and `syzygy` resolution;
-`verify` every module.  section loads only for a section certificate
-(see groebner): on `hilbert`, `wedge --invariants` or --rao and
-`verify`, never on `rao`.
+one compiles and loads only those.  errors, records, polyring, hilbert and
+groebner stay at module level: every numeric subcommand uses them, and
+deferring them raised the gate's peak memory.  The other modules are
+imported in the handlers, and `verify` reads its suite names and default
+seed only when it needs them.  So `hilbert` loads parsing besides; `wedge`
+forms and parsing, and resolution with --rao; `rao` and `syzygy`
+resolution; `verify` every module.  section loads only for a section
+certificate (see groebner): on `hilbert`, `wedge --invariants` or --rao
+and `verify`, never on `rao`.
 """
 
 from __future__ import annotations
@@ -193,12 +193,12 @@ def _integers(what: str, text: str, parts, form: str):
 def _parse_range(text):
     lo, _, hi = text.partition("..")
     lo, hi = _integers("twist range", text, (lo, hi), "LO..HI, two integers")
-    twists = range(lo, hi + 1)
-    if len(twists) > MAX_TWIST_RANGE:
+    # counted before the range is built: len() of a range past sys.maxsize overflows
+    if hi - lo + 1 > MAX_TWIST_RANGE:
         raise ResourceLimitError(
-            f"twist range {text} holds {len(twists)} twists, more than {MAX_TWIST_RANGE}"
+            f"twist range {text} holds {hi - lo + 1} twists, more than {MAX_TWIST_RANGE}"
         )
-    return twists
+    return range(lo, hi + 1)
 
 
 def _cmd_cohomology(args):

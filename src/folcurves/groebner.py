@@ -1,7 +1,8 @@
 """Groebner bases and Hilbert data of homogeneous ideals.
 
 Everything is exact.  The monomial order is fixed to degrevlex.  Hilbert
-series of lead-term ideals drive degree and genus.
+series of lead-term ideals drive degree and genus; folcurves.hilbert makes
+and reads their numerators, and the bounds below.
 
 Monomials are polyring's packed exponent vectors, except in the
 Buchberger run of folcurves.section, which packs three variables in
@@ -61,29 +62,14 @@ kernel_of_columns, is still read here, through __getattr__ (see there).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import comb, gcd, inf
+from math import gcd, inf
 
 from .errors import NotACurveError, ResourceLimitError
-from .polyring import (
-    HomogeneousPolynomial,
-    MAX_DEGREE,
-    NVARS,
-    _FIELD,
-    _GUARD,
-    _STEPS,
-    _divides,
-    _from_integers,
-    _lcm,
-    _nonzero_fields,
-    _signed_sum,
-    exponent_tuples,
-    graded_piece_dimension,
-    mono_degree,
-)
-from .records import FrozenRecord
+from .hilbert import (HilbertPolynomial, _ci_hilbert_function, _ci_numerator, _hilbert_values,
+                      _minimal_numerator, _minimal_regularity_bound, _minimalize)
+from .polyring import (HomogeneousPolynomial, MAX_DEGREE, _GUARD, _STEPS, _divides,
+                       _from_integers, _lcm, exponent_tuples, mono_degree)
 
 DEFAULT_PAIR_CAP = 100_000
 # Most standard monomials buchberger's Hilbert-driven skip walks through in
@@ -244,39 +230,6 @@ def _reduced_basis(basis):
     return out
 
 
-def _series(terms) -> dict:
-    """The sums of the coefficients of the (exponent, coefficient) pairs
-    terms, by exponent, the nonzero ones keyed by ascending exponent: the
-    one form of every numerator in t here."""
-    sums = {}
-    for a, c in terms:
-        sums[a] = sums.get(a, 0) + c
-    return {a: sums[a] for a in sorted(sums) if sums[a]}
-
-
-def _ci_numerator(degrees) -> dict:
-    """prod(1 - t^e for e in degrees), a _series of its 2^len(degrees)
-    expanded terms (every caller passes at most four degrees): the
-    numerator of HS(S/I) * (1-t)^4 when forms of these degrees are a
-    regular sequence ((1-t)^2 (1-t^2) has no key t^2)."""
-    terms = [(0, 1)]
-    for e in degrees:
-        terms += [(a + e, -c) for a, c in terms]
-    return _series(terms)
-
-
-def _ci_hilbert_function(numerator, d: int) -> int:
-    """Coefficient of t^d in numerator / (1 - t)^4: dim (S/I)_d for the
-    hilbert_numerator of I.
-
-    For the _ci_numerator of some degrees it is dim (S/I)_d when forms of
-    these degrees are a regular sequence, and a lower bound for it whenever
-    at most four forms of these degrees generate I (see the module
-    docstring).
-    """
-    return sum(c * graded_piece_dimension(d - a) for a, c in numerator.items())
-
-
 def _next_standard(standard, leads, steps, low, guard):
     """The standard monomials of degree d + 1 from those of degree d, in a
     packing of the variables steps, guard mask guard and low the bits below
@@ -315,7 +268,7 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, ring=_OVER_
     still waits exactly when it comes after the current one, which the
     chain criterion reads.  The rest of a degree is skipped, pair by pair,
     once the Hilbert bound shows that it reduces to zero (see the module
-    docstring): _ci_hilbert_function of a lower bound for HS(S/I) * (1-t)^4.
+    docstring): _hilbert_values of a lower bound for HS(S/I) * (1-t)^4.
 
     A bound the caller passes is a certificate the run must meet: at the
     first finished degree whose standard monomials outnumber it, or at an
@@ -365,7 +318,10 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, ring=_OVER_
         # the kept generators and any variable not packed (z3, on three):
         # they generate I, and are no more
         bound = _ci_numerator([m % ones for m in lead] + [1] * (4 - len(steps)))
-    standard, std_degree, least = {0}, 0, None  # standard monomials of std_degree
+    if bound is not None:
+        values = _hilbert_values(bound)
+        least = next(values)  # the bound at std_degree, advanced with it
+    standard, std_degree = {0}, 0  # standard monomials of std_degree
     walked = processed = 0
     while waiting:
         degree = min(waiting)
@@ -379,16 +335,15 @@ def _groebner_elements(generators, pair_cap: int = DEFAULT_PAIR_CAP, ring=_OVER_
                     f"buchberger, degree {degree}: pair cap {pair_cap} exceeded")
             if bound is not None:
                 while std_degree < degree and walked <= MAX_STANDARD_WALK:
-                    if least is not None and len(standard) > least:
+                    if len(standard) > least:  # the walk stops, here at every later pair
                         if certify:
                             return None
-                        bound = None  # the walk stops; no later pair is skipped
                         break
                     walked += len(standard)
                     std_degree += 1
                     standard = _next_standard(standard, leads_of_degree.get(std_degree, ()),
                                               steps, low, guard)
-                    least = _ci_hilbert_function(bound, std_degree)
+                    least = next(values)
                 if std_degree == degree and len(standard) == least:
                     continue  # the leads span in(I)_degree: the pair reduces to zero
             if not (lead[i] + low) & (lead[j] + low) & guard:
@@ -426,158 +381,6 @@ def buchberger(generators, pair_cap: int = DEFAULT_PAIR_CAP):
     _reduced_basis of _groebner_elements, whose arguments and errors it
     takes."""
     return _reduced_basis(_groebner_elements([g._cleared[1] for g in generators], pair_cap))
-
-
-# ---------------------------------------------------------------------------
-# Hilbert series of monomial ideals
-
-
-def _minimalize(gens):
-    """The minimal generators of the monomial ideal that the packed
-    monomials gens generate, ascending.  A proper divisor is smaller than its
-    multiple, so in ascending order each monomial meets its divisors first."""
-    out = []
-    for g in sorted(set(gens)):
-        for h in out:
-            if not (g - h) & _GUARD:  # _divides(h, g), inline; h < g
-                break
-        else:
-            out.append(g)
-    return tuple(out)
-
-
-def _pivot(gens, mixed):
-    """(v, k, J : v^k) for the minimal generators gens of J, mixed those
-    with more than one variable: v is the variable in most mixed generators,
-    the first on ties, k its least positive exponent in gens, and J : v^k
-    its minimal generators, ascending.  No generator h without v divides a
-    g / v^k (it would divide g), so only the h are checked against those."""
-    counts = [sum(1 for g in mixed if g >> 32 * v & _FIELD) for v in range(NVARS)]
-    v = max(range(NVARS), key=counts.__getitem__)
-    k = min(e for e in (g >> 32 * v & _FIELD for g in gens) if e)
-    power = k << 32 * v
-    quotients = [g - power for g in gens if g >> 32 * v & _FIELD]
-    kept = [h for h in gens if not h >> 32 * v & _FIELD
-            and not any(q < h and not (h - q) & _GUARD for q in quotients)]
-    return v, k, tuple(sorted(quotients + kept))
-
-
-def _plus(gens, v, k):
-    """The minimal generators of J + v^k, ascending, for J's minimal
-    generators gens (no 1 among them) and k at most the least positive
-    exponent of v: no generator without v divides v^k or is divided by it."""
-    return tuple(sorted([g for g in gens if not g >> 32 * v & _FIELD] + [k << 32 * v]))
-
-
-@lru_cache(maxsize=None)
-def _minimal_numerator(gens: tuple) -> tuple:
-    """Coefficients of HS(S/J) * (1-t)^4, as a tuple of (exponent,
-    coefficient) pairs, for the minimal generators gens of the monomial
-    ideal J, ascending as _minimalize leaves them.
-
-    With a mixed generator, 0 -> S/(J : v^k)(-k) -> S/J -> S/(J + v^k) -> 0
-    splits it (see _pivot).  J + v^k is smaller than J: v lies in a mixed
-    minimal generator, so any pure power of v among them is above v^k.
-    """
-    if not gens:
-        return ((0, 1),)
-    if 0 in gens:
-        return ()
-    mixed = [g for g in gens if _nonzero_fields(g).bit_count() > 1]
-    if not mixed:
-        return tuple(_ci_numerator(mono_degree(g) for g in gens).items())
-    v, k, colon = _pivot(gens, mixed)
-    return tuple(_series([*_minimal_numerator(_plus(gens, v, k)),
-                          *((a + k, c) for a, c in _minimal_numerator(colon))]).items())
-
-
-@lru_cache(maxsize=None)
-def _minimal_regularity_bound(gens: tuple) -> int:
-    """Upper bound B(J) for reg(S/J), exact on complete intersections, for
-    the minimal generators gens of the monomial ideal J, ascending as
-    _minimalize leaves them.
-
-    It is max(B(J : v) + 1, B(J + v)) with v from _pivot.  For j < k,
-    J : v^j has generators of the supports of J's, so it picks v again, and
-    (J : v^j) + (v) = J + (v); k such steps are taken here in one,
-    max(B(J : v^k) + k, B(J + v) + k - 1).
-    """
-    if not gens or 0 in gens:
-        return 0
-    mixed = [g for g in gens if _nonzero_fields(g).bit_count() > 1]
-    if not mixed:
-        return sum(mono_degree(g) - 1 for g in gens)
-    v, k, colon = _pivot(gens, mixed)
-    return max(_minimal_regularity_bound(colon) + k,
-               _minimal_regularity_bound(_plus(gens, v, 1)) + k - 1)
-
-
-# ---------------------------------------------------------------------------
-# Hilbert polynomials
-
-
-# 6 * C(t+i, i) in powers of t, lowest first, i = 0..3
-_SIX_BINOMIAL = ((6,), (6, 6), (6, 9, 3), (6, 11, 6, 1))
-
-
-class HilbertPolynomial(FrozenRecord):
-    """Polynomial in t of degree at most 3, stored in the binomial basis
-    C(t+i, i), whose coefficients are integers for every Hilbert polynomial;
-    six times its power coefficients are ints, read off those."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, binomial_coeffs):
-        coeffs = list(binomial_coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if len(coeffs) > len(_SIX_BINOMIAL):
-            raise ValueError(f"a Hilbert polynomial on P^3 has degree at most 3, "
-                             f"got {len(coeffs)} binomial coefficients")
-        super().__init__(tuple(coeffs))
-
-    @property
-    def _six_power(self) -> list:
-        six = [0] * max(len(self.coeffs), 1)
-        for b, row in zip(self.coeffs, _SIX_BINOMIAL):
-            for k, c in enumerate(row):
-                six[k] += b * c
-        return six
-
-    def power_coeffs(self):
-        return [Fraction(c, 6) for c in self._six_power]
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def leading_coefficient(self) -> Fraction:
-        return Fraction(self._six_power[-1], 6)
-
-    def __call__(self, t: int) -> Fraction:
-        return Fraction(sum(c * t ** k for k, c in enumerate(self._six_power)), 6)
-
-    def __hash__(self):  # of coeffs itself, not of the field tuple (coeffs,)
-        return hash(self.coeffs)
-
-    def __str__(self) -> str:
-        power = self.power_coeffs()
-        parts = []
-        for k in range(len(power) - 1, -1, -1):
-            c = power[k]
-            if c == 0:
-                continue
-            mono = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            if mono and abs(c) == 1:
-                body = mono
-            elif mono:
-                body = f"{abs(c)}*{mono}"
-            else:
-                body = str(abs(c))
-            parts.append(("-" if c < 0 else "+", body))
-        return _signed_sum(parts)
-
-    def __repr__(self):
-        return f"HilbertPolynomial({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -691,22 +494,9 @@ class GradedIdeal:
 
     def hilbert_polynomial(self) -> HilbertPolynomial:
         """The Hilbert polynomial of S/I, computed on the first call and
-        kept.
-
-        Write the numerator sum_a c_a t^a in powers of 1 - t, by
-        t^a = sum_j C(a, j) (-1)^j (1-t)^j.  Over (1-t)^4 the terms j >= 4
-        leave a polynomial, which moves finitely many degrees only, and
-        the coefficient of t^k in 1/(1-t)^(i+1) is C(k+i, i).  So for
-        large k, dim (S/I)_k = sum_i b_i C(k+i, i) with the integers
-        b_i = (-1)^(3-i) sum_a c_a C(a, 3-i), i = 0..3.
-        """
+        kept (see HilbertPolynomial.from_numerator)."""
         if self._hilbert is None:
-            num = self._hilbert_numerator()
-            if not num:  # only the unit ideal has HS(S/I) = 0
-                raise ValueError("the unit ideal has no Hilbert polynomial")
-            self._hilbert = HilbertPolynomial(
-                (-1) ** (3 - i) * sum(c * comb(a, 3 - i) for a, c in num.items())
-                for i in range(4))
+            self._hilbert = HilbertPolynomial.from_numerator(self._hilbert_numerator())
         return self._hilbert
 
     def regularity_bound(self) -> int:

@@ -3,7 +3,8 @@ cohomology of a curve's ideal sheaf, twist by twist, from graded duality on
 the dualized tail of the resolution, so no saturation is ever computed.
 Everything is exact.  This module is apart from groebner so that a Hilbert
 query loads neither it nor linalg; groebner still answers for its public
-names, and kernel_of_columns, importing it on the first such read.
+names, and kernel_of_columns, importing it on the first such read.  It
+reads groebner's basis elements and hilbert's numerators.
 
 Resolutions are built layer by layer and degree by degree (La Scala and
 Stillman, J. Symbolic Comput. 26, 1998).  Exactness and the Hilbert function
@@ -65,25 +66,11 @@ from .errors import (
     ResourceLimitError,
     WindowTooSmallError,
 )
-from .groebner import (
-    GradedIdeal,
-    _ci_numerator,
-    _divide,
-    _divides,
-    _lcm,
-    _nonzero_fields,
-    _series,
-    curve_invariants,
-)
+from .groebner import GradedIdeal, _divide, curve_invariants
+from .hilbert import _ci_numerator, _series
 from .linalg import Echelon, kernel_of_columns, sparse_first
-from .polyring import (
-    HomogeneousPolynomial,
-    _from_integers,
-    graded_piece_dimension,
-    mono_degree,
-    packed_monomials,
-    sum_of_products,
-)
+from .polyring import (HomogeneousPolynomial, _divides, _from_integers, _lcm, _nonzero_fields,
+                       graded_piece_dimension, mono_degree, packed_monomials, sum_of_products)
 from .records import Record
 
 # Largest graded piece of a dualized resolution module that a Rao profile
@@ -326,7 +313,7 @@ class FreeResolution(Record):
                    == hilbert_function(e) for e in range(self.bound + 1))
 
     def _k_polynomial(self) -> dict:
-        """sum_i (-1)^i sum_(b in twists[i]) t^(-b), a groebner._series."""
+        """sum_i (-1)^i sum_(b in twists[i]) t^(-b), a hilbert._series."""
         return _series((-b, (-1) ** i) for i, twists in enumerate(self.twists) for b in twists)
 
     def composition_ok(self) -> bool:

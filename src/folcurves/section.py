@@ -12,7 +12,8 @@ ideals have one Hilbert series; z3's lead is coprime to theirs, so it
 only joins the leads at the end.
 
 The run certifies a lower bound B(d) <= H(S/I)(d), B = N(t) / (1-t)^4, of
-one of three kinds:
+one of three kinds, whose N folcurves.hilbert makes and this docstring
+proves:
   - the Koszul bound, N = prod(1 - t^d_i), for forms of degrees d_i (see
     groebner: the rank of the map onto I_d only drops under specialization,
     and up to four generic forms are a regular sequence);
@@ -30,8 +31,8 @@ one of three kinds:
     where the 2x2 minors of the a_i, b_i do; for generic a_i, b_i both
     sets are finite.  So the generic triple of these degrees in P has
     codimension 3, and by the same semicontinuity B bounds every triple;
-  - the conormal bound of a wedge, _conormal_bound (below), which
-    _certified_numerator tries first when forms recorded (c_a, c_b).
+  - the conormal bound of a wedge (below), which _certified_numerator
+    tries first when forms recorded (c_a, c_b).
 Three forms with one such line and none smaller take the line bound; any
 other r forms whose exponents show a subspace z_A = 0, |A| < r, on which
 all of them vanish are no regular sequence and take groebner's exact
@@ -107,6 +108,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 
 from . import groebner
+from .hilbert import (_ci_numerator, _conormal_bound, _line_bound, _minimal_numerator,
+                      _minimalize, _series)
 from .polyring import NVARS, _FIELD, _STEPS
 
 P = 32749  # the largest prime below 2^15 (see the module docstring)
@@ -202,26 +205,6 @@ def _monic_element(terms: dict):
 _OVER_FP = (_divide, _monic_element, _CUT_STEPS, _CUT_GUARD, 10, 511)
 
 
-def _line_bound(degrees) -> dict:
-    """N(t), a groebner._series: for three forms of these degrees in a
-    coordinate line ideal P, N(t) / (1-t)^4 is a coefficientwise lower
-    bound for HS(S/I), and HS(S/I) itself when the Buchsbaum-Rim complex
-    resolves P/I (see the module docstring).  With C = (2, d1, d2, d3) and
-    s = d1 + d2 + d3, N = 1 + t^2 + sum over c in C of (t^(s-c) - t^c) -
-    2t^(s-1)."""
-    s, C = sum(degrees), (2, *degrees)
-    return groebner._series([(0, 1), (2, 1), (s - 1, -2), *((s - c, 1) for c in C),
-                             *((c, -1) for c in C)])
-
-
-def _conormal_bound(c_a: int, c_b: int) -> dict:
-    """The conormal bound's N(t), a groebner._series, for 1-forms with
-    coefficients of degrees c_a and c_b (see the module docstring)."""
-    d = c_a + c_b - 1
-    return groebner._series([(0, 1), (d + 1, -6), (d + 2, 4), (d + 3, -1), (d + c_a, 1),
-                             (d + c_b, 1)])
-
-
 def _certifies(generators, numerator: dict) -> bool:
     """Whether, on a plane of PLANES, tried in turn, the F_P run on the cuts
     ends on leads that, lifted to four variables and with z3, have the
@@ -229,11 +212,11 @@ def _certifies(generators, numerator: dict) -> bool:
     HS(S/I) * (1-t)^4 proven as in the module docstring; a plane misses
     when a cut vanishes mod P or the run gives up."""
     # times 1 - t, the factor of z3
-    target = groebner._series([*numerator.items(), *((a + 1, -c) for a, c in numerator.items())])
+    target = _series([*numerator.items(), *((a + 1, -c) for a, c in numerator.items())])
     for plane in range(len(PLANES)):
         cuts = [_section_cut(g, plane) for g in generators]
         elements = all(cuts) and groebner._groebner_elements(cuts, ring=_OVER_FP, bound=target)
-        if elements and dict(groebner._minimal_numerator(groebner._minimalize(
+        if elements and dict(_minimal_numerator(_minimalize(
                 [_STEPS[3], *(_lift(e[0]) for e in elements)]))) == target:
             return True
     return False
@@ -260,7 +243,7 @@ def _section_numerator(generators):
     # one cover of three forms is a pair: a single index lies in three pairs
     if len(covers) > 1 or covers and len(degrees) < 3:
         return None
-    numerator = _line_bound(degrees) if covers else groebner._ci_numerator(degrees)
+    numerator = _line_bound(degrees) if covers else _ci_numerator(degrees)
     return numerator if _certifies(generators, numerator) else None
 
 

@@ -450,6 +450,12 @@ def test_cohomology_refuses_a_range_over_the_cap_quickly(capsys):
     assert time.perf_counter() - started < 1
     assert code == 2
     assert err.startswith("error: twist range 0..50000000") and len(err.splitlines()) == 1
+    # more twists than sys.maxsize, which len() of a range cannot count
+    huge = "-9999999999999999999999999999999999999993..-999999999"
+    code, out, err = run(capsys, ["cohomology", "nc", "--", huge])
+    assert (code, out) == (2, "")
+    assert err == (f"error: twist range {huge} holds 9999999999999999999999999999998999999995"
+                   " twists, more than 1000\n")
     code, out, _ = run(capsys, ["cohomology", "line", "--json", "--", "-500..499"])
     assert code == 0
     assert len(json.loads(out)["payload"]["twists"]) == 1000

@@ -28,10 +28,11 @@ from folcurves.forms import (
     standard_contact_form,
     wedge,
 )
-from folcurves.groebner import GradedIdeal, _ci_hilbert_function, curve_invariants
+from folcurves.groebner import GradedIdeal, curve_invariants
+from folcurves.hilbert import _ci_hilbert_function, _conormal_bound
 from folcurves.polyring import HomogeneousPolynomial
 from folcurves.resolution import rao_module_dimensions
-from folcurves.section import _MAX_CONORMAL_DEGREE, _conormal_bound
+from folcurves.section import _MAX_CONORMAL_DEGREE
 from folcurves.sheafcoh import cotangent_cohomology, line_bundle_cohomology
 
 RAO_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rao_pool.json"

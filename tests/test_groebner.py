@@ -15,7 +15,7 @@ from random import Random
 
 import pytest
 
-from folcurves import cli, forms, groebner, polyring, resolution, section, verification
+from folcurves import cli, forms, groebner, hilbert, polyring, resolution, section, verification
 from folcurves.errors import (
     CrossCheckFailureError,
     DegreeMismatchError,
@@ -73,13 +73,13 @@ def mono_coprime(a, b) -> bool:
 def _packed_numerator(gens):
     """The Hilbert numerator of the monomial ideal that the exponent tuples
     gens generate, by the packed recursion."""
-    return groebner._minimal_numerator(groebner._minimalize(map(_pack, gens)))
+    return hilbert._minimal_numerator(hilbert._minimalize(map(_pack, gens)))
 
 
 def _packed_regularity_bound(gens):
     """The regularity bound of the monomial ideal that the exponent tuples
     gens generate, by the packed recursion."""
-    return groebner._minimal_regularity_bound(groebner._minimalize(map(_pack, gens)))
+    return hilbert._minimal_regularity_bound(hilbert._minimalize(map(_pack, gens)))
 
 
 def _ideal(*exprs):
@@ -852,7 +852,8 @@ def test_hilbert_skip_divides_fewer_s_polynomials_on_complete_intersections(monk
         _assert_reduced_basis_in_pairs(gens, needed)
         basis, divided = _count_s_polynomials(monkeypatch, gens)
         with monkeypatch.context() as m:
-            m.setattr(groebner, "_ci_hilbert_function", lambda numerator, d: -1)  # never met
+            m.setattr(groebner, "_hilbert_values",
+                      lambda numerator: itertools.repeat(-1))  # never met
             unskipped_basis, unskipped = _count_s_polynomials(m, gens)
         assert unskipped_basis == basis
         assert divided < unskipped, [g.degree for g in gens]
@@ -870,10 +871,10 @@ def test_hilbert_skip_keeps_degenerate_ideals_exact(name):
 def test_hilbert_skip_needs_at_most_four_generators(monkeypatch):
     """Five nonzero generators, even when one is redundant, never consult
     the bound: for five forms it would be Froeberg's conjecture."""
-    def refuse(numerator, d):
+    def refuse(numerator):
         raise AssertionError("the bound was consulted")
 
-    monkeypatch.setattr(groebner, "_ci_hilbert_function", refuse)
+    monkeypatch.setattr(groebner, "_hilbert_values", refuse)
     rng = Random(18)
     quadrics = [_dense_form(rng, 2) for _ in range(5)]
     pairs = [55, 66, 28]
@@ -902,8 +903,8 @@ def test_hilbert_skip_gives_up_a_long_walk(monkeypatch):
 
 def _ci_values(degrees, top):
     """The complete-intersection count in degrees 0..top - 1."""
-    numerator = groebner._ci_numerator(degrees)
-    return [groebner._ci_hilbert_function(numerator, d) for d in range(top)]
+    numerator = hilbert._ci_numerator(degrees)
+    return [hilbert._ci_hilbert_function(numerator, d) for d in range(top)]
 
 
 def test_ci_hilbert_function_bounds_the_hilbert_function():
@@ -930,27 +931,48 @@ def test_ci_hilbert_function_bounds_the_hilbert_function():
     assert _ci_values((2, 2, 2, 2), 6) == [1, 4, 6, 4, 1, 0]
 
 
+def test_hilbert_values_are_the_hilbert_function_in_turn():
+    """The walk's running sums give _ci_hilbert_function in degrees 0..199
+    for the bounds the hilbert pool's runs take (the Koszul and line bounds
+    of each ideal's degrees, and each times 1 - t, the section's target),
+    for the Koszul bounds of seeded degree tuples and for conormal
+    bounds."""
+    pool = json.loads(HILBERT_POOL.read_text())["ideals"]
+    degrees = {tuple(g.degree for g in _ideal(*entry["text"].splitlines()).generators)
+               for entry in pool}
+    bounds = [bound(d) for d in degrees for bound in (hilbert._ci_numerator, hilbert._line_bound)]
+    bounds += [hilbert._series([*n.items(), *((a + 1, -c) for a, c in n.items())])
+               for n in list(bounds)]
+    rng = Random(53)
+    bounds += [hilbert._ci_numerator([rng.randint(1, 9) for _ in range(rng.randint(0, 5))])
+               for _ in range(40)]
+    bounds += [hilbert._conormal_bound(c_a, c_b) for c_a in range(1, 8) for c_b in range(1, 8)]
+    for bound in bounds:
+        values = list(itertools.islice(hilbert._hilbert_values(bound), 200))
+        assert values == [hilbert._ci_hilbert_function(bound, d) for d in range(200)], bound
+
+
 def test_series_sums_by_ascending_exponent_and_drops_zeros():
     """_series, the one form of a numerator in t: the coefficients of equal
     exponents summed, the nonzero ones keyed by ascending exponent."""
-    got = groebner._series([(3, 1), (0, 1), (3, -1), (1, 2), (0, 1), (1, 1)])
+    got = hilbert._series([(3, 1), (0, 1), (3, -1), (1, 2), (0, 1), (1, 1)])
     assert got == {0: 2, 1: 3} and list(got) == [0, 1]
-    assert groebner._series([]) == {} and groebner._series([(2, 1), (2, -1)]) == {}
+    assert hilbert._series([]) == {} and hilbert._series([(2, 1), (2, -1)]) == {}
     # the terms of (1-t)^2 (1-t^2) = 1 - 2t + 2t^3 - t^4: no t^2 key
     terms = [(a + b + c, x * y * z) for (a, x), (b, y), (c, z)
              in itertools.product([(0, 1), (1, -1)], [(0, 1), (1, -1)], [(0, 1), (2, -1)])]
-    assert list(groebner._series(terms).items()) == [(0, 1), (1, -2), (3, 2), (4, -1)]
-    for numerator in (groebner._ci_numerator((4, 1, 3, 2)), section._line_bound([4, 3, 3]),
-                      section._conormal_bound(3, 1)):
+    assert list(hilbert._series(terms).items()) == [(0, 1), (1, -2), (3, 2), (4, -1)]
+    for numerator in (hilbert._ci_numerator((4, 1, 3, 2)), hilbert._line_bound([4, 3, 3]),
+                      hilbert._conormal_bound(3, 1)):
         assert list(numerator) == sorted(numerator) and all(numerator.values())
 
 
 def test_ci_numerator_keeps_only_nonzero_coefficients():
     """(1-t)^2 (1-t^2) = 1 - 2t + 2t^3 - t^4 has no t^2 term, and neither
     has hilbert_numerator of a complete intersection of those degrees."""
-    assert groebner._ci_numerator((1, 1, 2)) == {0: 1, 1: -2, 3: 2, 4: -1}
-    assert groebner._ci_numerator(()) == {0: 1}
-    assert _ideal("z0", "z1", "z2^2").hilbert_numerator() == groebner._ci_numerator((2, 1, 1))
+    assert hilbert._ci_numerator((1, 1, 2)) == {0: 1, 1: -2, 3: 2, 4: -1}
+    assert hilbert._ci_numerator(()) == {0: 1}
+    assert _ideal("z0", "z1", "z2^2").hilbert_numerator() == hilbert._ci_numerator((2, 1, 1))
 
 
 def test_buchberger_errors_name_the_stage():
@@ -1641,7 +1663,7 @@ def _exact_numerator(gens):
 
 
 def _sorted_ci_numerator(gens):
-    return dict(sorted(groebner._ci_numerator([g.degree for g in gens]).items()))
+    return dict(sorted(hilbert._ci_numerator([g.degree for g in gens]).items()))
 
 
 def _sparse_form(rng, deg):
@@ -1726,7 +1748,7 @@ def _spy_planes(monkeypatch):
 
     def spy(gens, numerator):
         planes.clear()
-        line = numerator == section._line_bound([g.degree for g in gens])
+        line = numerator == hilbert._line_bound([g.degree for g in gens])
         certified = certifies(gens, numerator)
         tried.extend((plane, "line" if line else "Koszul", certified and plane == planes[-1])
                      for plane in planes)
@@ -1819,7 +1841,7 @@ def test_section_route_gives_up_a_non_complete_intersection_early(monkeypatch):
     monkeypatch.setattr(groebner, "_s_polynomial_terms",
                         lambda e, f, top: divided.append(1) or real(e, f, top))
     # the Koszul certificate of the cuts in z0..z2: the forms' times 1 - t
-    assert run(cuts, bound=groebner._ci_numerator([g.degree for g in gens] + [1])) is None
+    assert run(cuts, bound=hilbert._ci_numerator([g.degree for g in gens] + [1])) is None
     stopped = len(divided)
     divided.clear()
     assert run(cuts)
@@ -2139,9 +2161,9 @@ def test_line_bound_is_a_lower_bound_met_where_the_section_certifies(monkeypatch
         for _ in range(40):
             gens = _line_triple(rng, a, b)
             exact = _exact_numerator(gens)
-            bound = section._line_bound([g.degree for g in gens])
-            values = [groebner._ci_hilbert_function(exact, d) for d in range(21)]
-            least = [groebner._ci_hilbert_function(bound, d) for d in range(21)]
+            bound = hilbert._line_bound([g.degree for g in gens])
+            values = [hilbert._ci_hilbert_function(exact, d) for d in range(21)]
+            least = [hilbert._ci_hilbert_function(bound, d) for d in range(21)]
             assert all(v >= w for v, w in zip(values, least)), [str(g) for g in gens]
             tried.clear()
             got = section._section_numerator(gens)
@@ -2176,7 +2198,7 @@ def test_buchsbaum_rim_resolves_a_triple_whose_minors_have_codimension_3():
     minors.lead_ideal()  # the four-variable basis first: the Hilbert query reads it
     assert minors.hilbert_polynomial().degree() <= 0
     exact = _exact_numerator(ideal.generators)
-    assert section._line_bound([3, 3, 3]) == exact == {0: 1, 3: -3, 6: 3, 7: 1, 8: -2}
+    assert hilbert._line_bound([3, 3, 3]) == exact == {0: 1, 3: -3, 6: 3, 7: 1, 8: -2}
     assert ideal.hilbert_numerator() == exact
 
 
@@ -2367,7 +2389,7 @@ def test_monomial_generators_are_their_own_basis(monkeypatch):
             assert ideal._elements is not None
             ideal.hilbert_numerator()
             assert runs == []
-        assert ideal._packed_lead() == groebner._minimalize(
+        assert ideal._packed_lead() == hilbert._minimalize(
             e[0] for e in groebner._groebner_elements(_terms(gens)))
         assert list(ideal.groebner_basis()) == buchberger(gens)
     assert len(cases) == 63
@@ -2464,19 +2486,19 @@ def test_packed_monomials_match_the_tuple_operations():
     for a in monos:
         pa = _pack(a)
         assert _unpack(pa) == a and polyring.mono_degree(pa) == sum(a)
-        assert groebner._nonzero_fields(pa).bit_count() == sum(e > 0 for e in a)
+        assert polyring._nonzero_fields(pa).bit_count() == sum(e > 0 for e in a)
         for b in monos + [tuple(rng.randint(0, e) for e in a)]:  # and a divisor of a
             pb = _pack(b)
             assert (pa < pb) == (a[::-1] < b[::-1])
             assert (pa == pb) == (a == b)
             assert _unpack(pa + pb) == tuple(x + y for x, y in zip(a, b))
-            assert groebner._divides(pb, pa) == oracles.divides(b, a)
+            assert polyring._divides(pb, pa) == oracles.divides(b, a)
             if oracles.divides(b, a):
                 assert _unpack(pa - pb) == mono_quotient(a, b)
                 divisible += 1
-            assert _unpack(groebner._lcm(pa, pb)) == tuple(map(max, a, b))
-            assert _unpack(groebner._lcm(pb, pa)) == tuple(map(max, a, b))
-            packed_coprime = not groebner._nonzero_fields(pa) & groebner._nonzero_fields(pb)
+            assert _unpack(polyring._lcm(pa, pb)) == tuple(map(max, a, b))
+            assert _unpack(polyring._lcm(pb, pa)) == tuple(map(max, a, b))
+            packed_coprime = not polyring._nonzero_fields(pa) & polyring._nonzero_fields(pb)
             assert packed_coprime == mono_coprime(a, b)
             coprime += packed_coprime
     assert divisible >= 60 and coprime >= 20
@@ -2529,7 +2551,7 @@ def test_packed_buchberger_gives_the_tuple_elements_on_the_section_cuts():
         if not gens or any(g.degree == 0 for g in gens):
             continue
         cuts = [_substituted(g) for g in gens] + [HomogeneousPolynomial.variable(3)]
-        bound = groebner._ci_numerator([g.degree for g in cuts])
+        bound = hilbert._ci_numerator([g.degree for g in cuts])
         steered = groebner._groebner_elements(_terms(cuts), bound=bound)
         elements = _assert_elements(cuts)
         given_up += steered is None
@@ -2612,7 +2634,7 @@ def test_monomial_recursions_minimalizing_once_per_node_match_the_former_ones():
             gens.append(rng.choice((g, tuple(map(sum, zip(g, rng.choice(gens)))))))
         rng.shuffle(gens)
         redundant += len(_minimal(gens)) < len(gens)
-        assert sorted(map(_unpack, groebner._minimalize(map(_pack, gens)))) == _minimal(gens)
+        assert sorted(map(_unpack, hilbert._minimalize(map(_pack, gens)))) == _minimal(gens)
         _assert_monomial_hilbert_data(tuple(gens))
     assert redundant >= 100
     staircase = tuple((i, 40 - i, 0, 0) for i in range(41))
@@ -2627,19 +2649,19 @@ def test_pivot_returns_the_colon_minimal_and_ascending():
     generators without v are dropped, and neither recursion minimalizes
     the colon again."""
     rng = Random(46)
-    cases = [groebner._minimalize(
+    cases = [hilbert._minimalize(
         _pack(tuple(rng.choice((0, 0, 1, 2, rng.randint(3, 6))) for _ in range(NVARS)))
         for _ in range(rng.randint(2, 8))) for _ in range(400)]
-    cases.append(groebner._minimalize(_pack((i, 440 - i, 0, 0)) for i in range(441)))
+    cases.append(hilbert._minimalize(_pack((i, 440 - i, 0, 0)) for i in range(441)))
     checked = dropped = 0
     for gens in cases:
-        mixed = [g for g in gens if groebner._nonzero_fields(g).bit_count() > 1]
+        mixed = [g for g in gens if polyring._nonzero_fields(g).bit_count() > 1]
         if not mixed or 0 in gens:
             continue
-        v, k, colon = groebner._pivot(gens, mixed)
+        v, k, colon = hilbert._pivot(gens, mixed)
         power = k << 32 * v
         raw = [g - power if g >> 32 * v & polyring._FIELD else g for g in gens]
-        assert colon == groebner._minimalize(raw), [_unpack(g) for g in gens]
+        assert colon == hilbert._minimalize(raw), [_unpack(g) for g in gens]
         checked += 1
         dropped += len(colon) < len(raw)
     assert checked >= 300 and dropped >= 40, (checked, dropped)
@@ -2800,7 +2822,7 @@ def _steered(gens, steer=False, **kw):
     """_groebner_elements of the generators' terms, run with kw; with steer,
     steered by the Koszul bound of their degrees, as the section steers its
     runs, which gives up (None) on a degree over the bound."""
-    bound = groebner._ci_numerator([g.degree for g in gens if g]) if steer else None
+    bound = hilbert._ci_numerator([g.degree for g in gens if g]) if steer else None
     return groebner._groebner_elements(_terms(gens), bound=bound, **kw)
 
 

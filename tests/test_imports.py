@@ -28,8 +28,8 @@ PUBLIC = {
         is_contact_form is_decomposable is_projective legendrian_foliation legendrian_sample
         parse_form pencil_form radial_contraction random_projective_oneform singular_ideal
         standard_contact_form vector_field_to_twoform wedge""",
-    "groebner": """GradedIdeal HilbertPolynomial buchberger curve_invariants
-        hilbert_polynomial normal_form""",
+    "groebner": "GradedIdeal buchberger curve_invariants hilbert_polynomial normal_form",
+    "hilbert": "HilbertPolynomial",
     "monad": """MonadSpec instanton_monad mismatched_charge6_monads monad_chern
         monad_regularity_bound""",
     "polyring": "HomogeneousPolynomial graded_piece_dimension parse_polynomial",
@@ -41,10 +41,10 @@ PUBLIC = {
 }
 NAMES = {name: module for module, names in PUBLIC.items() for name in names.split()}
 
-# what `import folcurves.cli` loads: records with polyring and groebner, as
-# polynomials and Hilbert polynomials are FrozenRecords
+# what `import folcurves.cli` loads: records with polyring and hilbert, which
+# groebner imports, as polynomials and Hilbert polynomials are FrozenRecords
 MODULES = {"folcurves", "folcurves.cli", "folcurves.errors", "folcurves.records",
-           "folcurves.polyring", "folcurves.groebner"}
+           "folcurves.polyring", "folcurves.hilbert", "folcurves.groebner"}
 # what every subcommand that builds a free resolution loads besides
 RESOLUTION = {"folcurves.resolution", "folcurves.linalg"}
 # what a Hilbert query of at most three forms, not all of one term, loads
@@ -277,3 +277,48 @@ def test_the_oracles_import_only_the_standard_library_and_the_input_types():
         elif isinstance(node, ast.Name):
             assert node.id not in ("__import__", "importlib", "eval", "exec"), node.id
     assert folcurves_names and folcurves_names <= allowed, folcurves_names - allowed
+
+
+# the names hilbert defines, which groebner and section defined before it
+HILBERT_NAMES = {"HilbertPolynomial", "_SIX_BINOMIAL", "_ci_hilbert_function", "_ci_numerator",
+                 "_conormal_bound", "_line_bound", "_minimal_numerator",
+                 "_minimal_regularity_bound", "_minimalize", "_pivot", "_plus", "_series"}
+
+
+def test_hilbert_imports_only_polyring_records_and_the_standard_library():
+    tree = ast.parse((ROOT / "src" / "folcurves" / "hilbert.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    local = {m for m in imported if m.startswith(".")}
+    assert local == {".polyring", ".records"}, local
+    assert all(m.partition(".")[0] in sys.stdlib_module_names for m in imported - local), imported
+    import folcurves.groebner
+    import folcurves.hilbert
+
+    assert folcurves.groebner.HilbertPolynomial is folcurves.hilbert.HilbertPolynomial
+
+
+def test_no_module_reads_a_hilbert_name_through_groebner_or_section():
+    """Each name of HILBERT_NAMES is defined in hilbert alone, and no
+    module of the package reads it as groebner.<name> or section.<name>
+    or imports it from either."""
+    for path in sorted((ROOT / "src" / "folcurves").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        if path.stem != "hilbert":
+            assert not defined & HILBERT_NAMES, (path.name, defined & HILBERT_NAMES)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert not (node.value.id in ("groebner", "section")
+                            and node.attr in HILBERT_NAMES), (path.name, node.lineno)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.rpartition(".")[2] in ("groebner", "section"):
+                    read = {a.name for a in node.names} & HILBERT_NAMES
+                    assert not read, (path.name, node.lineno, read)

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from folcurves import cli, forms, groebner, section
+from folcurves import cli, forms, groebner, hilbert, section
 from folcurves.errors import ResourceLimitError
 from folcurves.polyring import _STEPS
 
@@ -27,13 +27,13 @@ def _three_variable_run(generators, numerator: dict, plane: int):
     """(elements, certified) of section's run on one plane, as
     section._certifies runs it, its elements False when a cut vanishes mod P
     and None when the run gives up."""
-    target = groebner._series([*numerator.items(), *((a + 1, -c) for a, c in numerator.items())])
+    target = hilbert._series([*numerator.items(), *((a + 1, -c) for a, c in numerator.items())])
     cuts = [section._section_cut(g, plane) for g in generators]
     elements = all(cuts) and groebner._groebner_elements(cuts, ring=section._OVER_FP, bound=target)
     # the leads lifted to polyring's packing, with z3
     leads = elements and [_STEPS[3], *(section._lift(e[0]) for e in elements)]
-    return elements, bool(leads) and dict(groebner._minimal_numerator(
-        groebner._minimalize(leads))) == target
+    return elements, bool(leads) and dict(hilbert._minimal_numerator(
+        hilbert._minimalize(leads))) == target
 
 
 def _narrow_terms(terms: dict) -> dict:
@@ -70,8 +70,8 @@ def test_three_variables_run_as_four_on_the_hilbert_pool():
     for entry in pool:
         gens = _ideal(*entry["text"].splitlines()).generators
         degrees = [g.degree for g in gens]
-        for name, numerator in (("Koszul", groebner._ci_numerator(degrees)),
-                                ("line", section._line_bound(degrees))):
+        for name, numerator in (("Koszul", hilbert._ci_numerator(degrees)),
+                                ("line", hilbert._line_bound(degrees))):
             verdicts = _assert_runs(gens, numerator)
             assert section._certifies(gens, numerator) == any(verdicts)
             key = name, *verdicts
@@ -109,7 +109,7 @@ def test_three_variables_run_as_four_on_contact_wedges():
     for d in range(1, 24):
         omega = forms.random_projective_oneform(d, Random(0))
         ideal = forms._wedge_ideal(contact, omega, forms.wedge(contact, omega))
-        verdicts = _assert_runs(ideal.generators, section._conormal_bound(*ideal._conormal))
+        verdicts = _assert_runs(ideal.generators, hilbert._conormal_bound(*ideal._conormal))
         assert verdicts[0], d
 
 
@@ -124,8 +124,8 @@ def test_three_variables_run_as_four_on_the_ci_multiples_of_p(name):
     degrees = [g.degree for g in divided]
     tried = "line" if name == "line" else "koszul"
     for gens in (divided, multiples):
-        for bound, numerator in (("koszul", groebner._ci_numerator(degrees)),
-                                 ("line", section._line_bound(degrees))):
+        for bound, numerator in (("koszul", hilbert._ci_numerator(degrees)),
+                                 ("line", hilbert._line_bound(degrees))):
             verdicts = _assert_runs(gens, numerator)
             assert section._certifies(gens, numerator) == any(verdicts)
             if gens is multiples or bound == tried:
